@@ -396,6 +396,60 @@ func benchEngineEvents(b *testing.B, traced bool) {
 func BenchmarkSimEngineEvents(b *testing.B)       { benchEngineEvents(b, false) }
 func BenchmarkSimEngineEventsTraced(b *testing.B) { benchEngineEvents(b, true) }
 
+// newDeepQueue builds the queue shape of the datacenter-scale runs, which
+// BenchmarkSimEngineEvents' 64-event queue cannot show: 2^18 events
+// pre-scheduled far beyond any benchmark's horizon, under 1,000
+// ten-second Tickers (heartbeats) whose phases sit 10 ms apart, so every
+// 10 ms of virtual time fires exactly one tick. The clock is left at
+// 70 s, just past 2^36 ns: the first time the clock crosses a multiple
+// of a new power of two, the ticks beyond it collect in a queue level
+// never filled before, which allocates its array once; the next such
+// crossing is at 2^37 ns (137 s).
+func newDeepQueue() *sim.Engine {
+	eng := sim.NewEngine(1)
+	nop := func() {}
+	const far = sim.Time(1 << 55) // ~417 days
+	for i := 0; i < 1<<18; i++ {
+		eng.At(far+sim.Time(eng.Rand().Int63n(1<<50)), nop)
+	}
+	for i := 0; i < 1000; i++ {
+		sim.NewTicker(eng, 10*time.Second, nop)
+		eng.RunFor(10 * time.Millisecond)
+	}
+	eng.RunUntil(sim.Time(70 * time.Second))
+	return eng
+}
+
+// BenchmarkEngineDeepQueue measures one heartbeat tick — pop, fire,
+// reschedule — in a queue 2^18 events deep.
+func BenchmarkEngineDeepQueue(b *testing.B) {
+	eng := newDeepQueue()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.RunFor(10 * time.Millisecond)
+	}
+}
+
+// TestEngineDeepQueueAllocs pins BenchmarkEngineDeepQueue's steady state
+// at zero allocations: 2,000 ticks, two full rounds, allocate nothing
+// (after AllocsPerRun's warm-up call, another 2,000).
+func TestEngineDeepQueueAllocs(t *testing.T) {
+	eng := newDeepQueue()
+	before := eng.EventsFired()
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 2000; i++ {
+			eng.RunFor(10 * time.Millisecond)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("2,000 ticks over a 2^18-deep queue allocated %.0f objects, want 0", allocs)
+	}
+	if fired := eng.EventsFired() - before; fired != 4000 {
+		t.Errorf("fired %d ticks, want 4000", fired)
+	}
+}
+
 // benchResourceFlows measures the fluid-flow hot path: each iteration
 // admits 32 concurrent flows on one disk (every admission rebalances all
 // active flows) and runs them to completion inside the measured region.
@@ -462,13 +516,17 @@ func BenchmarkResourceChurn(b *testing.B) {
 func BenchmarkResourceCascade(b *testing.B) {
 	eng := sim.NewEngine(1)
 	r := sim.NewResource(eng, "disk", 130*float64(sim.MB), nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	cascade := func() {
 		for j := 0; j < 512; j++ {
 			r.Start(16*sim.MB, nil)
 		}
 		eng.Run()
+	}
+	cascade() // fill the flow pool and heaps outside the measurement
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cascade()
 	}
 }
 

@@ -46,7 +46,7 @@ type Event struct {
 	at        Time
 	seq       uint64
 	fn        func()
-	queued    bool // in the heap (live or tombstoned)
+	queued    bool // in the queue (live or tombstoned)
 	cancelled bool
 }
 
@@ -62,15 +62,12 @@ func eventLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// eventQueue is a 4-ary min-heap specialized to *Event. Hand-rolling it
-// (instead of container/heap) removes interface dispatch and any-boxing
-// from the hottest loop in the simulator, and lazy cancellation means no
-// remove-by-index is ever needed, so sifting uses cheap hole moves with a
-// single final write instead of index-maintaining swaps. The fan-out of
-// 4 (rather than 2) halves the tree depth — at the datacenter-scale
-// presets the queue holds 10^6-10^7 events, where the shallower,
-// cache-friendlier sift is measurably faster than a binary heap — while
-// keeping the same strict (time, seq) pop order.
+// eventQueue is a 4-ary min-heap specialized to *Event, in strict
+// (time, seq) pop order. The engine's queue is the radix heap in
+// radix.go; this heap holds only the events scheduled below the radix
+// heap's base (see radixQueue). Lazy cancellation means no
+// remove-by-index is ever needed, so sifting uses cheap hole moves with
+// a single final write instead of index-maintaining swaps.
 type eventQueue []*Event
 
 // heapArity is the heap fan-out; pop order is arity-independent.
@@ -151,8 +148,8 @@ func (q eventQueue) reinit() {
 }
 
 // compactMin is the queue length below which tombstone compaction is not
-// worth an O(n) heap rebuild; dead events that small are cheaper to skim
-// off the top as the clock reaches them.
+// worth an O(n) sweep; dead events that small are cheaper to skim off
+// the head as the clock reaches them.
 const compactMin = 64
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
@@ -160,9 +157,9 @@ const compactMin = 64
 type Engine struct {
 	now    Time
 	seq    uint64
-	events eventQueue
+	events radixQueue
 	// dead counts tombstoned (lazily cancelled) events still in the
-	// queue. Cancellation only flags the event; the heap entry is
+	// queue. Cancellation only flags the event; the queue entry is
 	// reclaimed when it surfaces, or in bulk by compact() once dead
 	// entries outnumber live ones.
 	dead    int
@@ -245,7 +242,7 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 func (e *Engine) EventsFired() uint64 { return e.fired }
 
 // Pending reports how many live (non-cancelled) events are queued.
-func (e *Engine) Pending() int { return len(e.events) - e.dead }
+func (e *Engine) Pending() int { return e.events.n - e.dead }
 
 // Schedule runs fn after delay d of virtual time. A negative delay is
 // treated as zero. The returned Event may be cancelled.
@@ -272,7 +269,7 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	}
 	ev.at, ev.seq, ev.fn, ev.cancelled = t, e.seq, fn, false
 	e.seq++
-	e.events.push(ev)
+	e.events.push(ev, e.now)
 	return ev
 }
 
@@ -280,7 +277,7 @@ func (e *Engine) At(t Time, fn func()) *Event {
 // fired, or already-cancelled event is a no-op.
 //
 // Cancellation is lazy: the event is tombstoned in place (O(1)) and its
-// callback reference dropped immediately, and the heap entry is reclaimed
+// callback reference dropped immediately, and the queue entry is reclaimed
 // when it surfaces — or in bulk once tombstones outnumber live events.
 func (e *Engine) Cancel(ev *Event) {
 	if ev == nil || ev.cancelled {
@@ -294,30 +291,17 @@ func (e *Engine) Cancel(ev *Event) {
 		return // currently firing or already popped
 	}
 	e.dead++
-	if e.dead*2 > len(e.events) && len(e.events) >= compactMin {
+	if e.dead*2 > e.events.n && e.events.n >= compactMin {
 		e.compact()
 	}
 }
 
-// compact rebuilds the heap without its tombstoned entries. Each rebuild
+// compact drops the queue's tombstoned entries in place. Each pass
 // reclaims at least half the queue, so the cost amortizes to O(1) per
 // cancellation while bounding queue memory at ~2x the live event count.
 func (e *Engine) compact() {
-	live := e.events[:0]
-	for _, ev := range e.events {
-		if ev.cancelled {
-			ev.queued = false
-			e.release(ev)
-			continue
-		}
-		live = append(live, ev)
-	}
-	for i := len(live); i < len(e.events); i++ {
-		e.events[i] = nil
-	}
-	e.events = live
+	e.events.compact(e.release)
 	e.dead = 0
-	e.events.reinit()
 }
 
 // maxFreeEvents caps the recycled-event pool. Without a cap, a burst of
@@ -334,14 +318,20 @@ func (e *Engine) release(ev *Event) {
 	}
 }
 
-// skimDead pops tombstoned events off the head of the queue without
-// advancing the clock or firing anything.
-func (e *Engine) skimDead() {
-	for len(e.events) > 0 && e.events[0].cancelled {
-		ev := e.events.popMin()
+// head skims tombstoned events off the front of the queue, without
+// advancing the clock or firing anything, and returns the earliest live
+// event, or nil when none is queued.
+func (e *Engine) head() *Event {
+	for e.events.n > 0 {
+		ev := e.events.peek()
+		if !ev.cancelled {
+			return ev
+		}
+		e.events.popMin()
 		e.dead--
 		e.release(ev)
 	}
+	return nil
 }
 
 // Stop makes Run return after the current event completes. On a shard
@@ -359,8 +349,7 @@ func (e *Engine) Run() {
 	}
 	e.stopped = false
 	for !e.stopped {
-		e.skimDead()
-		if len(e.events) == 0 {
+		if e.head() == nil {
 			return
 		}
 		e.step()
@@ -377,8 +366,7 @@ func (e *Engine) RunUntil(t Time) {
 	}
 	e.stopped = false
 	for !e.stopped {
-		e.skimDead()
-		if len(e.events) == 0 || e.events[0].at > t {
+		if ev := e.head(); ev == nil || ev.at > t {
 			break
 		}
 		e.step()

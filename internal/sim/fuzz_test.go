@@ -11,7 +11,11 @@ import (
 // small op program: schedule, cancel, advance the clock, and schedule
 // events whose callbacks themselves schedule or cancel (which is what
 // exercises handle pooling — a fired event's struct is recycled, so the
-// model must never cancel through a stale handle).
+// model must never cancel through a stale handle). Three ops aim at the
+// radix queue's regimes: far-future schedules that reach its top
+// buckets, a RunUntil that stops just short of the head followed by
+// schedules below it (the below-base heap), and same-instant bursts at
+// a time already queued (the seq order of bucket 0).
 //
 // Invariants checked:
 //   - events fire exactly in (time, scheduling-order) order;
@@ -32,6 +36,12 @@ func FuzzEventQueue(f *testing.F) {
 	}
 	f.Add(bulk)
 	f.Add([]byte{7, 3, 7, 0, 5, 40, 7, 9, 5, 63, 3, 1, 5, 63})
+	// Far-future schedules interleaved with near ones, then a drain.
+	f.Add([]byte{8, 200, 0, 5, 8, 1, 8, 255, 0, 63, 5, 31, 8, 3, 3, 2})
+	// Stop one tick short of the head, then schedule beneath it.
+	f.Add([]byte{0, 20, 0, 40, 9, 3, 9, 7, 0, 1, 9, 0, 5, 10, 9, 5})
+	// Bursts at queued instants, some queued long before the burst.
+	f.Add([]byte{0, 30, 8, 1, 0, 40, 5, 20, 10, 0, 10, 1, 10, 2, 3, 5, 10, 9})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		eng := NewEngine(1)
@@ -93,9 +103,21 @@ func FuzzEventQueue(f *testing.F) {
 			handles[idx] = nil
 		}
 
+		// earliestLive reports the model's earliest live event time.
+		earliestLive := func() (Time, bool) {
+			var at Time
+			ok := false
+			for _, m := range model {
+				if !m.fired && !m.cancelled && (!ok || m.at < at) {
+					at, ok = m.at, true
+				}
+			}
+			return at, ok
+		}
+
 		for i := 0; i+1 < len(data); i += 2 {
 			arg := int(data[i+1])
-			switch data[i] % 8 {
+			switch data[i] % 11 {
 			case 0, 1, 2: // schedule at now+delta
 				schedule(eng.Now().Add(Duration(arg%64)*unit), -1)
 			case 3, 4: // cancel by index
@@ -104,6 +126,28 @@ func FuzzEventQueue(f *testing.F) {
 				eng.RunFor(Duration(arg%32) * unit)
 			case 7: // schedule an event that schedules another on fire
 				schedule(eng.Now().Add(Duration(arg%64)*unit), Duration(arg%16)*unit)
+			case 8: // far future: up to ~4.9 h, into the top buckets
+				schedule(eng.Now().Add(Duration(arg)<<36), -1)
+			case 9: // stop 1-8 ns short of the head, then schedule below it
+				head, ok := earliestLive()
+				gap := Time(1 + arg%8)
+				if !ok || head-gap < eng.Now() {
+					break
+				}
+				eng.RunUntil(head - gap)
+				schedule(eng.Now().Add(Duration(arg)%Duration(gap)), -1)
+				schedule(eng.Now(), -1)
+			case 10: // burst of 8-15 events at an instant already queued
+				if len(model) == 0 {
+					break
+				}
+				m := model[arg%len(model)]
+				if m.fired || m.cancelled {
+					break
+				}
+				for k := 0; k < 8+arg%8; k++ {
+					schedule(m.at, -1)
+				}
 			}
 			if got, want := eng.Pending(), live(); got != want {
 				t.Fatalf("op %d: Pending() = %d, model live = %d", i/2, got, want)
@@ -112,7 +156,7 @@ func FuzzEventQueue(f *testing.F) {
 
 		// Drain everything (nested schedules keep extending the queue, but
 		// each nesting is one level deep so the horizon is finite).
-		eng.RunUntil(Time(1 << 40))
+		eng.RunUntil(Time(1 << 50))
 		if eng.Pending() != 0 {
 			t.Fatalf("queue not drained: %d pending", eng.Pending())
 		}

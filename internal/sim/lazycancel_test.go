@@ -41,7 +41,7 @@ func TestLazyCancelSkipsTombstonesInOrder(t *testing.T) {
 	}
 }
 
-// Pending must count only live events while tombstones linger in the heap.
+// Pending must count only live events while tombstones linger in the queue.
 func TestPendingCountsLiveEventsOnly(t *testing.T) {
 	e := NewEngine(1)
 	var evs []*Event
@@ -71,7 +71,7 @@ func TestCancelReleasesCallback(t *testing.T) {
 	}
 }
 
-// Mass cancellation must compact the heap: with one live far-future event
+// Mass cancellation must compact the queue: with one live far-future event
 // pinned, churning many cancelled events may not grow the queue without
 // bound.
 func TestCompactionBoundsQueueMemory(t *testing.T) {
@@ -81,8 +81,8 @@ func TestCompactionBoundsQueueMemory(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		ev := e.Schedule(time.Duration(1+i%100)*time.Minute, func() {})
 		e.Cancel(ev)
-		if len(e.events) > maxLen {
-			maxLen = len(e.events)
+		if e.events.n > maxLen {
+			maxLen = e.events.n
 		}
 	}
 	if maxLen > 2*compactMin {
@@ -160,7 +160,7 @@ func TestTickerStopReleasesEvent(t *testing.T) {
 }
 
 // Ticker churn (start+stop) must not leak queue entries: compaction keeps
-// the heap bounded even though every stopped ticker leaves a tombstone
+// the queue bounded even though every stopped ticker leaves a tombstone
 // with a distant deadline.
 func TestTickerChurnDoesNotLeak(t *testing.T) {
 	e := NewEngine(1)
@@ -168,8 +168,8 @@ func TestTickerChurnDoesNotLeak(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		tk := NewTicker(e, time.Duration(1+i%7)*time.Hour, func() {})
 		tk.Stop()
-		if len(e.events) > maxLen {
-			maxLen = len(e.events)
+		if e.events.n > maxLen {
+			maxLen = e.events.n
 		}
 	}
 	if maxLen > 2*compactMin {

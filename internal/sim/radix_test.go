@@ -1,0 +1,237 @@
+package sim
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+)
+
+// refEngine is the engine loop as it ran before the radix queue: every
+// event in one 4-ary pointer heap (eventQueue) ordered by (at, seq),
+// lazy-cancel tombstones skimmed at the head, and no pooling or
+// compaction. TestRadixQueueLockstep runs it beside Engine.
+type refEngine struct {
+	now   Time
+	seq   uint64
+	q     eventQueue
+	live  int
+	fired uint64
+}
+
+func (r *refEngine) Now() Time           { return r.now }
+func (r *refEngine) Pending() int        { return r.live }
+func (r *refEngine) EventsFired() uint64 { return r.fired }
+
+func (r *refEngine) At(t Time, fn func()) *Event {
+	ev := &Event{at: t, seq: r.seq, fn: fn}
+	r.seq++
+	r.q.push(ev)
+	r.live++
+	return ev
+}
+
+func (r *refEngine) Cancel(ev *Event) {
+	if ev.cancelled {
+		return
+	}
+	ev.cancelled = true
+	if ev.queued {
+		r.live--
+	}
+}
+
+// next reports the earliest live event's time, skimming tombstones.
+func (r *refEngine) next() (Time, bool) {
+	for len(r.q) > 0 && r.q[0].cancelled {
+		r.q.popMin()
+	}
+	if len(r.q) == 0 {
+		return 0, false
+	}
+	return r.q[0].at, true
+}
+
+func (r *refEngine) RunUntil(t Time) {
+	for len(r.q) > 0 && r.q[0].at <= t {
+		ev := r.q.popMin()
+		if ev.cancelled {
+			continue
+		}
+		r.live--
+		r.now = ev.at
+		r.fired++
+		ev.fn()
+	}
+	if r.now < t {
+		r.now = t
+	}
+}
+
+// lockstepEngine is what the lockstep program drives on either side.
+type lockstepEngine interface {
+	Now() Time
+	At(Time, func()) *Event
+	Cancel(*Event)
+	RunUntil(Time)
+	Pending() int
+	EventsFired() uint64
+}
+
+// lockstepSide is one engine plus the program's view of it. Event ids are
+// assigned in scheduling order, so two sides that fire the same events
+// in the same order assign the same ids to nested schedules too.
+type lockstepSide struct {
+	eng     lockstepEngine
+	handles []*Event // by id; nil once fired or cancelled
+	ats     []Time   // by id
+	fired   []int
+	checked int // fired entries already compared with the other side
+}
+
+// schedule queues a new event at at. With nest >= 0, the event's callback
+// cancels victim (if still queued; with victim < 0, cancels most of the
+// queue) and schedules a child nest later.
+func (s *lockstepSide) schedule(at Time, nest Duration, victim int) {
+	id := len(s.handles)
+	s.ats = append(s.ats, at)
+	s.handles = append(s.handles, nil)
+	s.handles[id] = s.eng.At(at, func() {
+		s.handles[id] = nil
+		s.fired = append(s.fired, id)
+		if nest < 0 {
+			return
+		}
+		if victim < 0 {
+			s.cancelMost(int64(-victim))
+		} else {
+			s.cancel(victim)
+		}
+		s.schedule(s.eng.Now().Add(nest), -1, 0)
+	})
+}
+
+// cancelMost cancels every queued event whose id is not a multiple of
+// mod, which is enough to make the engine compact.
+func (s *lockstepSide) cancelMost(mod int64) {
+	for id := range s.handles {
+		if int64(id)%mod != 0 {
+			s.cancel(id)
+		}
+	}
+}
+
+func (s *lockstepSide) cancel(id int) {
+	if id < len(s.handles) && s.handles[id] != nil {
+		s.eng.Cancel(s.handles[id])
+		s.handles[id] = nil
+	}
+}
+
+// TestRadixQueueLockstep runs random programs of 10^5 operations on the
+// engine and on refEngine side by side — schedules near, far, below a
+// peeked head and at instants already queued, single and bulk cancels
+// (which trigger compaction), RunUntil, and callbacks that cancel and
+// schedule — and requires the same firing sequence, clock, Pending and
+// EventsFired after every operation.
+func TestRadixQueueLockstep(t *testing.T) {
+	const ops = 100_000
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		eng := NewEngine(seed)
+		ref := &refEngine{}
+		sides := [2]*lockstepSide{{eng: eng}, {eng: ref}}
+		for op := 0; op < ops; op++ {
+			a := sides[0]
+			now := a.eng.Now()
+			k := rng.Intn(100)
+			arg := rng.Int63()
+			apply := func(f func(s *lockstepSide)) {
+				for _, s := range sides {
+					f(s)
+				}
+			}
+			switch {
+			case k < 30: // near, including the current instant
+				at := now.Add(Duration(arg%64) * time.Millisecond)
+				apply(func(s *lockstepSide) { s.schedule(at, -1, 0) })
+			case k < 38: // far: up to ~4.9 h
+				at := now.Add(Duration(arg % (1 << 44)))
+				apply(func(s *lockstepSide) { s.schedule(at, -1, 0) })
+			case k < 46: // ties with an instant already queued
+				id := int(arg % int64(len(a.ats)+1))
+				if id < len(a.ats) && a.handles[id] != nil {
+					at := a.ats[id]
+					n := 1 + rng.Intn(12)
+					apply(func(s *lockstepSide) {
+						for i := 0; i < n; i++ {
+							s.schedule(at, -1, 0)
+						}
+					})
+				}
+			case k < 56: // callback cancels one event and schedules another
+				at := now.Add(Duration(arg%64) * time.Millisecond)
+				nest := Duration(rng.Intn(32)) * time.Millisecond
+				victim := rng.Intn(len(a.ats) + 1)
+				apply(func(s *lockstepSide) { s.schedule(at, nest, victim) })
+			case k < 74: // cancel one
+				id := int(arg % int64(len(a.ats)+1))
+				apply(func(s *lockstepSide) { s.cancel(id) })
+			case k < 75: // cancel most of the queue: compaction
+				mod := 2 + arg%3
+				apply(func(s *lockstepSide) { s.cancelMost(mod) })
+			case k < 76: // same, from a callback amid a same-instant burst
+				at := now.Add(Duration(arg%64) * time.Millisecond)
+				n := 2 + rng.Intn(16)
+				apply(func(s *lockstepSide) {
+					for i := 0; i < n; i++ {
+						s.schedule(at, -1, 0)
+					}
+					s.schedule(at, 0, -3)
+					for i := 0; i < n; i++ {
+						s.schedule(at, -1, 0)
+					}
+				})
+			case k < 97: // run forward
+				until := now.Add(Duration(arg%50) * time.Millisecond)
+				apply(func(s *lockstepSide) { s.eng.RunUntil(until) })
+			default: // stop just short of the head, then schedule below it
+				head, ok := ref.next()
+				gap := Time(1 + arg%1000)
+				if !ok || head-gap < now {
+					break
+				}
+				apply(func(s *lockstepSide) {
+					s.eng.RunUntil(head - gap)
+					s.schedule(head-gap, -1, 0)
+					s.schedule(head-gap+Time(arg)%gap, -1, 0)
+				})
+			}
+			checkLockstep(t, seed, op, sides)
+		}
+		for _, s := range sides {
+			s.eng.RunUntil(Time(1 << 62))
+		}
+		checkLockstep(t, seed, ops, sides)
+		if eng.EventsFired() < ops/4 {
+			t.Fatalf("seed %d: only %d events fired", seed, eng.EventsFired())
+		}
+	}
+}
+
+func checkLockstep(t *testing.T, seed int64, op int, sides [2]*lockstepSide) {
+	t.Helper()
+	a, b := sides[0], sides[1]
+	if a.eng.Now() != b.eng.Now() || a.eng.Pending() != b.eng.Pending() || a.eng.EventsFired() != b.eng.EventsFired() {
+		t.Fatalf("seed %d op %d: now %v/%v pending %d/%d fired %d/%d (engine/reference)", seed, op,
+			a.eng.Now(), b.eng.Now(), a.eng.Pending(), b.eng.Pending(), a.eng.EventsFired(), b.eng.EventsFired())
+	}
+	if len(a.fired) != len(b.fired) {
+		t.Fatalf("seed %d op %d: %d events fired, reference %d", seed, op, len(a.fired), len(b.fired))
+	}
+	for i := a.checked; i < len(a.fired); i++ {
+		if a.fired[i] != b.fired[i] {
+			t.Fatalf("seed %d op %d: firing %d was event %d, reference %d", seed, op, i, a.fired[i], b.fired[i])
+		}
+	}
+	a.checked = len(a.fired)
+}

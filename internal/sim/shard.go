@@ -333,11 +333,11 @@ func (e *Engine) Sharded() *ShardedEngine { return e.parent }
 // nextLiveAt skims tombstones and reports the shard's next live event
 // time.
 func (e *Engine) nextLiveAt() (Time, bool) {
-	e.skimDead()
-	if len(e.events) == 0 {
+	ev := e.head()
+	if ev == nil {
 		return 0, false
 	}
-	return e.events[0].at, true
+	return ev.at, true
 }
 
 // digestInit is the FNV-1a 64-bit offset basis; mixDigest folds with
@@ -358,8 +358,7 @@ func mixDigest(h, a, b uint64) uint64 {
 // workers run it concurrently on disjoint shards.
 func (e *Engine) runWindow(cap Time) {
 	for !e.stopped {
-		e.skimDead()
-		if len(e.events) == 0 || e.events[0].at > cap {
+		if ev := e.head(); ev == nil || ev.at > cap {
 			return
 		}
 		ev := e.events.popMin()
@@ -376,8 +375,7 @@ func (e *Engine) runWindow(cap Time) {
 // to coordinated mode only if an event stages a cross-shard message.
 func (se *ShardedEngine) runSolo(sh *Engine, bounded bool, target Time) {
 	for !sh.stopped {
-		sh.skimDead()
-		if len(sh.events) == 0 || (bounded && sh.events[0].at > target) {
+		if ev := sh.head(); ev == nil || (bounded && ev.at > target) {
 			return
 		}
 		ev := sh.events.popMin()
