@@ -572,6 +572,77 @@ func TestStartHotPathAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkDFSRead measures the dfs read path — replica choice, the
+// read hook, the latency timer, the transfer legs and the result — one
+// read per op, cycling through the four sources: disk-local,
+// cross-rack disk-remote (through the core switch), mem-local and
+// mem-remote. Steady state allocates nothing (internal/dfs
+// TestReadBlockAllocs).
+func BenchmarkDFSRead(b *testing.B) {
+	eng := sim.NewEngine(1)
+	cl := cluster.New(eng, 12, nil)
+	cl.ConfigureRacks(4, 1250*float64(sim.MB))
+	fs := dfs.New(cl, dfs.DefaultConfig())
+	type read struct {
+		at cluster.NodeID
+		id dfs.BlockID
+	}
+	var reads [4]read
+	for src := dfs.SourceDiskLocal; src <= dfs.SourceMemRemote; src++ {
+		f, err := fs.CreateFile(src.String(), 256*sim.MB)
+		if err != nil {
+			b.Fatal(err)
+		}
+		id := f.Blocks[0]
+		reps := fs.Replicas(id)
+		at := reps[0]
+		if src == dfs.SourceDiskRemote || src == dfs.SourceMemRemote {
+			// A reader on a rack holding no replica.
+			for n := cluster.NodeID(0); int(n) < cl.Size(); n++ {
+				free := true
+				for _, r := range reps {
+					free = free && !cl.SameRack(n, r)
+				}
+				if free {
+					at = n
+					break
+				}
+			}
+		}
+		if src.FromMemory() {
+			fs.RegisterMem(id, reps[0])
+		}
+		reads[src] = read{at, id}
+	}
+	done := func(dfs.ReadResult) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := reads[i%len(reads)]
+		if err := fs.ReadBlock(r.at, r.id, done); err != nil {
+			b.Fatal(err)
+		}
+		eng.Run()
+	}
+}
+
+// BenchmarkDFSWriteBlocks measures one replicated block write on a
+// 500-node, 20-rack cluster: pipeline target choice (a permutation of
+// the alive nodes per block), the pipeline legs and the transfer.
+func BenchmarkDFSWriteBlocks(b *testing.B) {
+	eng := sim.NewEngine(1)
+	cl := cluster.New(eng, 500, nil)
+	cl.ConfigureRacks(20, 100*1250*float64(sim.MB))
+	fs := dfs.New(cl, dfs.DefaultConfig())
+	done := func() {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fs.WriteBlocks(cluster.NodeID(i%500), 256*sim.MB, 3, done)
+		eng.Run()
+	}
+}
+
 func BenchmarkAlgorithm1UpdateTargets(b *testing.B) {
 	// Scalability of the master's target-update pass (§III-D): the paper
 	// reports updating 50GB of pending migrations in under a millisecond.

@@ -8,7 +8,6 @@
 package cache
 
 import (
-	"container/list"
 	"fmt"
 
 	"dyrs/internal/cluster"
@@ -42,12 +41,47 @@ func (p EvictPolicy) String() string {
 	return "LRU"
 }
 
-// entry tracks one cached block.
+// entry tracks one cached block. Entries sit on their node's LRU list,
+// an intrusive doubly linked list, and are recycled through Cache.free
+// once evicted, so steady-state caching allocates nothing.
 type entry struct {
-	block *dfs.Block
-	node  cluster.NodeID
-	uses  int
-	lru   *list.Element
+	id         dfs.BlockID
+	file       *dfs.File
+	size       sim.Bytes
+	node       cluster.NodeID
+	prev, next *entry // toward the more / less recently used neighbour
+}
+
+// nodeLRU is one node's cached blocks, most recently used at head.
+type nodeLRU struct {
+	head, tail *entry
+	used       sim.Bytes
+}
+
+// pushFront links e in as the node's most recently used entry.
+func (l *nodeLRU) pushFront(e *entry) {
+	e.prev, e.next = nil, l.head
+	if l.head != nil {
+		l.head.prev = e
+	} else {
+		l.tail = e
+	}
+	l.head = e
+}
+
+// unlink removes e from the list.
+func (l *nodeLRU) unlink(e *entry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		l.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		l.tail = e.prev
+	}
+	e.prev, e.next = nil, nil
 }
 
 // Cache is a cluster-wide coordinated cache. It watches every block read
@@ -58,10 +92,14 @@ type Cache struct {
 	fs       *dfs.FS
 	policy   EvictPolicy
 	perNode  sim.Bytes
-	used     map[cluster.NodeID]sim.Bytes
-	entries  map[dfs.BlockID]*entry
-	lruList  *list.List // front = most recent
-	fileUses map[string]int
+	nodes    []nodeLRU        // indexed by node
+	byBlock  []*entry         // indexed by block; nil when not cached
+	free     *entry           // recycled entries, linked through next
+	repBuf   []cluster.NodeID // scratch for placement
+	resident int
+
+	fileUses  map[*dfs.File]int       // reads per file (LFU)
+	fileBytes map[*dfs.File]sim.Bytes // cached bytes per file, all nodes (LIFE)
 
 	// Stats.
 	Hits, Misses, Insertions, Evictions int
@@ -74,13 +112,12 @@ func New(fs *dfs.FS, perNodeBudget sim.Bytes, policy EvictPolicy) (*Cache, error
 		return nil, fmt.Errorf("cache: per-node budget must be positive")
 	}
 	c := &Cache{
-		fs:       fs,
-		policy:   policy,
-		perNode:  perNodeBudget,
-		used:     make(map[cluster.NodeID]sim.Bytes),
-		entries:  make(map[dfs.BlockID]*entry),
-		lruList:  list.New(),
-		fileUses: make(map[string]int),
+		fs:        fs,
+		policy:    policy,
+		perNode:   perNodeBudget,
+		nodes:     make([]nodeLRU, fs.Cluster().Size()),
+		fileUses:  make(map[*dfs.File]int),
+		fileBytes: make(map[*dfs.File]sim.Bytes),
 	}
 	if err := fs.OnRead(c.onRead); err != nil {
 		return nil, err
@@ -92,28 +129,37 @@ func New(fs *dfs.FS, perNodeBudget sim.Bytes, policy EvictPolicy) (*Cache, error
 func (c *Cache) Policy() EvictPolicy { return c.policy }
 
 // Resident reports the number of cached blocks.
-func (c *Cache) Resident() int { return len(c.entries) }
+func (c *Cache) Resident() int { return c.resident }
 
 // UsedOn reports cached bytes charged to a node.
-func (c *Cache) UsedOn(n cluster.NodeID) sim.Bytes { return c.used[n] }
+func (c *Cache) UsedOn(n cluster.NodeID) sim.Bytes { return c.nodes[int(n)].used }
+
+// lookup returns the block's entry, or nil when it is not cached.
+func (c *Cache) lookup(id dfs.BlockID) *entry {
+	if int(id) < len(c.byBlock) {
+		return c.byBlock[int(id)]
+	}
+	return nil
+}
 
 // onRead observes every block read.
 func (c *Cache) onRead(id dfs.BlockID, at cluster.NodeID) {
-	b := c.fs.Block(id)
-	c.fileUses[b.File]++
-	if e, ok := c.entries[id]; ok {
+	f := c.fs.BlockFile(id)
+	c.fileUses[f]++
+	if e := c.lookup(id); e != nil {
 		// Validate: another subsystem (e.g. DYRS implicit eviction) may
 		// have dropped the underlying replica.
 		if c.fs.DataNode(e.node).HasMem(id) {
 			c.Hits++
-			e.uses++
-			c.lruList.MoveToFront(e.lru)
+			l := &c.nodes[int(e.node)]
+			l.unlink(e)
+			l.pushFront(e)
 			return
 		}
 		c.remove(e, false)
 	}
 	c.Misses++
-	c.insert(b, at)
+	c.insert(id, f, at)
 }
 
 // insert caches the block on a disk-replica holder, evicting as needed.
@@ -122,29 +168,44 @@ func (c *Cache) onRead(id dfs.BlockID, at cluster.NodeID) {
 // reader — the reader itself when it holds a replica — keeps the block
 // buffered, and the cluster-wide read redirect serves later readers
 // from there wherever they run.
-func (c *Cache) insert(b *dfs.Block, at cluster.NodeID) {
-	if b.Size > c.perNode {
+func (c *Cache) insert(id dfs.BlockID, f *dfs.File, at cluster.NodeID) {
+	size := c.fs.BlockSize(id)
+	if size > c.perNode {
 		return // would never fit
 	}
-	node, ok := c.placement(b.ID, at)
+	node, ok := c.placement(id, at)
 	if !ok {
 		return // no live disk replica to anchor to
 	}
-	for c.used[node]+b.Size > c.perNode {
+	l := &c.nodes[int(node)]
+	for l.used+size > c.perNode {
 		if !c.evictOne(node) {
 			return // nothing evictable on this node
 		}
 	}
 	// If the block is already resident elsewhere (e.g. a DYRS migration
 	// placed it), don't double-cache; count residency only.
-	if _, resident := c.fs.MemReplica(b.ID); resident {
+	if _, resident := c.fs.MemReplica(id); resident {
 		return
 	}
-	c.fs.RegisterMem(b.ID, node)
-	e := &entry{block: b, node: node, uses: 1}
-	e.lru = c.lruList.PushFront(e)
-	c.entries[b.ID] = e
-	c.used[node] += b.Size
+	c.fs.RegisterMem(id, node)
+	e := c.free
+	if e != nil {
+		c.free = e.next
+	} else {
+		e = &entry{}
+	}
+	*e = entry{id: id, file: f, size: size, node: node}
+	l.pushFront(e)
+	if int(id) >= len(c.byBlock) {
+		grown := make([]*entry, c.fs.NumBlocks())
+		copy(grown, c.byBlock)
+		c.byBlock = grown
+	}
+	c.byBlock[int(id)] = e
+	c.resident++
+	l.used += size
+	c.fileBytes[f] += size
 	c.Insertions++
 }
 
@@ -152,7 +213,8 @@ func (c *Cache) insert(b *dfs.Block, at cluster.NodeID) {
 // it holds a live disk replica, otherwise the first live replica holder
 // in registry order (deterministic).
 func (c *Cache) placement(id dfs.BlockID, at cluster.NodeID) (cluster.NodeID, bool) {
-	live := c.fs.Replicas(id)
+	live := c.fs.LiveReplicas(id, c.repBuf[:0])
+	c.repBuf = live
 	for _, r := range live {
 		if r == at {
 			return at, true
@@ -165,50 +227,26 @@ func (c *Cache) placement(id dfs.BlockID, at cluster.NodeID) (cluster.NodeID, bo
 }
 
 // evictOne removes one block from the given node per policy. Reports
-// whether anything was evicted.
+// whether anything was evicted. Every policy scans the node's list from
+// the least recently used end and keeps the first entry of the best
+// score, so ties go to the least recent entry and the victim never
+// depends on map order.
 func (c *Cache) evictOne(node cluster.NodeID) bool {
-	var victim *entry
+	victim := c.nodes[int(node)].tail
 	switch c.policy {
-	case LRU:
-		for el := c.lruList.Back(); el != nil; el = el.Prev() {
-			e := el.Value.(*entry)
-			if e.node == node {
-				victim = e
-				break
-			}
-		}
 	case LIFE:
-		// Largest cached file on this node loses first.
-		fileBytes := map[string]sim.Bytes{}
-		for _, e := range c.entries {
-			fileBytes[e.block.File] += e.block.Size
-		}
-		var worstFile string
+		// The largest cached file (counting every node) loses first.
 		var worst sim.Bytes = -1
-		for _, e := range c.entries {
-			if e.node != node {
-				continue
-			}
-			if fb := fileBytes[e.block.File]; fb > worst {
-				worst = fb
-				worstFile = e.block.File
-			}
-		}
-		for _, e := range c.entries {
-			if e.node == node && e.block.File == worstFile {
-				victim = e
-				break
+		for e := victim; e != nil; e = e.prev {
+			if fb := c.fileBytes[e.file]; fb > worst {
+				worst, victim = fb, e
 			}
 		}
 	case LFU:
 		best := int(^uint(0) >> 1)
-		for _, e := range c.entries {
-			if e.node != node {
-				continue
-			}
-			if u := c.fileUses[e.block.File]; u < best {
-				best = u
-				victim = e
+		for e := victim; e != nil; e = e.prev {
+			if u := c.fileUses[e.file]; u < best {
+				best, victim = u, e
 			}
 		}
 	}
@@ -220,25 +258,31 @@ func (c *Cache) evictOne(node cluster.NodeID) bool {
 }
 
 // remove deletes an entry, optionally dropping the replica from the DFS
-// registry (stale entries skip the drop: the replica is already gone).
+// registry (stale entries skip the drop: the replica is already gone),
+// and recycles it.
 func (c *Cache) remove(e *entry, dropReplica bool) {
 	if dropReplica {
-		c.fs.DropMem(e.block.ID, e.node)
+		c.fs.DropMem(e.id, e.node)
 		c.Evictions++
 	}
-	c.lruList.Remove(e.lru)
-	delete(c.entries, e.block.ID)
-	c.used[e.node] -= e.block.Size
+	l := &c.nodes[int(e.node)]
+	l.unlink(e)
+	l.used -= e.size
+	c.byBlock[int(e.id)] = nil
+	c.resident--
+	c.fileBytes[e.file] -= e.size
+	*e = entry{next: c.free}
+	c.free = e
 }
 
-// Flush drops every cached block.
+// Flush drops every cached block, node by node, most recent first.
 func (c *Cache) Flush() {
-	for _, e := range c.entries {
-		c.fs.DropMem(e.block.ID, e.node)
-		c.lruList.Remove(e.lru)
-		c.used[e.node] -= e.block.Size
+	for i := range c.nodes {
+		for e := c.nodes[i].head; e != nil; e = c.nodes[i].head {
+			c.fs.DropMem(e.id, e.node)
+			c.remove(e, false)
+		}
 	}
-	c.entries = make(map[dfs.BlockID]*entry)
 }
 
 // HitRate reports hits / (hits + misses).

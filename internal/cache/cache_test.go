@@ -1,12 +1,15 @@
 package cache
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"dyrs/internal/cluster"
 	"dyrs/internal/dfs"
 	"dyrs/internal/sim"
+	"dyrs/internal/trace"
 )
 
 func newFS(t *testing.T, seed int64) (*sim.Engine, *dfs.FS) {
@@ -238,6 +241,130 @@ func TestPlacementAnchorsToReplicaHolder(t *testing.T) {
 	}
 	if errs := fs.Fsck(); len(errs) > 0 {
 		t.Errorf("fsck: %v", errs)
+	}
+}
+
+// TestHitAndEvictingMissAllocs pins the read hook at zero allocations in
+// steady state, for a hit and for a miss on a full node that evicts:
+// the victim's entry is recycled for the new block, and the per-node
+// list is intrusive, so no list element is allocated either.
+func TestHitAndEvictingMissAllocs(t *testing.T) {
+	_, fs := newFS(t, 10)
+	c, err := New(fs, 2*256*sim.MB, LRU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []dfs.BlockID
+	for _, name := range []string{"a", "b", "c"} {
+		f, _ := fs.CreateFile(name, 256*sim.MB)
+		ids = append(ids, f.Blocks[0])
+	}
+	c.onRead(ids[0], 0)
+	if allocs := testing.AllocsPerRun(100, func() { c.onRead(ids[0], 0) }); allocs != 0 {
+		t.Errorf("cache hit allocates %.1f objects, want 0", allocs)
+	}
+	// Cycling through three blocks on a two-block budget misses and
+	// evicts the least recent block every time.
+	next := 0
+	cycle := func() {
+		next = (next + 1) % len(ids)
+		c.onRead(ids[next], 0)
+	}
+	for i := 0; i < 6; i++ {
+		cycle()
+	}
+	misses, evictions := c.Misses, c.Evictions
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("evicting miss allocates %.1f objects, want 0", allocs)
+	}
+	if c.Misses-misses != 101 || c.Evictions-evictions != 101 {
+		t.Errorf("%d misses and %d evictions in 101 cycled reads, want 101 each",
+			c.Misses-misses, c.Evictions-evictions)
+	}
+}
+
+// TestLRUPerNodeVictims checks that eviction on one node takes that
+// node's least recently used block however recently other nodes' blocks
+// were used.
+func TestLRUPerNodeVictims(t *testing.T) {
+	eng := sim.NewEngine(11)
+	cl := cluster.New(eng, 4, nil)
+	cfg := dfs.DefaultConfig()
+	cfg.Replication = 1
+	fs := dfs.New(cl, cfg)
+	c, err := New(fs, 2*256*sim.MB, LRU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// With replication 1 each block is buffered on its only holder.
+	byNode := map[cluster.NodeID][]dfs.BlockID{}
+	for i := 0; len(byNode[0]) < 3 || len(byNode[1]) < 1; i++ {
+		f, _ := fs.CreateFile(fmt.Sprintf("f%d", i), 256*sim.MB)
+		id := f.Blocks[0]
+		n := fs.Replicas(id)[0]
+		byNode[n] = append(byNode[n], id)
+	}
+	n0, n1 := byNode[0], byNode[1]
+	c.onRead(n0[0], 0)
+	c.onRead(n1[0], 0)
+	c.onRead(n0[1], 0)
+	c.onRead(n0[0], 0) // hit: n0[1] is now node 0's least recent
+	c.onRead(n0[2], 0) // evicts n0[1]
+	if _, ok := fs.MemReplica(n0[1]); ok {
+		t.Error("node 0's least recent block survived the eviction")
+	}
+	for _, id := range []dfs.BlockID{n0[0], n0[2], n1[0]} {
+		if _, ok := fs.MemReplica(id); !ok {
+			t.Errorf("block %d evicted", id)
+		}
+	}
+}
+
+// evictionSequence runs one cache scenario whose files tie on the
+// policy's score and returns the evicted blocks in order.
+func evictionSequence(t *testing.T, policy EvictPolicy) []string {
+	t.Helper()
+	eng := sim.NewEngine(12)
+	tr := trace.New(eng)
+	fs := dfs.New(cluster.New(eng, 3, nil), dfs.DefaultConfig())
+	c, err := New(fs, 4*64*sim.MB, policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []dfs.BlockID
+	for i := 0; i < 8; i++ {
+		f, _ := fs.CreateFile(fmt.Sprintf("f%d", i), 64*sim.MB)
+		ids = append(ids, f.Blocks[0])
+	}
+	// Every file is one equal block read equally often, so LIFE's file
+	// sizes and LFU's use counts tie among all cached blocks.
+	for round := 0; round < 3; round++ {
+		for _, k := range []int{0, 1, 2, 3, 4, 5, 6, 7, 3, 1, 6, 4} {
+			c.onRead(ids[k], 0)
+		}
+	}
+	var seq []string
+	for _, in := range tr.Instants() {
+		if in.Name == "evict" {
+			seq = append(seq, in.Attrs[0].Value())
+		}
+	}
+	if len(seq) == 0 {
+		t.Fatal("scenario evicted nothing")
+	}
+	return seq
+}
+
+// TestLIFEAndLFUEvictionDeterministic runs a tie-heavy scenario 20 times
+// per policy and requires the same eviction sequence every time.
+func TestLIFEAndLFUEvictionDeterministic(t *testing.T) {
+	for _, policy := range []EvictPolicy{LIFE, LFU} {
+		want := evictionSequence(t, policy)
+		for run := 1; run < 20; run++ {
+			if got := evictionSequence(t, policy); !slices.Equal(got, want) {
+				t.Fatalf("%v run %d evicted %v, run 0 evicted %v", policy, run, got, want)
+			}
+		}
 	}
 }
 

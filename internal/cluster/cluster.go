@@ -143,14 +143,18 @@ func (c *Cluster) Node(id NodeID) *Node {
 func (c *Cluster) Nodes() []*Node { return c.nodes }
 
 // AliveNodes returns the ids of nodes currently up.
-func (c *Cluster) AliveNodes() []NodeID {
-	var out []NodeID
+func (c *Cluster) AliveNodes() []NodeID { return c.AppendAliveNodes(nil) }
+
+// AppendAliveNodes appends the ids of nodes currently up to buf, in id
+// order, and returns it; with a buf of sufficient capacity it allocates
+// nothing.
+func (c *Cluster) AppendAliveNodes(buf []NodeID) []NodeID {
 	for _, n := range c.nodes {
 		if n.alive {
-			out = append(out, n.ID)
+			buf = append(buf, n.ID)
 		}
 	}
-	return out
+	return buf
 }
 
 // KillNode marks a server down. Its resources stop being usable by model

@@ -264,8 +264,16 @@ type FS struct {
 
 	placeCursor int // rotates placement start for balance
 
-	placeBuf []cluster.NodeID // scratch for placeReplicas
-	repBuf   []cluster.NodeID // scratch for the read path's replica list
+	placeBuf  []cluster.NodeID  // scratch for placeReplicas
+	repBuf    []cluster.NodeID  // scratch for the read path's replica list
+	readPool  freeList[readOp]  // recycled read ops (see ops.go)
+	writePool freeList[writeOp] // recycled write ops
+
+	// writeTargets' scratch: the alive list, the permutation and the
+	// result, each read only before the next block reuses it.
+	aliveBuf  []cluster.NodeID
+	permBuf   []int
+	targetBuf []cluster.NodeID
 }
 
 // New creates a file system over the cluster.
@@ -551,7 +559,7 @@ func (fs *FS) FileBlockIDs(names []string) ([]BlockID, error) {
 
 // Block materializes a view of the block with the given id.
 func (fs *FS) Block(id BlockID) *Block {
-	f := fs.fileList[fs.table.fileOf[int(id)]]
+	f := fs.BlockFile(id)
 	return &Block{
 		ID:       id,
 		File:     f.Name,
@@ -565,10 +573,12 @@ func (fs *FS) Block(id BlockID) *Block {
 // BlockSize reports the block's length without materializing a view.
 func (fs *FS) BlockSize(id BlockID) sim.Bytes { return fs.table.blockSize(id) }
 
+// BlockFile reports the file the block belongs to without materializing
+// a view.
+func (fs *FS) BlockFile(id BlockID) *File { return fs.fileList[fs.table.fileOf[int(id)]] }
+
 // blockTier reports the storage tier of the block's file.
-func (fs *FS) blockTier(id BlockID) Tier {
-	return fs.fileList[fs.table.fileOf[int(id)]].Tier
-}
+func (fs *FS) blockTier(id BlockID) Tier { return fs.BlockFile(id).Tier }
 
 // NumBlocks reports the total number of blocks in the catalog.
 func (fs *FS) NumBlocks() int { return fs.table.len() }
@@ -826,20 +836,6 @@ func (fs *FS) ReadBlock(at cluster.NodeID, id BlockID, done func(ReadResult)) er
 // span.
 func (fs *FS) readAttempt(at cluster.NodeID, id BlockID, start sim.Time,
 	exclude map[cluster.NodeID]bool, done func(ReadResult), first bool, sp trace.SpanRef) error {
-	size := fs.table.blockSize(id)
-
-	finish := func(src ReadSource, server cluster.NodeID) {
-		res := ReadResult{Block: id, Source: src, Server: server, Started: start, Finished: fs.eng.Now()}
-		fs.hReadLat.Observe(int64(res.Finished.Sub(start)))
-		if fs.tr.Enabled() {
-			fs.tr.Add(src.bytesCounter(), size)
-			fs.tr.Inc(src.countCounter())
-			sp.End(trace.Str("source", src.String()), trace.Int("server", int64(server)))
-		}
-		if done != nil {
-			done(res)
-		}
-	}
 	failover := func(server cluster.NodeID) {
 		timeout := time.Second
 		if fs.liveness != nil {
@@ -871,17 +867,17 @@ func (fs *FS) readAttempt(at cluster.NodeID, id BlockID, start sim.Time,
 		}
 		dn := fs.dns[int(memNode)]
 		dn.MemReads++
+		op := fs.newReadOp(at, id, start, fs.table.blockSize(id), done, sp)
+		op.server = memNode
 		if memNode == at {
-			fs.eng.Schedule(fs.cfg.ReadLatency, func() {
-				dn.node.Mem.Start(size, func(*sim.Flow) { finish(SourceMemLocal, memNode) })
-			})
+			op.src = SourceMemLocal
+			op.legs[0] = dn.node.Mem
 		} else {
 			dn.RemoteServes++
-			legs := fs.transferLegs(dn.node.NIC, at, memNode)
-			fs.eng.Schedule(fs.cfg.ReadLatency, func() {
-				fs.startTransfer(legs, size, func() { finish(SourceMemRemote, memNode) })
-			})
+			op.src = SourceMemRemote
+			op.setTransferLegs(dn.node.NIC)
 		}
+		fs.eng.Schedule(fs.cfg.ReadLatency, op.launch)
 		return nil
 	}
 
@@ -927,22 +923,21 @@ func (fs *FS) readAttempt(at cluster.NodeID, id BlockID, start sim.Time,
 	}
 	dn := fs.dns[int(server)]
 	dn.DiskReads++
-	src := SourceDiskLocal
-	if !local {
-		src = SourceDiskRemote
-		dn.RemoteServes++
-	}
 	res := dn.node.Disk
 	if fs.blockTier(id) == TierSSD {
 		res = dn.node.SSD
 	}
-	legs := []*sim.Resource{res}
-	if !local {
-		legs = fs.transferLegs(res, at, server)
+	op := fs.newReadOp(at, id, start, fs.table.blockSize(id), done, sp)
+	op.server = server
+	if local {
+		op.src = SourceDiskLocal
+		op.legs[0] = res
+	} else {
+		dn.RemoteServes++
+		op.src = SourceDiskRemote
+		op.setTransferLegs(res)
 	}
-	fs.eng.Schedule(fs.cfg.ReadLatency, func() {
-		fs.startTransfer(legs, size, func() { finish(src, server) })
-	})
+	fs.eng.Schedule(fs.cfg.ReadLatency, op.launch)
 	return nil
 }
 
@@ -951,45 +946,25 @@ func (fs *FS) readAttempt(at cluster.NodeID, id BlockID, start sim.Time,
 // network distance), otherwise a random replica.
 func (fs *FS) pickRemoteReplica(at cluster.NodeID, replicas []cluster.NodeID) cluster.NodeID {
 	if fs.cl.Racks() > 1 {
-		var sameRack []cluster.NodeID
+		sameRack := 0
 		for _, r := range replicas {
 			if fs.cl.SameRack(at, r) {
-				sameRack = append(sameRack, r)
+				sameRack++
 			}
 		}
-		if len(sameRack) > 0 {
-			return sameRack[fs.rng.Intn(len(sameRack))]
+		if sameRack > 0 {
+			k := fs.rng.Intn(sameRack)
+			for _, r := range replicas {
+				if fs.cl.SameRack(at, r) {
+					if k == 0 {
+						return r
+					}
+					k--
+				}
+			}
 		}
 	}
 	return replicas[fs.rng.Intn(len(replicas))]
-}
-
-// transferLegs lists the resources a remote transfer from server to
-// reader traverses: the serving device plus, when the nodes are on
-// different racks and the core is modeled, the core switch.
-func (fs *FS) transferLegs(serving *sim.Resource, at, server cluster.NodeID) []*sim.Resource {
-	legs := []*sim.Resource{serving}
-	if !fs.cl.SameRack(at, server) {
-		if core := fs.cl.Core(); core != nil {
-			legs = append(legs, core)
-		}
-	}
-	return legs
-}
-
-// startTransfer moves size bytes through every leg in parallel; done
-// runs when the slowest leg finishes. This models a path of independent
-// bottlenecks conservatively without coupled-rate bookkeeping.
-func (fs *FS) startTransfer(legs []*sim.Resource, size sim.Bytes, done func()) {
-	pending := len(legs)
-	for _, leg := range legs {
-		leg.Start(size, func(*sim.Flow) {
-			pending--
-			if pending == 0 {
-				done()
-			}
-		})
-	}
 }
 
 // readHook is invoked on every block read; the migration slave registers
@@ -1055,8 +1030,9 @@ func (dn *DataNode) MigrateToMemory(id BlockID, weight float64, done func(sim.Du
 // The write path models the HDFS replication pipeline: the first replica
 // lands on the writer's local disk; each additional replica streams
 // through the downstream node's NIC onto its disk (and through the core
-// switch when the hop crosses racks). A block write completes when the
-// slowest pipeline leg finishes.
+// switch when the hop crosses racks). Every leg of every block streams
+// in parallel, so a block write completes when its slowest leg finishes
+// and the call's done runs when the last leg of any block does.
 func (fs *FS) WriteBlocks(at cluster.NodeID, size sim.Bytes, replication int, done func()) {
 	if size <= 0 {
 		if done != nil {
@@ -1068,13 +1044,7 @@ func (fs *FS) WriteBlocks(at cluster.NodeID, size sim.Bytes, replication int, do
 		replication = 1
 	}
 	nBlocks := int((size + fs.cfg.BlockSize - 1) / fs.cfg.BlockSize)
-	pending := 0
-	finish := func() {
-		pending--
-		if pending == 0 && done != nil {
-			done()
-		}
-	}
+	op := fs.newWriteOp(done)
 	remaining := size
 	for i := 0; i < nBlocks; i++ {
 		bs := fs.cfg.BlockSize
@@ -1083,39 +1053,50 @@ func (fs *FS) WriteBlocks(at cluster.NodeID, size sim.Bytes, replication int, do
 		}
 		remaining -= bs
 		targets := fs.writeTargets(at, replication)
-		var legs []*sim.Resource
 		prev := at
 		for _, tgt := range targets {
 			node := fs.dns[int(tgt)].node
 			if tgt != prev {
 				// Pipeline hop: downstream NIC, plus the core when the
 				// hop crosses racks.
-				legs = append(legs, node.NIC)
+				op.startLeg(node.NIC, bs)
 				if !fs.cl.SameRack(prev, tgt) {
 					if core := fs.cl.Core(); core != nil {
-						legs = append(legs, core)
+						op.startLeg(core, bs)
 					}
 				}
 			}
-			legs = append(legs, node.Disk)
+			op.startLeg(node.Disk, bs)
 			fs.dns[int(tgt)].BlocksWritten++
 			prev = tgt
 		}
-		pending++
-		fs.startTransfer(legs, bs, finish)
-	}
-	if pending == 0 && done != nil {
-		fs.eng.Schedule(0, done)
 	}
 }
 
+// writeTargets picks a block's pipeline: the writer itself when alive,
+// then alive, placeable nodes in a random order until replication are
+// chosen. The result is scratch, valid until the next call.
+//
+// The order is the permutation math/rand's Perm would draw, computed in
+// place by the same loop so the RNG stream — and every digest — is
+// unchanged; Perm draws once per alive node however few targets are
+// needed.
 func (fs *FS) writeTargets(at cluster.NodeID, replication int) []cluster.NodeID {
-	targets := []cluster.NodeID{at}
-	if !fs.cl.Node(at).Alive() {
-		targets = nil
+	targets := fs.targetBuf[:0]
+	if fs.cl.Node(at).Alive() {
+		targets = append(targets, at)
 	}
-	alive := fs.cl.AliveNodes()
-	perm := fs.rng.Perm(len(alive))
+	alive := fs.cl.AppendAliveNodes(fs.aliveBuf[:0])
+	fs.aliveBuf = alive
+	if cap(fs.permBuf) < len(alive) {
+		fs.permBuf = make([]int, len(alive))
+	}
+	perm := fs.permBuf[:len(alive)]
+	for i := range perm {
+		j := fs.rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = i
+	}
 	for _, p := range perm {
 		if len(targets) >= replication {
 			break
@@ -1126,6 +1107,7 @@ func (fs *FS) writeTargets(at cluster.NodeID, replication int) []cluster.NodeID 
 		}
 		targets = append(targets, id)
 	}
+	fs.targetBuf = targets
 	return targets
 }
 

@@ -1,0 +1,294 @@
+package dfs
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+
+	"dyrs/internal/cluster"
+	"dyrs/internal/sim"
+)
+
+// refWriteTargets is writeTargets as it was written before the in-place
+// permutation: a fresh AliveNodes slice and a rand.Perm per block. It is
+// the reference the production picker must match target for target and
+// draw for draw.
+func refWriteTargets(fs *FS, at cluster.NodeID, replication int) []cluster.NodeID {
+	targets := []cluster.NodeID{at}
+	if !fs.cl.Node(at).Alive() {
+		targets = nil
+	}
+	alive := fs.cl.AliveNodes()
+	perm := fs.rng.Perm(len(alive))
+	for _, p := range perm {
+		if len(targets) >= replication {
+			break
+		}
+		id := alive[p]
+		if id == at || fs.decommissioned[int(id)] {
+			continue
+		}
+		targets = append(targets, id)
+	}
+	return targets
+}
+
+// TestWriteTargetsMatchesPermReference locks the in-place permutation to
+// rand.Perm: on clusters of 3 to 600 nodes with dead and decommissioned
+// nodes, at replication 1-3 and from live and dead writers, both pickers
+// choose the same targets and leave the RNG at the same next draw.
+func TestWriteTargetsMatchesPermReference(t *testing.T) {
+	t.Parallel()
+	for _, n := range []int{3, 4, 7, 16, 63, 64, 65, 200, 500, 600} {
+		for seed := int64(1); seed <= 3; seed++ {
+			build := func() *FS {
+				eng := sim.NewEngine(seed)
+				cfg := DefaultConfig()
+				cfg.Replication = 1
+				return New(cluster.New(eng, n, nil), cfg)
+			}
+			got, want := build(), build()
+			faults := rand.New(rand.NewSource(seed * int64(n)))
+			for i := 0; i < n/5; i++ {
+				id := cluster.NodeID(faults.Intn(n))
+				if faults.Intn(2) == 0 {
+					got.cl.KillNode(id)
+					want.cl.KillNode(id)
+					continue
+				}
+				if _, err := got.DecommissionNode(id); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := want.DecommissionNode(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 50; i++ {
+				at := cluster.NodeID(faults.Intn(n))
+				repl := 1 + i%3
+				g := got.writeTargets(at, repl)
+				w := refWriteTargets(want, at, repl)
+				if len(g) != len(w) {
+					t.Fatalf("n=%d seed=%d write %d: targets %v, reference %v", n, seed, i, g, w)
+				}
+				for k := range g {
+					if g[k] != w[k] {
+						t.Fatalf("n=%d seed=%d write %d: targets %v, reference %v", n, seed, i, g, w)
+					}
+				}
+			}
+			if g, w := got.rng.Int63(), want.rng.Int63(); g != w {
+				t.Fatalf("n=%d seed=%d: next draw %d, reference %d", n, seed, g, w)
+			}
+		}
+	}
+}
+
+// TestWriteAllocs pins writeTargets at zero allocations once its scratch
+// buffers have grown to the cluster size, and a whole two-block
+// replicated write once the pools are warm. The write runs on a small
+// racked cluster so that every disk, NIC and the core have admitted
+// flows (and grown their own pools) before the measurement.
+func TestWriteAllocs(t *testing.T) {
+	eng := sim.NewEngine(1)
+	fs := New(cluster.New(eng, 500, nil), DefaultConfig())
+	fs.cl.KillNode(7)
+	fs.writeTargets(3, 3)
+	if allocs := testing.AllocsPerRun(100, func() { fs.writeTargets(3, 3) }); allocs != 0 {
+		t.Errorf("writeTargets on 500 nodes allocates %.1f objects, want 0", allocs)
+	}
+
+	eng = sim.NewEngine(2)
+	cl := cluster.New(eng, 6, nil)
+	cl.ConfigureRacks(2, 1250*float64(sim.MB))
+	fs = New(cl, DefaultConfig())
+	writes := 0
+	done := func() { writes++ }
+	write := func() {
+		fs.WriteBlocks(3, 2*256*sim.MB, 3, done)
+		eng.Run()
+	}
+	for i := 0; i < 50; i++ {
+		write()
+	}
+	if allocs := testing.AllocsPerRun(100, write); allocs != 0 {
+		t.Errorf("WriteBlocks allocates %.1f objects, want 0", allocs)
+	}
+	if writes != 151 {
+		t.Errorf("%d of 151 writes completed", writes)
+	}
+}
+
+// readFixture is a racked cluster with a modeled core, one block and a
+// reader for each of the four read sources.
+type readFixture struct {
+	eng    *sim.Engine
+	fs     *FS
+	blocks [4]BlockID
+	at     [4]cluster.NodeID
+}
+
+// newReadFixture builds 12 nodes in 4 racks (so a reader can sit on a
+// rack holding no replica) and picks, per source:
+//   - disk-local: a replica holder reads its block;
+//   - disk-remote: a node on a replica-free rack reads across the core;
+//   - mem-local: a replica holder reads its block buffered on itself;
+//   - mem-remote: a non-holder reads a block buffered on a holder.
+func newReadFixture(t *testing.T) *readFixture {
+	t.Helper()
+	eng := sim.NewEngine(5)
+	cl := cluster.New(eng, 12, nil)
+	cl.ConfigureRacks(4, 1250*float64(sim.MB))
+	fs := New(cl, DefaultConfig())
+	fx := &readFixture{eng: eng, fs: fs}
+	for src := SourceDiskLocal; src <= SourceMemRemote; src++ {
+		f, err := fs.CreateFile(src.String(), 256*sim.MB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := f.Blocks[0]
+		reps := fs.Replicas(id)
+		fx.blocks[src] = id
+		fx.at[src] = reps[0]
+		switch src {
+		case SourceDiskRemote:
+			fx.at[src] = -1
+			for n := cluster.NodeID(0); int(n) < cl.Size() && fx.at[src] < 0; n++ {
+				free := true
+				for _, r := range reps {
+					free = free && !cl.SameRack(n, r)
+				}
+				if free {
+					fx.at[src] = n
+				}
+			}
+			if fx.at[src] < 0 {
+				t.Fatal("every rack holds a replica")
+			}
+		case SourceMemLocal:
+			fs.RegisterMem(id, reps[0])
+		case SourceMemRemote:
+			fs.RegisterMem(id, reps[0])
+			fx.at[src] = -1
+			for n := cluster.NodeID(0); int(n) < cl.Size() && fx.at[src] < 0; n++ {
+				if !fs.table.holdsReplica(id, n) {
+					fx.at[src] = n
+				}
+			}
+		}
+	}
+	return fx
+}
+
+// TestReadBlockAllocs pins a steady-state read from each source at zero
+// allocations with no tracer: the op, its latency timer and its flows
+// all come from pools.
+func TestReadBlockAllocs(t *testing.T) {
+	fx := newReadFixture(t)
+	var got ReadResult
+	done := func(r ReadResult) { got = r }
+	for src := SourceDiskLocal; src <= SourceMemRemote; src++ {
+		read := func() {
+			if err := fx.fs.ReadBlock(fx.at[src], fx.blocks[src], done); err != nil {
+				t.Fatal(err)
+			}
+			fx.eng.Run()
+		}
+		core := fx.fs.cl.Core()
+		before := core.BytesMoved()
+		read()
+		if got.Source != src || got.Block != fx.blocks[src] {
+			t.Fatalf("read of %v from %v served as %+v", fx.blocks[src], fx.at[src], got)
+		}
+		if src == SourceDiskRemote && core.BytesMoved()-before != 256*sim.MB {
+			t.Fatalf("cross-rack read moved %d bytes through the core", core.BytesMoved()-before)
+		}
+		if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
+			t.Errorf("%v read allocates %.1f objects, want 0", src, allocs)
+		}
+	}
+}
+
+// TestReadOpPoolReuse checks the pool's reuse contract: a chain of reads
+// whose done issues the next read runs on one recycled op, also while a
+// read that fails over from a dead replica holder is in flight on
+// another, and every result still describes its own read.
+func TestReadOpPoolReuse(t *testing.T) {
+	t.Parallel()
+	eng, cl, fs := newTestFS(t, 5, 60)
+	fs.EnableHeartbeats(DefaultLivenessConfig())
+	defer fs.DisableHeartbeats()
+	fa, _ := fs.CreateFile("a", 256*sim.MB)
+	fb, _ := fs.CreateFile("b", 256*sim.MB)
+	a, b := fa.Blocks[0], fb.Blocks[0]
+	victim := fs.Replicas(a)[0]
+	var reader cluster.NodeID = -1
+	for _, r := range fs.Replicas(b) {
+		if r != victim {
+			reader = r
+			break
+		}
+	}
+
+	// runChain reads b at reader n times in a row, each read issued by
+	// the previous one's done, and checks every result.
+	runChain := func(n int, until sim.Time) {
+		t.Helper()
+		var results []ReadResult
+		var next func(ReadResult)
+		next = func(r ReadResult) {
+			results = append(results, r)
+			if len(results) < n {
+				if err := fs.ReadBlock(reader, b, next); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := fs.ReadBlock(reader, b, next); err != nil {
+			t.Fatal(err)
+		}
+		eng.RunUntil(until)
+		if len(results) != n {
+			t.Fatalf("chain completed %d reads, want %d", len(results), n)
+		}
+		for i, r := range results {
+			if r.Block != b || r.Source != SourceDiskLocal || r.Server != reader || r.Failed {
+				t.Fatalf("chained read %d: %+v", i, r)
+			}
+			if i > 0 && r.Started != results[i-1].Finished {
+				t.Fatalf("chained read %d started at %v, previous finished at %v", i, r.Started, results[i-1].Finished)
+			}
+		}
+	}
+
+	// Alone, the chain runs on a single op: were done called before its
+	// op is recycled, every chained read would find the pool empty.
+	runChain(5, sim.Time(time.Minute))
+	if n := len(fs.readPool); n != 1 {
+		t.Fatalf("chain left %d ops in the pool, want 1", n)
+	}
+
+	cl.KillNode(victim)
+	// The stale view still offers the victim, so this read pays the
+	// connect timeout and then retries on a live replica, taking a
+	// second op while the chain holds the first.
+	var failover ReadResult
+	if err := fs.ReadBlock(victim, a, func(r ReadResult) { failover = r }); err != nil {
+		t.Fatal(err)
+	}
+	runChain(20, sim.Time(10*time.Minute))
+	if failover.Block != a || failover.Failed || failover.Server == victim || failover.Started != sim.Time(time.Minute) {
+		t.Fatalf("failover read: %+v", failover)
+	}
+	if fs.FailedOvers() != 1 {
+		t.Errorf("failed over %d times, want 1", fs.FailedOvers())
+	}
+	if n := len(fs.readPool); n != 2 {
+		t.Errorf("pool holds %d ops, want 2", n)
+	}
+	for _, op := range fs.readPool {
+		if op.done != nil || op.legs != [2]*sim.Resource{} {
+			t.Errorf("pooled op still references its last read: %+v", op)
+		}
+	}
+}

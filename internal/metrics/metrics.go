@@ -68,6 +68,11 @@ func NewSample() *Sample { return &Sample{} }
 
 // Add appends an observation.
 func (s *Sample) Add(v float64) {
+	if len(s.xs) == cap(s.xs) {
+		// Double: append grows a long log by only ~1.25× and so
+		// re-copies it about four times over.
+		s.xs = append(make([]float64, 0, max(2*cap(s.xs), 1)), s.xs...)
+	}
 	s.xs = append(s.xs, v)
 	s.sorted = false
 	s.sum += v
@@ -280,6 +285,9 @@ func (ts *TimeSeries) Name() string { return ts.name }
 
 // Record appends a sample. Samples should be appended in time order.
 func (ts *TimeSeries) Record(t, v float64) {
+	if len(ts.pts) == cap(ts.pts) {
+		ts.pts = append(make([]TimePoint, 0, max(2*cap(ts.pts), 1)), ts.pts...) // double, as Sample.Add does
+	}
 	ts.pts = append(ts.pts, TimePoint{T: t, V: v})
 }
 

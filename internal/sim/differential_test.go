@@ -405,9 +405,9 @@ func TestDifferentialResourceVsReference(t *testing.T) {
 // bytes. The bounds below leave an order of magnitude of headroom while
 // still catching any real semantic change.
 const (
-	legacyTimeTol  = Duration(250)     // per-completion timestamp drift
-	legacyBusyTol  = Duration(2000)    // cumulative busy-time drift
-	legacyBytesTol = Bytes(64 * 1024)  // cumulative BytesMoved drift
+	legacyTimeTol  = Duration(250)    // per-completion timestamp drift
+	legacyBusyTol  = Duration(2000)   // cumulative busy-time drift
+	legacyBytesTol = Bytes(64 * 1024) // cumulative BytesMoved drift
 )
 
 // TestDifferentialResourceVsLegacy pins the rewrite to the preserved

@@ -335,9 +335,16 @@ func (e *Engine) head() *Event {
 }
 
 // Stop makes Run return after the current event completes. On a shard
-// of a ShardedEngine the stop is observed at the next window barrier
-// (immediately, for the solo fast path pinned models run on).
-func (e *Engine) Stop() { e.stopped = true }
+// of a ShardedEngine it stops the whole sharded run, which returns at
+// the next window barrier (immediately, for the solo fast path pinned
+// models run on); see ShardedEngine.Stop.
+func (e *Engine) Stop() {
+	if e.parent != nil {
+		e.parent.Stop()
+		return
+	}
+	e.stopped = true
+}
 
 // Run executes events until the queue drains or Stop is called. On a
 // shard of a ShardedEngine it runs the whole sharded simulation, so

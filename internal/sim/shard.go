@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic" //lint:shardsync Stop's flag, set from any shard's event
 )
 
 // This file implements parallel-in-virtual-time execution: a
@@ -74,6 +75,11 @@ type ShardedEngine struct {
 	work      chan *Engine  //lint:shardsync coordinator->worker handoff
 	done      chan struct{} //lint:shardsync worker->coordinator barrier
 	running   bool
+
+	// stop is set by Stop, possibly from an event running on a worker,
+	// and read only by the coordinator: between events on the solo path,
+	// and after each window's barrier.
+	stop atomic.Bool
 
 	prof       ShardProfile
 	profBefore []uint64 // fired-count snapshot scratch, indexed by shard
@@ -263,13 +269,11 @@ func (se *ShardedEngine) Digest() uint64 {
 	return h
 }
 
-// Stop makes the current Run return at the next barrier (immediately,
-// in solo mode).
-func (se *ShardedEngine) Stop() {
-	for _, sh := range se.shards {
-		sh.stopped = true
-	}
-}
+// Stop makes the current Run return at the next window barrier, after
+// every shard has finished the window (immediately, in solo mode). It
+// may be called from an event on any shard: it only sets the
+// coordinator's flag, which workers never read.
+func (se *ShardedEngine) Stop() { se.stop.Store(true) }
 
 // Run executes events until every shard's queue drains (and no message
 // is in flight) or Stop is called.
@@ -355,9 +359,11 @@ func mixDigest(h, a, b uint64) uint64 {
 
 // runWindow executes the shard's local events with at <= cap, in strict
 // (time, seq) order. It is Engine.step's loop plus the digest fold;
-// workers run it concurrently on disjoint shards.
+// workers run it concurrently on disjoint shards. It never checks for a
+// stop: a window always runs to its cap, so a stop takes effect at the
+// same barrier at any worker count.
 func (e *Engine) runWindow(cap Time) {
-	for !e.stopped {
+	for {
 		if ev := e.head(); ev == nil || ev.at > cap {
 			return
 		}
@@ -373,8 +379,11 @@ func (e *Engine) runWindow(cap Time) {
 // runSolo is the fast path when sh is the only shard with pending work:
 // the sequential engine loop, uninterrupted by windows, breaking back
 // to coordinated mode only if an event stages a cross-shard message.
+// It runs on the coordinator's goroutine, so it checks for a stop after
+// every event. sh.stopped is set only on a one-shard coordinator, whose
+// shard has no parent to forward its own Stop to.
 func (se *ShardedEngine) runSolo(sh *Engine, bounded bool, target Time) {
-	for !sh.stopped {
+	for !se.stop.Load() && !sh.stopped {
 		if ev := sh.head(); ev == nil || (bounded && ev.at > target) {
 			return
 		}
@@ -414,6 +423,7 @@ func (se *ShardedEngine) deliver() {
 // run is the coordinator loop: deliver, census, then either the solo
 // fast path or one conservative window executed across workers.
 func (se *ShardedEngine) run(bounded bool, target Time) {
+	se.stop.Store(false)
 	for _, sh := range se.shards {
 		sh.stopped = false
 	}
@@ -447,7 +457,7 @@ func (se *ShardedEngine) run(bounded bool, target Time) {
 			before := sh.fired
 			se.runSolo(sh, bounded, target)
 			se.prof.SoloExecuted += sh.fired - before
-			if sh.stopped {
+			if se.stop.Load() || sh.stopped {
 				return
 			}
 			continue
@@ -458,10 +468,8 @@ func (se *ShardedEngine) run(bounded bool, target Time) {
 			cap = target
 		}
 		se.runRound(cap)
-		for _, sh := range se.shards {
-			if sh.stopped {
-				return
-			}
+		if se.stop.Load() {
+			return
 		}
 	}
 	if bounded {

@@ -298,6 +298,70 @@ func TestShardedStop(t *testing.T) {
 	}
 }
 
+// TestShardedStopWindowWorkerInvariant: a Stop raised mid-window — via
+// the coordinator or through a shard's own Engine.Stop — lets every
+// shard finish the window and returns at its barrier, so the same
+// events fire at any worker count.
+func TestShardedStopWindowWorkerInvariant(t *testing.T) {
+	for _, viaShard := range []bool{false, true} {
+		var want []uint64
+		for _, workers := range []int{1, 2, 4} {
+			se := NewShardedEngine(3, 4, 10*time.Millisecond)
+			se.SetWorkers(workers)
+			for i := 0; i < se.Shards(); i++ {
+				sh := se.Shard(i)
+				for k := 0; k < 6; k++ {
+					fn := func() {}
+					if i == 2 && k == 1 {
+						fn = se.Stop
+						if viaShard {
+							fn = sh.Stop
+						}
+					}
+					sh.At(Time(time.Second)+Time(k)*Time(time.Millisecond), fn)
+				}
+				sh.At(Time(2*time.Second), func() {})
+			}
+			se.Run()
+			fired := make([]uint64, se.Shards())
+			for i := range fired {
+				fired[i] = se.Shard(i).EventsFired()
+			}
+			if want == nil {
+				want = fired
+				for i, n := range fired {
+					if n != 6 {
+						t.Fatalf("viaShard=%v: shard %d fired %d events before the barrier, want the window's 6", viaShard, i, n)
+					}
+				}
+			} else if !reflect.DeepEqual(fired, want) {
+				t.Fatalf("viaShard=%v workers=%d: fired %v, one worker fired %v", viaShard, workers, fired, want)
+			}
+			se.Run()
+			if got := se.EventsFired(); got != 28 {
+				t.Fatalf("viaShard=%v workers=%d: resumed run fired %d in total, want 28", viaShard, workers, got)
+			}
+		}
+	}
+}
+
+// TestShardedStopOneShard: on a one-shard coordinator, whose shard has
+// no parent to forward to, the shard's own Stop still ends the run.
+func TestShardedStopOneShard(t *testing.T) {
+	se := NewShardedEngine(4, 1, time.Millisecond)
+	sh := se.Shard(0)
+	sh.At(Time(time.Second), sh.Stop)
+	sh.At(Time(2*time.Second), func() {})
+	se.Run()
+	if n := se.EventsFired(); n != 1 {
+		t.Fatalf("fired %d events before the stop took effect, want 1", n)
+	}
+	se.Run()
+	if n := se.EventsFired(); n != 2 {
+		t.Fatalf("resumed run fired %d in total, want 2", n)
+	}
+}
+
 // TestShardedShardsOneIsPlainEngine: a single-shard coordinator must
 // not attach parallel machinery at all.
 func TestShardedShardsOneIsPlainEngine(t *testing.T) {

@@ -201,6 +201,11 @@ func (t *Tracer) Begin(cat, name string, node int, attrs ...Attr) SpanRef {
 // sampling fate, never their own).
 func (t *Tracer) begin(cat, name string, node int, attrs []Attr) SpanRef {
 	id := len(t.spans) + 1
+	if len(t.spans) == cap(t.spans) {
+		// Double: append grows a long log by only ~1.25× and so
+		// re-copies it about four times over (DESIGN.md §6).
+		t.spans = append(make([]Span, 0, max(2*cap(t.spans), 1)), t.spans...)
+	}
 	t.spans = append(t.spans, Span{
 		ID: id, Cat: cat, Name: name, Node: node,
 		Begin: t.eng.Now(), End: -1, Attrs: copyAttrs(attrs),
@@ -220,6 +225,9 @@ func (t *Tracer) Instant(cat, name string, node int, attrs ...Attr) {
 	}
 	if t.sample != nil && !t.sample.keep(cat, node) {
 		return
+	}
+	if len(t.instants) == cap(t.instants) {
+		t.instants = append(make([]Instant, 0, max(2*cap(t.instants), 1)), t.instants...) // double, as for spans
 	}
 	t.instants = append(t.instants, Instant{
 		Cat: cat, Name: name, Node: node, At: t.eng.Now(), Attrs: copyAttrs(attrs),

@@ -234,6 +234,13 @@ func GenerateServing(spec ServingSpec, seed int64) *ServingStream {
 	if lambdaMax <= 0 {
 		return st
 	}
+	// The rate integrates to MeanRate over the horizon (the sinusoid
+	// spans one full period), so the arrival count is Poisson with that
+	// mean: sizing the log four standard deviations above it makes one
+	// allocation hold the draw, and a draw past it doubles the log.
+	if mean := spec.MeanRate * spec.Horizon.Seconds(); mean > 0 {
+		st.Requests = make([]ServingRequest, 0, int(mean+4*math.Sqrt(mean))+16)
+	}
 	for t := time.Duration(0); ; {
 		gap := rng.ExpFloat64() / lambdaMax
 		t += time.Duration(gap * float64(time.Second))
@@ -246,6 +253,9 @@ func GenerateServing(spec ServingSpec, seed int64) *ServingStream {
 		tenant := sampleCDF(tcdf, rng.Float64())
 		file := sampleCDF(fcdfs[tenant], rng.Float64())
 		block := rng.Intn(spec.BlocksPerFile)
+		if len(st.Requests) == cap(st.Requests) {
+			st.Requests = append(make([]ServingRequest, 0, 2*cap(st.Requests)), st.Requests...)
+		}
 		st.Requests = append(st.Requests, ServingRequest{
 			At: t, Tenant: tenant, File: file, Block: block,
 		})
