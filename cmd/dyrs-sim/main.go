@@ -84,6 +84,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 	default:
 		return fmt.Errorf("unknown trace format %q (want json or perfetto)", *traceFormat)
 	}
+	switch *wl {
+	case "sort", "hive", "swim":
+	default:
+		return fmt.Errorf("unknown workload %q (want sort, hive or swim)", *wl)
+	}
+	if *swimJobs <= 0 {
+		return fmt.Errorf("-swim-jobs must be positive, got %d", *swimJobs)
+	}
+	if *workers <= 0 {
+		return fmt.Errorf("-workers must be positive, got %d", *workers)
+	}
+	if *shards <= 0 {
+		return fmt.Errorf("-shards must be positive, got %d", *shards)
+	}
 
 	if *wl == "hive" {
 		if *tracePath != "" || *telemetryCSV != "" || *shards > 1 || *metricsAddr != "" {

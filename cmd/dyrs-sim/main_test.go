@@ -41,6 +41,31 @@ func TestRunRejectsUnknownPolicy(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadFlags covers flag values that used to be accepted
+// silently (an unknown workload ran sort, non-positive workers became
+// 7, non-positive shards ran sequential) or panicked deep in workload
+// generation (-swim-jobs 0).
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{sortArgs("-workload", "bogus"), "unknown workload"},
+		{sortArgs("-workload", "swim", "-swim-jobs", "0"), "-swim-jobs must be positive"},
+		{sortArgs("-workload", "swim", "-swim-jobs", "-3"), "-swim-jobs must be positive"},
+		{sortArgs("-workers", "0"), "-workers must be positive"},
+		{sortArgs("-workers", "-1"), "-workers must be positive"},
+		{sortArgs("-shards", "0"), "-shards must be positive"},
+		{sortArgs("-shards", "-2"), "-shards must be positive"},
+	} {
+		var out, errOut bytes.Buffer
+		err := run(tc.args, &out, &errOut)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) = %v, want error containing %q", tc.args, err, tc.want)
+		}
+	}
+}
+
 func TestRunRejectsUnknownTraceFormat(t *testing.T) {
 	var out, errOut bytes.Buffer
 	err := run(sortArgs("-trace", "x.json", "-trace-format", "protobuf"), &out, &errOut)

@@ -12,6 +12,7 @@ import (
 	"dyrs/internal/compute"
 	"dyrs/internal/dfs"
 	"dyrs/internal/migration"
+	"dyrs/internal/policy"
 	"dyrs/internal/sim"
 	"dyrs/internal/trace"
 )
@@ -70,18 +71,11 @@ type Options struct {
 	// differential lever dyrs-sim/dyrs-fuzz -shards pulls to prove the
 	// sharded executor against the sequential one.
 	Shards int
-	// RefResources builds the environment on reference-mode resources
-	// (sim.Engine.SetReferenceResources): the structurally naive
-	// fair-share model that shares its arithmetic with the optimized
-	// finish-tag heap. The resource conformance suite differences full
-	// runs against it; production code leaves it false.
-	RefResources bool
 	// MigBinder, when non-empty and the policy migrates, overrides the
-	// binder backing the coordinator: a migrating internal/policy name
-	// ("dyrs", "ignem", "costaware") or "dyrs-ref" (the frozen
-	// pre-extraction DYRS binder the conformance suite differences
-	// against). The migration Config stays whatever the experiment
-	// Policy selects, so "dyrs" vs "dyrs-ref" is a pure binder swap.
+	// binder backing the coordinator with a migrating internal/policy
+	// name ("dyrs", "ignem", "costaware"). The migration Config stays
+	// whatever the experiment Policy selects, so the override is a pure
+	// binder swap.
 	MigBinder string
 }
 
@@ -106,7 +100,7 @@ type Env struct {
 }
 
 // NewEnv builds an environment for the given policy.
-func NewEnv(policy Policy, opt Options) *Env {
+func NewEnv(pol Policy, opt Options) *Env {
 	if opt.Workers <= 0 {
 		opt.Workers = 7
 	}
@@ -115,9 +109,6 @@ func NewEnv(policy Policy, opt Options) *Env {
 		eng = sim.NewShardedEngine(opt.Seed, opt.Shards, time.Millisecond).Shard(0)
 	} else {
 		eng = sim.NewEngine(opt.Seed)
-	}
-	if opt.RefResources {
-		eng.SetReferenceResources(true)
 	}
 	if opt.Trace {
 		// Attach before any component constructs: they capture the run's
@@ -153,17 +144,17 @@ func NewEnv(policy Policy, opt Options) *Env {
 
 	var mgr migration.Manager = migration.None{}
 	var coord *migration.Coordinator
-	if policy.Migrates() {
+	if pol.Migrates() {
 		mcfg := migration.DefaultConfig()
 		if opt.MigrationConfig != nil {
 			mcfg = *opt.MigrationConfig
 		}
 		var binder migration.Binder
-		switch policy {
+		switch pol {
 		case DYRS:
 			binder = migration.NewDYRSBinder()
 		case Ignem:
-			binder = migration.NewIgnemBinder()
+			binder = migration.NewPolicyBinder(policy.NewIgnem())
 			// Ignem binds blindly at submission and never reconsiders —
 			// it has no missed-read handling (§VI), copies at full IO
 			// priority, and mlocks every bound block at once instead of
@@ -190,7 +181,7 @@ func NewEnv(policy Policy, opt Options) *Env {
 	if coord != nil {
 		coord.SetScheduler(fw)
 	}
-	e := &Env{Policy: policy, Eng: eng, Cl: cl, FS: fs, Coord: coord, FW: fw}
+	e := &Env{Policy: pol, Eng: eng, Cl: cl, FS: fs, Coord: coord, FW: fw}
 	fw.OnJobDone(func(j *compute.Job) {
 		e.doneCount++
 		if (e.waitTarget != nil && j == e.waitTarget) ||

@@ -339,7 +339,7 @@ func RunScale(opt ScaleOptions) (ScaleRow, error) {
 	row.Dropped = st.Dropped
 	row.Evicted = st.Evicted
 	row.BytesMigratedTB = float64(st.BytesMigrated) / float64(sim.TB)
-	if b, ok := coord.Binder().(*migration.DYRSBinder); ok {
+	if b, ok := coord.Binder().(*migration.PolicyBinder); ok {
 		row.BinderUpdates = b.Updates
 		row.BinderSkipped = b.SkippedUpdates
 	}

@@ -176,14 +176,7 @@ func servingPolicies(opt ServingOptions) []string {
 	if len(opt.Policies) > 0 {
 		return opt.Policies
 	}
-	names := []string{"hdfs"}
-	for _, n := range migration.BinderNames() {
-		if n == "dyrs-ref" {
-			continue // the frozen reference binder is a test fixture
-		}
-		names = append(names, n)
-	}
-	return names
+	return append([]string{"hdfs"}, migration.BinderNames()...)
 }
 
 // RunServing draws the request stream once and scores every requested

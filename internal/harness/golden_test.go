@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"dyrs/internal/experiments"
@@ -155,4 +156,29 @@ func TestGoldenCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("recomputed corpus written to %s; a declared regeneration copies it over internal/harness/%s", f.Name(), goldenPath)
+}
+
+// The differential suites that proved the policy extraction and the
+// fair-share resource rewrite against their frozen references keep
+// their names as views of the corpus those references recorded: each
+// seed at the shard count it rotated through (1, 2, 4 by seed mod 3).
+func TestDYRSPolicyConformance(t *testing.T)           { checkRotated(t, "generate/") }
+func TestDYRSPolicyConformanceServing(t *testing.T)    { checkRotated(t, "serving/") }
+func TestResourceModelConformance(t *testing.T)        { checkRotated(t, "generate/") }
+func TestResourceModelConformanceServing(t *testing.T) { checkRotated(t, "serving/") }
+
+func checkRotated(t *testing.T, family string) {
+	want := readGolden(t)
+	for _, c := range goldenCases() {
+		if !strings.HasPrefix(c.name, family) {
+			continue
+		}
+		shards := goldenShards[c.sc.Seed%3]
+		t.Run(fmt.Sprintf("seed=%d/shards=%d", c.sc.Seed, shards), func(t *testing.T) {
+			t.Parallel()
+			if got := recordGolden(t, c, shards); got != want[c.name] {
+				t.Errorf("got %+v, corpus %+v", got, want[c.name])
+			}
+		})
+	}
 }

@@ -170,14 +170,13 @@ func RunScenario(sc Scenario, policy experiments.Policy) *RunResult {
 // full trace.
 func newScenarioEnv(sc Scenario, policy experiments.Policy) *experiments.Env {
 	env := experiments.NewEnv(policy, experiments.Options{
-		Workers:      sc.Workers,
-		Racks:        sc.Racks,
-		Seed:         sc.Seed,
-		SlowNodes:    sc.SlowNodes,
-		Trace:        true,
-		Shards:       sc.Shards,
-		MigBinder:    sc.Policy,
-		RefResources: sc.RefResources,
+		Workers:   sc.Workers,
+		Racks:     sc.Racks,
+		Seed:      sc.Seed,
+		SlowNodes: sc.SlowNodes,
+		Trace:     true,
+		Shards:    sc.Shards,
+		MigBinder: sc.Policy,
 	})
 	env.Tracer().SetFlightRecorder(512)
 	return env

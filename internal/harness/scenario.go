@@ -145,11 +145,10 @@ type Scenario struct {
 	// masks stay stable.
 	Shards int
 	// Policy names the migration binder the migrating oracle runs use: a
-	// migrating internal/policy name ("dyrs", "ignem", "costaware") or
-	// "dyrs-ref", the frozen pre-extraction DYRS binder the conformance
-	// suite differences against. Empty means "dyrs". Set by the driver
-	// (dyrs-fuzz -policy), never drawn by generate, so repro masks stay
-	// stable and carry the policy explicitly.
+	// migrating internal/policy name ("dyrs", "ignem", "costaware").
+	// Empty means "dyrs". Set by dyrs-fuzz -policy, never drawn by
+	// generate, so repro masks stay stable and carry the policy
+	// explicitly.
 	Policy string
 	// Serving marks a serving-workload scenario (see GenerateServing):
 	// instead of compute jobs, the run drives ServingSpec's open-loop
@@ -170,11 +169,6 @@ type Scenario struct {
 	Faults     []Fault
 	// Horizon bounds the whole run; exceeding it is a liveness failure.
 	Horizon time.Duration
-	// RefResources runs the scenario on reference-mode fair-share
-	// resources (sim.Engine.SetReferenceResources). Set only by the
-	// resource conformance suite, which differences whole runs against
-	// the optimized finish-tag heap; never drawn by generate.
-	RefResources bool
 }
 
 // String renders a compact one-line description for failure reports.

@@ -2,7 +2,6 @@ package migration
 
 import (
 	"fmt"
-	"sort"
 
 	"dyrs/internal/cluster"
 	"dyrs/internal/policy"
@@ -21,10 +20,10 @@ import (
 // machinery entirely: OnMigrate assigns and enqueues on the spot, and
 // no update ticker runs.
 //
-// With policy.DYRS this binder is byte-identical to the frozen
-// pre-extraction ReferenceDYRSBinder — the differential conformance
-// suite in internal/harness pins traces, stats and counters across 60
-// fuzz seeds at shard counts 1/2/4.
+// With policy.DYRS this binder reproduces the pre-extraction DYRS
+// binder byte for byte: the golden corpus in internal/harness, recorded
+// while that binder still existed, pins traces, stats and counters
+// across 72 scenarios at shard counts 1, 2 and 4.
 type PolicyBinder struct {
 	c   *Coordinator
 	pol policy.Policy
@@ -74,11 +73,6 @@ type PolicyBinder struct {
 // input-change gate may skip before forcing a full Algorithm 1 pass.
 const maxSkippedPasses = 8
 
-// DYRSBinder is the paper's binding policy — the PolicyBinder running
-// the extracted policy.DYRS. The alias keeps the pre-extraction name
-// working at every call site.
-type DYRSBinder = PolicyBinder
-
 // NewDYRSBinder returns the DYRS binding policy: delayed binding with
 // Algorithm 1 earliest-finish targeting (§III-A).
 func NewDYRSBinder() *PolicyBinder { return NewPolicyBinder(policy.NewDYRS()) }
@@ -93,13 +87,9 @@ func NewPolicyBinder(p policy.Policy) *PolicyBinder {
 	return &PolicyBinder{pol: p}
 }
 
-// BinderByName maps a policy name to a binder: any migrating
-// internal/policy name ("dyrs", "ignem", "costaware"), or "dyrs-ref"
-// for the frozen pre-extraction reference implementation.
+// BinderByName maps a migrating internal/policy name ("dyrs", "ignem",
+// "costaware") to a binder.
 func BinderByName(name string) (Binder, error) {
-	if name == "dyrs-ref" {
-		return NewReferenceDYRSBinder(), nil
-	}
 	p, err := policy.New(name)
 	if err != nil {
 		return nil, err
@@ -110,15 +100,15 @@ func BinderByName(name string) (Binder, error) {
 	return NewPolicyBinder(p), nil
 }
 
-// BinderNames lists every name BinderByName accepts, sorted.
+// BinderNames lists every name BinderByName accepts, sorted (the
+// migrating subset of policy.Names).
 func BinderNames() []string {
-	names := []string{"dyrs-ref"}
+	var names []string
 	for _, n := range policy.Names() {
 		if p, err := policy.New(n); err == nil && p.Migrates() {
 			names = append(names, n)
 		}
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -330,50 +320,6 @@ func (b *PolicyBinder) stopBinder() {
 		b.ticker.Stop()
 	}
 }
-
-// IgnemBinder implements the Ignem comparison scheme [8]: as soon as a
-// migration command arrives, each block is bound to a uniformly random
-// replica location. There is no pending list, no feedback, and no
-// adaptation — which is exactly why Ignem collapses under bandwidth
-// heterogeneity (§V-E, Fig. 8).
-type IgnemBinder struct {
-	c *Coordinator
-}
-
-// NewIgnemBinder returns the Ignem binding policy.
-func NewIgnemBinder() *IgnemBinder { return &IgnemBinder{} }
-
-// Name implements Binder.
-func (b *IgnemBinder) Name() string { return "Ignem" }
-
-func (b *IgnemBinder) attach(c *Coordinator) { b.c = c }
-
-// OnMigrate binds every block immediately to a random live replica.
-func (b *IgnemBinder) OnMigrate(blocks []*blockInfo) {
-	for _, bi := range blocks {
-		locs := b.c.fs.Replicas(bi.id)
-		if len(locs) == 0 {
-			b.c.transition(bi, stateNone)
-			b.c.stats.Dropped++
-			b.c.dropTrace(bi, "no-replica")
-			continue
-		}
-		loc := locs[b.c.eng.Rand().Intn(len(locs))]
-		b.c.slaves[int(loc)].enqueue(bi)
-	}
-}
-
-// OnPull returns nothing: Ignem never delays binding.
-func (b *IgnemBinder) OnPull(cluster.NodeID, int) []*blockInfo { return nil }
-
-// Remove is a no-op; Ignem has no pending list.
-func (b *IgnemBinder) Remove(*blockInfo) {}
-
-// PendingCount implements Binder.
-func (b *IgnemBinder) PendingCount() int { return 0 }
-
-// Reset implements Binder.
-func (b *IgnemBinder) Reset() {}
 
 // NaiveBinder is the Fig. 10 comparator: delayed binding like DYRS, but
 // when a slave pulls, it simply receives the oldest pending blocks that

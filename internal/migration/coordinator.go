@@ -68,7 +68,8 @@ type Coordinator struct {
 }
 
 // Binder decides replica selection and binding time. Implementations:
-// DYRSBinder, IgnemBinder, NaiveBinder.
+// PolicyBinder (any migrating policy.Policy: DYRS, Ignem, CostAware)
+// and NaiveBinder.
 type Binder interface {
 	// Name identifies the policy in output tables.
 	Name() string

@@ -6,6 +6,7 @@ import (
 
 	"dyrs/internal/cluster"
 	"dyrs/internal/dfs"
+	"dyrs/internal/policy"
 	"dyrs/internal/sim"
 )
 
@@ -108,7 +109,7 @@ func TestIgnemBindsImmediatelyAndEvenly(t *testing.T) {
 		}
 		return c
 	}
-	r := newRig(t, 3, 4, NewIgnemBinder(), slowCfg, DefaultConfig())
+	r := newRig(t, 3, 4, NewPolicyBinder(policy.NewIgnem()), slowCfg, DefaultConfig())
 	r.mkFile(t, "in", 40)
 	r.c.Migrate(1, []string{"in"}, false)
 	if r.c.PendingBlocks() != 0 {
@@ -469,7 +470,7 @@ func TestAlgorithm1TargetsAreReplicas(t *testing.T) {
 	r := newRig(t, 18, 6, NewDYRSBinder(), nil, DefaultConfig())
 	r.mkFile(t, "in", 50)
 	r.c.Migrate(1, []string{"in"}, false)
-	b := r.c.binder.(*DYRSBinder)
+	b := r.c.binder.(*PolicyBinder)
 	b.UpdateTargets()
 	for _, bi := range b.pending {
 		if !bi.hasTarget {
@@ -494,7 +495,7 @@ func TestAlgorithm1SpreadsLoad(t *testing.T) {
 	r := newRig(t, 19, 4, NewDYRSBinder(), nil, DefaultConfig())
 	r.mkFile(t, "in", 40)
 	r.c.Migrate(1, []string{"in"}, false)
-	b := r.c.binder.(*DYRSBinder)
+	b := r.c.binder.(*PolicyBinder)
 	b.UpdateTargets()
 	counts := map[cluster.NodeID]int{}
 	for _, bi := range b.pending {
@@ -579,7 +580,7 @@ func TestDoubleMigrateSameFileIsIdempotent(t *testing.T) {
 }
 
 func TestBinderNames(t *testing.T) {
-	if NewDYRSBinder().Name() != "DYRS" || NewIgnemBinder().Name() != "Ignem" || NewNaiveBinder().Name() != "Naive" {
+	if NewDYRSBinder().Name() != "DYRS" || NewPolicyBinder(policy.NewIgnem()).Name() != "Ignem" || NewNaiveBinder().Name() != "Naive" {
 		t.Error("binder names wrong")
 	}
 }

@@ -60,7 +60,7 @@ func TestSJFOrdersSmallJobsFirst(t *testing.T) {
 	r.c.Migrate(2, []string{"small"}, false)
 	r.c.SetJobHint(1, JobHint{InputBytes: 8 * 256 * sim.MB})
 	r.c.SetJobHint(2, JobHint{InputBytes: 256 * sim.MB})
-	b := r.c.binder.(*DYRSBinder)
+	b := r.c.binder.(*PolicyBinder)
 	b.UpdateTargets()
 	if got := r.fs.Block(b.pending[0].id).File; got != "small" {
 		t.Errorf("SJF head of pending = %s, want small", got)
@@ -78,7 +78,7 @@ func TestEDFOrdersEarliestDeadlineFirst(t *testing.T) {
 	r.c.Migrate(2, []string{"soon"}, false)
 	r.c.SetJobHint(1, JobHint{ExpectedStart: sim.Time(60 * time.Second)})
 	r.c.SetJobHint(2, JobHint{ExpectedStart: sim.Time(3 * time.Second)})
-	b := r.c.binder.(*DYRSBinder)
+	b := r.c.binder.(*PolicyBinder)
 	b.UpdateTargets()
 	if got := r.fs.Block(b.pending[0].id).File; got != "soon" {
 		t.Errorf("EDF head of pending = %s, want soon", got)
@@ -94,7 +94,7 @@ func TestFIFOKeepsArrivalOrder(t *testing.T) {
 	r.c.Migrate(2, []string{"second"}, false)
 	r.c.SetJobHint(1, JobHint{InputBytes: 10 * sim.GB, ExpectedStart: sim.Time(time.Hour)})
 	r.c.SetJobHint(2, JobHint{InputBytes: sim.MB, ExpectedStart: 0})
-	b := r.c.binder.(*DYRSBinder)
+	b := r.c.binder.(*PolicyBinder)
 	b.UpdateTargets()
 	if got := r.fs.Block(b.pending[0].id).File; got != "first" {
 		t.Errorf("FIFO head = %s, want first (hints must be ignored)", got)

@@ -11,7 +11,7 @@ import (
 )
 
 func TestBinderByName(t *testing.T) {
-	for _, name := range []string{"dyrs", "ignem", "costaware", "dyrs-ref"} {
+	for _, name := range []string{"dyrs", "ignem", "costaware"} {
 		b, err := BinderByName(name)
 		if err != nil {
 			t.Errorf("BinderByName(%q): %v", name, err)
@@ -27,7 +27,7 @@ func TestBinderByName(t *testing.T) {
 	if _, err := BinderByName("bogus"); err == nil {
 		t.Error("BinderByName(\"bogus\") should fail")
 	}
-	want := []string{"costaware", "dyrs", "dyrs-ref", "ignem"}
+	want := []string{"costaware", "dyrs", "ignem"}
 	if got := BinderNames(); !reflect.DeepEqual(got, want) {
 		t.Errorf("BinderNames() = %v, want %v", got, want)
 	}
@@ -86,39 +86,33 @@ func TestPolicyBinderCostAwareMigrates(t *testing.T) {
 	r.c.Shutdown()
 }
 
-// TestPolicyBinderMatchesReference is the unit-level half of the
-// conformance proof: the same rig, workload and fault-free schedule run
-// under the extracted DYRS policy and under the frozen reference binder
-// must produce identical stats and identical per-slave migration
-// counts. (The harness-level suite additionally pins trace hashes
-// across fuzz scenarios with faults.)
+// TestPolicyBinderMatchesReference pins the DYRS policy binder on a
+// fault-free two-job rig to the stats and per-slave migration counts
+// that it and the frozen pre-extraction binder both produced when the
+// latter was retired. (The harness golden corpus additionally pins
+// trace hashes across fuzz scenarios with faults.)
 func TestPolicyBinderMatchesReference(t *testing.T) {
-	run := func(binder Binder) (Stats, []int) {
-		r := newRig(t, 7, 6, binder, nil, DefaultConfig())
-		r.mkFile(t, "a", 12)
-		r.mkFile(t, "b", 9)
-		if err := r.c.Migrate(1, []string{"a"}, false); err != nil {
-			t.Fatal(err)
-		}
-		r.eng.RunUntil(sim.Time(5 * time.Second))
-		if err := r.c.Migrate(2, []string{"b"}, false); err != nil {
-			t.Fatal(err)
-		}
-		r.eng.RunUntil(sim.Time(180 * time.Second))
-		per := make([]int, 6)
-		for i := range per {
-			per[i] = r.c.Slave(cluster.NodeID(i)).Migrations
-		}
-		st := r.c.Stats()
-		r.c.Shutdown()
-		return st, per
+	r := newRig(t, 7, 6, NewDYRSBinder(), nil, DefaultConfig())
+	r.mkFile(t, "a", 12)
+	r.mkFile(t, "b", 9)
+	if err := r.c.Migrate(1, []string{"a"}, false); err != nil {
+		t.Fatal(err)
 	}
-	st1, per1 := run(NewDYRSBinder())
-	st2, per2 := run(NewReferenceDYRSBinder())
-	if st1 != st2 {
-		t.Errorf("stats diverge: extracted %+v, reference %+v", st1, st2)
+	r.eng.RunUntil(sim.Time(5 * time.Second))
+	if err := r.c.Migrate(2, []string{"b"}, false); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(per1, per2) {
-		t.Errorf("per-slave migrations diverge: extracted %v, reference %v", per1, per2)
+	r.eng.RunUntil(sim.Time(180 * time.Second))
+	per := make([]int, 6)
+	for i := range per {
+		per[i] = r.c.Slave(cluster.NodeID(i)).Migrations
+	}
+	st := r.c.Stats()
+	r.c.Shutdown()
+	if want := (Stats{Requested: 21, Migrated: 21, BytesMigrated: 21 * r.fs.Config().BlockSize}); st != want {
+		t.Errorf("stats %+v, want %+v", st, want)
+	}
+	if want := []int{4, 4, 4, 3, 3, 3}; !reflect.DeepEqual(per, want) {
+		t.Errorf("per-slave migrations %v, want %v", per, want)
 	}
 }

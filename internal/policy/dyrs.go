@@ -10,11 +10,8 @@ import "dyrs/internal/cluster"
 // finish time advances by the block — so a convoy of blocks spreads
 // across replicas in proportion to their measured speed (§III-A2).
 //
-// This implementation is the extracted core of the pre-refactor
-// DYRSBinder and is byte-identical to it: same float expressions, same
-// first-wins strict-< tie-breaking, same running-finish update. The
-// differential conformance suite in internal/harness pins this against
-// the frozen reference binder across 60 fuzz seeds.
+// The golden corpus in internal/harness pins the resulting traces,
+// stats and counters across 72 scenarios at 1, 2 and 4 shards.
 type DYRS struct {
 	// Reusable per-pass state, indexed by dense NodeID.
 	finish  []float64

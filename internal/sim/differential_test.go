@@ -6,12 +6,12 @@ package sim
 //
 //  1. TestDifferentialResourceVsReference — byte-identical. The optimized
 //     resource (finish-tag heap, O(1) accrual, coalesced flush) against
-//     reference mode (Engine.SetReferenceResources: admission-ordered
-//     slice, linear scans) on the same seeded op scripts. The two modes
-//     share every float expression — only the bookkeeping structure
-//     differs — so completions, timestamps, BytesMoved and BusyTime must
-//     match exactly, including under mid-run accounting probes that
-//     stress the lazy O(1) accrual.
+//     the test-only refResource (reference_test.go: admission-ordered
+//     slice, linear scans) on the same seeded op scripts. The two share
+//     every float expression — only the bookkeeping structure differs —
+//     so completions, timestamps, BytesMoved and BusyTime must match
+//     exactly, including under mid-run accounting probes that stress the
+//     lazy O(1) accrual.
 //
 //  2. TestDifferentialResourceVsLegacy — semantically equivalent. The
 //     preserved pre-rewrite implementation (legacyResource below: one
@@ -220,6 +220,23 @@ func (u legacyUT) busyTime() Duration {
 }
 func (u legacyUT) activeFlows() int { return len(u.r.flows) }
 
+type refUT struct{ r *refResource }
+
+func (u refUT) start(size Bytes, weight float64, done func()) func() {
+	return u.r.start(size, weight, done).cancel
+}
+func (u refUT) startLoad(weight float64) func() { return u.r.startLoad(weight).cancel }
+func (u refUT) setScale(s float64)              { u.r.setScale(s) }
+func (u refUT) bytesMoved() Bytes {
+	b, _ := u.r.accrued()
+	return b
+}
+func (u refUT) busyTime() Duration {
+	_, d := u.r.accrued()
+	return d
+}
+func (u refUT) activeFlows() int { return len(u.r.flows) }
+
 const (
 	opStart = iota
 	opStartLoad
@@ -352,21 +369,25 @@ const (
 // TestDifferentialResourceVsReference is the byte-identity proof: the
 // finish-tag heap, flow pooling, O(1) lazy accrual and same-instant
 // flush coalescing must not change a single bit of observable behaviour
-// relative to reference mode's linear bookkeeping, because the two share
+// relative to the reference's linear bookkeeping, because the two share
 // every arithmetic expression.
 func TestDifferentialResourceVsReference(t *testing.T) {
 	totalCompletions := 0
 	for seed := int64(0); seed < diffSeeds; seed++ {
 		ops := genScript(rand.New(rand.NewSource(seed)), diffOps, diffHorizon)
 
-		run := func(ref bool) scriptResult {
+		run := func(ut func(*Engine) underTest) scriptResult {
 			eng := NewEngine(seed)
-			eng.SetReferenceResources(ref)
-			ut := resourceUT{NewResource(eng, "r", 128*float64(MB), SeekEfficiency(0.25))}
-			scheduleProbes(eng, ut, diffHorizon)
-			return runScript(eng, ut, ops)
+			u := ut(eng)
+			scheduleProbes(eng, u, diffHorizon)
+			return runScript(eng, u, ops)
 		}
-		opt, ref := run(false), run(true)
+		opt := run(func(eng *Engine) underTest {
+			return resourceUT{NewResource(eng, "r", 128*float64(MB), SeekEfficiency(0.25))}
+		})
+		ref := run(func(eng *Engine) underTest {
+			return refUT{newRefResource(eng, 128*float64(MB), SeekEfficiency(0.25))}
+		})
 
 		if len(opt.completions) != len(ref.completions) {
 			t.Fatalf("seed %d: %d completions vs reference %d", seed, len(opt.completions), len(ref.completions))

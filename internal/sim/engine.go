@@ -189,11 +189,6 @@ type Engine struct {
 	// completions. Kept as a separate typed field so the per-flow hook
 	// is a plain nil check, not a type assertion.
 	flowSink FlowSink
-	// refResources makes NewResource build reference-mode resources
-	// (linear scans instead of the finish-tag heap, same arithmetic).
-	// Differential and conformance tests flip it to prove the optimized
-	// resource byte-identical; production code leaves it false.
-	refResources bool
 }
 
 // SetTracer attaches an opaque tracing object to the engine for
@@ -207,21 +202,6 @@ func (e *Engine) Tracer() any { return e.tracer }
 // Pass nil to detach. When no sink is installed the flow hot path pays
 // only a nil check.
 func (e *Engine) SetFlowSink(s FlowSink) { e.flowSink = s }
-
-// SetReferenceResources selects which resource implementation NewResource
-// builds from here on: the optimized finish-tag heap (false, the default)
-// or the structurally naive reference that shares its arithmetic (true).
-// On a shard of a ShardedEngine the choice applies to every shard. Call
-// it before constructing the model; existing resources are unaffected.
-func (e *Engine) SetReferenceResources(on bool) {
-	if e.parent != nil {
-		for _, s := range e.parent.shards {
-			s.refResources = on
-		}
-		return
-	}
-	e.refResources = on
-}
 
 // NewEngine returns an engine whose randomness derives from seed.
 // The same seed always produces the same simulation.

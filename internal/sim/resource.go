@@ -81,7 +81,7 @@ type Flow struct {
 	tag    float64 // normalized virtual finish tag; +Inf for persistent
 	weight float64
 	seq    uint64 // admission sequence, tie-breaks equal tags
-	pos    int32  // heap slot index (optimized mode), for O(log n) removal
+	pos    int32  // heap slot index, for O(log n) removal
 
 	started Time
 	done    func(f *Flow)
@@ -199,13 +199,6 @@ type Resource struct {
 
 	// heap holds every active flow ordered by (tag, seq); see flowheap.go.
 	heap []*Flow
-	// rflows replaces the heap in reference mode (Engine.
-	// SetReferenceResources): a plain admission-ordered slice with linear
-	// scans, sharing every float expression with the optimized path so
-	// the two modes are byte-identical by construction. Differential and
-	// conformance tests run against it.
-	rflows []*Flow
-	naive  bool
 
 	lastUpdate Time
 	timer      *Event // single completion timer; nil when nothing finite runs
@@ -235,7 +228,6 @@ func NewResource(eng *Engine, name string, capacity float64, eff EfficiencyFunc)
 		base:  capacity,
 		scale: 1,
 		eff:   eff,
-		naive: eng.refResources,
 	}
 	r.timerFn = r.onTimer
 	r.flushFn = r.flush
@@ -254,16 +246,8 @@ func (r *Resource) EffectiveCapacity() float64 {
 	return r.base * r.scale * r.eff(r.totalW)
 }
 
-// count reports the number of active flows (finite and persistent).
-func (r *Resource) count() int {
-	if r.naive {
-		return len(r.rflows)
-	}
-	return len(r.heap)
-}
-
 // ActiveFlows reports the number of in-progress flows.
-func (r *Resource) ActiveFlows() int { return r.count() }
+func (r *Resource) ActiveFlows() int { return len(r.heap) }
 
 // BytesMoved reports the cumulative bytes transferred through this
 // resource up to the current instant, including progress of active flows.
@@ -367,7 +351,7 @@ func (r *Resource) admit(tag, total, weight float64, done func(f *Flow)) *Flow {
 	f.active = true
 	f.seq = r.admitSeq
 	r.admitSeq++
-	r.addFlow(f)
+	r.heapPush(f)
 	r.totalW += weight
 	r.markDirty()
 	return f
@@ -387,61 +371,15 @@ func (f *Flow) Cancel() {
 	if f.endRem < 0 {
 		f.endRem = 0
 	}
-	r.removeFlow(f)
+	r.heapRemove(int(f.pos))
 	r.totalW -= f.weight
-	if r.count() == 0 {
+	if len(r.heap) == 0 {
 		r.resetIdle()
 	}
 	r.markDirty()
 	if s := r.eng.flowSink; s != nil {
 		s.FlowEnded(r, f, false)
 	}
-}
-
-// addFlow links a freshly admitted flow into the active set.
-func (r *Resource) addFlow(f *Flow) {
-	if r.naive {
-		r.rflows = append(r.rflows, f)
-		return
-	}
-	r.heapPush(f)
-}
-
-// removeFlow unlinks an active flow: O(log n) by stored heap slot, or
-// the reference mode's deliberate linear scan (admission order kept).
-func (r *Resource) removeFlow(f *Flow) {
-	if r.naive {
-		for i, g := range r.rflows {
-			if g == f {
-				r.rflows = append(r.rflows[:i], r.rflows[i+1:]...)
-				return
-			}
-		}
-		return
-	}
-	r.heapRemove(int(f.pos))
-}
-
-// earliest returns the finite flow with the smallest (tag, seq), or nil
-// when only persistent flows (or nothing) run. In optimized mode this is
-// the heap head; the reference mode scans.
-func (r *Resource) earliest() *Flow {
-	if r.naive {
-		var best *Flow
-		for _, f := range r.rflows {
-			if math.IsInf(f.tag, 1) {
-				continue
-			}
-			if best == nil || flowLess(f, best) {
-				best = f
-			}
-		}
-		return best
-	}
-	if len(r.heap) == 0 || math.IsInf(r.heap[0].tag, 1) {
-		return nil
-	}
-	return r.heap[0]
 }
 
 // advance accrues accounting up to the current instant: busy time, the
@@ -455,7 +393,7 @@ func (r *Resource) advance() {
 		r.lastUpdate = now
 		return
 	}
-	if r.count() > 0 {
+	if len(r.heap) > 0 {
 		r.busy += d
 		dt := d.Seconds()
 		r.vsrv += r.vRate * dt
@@ -485,11 +423,11 @@ func (r *Resource) flush() {
 		r.eng.Cancel(r.timer)
 		r.timer = nil
 	}
-	if r.count() == 0 {
+	if len(r.heap) == 0 {
 		return
 	}
 	r.reprice()
-	if f := r.earliest(); f != nil {
+	if f := r.heap[0]; !math.IsInf(f.tag, 1) {
 		r.timer = r.eng.Schedule(Duration((f.tag-r.vsrv)/r.vRate*float64(Second)), r.timerFn)
 	}
 }
@@ -529,12 +467,12 @@ func (r *Resource) onTimer() {
 // because a same-instant event before the timer may have changed
 // membership with the recompute still pending in the flush event.
 func (r *Resource) completeRipe() {
-	if r.count() > 0 {
+	if len(r.heap) > 0 {
 		r.reprice()
 	}
-	for {
-		f := r.earliest()
-		if f == nil {
+	for len(r.heap) > 0 {
+		f := r.heap[0]
+		if math.IsInf(f.tag, 1) {
 			break
 		}
 		secs := (f.tag - r.vsrv) / r.vRate
@@ -550,9 +488,9 @@ func (r *Resource) completeRipe() {
 		}
 		f.active = false
 		f.endRem = 0
-		r.removeFlow(f)
+		r.heapRemove(0)
 		r.totalW -= f.weight
-		if r.count() == 0 {
+		if len(r.heap) == 0 {
 			r.resetIdle()
 		} else {
 			r.reprice()
@@ -565,7 +503,7 @@ func (r *Resource) completeRipe() {
 		}
 		r.recycle(f)
 	}
-	if r.count() > 0 {
+	if len(r.heap) > 0 {
 		r.markDirty()
 	}
 }

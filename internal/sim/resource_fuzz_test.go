@@ -6,8 +6,7 @@ import (
 )
 
 // FuzzResourceModel drives the optimized fair-share resource and the
-// reference-mode implementation (Engine.SetReferenceResources) in
-// lockstep through a byte-program of admissions, weighted admissions,
+// test-only refResource (reference_test.go) in lockstep through a byte-program of admissions, weighted admissions,
 // persistent loads, cancellations, capacity changes, clock advances and
 // accounting probes — and demands bit-identical observables after every
 // op: completion log (ids and timestamps), BytesMoved, BusyTime and the
@@ -26,20 +25,22 @@ func FuzzResourceModel(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 2, 0, 1, 4, 3, 0, 3, 0, 5, 60, 3, 0})
 	// Scale churn around persistent loads with sub-ms advances.
 	f.Add([]byte{2, 1, 7, 3, 6, 9, 0, 7, 6, 50, 7, 1, 5, 100, 3, 1})
+	// Same-instant admissions with equal tags complete in admission order.
+	f.Add([]byte{0, 1, 0, 1, 1, 1, 5, 200})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		engO := NewEngine(7)
 		engR := NewEngine(7)
-		engR.SetReferenceResources(true)
 		rO := NewResource(engO, "opt", 96*float64(MB), SeekEfficiency(0.2))
-		rR := NewResource(engR, "ref", 96*float64(MB), SeekEfficiency(0.2))
+		rR := newRefResource(engR, 96*float64(MB), SeekEfficiency(0.2))
 
 		type rec struct {
 			id int
 			at Time
 		}
 		var doneO, doneR []rec
-		var handlesO, handlesR []*Flow
+		var handlesO []*Flow
+		var handlesR []*refFlow
 		var live []int // ids both sides believe active, admission-ordered
 
 		dropLive := func(id int) {
@@ -54,30 +55,32 @@ func FuzzResourceModel(f *testing.F) {
 		scales := [...]float64{0.25, 0.5, 1, 2}
 		admit := func(size Bytes, w float64) {
 			id := len(handlesO)
-			var fo, fr *Flow
+			var fo *Flow
+			var fr *refFlow
 			if size > 0 {
 				fo = rO.StartWeighted(size, w, func(*Flow) {
 					doneO = append(doneO, rec{id, engO.Now()})
 					dropLive(id)
 				})
-				fr = rR.StartWeighted(size, w, func(*Flow) {
+				fr = rR.start(size, w, func() {
 					doneR = append(doneR, rec{id, engR.Now()})
 				})
 			} else {
-				fo, fr = rO.StartLoad(w), rR.StartLoad(w)
+				fo, fr = rO.StartLoad(w), rR.startLoad(w)
 			}
 			handlesO, handlesR = append(handlesO, fo), append(handlesR, fr)
 			live = append(live, id)
 		}
 
 		check := func(op int) {
-			if g, w := rO.BytesMoved(), rR.BytesMoved(); g != w {
-				t.Fatalf("op %d: BytesMoved %d vs reference %d", op, g, w)
+			moved, busy := rR.accrued()
+			if g := rO.BytesMoved(); g != moved {
+				t.Fatalf("op %d: BytesMoved %d vs reference %d", op, g, moved)
 			}
-			if g, w := rO.BusyTime(), rR.BusyTime(); g != w {
-				t.Fatalf("op %d: BusyTime %v vs reference %v", op, g, w)
+			if g := rO.BusyTime(); g != busy {
+				t.Fatalf("op %d: BusyTime %v vs reference %v", op, g, busy)
 			}
-			if g, w := rO.ActiveFlows(), rR.ActiveFlows(); g != w {
+			if g, w := rO.ActiveFlows(), len(rR.flows); g != w {
 				t.Fatalf("op %d: ActiveFlows %d vs reference %d", op, g, w)
 			}
 			if len(doneO) != len(doneR) {
@@ -103,7 +106,7 @@ func FuzzResourceModel(f *testing.F) {
 					id := live[arg%len(live)]
 					dropLive(id)
 					handlesO[id].Cancel()
-					handlesR[id].Cancel()
+					handlesR[id].cancel()
 				}
 			case 4: // double-cancel / stale-cancel hardening on a cancelled flow
 				if len(handlesO) > 0 {
@@ -120,7 +123,7 @@ func FuzzResourceModel(f *testing.F) {
 					// contract), so the model itself must not poke it.
 					if !stillLive && !handlesO[id].Active() && handlesO[id].Size() == 0 {
 						handlesO[id].Cancel()
-						handlesR[id].Cancel()
+						handlesR[id].cancel()
 					}
 				}
 			case 5: // coarse clock advance
@@ -134,7 +137,7 @@ func FuzzResourceModel(f *testing.F) {
 			case 7: // capacity change
 				s := scales[arg%len(scales)]
 				rO.SetScale(s)
-				rR.SetScale(s)
+				rR.setScale(s)
 			}
 			check(i)
 		}
@@ -145,8 +148,8 @@ func FuzzResourceModel(f *testing.F) {
 		engR.RunFor(time.Hour)
 		check(len(data))
 		for _, id := range live {
-			if handlesO[id].Active() != handlesR[id].Active() {
-				t.Fatalf("flow %d: Active %v vs reference %v", id, handlesO[id].Active(), handlesR[id].Active())
+			if handlesO[id].Active() != handlesR[id].active {
+				t.Fatalf("flow %d: Active %v vs reference %v", id, handlesO[id].Active(), handlesR[id].active)
 			}
 		}
 	})
