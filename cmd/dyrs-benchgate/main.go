@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'Scale|SimEngineEvents' -count 6 . > head.txt
+//	go test -run '^$' -bench 'Scale|SimEngineEvents' -benchmem -count 6 . > head.txt
 //	dyrs-benchgate head.txt                    # gate vs BENCH_BASELINE.json
 //	dyrs-benchgate -write head.txt             # (re)generate the baseline
 //	dyrs-benchgate -inject 2.0 head.txt        # self-test: must fail
@@ -21,9 +21,17 @@
 // numbers from a different runner class are comparable only loosely, so
 // maintainers regenerate with -write when the reference hardware moves.
 //
-// -inject multiplies every head median by the given factor before
-// comparing. CI uses it to prove the gate actually trips: a run with
-// -inject 2.0 simulating a 2x slowdown must exit non-zero.
+// A baseline entry may also carry allocs_per_op: -write records the
+// median allocs/op of every benchmark whose input lines have -benchmem
+// columns, and the gate then fails when the head median exceeds it by
+// more than -threshold, or when the input lacks the column. Allocation
+// counts of a one-iteration macro run repeat to within a few objects,
+// so the same threshold is a tight bound there.
+//
+// -inject multiplies every head median, ns/op and allocs/op, by the
+// given factor before comparing. CI uses it to prove the gate actually
+// trips: a run with -inject 2.0 simulating a 2x slowdown must exit
+// non-zero.
 package main
 
 import (
@@ -53,10 +61,25 @@ type Baseline struct {
 	Entries   []BaselineEntry `json:"entries"`
 }
 
-// BaselineEntry is one gated benchmark's reference timing.
+// BaselineEntry is one gated benchmark's reference timing and, when
+// AllocsPerOp is set, its reference allocation count.
 type BaselineEntry struct {
-	Name    string  `json:"name"`
-	NsPerOp float64 `json:"ns_per_op"`
+	Name        string   `json:"name"`
+	NsPerOp     float64  `json:"ns_per_op"`
+	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
+}
+
+// result is one benchmark's median ns/op and, when its input lines had
+// -benchmem columns, its median allocs/op.
+type result struct {
+	ns        float64
+	allocs    float64
+	hasAllocs bool
+}
+
+// samples collects one benchmark's per-run values.
+type samples struct {
+	ns, allocs []float64
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -84,8 +107,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	medians := medianByName(head)
-	for name := range medians {
-		medians[name] *= *inject
+	for name, r := range medians {
+		r.ns *= *inject
+		r.allocs *= *inject
+		medians[name] = r
 	}
 
 	if *write {
@@ -114,11 +139,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // readBenchmarks parses benchmark output from the named files, or from
 // stdin when none are given.
-func readBenchmarks(paths []string) (map[string][]float64, error) {
+func readBenchmarks(paths []string) (map[string]*samples, error) {
 	if len(paths) == 0 {
 		return parseBench(os.Stdin)
 	}
-	all := map[string][]float64{}
+	all := map[string]*samples{}
 	for _, p := range paths {
 		f, err := os.Open(p)
 		if err != nil {
@@ -129,18 +154,26 @@ func readBenchmarks(paths []string) (map[string][]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", p, err)
 		}
-		for name, xs := range m {
-			all[name] = append(all[name], xs...)
+		for name, s := range m {
+			if a := all[name]; a != nil {
+				a.ns = append(a.ns, s.ns...)
+				a.allocs = append(a.allocs, s.allocs...)
+			} else {
+				all[name] = s
+			}
 		}
 	}
 	return all, nil
 }
 
-// parseBench extracts (benchmark name, ns/op) samples from Go benchmark
-// text output. The trailing -GOMAXPROCS suffix is stripped so baselines
-// survive runner core-count changes.
-func parseBench(r io.Reader) (map[string][]float64, error) {
-	out := map[string][]float64{}
+// parseBench extracts per-benchmark ns/op samples, and allocs/op samples
+// from lines with -benchmem columns, from Go benchmark text output.
+// After the iteration count a line is a list of (value, unit) pairs, so
+// custom metrics such as events/sec do not shift the columns. The
+// trailing -GOMAXPROCS suffix is stripped so baselines survive runner
+// core-count changes.
+func parseBench(r io.Reader) (map[string]*samples, error) {
+	out := map[string]*samples{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -158,18 +191,35 @@ func parseBench(r io.Reader) (map[string][]float64, error) {
 				name = name[:i]
 			}
 		}
-		out[name] = append(out[name], ns)
+		s := out[name]
+		if s == nil {
+			s = &samples{}
+			out[name] = s
+		}
+		s.ns = append(s.ns, ns)
+		for i := 4; i+1 < len(f); i += 2 {
+			if f[i+1] != "allocs/op" {
+				continue
+			}
+			if v, err := strconv.ParseFloat(f[i], 64); err == nil {
+				s.allocs = append(s.allocs, v)
+			}
+		}
 	}
 	return out, sc.Err()
 }
 
-// medianByName reduces each benchmark's samples to their median —
+// medianByName reduces each benchmark's samples to their medians —
 // robust against the occasional slow repetition that a mean would
 // smear across the gate.
-func medianByName(samples map[string][]float64) map[string]float64 {
-	out := make(map[string]float64, len(samples))
-	for name, xs := range samples {
-		out[name] = median(xs)
+func medianByName(all map[string]*samples) map[string]result {
+	out := make(map[string]result, len(all))
+	for name, s := range all {
+		r := result{ns: median(s.ns)}
+		if len(s.allocs) > 0 {
+			r.allocs, r.hasAllocs = median(s.allocs), true
+		}
+		out[name] = r
 	}
 	return out
 }
@@ -194,6 +244,12 @@ type GateRow struct {
 	Failed   bool
 	Missing  bool // in baseline but absent from input
 	Unjudged bool // in input but absent from baseline
+
+	// Allocation gate, for entries with allocs_per_op.
+	GatesAllocs   bool
+	BaseAllocs    float64
+	HeadAllocs    float64
+	AllocsMissing bool // the input has no allocs/op column for it
 }
 
 // GateReport is the full comparison outcome.
@@ -203,9 +259,10 @@ type GateReport struct {
 }
 
 // gate compares head medians against the baseline. Every baseline entry
-// must be present and within threshold; extra head benchmarks are
-// reported but never fail.
-func gate(base *Baseline, head map[string]float64, threshold float64) *GateReport {
+// must be present and within threshold, in ns/op and, where the entry
+// records it, in allocs/op; extra head benchmarks are reported but never
+// fail.
+func gate(base *Baseline, head map[string]result, threshold float64) *GateReport {
 	rep := &GateReport{}
 	for _, e := range base.Entries {
 		row := GateRow{Name: e.Name, BaseNs: e.NsPerOp}
@@ -216,9 +273,18 @@ func gate(base *Baseline, head map[string]float64, threshold float64) *GateRepor
 		case e.NsPerOp <= 0:
 			row.Failed = true // corrupt baseline entry: refuse to divide by it
 		default:
-			row.HeadNs = h
-			row.Delta = (h - e.NsPerOp) / e.NsPerOp
+			row.HeadNs = h.ns
+			row.Delta = (h.ns - e.NsPerOp) / e.NsPerOp
 			row.Failed = row.Delta > threshold
+		}
+		if ok && e.AllocsPerOp != nil {
+			row.GatesAllocs, row.BaseAllocs = true, *e.AllocsPerOp
+			if h.hasAllocs {
+				row.HeadAllocs = h.allocs
+				row.Failed = row.Failed || h.allocs > row.BaseAllocs*(1+threshold)
+			} else {
+				row.AllocsMissing, row.Failed = true, true
+			}
 		}
 		if row.Failed {
 			rep.Failures = append(rep.Failures, e.Name)
@@ -233,7 +299,7 @@ func gate(base *Baseline, head map[string]float64, threshold float64) *GateRepor
 	}
 	sort.Strings(extra)
 	for _, name := range extra {
-		rep.Rows = append(rep.Rows, GateRow{Name: name, HeadNs: head[name], Unjudged: true})
+		rep.Rows = append(rep.Rows, GateRow{Name: name, HeadNs: head[name].ns, Unjudged: true})
 	}
 	return rep
 }
@@ -264,8 +330,15 @@ func (r *GateReport) String() string {
 			if row.Failed {
 				status = "  FAIL"
 			}
-			fmt.Fprintf(&b, "%-40s %15s %15s %+8.1f%%%s\n",
-				row.Name, fmtNs(row.BaseNs), fmtNs(row.HeadNs), row.Delta*100, status)
+			allocs := ""
+			switch {
+			case row.AllocsMissing:
+				allocs = fmt.Sprintf("  allocs/op %.0f -> - (no -benchmem column)", row.BaseAllocs)
+			case row.GatesAllocs:
+				allocs = fmt.Sprintf("  allocs/op %.0f -> %.0f", row.BaseAllocs, row.HeadAllocs)
+			}
+			fmt.Fprintf(&b, "%-40s %15s %15s %+8.1f%%%s%s\n",
+				row.Name, fmtNs(row.BaseNs), fmtNs(row.HeadNs), row.Delta*100, allocs, status)
 		}
 	}
 	return b.String()
@@ -304,8 +377,9 @@ func loadBaseline(path string) (*Baseline, error) {
 }
 
 // writeBaseline emits a fresh baseline document from head medians, in
-// sorted name order so regeneration diffs cleanly.
-func writeBaseline(path string, medians map[string]float64) error {
+// sorted name order so regeneration diffs cleanly. A benchmark gains
+// allocs_per_op when its input had -benchmem columns.
+func writeBaseline(path string, medians map[string]result) error {
 	base := Baseline{
 		Schema:    baselineSchema,
 		Note:      "Reference medians for dyrs-benchgate; regenerate with `dyrs-benchgate -write` on the reference runner class after intentional performance changes.",
@@ -319,7 +393,12 @@ func writeBaseline(path string, medians map[string]float64) error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		base.Entries = append(base.Entries, BaselineEntry{Name: name, NsPerOp: medians[name]})
+		r := medians[name]
+		e := BaselineEntry{Name: name, NsPerOp: r.ns}
+		if r.hasAllocs {
+			e.AllocsPerOp = &r.allocs
+		}
+		base.Entries = append(base.Entries, e)
 	}
 	data, err := json.MarshalIndent(&base, "", "  ")
 	if err != nil {

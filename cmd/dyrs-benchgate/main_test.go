@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,14 +27,35 @@ func TestParseBenchStripsCPUSuffixAndCollectsSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(m["BenchmarkSimEngineEvents"]); got != 3 {
+	if got := len(m["BenchmarkSimEngineEvents"].ns); got != 3 {
 		t.Errorf("engine samples = %d, want 3", got)
 	}
-	if got := len(m["BenchmarkScale1k"]); got != 2 {
+	if got := len(m["BenchmarkScale1k"].ns); got != 2 {
 		t.Errorf("scale1k samples = %d, want 2", got)
 	}
 	if _, ok := m["BenchmarkSimEngineEvents-8"]; ok {
 		t.Error("GOMAXPROCS suffix not stripped")
+	}
+}
+
+// TestParseBenchCollectsAllocs: allocs/op is found by its unit, also
+// after a custom metric column, and lines without -benchmem columns add
+// no allocation samples.
+func TestParseBenchCollectsAllocs(t *testing.T) {
+	in := sampleBench + "BenchmarkNoMem-8   	     100	      7000 ns/op\n"
+	m, err := parseBench(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m["BenchmarkScale1k"].allocs; len(got) != 2 || got[0] != 12000000 {
+		t.Errorf("scale1k allocs samples = %v, want two of 12000000", got)
+	}
+	if got := m["BenchmarkSimEngineEvents"].allocs; len(got) != 3 || got[0] != 0 {
+		t.Errorf("engine allocs samples = %v, want three zeros", got)
+	}
+	r := medianByName(m)
+	if r["BenchmarkNoMem"].hasAllocs || !r["BenchmarkSimEngineEvents"].hasAllocs {
+		t.Errorf("hasAllocs: no-mem %v, engine %v", r["BenchmarkNoMem"].hasAllocs, r["BenchmarkSimEngineEvents"].hasAllocs)
 	}
 }
 
@@ -57,9 +79,9 @@ func testBaseline() *Baseline {
 }
 
 func TestGatePassesWithinThreshold(t *testing.T) {
-	head := map[string]float64{
-		"BenchmarkScale1k":         9.9e9, // +10%
-		"BenchmarkSimEngineEvents": 4800,  // faster
+	head := map[string]result{
+		"BenchmarkScale1k":         {ns: 9.9e9}, // +10%
+		"BenchmarkSimEngineEvents": {ns: 4800},  // faster
 	}
 	rep := gate(testBaseline(), head, 0.15)
 	if len(rep.Failures) != 0 {
@@ -68,9 +90,9 @@ func TestGatePassesWithinThreshold(t *testing.T) {
 }
 
 func TestGateFailsOnRegression(t *testing.T) {
-	head := map[string]float64{
-		"BenchmarkScale1k":         2 * 9e9, // injected 2x slowdown
-		"BenchmarkSimEngineEvents": 5000,
+	head := map[string]result{
+		"BenchmarkScale1k":         {ns: 2 * 9e9}, // injected 2x slowdown
+		"BenchmarkSimEngineEvents": {ns: 5000},
 	}
 	rep := gate(testBaseline(), head, 0.15)
 	if len(rep.Failures) != 1 || rep.Failures[0] != "BenchmarkScale1k" {
@@ -79,7 +101,7 @@ func TestGateFailsOnRegression(t *testing.T) {
 }
 
 func TestGateFailsOnMissingBenchmark(t *testing.T) {
-	head := map[string]float64{"BenchmarkScale1k": 9e9}
+	head := map[string]result{"BenchmarkScale1k": {ns: 9e9}}
 	rep := gate(testBaseline(), head, 0.15)
 	if len(rep.Failures) != 1 || rep.Failures[0] != "BenchmarkSimEngineEvents" {
 		t.Errorf("failures = %v, want the deleted benchmark", rep.Failures)
@@ -87,10 +109,10 @@ func TestGateFailsOnMissingBenchmark(t *testing.T) {
 }
 
 func TestGateReportsNewBenchmarkWithoutFailing(t *testing.T) {
-	head := map[string]float64{
-		"BenchmarkScale1k":         9e9,
-		"BenchmarkSimEngineEvents": 5000,
-		"BenchmarkBrandNew":        123,
+	head := map[string]result{
+		"BenchmarkScale1k":         {ns: 9e9},
+		"BenchmarkSimEngineEvents": {ns: 5000},
+		"BenchmarkBrandNew":        {ns: 123},
 	}
 	rep := gate(testBaseline(), head, 0.15)
 	if len(rep.Failures) != 0 {
@@ -98,6 +120,38 @@ func TestGateReportsNewBenchmarkWithoutFailing(t *testing.T) {
 	}
 	if !strings.Contains(rep.String(), "BenchmarkBrandNew") {
 		t.Error("new benchmark not mentioned in the report")
+	}
+}
+
+// TestGateAllocs: an entry with allocs_per_op fails when the head
+// median exceeds it by more than the threshold, or when the input has
+// no allocs/op column; within the threshold it passes, and entries
+// without allocs_per_op are not judged on allocations.
+func TestGateAllocs(t *testing.T) {
+	allocs := 1000.0
+	base := testBaseline()
+	base.Entries[0].AllocsPerOp = &allocs // BenchmarkScale1k
+	for _, tc := range []struct {
+		name string
+		head result
+		fail bool
+	}{
+		{"within threshold", result{ns: 9e9, allocs: 1100, hasAllocs: true}, false},
+		{"fewer allocs", result{ns: 9e9, allocs: 10, hasAllocs: true}, false},
+		{"alloc regression", result{ns: 9e9, allocs: 1200, hasAllocs: true}, true},
+		{"no -benchmem column", result{ns: 9e9}, true},
+	} {
+		head := map[string]result{
+			"BenchmarkScale1k":         tc.head,
+			"BenchmarkSimEngineEvents": {ns: 5000, allocs: 50, hasAllocs: true},
+		}
+		rep := gate(base, head, 0.15)
+		if failed := len(rep.Failures) != 0; failed != tc.fail {
+			t.Errorf("%s: failures = %v, want failing %v", tc.name, rep.Failures, tc.fail)
+		}
+		if !strings.Contains(rep.String(), "allocs/op 1000 ->") {
+			t.Errorf("%s: report does not show the allocation gate:\n%s", tc.name, rep.String())
+		}
 	}
 }
 
@@ -126,6 +180,39 @@ func TestEndToEndWriteGateInject(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "FAIL") {
 		t.Error("failing gate report does not mark FAIL rows")
+	}
+
+	// -write recorded the -benchmem medians; -inject scales them too, so
+	// with ns/op given ample room the injected run fails on allocs alone.
+	base, err := loadBaseline(basePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range base.Entries {
+		if e.AllocsPerOp == nil {
+			t.Fatalf("%s: -write recorded no allocs_per_op", e.Name)
+		}
+		base.Entries[i].NsPerOp = 10 * e.NsPerOp
+	}
+	if got := *base.Entries[0].AllocsPerOp; got != 12000000 {
+		t.Errorf("%s allocs_per_op = %g, want 12000000", base.Entries[0].Name, got)
+	}
+	data, err := json.Marshal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(basePath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := run([]string{"-baseline", basePath, headPath}, &out, &errOut); code != 0 {
+		t.Fatalf("same-numbers gate with allocs exited %d: %s", code, errOut.String())
+	}
+	out.Reset()
+	if code := run([]string{"-baseline", basePath, "-inject", "2.0", headPath}, &out, &errOut); code != 1 {
+		t.Fatalf("2x-allocs gate exited %d, want 1\n%s", code, out.String())
+	}
+	if !strings.Contains(out.String(), "allocs/op 12000000 -> 24000000") {
+		t.Errorf("injected allocs not in the report:\n%s", out.String())
 	}
 }
 

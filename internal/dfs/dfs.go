@@ -264,10 +264,11 @@ type FS struct {
 
 	placeCursor int // rotates placement start for balance
 
-	placeBuf  []cluster.NodeID  // scratch for placeReplicas
-	repBuf    []cluster.NodeID  // scratch for the read path's replica list
-	readPool  freeList[readOp]  // recycled read ops (see ops.go)
-	writePool freeList[writeOp] // recycled write ops
+	placeBuf    []cluster.NodeID    // scratch for placeReplicas
+	repBuf      []cluster.NodeID    // scratch for the read path's replica list
+	readPool    freeList[readOp]    // recycled read ops (see ops.go)
+	writePool   freeList[writeOp]   // recycled write ops
+	migratePool freeList[migrateOp] // recycled MigrateToMemory ops
 
 	// writeTargets' scratch: the alive list, the permutation and the
 	// result, each read only before the next block reuses it.
@@ -999,6 +1000,9 @@ func (fs *FS) OnRead(fn func(id BlockID, at cluster.NodeID)) error {
 // foreground reads (weight 1). Migration runs at background priority so
 // it consumes residual bandwidth: the full disk when idle, next to
 // nothing when foreground reads saturate it.
+//
+// The transfer runs on a pooled op (ops.go), recycled before done runs,
+// so a done that starts the next migration allocates nothing.
 func (dn *DataNode) MigrateToMemory(id BlockID, weight float64, done func(sim.Duration)) (*sim.Flow, error) {
 	fs := dn.fs
 	if !fs.table.holdsReplica(id, dn.node.ID) {
@@ -1007,19 +1011,13 @@ func (dn *DataNode) MigrateToMemory(id BlockID, weight float64, done func(sim.Du
 	if weight <= 0 {
 		weight = 1
 	}
-	start := fs.eng.Now()
 	dn.DiskReads++
 	res := dn.node.Disk
 	if fs.blockTier(id) == TierSSD {
 		res = dn.node.SSD
 	}
-	f := res.StartWeighted(fs.table.blockSize(id), weight, func(*sim.Flow) {
-		fs.RegisterMem(id, dn.node.ID)
-		if done != nil {
-			done(fs.eng.Now().Sub(start))
-		}
-	})
-	return f, nil
+	op := fs.newMigrateOp(dn.node.ID, id, done)
+	return res.StartWeighted(fs.table.blockSize(id), weight, op.legDone), nil
 }
 
 // WriteBlocks writes `size` bytes of job output originating at node `at`,

@@ -7,14 +7,15 @@ import (
 )
 
 // This file holds the pooled operations of the block I/O path. Each op
-// carries one read or one WriteBlocks call from its first flow to its
-// completion callback; its flow callbacks are method values bound once,
-// when the op is first allocated, so a steady-state read or write
-// allocates nothing.
+// carries one read, one WriteBlocks call or one MigrateToMemory transfer
+// from its first flow to its completion callback; its flow callbacks are
+// method values bound once, when the op is first allocated, so a
+// steady-state read, write or migration allocates nothing.
 //
 // Reuse contract: an op's last leg recycles the op before it calls the
-// caller's done, so a done that issues the next read or write may get
-// the same op back. Nothing touches an op after it is recycled.
+// caller's done, so a done that issues the next read, write or
+// migration may get the same op back. Nothing touches an op after it is
+// recycled.
 
 // maxFreeOps caps each op pool, as maxFreeEvents caps the engine's: past
 // a burst of concurrent operations, drained ops beyond the cap are left
@@ -120,6 +121,44 @@ func (op *readOp) finishLeg(*sim.Flow) {
 	fs.readPool.put(op)
 	if done != nil {
 		done(res)
+	}
+}
+
+// migrateOp is one MigrateToMemory transfer in flight: a single flow on
+// the node's disk (or SSD) whose completion registers the in-memory
+// replica. A cancelled transfer's op never completes and is left to the
+// garbage collector, as the cancelled flow is.
+type migrateOp struct {
+	fs      *FS
+	node    cluster.NodeID
+	id      BlockID
+	start   sim.Time
+	done    func(sim.Duration)
+	legDone func(*sim.Flow) // the flow's completion callback
+}
+
+// newMigrateOp takes an op from the pool, or allocates one.
+func (fs *FS) newMigrateOp(node cluster.NodeID, id BlockID, done func(sim.Duration)) *migrateOp {
+	op := fs.migratePool.get()
+	if op == nil {
+		op = &migrateOp{fs: fs}
+		op.legDone = op.finish
+	}
+	op.node, op.id, op.start, op.done = node, id, fs.eng.Now(), done
+	return op
+}
+
+// finish registers the replica, recycles the op and then hands the
+// transfer's duration to done.
+func (op *migrateOp) finish(*sim.Flow) {
+	fs := op.fs
+	fs.RegisterMem(op.id, op.node)
+	d := fs.eng.Now().Sub(op.start)
+	done := op.done
+	op.done = nil
+	fs.migratePool.put(op)
+	if done != nil {
+		done(d)
 	}
 }
 

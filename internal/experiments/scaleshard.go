@@ -184,6 +184,7 @@ func (r ScaleShardReport) String() string {
 // timer).
 type shardNode struct {
 	id          int
+	rk          *shardRack
 	disk        *sim.Resource
 	outstanding int
 	resident    int
@@ -192,6 +193,15 @@ type shardNode struct {
 	// the node's event sequence — and therefore the sampled trace — is
 	// identical at any data-shard layout.
 	rng *rand.Rand
+
+	// The closed loop keeps at most one read outstanding per node: the
+	// next read is scheduled only when the last one completes. So the
+	// read in flight lives here, and its start and completion callbacks
+	// are bound once, at set-up, making a read allocation-free.
+	t0        sim.Time
+	sp        trace.SpanRef
+	startRead func()
+	readDone  func(*sim.Flow)
 }
 
 // shardRack is one data shard's state. Only events executing on its
@@ -199,7 +209,13 @@ type shardNode struct {
 // under parallel windows.
 type shardRack struct {
 	sh    *sim.Engine
+	opt   *ScaleShardOptions
+	m     *shardMaster
 	nodes []*shardNode
+	// ids maps a heartbeat report's index to its node id. Written at
+	// set-up and read-only afterwards, so the master may read it.
+	ids  []int
+	beat func() // bound once to sendHeartbeat
 
 	reads     uint64
 	readBytes sim.Bytes
@@ -216,14 +232,6 @@ type shardRack struct {
 	hTransfer *trace.Hist // migration transfer size, bytes
 }
 
-// shardLoad is one node's entry in a heartbeat report. Reports are
-// built fresh per beat and never mutated after Send — the immutability
-// the cross-shard closure contract requires.
-type shardLoad struct {
-	id          int
-	outstanding int
-}
-
 // shardMaster is the control-shard state: the per-node migration-cost
 // estimates Algorithm-1-style target picking scans, and the
 // control-plane counters.
@@ -232,6 +240,77 @@ type shardMaster struct {
 	requested  int
 	migrated   int
 	heartbeats int
+}
+
+// newShardRack builds a rack shard's state and binds its heartbeat.
+func newShardRack(sh *sim.Engine, opt *ScaleShardOptions, m *shardMaster) *shardRack {
+	rk := &shardRack{sh: sh, opt: opt, m: m}
+	rk.beat = rk.sendHeartbeat
+	return rk
+}
+
+// addNode homes n on the rack and binds its read callbacks.
+func (rk *shardRack) addNode(n *shardNode) {
+	n.rk = rk
+	n.startRead = n.beginRead
+	n.readDone = n.endRead
+	rk.nodes = append(rk.nodes, n)
+	rk.ids = append(rk.ids, n.id)
+}
+
+// scheduleRead draws the node's exponential think time and schedules
+// its next read, unless that falls past the end of the span.
+func (n *shardNode) scheduleRead() {
+	rk := n.rk
+	at := rk.sh.Now().Add(sim.Duration(n.rng.ExpFloat64() * float64(rk.opt.ReadEvery)))
+	if at >= sim.Time(rk.opt.Virtual) {
+		return
+	}
+	rk.sh.At(at, n.startRead)
+}
+
+// beginRead starts one block read on the node's disk.
+func (n *shardNode) beginRead() {
+	rk := n.rk
+	n.outstanding++
+	n.sp = rk.tr.Begin("read", "read", n.id)
+	n.t0 = rk.sh.Now()
+	n.disk.Start(rk.opt.BlockSize, n.readDone)
+}
+
+// endRead records the completed read and schedules the next one.
+func (n *shardNode) endRead(*sim.Flow) {
+	rk := n.rk
+	n.outstanding--
+	rk.reads++
+	rk.readBytes += rk.opt.BlockSize
+	rk.hRead.Observe(int64(rk.sh.Now().Sub(n.t0)))
+	n.sp.End()
+	n.scheduleRead()
+}
+
+// sendHeartbeat snapshots the rack's outstanding-read gauges, in
+// rack-node order, and Sends the report to the master, which folds it
+// into the per-node cost estimates the target picker scans. Each report
+// is a fresh slice, never mutated after Send — the immutability the
+// cross-shard closure contract requires.
+func (rk *shardRack) sendHeartbeat() {
+	report := make([]int32, len(rk.nodes))
+	for i, n := range rk.nodes {
+		report[i] = int32(n.outstanding)
+	}
+	m, ids := rk.m, rk.ids
+	rk.sh.Send(0, rk.opt.ControlLatency, func() {
+		m.heartbeats++
+		for i, o := range report {
+			id := ids[i]
+			m.est[id] = 0.7*m.est[id] + 0.3*float64(o)
+		}
+	})
+	next := rk.sh.Now().Add(rk.opt.Heartbeat)
+	if next < sim.Time(rk.opt.Virtual) {
+		rk.sh.At(next, rk.beat)
+	}
 }
 
 // RunScaleShard executes one partitioned scenario and returns its
@@ -247,6 +326,15 @@ func RunScaleShard(opt ScaleShardOptions) (ScaleShardRow, error) {
 	}
 	if opt.Nodes <= 0 || opt.Racks <= 0 || opt.Jobs <= 0 || opt.BlocksPerJob <= 0 {
 		return row, fmt.Errorf("scaleshard %s: non-positive size parameter", opt.Scenario)
+	}
+	// Bad durations would otherwise panic on a worker goroutine, where
+	// the caller cannot recover: a zero block size in flow admission, a
+	// negative think time in scheduling, a zero control latency below
+	// the lookahead, and a zero heartbeat spins at t=0 until the shard
+	// outbox overflows.
+	if opt.BlockSize <= 0 || opt.ReadEvery <= 0 || opt.Heartbeat <= 0 ||
+		opt.ControlLatency <= 0 || opt.Virtual <= 0 {
+		return row, fmt.Errorf("scaleshard %s: BlockSize, ReadEvery, Heartbeat, ControlLatency and Virtual must be positive", opt.Scenario)
 	}
 
 	look := cluster.MinLookahead(opt.ControlLatency, 0, opt.Heartbeat)
@@ -276,7 +364,7 @@ func RunScaleShard(opt ScaleShardOptions) (ScaleShardRow, error) {
 	racks := make([]*shardRack, part.Shards())
 	trs := []*trace.Tracer{masterTr}
 	for s := 1; s < part.Shards(); s++ {
-		rk := &shardRack{sh: se.Shard(s)}
+		rk := newShardRack(se.Shard(s), &opt, m)
 		if traced {
 			rk.tr = trace.New(rk.sh)
 			rk.tr.SetSampling(opt.SampleEvery, uint64(opt.Seed))
@@ -300,7 +388,7 @@ func RunScaleShard(opt ScaleShardOptions) (ScaleShardRow, error) {
 			disk: sim.NewResource(rk.sh, fmt.Sprintf("disk:%d", i), nodeCfg.DiskBandwidth*scale, sim.SeekEfficiency(nodeCfg.DiskSeekPenalty)),
 			rng:  rand.New(rand.NewSource(opt.Seed ^ int64(uint64(i+1)*0x9E3779B97F4A7C15))),
 		}
-		rk.nodes = append(rk.nodes, n)
+		rk.addNode(n)
 		home[i] = n
 	}
 
@@ -308,58 +396,17 @@ func RunScaleShard(opt ScaleShardOptions) (ScaleShardRow, error) {
 	// exponential think time, reads again — until the span ends, at
 	// which point the loop stops rescheduling and the drain below
 	// finishes the in-flight flows.
-	var startRead func(rk *shardRack, n *shardNode)
-	scheduleRead := func(rk *shardRack, n *shardNode) {
-		at := rk.sh.Now().Add(sim.Duration(n.rng.ExpFloat64() * float64(opt.ReadEvery)))
-		if at >= span {
-			return
-		}
-		rk.sh.At(at, func() { startRead(rk, n) })
-	}
-	startRead = func(rk *shardRack, n *shardNode) {
-		n.outstanding++
-		sp := rk.tr.Begin("read", "read", n.id)
-		t0 := rk.sh.Now()
-		n.disk.Start(opt.BlockSize, func(*sim.Flow) {
-			n.outstanding--
-			rk.reads++
-			rk.readBytes += opt.BlockSize
-			rk.hRead.Observe(int64(rk.sh.Now().Sub(t0)))
-			sp.End()
-			scheduleRead(rk, n)
-		})
-	}
 	for s := 1; s < part.Shards(); s++ {
-		rk := racks[s]
-		for _, n := range rk.nodes {
-			scheduleRead(rk, n)
+		for _, n := range racks[s].nodes {
+			n.scheduleRead()
 		}
 	}
 
-	// Per-rack heartbeats: every Heartbeat, a rack shard snapshots its
-	// nodes' outstanding-read gauges and Sends the report to the master,
-	// which folds it into the per-node cost estimates the target picker
-	// scans. The report slice is immutable after Send.
-	var beat func(rk *shardRack)
-	beat = func(rk *shardRack) {
-		report := make([]shardLoad, len(rk.nodes))
-		for i, n := range rk.nodes {
-			report[i] = shardLoad{id: n.id, outstanding: n.outstanding}
-		}
-		rk.sh.Send(0, opt.ControlLatency, func() {
-			m.heartbeats++
-			for _, l := range report {
-				m.est[l.id] = 0.7*m.est[l.id] + 0.3*float64(l.outstanding)
-			}
-		})
-		next := rk.sh.Now().Add(opt.Heartbeat)
-		if next < span {
-			rk.sh.At(next, func() { beat(rk) })
-		}
-	}
+	// Per-rack heartbeats: every Heartbeat, each rack shard reports its
+	// nodes' outstanding-read gauges to the master.
 	for s := 1; s < part.Shards(); s++ {
 		rk := racks[s]
-		rk.sh.At(sim.Time(opt.Heartbeat), func() { beat(rk) })
+		rk.sh.At(sim.Time(opt.Heartbeat), rk.beat)
 	}
 
 	// Rack-side migration: a weighted background flow on the target

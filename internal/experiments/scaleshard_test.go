@@ -3,11 +3,14 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"os"
 	"runtime"
 	"strconv"
 	"testing"
 	"time"
+
+	"dyrs/internal/sim"
 )
 
 // tinyScaleShardOptions is a sub-second preset for unit tests; the
@@ -169,6 +172,61 @@ func TestScaleShardMemoryBudget(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	if sys := float64(ms.Sys) / (1 << 20); sys > budgetMiB {
 		t.Errorf("runtime claimed %.0f MiB from the OS, budget %.0f MiB", sys, budgetMiB)
+	}
+}
+
+// TestRunScaleShardRejectsBadOptions: durations and sizes that would
+// panic on a worker goroutine (or spin at t=0) are refused up front.
+func TestRunScaleShardRejectsBadOptions(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name string
+		edit func(*ScaleShardOptions)
+	}{
+		{"zero block size", func(o *ScaleShardOptions) { o.BlockSize = 0 }},
+		{"negative block size", func(o *ScaleShardOptions) { o.BlockSize = -1 }},
+		{"zero read interval", func(o *ScaleShardOptions) { o.ReadEvery = 0 }},
+		{"negative read interval", func(o *ScaleShardOptions) { o.ReadEvery = -time.Second }},
+		{"zero heartbeat", func(o *ScaleShardOptions) { o.Heartbeat = 0 }},
+		{"zero control latency", func(o *ScaleShardOptions) { o.ControlLatency = 0 }},
+		{"negative control latency", func(o *ScaleShardOptions) { o.ControlLatency = -time.Second }},
+		{"zero virtual span", func(o *ScaleShardOptions) { o.Virtual = 0 }},
+		{"zero nodes", func(o *ScaleShardOptions) { o.Nodes = 0 }},
+	} {
+		opt := tinyScaleShardOptions(1)
+		tc.edit(&opt)
+		if _, err := RunScaleShard(opt); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// TestScaleShardReadLoopAllocs: a warm closed-loop reader allocates
+// nothing per read. AllocsPerRun(1, ...) reports the exact allocation
+// count of one measured hour, which holds hundreds of reads.
+//
+// The warm-up runs to 10 h, past the clock's first crossing of 2^45 ns
+// (9.8 h): the radix event queue allocates a bucket the first time the
+// clock crosses each new power of two, O(log t) allocations in all, and
+// the next crossing (19.5 h) lies beyond the measured hours.
+func TestScaleShardReadLoopAllocs(t *testing.T) {
+	opt := tinyScaleShardOptions(7)
+	opt.Virtual = 100 * time.Hour
+	eng := sim.NewEngine(opt.Seed)
+	rk := newShardRack(eng, &opt, &shardMaster{})
+	n := &shardNode{
+		disk: sim.NewResource(eng, "disk:0", 100*float64(sim.MB), sim.SeekEfficiency(0.05)),
+		rng:  rand.New(rand.NewSource(opt.Seed)),
+	}
+	rk.addNode(n)
+	n.scheduleRead()
+	eng.RunFor(10 * time.Hour)
+	before := rk.reads
+	if allocs := testing.AllocsPerRun(1, func() { eng.RunFor(time.Hour) }); allocs != 0 {
+		t.Errorf("closed-loop reads allocate %.0f objects per hour, want 0", allocs)
+	}
+	if reads := rk.reads - before; reads < 1000 {
+		t.Errorf("only %d reads in two hours", reads)
 	}
 }
 

@@ -187,14 +187,14 @@ func (b *PolicyBinder) OnMigrate(blocks []*blockInfo) {
 // FIFO order, up to the free queue space. Blocks targeted elsewhere stay
 // pending even if this slave has room — leaving a slow node idle beats
 // creating a straggler (§III-A2).
-func (b *PolicyBinder) OnPull(n cluster.NodeID, space int) []*blockInfo {
+func (b *PolicyBinder) OnPull(n cluster.NodeID, space int, out []*blockInfo) []*blockInfo {
 	if space <= 0 || len(b.pending) == b.dead {
-		return nil
+		return out
 	}
-	var out []*blockInfo
 	q := b.targets[int(n)]
 	i := b.heads[int(n)]
-	for i < len(q) && len(out) < space {
+	bound := 0
+	for i < len(q) && bound < space {
 		bi := q[i]
 		i++
 		if !bi.inPending || !bi.hasTarget || bi.target != n {
@@ -203,9 +203,10 @@ func (b *PolicyBinder) OnPull(n cluster.NodeID, space int) []*blockInfo {
 		bi.inPending = false
 		b.dead++
 		out = append(out, bi)
+		bound++
 	}
 	b.heads[int(n)] = i
-	if len(out) > 0 {
+	if bound > 0 {
 		b.pendGen++
 	}
 	return out
@@ -344,15 +345,16 @@ func (b *NaiveBinder) OnMigrate(blocks []*blockInfo) {
 }
 
 // OnPull hands over the oldest pending blocks with a replica on n.
-func (b *NaiveBinder) OnPull(n cluster.NodeID, space int) []*blockInfo {
+func (b *NaiveBinder) OnPull(n cluster.NodeID, space int, out []*blockInfo) []*blockInfo {
 	if space <= 0 || len(b.pending) == 0 {
-		return nil
+		return out
 	}
-	var out []*blockInfo
+	bound := 0
 	rest := b.pending[:0]
 	for _, bi := range b.pending {
-		if len(out) < space && hasReplicaOn(b.c, bi, n) {
+		if bound < space && hasReplicaOn(b.c, bi, n) {
 			out = append(out, bi)
+			bound++
 			continue
 		}
 		rest = append(rest, bi)

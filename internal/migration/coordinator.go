@@ -2,7 +2,7 @@ package migration
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dyrs/internal/cluster"
 	"dyrs/internal/dfs"
@@ -44,7 +44,16 @@ type Coordinator struct {
 	// implicit eviction — Evict tolerates stale entries, which is cheaper
 	// than deleting from the middle of a slice on every NoteRead.
 	jobBlocks map[JobID][]dfs.BlockID
-	hints     map[JobID]JobHint
+	// spareIDs holds id lists of evicted jobs, emptied for reuse by the
+	// next jobs that Migrate.
+	spareIDs [][]dfs.BlockID
+	hints    map[JobID]JobHint
+
+	// Scratch reused across calls: fresh collects Migrate's newly
+	// pending blocks for Binder.OnMigrate, pullBuf receives
+	// Binder.OnPull's blocks. Binders must not retain either slice.
+	fresh   []*blockInfo
+	pullBuf []*blockInfo
 
 	// counts holds the master's incremental per-state block tallies,
 	// indexed by blockState and maintained exclusively by transition().
@@ -75,10 +84,14 @@ type Binder interface {
 	Name() string
 	// OnMigrate receives newly requested blocks. A binder may bind them
 	// to slaves immediately (Ignem) or keep them pending until pulled.
+	// The slice is the coordinator's scratch: a binder may keep the
+	// blocks but must not retain the slice.
 	OnMigrate(blocks []*blockInfo)
 	// OnPull is invoked when slave n has free local queue space; it
-	// returns the blocks to bind to n now (at most space blocks).
-	OnPull(n cluster.NodeID, space int) []*blockInfo
+	// appends the blocks to bind to n now (at most space blocks) to out
+	// and returns the extended slice. out is the caller's scratch, which
+	// the binder must not retain.
+	OnPull(n cluster.NodeID, space int, out []*blockInfo) []*blockInfo
 	// Remove discards a pending block (missed read or eviction).
 	Remove(b *blockInfo)
 	// PendingCount reports blocks awaiting binding.
@@ -210,7 +223,7 @@ func (c *Coordinator) Migrate(job JobID, files []string, implicitEvict bool) err
 	if err != nil {
 		return fmt.Errorf("migration: %w", err)
 	}
-	var fresh []*blockInfo
+	fresh := c.fresh[:0]
 	for _, id := range ids {
 		bi := c.blockRecord(id)
 		if bi == nil || bi.state == stateNone {
@@ -252,12 +265,17 @@ func (c *Coordinator) Migrate(job JobID, files []string, implicitEvict bool) err
 		}
 		if !bi.refs.has(job) {
 			bi.refs = append(bi.refs, job)
-			c.jobBlocks[job] = append(c.jobBlocks[job], id)
+			list, ok := c.jobBlocks[job]
+			if !ok {
+				list = c.spareIDList()
+			}
+			c.jobBlocks[job] = append(list, id)
 		}
 		if implicitEvict {
 			bi.implicit.add(job)
 		}
 	}
+	c.fresh = fresh
 	if len(fresh) > 0 {
 		c.binder.OnMigrate(fresh)
 		// Kick the slaves so migration can begin within an RPC round-trip
@@ -278,7 +296,7 @@ func (c *Coordinator) Migrate(job JobID, files []string, implicitEvict bool) err
 // iteration order.
 func (c *Coordinator) Evict(job JobID) {
 	ids := c.jobBlocks[job]
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		bi := c.blockRecord(id)
 		if bi == nil {
@@ -292,10 +310,31 @@ func (c *Coordinator) Evict(job JobID) {
 		c.maybeRelease(bi)
 	}
 	delete(c.jobBlocks, job)
+	if cap(ids) > 0 && len(c.spareIDs) < maxSpareIDLists {
+		c.spareIDs = append(c.spareIDs, ids[:0])
+	}
 	if _, ok := c.hints[job]; ok {
 		delete(c.hints, job)
 		c.hintEpoch++
 	}
+}
+
+// maxSpareIDLists caps the pool of recycled job id lists, as the dfs op
+// pools are capped: past a burst of concurrent jobs, lists beyond the
+// cap are left to the garbage collector.
+const maxSpareIDLists = 1 << 10
+
+// spareIDList returns an empty id list recycled from an evicted job, or
+// nil when none is spare.
+func (c *Coordinator) spareIDList() []dfs.BlockID {
+	n := len(c.spareIDs)
+	if n == 0 {
+		return nil
+	}
+	list := c.spareIDs[n-1]
+	c.spareIDs[n-1] = nil
+	c.spareIDs = c.spareIDs[:n-1]
+	return list
 }
 
 // NoteRead implements Manager. For implicit-eviction jobs the job is
@@ -457,27 +496,22 @@ func (c *Coordinator) RestartSlaveProcess(id cluster.NodeID) {
 		c.dropTrace(bi, "slave-restart")
 	}
 	s.queue = nil
-	// Abort active transfers in block-ID order: s.active is a map, and
-	// the span ends emitted here must not depend on iteration order.
-	actives := make([]*blockInfo, 0, len(s.active))
-	for bi := range s.active {
-		actives = append(actives, bi)
-	}
-	sort.Slice(actives, func(i, j int) bool { return actives[i].id < actives[j].id })
-	for _, bi := range actives {
-		am := s.active[bi]
-		if am.flow != nil {
-			am.flow.Cancel()
+	// Abort active transfers in block-ID order, so the span ends emitted
+	// here do not depend on which slot each transfer happened to take.
+	// There are at most MaxConcurrent, so a selection scan suffices.
+	for s.nActive > 0 {
+		var am *activeMigration
+		for i := range s.active {
+			if a := &s.active[i]; a.bi != nil && (am == nil || a.bi.id < am.bi.id) {
+				am = a
+			}
 		}
-		if c.tr.Enabled() {
-			am.span.End(trace.Str("outcome", "aborted"))
-			c.tr.Inc("migration.aborted")
-		}
+		bi := am.bi
+		s.cancel(am)
 		c.transition(bi, stateNone)
 		c.stats.Dropped++
 		c.dropTrace(bi, "slave-restart")
 	}
-	s.active = make(map[*blockInfo]*activeMigration)
 	// Blocks buffered in memory on this node are gone.
 	for _, bi := range c.info {
 		if bi != nil && bi.state == stateInMemory && bi.slave == id {

@@ -62,7 +62,7 @@ func (rc *RateController) tick() {
 	contended := false
 	activeAnywhere := false
 	for _, s := range rc.c.slaves {
-		n := len(s.active)
+		n := s.nActive
 		if n == 0 {
 			continue
 		}

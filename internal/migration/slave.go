@@ -38,11 +38,16 @@ func (e *estimator) blockSeconds(size sim.Bytes) float64 {
 // reset returns the estimator to its seeded state (slave restart).
 func (e *estimator) reset() { e.ewma.Set(e.seed) }
 
-// activeMigration is one in-flight disk-to-memory transfer.
+// activeMigration is one transfer slot of a slave: an in-flight
+// disk-to-memory transfer while bi is non-nil, free otherwise. Its
+// completion callback is bound once, when the slave is built, so
+// starting a transfer allocates nothing.
 type activeMigration struct {
+	bi      *blockInfo
 	flow    *sim.Flow
 	started sim.Time
 	span    trace.SpanRef // rate-controlled transfer span, child of the block's migration span
+	done    func(sim.Duration)
 }
 
 // Slave is the per-DataNode migration agent: it keeps a short local FIFO
@@ -54,13 +59,15 @@ type Slave struct {
 	c    *Coordinator
 	node *cluster.Node
 
-	queue  []*blockInfo
-	active map[*blockInfo]*activeMigration
+	queue []*blockInfo
+	// active holds MaxConcurrent transfer slots, scanned in slot order;
+	// nActive counts the busy ones.
+	active  []activeMigration
+	nActive int
 
 	estimator *estimator
 	depth     int
 	memLimit  sim.Bytes
-	maxActive int
 
 	ticker    *sim.Ticker
 	stopped   bool
@@ -83,11 +90,14 @@ func newSlave(c *Coordinator, node *cluster.Node) *Slave {
 	s := &Slave{
 		c:         c,
 		node:      node,
-		active:    make(map[*blockInfo]*activeMigration),
+		active:    make([]activeMigration, maxActive),
 		estimator: newEstimator(c.cfg.EWMAAlpha, node.Cfg.DiskBandwidth),
 		depth:     c.cfg.queueDepth(c.fs.Config().BlockSize, node.Cfg.DiskBandwidth),
 		memLimit:  sim.Bytes(c.cfg.MemLimitFraction * float64(node.Cfg.MemCapacity)),
-		maxActive: maxActive,
+	}
+	for i := range s.active {
+		am := &s.active[i]
+		am.done = func(d sim.Duration) { s.finish(am, d) }
 	}
 	if !c.cfg.DisableEstimateSeries {
 		s.estSeries = metrics.NewTimeSeries(node.ID.String())
@@ -110,7 +120,7 @@ func (s *Slave) EstimateBlockSeconds(size sim.Bytes) float64 {
 
 // occupancy counts queued plus active migrations.
 func (s *Slave) occupancy() int {
-	return len(s.queue) + len(s.active)
+	return len(s.queue) + s.nActive
 }
 
 // tick is the heartbeat: refresh the estimate (including the in-progress
@@ -125,14 +135,19 @@ func (s *Slave) tick() {
 	// heartbeat rather than waiting for completion (§IV-A). This is what
 	// makes DYRS react quickly when residual bandwidth suddenly drops.
 	// With several concurrent migrations, the longest-running one is the
-	// strongest signal.
+	// strongest signal; among equally long ones (started by one kick) the
+	// lowest slot wins, so the update never depends on iteration order.
 	if !s.c.cfg.DisableInProgressUpdates {
 		var worst *blockInfo
 		var worstElapsed float64
-		for bi, am := range s.active {
+		for i := range s.active {
+			am := &s.active[i]
+			if am.bi == nil {
+				continue
+			}
 			elapsed := s.c.eng.Now().Sub(am.started).Seconds()
-			if elapsed > s.estimator.blockSeconds(bi.size) && elapsed > worstElapsed {
-				worst, worstElapsed = bi, elapsed
+			if elapsed > s.estimator.blockSeconds(am.bi.size) && elapsed > worstElapsed {
+				worst, worstElapsed = am.bi, elapsed
 			}
 		}
 		if worst != nil {
@@ -162,7 +177,9 @@ func (s *Slave) pull() {
 	if space <= 0 {
 		return
 	}
-	for _, bi := range s.c.binder.OnPull(s.node.ID, space) {
+	c := s.c
+	c.pullBuf = c.binder.OnPull(s.node.ID, space, c.pullBuf[:0])
+	for _, bi := range c.pullBuf {
 		s.enqueue(bi)
 	}
 }
@@ -186,10 +203,20 @@ func (s *Slave) enqueue(bi *blockInfo) {
 func (s *Slave) dequeue(bi *blockInfo) {
 	for i, q := range s.queue {
 		if q == bi {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
+			s.removeQueued(i)
 			return
 		}
 	}
+}
+
+// removeQueued deletes queue entry i by shifting the tail down in place,
+// so the queue's backing array is reused rather than re-grown after
+// front pops.
+func (s *Slave) removeQueued(i int) {
+	n := len(s.queue) - 1
+	copy(s.queue[i:], s.queue[i+1:])
+	s.queue[n] = nil
+	s.queue = s.queue[:n]
 }
 
 // kick starts queued migrations while the concurrency limit allows.
@@ -197,7 +224,7 @@ func (s *Slave) kick() {
 	if s.stopped || !s.node.Alive() {
 		return
 	}
-	for len(s.active) < s.maxActive && len(s.queue) > 0 {
+	for s.nActive < len(s.active) && len(s.queue) > 0 {
 		next := s.queue[0]
 		dn := s.c.fs.DataNode(s.node.ID)
 		if dn.MemUsed()+next.size > s.memLimit {
@@ -207,28 +234,27 @@ func (s *Slave) kick() {
 			s.BlockedOnMemory++
 			return
 		}
-		s.queue = s.queue[1:]
+		s.removeQueued(0)
 		s.c.transition(next, stateMigrating)
-		am := &activeMigration{started: s.c.eng.Now()}
-		s.active[next] = am
+		am := s.freeSlot()
+		am.bi, am.started = next, s.c.eng.Now()
+		s.nActive++
 		if tr := s.c.tr; tr.Enabled() {
 			am.span = next.span.Child("migration", "transfer", int(s.node.ID),
 				trace.Int("block", int64(next.id)),
 				trace.Int("size", int64(next.size)),
 				trace.Float("io-weight", s.c.cfg.IOWeight))
 		}
-		flow, err := dn.MigrateToMemory(next.id, s.c.cfg.IOWeight, func(d sim.Duration) {
-			s.finish(next, d)
-		})
+		flow, err := dn.MigrateToMemory(next.id, s.c.cfg.IOWeight, am.done)
 		if err != nil {
 			// Bound to a node that no longer holds a replica (should not
 			// happen with a correct binder); drop the migration.
-			delete(s.active, next)
-			s.c.transition(next, stateNone)
-			s.c.stats.Dropped++
 			if tr := s.c.tr; tr.Enabled() {
 				am.span.End(trace.Str("outcome", "failed"))
 			}
+			s.release(am)
+			s.c.transition(next, stateNone)
+			s.c.stats.Dropped++
 			s.c.dropTrace(next, "no-replica")
 			continue
 		}
@@ -236,22 +262,48 @@ func (s *Slave) kick() {
 	}
 }
 
+// freeSlot returns the lowest free transfer slot; callers check that
+// one exists.
+func (s *Slave) freeSlot() *activeMigration {
+	for i := range s.active {
+		if s.active[i].bi == nil {
+			return &s.active[i]
+		}
+	}
+	panic("migration: no free transfer slot")
+}
+
+// slotOf returns the transfer slot running bi, or nil.
+func (s *Slave) slotOf(bi *blockInfo) *activeMigration {
+	for i := range s.active {
+		if s.active[i].bi == bi {
+			return &s.active[i]
+		}
+	}
+	return nil
+}
+
+// release frees a transfer slot, keeping its bound callback.
+func (s *Slave) release(am *activeMigration) {
+	am.bi, am.flow, am.span = nil, nil, trace.SpanRef{}
+	s.nActive--
+}
+
 // finish completes an active migration: update the estimator with the
 // true duration, publish the in-memory replica, and continue.
-func (s *Slave) finish(bi *blockInfo, d sim.Duration) {
+func (s *Slave) finish(am *activeMigration, d sim.Duration) {
+	bi := am.bi
 	s.estimator.observe(d.Seconds(), bi.size)
 	s.Migrations++
 	s.BytesMigrated += bi.size
 	s.c.hTransfer.Observe(int64(bi.size))
 	if tr := s.c.tr; tr.Enabled() {
-		if am := s.active[bi]; am != nil {
-			am.span.End(trace.Str("outcome", "completed"))
-		}
+		am.span.End(trace.Str("outcome", "completed"))
 		bi.span.End(trace.Str("outcome", "pinned"), trace.Int("slave", int64(s.node.ID)))
 		tr.Inc("migration.completed")
 		tr.Add("migration.bytes", bi.size)
 	}
-	delete(s.active, bi)
+	s.release(am)
 	s.c.onMigrated(bi, s.node.ID)
 	s.kick()
 }
@@ -259,10 +311,17 @@ func (s *Slave) finish(bi *blockInfo, d sim.Duration) {
 // abortActive cancels the in-flight migration of bi, freeing the disk
 // for foreground reads, and moves on to the next queued block.
 func (s *Slave) abortActive(bi *blockInfo) {
-	am, ok := s.active[bi]
-	if !ok {
+	am := s.slotOf(bi)
+	if am == nil {
 		return
 	}
+	s.cancel(am)
+	s.kick()
+}
+
+// cancel stops a transfer slot's flow, closes its span as aborted and
+// frees the slot.
+func (s *Slave) cancel(am *activeMigration) {
 	if am.flow != nil {
 		am.flow.Cancel()
 	}
@@ -270,8 +329,7 @@ func (s *Slave) abortActive(bi *blockInfo) {
 		am.span.End(trace.Str("outcome", "aborted"))
 		tr.Inc("migration.aborted")
 	}
-	delete(s.active, bi)
-	s.kick()
+	s.release(am)
 }
 
 // scavenge clears reference-list entries for jobs the cluster scheduler
