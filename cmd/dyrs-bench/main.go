@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	dyrs-bench [-seed N] [-jobs N] [-only fig4,table1,...] [-json] [-verify] [-bench]
+//	dyrs-bench [-seed N] [-jobs N] [-only fig4,table1,...] [-json] [-verify]
 //
 // Experiments are independent seeded simulations, so they run on a
 // worker pool (-jobs, default GOMAXPROCS) with output merged in paper
@@ -19,13 +19,6 @@
 // seed — and fails unless each experiment's canonical JSON hashes
 // identically, turning "identical seeds give identical results" into a
 // machine-checked invariant.
-//
-// -bench times every experiment -benchreps times and writes a canonical
-// timing document (schema dyrs-bench/v3) to -benchout (default
-// BENCH.json), which CI uploads per PR so suite-level performance
-// regressions are visible next to the Go microbenchmarks. The macro
-// pass includes the sharded-engine scaleshard1k preset; -shards sets
-// its execution-worker count (0: GOMAXPROCS).
 //
 // -cpuprofile/-memprofile write pprof profiles of whatever mode ran,
 // for digging into where simulation time and memory actually go;
@@ -56,11 +49,6 @@ func run() int {
 	asJSON := flag.Bool("json", false, "emit every experiment as one JSON document instead of text tables")
 	jobs := flag.Int("jobs", 0, "max experiments running concurrently (0 = GOMAXPROCS)")
 	verify := flag.Bool("verify", false, "run every experiment serially and in parallel and fail on any result divergence")
-	bench := flag.Bool("bench", false, "time every experiment and write a canonical timing document to -benchout")
-	benchOut := flag.String("benchout", "BENCH.json", "output path for the -bench timing document")
-	benchReps := flag.Int("benchreps", 3, "repetitions per experiment for -bench")
-	benchMacro := flag.Bool("macro", true, "with -bench, also run the datacenter-scale macro presets (scale100, scale1k, scaleshard1k)")
-	shards := flag.Int("shards", 0, "execution workers for the sharded-engine macro preset (0 = GOMAXPROCS)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	mutexProfile := flag.String("mutexprofile", "", "write a mutex contention profile to this file on exit")
@@ -186,27 +174,6 @@ func run() int {
 			return 1
 		}
 
-	case *bench:
-		if *only != "" {
-			fmt.Fprintln(os.Stderr, "dyrs-bench: -bench always times every experiment; ignoring -only")
-		}
-		rep, err := experiments.RunBench(*seed, *benchReps, *jobs, *shards, *benchMacro, progress)
-		if err != nil {
-			return fail(err)
-		}
-		f, err := os.Create(*benchOut)
-		if err != nil {
-			return fail(err)
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return fail(err)
-		}
-		if err := f.Close(); err != nil {
-			return fail(err)
-		}
-		printBench(rep, *benchOut)
-
 	case *asJSON:
 		if *only != "" {
 			fmt.Fprintln(os.Stderr, "dyrs-bench: -json always emits the full report; ignoring -only")
@@ -289,23 +256,4 @@ func printVerify(rep experiments.VerifyReport) {
 	} else {
 		fmt.Printf("PASS: all %d experiments bit-identical serial vs parallel\n", len(rep.Rows))
 	}
-}
-
-// printBench renders a one-line-per-experiment timing summary.
-func printBench(rep *experiments.BenchReport, path string) {
-	fmt.Printf("suite benchmark: seed %d, %d rep(s), jobs=%d, %s %s/%s\n",
-		rep.Seed, rep.Reps, rep.Jobs, rep.GoVersion, rep.GOOS, rep.GOARCH)
-	for _, row := range rep.Rows {
-		fmt.Printf("  %-12s min %7.3fs  mean %7.3fs  max %7.3fs\n",
-			row.Name, row.MinSeconds, row.MeanSeconds, row.MaxSeconds)
-	}
-	for _, m := range rep.Macro {
-		detail := fmt.Sprintf("%d blocks", m.Blocks)
-		if m.Shards > 0 {
-			detail = fmt.Sprintf("%d shards, %d workers", m.Shards, m.Workers)
-		}
-		fmt.Printf("  %-12s %d nodes, %s: %.1fs, %.2fM events/sec, %.0f MiB sys\n",
-			m.Scenario, m.Nodes, detail, m.Seconds, m.EventsPerSec/1e6, m.PeakSysMiB)
-	}
-	fmt.Printf("total %.2fs wall-clock; wrote %s\n", rep.TotalSeconds, path)
 }

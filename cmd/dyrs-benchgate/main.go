@@ -1,37 +1,45 @@
 // Command dyrs-benchgate enforces the repository's committed benchmark
 // baseline. It parses standard Go benchmark output (`go test -bench`),
-// takes the per-benchmark median ns/op across -count repetitions, and
-// compares it against BENCH_BASELINE.json, failing with a non-zero exit
-// when any gated benchmark regressed by more than -threshold. This
-// replaces the advisory-only benchstat comparison the CI bench job used
-// to run: a regression now fails the build instead of scrolling past in
-// a log.
+// takes each benchmark's median across -count repetitions, and compares
+// it against BENCH_BASELINE.json, failing with a non-zero exit when any
+// gated quantity regressed past its limit.
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'Scale|SimEngineEvents' -benchmem -count 6 . > head.txt
-//	dyrs-benchgate head.txt                    # gate vs BENCH_BASELINE.json
-//	dyrs-benchgate -write head.txt             # (re)generate the baseline
-//	dyrs-benchgate -inject 2.0 head.txt        # self-test: must fail
+//	go test -run '^$' -bench 'SimEngineEvents' -benchmem -count 6 . > micro.txt
+//	go test -run '^$' -bench 'Scale100$' -benchmem -benchtime 1x -count 5 . > macro.txt
+//	dyrs-benchgate micro.txt macro.txt          # gate vs BENCH_BASELINE.json
+//	dyrs-benchgate -write micro.txt macro.txt   # (re)generate the baseline
+//	dyrs-benchgate -inject 2.0 micro.txt macro.txt  # self-test: must fail
+//
+// Which quantities an entry gates is read from the input that -write
+// recorded it from:
+//
+//   - ns/op, for a benchmark whose input lines ran more than one
+//     iteration (a microbenchmark). -write also records the entry's
+//     spread, (q3−q1)/median of its ns/op samples, and the gate fails
+//     ns/op only past max(-threshold, spread): a benchmark that is noisy
+//     on the reference runner gets the room its own samples showed.
+//   - allocs/op and B/op, for a benchmark whose input lines have
+//     -benchmem columns. These fail past -threshold, or when the input
+//     lacks the columns.
+//
+// A one-iteration benchmark (`-benchtime 1x`, a macro preset that runs
+// a whole simulation per op) gets no ns/op entry: its wall time moves
+// with host contention by tens of percent, while its allocation counts
+// repeat to within a few objects. Every entry gates at least one
+// quantity.
 //
 // Benchmarks present in the baseline but missing from the input fail
 // the gate (so a gated benchmark cannot be silently deleted); new
 // benchmarks absent from the baseline are reported but do not fail.
 // The baseline records the Go version and platform it was measured on;
-// numbers from a different runner class are comparable only loosely, so
-// maintainers regenerate with -write when the reference hardware moves.
+// maintainers regenerate it with -write when the reference hardware
+// moves.
 //
-// A baseline entry may also carry allocs_per_op: -write records the
-// median allocs/op of every benchmark whose input lines have -benchmem
-// columns, and the gate then fails when the head median exceeds it by
-// more than -threshold, or when the input lacks the column. Allocation
-// counts of a one-iteration macro run repeat to within a few objects,
-// so the same threshold is a tight bound there.
-//
-// -inject multiplies every head median, ns/op and allocs/op, by the
-// given factor before comparing. CI uses it to prove the gate actually
-// trips: a run with -inject 2.0 simulating a 2x slowdown must exit
-// non-zero.
+// -inject multiplies every head median, ns/op, allocs/op and B/op, by
+// the given factor before comparing. CI uses it to prove the gate
+// actually trips: a run with -inject 2.0 must exit non-zero.
 package main
 
 import (
@@ -40,6 +48,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -48,8 +57,9 @@ import (
 )
 
 // baselineSchema versions BENCH_BASELINE.json so the gate rejects
-// documents written by an incompatible tool.
-const baselineSchema = "dyrs-benchgate/v1"
+// documents written by an incompatible tool. v2 made ns_per_op optional
+// and added spread and bytes_per_op.
+const baselineSchema = "dyrs-benchgate/v2"
 
 // Baseline is the committed reference document.
 type Baseline struct {
@@ -61,25 +71,34 @@ type Baseline struct {
 	Entries   []BaselineEntry `json:"entries"`
 }
 
-// BaselineEntry is one gated benchmark's reference timing and, when
-// AllocsPerOp is set, its reference allocation count.
+// BaselineEntry is one gated benchmark. Each non-nil quantity is gated;
+// Spread widens the ns/op limit.
 type BaselineEntry struct {
 	Name        string   `json:"name"`
-	NsPerOp     float64  `json:"ns_per_op"`
+	NsPerOp     *float64 `json:"ns_per_op,omitempty"`
+	Spread      float64  `json:"spread,omitempty"`
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-}
-
-// result is one benchmark's median ns/op and, when its input lines had
-// -benchmem columns, its median allocs/op.
-type result struct {
-	ns        float64
-	allocs    float64
-	hasAllocs bool
+	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 }
 
 // samples collects one benchmark's per-run values.
 type samples struct {
-	ns, allocs []float64
+	ns, allocs, bytes []float64
+	multi             bool // some input line ran more than one iteration
+}
+
+func (s *samples) merge(o *samples) {
+	s.ns = append(s.ns, o.ns...)
+	s.allocs = append(s.allocs, o.allocs...)
+	s.bytes = append(s.bytes, o.bytes...)
+	s.multi = s.multi || o.multi
+}
+
+// result is one benchmark's medians. mem is set when its input lines had
+// -benchmem columns, multi when they ran more than one iteration.
+type result struct {
+	ns, spread, allocs, bytes float64
+	mem, multi                bool
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -90,11 +109,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dyrs-benchgate", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	baselinePath := fs.String("baseline", "BENCH_BASELINE.json", "committed baseline document")
-	threshold := fs.Float64("threshold", 0.15, "fractional slowdown that fails the gate")
+	threshold := fs.Float64("threshold", 0.15, "fractional regression that fails the gate")
 	write := fs.Bool("write", false, "write the baseline from the input instead of gating")
 	inject := fs.Float64("inject", 1.0, "multiply head medians by this factor (gate self-test)")
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	// Every comparison is "head > limit"; a NaN or non-positive factor
+	// would make each one false and pass any input.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"threshold", *threshold}, {"inject", *inject}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v <= 0 {
+			fmt.Fprintf(stderr, "dyrs-benchgate: -%s %g: want a finite positive number\n", f.name, f.v)
+			return 2
+		}
 	}
 
 	head, err := readBenchmarks(fs.Args())
@@ -110,6 +140,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for name, r := range medians {
 		r.ns *= *inject
 		r.allocs *= *inject
+		r.bytes *= *inject
 		medians[name] = r
 	}
 
@@ -130,8 +161,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rep := gate(base, medians, *threshold)
 	fmt.Fprint(stdout, rep.String())
 	if len(rep.Failures) > 0 {
-		fmt.Fprintf(stderr, "dyrs-benchgate: FAIL: %d benchmark(s) regressed past %.0f%% (regenerate the baseline with -write only for intentional changes)\n",
-			len(rep.Failures), *threshold*100)
+		fmt.Fprintf(stderr, "dyrs-benchgate: FAIL: %d benchmark(s) regressed (regenerate the baseline with -write only for intentional changes)\n",
+			len(rep.Failures))
 		return 1
 	}
 	return 0
@@ -156,8 +187,7 @@ func readBenchmarks(paths []string) (map[string]*samples, error) {
 		}
 		for name, s := range m {
 			if a := all[name]; a != nil {
-				a.ns = append(a.ns, s.ns...)
-				a.allocs = append(a.allocs, s.allocs...)
+				a.merge(s)
 			} else {
 				all[name] = s
 			}
@@ -166,12 +196,12 @@ func readBenchmarks(paths []string) (map[string]*samples, error) {
 	return all, nil
 }
 
-// parseBench extracts per-benchmark ns/op samples, and allocs/op samples
-// from lines with -benchmem columns, from Go benchmark text output.
-// After the iteration count a line is a list of (value, unit) pairs, so
-// custom metrics such as events/sec do not shift the columns. The
-// trailing -GOMAXPROCS suffix is stripped so baselines survive runner
-// core-count changes.
+// parseBench extracts per-benchmark iteration counts, ns/op samples and,
+// from lines with -benchmem columns, B/op and allocs/op samples from Go
+// benchmark text output. After the iteration count a line is a list of
+// (value, unit) pairs, so custom metrics such as events/sec do not shift
+// the columns. The trailing -GOMAXPROCS suffix is stripped so baselines
+// survive runner core-count changes.
 func parseBench(r io.Reader) (map[string]*samples, error) {
 	out := map[string]*samples{}
 	sc := bufio.NewScanner(r)
@@ -179,6 +209,10 @@ func parseBench(r io.Reader) (map[string]*samples, error) {
 	for sc.Scan() {
 		f := strings.Fields(sc.Text())
 		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") || f[3] != "ns/op" {
+			continue
+		}
+		iters, err := strconv.Atoi(f[1])
+		if err != nil {
 			continue
 		}
 		ns, err := strconv.ParseFloat(f[2], 64)
@@ -197,12 +231,17 @@ func parseBench(r io.Reader) (map[string]*samples, error) {
 			out[name] = s
 		}
 		s.ns = append(s.ns, ns)
+		s.multi = s.multi || iters > 1
 		for i := 4; i+1 < len(f); i += 2 {
-			if f[i+1] != "allocs/op" {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
 				continue
 			}
-			if v, err := strconv.ParseFloat(f[i], 64); err == nil {
+			switch f[i+1] {
+			case "allocs/op":
 				s.allocs = append(s.allocs, v)
+			case "B/op":
+				s.bytes = append(s.bytes, v)
 			}
 		}
 	}
@@ -211,13 +250,17 @@ func parseBench(r io.Reader) (map[string]*samples, error) {
 
 // medianByName reduces each benchmark's samples to their medians —
 // robust against the occasional slow repetition that a mean would
-// smear across the gate.
+// smear across the gate — and its ns/op spread.
 func medianByName(all map[string]*samples) map[string]result {
 	out := make(map[string]result, len(all))
 	for name, s := range all {
-		r := result{ns: median(s.ns)}
-		if len(s.allocs) > 0 {
-			r.allocs, r.hasAllocs = median(s.allocs), true
+		q1, med, q3 := quartiles(s.ns)
+		r := result{ns: med, multi: s.multi}
+		if med > 0 {
+			r.spread = (q3 - q1) / med
+		}
+		if len(s.allocs) > 0 && len(s.bytes) > 0 {
+			r.allocs, r.bytes, r.mem = median(s.allocs), median(s.bytes), true
 		}
 		out[name] = r
 	}
@@ -235,21 +278,35 @@ func median(xs []float64) float64 {
 	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
-// GateRow is one benchmark's comparison against its baseline entry.
-type GateRow struct {
-	Name     string
-	BaseNs   float64
-	HeadNs   float64
-	Delta    float64 // (head-base)/base; NaN-free because base > 0 is enforced
-	Failed   bool
-	Missing  bool // in baseline but absent from input
-	Unjudged bool // in input but absent from baseline
+// quartiles returns the first quartile, median and third quartile of xs
+// (sorted in place) by Python's statistics.quantiles(xs, n=4) default
+// "exclusive" method, the one benchmark/ reports its spreads with.
+func quartiles(xs []float64) (q1, med, q3 float64) {
+	med = median(xs)
+	n := len(xs)
+	if n < 2 {
+		return med, med, med
+	}
+	q := func(i int) float64 {
+		j := i * (n + 1) / 4
+		j = max(1, min(j, n-1))
+		delta := float64(i*(n+1) - j*4)
+		return (xs[j-1]*(4-delta) + xs[j]*delta) / 4
+	}
+	return q(1), med, q(3)
+}
 
-	// Allocation gate, for entries with allocs_per_op.
-	GatesAllocs   bool
-	BaseAllocs    float64
-	HeadAllocs    float64
-	AllocsMissing bool // the input has no allocs/op column for it
+// GateRow is one benchmark's comparison against its baseline entry. A
+// benchmark absent from the baseline has only its Name set there.
+type GateRow struct {
+	BaselineEntry
+	Head       result
+	Delta      float64 // (head-base)/base ns/op, when gated
+	Limit      float64 // max(threshold, spread), when ns/op is gated
+	Failed     bool
+	Missing    bool // in baseline but absent from input
+	Unjudged   bool // in input but absent from baseline
+	MemMissing bool // allocs or bytes gated, but the input has no -benchmem columns
 }
 
 // GateReport is the full comparison outcome.
@@ -259,32 +316,22 @@ type GateReport struct {
 }
 
 // gate compares head medians against the baseline. Every baseline entry
-// must be present and within threshold, in ns/op and, where the entry
-// records it, in allocs/op; extra head benchmarks are reported but never
-// fail.
+// must be present and within its limits on every quantity it records;
+// extra head benchmarks are reported but never fail.
 func gate(base *Baseline, head map[string]result, threshold float64) *GateReport {
 	rep := &GateReport{}
+	over := func(head float64, base *float64) bool { return base != nil && head > *base*(1+threshold) }
 	for _, e := range base.Entries {
-		row := GateRow{Name: e.Name, BaseNs: e.NsPerOp}
 		h, ok := head[e.Name]
-		switch {
-		case !ok:
-			row.Missing, row.Failed = true, true
-		case e.NsPerOp <= 0:
-			row.Failed = true // corrupt baseline entry: refuse to divide by it
-		default:
-			row.HeadNs = h.ns
-			row.Delta = (h.ns - e.NsPerOp) / e.NsPerOp
-			row.Failed = row.Delta > threshold
+		row := GateRow{BaselineEntry: e, Head: h, Missing: !ok, Failed: !ok}
+		if ok && (e.AllocsPerOp != nil || e.BytesPerOp != nil) {
+			row.MemMissing = !h.mem
+			row.Failed = !h.mem || over(h.allocs, e.AllocsPerOp) || over(h.bytes, e.BytesPerOp)
 		}
-		if ok && e.AllocsPerOp != nil {
-			row.GatesAllocs, row.BaseAllocs = true, *e.AllocsPerOp
-			if h.hasAllocs {
-				row.HeadAllocs = h.allocs
-				row.Failed = row.Failed || h.allocs > row.BaseAllocs*(1+threshold)
-			} else {
-				row.AllocsMissing, row.Failed = true, true
-			}
+		if ok && e.NsPerOp != nil {
+			row.Limit = math.Max(threshold, e.Spread)
+			row.Delta = (h.ns - *e.NsPerOp) / *e.NsPerOp
+			row.Failed = row.Failed || row.Delta > row.Limit
 		}
 		if row.Failed {
 			rep.Failures = append(rep.Failures, e.Name)
@@ -299,7 +346,7 @@ func gate(base *Baseline, head map[string]result, threshold float64) *GateReport
 	}
 	sort.Strings(extra)
 	for _, name := range extra {
-		rep.Rows = append(rep.Rows, GateRow{Name: name, HeadNs: head[name].ns, Unjudged: true})
+		rep.Rows = append(rep.Rows, GateRow{BaselineEntry: BaselineEntry{Name: name}, Head: head[name], Unjudged: true})
 	}
 	return rep
 }
@@ -313,51 +360,71 @@ func baselineHas(base *Baseline, name string) bool {
 	return false
 }
 
-// String renders the comparison as a fixed-width table.
+// String renders the comparison as a fixed-width table. A quantity the
+// entry does not gate shows "-" as its baseline.
 func (r *GateReport) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-40s %15s %15s %9s\n", "benchmark", "baseline", "head", "delta")
+	fmt.Fprintf(&b, "%-36s %11s %11s %8s %6s  %s\n", "benchmark", "base ns/op", "head ns/op", "delta", "limit", "allocs/op, B/op")
 	for _, row := range r.Rows {
-		switch {
-		case row.Missing:
-			fmt.Fprintf(&b, "%-40s %15s %15s %9s  FAIL (missing from input)\n",
-				row.Name, fmtNs(row.BaseNs), "-", "-")
-		case row.Unjudged:
-			fmt.Fprintf(&b, "%-40s %15s %15s %9s  (not in baseline)\n",
-				row.Name, "-", fmtNs(row.HeadNs), "-")
-		default:
-			status := ""
-			if row.Failed {
-				status = "  FAIL"
-			}
-			allocs := ""
-			switch {
-			case row.AllocsMissing:
-				allocs = fmt.Sprintf("  allocs/op %.0f -> - (no -benchmem column)", row.BaseAllocs)
-			case row.GatesAllocs:
-				allocs = fmt.Sprintf("  allocs/op %.0f -> %.0f", row.BaseAllocs, row.HeadAllocs)
-			}
-			fmt.Fprintf(&b, "%-40s %15s %15s %+8.1f%%%s%s\n",
-				row.Name, fmtNs(row.BaseNs), fmtNs(row.HeadNs), row.Delta*100, allocs, status)
+		if row.Missing {
+			fmt.Fprintf(&b, "%-36s %11s %11s %8s %6s  FAIL (missing from input)\n",
+				row.Name, fmtNs(row.NsPerOp), "-", "-", "-")
+			continue
 		}
+		delta, limit := "-", "-"
+		if row.NsPerOp != nil {
+			delta = fmt.Sprintf("%+.1f%%", row.Delta*100)
+			limit = fmt.Sprintf("%.0f%%", row.Limit*100)
+		}
+		headAllocs, headBytes := "-", "-"
+		if row.Head.mem {
+			headAllocs, headBytes = fmtCount(&row.Head.allocs), fmtCount(&row.Head.bytes)
+		}
+		mem := fmt.Sprintf("%s -> %s, %s -> %s", fmtCount(row.AllocsPerOp), headAllocs, fmtCount(row.BytesPerOp), headBytes)
+		if row.MemMissing {
+			mem += " (no -benchmem columns)"
+		}
+		status := ""
+		switch {
+		case row.Unjudged:
+			status = "  (not in baseline)"
+		case row.Failed:
+			status = "  FAIL"
+		}
+		fmt.Fprintf(&b, "%-36s %11s %11s %8s %6s  %s%s\n",
+			row.Name, fmtNs(row.NsPerOp), fmtNs(&row.Head.ns), delta, limit, mem, status)
 	}
 	return b.String()
 }
 
-// fmtNs renders nanoseconds with a readable unit.
-func fmtNs(ns float64) string {
-	switch {
+// fmtNs renders nanoseconds with a readable unit, or "-" for none.
+func fmtNs(p *float64) string {
+	if p == nil {
+		return "-"
+	}
+	switch ns := *p; {
 	case ns >= 1e9:
 		return fmt.Sprintf("%.2fs", ns/1e9)
 	case ns >= 1e6:
 		return fmt.Sprintf("%.2fms", ns/1e6)
 	case ns >= 1e3:
 		return fmt.Sprintf("%.2fµs", ns/1e3)
+	default:
+		return fmt.Sprintf("%.0fns", ns)
 	}
-	return fmt.Sprintf("%.0fns", ns)
 }
 
-// loadBaseline reads and validates the committed baseline.
+// fmtCount renders a baseline count, or "-" when the entry has none.
+func fmtCount(p *float64) string {
+	if p == nil {
+		return "-"
+	}
+	return fmt.Sprintf("%.0f", *p)
+}
+
+// loadBaseline reads and validates the committed baseline: every entry
+// gates at least one quantity, every value is a non-negative number and
+// ns_per_op, which the gate divides by, is positive.
 func loadBaseline(path string) (*Baseline, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -373,12 +440,25 @@ func loadBaseline(path string) (*Baseline, error) {
 	if len(base.Entries) == 0 {
 		return nil, fmt.Errorf("%s: no baseline entries", path)
 	}
+	bad := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) || v < 0 }
+	for _, e := range base.Entries {
+		switch {
+		case e.NsPerOp == nil && e.AllocsPerOp == nil && e.BytesPerOp == nil:
+			return nil, fmt.Errorf("%s: %s gates nothing", path, e.Name)
+		case e.NsPerOp != nil && (bad(*e.NsPerOp) || *e.NsPerOp == 0),
+			bad(e.Spread),
+			e.AllocsPerOp != nil && bad(*e.AllocsPerOp),
+			e.BytesPerOp != nil && bad(*e.BytesPerOp):
+			return nil, fmt.Errorf("%s: %s has a negative, zero-ns or non-finite value", path, e.Name)
+		}
+	}
 	return &base, nil
 }
 
 // writeBaseline emits a fresh baseline document from head medians, in
-// sorted name order so regeneration diffs cleanly. A benchmark gains
-// allocs_per_op when its input had -benchmem columns.
+// sorted name order so regeneration diffs cleanly: ns/op and spread for
+// benchmarks that ran more than one iteration, allocs/op and B/op for
+// those with -benchmem columns.
 func writeBaseline(path string, medians map[string]result) error {
 	base := Baseline{
 		Schema:    baselineSchema,
@@ -394,9 +474,15 @@ func writeBaseline(path string, medians map[string]result) error {
 	sort.Strings(names)
 	for _, name := range names {
 		r := medians[name]
-		e := BaselineEntry{Name: name, NsPerOp: r.ns}
-		if r.hasAllocs {
-			e.AllocsPerOp = &r.allocs
+		e := BaselineEntry{Name: name}
+		if r.multi {
+			e.NsPerOp, e.Spread = &r.ns, math.Round(r.spread*1000)/1000
+		}
+		if r.mem {
+			e.AllocsPerOp, e.BytesPerOp = &r.allocs, &r.bytes
+		}
+		if e.NsPerOp == nil && e.AllocsPerOp == nil {
+			return fmt.Errorf("%s ran one iteration without -benchmem columns: nothing to gate", name)
 		}
 		base.Entries = append(base.Entries, e)
 	}

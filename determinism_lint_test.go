@@ -5,7 +5,7 @@ package dyrs
 // test statically forbids the usual suspects in internal/ non-test code:
 //
 //   - time.Now(): wall-clock time in simulated logic. Genuinely
-//     wall-clock sites (benchmark timing, the ops surface) carry a
+//     wall-clock sites (runner job timing, the ops surface) carry a
 //     //lint:walltime comment on the same line, and only files on the
 //     audited walltimeFiles allowlist may carry that waiver at all.
 //   - the global math/rand source (rand.Intn etc. without an explicit
@@ -41,14 +41,13 @@ const walltimeWaiver = "lint:walltime"
 
 // walltimeFiles is the audited allowlist of files that may carry
 // //lint:walltime waivers at all. The waiver exists for code that
-// genuinely measures the real world — benchmark timing, the worker-pool
-// runner, the ops surface (run manifests) — and nowhere else. A waiver
+// genuinely measures the real world — the worker-pool runner's per-job
+// timing, the ops surface (run manifests) — and nowhere else. A waiver
 // appearing outside this list fails the lint even with the comment: add
 // the file here, in review, or use the engine clock.
 var walltimeFiles = map[string]bool{
-	"internal/experiments/bench.go": true,
-	"internal/obs/manifest.go":      true,
-	"internal/runner/runner.go":     true,
+	"internal/obs/manifest.go":  true,
+	"internal/runner/runner.go": true,
 }
 
 // shardsyncWaiver marks an audited concurrency primitive in the sharded

@@ -92,6 +92,14 @@ func TestFacadeRegistryAndParallelRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Seed != 7 || len(rep.Hive) == 0 || len(rep.Iterative) == 0 {
-		t.Errorf("parallel report incomplete: seed=%d", rep.Seed)
+		t.Fatalf("parallel report incomplete: seed=%d", rep.Seed)
+	}
+	// Fig 4's calibration floor: DYRS speeds Hive queries up on average.
+	var sum float64
+	for _, q := range rep.Hive {
+		sum += q.Speedup
+	}
+	if mean := sum / float64(len(rep.Hive)); mean < 0.1 {
+		t.Errorf("DYRS mean Hive speedup %.2f suspiciously low", mean)
 	}
 }

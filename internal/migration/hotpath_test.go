@@ -46,6 +46,37 @@ func TestSlaveTransferAllocs(t *testing.T) {
 	r.c.Shutdown()
 }
 
+// TestUpdateTargetsAllocs: the Algorithm 1 targeting pass allocates
+// nothing once its pull buckets have grown. The setup is
+// BenchmarkAlgorithm1UpdateTargets': 200 pending blocks of a 50 GB file
+// on 7 nodes. Each measured run makes maxSkippedPasses+1 calls, so it
+// holds one full pass besides the skipped ones.
+func TestUpdateTargetsAllocs(t *testing.T) {
+	b := NewDYRSBinder()
+	r := newRig(t, 1, 7, b, nil, DefaultConfig())
+	r.mkFile(t, "big", 200)
+	if err := r.c.Migrate(1, []string{"big"}, false); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	before := b.Updates
+	allocs := testing.AllocsPerRun(runs, func() {
+		for i := 0; i <= maxSkippedPasses; i++ {
+			b.UpdateTargets()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("UpdateTargets allocates %.2f objects per %d calls, want 0", allocs, maxSkippedPasses+1)
+	}
+	if passes := b.Updates - before; passes < runs {
+		t.Errorf("%d full passes in %d runs, want one per run", passes, runs)
+	}
+	if n := b.PendingCount(); n != 200 {
+		t.Errorf("pending = %d, want 200", n)
+	}
+	r.c.Shutdown()
+}
+
 // TestIgnemInProgressInflationDeterministic: under Ignem, one kick
 // starts up to six transfers at the same instant, so they tie on
 // elapsed time at every heartbeat. With mixed block sizes (files whose
