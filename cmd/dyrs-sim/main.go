@@ -116,6 +116,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// histograms even when no trace file was requested.
 	opt.Trace = *tracePath != "" || *metricsAddr != ""
 	opt.SampleEvery = *traceSample
+	if err := opt.Validate(); err != nil {
+		return err
+	}
 	env := dyrs.NewEnv(policy, opt)
 	defer env.Close()
 

@@ -44,7 +44,8 @@ func TestRunRejectsUnknownPolicy(t *testing.T) {
 // TestRunRejectsBadFlags covers flag values that used to be accepted
 // silently (an unknown workload ran sort, non-positive workers became
 // 7, non-positive shards ran sequential) or panicked deep in workload
-// generation (-swim-jobs 0).
+// generation (-swim-jobs 0). Options.Validate rejects the rest before
+// the environment is built (-trace-sample -4).
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -57,6 +58,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{sortArgs("-workers", "-1"), "-workers must be positive"},
 		{sortArgs("-shards", "0"), "-shards must be positive"},
 		{sortArgs("-shards", "-2"), "-shards must be positive"},
+		{sortArgs("-trace-sample", "-4"), "SampleEvery must not be negative"},
 	} {
 		var out, errOut bytes.Buffer
 		err := run(tc.args, &out, &errOut)

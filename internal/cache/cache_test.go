@@ -345,8 +345,8 @@ func evictionSequence(t *testing.T, policy EvictPolicy) []string {
 	}
 	var seq []string
 	for _, in := range tr.Instants() {
-		if in.Name == "evict" {
-			seq = append(seq, in.Attrs[0].Value())
+		if in.Name() == "evict" {
+			seq = append(seq, in.Attr("block"))
 		}
 	}
 	if len(seq) == 0 {

@@ -6,6 +6,8 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"time"
 
 	"dyrs/internal/cluster"
@@ -77,6 +79,50 @@ type Options struct {
 	// whatever the experiment Policy selects, so the override is a pure
 	// binder swap.
 	MigBinder string
+}
+
+// Validate reports the first option NewEnv cannot build a cluster from:
+// a negative count, a non-finite or negative core bandwidth, a SlowNodes
+// entry outside the cluster or with a scale that is not finite and
+// positive, or an unknown MigBinder. Callers that take options from
+// users or fuzzers check them here, at the boundary, rather than
+// letting them panic or turn into NaN rates inside the layers.
+func (opt Options) Validate() error {
+	for _, c := range []struct {
+		name string
+		v    int
+	}{{"Workers", opt.Workers}, {"Racks", opt.Racks}, {"Shards", opt.Shards}, {"SampleEvery", opt.SampleEvery}} {
+		if c.v < 0 {
+			return fmt.Errorf("experiments: %s must not be negative, got %d", c.name, c.v)
+		}
+	}
+	if math.IsNaN(opt.CoreBandwidth) || math.IsInf(opt.CoreBandwidth, 0) || opt.CoreBandwidth < 0 {
+		return fmt.Errorf("experiments: CoreBandwidth must be finite and non-negative, got %v", opt.CoreBandwidth)
+	}
+	workers := opt.Workers
+	if workers == 0 {
+		workers = DefaultOptions(0).Workers
+	}
+	nodes := make([]int, 0, len(opt.SlowNodes))
+	for i := range opt.SlowNodes {
+		nodes = append(nodes, i)
+	}
+	sort.Ints(nodes) // report the lowest bad index, whatever the map order
+	for _, i := range nodes {
+		scale := opt.SlowNodes[i]
+		if i < 0 || i >= workers {
+			return fmt.Errorf("experiments: SlowNodes index %d outside the %d-node cluster", i, workers)
+		}
+		if math.IsNaN(scale) || math.IsInf(scale, 0) || scale <= 0 {
+			return fmt.Errorf("experiments: SlowNodes[%d] scale must be finite and positive, got %v", i, scale)
+		}
+	}
+	if opt.MigBinder != "" {
+		if _, err := migration.BinderByName(opt.MigBinder); err != nil {
+			return fmt.Errorf("experiments: MigBinder: %w", err)
+		}
+	}
+	return nil
 }
 
 // DefaultOptions mirrors the paper's 7-worker testbed.

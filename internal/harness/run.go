@@ -106,7 +106,11 @@ func RunScenario(sc Scenario, policy experiments.Policy) *RunResult {
 		return runServingScenario(sc, policy)
 	}
 	res := &RunResult{Policy: policy, Submitted: len(sc.Jobs)}
-	env := newScenarioEnv(sc, policy)
+	env, err := newScenarioEnv(sc, policy)
+	if err != nil {
+		res.SubmitErrors = append(res.SubmitErrors, err.Error())
+		return res
+	}
 	defer env.Close()
 	if sc.Heartbeats {
 		env.FS.EnableHeartbeats(dfs.DefaultLivenessConfig())
@@ -167,9 +171,10 @@ func RunScenario(sc Scenario, policy experiments.Policy) *RunResult {
 // newScenarioEnv builds the traced environment for a scenario run, with
 // the flight recorder armed so a failing scenario leaves its last
 // moments behind. Sampling stays off: the span-tally oracles need the
-// full trace.
-func newScenarioEnv(sc Scenario, policy experiments.Policy) *experiments.Env {
-	env := experiments.NewEnv(policy, experiments.Options{
+// full trace. Options that fail Validate are returned as an error,
+// which the caller records like a submission failure.
+func newScenarioEnv(sc Scenario, policy experiments.Policy) (*experiments.Env, error) {
+	opt := experiments.Options{
 		Workers:   sc.Workers,
 		Racks:     sc.Racks,
 		Seed:      sc.Seed,
@@ -177,9 +182,13 @@ func newScenarioEnv(sc Scenario, policy experiments.Policy) *experiments.Env {
 		Trace:     true,
 		Shards:    sc.Shards,
 		MigBinder: sc.Policy,
-	})
+	}
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
+	env := experiments.NewEnv(policy, opt)
 	env.Tracer().SetFlightRecorder(512)
-	return env
+	return env, nil
 }
 
 // scheduleFaults enqueues the scenario's fault schedule, with a
@@ -245,7 +254,7 @@ func observeRun(env *experiments.Env, res *RunResult) {
 	res.Counters = tr.Counters()
 	for _, s := range tr.Spans() {
 		switch {
-		case s.Cat == "migration" && s.Name == "migrate":
+		case s.Cat() == "migration" && s.Name() == "migrate":
 			res.MigrateSpans++
 			switch s.Attr("outcome") {
 			case "pinned":
@@ -255,10 +264,9 @@ func observeRun(env *experiments.Env, res *RunResult) {
 			default:
 				res.OpenSpans++
 			}
-		case s.Cat == "read" && !s.Open():
+		case s.Cat() == "read" && !s.Open():
 			if s.Attr("outcome") != "failed" {
-				var n int64
-				fmt.Sscanf(s.Attr("size"), "%d", &n)
+				n, _ := s.IntAttr("size")
 				res.ReadSpanBytes += n
 			}
 		}
@@ -287,7 +295,11 @@ func servingLoadOptions() experiments.ServingLoadOptions {
 // scenario's fault schedule.
 func runServingScenario(sc Scenario, policy experiments.Policy) *RunResult {
 	res := &RunResult{Policy: policy}
-	env := newScenarioEnv(sc, policy)
+	env, err := newScenarioEnv(sc, policy)
+	if err != nil {
+		res.SubmitErrors = append(res.SubmitErrors, err.Error())
+		return res
+	}
 	defer env.Close()
 	if sc.Heartbeats {
 		env.FS.EnableHeartbeats(dfs.DefaultLivenessConfig())

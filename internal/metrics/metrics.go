@@ -272,10 +272,21 @@ type TimePoint struct {
 
 // TimeSeries records (time, value) samples, e.g. a slave's migration-time
 // estimate over a run (Fig. 9) or per-node buffered bytes (Fig. 7).
+//
+// Samples live in pages. The first page grows by doubling up to
+// seriesPageLen points, so the hundreds of short series a run keeps
+// stay small; after that the series chains fixed seriesPageLen-point
+// pages and never re-copies what it holds (DESIGN.md §6).
 type TimeSeries struct {
-	name string
-	pts  []TimePoint
+	name  string
+	pages [][]TimePoint
+	n     int
 }
+
+const (
+	seriesPageBits = 10
+	seriesPageLen  = 1 << seriesPageBits
+)
 
 // NewTimeSeries returns an empty named series.
 func NewTimeSeries(name string) *TimeSeries { return &TimeSeries{name: name} }
@@ -285,46 +296,68 @@ func (ts *TimeSeries) Name() string { return ts.name }
 
 // Record appends a sample. Samples should be appended in time order.
 func (ts *TimeSeries) Record(t, v float64) {
-	if len(ts.pts) == cap(ts.pts) {
-		ts.pts = append(make([]TimePoint, 0, max(2*cap(ts.pts), 1)), ts.pts...) // double, as Sample.Add does
+	last := len(ts.pages) - 1
+	switch {
+	case last < 0:
+		ts.pages = append(ts.pages, make([]TimePoint, 0, 1))
+		last = 0
+	case len(ts.pages[last]) < cap(ts.pages[last]):
+	case cap(ts.pages[last]) < seriesPageLen: // the first page, doubling
+		ts.pages[last] = append(make([]TimePoint, 0, 2*cap(ts.pages[last])), ts.pages[last]...)
+	default:
+		ts.pages = append(ts.pages, make([]TimePoint, 0, seriesPageLen))
+		last++
 	}
-	ts.pts = append(ts.pts, TimePoint{T: t, V: v})
+	ts.pages[last] = append(ts.pages[last], TimePoint{T: t, V: v})
+	ts.n++
 }
 
-// Points returns the recorded samples (not a copy; callers must not
-// mutate).
-func (ts *TimeSeries) Points() []TimePoint { return ts.pts }
+// at returns the i-th sample.
+func (ts *TimeSeries) at(i int) TimePoint {
+	return ts.pages[i>>seriesPageBits][i&(seriesPageLen-1)]
+}
+
+// Points returns a copy of the recorded samples.
+func (ts *TimeSeries) Points() []TimePoint {
+	out := make([]TimePoint, 0, ts.n)
+	for _, p := range ts.pages {
+		out = append(out, p...)
+	}
+	return out
+}
 
 // Len reports the number of samples.
-func (ts *TimeSeries) Len() int { return len(ts.pts) }
+func (ts *TimeSeries) Len() int { return ts.n }
 
 // Last reports the final sample, or a zero TimePoint when empty.
 func (ts *TimeSeries) Last() TimePoint {
-	if len(ts.pts) == 0 {
+	if ts.n == 0 {
 		return TimePoint{}
 	}
-	return ts.pts[len(ts.pts)-1]
+	return ts.at(ts.n - 1)
 }
 
 // MeanValue reports the time-weighted mean of the series, treating each
 // sample as holding until the next. Returns the plain mean if fewer than
 // two samples exist.
 func (ts *TimeSeries) MeanValue() float64 {
-	n := len(ts.pts)
-	switch n {
+	switch ts.n {
 	case 0:
 		return 0
 	case 1:
-		return ts.pts[0].V
+		return ts.at(0).V
 	}
 	var area, span float64
-	for i := 0; i+1 < n; i++ {
-		dt := ts.pts[i+1].T - ts.pts[i].T
-		area += ts.pts[i].V * dt
+	prev := ts.at(0)
+	for i := 1; i < ts.n; i++ {
+		p := ts.at(i)
+		dt := p.T - prev.T
+		area += prev.V * dt
 		span += dt
+		prev = p
 	}
 	if span == 0 {
-		return ts.pts[0].V
+		return ts.at(0).V
 	}
 	return area / span
 }
@@ -332,9 +365,11 @@ func (ts *TimeSeries) MeanValue() float64 {
 // MaxValue reports the largest sample value.
 func (ts *TimeSeries) MaxValue() float64 {
 	max := math.Inf(-1)
-	for _, p := range ts.pts {
-		if p.V > max {
-			max = p.V
+	for _, pg := range ts.pages {
+		for _, p := range pg {
+			if p.V > max {
+				max = p.V
+			}
 		}
 	}
 	if math.IsInf(max, -1) {
@@ -344,19 +379,21 @@ func (ts *TimeSeries) MaxValue() float64 {
 }
 
 // Downsample returns at most n points evenly spaced through the series,
-// always including the final point; handy for rendering long series as
-// compact tables.
+// always including the final point (n == 1 returns only the final
+// point); handy for rendering long series as compact tables.
 func (ts *TimeSeries) Downsample(n int) []TimePoint {
-	if n <= 0 || len(ts.pts) == 0 {
+	switch {
+	case n <= 0 || ts.n == 0:
 		return nil
-	}
-	if len(ts.pts) <= n {
-		return ts.pts
+	case ts.n <= n:
+		return ts.Points()
+	case n == 1:
+		return []TimePoint{ts.Last()}
 	}
 	out := make([]TimePoint, 0, n)
-	step := float64(len(ts.pts)-1) / float64(n-1)
+	step := float64(ts.n-1) / float64(n-1)
 	for i := 0; i < n; i++ {
-		out = append(out, ts.pts[int(math.Round(float64(i)*step))])
+		out = append(out, ts.at(int(math.Round(float64(i)*step))))
 	}
 	return out
 }

@@ -98,17 +98,21 @@ func (t *Tracer) histsDoc() map[string]histJSON {
 	return out
 }
 
-// attrMap flattens attributes for export; on duplicate keys the last
-// write wins, matching Span.Attr.
-func attrMap(attrs []Attr) map[string]string {
-	if len(attrs) == 0 {
-		return nil
+// json encodes the span for the canonical document under the given
+// (possibly reassigned) ID and parent.
+func (s *Span) json(id, parent int) spanJSON {
+	return spanJSON{
+		ID: id, Parent: parent, Cat: s.Cat(), Name: s.Name(), Node: s.Node(),
+		BeginNS: int64(s.begin), EndNS: int64(s.end), Attrs: s.st.attrMap(s.head),
 	}
-	m := make(map[string]string, len(attrs))
-	for _, a := range attrs {
-		m[a.Key] = a.Value()
+}
+
+// json encodes the instant for the canonical document.
+func (in *Instant) json() instantJSON {
+	return instantJSON{
+		Cat: in.Cat(), Name: in.Name(), Node: in.Node(),
+		AtNS: int64(in.at), Attrs: in.st.attrMap(in.head),
 	}
-	return m
 }
 
 // WriteJSON writes the canonical trace document. Every field derives
@@ -128,17 +132,12 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 		doc.SampleN = n
 		doc.SampledOut = t.SampledOut()
 	}
-	for i, s := range t.spans {
-		doc.Spans[i] = spanJSON{
-			ID: s.ID, Parent: s.Parent, Cat: s.Cat, Name: s.Name, Node: s.Node,
-			BeginNS: int64(s.Begin), EndNS: int64(s.End), Attrs: attrMap(s.Attrs),
-		}
+	for i := range t.spans {
+		s := &t.spans[i]
+		doc.Spans[i] = s.json(s.ID(), s.Parent())
 	}
-	for i, in := range t.instants {
-		doc.Instants[i] = instantJSON{
-			Cat: in.Cat, Name: in.Name, Node: in.Node,
-			AtNS: int64(in.At), Attrs: attrMap(in.Attrs),
-		}
+	for i := range t.instants {
+		doc.Instants[i] = t.instants[i].json()
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
@@ -209,10 +208,10 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	// Decide the process layout: per node, or per rack above the cap.
 	nodes := map[int]bool{}
 	for i := range t.spans {
-		nodes[t.spans[i].Node] = true
+		nodes[t.spans[i].Node()] = true
 	}
 	for i := range t.instants {
-		nodes[t.instants[i].Node] = true
+		nodes[t.instants[i].Node()] = true
 	}
 	byRack := len(t.rackOf) > 0 && len(nodes) > PerfettoRackCapNodes
 	pidOf := chromePID
@@ -236,11 +235,11 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		tracks[track{pid, tid}] = tname
 		return pid, tid
 	}
-	for _, s := range t.spans {
-		note(s.Node, s.Cat)
+	for i := range t.spans {
+		note(t.spans[i].Node(), t.spans[i].Cat())
 	}
-	for _, in := range t.instants {
-		note(in.Node, in.Cat)
+	for i := range t.instants {
+		note(t.instants[i].Node(), t.instants[i].Cat())
 	}
 	pidList := make([]int, 0, len(pids))
 	for pid := range pids {
@@ -282,42 +281,44 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		})
 	}
 
-	for _, s := range t.spans {
-		pid, tid := note(s.Node, s.Cat)
-		end := s.End
-		args := attrMap(s.Attrs)
+	for i := range t.spans {
+		s := &t.spans[i]
+		pid, tid := note(s.Node(), s.Cat())
+		end := s.end
+		args := s.st.attrMap(s.head)
 		if args == nil {
 			args = map[string]string{}
 		}
-		args["span"] = fmt.Sprint(s.ID)
-		if s.Parent != 0 {
-			args["parent"] = fmt.Sprint(s.Parent)
+		args["span"] = fmt.Sprint(s.ID())
+		if s.parent != 0 {
+			args["parent"] = fmt.Sprint(s.Parent())
 		}
 		if byRack {
-			args["node"] = fmt.Sprint(s.Node)
+			args["node"] = fmt.Sprint(s.Node())
 		}
 		if end < 0 {
 			end = now
 			args["open"] = "true"
 		}
 		doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
-			Name: s.Name, Cat: s.Cat, Ph: "X",
-			TS: float64(s.Begin) * usPerNS, Dur: float64(end-s.Begin) * usPerNS,
+			Name: s.Name(), Cat: s.Cat(), Ph: "X",
+			TS: float64(s.begin) * usPerNS, Dur: float64(end-s.begin) * usPerNS,
 			PID: pid, TID: tid, Args: args,
 		})
 	}
-	for _, in := range t.instants {
-		pid, tid := note(in.Node, in.Cat)
-		args := attrMap(in.Attrs)
+	for i := range t.instants {
+		in := &t.instants[i]
+		pid, tid := note(in.Node(), in.Cat())
+		args := in.st.attrMap(in.head)
 		if byRack {
 			if args == nil {
 				args = map[string]string{}
 			}
-			args["node"] = fmt.Sprint(in.Node)
+			args["node"] = fmt.Sprint(in.Node())
 		}
 		doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
-			Name: in.Name, Cat: in.Cat, Ph: "i", Scope: "t",
-			TS: float64(in.At) * usPerNS, PID: pid, TID: tid,
+			Name: in.Name(), Cat: in.Cat(), Ph: "i", Scope: "t",
+			TS: float64(in.at) * usPerNS, PID: pid, TID: tid,
 			Args: args,
 		})
 	}

@@ -13,43 +13,105 @@ import (
 // begin/end/annotate spans, child spans, instants, counters and clock
 // advances, all derived deterministically from the input bytes.
 func interpret(data []byte) *Tracer {
-	eng := sim.NewEngine(7)
-	tr := New(eng)
-	cats := []string{"migration", "read", "task", "flow"}
-	names := []string{"migrate", "transfer", "read", "map", "tick"}
-	keys := []string{"outcome", "block", "size", "reason"}
-	vals := []string{"pinned", "dropped", "7", "x\"y z", ""}
+	tr, _ := replay(data, 0, 7, false)
+	return tr
+}
 
-	var open []SpanRef
+var (
+	fuzzCats  = []string{"migration", "read", "task", "flow"}
+	fuzzNames = []string{"migrate", "transfer", "read", "map", "tick"}
+	fuzzKeys  = []string{"outcome", "block", "size", "reason"}
+	fuzzVals  = []string{"pinned", "dropped", "7", "x\"y z", ""}
+)
+
+// fuzzAttr draws a string, integer or float attribute. The values
+// overlap across kinds ("7", 7 and 7.0 all format as "7").
+func fuzzAttr(a, b int) Attr {
+	key := fuzzKeys[a%len(fuzzKeys)]
+	switch (b >> 5) % 3 {
+	case 1:
+		return Int(key, int64(b%10)-2)
+	case 2:
+		return Float(key, float64(b%16)/2)
+	}
+	return Str(key, fuzzVals[b%len(fuzzVals)])
+}
+
+// replay runs the byte program of interpret. cfg&3 selects 1-in-(n+1)
+// sampling (0: off) and cfg&4 arms a 6-entry flight recorder. With
+// withRef the program is replayed in lockstep into the reference store
+// as well, sharing the tracer's engine, counters and topology.
+//
+// Ends and annotations pick any recorded span, so a span may be ended
+// twice (the second End is a no-op) or annotated after its End.
+func replay(data []byte, cfg byte, seed int64, withRef bool) (*Tracer, *refRecorder) {
+	eng := sim.NewEngine(seed)
+	tr := New(eng)
+	tr.SetTopology([]int{0, 1, 0, 1})
+	var ref *refRecorder
+	if withRef {
+		ref = &refRecorder{t: tr}
+	}
+	if n := int(cfg & 3); n > 0 {
+		tr.SetSampling(n+1, uint64(seed))
+		if ref != nil {
+			ref.sample = &sampleState{n: uint64(n + 1), seed: uint64(seed), ord: make(map[sampleKey]uint64)}
+		}
+	}
+	if cfg&4 != 0 {
+		tr.SetFlightRecorder(6)
+		if ref != nil {
+			ref.flight = &flightRing{buf: make([]FlightEvent, 6)}
+		}
+	}
+
+	type handle struct {
+		s SpanRef
+		r refRef
+	}
+	var spans []handle
 	for i := 0; i+2 < len(data); i += 3 {
 		a, b := int(data[i+1]), int(data[i+2])
-		attr := Str(keys[a%len(keys)], vals[b%len(vals)])
+		attr := fuzzAttr(a, b)
 		switch data[i] % 7 {
 		case 0:
-			open = append(open, tr.Begin(cats[a%len(cats)], names[b%len(names)], a%5-1, attr))
+			cat, name, node := fuzzCats[a%len(fuzzCats)], fuzzNames[b%len(fuzzNames)], a%5-1
+			h := handle{s: tr.Begin(cat, name, node, attr)}
+			if ref != nil {
+				h.r = ref.Begin(cat, name, node, attr)
+			}
+			spans = append(spans, h)
 		case 1:
-			if n := len(open); n > 0 {
-				open[a%n].End(attr)
-				open = append(open[:a%n], open[a%n+1:]...)
+			if n := len(spans); n > 0 {
+				spans[a%n].s.End(attr)
+				spans[a%n].r.End(attr)
 			}
 		case 2:
-			if n := len(open); n > 0 {
-				open[a%n].Annotate(attr, Int("extra", int64(b)))
+			if n := len(spans); n > 0 {
+				spans[a%n].s.Annotate(attr, Int("extra", int64(b)))
+				spans[a%n].r.Annotate(attr, Int("extra", int64(b)))
 			}
 		case 3:
-			if n := len(open); n > 0 {
-				open = append(open, open[a%n].Child(cats[b%len(cats)], names[a%len(names)], b%5-1))
+			if n := len(spans); n > 0 {
+				cat, name, node := fuzzCats[b%len(fuzzCats)], fuzzNames[a%len(fuzzNames)], b%5-1
+				p := spans[a%n]
+				spans = append(spans, handle{s: p.s.Child(cat, name, node), r: p.r.Child(cat, name, node)})
 			}
 		case 4:
-			tr.Instant(cats[a%len(cats)], names[b%len(names)], a%5-1, attr)
+			cat, name, node := fuzzCats[a%len(fuzzCats)], fuzzNames[b%len(fuzzNames)], a%5-1
+			second := fuzzAttr(b, a)
+			tr.Instant(cat, name, node, attr, second)
+			if ref != nil {
+				ref.Instant(cat, name, node, attr, second)
+			}
 		case 5:
-			tr.Add("counter."+keys[a%len(keys)], int64(b-128))
+			tr.Add("counter."+fuzzKeys[a%len(fuzzKeys)], int64(b-128))
 		case 6:
 			eng.Schedule(sim.Duration(a)*sim.Duration(time.Millisecond), func() {})
 			eng.RunFor(sim.Duration(a) * sim.Duration(time.Millisecond))
 		}
 	}
-	return tr
+	return tr, ref
 }
 
 // FuzzCanonicalJSON checks the canonical dyrs-trace/v2 export over

@@ -44,7 +44,7 @@ func TestMigrationLifecycleSpans(t *testing.T) {
 
 	byID := map[int]*trace.Span{}
 	for i := range spans {
-		byID[spans[i].ID] = &spans[i]
+		byID[spans[i].ID()] = &spans[i]
 	}
 
 	// Find a pinned migration with a completed transfer child.
@@ -53,38 +53,38 @@ func TestMigrationLifecycleSpans(t *testing.T) {
 	for i := range spans {
 		sp := &spans[i]
 		switch {
-		case sp.Cat == "migration" && sp.Name == "migrate" && sp.Attr("outcome") == "pinned":
+		case sp.Cat() == "migration" && sp.Name() == "migrate" && sp.Attr("outcome") == "pinned":
 			if pinned == nil {
 				pinned = sp
 			}
-		case sp.Cat == "migration" && sp.Name == "transfer":
-			transfers[sp.Parent] = sp
+		case sp.Cat() == "migration" && sp.Name() == "transfer":
+			transfers[sp.Parent()] = sp
 		}
 	}
 	if pinned == nil {
 		t.Fatal("no pinned migration span in trace")
 	}
-	if pinned.Node != trace.NodeMaster {
-		t.Errorf("migrate span on node %d, want master", pinned.Node)
+	if pinned.Node() != trace.NodeMaster {
+		t.Errorf("migrate span on node %d, want master", pinned.Node())
 	}
 	for _, key := range []string{"job", "block", "size", "slave"} {
 		if pinned.Attr(key) == "" {
 			t.Errorf("migrate span missing %q attr: %+v", key, pinned)
 		}
 	}
-	tx := transfers[pinned.ID]
+	tx := transfers[pinned.ID()]
 	if tx == nil {
 		t.Fatal("pinned migration has no transfer child span")
 	}
 	if tx.Attr("outcome") != "completed" {
 		t.Errorf("transfer outcome = %q, want completed", tx.Attr("outcome"))
 	}
-	if tx.Node == trace.NodeMaster {
+	if tx.Node() == trace.NodeMaster {
 		t.Error("transfer span should run on a worker node")
 	}
-	if tx.Begin < pinned.Begin || tx.End > pinned.End {
+	if tx.Begin() < pinned.Begin() || tx.End() > pinned.End() {
 		t.Errorf("transfer [%v,%v] escapes its parent [%v,%v]",
-			tx.Begin, tx.End, pinned.Begin, pinned.End)
+			tx.Begin(), tx.End(), pinned.Begin(), pinned.End())
 	}
 
 	// The job's read of the migrated block, from the trace alone.
@@ -92,7 +92,7 @@ func TestMigrationLifecycleSpans(t *testing.T) {
 	var read *trace.Span
 	for i := range spans {
 		sp := &spans[i]
-		if sp.Cat == "read" && sp.Attr("block") == block {
+		if sp.Cat() == "read" && sp.Attr("block") == block {
 			read = sp
 			break
 		}
@@ -103,10 +103,10 @@ func TestMigrationLifecycleSpans(t *testing.T) {
 	if src := read.Attr("source"); src != "mem-local" && src != "mem-remote" {
 		t.Errorf("migrated block read from %q, want a memory path", src)
 	}
-	lead := read.Begin.Sub(pinned.Begin)
+	lead := read.Begin().Sub(pinned.Begin())
 	if lead <= 0 {
 		t.Errorf("recomputed lead-time %v, want > 0 (request %v, first read %v)",
-			lead, pinned.Begin, read.Begin)
+			lead, pinned.Begin(), read.Begin())
 	}
 
 	// Job/task spans exist and are linked.
@@ -114,13 +114,13 @@ func TestMigrationLifecycleSpans(t *testing.T) {
 	tasks := 0
 	for i := range spans {
 		sp := &spans[i]
-		switch sp.Cat {
+		switch sp.Cat() {
 		case "job":
 			jobSpan = sp
 		case "task":
 			tasks++
-			if parent := byID[sp.Parent]; parent == nil || parent.Cat != "job" {
-				t.Errorf("task span %d not parented under a job span", sp.ID)
+			if parent := byID[sp.Parent()]; parent == nil || parent.Cat() != "job" {
+				t.Errorf("task span %d not parented under a job span", sp.ID())
 			}
 		}
 	}

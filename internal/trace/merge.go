@@ -80,14 +80,14 @@ func WriteMergedJSON(w io.Writer, tracers ...*Tracer) error {
 		ord := map[int]uint64{}
 		for i := range t.spans {
 			s := &t.spans[i]
-			spanRecs = append(spanRecs, mergedRec{at: s.Begin, node: s.Node, ord: ord[s.Node], tr: ti, idx: i})
-			ord[s.Node]++
+			spanRecs = append(spanRecs, mergedRec{at: s.begin, node: s.Node(), ord: ord[s.Node()], tr: ti, idx: i})
+			ord[s.Node()]++
 		}
 		ord = map[int]uint64{}
 		for i := range t.instants {
 			in := &t.instants[i]
-			instRecs = append(instRecs, mergedRec{at: in.At, node: in.Node, ord: ord[in.Node], tr: ti, idx: i})
-			ord[in.Node]++
+			instRecs = append(instRecs, mergedRec{at: in.at, node: in.Node(), ord: ord[in.Node()], tr: ti, idx: i})
+			ord[in.Node()]++
 		}
 	}
 	doc.NowNS = int64(now)
@@ -109,27 +109,20 @@ func WriteMergedJSON(w io.Writer, tracers ...*Tracer) error {
 		newID[i] = map[int]int{}
 	}
 	for i, r := range spanRecs {
-		newID[r.tr][live[r.tr].spans[r.idx].ID] = i + 1
+		newID[r.tr][live[r.tr].spans[r.idx].ID()] = i + 1
 	}
 	doc.Spans = make([]spanJSON, len(spanRecs))
 	for i, r := range spanRecs {
-		s := live[r.tr].spans[r.idx]
+		s := &live[r.tr].spans[r.idx]
 		parent := 0
-		if s.Parent != 0 {
-			parent = newID[r.tr][s.Parent]
+		if s.parent != 0 {
+			parent = newID[r.tr][s.Parent()]
 		}
-		doc.Spans[i] = spanJSON{
-			ID: i + 1, Parent: parent, Cat: s.Cat, Name: s.Name, Node: s.Node,
-			BeginNS: int64(s.Begin), EndNS: int64(s.End), Attrs: attrMap(s.Attrs),
-		}
+		doc.Spans[i] = s.json(i+1, parent)
 	}
 	doc.Instants = make([]instantJSON, len(instRecs))
 	for i, r := range instRecs {
-		in := live[r.tr].instants[r.idx]
-		doc.Instants[i] = instantJSON{
-			Cat: in.Cat, Name: in.Name, Node: in.Node,
-			AtNS: int64(in.At), Attrs: attrMap(in.Attrs),
-		}
+		doc.Instants[i] = live[r.tr].instants[r.idx].json()
 	}
 
 	enc := json.NewEncoder(w)

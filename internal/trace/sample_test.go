@@ -59,12 +59,12 @@ func TestSamplingKeepsSubsetAndExactCounters(t *testing.T) {
 	// child's parent must be present.
 	byID := map[int]Span{}
 	for _, s := range tr.Spans() {
-		byID[s.ID] = s
+		byID[s.ID()] = s
 	}
 	for _, s := range tr.Spans() {
-		if s.Parent != 0 {
-			if _, ok := byID[s.Parent]; !ok {
-				t.Fatalf("child span %d kept without its parent %d", s.ID, s.Parent)
+		if s.Parent() != 0 {
+			if _, ok := byID[s.Parent()]; !ok {
+				t.Fatalf("child span %d kept without its parent %d", s.ID(), s.Parent())
 			}
 		}
 	}
@@ -84,7 +84,7 @@ func TestSamplingSeedSelectsDifferentSubsets(t *testing.T) {
 		sampleWorkload(tr, eng)
 		ids := 0
 		for _, s := range tr.Spans() {
-			ids += s.ID * 31
+			ids += s.ID() * 31
 		}
 		return ids
 	}

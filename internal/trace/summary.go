@@ -7,6 +7,7 @@ package trace
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"dyrs/internal/metrics"
@@ -68,35 +69,39 @@ func (t *Tracer) Summarize() *Summary {
 	}
 
 	// First read instant per block, from read spans.
-	firstRead := map[string]int64{}
+	firstRead := map[blockRef]int64{}
 	for i := range t.spans {
 		sp := &t.spans[i]
-		if sp.Cat != "read" {
+		if sp.Cat() != "read" {
 			continue
 		}
-		block := sp.Attr("block")
-		if block == "" {
+		block, ok := sp.block()
+		if !ok {
 			continue
 		}
-		if at, ok := firstRead[block]; !ok || int64(sp.Begin) < at {
-			firstRead[block] = int64(sp.Begin)
+		if at, ok := firstRead[block]; !ok || int64(sp.begin) < at {
+			firstRead[block] = int64(sp.begin)
 		}
 	}
 	for i := range t.spans {
 		sp := &t.spans[i]
-		if sp.Cat != "migration" || sp.Name != "migrate" || sp.Open() {
+		if sp.Cat() != "migration" || sp.Name() != "migrate" || sp.Open() {
 			continue
 		}
 		if sp.Attr("outcome") != "pinned" {
 			continue
 		}
-		read, ok := firstRead[sp.Attr("block")]
+		block, ok := sp.block()
+		if !ok {
+			continue
+		}
+		read, ok := firstRead[block]
 		if !ok {
 			continue
 		}
 		const nsPerSec = 1e9
-		s.LeadTime.Add(float64(read-int64(sp.Begin)) / nsPerSec)
-		s.Margin.Add(float64(read-int64(sp.End)) / nsPerSec)
+		s.LeadTime.Add(float64(read-int64(sp.begin)) / nsPerSec)
+		s.Margin.Add(float64(read-int64(sp.end)) / nsPerSec)
 	}
 	return s
 }
@@ -127,4 +132,28 @@ func (s *Summary) String() string {
 			n, s.Margin.Percentile(50), s.Margin.Min())
 	}
 	return strings.TrimRight(b.String(), "\n")
+}
+
+// blockRef identifies a block by its integer ID. Every call site records
+// the block as an Int attribute; any other value that is not an
+// integer's canonical text is identified by that text.
+type blockRef struct {
+	id   int64
+	text string
+}
+
+// block returns the span's "block" attribute; ok is false when it is
+// absent or empty.
+func (s *Span) block() (b blockRef, ok bool) {
+	if id, ok := s.IntAttr("block"); ok {
+		return blockRef{id: id}, true
+	}
+	v := s.Attr("block")
+	if v == "" {
+		return blockRef{}, false
+	}
+	if id, err := strconv.ParseInt(v, 10, 64); err == nil && strconv.FormatInt(id, 10) == v {
+		return blockRef{id: id}, true
+	}
+	return blockRef{text: v}, true
 }

@@ -72,52 +72,76 @@ func Dur(k string, d sim.Duration) Attr { return Int(k, int64(d)) }
 // belong to no single worker.
 const NodeMaster = -1
 
-// Span is one begin/end interval in virtual time. End is -1 while the
-// span is open.
+// Span is one begin/end interval in virtual time, read through its
+// accessor methods. The record is compact: category and name share one
+// interned label, and the attributes live in the tracer's arena as a
+// chain from head to tail (DESIGN.md §10).
 type Span struct {
-	ID     int    // 1-based, assigned in Begin order
-	Parent int    // parent span ID, 0 = root
-	Cat    string // taxonomy bucket: "migration", "read", "task", "job"
-	Name   string
-	Node   int // worker node index, or NodeMaster
-	Begin  sim.Time
-	End    sim.Time // -1 while open
-	Attrs  []Attr
+	st         *store
+	begin, end sim.Time // end is -1 while open
+	id, parent int32    // 1-based, assigned in Begin order; parent 0 = root
+	node       int32
+	label      uint32 // interned (category, name)
+	head, tail uint32 // attribute chain in st's arena; 0 = none
 }
+
+// ID reports the span's 1-based ID, assigned in Begin order.
+func (s *Span) ID() int { return int(s.id) }
+
+// Parent reports the parent span's ID, or 0 for a root span.
+func (s *Span) Parent() int { return int(s.parent) }
+
+// Cat reports the taxonomy bucket: "migration", "read", "task", "job".
+func (s *Span) Cat() string { return s.st.labels[s.label].cat }
+
+// Name reports the span name.
+func (s *Span) Name() string { return s.st.labels[s.label].name }
+
+// Node reports the worker node index, or NodeMaster.
+func (s *Span) Node() int { return int(s.node) }
+
+// Begin reports the span's begin instant.
+func (s *Span) Begin() sim.Time { return s.begin }
+
+// End reports the span's end instant, or -1 while it is open.
+func (s *Span) End() sim.Time { return s.end }
 
 // Open reports whether the span has not ended.
-func (s *Span) Open() bool { return s.End < 0 }
-
-// copyAttrs detaches a caller's variadic attribute slice before it is
-// retained in a record, so the variadic allocation can stay on the
-// caller's stack — crucial for the sampled-out path, which drops the
-// record before ever reaching here.
-func copyAttrs(attrs []Attr) []Attr {
-	if len(attrs) == 0 {
-		return nil
-	}
-	return append([]Attr(nil), attrs...)
-}
+func (s *Span) Open() bool { return s.end < 0 }
 
 // Attr returns the value of the last attribute with the given key, or
 // "" when absent.
-func (s *Span) Attr(key string) string {
-	for i := len(s.Attrs) - 1; i >= 0; i-- {
-		if s.Attrs[i].Key == key {
-			return s.Attrs[i].Value()
-		}
-	}
-	return ""
+func (s *Span) Attr(key string) string { return s.st.value(s.head, key) }
+
+// IntAttr returns the last attribute with the given key when it is an
+// integer (Int or Dur) attribute, without formatting it.
+func (s *Span) IntAttr(key string) (int64, bool) { return s.st.intValue(s.head, key) }
+
+// Instant is a point event in virtual time, read through its accessor
+// methods; its attributes are one contiguous chain in the arena.
+type Instant struct {
+	st    *store
+	at    sim.Time
+	node  int32
+	label uint32
+	head  uint32
 }
 
-// Instant is a point event in virtual time.
-type Instant struct {
-	Cat   string
-	Name  string
-	Node  int
-	At    sim.Time
-	Attrs []Attr
-}
+// Cat reports the instant's category.
+func (in *Instant) Cat() string { return in.st.labels[in.label].cat }
+
+// Name reports the instant's name.
+func (in *Instant) Name() string { return in.st.labels[in.label].name }
+
+// Node reports the worker node index, or NodeMaster.
+func (in *Instant) Node() int { return int(in.node) }
+
+// At reports the instant's virtual time.
+func (in *Instant) At() sim.Time { return in.at }
+
+// Attr returns the value of the last attribute with the given key, or
+// "" when absent.
+func (in *Instant) Attr(key string) string { return in.st.value(in.head, key) }
 
 // flowCounters caches the per-resource counter cells the FlowSink hot
 // path increments, so steady-state flow tracing allocates nothing.
@@ -129,6 +153,7 @@ type flowCounters struct {
 // the tracer to the engine; retrieve anywhere with FromEngine.
 type Tracer struct {
 	eng      *sim.Engine
+	st       store // attribute arena and intern tables the records point into
 	spans    []Span
 	instants []Instant
 	counters map[string]*int64
@@ -147,6 +172,7 @@ type Tracer struct {
 func New(eng *sim.Engine) *Tracer {
 	t := &Tracer{
 		eng:      eng,
+		st:       newStore(),
 		counters: make(map[string]*int64),
 		res:      make(map[*sim.Resource]*flowCounters),
 		hists:    make(map[string]*Hist),
@@ -206,9 +232,10 @@ func (t *Tracer) begin(cat, name string, node int, attrs []Attr) SpanRef {
 		// re-copies it about four times over (DESIGN.md §6).
 		t.spans = append(make([]Span, 0, max(2*cap(t.spans), 1)), t.spans...)
 	}
+	head, tail := t.st.push(attrs)
 	t.spans = append(t.spans, Span{
-		ID: id, Cat: cat, Name: name, Node: node,
-		Begin: t.eng.Now(), End: -1, Attrs: copyAttrs(attrs),
+		st: &t.st, begin: t.eng.Now(), end: -1, id: int32(id), node: int32(node),
+		label: t.st.label(cat, name), head: head, tail: tail,
 	})
 	if t.flight != nil {
 		t.flight.record(FlightEvent{At: t.eng.Now(), Kind: FlightSpanBegin,
@@ -229,8 +256,9 @@ func (t *Tracer) Instant(cat, name string, node int, attrs ...Attr) {
 	if len(t.instants) == cap(t.instants) {
 		t.instants = append(make([]Instant, 0, max(2*cap(t.instants), 1)), t.instants...) // double, as for spans
 	}
+	head, _ := t.st.push(attrs)
 	t.instants = append(t.instants, Instant{
-		Cat: cat, Name: name, Node: node, At: t.eng.Now(), Attrs: copyAttrs(attrs),
+		st: &t.st, at: t.eng.Now(), node: int32(node), label: t.st.label(cat, name), head: head,
 	})
 	if t.flight != nil {
 		t.flight.record(FlightEvent{At: t.eng.Now(), Kind: FlightInstant,
@@ -256,7 +284,7 @@ func (s SpanRef) Child(cat, name string, node int, attrs ...Attr) SpanRef {
 		return SpanRef{}
 	}
 	c := s.t.begin(cat, name, node, attrs)
-	s.t.spans[c.idx].Parent = s.t.spans[s.idx].ID
+	s.t.spans[c.idx].parent = s.t.spans[s.idx].id
 	return c
 }
 
@@ -266,7 +294,7 @@ func (s SpanRef) Annotate(attrs ...Attr) {
 		return
 	}
 	sp := &s.t.spans[s.idx]
-	sp.Attrs = append(sp.Attrs, attrs...)
+	sp.head, sp.tail = s.t.st.extend(sp.head, sp.tail, attrs)
 }
 
 // End closes the span at the current virtual instant, appending any
@@ -277,14 +305,14 @@ func (s SpanRef) End(attrs ...Attr) {
 		return
 	}
 	sp := &s.t.spans[s.idx]
-	if sp.End >= 0 {
+	if sp.end >= 0 {
 		return
 	}
-	sp.End = s.t.eng.Now()
-	sp.Attrs = append(sp.Attrs, attrs...)
+	sp.end = s.t.eng.Now()
+	sp.head, sp.tail = s.t.st.extend(sp.head, sp.tail, attrs)
 	if s.t.flight != nil {
-		s.t.flight.record(FlightEvent{At: sp.End, Kind: FlightSpanEnd,
-			Cat: sp.Cat, Name: sp.Name, Node: sp.Node, Span: sp.ID})
+		s.t.flight.record(FlightEvent{At: sp.end, Kind: FlightSpanEnd,
+			Cat: sp.Cat(), Name: sp.Name(), Node: sp.Node(), Span: sp.ID()})
 	}
 }
 
@@ -293,7 +321,7 @@ func (s SpanRef) Begin() sim.Time {
 	if s.t == nil {
 		return 0
 	}
-	return s.t.spans[s.idx].Begin
+	return s.t.spans[s.idx].begin
 }
 
 // ID reports the span's 1-based ID, or 0 for the zero SpanRef.
@@ -301,7 +329,7 @@ func (s SpanRef) ID() int {
 	if s.t == nil {
 		return 0
 	}
-	return s.t.spans[s.idx].ID
+	return s.t.spans[s.idx].ID()
 }
 
 // Spans returns the recorded spans in begin order. The slice is the

@@ -35,11 +35,11 @@ func TestSpanLifecycle(t *testing.T) {
 		t.Fatalf("got %d spans, want 2", len(spans))
 	}
 	r, c := spans[0], spans[1]
-	if r.ID != 1 || c.ID != 2 || c.Parent != r.ID || r.Parent != 0 {
+	if r.ID() != 1 || c.ID() != 2 || c.Parent() != r.ID() || r.Parent() != 0 {
 		t.Errorf("bad IDs/parentage: root %+v child %+v", r, c)
 	}
-	if r.Begin != 0 || c.Begin != sim.Time(time.Second) || c.End != sim.Time(2*time.Second) {
-		t.Errorf("bad timestamps: root %v-%v child %v-%v", r.Begin, r.End, c.Begin, c.End)
+	if r.Begin() != 0 || c.Begin() != sim.Time(time.Second) || c.End() != sim.Time(2*time.Second) {
+		t.Errorf("bad timestamps: root %v-%v child %v-%v", r.Begin(), r.End(), c.Begin(), c.End())
 	}
 	if r.Open() || c.Open() {
 		t.Error("spans should be closed")
@@ -63,12 +63,13 @@ func TestAttrLastWins(t *testing.T) {
 	if got := tr.Spans()[0].Attr("k"); got != "b" {
 		t.Errorf("Attr = %q, want last-written b", got)
 	}
-	m := attrMap(tr.Spans()[0].Attrs)
+	sp0 := &tr.Spans()[0]
+	m := sp0.st.attrMap(sp0.head)
 	if m["k"] != "b" {
 		t.Errorf("attrMap = %v, want k=b", m)
 	}
-	if attrMap(nil) != nil {
-		t.Error("attrMap(nil) should be nil")
+	if tr.st.attrMap(0) != nil {
+		t.Error("attrMap of the empty chain should be nil")
 	}
 }
 
