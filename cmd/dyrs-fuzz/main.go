@@ -1,10 +1,9 @@
 // Command dyrs-fuzz sweeps randomized scenarios through the fuzzing
 // harness (internal/harness): each seed generates a cluster topology, a
 // mixed workload and a fault schedule, runs it under the selected
-// migrating policy twice and under plain HDFS once (plus once more on
-// the sharded multi-core engine when a shard count is in play), and
-// checks the invariant, conservation, liveness, metamorphic,
-// determinism and shard-invariance oracles.
+// migrating policy twice and under plain HDFS once, and checks the
+// invariant, conservation, liveness, metamorphic and determinism
+// oracles.
 //
 // Examples:
 //
@@ -13,18 +12,12 @@
 //	dyrs-fuzz -seeds 25 -serving         # multi-tenant serving scenarios
 //	dyrs-fuzz -seeds 50 -policy costaware # ... under another migrating policy
 //	dyrs-fuzz -seed 17                   # check one seed, verbosely
-//	dyrs-fuzz -seed 17 -shards 4         # ... with the 4-shard invariance run
 //	dyrs-fuzz -seed 17 -repro 'faults=0;jobs=1'   # replay a shrunk repro
-//
-// By default a sweep rotates the shard-invariance run over shard counts
-// {1, 2, 4} by seed, so every sweep differentially tests the sharded
-// engine against the sequential one at no extra flag cost; -shards
-// pins the count (1 disables the extra run).
 //
 // On the first failing seed the harness shrinks the scenario (dropping
 // faults, then jobs, while the same oracle keeps failing) and prints a
-// one-line reproduction command carrying the envelope, the policy name
-// and the shard count.
+// one-line reproduction command carrying the envelope and the policy
+// name.
 package main
 
 import (
@@ -49,20 +42,6 @@ func main() {
 	}
 }
 
-// shardRotation is the per-seed shard-count schedule a sweep defaults
-// to: most seeds stay purely sequential, every third seed adds a
-// 2- or 4-shard invariance run.
-var shardRotation = [...]int{1, 2, 4}
-
-// shardsForSeed resolves the effective shard count: an explicit
-// -shards value wins, otherwise the sweep rotation applies.
-func shardsForSeed(flagVal int, seed int64) int {
-	if flagVal >= 1 {
-		return flagVal
-	}
-	return shardRotation[int(seed%int64(len(shardRotation)))]
-}
-
 // run is main minus the exit code, so tests can drive the binary
 // in-process.
 func run(args []string, stdout, stderr io.Writer) error {
@@ -77,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	serving := fs.Bool("serving", false, "draw multi-tenant serving scenarios (open-loop Zipf/diurnal read stream)")
 	policy := fs.String("policy", "", "migrating policy for the oracle runs: "+
 		strings.Join(migration.BinderNames(), ", ")+" (default dyrs)")
-	shards := fs.Int("shards", 0, "engine shards for the invariance run (0: rotate 1/2/4 by seed, 1: sequential only)")
 	shrink := fs.Bool("shrink", true, "shrink failing scenarios to a minimal repro")
 	artifacts := fs.String("artifacts", ".", "directory for failure artifacts (flight-recorder dumps); empty disables")
 	manifestPath := fs.String("manifest", "", "write a run-manifest JSON (seed, flags, build, wall time, peak RSS) to this file")
@@ -117,7 +95,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	base := harness.Repro{Large: *large, Serving: *serving, Policy: *policy}
 	if *seed != 0 {
 		base.Seed = *seed
-		base.Shards = shardsForSeed(*shards, *seed)
 		return checkOne(stdout, base, *repro, *shrink, *artifacts)
 	}
 
@@ -125,14 +102,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		rep      harness.Repro
 		failures []harness.Failure
 	}
-	totalRuns := 0
 	work := make([]runner.Job, *seeds)
 	for i := 0; i < *seeds; i++ {
 		s := *start + int64(i)
 		rep := base
 		rep.Seed = s
-		rep.Shards = shardsForSeed(*shards, s)
-		totalRuns += harness.OracleRunsPerSeed(rep.Shards)
 		work[i] = runner.Job{
 			Name: fmt.Sprintf("seed-%d", s),
 			Run: func() (any, error) {
@@ -168,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("%d of %d seeds failed", failed, *seeds)
 	}
 	fmt.Fprintf(stdout, "ok: %d seeds, %d scenario runs, all oracles passed\n",
-		*seeds, totalRuns)
+		*seeds, *seeds*harness.OracleRunsPerSeed)
 	return nil
 }
 
@@ -182,7 +156,6 @@ func checkOne(stdout io.Writer, base harness.Repro, mask string, shrink bool, ar
 	rep.Large = base.Large
 	rep.Serving = base.Serving
 	rep.Policy = base.Policy
-	rep.Shards = base.Shards
 	sc := rep.Scenario()
 	fmt.Fprintf(stdout, "scenario: %s\n", sc)
 	for i, j := range sc.Jobs {

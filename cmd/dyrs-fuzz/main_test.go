@@ -57,6 +57,10 @@ func TestFlagValidation(t *testing.T) {
 	if err := run([]string{"-badflag"}, &out, &errb); err == nil {
 		t.Error("unknown flag accepted")
 	}
+	if err := run([]string{"-shards", "2", "-seed", "7"}, &out, &errb); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined: -shards") {
+		t.Errorf("retired -shards flag: got %v, want unknown-flag error", err)
+	}
 	if err := run([]string{"-policy", "bogus"}, &out, &errb); err == nil {
 		t.Error("unknown policy accepted")
 	}

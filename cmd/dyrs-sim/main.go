@@ -8,7 +8,6 @@
 //	dyrs-sim -policy Ignem -workload hive -query q15
 //	dyrs-sim -policy HDFS -size 20 -alternate 10s -interfere 1
 //	dyrs-sim -policy DYRS -size 10 -trace out.json -trace-format perfetto
-//	dyrs-sim -policy DYRS -size 10 -shards 4   # sharded engine, byte-identical output
 //	dyrs-sim -policy DYRS -size 10 -trace out.json -trace-sample 64   # deterministic 1-in-64 sampling
 //	dyrs-sim -policy DYRS -size 10 -metrics-addr localhost:9090 -manifest man.json
 package main
@@ -54,7 +53,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	alternate := fs.Duration("alternate", 0, "alternate interference on/off with this period (0: persistent)")
 	workers := fs.Int("workers", 7, "number of worker nodes")
 	seed := fs.Int64("seed", 1, "simulation seed")
-	shards := fs.Int("shards", 1, "engine shards (>1: run on the sharded multi-core engine; output is byte-identical)")
 	showTelemetry := fs.Bool("telemetry", false, "render per-node disk utilization after the run")
 	telemetryCSV := fs.String("telemetry-csv", "", "write raw telemetry samples (disk/NIC/memory series) to this CSV file")
 	tracePath := fs.String("trace", "", "record a trace of the run and write it to this file")
@@ -95,13 +93,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *workers <= 0 {
 		return fmt.Errorf("-workers must be positive, got %d", *workers)
 	}
-	if *shards <= 0 {
-		return fmt.Errorf("-shards must be positive, got %d", *shards)
-	}
 
 	if *wl == "hive" {
-		if *tracePath != "" || *telemetryCSV != "" || *shards > 1 || *metricsAddr != "" {
-			return fmt.Errorf("-trace, -telemetry-csv, -metrics-addr and -shards are not supported with the hive workload")
+		if *tracePath != "" || *telemetryCSV != "" || *metricsAddr != "" {
+			return fmt.Errorf("-trace, -telemetry-csv and -metrics-addr are not supported with the hive workload")
 		}
 		if err := runHive(stdout, policy, *query, *seed); err != nil {
 			return err
@@ -111,7 +106,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	opt := dyrs.DefaultOptions(*seed)
 	opt.Workers = *workers
-	opt.Shards = *shards
 	// The live endpoint needs an attached tracer for counters and
 	// histograms even when no trace file was requested.
 	opt.Trace = *tracePath != "" || *metricsAddr != ""

@@ -43,9 +43,9 @@ func TestRunRejectsUnknownPolicy(t *testing.T) {
 
 // TestRunRejectsBadFlags covers flag values that used to be accepted
 // silently (an unknown workload ran sort, non-positive workers became
-// 7, non-positive shards ran sequential) or panicked deep in workload
-// generation (-swim-jobs 0). Options.Validate rejects the rest before
-// the environment is built (-trace-sample -4).
+// 7) or panicked deep in workload generation (-swim-jobs 0).
+// Options.Validate rejects the rest before the environment is built
+// (-trace-sample -4). The retired -shards flag is an unknown flag.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -56,8 +56,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{sortArgs("-workload", "swim", "-swim-jobs", "-3"), "-swim-jobs must be positive"},
 		{sortArgs("-workers", "0"), "-workers must be positive"},
 		{sortArgs("-workers", "-1"), "-workers must be positive"},
-		{sortArgs("-shards", "0"), "-shards must be positive"},
-		{sortArgs("-shards", "-2"), "-shards must be positive"},
+		{sortArgs("-shards", "2"), "flag provided but not defined: -shards"},
 		{sortArgs("-trace-sample", "-4"), "SampleEvery must not be negative"},
 	} {
 		var out, errOut bytes.Buffer
@@ -218,7 +217,7 @@ func TestTelemetryCSV(t *testing.T) {
 }
 
 // TestTraceSampling checks the deterministic sampler end to end: the
-// sampled file is stable across runs and shard counts, strictly smaller
+// sampled file is stable across runs, strictly smaller
 // than the full trace, and keeps counters exact.
 func TestTraceSampling(t *testing.T) {
 	dir := t.TempDir()
@@ -228,11 +227,9 @@ func TestTraceSampling(t *testing.T) {
 	paths := []string{
 		filepath.Join(dir, "s1.json"),
 		filepath.Join(dir, "s1b.json"),
-		filepath.Join(dir, "s2.json"),
 	}
 	runOK(t, sortArgs("-trace", paths[0], "-trace-sample", "4"))
 	runOK(t, sortArgs("-trace", paths[1], "-trace-sample", "4"))
-	runOK(t, sortArgs("-trace", paths[2], "-trace-sample", "4", "-shards", "2"))
 
 	read := func(p string) []byte {
 		t.Helper()
@@ -245,9 +242,6 @@ func TestTraceSampling(t *testing.T) {
 	a := read(paths[0])
 	if !bytes.Equal(a, read(paths[1])) {
 		t.Error("sampled trace differs across identical runs")
-	}
-	if !bytes.Equal(a, read(paths[2])) {
-		t.Error("sampled trace differs across shard counts")
 	}
 	if fb := read(full); len(a) >= len(fb) {
 		t.Errorf("sampled trace (%d bytes) not smaller than full (%d bytes)", len(a), len(fb))

@@ -15,38 +15,22 @@ import (
 	"dyrs/internal/sim"
 )
 
-// EvictPolicy selects the cache's eviction order.
+// EvictPolicy names the cache's eviction order. LRU is the only one;
+// the type and New's policy parameter remain because the benchmark
+// module passes cache.LRU to New.
 type EvictPolicy int
 
-const (
-	// LRU evicts the least recently used block.
-	LRU EvictPolicy = iota
-	// LIFE approximates PACMan's wave-width-aware policy by evicting
-	// blocks of the *largest* cached file first: large files need many
-	// cached blocks before any wave speeds up, so their partial
-	// footprints are the least valuable.
-	LIFE
-	// LFU evicts blocks of the least frequently accessed file.
-	LFU
-)
+// LRU evicts the least recently used block.
+const LRU EvictPolicy = 0
 
 // String names the policy.
-func (p EvictPolicy) String() string {
-	switch p {
-	case LIFE:
-		return "LIFE"
-	case LFU:
-		return "LFU"
-	}
-	return "LRU"
-}
+func (p EvictPolicy) String() string { return "LRU" }
 
 // entry tracks one cached block. Entries sit on their node's LRU list,
 // an intrusive doubly linked list, and are recycled through Cache.free
 // once evicted, so steady-state caching allocates nothing.
 type entry struct {
 	id         dfs.BlockID
-	file       *dfs.File
 	size       sim.Bytes
 	node       cluster.NodeID
 	prev, next *entry // toward the more / less recently used neighbour
@@ -87,10 +71,10 @@ func (l *nodeLRU) unlink(e *entry) {
 // Cache is a cluster-wide coordinated cache. It watches every block read
 // via the DFS read hook: hits are reads already redirected to a resident
 // replica; misses insert the block at the reading node after the read,
-// evicting per policy when the per-node budget is exceeded.
+// evicting the node's least recently used blocks when the per-node
+// budget is exceeded.
 type Cache struct {
 	fs       *dfs.FS
-	policy   EvictPolicy
 	perNode  sim.Bytes
 	nodes    []nodeLRU        // indexed by node
 	byBlock  []*entry         // indexed by block; nil when not cached
@@ -98,35 +82,26 @@ type Cache struct {
 	repBuf   []cluster.NodeID // scratch for placement
 	resident int
 
-	fileUses  map[*dfs.File]int       // reads per file (LFU)
-	fileBytes map[*dfs.File]sim.Bytes // cached bytes per file, all nodes (LIFE)
-
 	// Stats.
 	Hits, Misses, Insertions, Evictions int
 }
 
 // New attaches a cache to the file system with the given per-node memory
-// budget.
-func New(fs *dfs.FS, perNodeBudget sim.Bytes, policy EvictPolicy) (*Cache, error) {
+// budget. Eviction is always LRU.
+func New(fs *dfs.FS, perNodeBudget sim.Bytes, _ EvictPolicy) (*Cache, error) {
 	if perNodeBudget <= 0 {
 		return nil, fmt.Errorf("cache: per-node budget must be positive")
 	}
 	c := &Cache{
-		fs:        fs,
-		policy:    policy,
-		perNode:   perNodeBudget,
-		nodes:     make([]nodeLRU, fs.Cluster().Size()),
-		fileUses:  make(map[*dfs.File]int),
-		fileBytes: make(map[*dfs.File]sim.Bytes),
+		fs:      fs,
+		perNode: perNodeBudget,
+		nodes:   make([]nodeLRU, fs.Cluster().Size()),
 	}
 	if err := fs.OnRead(c.onRead); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
-
-// Policy reports the eviction policy.
-func (c *Cache) Policy() EvictPolicy { return c.policy }
 
 // Resident reports the number of cached blocks.
 func (c *Cache) Resident() int { return c.resident }
@@ -144,8 +119,6 @@ func (c *Cache) lookup(id dfs.BlockID) *entry {
 
 // onRead observes every block read.
 func (c *Cache) onRead(id dfs.BlockID, at cluster.NodeID) {
-	f := c.fs.BlockFile(id)
-	c.fileUses[f]++
 	if e := c.lookup(id); e != nil {
 		// Validate: another subsystem (e.g. DYRS implicit eviction) may
 		// have dropped the underlying replica.
@@ -159,7 +132,7 @@ func (c *Cache) onRead(id dfs.BlockID, at cluster.NodeID) {
 		c.remove(e, false)
 	}
 	c.Misses++
-	c.insert(id, f, at)
+	c.insert(id, at)
 }
 
 // insert caches the block on a disk-replica holder, evicting as needed.
@@ -168,7 +141,7 @@ func (c *Cache) onRead(id dfs.BlockID, at cluster.NodeID) {
 // reader — the reader itself when it holds a replica — keeps the block
 // buffered, and the cluster-wide read redirect serves later readers
 // from there wherever they run.
-func (c *Cache) insert(id dfs.BlockID, f *dfs.File, at cluster.NodeID) {
+func (c *Cache) insert(id dfs.BlockID, at cluster.NodeID) {
 	size := c.fs.BlockSize(id)
 	if size > c.perNode {
 		return // would never fit
@@ -195,7 +168,7 @@ func (c *Cache) insert(id dfs.BlockID, f *dfs.File, at cluster.NodeID) {
 	} else {
 		e = &entry{}
 	}
-	*e = entry{id: id, file: f, size: size, node: node}
+	*e = entry{id: id, size: size, node: node}
 	l.pushFront(e)
 	if int(id) >= len(c.byBlock) {
 		grown := make([]*entry, c.fs.NumBlocks())
@@ -205,7 +178,6 @@ func (c *Cache) insert(id dfs.BlockID, f *dfs.File, at cluster.NodeID) {
 	c.byBlock[int(id)] = e
 	c.resident++
 	l.used += size
-	c.fileBytes[f] += size
 	c.Insertions++
 }
 
@@ -226,30 +198,10 @@ func (c *Cache) placement(id dfs.BlockID, at cluster.NodeID) (cluster.NodeID, bo
 	return live[0], true
 }
 
-// evictOne removes one block from the given node per policy. Reports
-// whether anything was evicted. Every policy scans the node's list from
-// the least recently used end and keeps the first entry of the best
-// score, so ties go to the least recent entry and the victim never
-// depends on map order.
+// evictOne removes the given node's least recently used block.
+// Reports whether anything was evicted.
 func (c *Cache) evictOne(node cluster.NodeID) bool {
 	victim := c.nodes[int(node)].tail
-	switch c.policy {
-	case LIFE:
-		// The largest cached file (counting every node) loses first.
-		var worst sim.Bytes = -1
-		for e := victim; e != nil; e = e.prev {
-			if fb := c.fileBytes[e.file]; fb > worst {
-				worst, victim = fb, e
-			}
-		}
-	case LFU:
-		best := int(^uint(0) >> 1)
-		for e := victim; e != nil; e = e.prev {
-			if u := c.fileUses[e.file]; u < best {
-				best, victim = u, e
-			}
-		}
-	}
 	if victim == nil {
 		return false
 	}
@@ -270,7 +222,6 @@ func (c *Cache) remove(e *entry, dropReplica bool) {
 	l.used -= e.size
 	c.byBlock[int(e.id)] = nil
 	c.resident--
-	c.fileBytes[e.file] -= e.size
 	*e = entry{next: c.free}
 	c.free = e
 }

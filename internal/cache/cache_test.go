@@ -2,14 +2,12 @@ package cache
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 	"time"
 
 	"dyrs/internal/cluster"
 	"dyrs/internal/dfs"
 	"dyrs/internal/sim"
-	"dyrs/internal/trace"
 )
 
 func newFS(t *testing.T, seed int64) (*sim.Engine, *dfs.FS) {
@@ -98,51 +96,6 @@ func TestBudgetEviction(t *testing.T) {
 	if aReads[0].Source.FromMemory() {
 		t.Error("evicted block served from memory")
 	}
-}
-
-func TestLIFEEvictsLargestFile(t *testing.T) {
-	eng, fs := newFS(t, 3)
-	c, err := New(fs, 3*256*sim.MB, LIFE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs.CreateFile("big", 512*sim.MB)  // 2 blocks
-	fs.CreateFile("tiny", 64*sim.MB)  // 1 block
-	fs.CreateFile("tiny2", 64*sim.MB) // 1 block
-	readAll(t, eng, fs, "big")
-	readAll(t, eng, fs, "tiny")
-	readAll(t, eng, fs, "tiny2")
-	// Force an eviction: insert one more 256MB block.
-	fs.CreateFile("extra", 256*sim.MB)
-	readAll(t, eng, fs, "extra")
-	// LIFE should have evicted from "big" (the largest cached file),
-	// keeping the small files intact.
-	if r := readAll(t, eng, fs, "tiny"); !r[0].Source.FromMemory() {
-		t.Error("LIFE evicted a small file's block")
-	}
-	if c.Evictions == 0 {
-		t.Error("no eviction happened")
-	}
-}
-
-func TestLFUEvictsColdFile(t *testing.T) {
-	eng, fs := newFS(t, 4)
-	c, err := New(fs, 2*256*sim.MB, LFU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs.CreateFile("popular", 256*sim.MB)
-	fs.CreateFile("once", 256*sim.MB)
-	readAll(t, eng, fs, "popular")
-	readAll(t, eng, fs, "popular")
-	readAll(t, eng, fs, "popular")
-	readAll(t, eng, fs, "once")
-	fs.CreateFile("new", 256*sim.MB)
-	readAll(t, eng, fs, "new") // must evict "once", not "popular"
-	if r := readAll(t, eng, fs, "popular"); !r[0].Source.FromMemory() {
-		t.Error("LFU evicted the popular file")
-	}
-	_ = c
 }
 
 func TestOversizeBlockNotCached(t *testing.T) {
@@ -320,54 +273,6 @@ func TestLRUPerNodeVictims(t *testing.T) {
 	}
 }
 
-// evictionSequence runs one cache scenario whose files tie on the
-// policy's score and returns the evicted blocks in order.
-func evictionSequence(t *testing.T, policy EvictPolicy) []string {
-	t.Helper()
-	eng := sim.NewEngine(12)
-	tr := trace.New(eng)
-	fs := dfs.New(cluster.New(eng, 3, nil), dfs.DefaultConfig())
-	c, err := New(fs, 4*64*sim.MB, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []dfs.BlockID
-	for i := 0; i < 8; i++ {
-		f, _ := fs.CreateFile(fmt.Sprintf("f%d", i), 64*sim.MB)
-		ids = append(ids, f.Blocks[0])
-	}
-	// Every file is one equal block read equally often, so LIFE's file
-	// sizes and LFU's use counts tie among all cached blocks.
-	for round := 0; round < 3; round++ {
-		for _, k := range []int{0, 1, 2, 3, 4, 5, 6, 7, 3, 1, 6, 4} {
-			c.onRead(ids[k], 0)
-		}
-	}
-	var seq []string
-	for _, in := range tr.Instants() {
-		if in.Name() == "evict" {
-			seq = append(seq, in.Attr("block"))
-		}
-	}
-	if len(seq) == 0 {
-		t.Fatal("scenario evicted nothing")
-	}
-	return seq
-}
-
-// TestLIFEAndLFUEvictionDeterministic runs a tie-heavy scenario 20 times
-// per policy and requires the same eviction sequence every time.
-func TestLIFEAndLFUEvictionDeterministic(t *testing.T) {
-	for _, policy := range []EvictPolicy{LIFE, LFU} {
-		want := evictionSequence(t, policy)
-		for run := 1; run < 20; run++ {
-			if got := evictionSequence(t, policy); !slices.Equal(got, want) {
-				t.Fatalf("%v run %d evicted %v, run 0 evicted %v", policy, run, got, want)
-			}
-		}
-	}
-}
-
 func TestInvalidBudget(t *testing.T) {
 	_, fs := newFS(t, 8)
 	if _, err := New(fs, 0, LRU); err == nil {
@@ -376,7 +281,7 @@ func TestInvalidBudget(t *testing.T) {
 }
 
 func TestPolicyString(t *testing.T) {
-	if LRU.String() != "LRU" || LIFE.String() != "LIFE" || LFU.String() != "LFU" {
+	if LRU.String() != "LRU" {
 		t.Error("policy names wrong")
 	}
 }

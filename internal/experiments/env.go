@@ -63,16 +63,10 @@ type Options struct {
 	Trace bool
 	// SampleEvery, when >1 (and Trace is on), keeps 1-in-N root spans
 	// and instants via the tracer's deterministic sampler; counters and
-	// histograms stay exact. The sampled trace is byte-identical across
-	// shard and worker counts.
+	// histograms stay exact. The keep decision hashes the seed, category,
+	// node and per-node ordinal, so the sampled trace is byte-identical
+	// run to run.
 	SampleEvery int
-	// Shards, when >1, runs the environment on a sim.ShardedEngine with
-	// that many logical shards. The whole model is pinned to shard 0, so
-	// it executes on the sharded engine's solo fast path and every
-	// output stays byte-identical to Shards<=1 — this is the cheap
-	// differential lever dyrs-sim/dyrs-fuzz -shards pulls to prove the
-	// sharded executor against the sequential one.
-	Shards int
 	// MigBinder, when non-empty and the policy migrates, overrides the
 	// binder backing the coordinator with a migrating internal/policy
 	// name ("dyrs", "ignem", "costaware"). The migration Config stays
@@ -91,7 +85,7 @@ func (opt Options) Validate() error {
 	for _, c := range []struct {
 		name string
 		v    int
-	}{{"Workers", opt.Workers}, {"Racks", opt.Racks}, {"Shards", opt.Shards}, {"SampleEvery", opt.SampleEvery}} {
+	}{{"Workers", opt.Workers}, {"Racks", opt.Racks}, {"SampleEvery", opt.SampleEvery}} {
 		if c.v < 0 {
 			return fmt.Errorf("experiments: %s must not be negative, got %d", c.name, c.v)
 		}
@@ -150,12 +144,7 @@ func NewEnv(pol Policy, opt Options) *Env {
 	if opt.Workers <= 0 {
 		opt.Workers = 7
 	}
-	var eng *sim.Engine
-	if opt.Shards > 1 {
-		eng = sim.NewShardedEngine(opt.Seed, opt.Shards, time.Millisecond).Shard(0)
-	} else {
-		eng = sim.NewEngine(opt.Seed)
-	}
+	eng := sim.NewEngine(opt.Seed)
 	if opt.Trace {
 		// Attach before any component constructs: they capture the run's
 		// tracer once at construction time.

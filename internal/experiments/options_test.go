@@ -23,7 +23,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"binder", Options{MigBinder: "ignem"}, ""},
 		{"negative workers", Options{Workers: -1}, "Workers"},
 		{"negative racks", Options{Racks: -2}, "Racks"},
-		{"negative shards", Options{Shards: -1}, "Shards"},
 		{"negative sampling", Options{SampleEvery: -3}, "SampleEvery"},
 		{"NaN core", Options{CoreBandwidth: math.NaN()}, "CoreBandwidth"},
 		{"infinite core", Options{CoreBandwidth: math.Inf(1)}, "CoreBandwidth"},
@@ -50,14 +49,14 @@ func TestOptionsValidate(t *testing.T) {
 // they build an environment that runs a small sort for one virtual
 // minute without panicking.
 func FuzzOptions(f *testing.F) {
-	f.Add(int8(7), int8(0), int8(0), int8(0), 0.0, int8(-1), 1.0, uint8(0), uint8(3), false)
-	f.Add(int8(8), int8(2), int8(2), int8(4), 1e9, int8(1), 0.25, uint8(1), uint8(2), true)
-	f.Add(int8(3), int8(5), int8(1), int8(-1), -1.0, int8(5), 0.0, uint8(4), uint8(4), true)
-	f.Add(int8(0), int8(0), int8(0), int8(0), math.Inf(1), int8(0), math.NaN(), uint8(5), uint8(0), false)
+	f.Add(int8(7), int8(0), int8(0), 0.0, int8(-1), 1.0, uint8(0), uint8(3), false)
+	f.Add(int8(8), int8(2), int8(4), 1e9, int8(1), 0.25, uint8(1), uint8(2), true)
+	f.Add(int8(3), int8(5), int8(-1), -1.0, int8(5), 0.0, uint8(4), uint8(4), true)
+	f.Add(int8(0), int8(0), int8(0), math.Inf(1), int8(0), math.NaN(), uint8(5), uint8(0), false)
 	binders := []string{"", "dyrs", "ignem", "costaware", "bogus", "hdfs"}
 	policies := []Policy{HDFS, RAM, Ignem, DYRS, Naive}
 
-	f.Fuzz(func(t *testing.T, workers, racks, shards, sample int8, core float64,
+	f.Fuzz(func(t *testing.T, workers, racks, sample int8, core float64,
 		slowIdx int8, slowScale float64, binder, pol uint8, traced bool) {
 		opt := Options{
 			Workers:       int(workers),
@@ -66,7 +65,6 @@ func FuzzOptions(f *testing.F) {
 			CoreBandwidth: core,
 			Trace:         traced,
 			SampleEvery:   int(sample),
-			Shards:        int(shards),
 			MigBinder:     binders[int(binder)%len(binders)],
 		}
 		if slowIdx != -1 { // -1 leaves SlowNodes unset

@@ -46,14 +46,9 @@ type ScaleOptions struct {
 	Virtual sim.Duration
 	// Seed drives all randomness; identical seeds give identical rows.
 	Seed int64
-	// Shards, when >1, runs the scenario pinned to shard 0 of a
-	// sim.ShardedEngine with that many logical shards — the solo fast
-	// path, byte-identical to the sequential engine (asserted by
-	// TestScaleDeterminism100ShardedMatchesSequential).
-	Shards int
 	// SampleEvery, when >1, attaches a tracer with deterministic 1-in-N
-	// root-record sampling; the sampled trace is byte-identical at any
-	// Shards value. TraceOut, when non-nil, receives the canonical trace
+	// root-record sampling; the sampled trace is byte-identical run to
+	// run. TraceOut, when non-nil, receives the canonical trace
 	// document at the end of the run (attaching a tracer even when
 	// SampleEvery <= 1).
 	SampleEvery int
@@ -200,12 +195,7 @@ func RunScale(opt ScaleOptions) (ScaleRow, error) {
 		return row, fmt.Errorf("scale %s: non-positive size parameter", opt.Scenario)
 	}
 
-	var eng *sim.Engine
-	if opt.Shards > 1 {
-		eng = sim.NewShardedEngine(opt.Seed, opt.Shards, time.Millisecond).Shard(0)
-	} else {
-		eng = sim.NewEngine(opt.Seed)
-	}
+	eng := sim.NewEngine(opt.Seed)
 	if opt.TraceOut != nil || opt.SampleEvery > 1 {
 		// Attach before components construct (they capture the tracer
 		// once). Recording is passive — the traced row stays byte-

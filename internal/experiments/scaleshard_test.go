@@ -121,33 +121,6 @@ func TestScaleShardSmokeWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestScaleDeterminism100ShardedMatchesSequential is the differential
-// gate the tentpole demands: the full 100-node scale run, pinned to
-// shard 0 of a 4-shard engine (the solo fast path), must serialize
-// byte-identically to the plain sequential engine. Skipped under
-// -short; the shard-smoke CI job runs it.
-func TestScaleDeterminism100ShardedMatchesSequential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full 100-node double run skipped under -short")
-	}
-	t.Parallel()
-	seq, err := RunScale(Scale100Options(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := Scale100Options(42)
-	opt.Shards = 4
-	sharded, err := RunScale(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := json.Marshal(seq)
-	b, _ := json.Marshal(sharded)
-	if !bytes.Equal(a, b) {
-		t.Errorf("sharded scale100 diverged from sequential:\n%s\n%s", a, b)
-	}
-}
-
 // TestScaleShardMemoryBudget mirrors TestScaleMemoryBudget for the
 // partitioned model at 4 workers: the smoke preset must stay inside
 // the same process-wide Sys budget the scale-smoke CI job enforces.

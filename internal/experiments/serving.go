@@ -114,9 +114,6 @@ type ServingOptions struct {
 	Workers, Racks int
 	// Seed drives the stream draw and the simulation.
 	Seed int64
-	// Shards, when >1, pins the run to shard 0 of a sharded engine (the
-	// byte-identical solo fast path, as elsewhere).
-	Shards int
 	// Spec is the workload draw; zero value means DefaultServingSpec.
 	Spec workload.ServingSpec
 	// Load tunes the driver; zero value means DefaultServingLoadOptions.
@@ -202,7 +199,6 @@ func RunServing(opt ServingOptions) (ServingReport, error) {
 			Racks:     opt.Racks,
 			Seed:      opt.Seed,
 			Trace:     true,
-			Shards:    opt.Shards,
 			MigBinder: binder,
 		})
 		row, err := RunServingLoad(env, stream, opt.Load)

@@ -43,7 +43,7 @@ func TestCanaryBugIsDetectedAndShrunk(t *testing.T) {
 	}
 
 	oracle := FailedOracles(failures)[0]
-	rep := Shrink(seed, false, 0, oracle)
+	rep := Shrink(Repro{Seed: seed}, oracle)
 	t.Logf("shrunk to %d event(s): %s", rep.Events(), rep.Command())
 	if rep.Events() > 3 {
 		t.Fatalf("shrunk repro still has %d events, want <= 3", rep.Events())

@@ -53,16 +53,11 @@ func goldenCases() []goldenCase {
 	return cases
 }
 
-// goldenShards are the engine shard counts every scenario must match
-// the corpus at.
-var goldenShards = [...]int{1, 2, 4}
-
-// recordGolden runs the scenario under DYRS with the "dyrs" policy on
-// the given shard count and reduces the run to its corpus entry.
-func recordGolden(t *testing.T, c goldenCase, shards int) goldenEntry {
+// recordGolden runs the scenario under DYRS with the "dyrs" policy and
+// reduces the run to its corpus entry.
+func recordGolden(t *testing.T, c goldenCase) goldenEntry {
 	t.Helper()
 	sc := c.sc
-	sc.Shards = shards
 	sc.Policy = "dyrs"
 	res := RunScenario(sc, experiments.DYRS)
 	b, err := json.Marshal(struct {
@@ -106,11 +101,11 @@ func readGolden(t *testing.T) map[string]goldenEntry {
 	return want
 }
 
-// TestGoldenCorpus pins every corpus scenario, at 1, 2 and 4 shards, to
-// the committed trace hash, end time, served count and stats digest.
-// The corpus was recorded while the frozen pre-extraction DYRS binder
-// and the reference-mode fair-share resources still existed and matched
-// these runs byte for byte, so it carries their proof forward. On a
+// TestGoldenCorpus pins every corpus scenario to the committed trace
+// hash, end time, served count and stats digest. The corpus was
+// recorded while the frozen pre-extraction DYRS binder and the
+// reference-mode fair-share resources still existed and matched these
+// runs byte for byte, so it carries their proof forward. On a
 // mismatch the test lists the differing entries and writes the
 // recomputed corpus to a temporary file for a declared regeneration.
 func TestGoldenCorpus(t *testing.T) {
@@ -121,14 +116,7 @@ func TestGoldenCorpus(t *testing.T) {
 		for i, c := range cases {
 			t.Run(c.name, func(t *testing.T) {
 				t.Parallel()
-				for _, shards := range goldenShards {
-					e := recordGolden(t, c, shards)
-					if shards == goldenShards[0] {
-						got[i] = e
-					} else if e != got[i] {
-						t.Errorf("shards=%d: %+v, shards=1: %+v", shards, e, got[i])
-					}
-				}
+				got[i] = recordGolden(t, c)
 				if w, ok := want[c.name]; !ok {
 					t.Errorf("no corpus entry")
 				} else if got[i] != w {
@@ -161,22 +149,28 @@ func TestGoldenCorpus(t *testing.T) {
 // The differential suites that proved the policy extraction and the
 // fair-share resource rewrite against their frozen references keep
 // their names as views of the corpus those references recorded: each
-// seed at the shard count it rotated through (1, 2, 4 by seed mod 3).
-func TestDYRSPolicyConformance(t *testing.T)           { checkRotated(t, "generate/") }
-func TestDYRSPolicyConformanceServing(t *testing.T)    { checkRotated(t, "serving/") }
-func TestResourceModelConformance(t *testing.T)        { checkRotated(t, "generate/") }
-func TestResourceModelConformanceServing(t *testing.T) { checkRotated(t, "serving/") }
+// view runs its family's scenarios and checks them against their
+// entries. The "shards=K" part of a subtest name is the shard count
+// that seed rotated through (1, 2, 4 by seed mod 3) when scenarios
+// could still be pinned to a sharded engine; it is kept so the test
+// IDs stay stable, and every run is now the one plain-engine run.
+func TestDYRSPolicyConformance(t *testing.T)           { checkFamily(t, "generate/") }
+func TestDYRSPolicyConformanceServing(t *testing.T)    { checkFamily(t, "serving/") }
+func TestResourceModelConformance(t *testing.T)        { checkFamily(t, "generate/") }
+func TestResourceModelConformanceServing(t *testing.T) { checkFamily(t, "serving/") }
 
-func checkRotated(t *testing.T, family string) {
+// rotatedShards names the subtests of the conformance views.
+var rotatedShards = [...]int{1, 2, 4}
+
+func checkFamily(t *testing.T, family string) {
 	want := readGolden(t)
 	for _, c := range goldenCases() {
 		if !strings.HasPrefix(c.name, family) {
 			continue
 		}
-		shards := goldenShards[c.sc.Seed%3]
-		t.Run(fmt.Sprintf("seed=%d/shards=%d", c.sc.Seed, shards), func(t *testing.T) {
+		t.Run(fmt.Sprintf("seed=%d/shards=%d", c.sc.Seed, rotatedShards[c.sc.Seed%3]), func(t *testing.T) {
 			t.Parallel()
-			if got := recordGolden(t, c, shards); got != want[c.name] {
+			if got := recordGolden(t, c); got != want[c.name] {
 				t.Errorf("got %+v, corpus %+v", got, want[c.name])
 			}
 		})

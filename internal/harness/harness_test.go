@@ -3,7 +3,9 @@ package harness
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"dyrs/internal/experiments"
 )
@@ -149,21 +151,6 @@ func TestCheckScenarioSmokeSeeds(t *testing.T) {
 	}
 }
 
-// TestCheckScenarioShardInvariance runs the full battery with the
-// sharded fourth run at shards in {2, 4}: the differential
-// sharded-vs-sequential gate over real generated scenarios. Under
-// -race in CI this is the tentpole equivalence proof at harness level.
-func TestCheckScenarioShardInvariance(t *testing.T) {
-	t.Parallel()
-	for _, shards := range []int{2, 4} {
-		sc := Generate(7)
-		sc.Shards = shards
-		for _, f := range CheckScenario(sc) {
-			t.Errorf("seed 7 shards=%d: %s", shards, f)
-		}
-	}
-}
-
 // TestRunScenarioObservations checks the harness actually exercises the
 // system: jobs complete, migrations happen, and the trace hash is
 // stable across runs.
@@ -189,6 +176,44 @@ func TestRunScenarioObservations(t *testing.T) {
 	}
 }
 
+// TestRunScenarioRejectsInvalidScenario pins Scenario.Validate at the
+// RunScenario boundary: each case used to panic inside the engine or the
+// fault schedule (divide by zero, negative node index, event before
+// now) and now comes back as a submission error, on the job and the
+// serving path alike.
+func TestRunScenarioRejectsInvalidScenario(t *testing.T) {
+	t.Parallel()
+	cases := []struct {
+		name   string
+		mutate func(sc *Scenario)
+		want   string
+	}{
+		{"zero workers", func(sc *Scenario) { sc.Workers = 0 }, "Workers"},
+		{"negative node", func(sc *Scenario) {
+			sc.Faults[0].Kind = FaultNodeDeath
+			sc.Faults[0].Node = -3
+		}, "negative node"},
+		{"negative time", func(sc *Scenario) { sc.Faults[0].At = -time.Second }, "negative time"},
+	}
+	for _, base := range []Scenario{Generate(7), GenerateServing(1)} {
+		for _, tc := range cases {
+			sc := base
+			sc.Faults = append([]Fault(nil), base.Faults...)
+			tc.mutate(&sc)
+			if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("serving=%v %s: Validate() = %v, want error containing %q", sc.Serving, tc.name, err, tc.want)
+			}
+			r := RunScenario(sc, experiments.DYRS)
+			if len(r.SubmitErrors) != 1 || !strings.Contains(r.SubmitErrors[0], tc.want) {
+				t.Errorf("serving=%v %s: SubmitErrors = %v, want one containing %q", sc.Serving, tc.name, r.SubmitErrors, tc.want)
+			}
+		}
+		if err := base.Validate(); err != nil {
+			t.Errorf("serving=%v: generated scenario rejected: %v", base.Serving, err)
+		}
+	}
+}
+
 // TestEvaluateDetectsSyntheticViolations feeds hand-built results to
 // each oracle to prove none of them is vacuous.
 func TestEvaluateDetectsSyntheticViolations(t *testing.T) {
@@ -200,8 +225,8 @@ func TestEvaluateDetectsSyntheticViolations(t *testing.T) {
 		}
 		return mk(experiments.DYRS), mk(experiments.DYRS), mk(experiments.HDFS)
 	}
-	if r1, r2, rh := clean(); len(Evaluate(sc, r1, r2, rh, nil)) != 0 {
-		t.Fatalf("baseline should pass: %v", Evaluate(sc, r1, r2, rh, nil))
+	if r1, r2, rh := clean(); len(Evaluate(sc, r1, r2, rh)) != 0 {
+		t.Fatalf("baseline should pass: %v", Evaluate(sc, r1, r2, rh))
 	}
 
 	cases := []struct {
@@ -228,7 +253,7 @@ func TestEvaluateDetectsSyntheticViolations(t *testing.T) {
 	for i, tc := range cases {
 		r1, r2, rh := clean()
 		tc.mutate(r1, r2, rh)
-		got := Evaluate(sc, r1, r2, rh, nil)
+		got := Evaluate(sc, r1, r2, rh)
 		found := false
 		for _, f := range got {
 			if f.Oracle == tc.oracle {
@@ -237,38 +262,6 @@ func TestEvaluateDetectsSyntheticViolations(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("case %d: oracle %s did not fire (got %v)", i, tc.oracle, got)
-		}
-	}
-
-	// Shard invariance: a sharded run diverging from the sequential
-	// reference in hash, completion set, or stats must fire the oracle;
-	// an identical one must not.
-	shardCases := []struct {
-		name   string
-		mutate func(rs *RunResult)
-		fire   bool
-	}{
-		{"identical", func(*RunResult) {}, false},
-		{"hash", func(rs *RunResult) { rs.TraceHash = "other" }, true},
-		{"completed", func(rs *RunResult) { rs.Completed = []string{"ghost"} }, true},
-		{"stats", func(rs *RunResult) { rs.Stats.Migrated = 7 }, true},
-		{"counters", func(rs *RunResult) { rs.Counters = map[string]int64{"x": 1} }, true},
-	}
-	for _, tc := range shardCases {
-		r1, r2, rh := clean()
-		rs := &RunResult{Policy: experiments.DYRS, TraceHash: "h", Counters: map[string]int64{}}
-		tc.mutate(rs)
-		scs := sc
-		scs.Shards = 4
-		got := Evaluate(scs, r1, r2, rh, rs)
-		fired := false
-		for _, f := range got {
-			if f.Oracle == OracleShardInvariance {
-				fired = true
-			}
-		}
-		if fired != tc.fire {
-			t.Errorf("shard-invariance %s: fired=%v want %v (got %v)", tc.name, fired, tc.fire, got)
 		}
 	}
 }

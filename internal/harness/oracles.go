@@ -10,24 +10,16 @@ import (
 // Oracle names, used to classify failures and to steer shrinking (the
 // shrinker preserves "still fails the same oracle").
 const (
-	OracleFsck            = "fsck"
-	OracleConservation    = "conservation"
-	OracleLiveness        = "liveness"
-	OracleMetamorphic     = "metamorphic"
-	OracleDeterminism     = "determinism"
-	OracleShardInvariance = "shard-invariance"
+	OracleFsck         = "fsck"
+	OracleConservation = "conservation"
+	OracleLiveness     = "liveness"
+	OracleMetamorphic  = "metamorphic"
+	OracleDeterminism  = "determinism"
 )
 
-// OracleRunsPerSeed reports how many scenario executions CheckScenario
-// performs for a scenario with the given engine shard count: DYRS x2
-// (determinism) + HDFS (metamorphic), plus one sharded DYRS run
-// (shard invariance) when shards > 1.
-func OracleRunsPerSeed(shards int) int {
-	if shards > 1 {
-		return 4
-	}
-	return 3
-}
+// OracleRunsPerSeed is how many scenario executions CheckScenario
+// performs: DYRS x2 (determinism) + HDFS (metamorphic).
+const OracleRunsPerSeed = 3
 
 // Failure is one oracle violation.
 type Failure struct {
@@ -37,29 +29,20 @@ type Failure struct {
 
 func (f Failure) String() string { return f.Oracle + ": " + f.Detail }
 
-// CheckScenario executes the scenario three times on the sequential
-// engine — twice under DYRS, once under plain HDFS — plus, when
-// sc.Shards > 1, a fourth DYRS run on the sharded engine, and
-// evaluates the full oracle battery. An empty slice means every oracle
-// passed.
+// CheckScenario executes the scenario three times — twice under DYRS,
+// once under plain HDFS — and evaluates the full oracle battery. An
+// empty slice means every oracle passed.
 func CheckScenario(sc Scenario) []Failure {
-	seq := sc
-	seq.Shards = 0 // the reference runs are always sequential
-	r1 := RunScenario(seq, experiments.DYRS)
-	r2 := RunScenario(seq, experiments.DYRS)
-	rh := RunScenario(seq, experiments.HDFS)
-	var rs *RunResult
-	if sc.Shards > 1 {
-		rs = RunScenario(sc, experiments.DYRS)
-	}
-	return Evaluate(sc, r1, r2, rh, rs)
+	r1 := RunScenario(sc, experiments.DYRS)
+	r2 := RunScenario(sc, experiments.DYRS)
+	rh := RunScenario(sc, experiments.HDFS)
+	return Evaluate(sc, r1, r2, rh)
 }
 
 // Evaluate applies the oracles to the runs of a scenario: the two DYRS
-// runs, the HDFS run, and (nil when sc.Shards <= 1) the sharded-engine
-// DYRS run. Split from CheckScenario so tests can feed synthetic
-// results.
-func Evaluate(sc Scenario, r1, r2, rh, rs *RunResult) []Failure {
+// runs and the HDFS run. Split from CheckScenario so tests can feed
+// synthetic results.
+func Evaluate(sc Scenario, r1, r2, rh *RunResult) []Failure {
 	var fs []Failure
 	fail := func(oracle, format string, args ...any) {
 		fs = append(fs, Failure{Oracle: oracle, Detail: fmt.Sprintf(format, args...)})
@@ -193,29 +176,6 @@ func Evaluate(sc Scenario, r1, r2, rh, rs *RunResult) []Failure {
 			r1.RequestsServed, r2.RequestsServed)
 	}
 
-	// 6. Shard invariance: the same scenario executed on the sharded
-	// engine must be byte-identical to the sequential runs — same
-	// canonical trace, same completion set, same stats and counters.
-	if rs != nil {
-		if rs.TraceHash != r1.TraceHash {
-			fail(OracleShardInvariance, "shards=%d trace hash %.12s… differs from sequential %.12s…",
-				sc.Shards, rs.TraceHash, r1.TraceHash)
-		}
-		if !reflect.DeepEqual(rs.Completed, r1.Completed) {
-			fail(OracleShardInvariance, "shards=%d completed %v but sequential completed %v",
-				sc.Shards, rs.Completed, r1.Completed)
-		}
-		if rs.Stats != r1.Stats {
-			fail(OracleShardInvariance, "shards=%d stats differ: %+v vs %+v", sc.Shards, rs.Stats, r1.Stats)
-		}
-		if !reflect.DeepEqual(rs.Counters, r1.Counters) {
-			fail(OracleShardInvariance, "shards=%d counters differ from sequential", sc.Shards)
-		}
-		if rs.RequestsServed != r1.RequestsServed {
-			fail(OracleShardInvariance, "shards=%d served %d but sequential served %d",
-				sc.Shards, rs.RequestsServed, r1.RequestsServed)
-		}
-	}
 	return fs
 }
 

@@ -171,16 +171,18 @@ func RunScenario(sc Scenario, policy experiments.Policy) *RunResult {
 // newScenarioEnv builds the traced environment for a scenario run, with
 // the flight recorder armed so a failing scenario leaves its last
 // moments behind. Sampling stays off: the span-tally oracles need the
-// full trace. Options that fail Validate are returned as an error,
-// which the caller records like a submission failure.
+// full trace. A scenario or options that fail Validate are returned as
+// an error, which the caller records like a submission failure.
 func newScenarioEnv(sc Scenario, policy experiments.Policy) (*experiments.Env, error) {
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
 	opt := experiments.Options{
 		Workers:   sc.Workers,
 		Racks:     sc.Racks,
 		Seed:      sc.Seed,
 		SlowNodes: sc.SlowNodes,
 		Trace:     true,
-		Shards:    sc.Shards,
 		MigBinder: sc.Policy,
 	}
 	if err := opt.Validate(); err != nil {

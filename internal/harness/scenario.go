@@ -16,11 +16,7 @@
 //     is the loss of the speedup");
 //  5. determinism: running the identical scenario twice produces
 //     byte-identical canonical traces (same hash), identical stats and
-//     identical completion sets;
-//  6. shard invariance (when the scenario carries a shard count):
-//     executing the scenario on the sharded multi-core engine produces
-//     the same trace hash, stats, counters and completion set as the
-//     sequential engine.
+//     identical completion sets.
 //
 // On failure the harness shrinks the scenario — dropping faults, then
 // jobs, while the same oracle keeps failing — and prints a one-line
@@ -137,13 +133,6 @@ type Scenario struct {
 	// Racks, when >1, partitions the workers into racks with rack-aware
 	// replica placement (large topologies only; 0 = flat network).
 	Racks int
-	// Shards, when >1, adds a fourth oracle run executing the scenario
-	// on a sim.ShardedEngine with that many logical shards; the
-	// shard-invariance oracle demands its trace hash, stats and counters
-	// match the sequential runs byte for byte. Set by the driver
-	// (dyrs-fuzz -shards), never drawn by generate, so existing repro
-	// masks stay stable.
-	Shards int
 	// Policy names the migration binder the migrating oracle runs use: a
 	// migrating internal/policy name ("dyrs", "ignem", "costaware").
 	// Empty means "dyrs". Set by dyrs-fuzz -policy, never drawn by
@@ -171,27 +160,43 @@ type Scenario struct {
 	Horizon time.Duration
 }
 
+// Validate reports the first field RunScenario cannot execute: fewer
+// than one worker, or a fault scheduled before time zero or aimed at a
+// negative node. Generated scenarios always pass; the check guards
+// hand-built and mutated ones at the boundary instead of letting them
+// panic inside the engine or the fault schedule.
+func (sc Scenario) Validate() error {
+	if sc.Workers < 1 {
+		return fmt.Errorf("harness: Workers must be at least 1, got %d", sc.Workers)
+	}
+	for i, f := range sc.Faults {
+		if f.At < 0 {
+			return fmt.Errorf("harness: fault %d (%v) at negative time %v", i, f.Kind, f.At)
+		}
+		if f.Node < 0 {
+			return fmt.Errorf("harness: fault %d (%v) targets negative node %d", i, f.Kind, f.Node)
+		}
+	}
+	return nil
+}
+
 // String renders a compact one-line description for failure reports.
 func (sc Scenario) String() string {
 	size := ""
 	if sc.Large {
 		size = fmt.Sprintf(" large racks=%d", sc.Racks)
 	}
-	shards := ""
-	if sc.Shards > 1 {
-		shards = fmt.Sprintf(" shards=%d", sc.Shards)
-	}
 	pol := ""
 	if sc.Policy != "" {
 		pol = " policy=" + sc.Policy
 	}
 	if sc.Serving {
-		return fmt.Sprintf("seed=%d serving workers=%d%s%s slow=%d files=%d rate=%.1f/s faults=%d hb=%v",
-			sc.Seed, sc.Workers, shards, pol, len(sc.SlowNodes),
+		return fmt.Sprintf("seed=%d serving workers=%d%s slow=%d files=%d rate=%.1f/s faults=%d hb=%v",
+			sc.Seed, sc.Workers, pol, len(sc.SlowNodes),
 			sc.ServingSpec.Files, sc.ServingSpec.MeanRate, len(sc.Faults), sc.Heartbeats)
 	}
-	return fmt.Sprintf("seed=%d workers=%d%s%s%s slow=%d jobs=%d faults=%d hb=%v",
-		sc.Seed, sc.Workers, size, shards, pol, len(sc.SlowNodes), len(sc.Jobs), len(sc.Faults), sc.Heartbeats)
+	return fmt.Sprintf("seed=%d workers=%d%s%s slow=%d jobs=%d faults=%d hb=%v",
+		sc.Seed, sc.Workers, size, pol, len(sc.SlowNodes), len(sc.Jobs), len(sc.Faults), sc.Heartbeats)
 }
 
 // Generate draws the testbed-scale scenario for a seed (5-8 workers,

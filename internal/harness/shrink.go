@@ -17,13 +17,12 @@ type Repro struct {
 	Large      bool   // regenerate from the large-topology envelope
 	Serving    bool   // regenerate from the serving-workload envelope
 	Policy     string // migration binder the failure was observed under ("": dyrs)
-	Shards     int    // engine shard count the failure was observed at (0/1: sequential)
 	KeepFaults []int  // nil: all faults
 	KeepJobs   []int  // nil: all jobs
 }
 
 // Scenario materializes the repro by generating the seed's scenario and
-// applying the keep-masks, policy and shard count.
+// applying the keep-masks and policy.
 func (r Repro) Scenario() Scenario {
 	var sc Scenario
 	if r.Serving {
@@ -31,7 +30,6 @@ func (r Repro) Scenario() Scenario {
 	} else {
 		sc = generate(r.Seed, r.Large)
 	}
-	sc.Shards = r.Shards
 	sc.Policy = r.Policy
 	if r.KeepFaults != nil {
 		sc.Faults = pick(sc.Faults, r.KeepFaults)
@@ -87,14 +85,10 @@ func (r Repro) Command() string {
 	if r.Policy != "" {
 		pol = " -policy " + r.Policy
 	}
-	shards := ""
-	if r.Shards > 1 {
-		shards = fmt.Sprintf(" -shards %d", r.Shards)
-	}
 	if mask := r.String(); mask != "" {
-		return fmt.Sprintf("dyrs-fuzz%s%s%s -seed %d -repro '%s'", size, pol, shards, r.Seed, mask)
+		return fmt.Sprintf("dyrs-fuzz%s%s -seed %d -repro '%s'", size, pol, r.Seed, mask)
 	}
-	return fmt.Sprintf("dyrs-fuzz%s%s%s -seed %d", size, pol, shards, r.Seed)
+	return fmt.Sprintf("dyrs-fuzz%s%s -seed %d", size, pol, r.Seed)
 }
 
 func joinInts(xs []int) string {

@@ -11,7 +11,7 @@ import "dyrs/internal/cluster"
 // across replicas in proportion to their measured speed (§III-A2).
 //
 // The golden corpus in internal/harness pins the resulting traces,
-// stats and counters across 72 scenarios at 1, 2 and 4 shards.
+// stats and counters across 72 scenarios.
 type DYRS struct {
 	// Reusable per-pass state, indexed by dense NodeID.
 	finish  []float64

@@ -10,8 +10,8 @@
 // worker counts: every node is homed on exactly one shard, its events
 // execute in a deterministic order at any layout, so the k-th
 // (category, node) record is the same record in every configuration.
-// A 1-in-N sampled trace is therefore byte-identical across shards=1,
-// 2, 4 and any worker count — asserted by CI.
+// A 1-in-N sampled scaleshard trace is therefore byte-identical across
+// data-shard and worker counts — asserted by CI.
 //
 // Sampling drops whole trees: a sampled-out Begin returns the zero
 // SpanRef, and children/annotations of the zero ref are no-ops, so a
