@@ -88,14 +88,6 @@ func (c *Cluster) RackNodes(rack int) []NodeID {
 	return c.topo.rackNodes[rack]
 }
 
-// NodesInRack returns a copy of the ids of nodes in the given rack.
-func (c *Cluster) NodesInRack(rack int) []NodeID {
-	cached := c.RackNodes(rack)
-	out := make([]NodeID, len(cached))
-	copy(out, cached)
-	return out
-}
-
 // String describes the topology.
 func (t *Topology) String() string {
 	if t == nil {

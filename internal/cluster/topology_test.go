@@ -39,7 +39,7 @@ func TestConfigureRacks(t *testing.T) {
 	if c.Core() == nil || c.Core().Capacity() != 2*float64(sim.GB) {
 		t.Error("core not installed")
 	}
-	r0 := c.NodesInRack(0)
+	r0 := c.RackNodes(0)
 	if len(r0) != 3 {
 		t.Errorf("rack 0 has %d nodes", len(r0))
 	}

@@ -136,16 +136,3 @@ func (t *blockTable) holdsReplica(id BlockID, node cluster.NodeID) bool {
 	}
 	return false
 }
-
-// rehome replaces the block's replica on `from` with `to`. It reports
-// whether a slot actually changed (false when `from` held no replica).
-func (t *blockTable) rehome(id BlockID, from, to cluster.NodeID) bool {
-	base := int(id) * t.stride
-	for i := 0; i < t.stride; i++ {
-		if t.replicas[base+i] == int32(from) {
-			t.replicas[base+i] = int32(to)
-			return true
-		}
-	}
-	return false
-}

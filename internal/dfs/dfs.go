@@ -244,11 +244,6 @@ type FS struct {
 	// (previously len() of the registry map).
 	memCount int
 
-	// decommissioned marks nodes excluded from placement; placeable
-	// counts those still eligible.
-	decommissioned []bool
-	placeable      int
-
 	readHooks []readHook
 
 	// hReadLat is the streaming read-latency histogram handle (nil and
@@ -290,17 +285,15 @@ func New(cl *cluster.Cluster, cfg Config) *FS {
 	}
 	eng := cl.Engine()
 	fs := &FS{
-		eng:            eng,
-		cl:             cl,
-		cfg:            cfg,
-		rng:            rand.New(rand.NewSource(eng.Rand().Int63())),
-		tr:             trace.FromEngine(eng),
-		files:          make(map[string]*File),
-		table:          newBlockTable(cfg.Replication),
-		byNode:         make([][]BlockID, cl.Size()),
-		decommissioned: make([]bool, cl.Size()),
-		placeable:      cl.Size(),
-		placeBuf:       make([]cluster.NodeID, 0, cfg.Replication),
+		eng:      eng,
+		cl:       cl,
+		cfg:      cfg,
+		rng:      rand.New(rand.NewSource(eng.Rand().Int63())),
+		tr:       trace.FromEngine(eng),
+		files:    make(map[string]*File),
+		table:    newBlockTable(cfg.Replication),
+		byNode:   make([][]BlockID, cl.Size()),
+		placeBuf: make([]cluster.NodeID, 0, cfg.Replication),
 	}
 	fs.hReadLat = fs.tr.Hist("read.latency_ns")
 	for _, n := range cl.Nodes() {
@@ -372,7 +365,7 @@ func (fs *FS) CreateFileOnTier(name string, size sim.Bytes, tier Tier) (*File, e
 // cluster the rest are random; on a racked cluster placement follows the
 // HDFS default policy: the second replica goes to a different rack than
 // the first, the third to the second replica's rack, and any further
-// replicas land randomly. Decommissioned nodes never receive replicas.
+// replicas land randomly.
 //
 // Clusters below scalableClusterMin use the historical permutation
 // picker so existing experiment outputs stay byte-identical; larger
@@ -382,25 +375,18 @@ func (fs *FS) placeReplicas() []cluster.NodeID {
 	n := fs.cl.Size()
 	chosen := fs.placeBuf[:0]
 
-	var first cluster.NodeID
-	for {
-		first = cluster.NodeID(fs.placeCursor % n)
-		fs.placeCursor++
-		if !fs.decommissioned[first] {
-			break
-		}
-	}
+	first := cluster.NodeID(fs.placeCursor % n)
+	fs.placeCursor++
 	chosen = append(chosen, first)
 
-	has := func(id cluster.NodeID) bool {
+	eligible := func(id cluster.NodeID) bool {
 		for _, c := range chosen {
 			if c == id {
-				return true
+				return false
 			}
 		}
-		return false
+		return true
 	}
-	eligible := func(id cluster.NodeID) bool { return !has(id) && !fs.decommissioned[id] }
 	any := func(cluster.NodeID) bool { return true }
 
 	if n >= scalableClusterMin {
@@ -717,9 +703,6 @@ func (fs *FS) TotalMemUsed() sim.Bytes {
 	return total
 }
 
-// NodeBlockCount reports the number of disk replicas homed on the node.
-func (fs *FS) NodeBlockCount(id cluster.NodeID) int { return len(fs.byNode[int(id)]) }
-
 // BlocksOnNode returns the blocks with a disk replica on the node,
 // sorted by block ID.
 func (fs *FS) BlocksOnNode(id cluster.NodeID) []BlockID {
@@ -737,77 +720,6 @@ func (fs *FS) RackBlockCount(rack int) int {
 		n += len(fs.byNode[int(id)])
 	}
 	return n
-}
-
-// Decommissioned reports whether the node has been decommissioned.
-func (fs *FS) Decommissioned(id cluster.NodeID) bool { return fs.decommissioned[int(id)] }
-
-// DecommissionNode removes a node from placement and re-homes every
-// disk replica it held onto other nodes — the NameNode metadata side of
-// an HDFS decommission (the data copy itself is not modeled; callers
-// that care about the traffic can account for it with the returned
-// replica count). Buffered in-memory replicas on the node are dropped.
-// It fails when the remaining placeable nodes could not hold Replication
-// copies of a block.
-func (fs *FS) DecommissionNode(node cluster.NodeID) (int, error) {
-	if fs.decommissioned[int(node)] {
-		return 0, nil
-	}
-	if fs.placeable-1 < fs.cfg.Replication {
-		return 0, fmt.Errorf("dfs: decommissioning node %v would leave %d placeable nodes for replication %d",
-			node, fs.placeable-1, fs.cfg.Replication)
-	}
-	fs.decommissioned[int(node)] = true
-	fs.placeable--
-	fs.DropAllMem(node)
-
-	posting := fs.byNode[int(node)]
-	fs.byNode[int(node)] = nil
-	kept := posting[:0]
-	moved := 0
-	for _, id := range posting {
-		to, ok := fs.pickReplacement(id, node)
-		if !ok {
-			// No eligible replacement (every placeable node already holds
-			// a replica); the replica stays where it is.
-			kept = append(kept, id)
-			continue
-		}
-		fs.table.rehome(id, node, to)
-		fs.byNode[int(to)] = append(fs.byNode[int(to)], id)
-		moved++
-	}
-	if len(kept) > 0 {
-		fs.byNode[int(node)] = kept
-	}
-	if fs.tr.Enabled() {
-		fs.tr.Instant("dfs", "decommission", int(node),
-			trace.Int("moved", int64(moved)), trace.Int("kept", int64(len(kept))))
-	}
-	return moved, nil
-}
-
-// pickReplacement chooses a placeable node, not already holding a
-// replica of the block, to receive the replica leaving `from`.
-func (fs *FS) pickReplacement(id BlockID, from cluster.NodeID) (cluster.NodeID, bool) {
-	n := fs.cl.Size()
-	ok := func(c cluster.NodeID) bool {
-		return !fs.decommissioned[int(c)] && !fs.table.holdsReplica(id, c)
-	}
-	for try := 0; try < placeSampleTries; try++ {
-		c := cluster.NodeID(fs.rng.Intn(n))
-		if ok(c) {
-			return c, true
-		}
-	}
-	start := fs.rng.Intn(n)
-	for i := 0; i < n; i++ {
-		c := cluster.NodeID((start + i) % n)
-		if ok(c) {
-			return c, true
-		}
-	}
-	return 0, false
 }
 
 // ReadBlock reads a block on behalf of a task running at node `at`.
@@ -1072,7 +984,7 @@ func (fs *FS) WriteBlocks(at cluster.NodeID, size sim.Bytes, replication int, do
 }
 
 // writeTargets picks a block's pipeline: the writer itself when alive,
-// then alive, placeable nodes in a random order until replication are
+// then alive nodes in a random order until replication are
 // chosen. The result is scratch, valid until the next call.
 //
 // The order is the permutation math/rand's Perm would draw, computed in
@@ -1100,7 +1012,7 @@ func (fs *FS) writeTargets(at cluster.NodeID, replication int) []cluster.NodeID 
 			break
 		}
 		id := alive[p]
-		if id == at || fs.decommissioned[int(id)] {
+		if id == at {
 			continue
 		}
 		targets = append(targets, id)

@@ -15,8 +15,7 @@ import (
 // Invariants checked:
 //  1. Every file's blocks exist, belong to it, and are indexed densely
 //     (consecutive block IDs from the file's first block).
-//  2. Every block has between 1 and Replication replicas, all distinct,
-//     none on a decommissioned node unless no replacement existed.
+//  2. Every block has between 1 and Replication replicas, all distinct.
 //  3. The in-memory replica registry (the table's memNode/memPos
 //     columns) and the per-node resident lists agree in both directions:
 //     the registry points into the holder's resident list, and every

@@ -25,7 +25,7 @@ func refWriteTargets(fs *FS, at cluster.NodeID, replication int) []cluster.NodeI
 			break
 		}
 		id := alive[p]
-		if id == at || fs.decommissioned[int(id)] {
+		if id == at {
 			continue
 		}
 		targets = append(targets, id)
@@ -34,9 +34,9 @@ func refWriteTargets(fs *FS, at cluster.NodeID, replication int) []cluster.NodeI
 }
 
 // TestWriteTargetsMatchesPermReference locks the in-place permutation to
-// rand.Perm: on clusters of 3 to 600 nodes with dead and decommissioned
-// nodes, at replication 1-3 and from live and dead writers, both pickers
-// choose the same targets and leave the RNG at the same next draw.
+// rand.Perm: on clusters of 3 to 600 nodes with dead nodes, at
+// replication 1-3 and from live and dead writers, both pickers choose
+// the same targets and leave the RNG at the same next draw.
 func TestWriteTargetsMatchesPermReference(t *testing.T) {
 	t.Parallel()
 	for _, n := range []int{3, 4, 7, 16, 63, 64, 65, 200, 500, 600} {
@@ -51,17 +51,8 @@ func TestWriteTargetsMatchesPermReference(t *testing.T) {
 			faults := rand.New(rand.NewSource(seed * int64(n)))
 			for i := 0; i < n/5; i++ {
 				id := cluster.NodeID(faults.Intn(n))
-				if faults.Intn(2) == 0 {
-					got.cl.KillNode(id)
-					want.cl.KillNode(id)
-					continue
-				}
-				if _, err := got.DecommissionNode(id); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := want.DecommissionNode(id); err != nil {
-					t.Fatal(err)
-				}
+				got.cl.KillNode(id)
+				want.cl.KillNode(id)
 			}
 			for i := 0; i < 50; i++ {
 				at := cluster.NodeID(faults.Intn(n))

@@ -48,9 +48,6 @@ type Options struct {
 	// SlowNodes maps node index to a disk capacity scale (<1 = slower
 	// hardware). Fixed heterogeneity, as opposed to interference.
 	SlowNodes map[int]float64
-	// NodeConfig optionally overrides the per-node hardware config
-	// before SlowNodes scaling is applied.
-	NodeConfig *cluster.NodeConfig
 	// MigrationConfig optionally overrides migration framework tunables.
 	MigrationConfig *migration.Config
 	// Racks, when >1, partitions the cluster into racks with HDFS-style
@@ -153,9 +150,6 @@ func NewEnv(pol Policy, opt Options) *Env {
 	}
 	cl := cluster.New(eng, opt.Workers, func(i int) cluster.NodeConfig {
 		cfg := cluster.DefaultNodeConfig()
-		if opt.NodeConfig != nil {
-			cfg = *opt.NodeConfig
-		}
 		if s, ok := opt.SlowNodes[i]; ok {
 			cfg.DiskScale = s
 		}

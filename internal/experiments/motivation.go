@@ -25,13 +25,6 @@ type MotivationReport struct {
 	MapperDisk, MapperRAM float64
 }
 
-// RAMvsDiskIdle reports the block read speedup of RAM over an idle disk.
-func (m MotivationReport) RAMvsDiskIdle() float64 { return m.DiskIdle / m.MemLocal }
-
-// RAMvsDiskBusy reports the speedup over a disk busy with concurrent
-// reads — the condition under which the paper measured its 160x.
-func (m MotivationReport) RAMvsDiskBusy() float64 { return m.DiskBusy / m.MemLocal }
-
 // RAMvsSSD reports the speedup of RAM over SSD reads (paper: 7x).
 func (m MotivationReport) RAMvsSSD() float64 { return m.SSDIdle / m.MemLocal }
 

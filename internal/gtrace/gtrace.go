@@ -289,15 +289,6 @@ func (t *Trace) FractionUnder(u float64) float64 {
 	return t.UtilizationSamples().FractionBelow(u)
 }
 
-// LeadReadRatios collects each job's lead-time/read-time ratio.
-func (t *Trace) LeadReadRatios() *metrics.Sample {
-	s := metrics.NewSample()
-	for _, j := range t.Jobs {
-		s.Add(j.Ratio())
-	}
-	return s
-}
-
 // FractionLeadCoversRead reports the fraction of jobs whose lead-time
 // exceeds their read-time — the paper's 81% feasibility headline.
 func (t *Trace) FractionLeadCoversRead() float64 {

@@ -30,7 +30,7 @@ import (
 // latest heartbeat-derived estimate. Dead nodes keep stale PerByte and
 // Queued values; policies must treat Alive == false as untargetable.
 type NodeView struct {
-	// Alive reports whether the node is up (and not decommissioned).
+	// Alive reports whether the node is up.
 	Alive bool
 	// PerByte is the node's estimated migration cost in seconds per
 	// byte (EWMA over completed and in-progress transfers, §IV-A).

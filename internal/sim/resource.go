@@ -240,12 +240,6 @@ func (r *Resource) Name() string { return r.name }
 // Capacity reports the nominal capacity in bytes/sec before scaling.
 func (r *Resource) Capacity() float64 { return r.base }
 
-// EffectiveCapacity reports the current total throughput available to the
-// active flows: base × scale × efficiency(load).
-func (r *Resource) EffectiveCapacity() float64 {
-	return r.base * r.scale * r.eff(r.totalW)
-}
-
 // ActiveFlows reports the number of in-progress flows.
 func (r *Resource) ActiveFlows() int { return len(r.heap) }
 

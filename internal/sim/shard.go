@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"sync/atomic" //lint:shardsync Stop's flag, set from any shard's event
 )
 
@@ -330,10 +329,6 @@ func (e *Engine) Send(dst int, d Duration, fn func()) {
 // (0 for a standalone engine).
 func (e *Engine) ShardID() int { return e.shard }
 
-// Sharded reports the coordinating ShardedEngine, or nil for a
-// standalone engine or a single-shard coordinator.
-func (e *Engine) Sharded() *ShardedEngine { return e.parent }
-
 // nextLiveAt skims tombstones and reports the shard's next live event
 // time.
 func (e *Engine) nextLiveAt() (Time, bool) {
@@ -546,11 +541,4 @@ func (se *ShardedEngine) stopWorkers() {
 	}
 	close(se.work) //lint:shardsync
 	se.running = false
-}
-
-// ShardRand derives an independent deterministic RNG for ad-hoc model
-// use on shard i, mixed from the shard engine's own stream so parallel
-// partitions never share a source.
-func (se *ShardedEngine) ShardRand(i int) *rand.Rand {
-	return rand.New(rand.NewSource(se.shards[i].rng.Int63()))
 }

@@ -366,7 +366,7 @@ func TestShardedStopOneShard(t *testing.T) {
 // not attach parallel machinery at all.
 func TestShardedShardsOneIsPlainEngine(t *testing.T) {
 	se := NewShardedEngine(3, 1, time.Millisecond)
-	if se.Shard(0).Sharded() != nil {
+	if se.Shard(0).parent != nil {
 		t.Fatal("shards=1 engine should have no parent coordinator")
 	}
 	ran := false

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"dyrs/internal/sim"
 )
 
 // Schema versions the canonical trace document layout. v2 added the
@@ -84,10 +86,22 @@ func histDoc(h *Hist) (histJSON, bool) {
 	return out, true
 }
 
-// histsDoc collects every non-empty histogram of the registry.
-func (t *Tracer) histsDoc() map[string]histJSON {
+// histsDoc folds the tracers' histograms by name and encodes every
+// non-empty result.
+func histsDoc(live []*Tracer) map[string]histJSON {
+	merged := make(map[string]*Hist)
+	for _, t := range live {
+		for name, h := range t.hists {
+			m := merged[name]
+			if m == nil {
+				m = &Hist{}
+				merged[name] = m
+			}
+			m.Merge(h)
+		}
+	}
 	var out map[string]histJSON
-	for name, h := range t.hists {
+	for name, h := range merged {
 		if doc, ok := histDoc(h); ok {
 			if out == nil {
 				out = make(map[string]histJSON)
@@ -118,26 +132,67 @@ func (in *Instant) json() instantJSON {
 // WriteJSON writes the canonical trace document. Every field derives
 // from virtual time, seeded randomness or record order, and
 // encoding/json sorts map keys, so identical seeds produce
-// byte-identical documents.
+// byte-identical documents. A nil tracer writes the document of an
+// empty one at time 0.
 func (t *Tracer) WriteJSON(w io.Writer) error {
-	doc := traceDoc{
-		Schema:   Schema,
-		NowNS:    int64(t.eng.Now()),
-		Counters: t.Counters(),
-		Hists:    t.histsDoc(),
-		Spans:    make([]spanJSON, len(t.spans)),
-		Instants: make([]instantJSON, len(t.instants)),
+	var live []*Tracer
+	if t != nil {
+		live = []*Tracer{t}
 	}
-	if n := t.SampleN(); n > 1 {
-		doc.SampleN = n
-		doc.SampledOut = t.SampledOut()
+	return writeDoc(w, live, inRecordOrder(len(t.Spans())), inRecordOrder(len(t.Instants())))
+}
+
+// inRecordOrder lists the first n records of a lone tracer in the order
+// it recorded them.
+func inRecordOrder(n int) []mergedRec {
+	recs := make([]mergedRec, n)
+	for i := range recs {
+		recs[i].idx = i
 	}
-	for i := range t.spans {
-		s := &t.spans[i]
-		doc.Spans[i] = s.json(s.ID(), s.Parent())
+	return recs
+}
+
+// writeDoc writes the canonical document of the live tracers with their
+// spans and instants in the given order. Counters and histograms are
+// summed by name and the clock is the latest of the tracers'. Span IDs
+// are reassigned in order (the i-th span gets ID i+1) and parents
+// remapped per tracer, so the document is self-consistent; one tracer
+// in record order keeps its own IDs.
+func writeDoc(w io.Writer, live []*Tracer, spans, instants []mergedRec) error {
+	doc := traceDoc{Schema: Schema, Counters: map[string]int64{}, Hists: histsDoc(live)}
+	var now sim.Time
+	for _, t := range live {
+		now = max(now, t.eng.Now())
+		if n := t.SampleN(); n > doc.SampleN && n > 1 {
+			doc.SampleN = n
+		}
+		doc.SampledOut += t.SampledOut()
+		for name, p := range t.counters {
+			doc.Counters[name] += *p
+		}
 	}
-	for i := range t.instants {
-		doc.Instants[i] = t.instants[i].json()
+	doc.NowNS = int64(now)
+
+	// newID[tr][i] is the exported ID of span i of tracer tr.
+	newID := make([][]int32, len(live))
+	for tr, t := range live {
+		newID[tr] = make([]int32, len(t.spans))
+	}
+	for i, r := range spans {
+		newID[r.tr][r.idx] = int32(i + 1)
+	}
+	doc.Spans = make([]spanJSON, len(spans))
+	for i, r := range spans {
+		s := &live[r.tr].spans[r.idx]
+		parent := 0
+		if s.parent != 0 {
+			parent = int(newID[r.tr][s.parent-1])
+		}
+		doc.Spans[i] = s.json(i+1, parent)
+	}
+	doc.Instants = make([]instantJSON, len(instants))
+	for i, r := range instants {
+		doc.Instants[i] = live[r.tr].instants[r.idx].json()
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
@@ -201,7 +256,11 @@ const usPerNS = 1e-3
 // Span linkage survives the format via args["span"]/args["parent"].
 // Above PerfettoRackCapNodes distinct nodes (and with a topology set)
 // processes aggregate per rack and args["node"] carries the node id.
+// A nil tracer writes the document of an empty one.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
+	if t == nil {
+		return json.NewEncoder(w).Encode(ChromeDoc{DisplayTimeUnit: "ms"})
+	}
 	now := t.eng.Now()
 	doc := ChromeDoc{DisplayTimeUnit: "ms"}
 

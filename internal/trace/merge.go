@@ -14,14 +14,15 @@
 package trace
 
 import (
-	"encoding/json"
 	"io"
 	"sort"
 
 	"dyrs/internal/sim"
 )
 
-// mergedRec orders one span or instant across tracers.
+// mergedRec names one span or instant of a canonical export: tr
+// indexes the exported tracers and idx that tracer's span or instant
+// slice. The merged export sorts by the other fields.
 type mergedRec struct {
 	at   sim.Time
 	node int
@@ -53,122 +54,22 @@ func WriteMergedJSON(w io.Writer, tracers ...*Tracer) error {
 			live = append(live, t)
 		}
 	}
-
-	doc := traceDoc{Schema: Schema, Counters: map[string]int64{}}
-	var now sim.Time
-	merged := make(map[string]*Hist)
-	var spanRecs, instRecs []mergedRec
+	var spans, instants []mergedRec
 	for ti, t := range live {
-		if t.eng.Now() > now {
-			now = t.eng.Now()
-		}
-		if n := t.SampleN(); n > doc.SampleN && n > 1 {
-			doc.SampleN = n
-		}
-		doc.SampledOut += t.SampledOut()
-		for name, p := range t.counters {
-			doc.Counters[name] += *p
-		}
-		for name, h := range t.hists {
-			m := merged[name]
-			if m == nil {
-				m = &Hist{}
-				merged[name] = m
-			}
-			m.Merge(h)
-		}
 		ord := map[int]uint64{}
 		for i := range t.spans {
 			s := &t.spans[i]
-			spanRecs = append(spanRecs, mergedRec{at: s.begin, node: s.Node(), ord: ord[s.Node()], tr: ti, idx: i})
+			spans = append(spans, mergedRec{at: s.begin, node: s.Node(), ord: ord[s.Node()], tr: ti, idx: i})
 			ord[s.Node()]++
 		}
 		ord = map[int]uint64{}
 		for i := range t.instants {
 			in := &t.instants[i]
-			instRecs = append(instRecs, mergedRec{at: in.at, node: in.Node(), ord: ord[in.Node()], tr: ti, idx: i})
+			instants = append(instants, mergedRec{at: in.at, node: in.Node(), ord: ord[in.Node()], tr: ti, idx: i})
 			ord[in.Node()]++
 		}
 	}
-	doc.NowNS = int64(now)
-	for name, h := range merged {
-		if hd, ok := histDoc(h); ok {
-			if doc.Hists == nil {
-				doc.Hists = make(map[string]histJSON)
-			}
-			doc.Hists[name] = hd
-		}
-	}
-
-	sort.Slice(spanRecs, func(i, j int) bool { return mergedLess(spanRecs[i], spanRecs[j]) })
-	sort.Slice(instRecs, func(i, j int) bool { return mergedLess(instRecs[i], instRecs[j]) })
-
-	// Reassign span IDs in merged order; remap parents per tracer.
-	newID := make([]map[int]int, len(live))
-	for i := range newID {
-		newID[i] = map[int]int{}
-	}
-	for i, r := range spanRecs {
-		newID[r.tr][live[r.tr].spans[r.idx].ID()] = i + 1
-	}
-	doc.Spans = make([]spanJSON, len(spanRecs))
-	for i, r := range spanRecs {
-		s := &live[r.tr].spans[r.idx]
-		parent := 0
-		if s.parent != 0 {
-			parent = newID[r.tr][s.Parent()]
-		}
-		doc.Spans[i] = s.json(i+1, parent)
-	}
-	doc.Instants = make([]instantJSON, len(instRecs))
-	for i, r := range instRecs {
-		doc.Instants[i] = live[r.tr].instants[r.idx].json()
-	}
-
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
-}
-
-// WriteMergedOpenMetrics writes the OpenMetrics exposition of the
-// merged counter and histogram registries of the given tracers.
-func WriteMergedOpenMetrics(w io.Writer, tracers ...*Tracer) error {
-	agg := &Tracer{counters: map[string]*int64{}, hists: map[string]*Hist{}}
-	var now sim.Time
-	var eng *sim.Engine
-	var sampleN uint64
-	var sampledOut uint64
-	for _, t := range tracers {
-		if t == nil {
-			continue
-		}
-		if t.eng.Now() >= now {
-			now = t.eng.Now()
-			eng = t.eng
-		}
-		if t.sample != nil {
-			sampleN = t.sample.n
-			sampledOut += t.sample.out
-		}
-		for name, p := range t.counters {
-			cell := agg.counters[name]
-			if cell == nil {
-				cell = new(int64)
-				agg.counters[name] = cell
-			}
-			*cell += *p
-		}
-		for name, h := range t.hists {
-			agg.Hist(name).Merge(h)
-		}
-	}
-	if eng == nil {
-		_, err := io.WriteString(w, "# EOF\n")
-		return err
-	}
-	agg.eng = eng
-	if sampleN > 1 {
-		agg.sample = &sampleState{n: sampleN, out: sampledOut}
-	}
-	return agg.WriteOpenMetrics(w)
+	sort.Slice(spans, func(i, j int) bool { return mergedLess(spans[i], spans[j]) })
+	sort.Slice(instants, func(i, j int) bool { return mergedLess(instants[i], instants[j]) })
+	return writeDoc(w, live, spans, instants)
 }

@@ -93,25 +93,3 @@ func TestOpenMetricsName(t *testing.T) {
 		}
 	}
 }
-
-func TestWriteMergedOpenMetricsSums(t *testing.T) {
-	se := sim.NewShardedEngine(1, 2, 1000)
-	a := New(se.Shard(0))
-	b := New(se.Shard(1))
-	a.Add("migration.completed", 3)
-	b.Add("migration.completed", 4)
-	a.Hist("read.latency_ns").Observe(100)
-	b.Hist("read.latency_ns").Observe(200)
-
-	var sb strings.Builder
-	if err := WriteMergedOpenMetrics(&sb, a, b); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "dyrs_migration_completed 7\n") {
-		t.Errorf("merged counter not summed:\n%s", out)
-	}
-	if !strings.Contains(out, "dyrs_read_latency_ns_count 2\n") {
-		t.Errorf("merged histogram not summed:\n%s", out)
-	}
-}

@@ -162,6 +162,10 @@ func (s refRef) End(attrs ...Attr) {
 	}
 }
 
+// histsDoc is the one-tracer histogram section the reference writer
+// embeds.
+func (t *Tracer) histsDoc() map[string]histJSON { return histsDoc([]*Tracer{t}) }
+
 func (r *refRecorder) WriteJSON(w io.Writer) error {
 	t := r.t
 	doc := traceDoc{

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -135,6 +136,32 @@ func TestNilTracerIsSafe(t *testing.T) {
 	}
 	if tr.Summarize() != nil {
 		t.Error("nil tracer Summarize should be nil")
+	}
+}
+
+// TestNilTracerExports: the JSON and Chrome exporters accept a nil
+// tracer like every other method and write what an empty tracer writes
+// at time 0.
+func TestNilTracerExports(t *testing.T) {
+	var nilTr *Tracer
+	empty := New(sim.NewEngine(1))
+	for _, c := range []struct {
+		name       string
+		got, empty func(io.Writer) error
+	}{
+		{"WriteJSON", nilTr.WriteJSON, empty.WriteJSON},
+		{"WriteChromeTrace", nilTr.WriteChromeTrace, empty.WriteChromeTrace},
+	} {
+		var got, want bytes.Buffer
+		if err := c.got(&got); err != nil {
+			t.Fatalf("nil %s: %v", c.name, err)
+		}
+		if err := c.empty(&want); err != nil {
+			t.Fatalf("empty %s: %v", c.name, err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("nil %s wrote\n%s\nan empty tracer writes\n%s", c.name, got.String(), want.String())
+		}
 	}
 }
 
