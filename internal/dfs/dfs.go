@@ -235,11 +235,6 @@ type FS struct {
 	table    *blockTable
 	dns      []*DataNode
 
-	// byNode is the replica postings index: byNode[n] lists the blocks
-	// with a disk replica on node n, in placement order. Per-rack views
-	// aggregate these lists through the cluster's rack tables.
-	byNode [][]BlockID
-
 	// memCount tracks the number of registered in-memory replicas
 	// (previously len() of the registry map).
 	memCount int
@@ -292,7 +287,6 @@ func New(cl *cluster.Cluster, cfg Config) *FS {
 		tr:       trace.FromEngine(eng),
 		files:    make(map[string]*File),
 		table:    newBlockTable(cfg.Replication),
-		byNode:   make([][]BlockID, cl.Size()),
 		placeBuf: make([]cluster.NodeID, 0, cfg.Replication),
 	}
 	fs.hReadLat = fs.tr.Hist("read.latency_ns")
@@ -347,11 +341,7 @@ func (fs *FS) CreateFileOnTier(name string, size sim.Bytes, tier Tier) (*File, e
 			bs = remaining
 		}
 		reps := fs.placeReplicas()
-		id := fs.table.add(bs, fi, reps)
-		for _, r := range reps {
-			fs.byNode[int(r)] = append(fs.byNode[int(r)], id)
-		}
-		f.Blocks = append(f.Blocks, id)
+		f.Blocks = append(f.Blocks, fs.table.add(bs, fi, reps))
 		remaining -= bs
 	}
 	fs.files[name] = f
@@ -701,25 +691,6 @@ func (fs *FS) TotalMemUsed() sim.Bytes {
 		total += dn.memUsed
 	}
 	return total
-}
-
-// BlocksOnNode returns the blocks with a disk replica on the node,
-// sorted by block ID.
-func (fs *FS) BlocksOnNode(id cluster.NodeID) []BlockID {
-	out := make([]BlockID, len(fs.byNode[int(id)]))
-	copy(out, fs.byNode[int(id)])
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// RackBlockCount reports the number of disk replicas homed in the rack,
-// aggregated from the per-node postings.
-func (fs *FS) RackBlockCount(rack int) int {
-	n := 0
-	for _, id := range fs.cl.RackNodes(rack) {
-		n += len(fs.byNode[int(id)])
-	}
-	return n
 }
 
 // ReadBlock reads a block on behalf of a task running at node `at`.

@@ -47,8 +47,7 @@ func (r *refTable) holds(id BlockID, node cluster.NodeID) bool {
 // TestBlockTableDifferential drives a long seeded op sequence through
 // blockTable and refTable in lockstep and compares every accessor after
 // every mutation. Replica sets are compared in slot order, since the
-// postings index and the rack placement tests depend on placement order
-// surviving.
+// rack placement tests depend on placement order surviving.
 func TestBlockTableDifferential(t *testing.T) {
 	t.Parallel()
 	const nodes, stride, ops = 12, 3, 4000
@@ -232,18 +231,33 @@ func TestRegistryDifferential(t *testing.T) {
 	}
 }
 
-// rackCounts snapshots RackBlockCount for every rack.
+// blocksOnNode scans the block table for the blocks with a disk replica
+// on the node, in block-ID order.
+func blocksOnNode(fs *FS, node cluster.NodeID) []BlockID {
+	var out []BlockID
+	for id := BlockID(0); int(id) < fs.table.len(); id++ {
+		if fs.table.holdsReplica(id, node) {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// rackCounts counts the disk replicas homed in each rack, scanning the
+// block table.
 func rackCounts(fs *FS) []int {
 	out := make([]int, fs.Cluster().Racks())
-	for r := range out {
-		out[r] = fs.RackBlockCount(r)
+	for id := BlockID(0); int(id) < fs.table.len(); id++ {
+		for _, r := range fs.table.appendReplicas(id, nil) {
+			out[fs.Cluster().Rack(r)]++
+		}
 	}
 	return out
 }
 
 // TestRackIndexAcrossNodeDeath: killing a node must not disturb the
-// replica postings or the per-rack aggregation — the NameNode catalog
-// still records the replicas; only the liveness view changes.
+// catalog's replica records or the per-rack counts — the NameNode
+// catalog still records the replicas; only the liveness view changes.
 func TestRackIndexAcrossNodeDeath(t *testing.T) {
 	t.Parallel()
 	eng := sim.NewEngine(11)
@@ -255,7 +269,7 @@ func TestRackIndexAcrossNodeDeath(t *testing.T) {
 	}
 	before := rackCounts(fs)
 	victim := cluster.NodeID(5)
-	victimPosting := fs.BlocksOnNode(victim)
+	victimPosting := blocksOnNode(fs, victim)
 	if len(victimPosting) == 0 {
 		t.Fatal("victim holds no replicas; pick another seed")
 	}
@@ -265,8 +279,8 @@ func TestRackIndexAcrossNodeDeath(t *testing.T) {
 	if got := rackCounts(fs); !reflect.DeepEqual(got, before) {
 		t.Errorf("rack counts changed across node death: %v -> %v", before, got)
 	}
-	if got := fs.BlocksOnNode(victim); !reflect.DeepEqual(got, victimPosting) {
-		t.Errorf("dead node's posting changed: %d -> %d entries", len(victimPosting), len(got))
+	if got := blocksOnNode(fs, victim); !reflect.DeepEqual(got, victimPosting) {
+		t.Errorf("dead node's replica list changed: %d -> %d entries", len(victimPosting), len(got))
 	}
 	for _, id := range victimPosting {
 		for _, r := range fs.Replicas(id) {

@@ -25,9 +25,6 @@ import (
 //     block sizes, and no node exceeds its memory capacity.
 //  5. Every buffered block is also a disk-replica holder's block (memory
 //     replicas are created by migrating a local disk replica).
-//  6. The per-node replica postings index is exact: every posting entry
-//     is backed by a replica slot on that node, no entry is duplicated,
-//     and the index covers every filled replica slot.
 func (fs *FS) Fsck() []error {
 	var errs []error
 	report := func(format string, args ...any) {
@@ -35,7 +32,6 @@ func (fs *FS) Fsck() []error {
 	}
 
 	// 1-2: catalog structure.
-	filledSlots := 0
 	for name, f := range fs.files {
 		var total sim.Bytes
 		for i, id := range f.Blocks {
@@ -55,7 +51,6 @@ func (fs *FS) Fsck() []error {
 			if nrep == 0 || nrep > fs.cfg.Replication {
 				report("block %d has %d replicas", id, nrep)
 			}
-			filledSlots += nrep
 			base := int(id) * fs.table.stride
 			for si := 0; si < fs.table.stride; si++ {
 				r := fs.table.replicas[base+si]
@@ -73,26 +68,6 @@ func (fs *FS) Fsck() []error {
 		if total != f.Size {
 			report("file %s block sizes sum to %d, want %d", name, total, f.Size)
 		}
-	}
-
-	// 6: postings index.
-	postingEntries := 0
-	for nid, posting := range fs.byNode {
-		seen := make(map[BlockID]bool, len(posting))
-		for _, id := range posting {
-			if seen[id] {
-				report("postings index lists block %d on node %d twice", id, nid)
-				continue
-			}
-			seen[id] = true
-			if int(id) >= fs.table.len() || !fs.table.holdsReplica(id, cluster.NodeID(nid)) {
-				report("postings index lists block %d on node %d, which holds no replica", id, nid)
-			}
-		}
-		postingEntries += len(posting)
-	}
-	if postingEntries != filledSlots {
-		report("postings index has %d entries, catalog has %d replica slots", postingEntries, filledSlots)
 	}
 
 	// 3: registry consistency (forward direction).

@@ -33,6 +33,9 @@ type Coordinator struct {
 	binder Binder
 	slaves []*Slave
 	sched  ActiveJobChecker
+	// heartbeat ticks every slave, in node order, from one engine event
+	// per interval; the engine counts each slave's tick as a model event.
+	heartbeat *sim.Ticker
 
 	// info is the master's block-record table, a dense slice indexed by
 	// BlockID (block IDs are small dense integers allocated by the file
@@ -61,7 +64,9 @@ type Coordinator struct {
 	// O(1) with millions of tracked blocks.
 	counts [stateInMemory + 1]int
 
-	estimates map[cluster.NodeID]nodeEstimate
+	// estimates holds each slave's last heartbeat report, indexed by
+	// node ID; entries no heartbeat has reached yet are unseen.
+	estimates []nodeEstimate
 	// estEpoch increments whenever a heartbeat actually changes a stored
 	// estimate; the DYRS binder uses it to skip Algorithm 1 passes whose
 	// inputs have not moved.
@@ -114,7 +119,7 @@ func NewCoordinator(fs *dfs.FS, cfg Config, binder Binder) *Coordinator {
 		sched:     alwaysActive{},
 		jobBlocks: make(map[JobID][]dfs.BlockID),
 		hints:     make(map[JobID]JobHint),
-		estimates: make(map[cluster.NodeID]nodeEstimate),
+		estimates: make([]nodeEstimate, cl.Size()),
 	}
 	c.hLead = c.tr.Hist("migration.lead_ns")
 	c.hMargin = c.tr.Hist("migration.margin_ns")
@@ -126,6 +131,7 @@ func NewCoordinator(fs *dfs.FS, cfg Config, binder Binder) *Coordinator {
 	for _, n := range cl.Nodes() {
 		c.slaves = append(c.slaves, newSlave(c, n))
 	}
+	c.heartbeat = sim.NewTickerN(c.eng, cfg.Heartbeat, len(c.slaves), func(i int) { c.slaves[i].tick() })
 	return c
 }
 
@@ -207,7 +213,7 @@ func (c *Coordinator) Slave(id cluster.NodeID) *Slave { return c.slaves[int(id)]
 // heartbeat it falls back to the slave's seeded estimate so Algorithm 1
 // has sane inputs from time zero.
 func (c *Coordinator) Estimate(id cluster.NodeID) (perByteSeconds float64, queued int) {
-	if e, ok := c.estimates[id]; ok {
+	if e := c.estimates[int(id)]; e.seen {
 		return e.perByte, e.queued
 	}
 	s := c.slaves[int(id)]
@@ -426,9 +432,9 @@ func (c *Coordinator) dropTrace(bi *blockInfo, reason string) {
 // estimate epoch only advances when the stored value actually changes,
 // so an idle fleet's heartbeats do not force binder passes.
 func (c *Coordinator) onHeartbeat(n cluster.NodeID, perByte float64, queued int) {
-	e := nodeEstimate{perByte: perByte, queued: queued}
-	if c.estimates[n] != e {
-		c.estimates[n] = e
+	e := nodeEstimate{perByte: perByte, queued: queued, seen: true}
+	if est := &c.estimates[int(n)]; *est != e {
+		*est = e
 		c.estEpoch++
 	}
 }
@@ -536,12 +542,13 @@ func (c *Coordinator) ScavengeAll() {
 	}
 }
 
-// Shutdown stops all slave tickers and any binder background thread;
-// used at the end of an experiment so the event queue can drain.
+// Shutdown stops the slaves' heartbeat and any binder background
+// thread; used at the end of an experiment so the event queue can drain.
 func (c *Coordinator) Shutdown() {
 	for _, s := range c.slaves {
-		s.stop()
+		s.stopped = true
 	}
+	c.heartbeat.Stop()
 	if sb, ok := c.binder.(stoppable); ok {
 		sb.stopBinder()
 	}

@@ -191,6 +191,7 @@ type Stats struct {
 type nodeEstimate struct {
 	perByte float64 // estimated seconds per byte
 	queued  int     // blocks queued + active at the slave
+	seen    bool    // a heartbeat has reported this slave
 }
 
 // blockState tracks where a requested block is in its migration lifecycle.

@@ -10,7 +10,7 @@ import (
 )
 
 // TestRackIndexAcrossMasterRestart proves a migration-master fail-over
-// never disturbs the NameNode's per-rack replica index: the disk
+// never disturbs the NameNode's per-rack replica counts: the disk
 // catalog is the master's input, not its soft state. In-memory replicas
 // survive the restart at the slaves (§III-C1), are reclaimed by
 // scavenging once orphaned, and the framework accepts new work against
@@ -26,20 +26,13 @@ func TestRackIndexAcrossMasterRestart(t *testing.T) {
 	if _, err := fs.CreateFile("in", blocks*fs.Config().BlockSize); err != nil {
 		t.Fatal(err)
 	}
-	countsByRack := func() []int {
-		out := make([]int, racks)
-		for r := range out {
-			out[r] = fs.RackBlockCount(r)
-		}
-		return out
-	}
 	fsckClean := func(when string) {
 		t.Helper()
 		for _, err := range fs.Fsck() {
 			t.Errorf("fsck %s: %v", when, err)
 		}
 	}
-	before := countsByRack()
+	before := rackBlockCounts(fs)
 
 	if err := c.Migrate(1, []string{"in"}, false); err != nil {
 		t.Fatal(err)
@@ -51,8 +44,8 @@ func TestRackIndexAcrossMasterRestart(t *testing.T) {
 	fsckClean("after migration")
 
 	c.RestartMaster()
-	for r, want := range before {
-		if got := fs.RackBlockCount(r); got != want {
+	for r, got := range rackBlockCounts(fs) {
+		if want := before[r]; got != want {
 			t.Errorf("rack %d count changed across master restart: %d -> %d", r, want, got)
 		}
 	}
@@ -73,7 +66,7 @@ func TestRackIndexAcrossMasterRestart(t *testing.T) {
 	}
 	fsckClean("after scavenging")
 
-	// The rack index is still intact, so a fresh job migrates fully.
+	// The catalog is still intact, so a fresh job migrates fully.
 	if err := c.Migrate(2, []string{"in"}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +74,24 @@ func TestRackIndexAcrossMasterRestart(t *testing.T) {
 	if got := fs.MemReplicaCount(); got != blocks {
 		t.Errorf("re-migration after restart landed %d of %d blocks", got, blocks)
 	}
-	for r, want := range before {
-		if got := fs.RackBlockCount(r); got != want {
+	for r, got := range rackBlockCounts(fs) {
+		if want := before[r]; got != want {
 			t.Errorf("rack %d count changed across re-migration: %d -> %d", r, want, got)
 		}
 	}
 	fsckClean("after re-migration")
 	c.Shutdown()
+}
+
+// rackBlockCounts counts the disk replicas homed in each rack, scanning
+// the NameNode catalog.
+func rackBlockCounts(fs *dfs.FS) []int {
+	cl := fs.Cluster()
+	out := make([]int, cl.Racks())
+	for id := dfs.BlockID(0); int(id) < fs.NumBlocks(); id++ {
+		for _, r := range fs.Block(id).Replicas {
+			out[cl.Rack(r)]++
+		}
+	}
+	return out
 }

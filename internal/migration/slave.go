@@ -69,7 +69,6 @@ type Slave struct {
 	depth     int
 	memLimit  sim.Bytes
 
-	ticker    *sim.Ticker
 	stopped   bool
 	estSeries *metrics.TimeSeries
 
@@ -102,7 +101,6 @@ func newSlave(c *Coordinator, node *cluster.Node) *Slave {
 	if !c.cfg.DisableEstimateSeries {
 		s.estSeries = metrics.NewTimeSeries(node.ID.String())
 	}
-	s.ticker = sim.NewTicker(c.eng, c.cfg.Heartbeat, s.tick)
 	return s
 }
 
@@ -123,9 +121,10 @@ func (s *Slave) occupancy() int {
 	return len(s.queue) + s.nActive
 }
 
-// tick is the heartbeat: refresh the estimate (including the in-progress
-// inflation of §IV-A), report to the master, scavenge if needed, pull
-// more work, and make sure the disk is busy.
+// tick is the heartbeat, which the coordinator's one heartbeat ticker
+// runs for every slave in node order: refresh the estimate (including
+// the in-progress inflation of §IV-A), report to the master, scavenge
+// if needed, pull more work, and make sure the disk is busy.
 func (s *Slave) tick() {
 	if s.stopped || !s.node.Alive() {
 		return
@@ -362,10 +361,4 @@ func (s *Slave) scavenge() {
 		}
 		s.c.maybeRelease(bi)
 	}
-}
-
-// stop halts the slave's heartbeat.
-func (s *Slave) stop() {
-	s.stopped = true
-	s.ticker.Stop()
 }

@@ -167,6 +167,10 @@ type Engine struct {
 	rng     *rand.Rand
 	stopped bool
 	fired   uint64
+	// grouped counts the members beyond the first of every armed
+	// multi-member Ticker: each stands for a same-phase ticker whose
+	// event the shared one replaces, so Pending reports model events.
+	grouped int
 
 	// Sharded-execution fields, nil/zero for a standalone engine. When an
 	// engine is one shard of a ShardedEngine, parent coordinates window
@@ -218,11 +222,13 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // EventsFired reports how many events have executed, mostly for tests and
-// performance reporting.
+// performance reporting. Each member a multi-member Ticker runs counts
+// as one event.
 func (e *Engine) EventsFired() uint64 { return e.fired }
 
-// Pending reports how many live (non-cancelled) events are queued.
-func (e *Engine) Pending() int { return e.events.n - e.dead }
+// Pending reports how many live (non-cancelled) events are queued,
+// counting a multi-member Ticker's event once per member.
+func (e *Engine) Pending() int { return e.events.n - e.dead + e.grouped }
 
 // Schedule runs fn after delay d of virtual time. A negative delay is
 // treated as zero. The returned Event may be cancelled.
@@ -383,10 +389,20 @@ func (e *Engine) step() {
 
 // Ticker invokes fn every interval until cancelled. It is the building
 // block for heartbeats and samplers.
+//
+// A ticker of n members (NewTickerN) runs fn(0), ..., fn(n-1) from one
+// queue event per interval, in place of n tickers started at one
+// instant. The engine still reports the n model events: each member run
+// counts in EventsFired and each armed member in Pending. Every callback
+// sees the same clock, EventsFired and Pending as under n tickers, and
+// the same order, unless member i>0 schedules an event exactly one
+// interval ahead: n tickers fire it after members 0..i-1 of the next
+// round, the shared event before all of them (DESIGN.md §5).
 type Ticker struct {
 	eng      *Engine
 	interval Duration
-	fn       func()
+	n        int
+	fn       func(member int)
 	tick     func() // rearming wrapper, allocated once
 	ev       *Event
 	stopped  bool
@@ -394,21 +410,34 @@ type Ticker struct {
 
 // NewTicker starts a ticker whose first tick fires after one interval.
 func NewTicker(eng *Engine, interval Duration, fn func()) *Ticker {
+	return NewTickerN(eng, interval, 1, func(int) { fn() })
+}
+
+// NewTickerN starts a ticker of n members whose first round fires after
+// one interval. Each round calls fn once per member, in member order,
+// until the ticker stops; a Stop from inside fn ends the round.
+func NewTickerN(eng *Engine, interval Duration, n int, fn func(member int)) *Ticker {
 	if interval <= 0 {
 		panic("sim: ticker interval must be positive")
 	}
-	t := &Ticker{eng: eng, interval: interval, fn: fn}
+	if n < 1 {
+		panic("sim: ticker needs at least one member")
+	}
+	t := &Ticker{eng: eng, interval: interval, n: n, fn: fn}
 	t.tick = func() {
 		t.ev = nil
-		if t.stopped {
-			return
+		for i := 0; i < t.n && !t.stopped; i++ {
+			if i > 0 {
+				t.eng.fired++ // the engine counted member 0's event
+			}
+			t.fn(i)
 		}
-		t.fn()
 		if !t.stopped {
 			t.ev = t.eng.Schedule(t.interval, t.tick)
 		}
 	}
 	t.ev = eng.Schedule(interval, t.tick)
+	eng.grouped += n - 1
 	return t
 }
 
@@ -422,6 +451,7 @@ func (t *Ticker) Stop() {
 	}
 	t.stopped = true
 	t.eng.Cancel(t.ev)
+	t.eng.grouped -= t.n - 1
 	t.ev = nil
 	t.fn = nil
 }
