@@ -11,11 +11,12 @@ package dyrs
 //   - the global math/rand source (rand.Intn etc. without an explicit
 //     *rand.Rand): unseeded, process-global randomness. rand.New /
 //     rand.NewSource with explicit seeds are fine.
-//   - any map type inside internal/sim: the simulation core orders
-//     everything by slices and explicit comparisons precisely so no map
-//     iteration can leak nondeterministic order into event or flow
-//     handling. Layers above sim may use maps but must sort before
-//     emitting ordered output (see Coordinator.Evict).
+//   - any map type inside internal/sim or internal/compute: the
+//     simulation core and the compute scheduler order everything by
+//     slices and explicit comparisons precisely so no map iteration can
+//     leak nondeterministic order into event, flow or task handling.
+//     Other layers may use maps but must sort before emitting ordered
+//     output (see Coordinator.Evict).
 //   - concurrency inside internal/sim: goroutines, channels, select, and
 //     the sync/sync/atomic packages. Model code must never race the
 //     virtual clock — the ONLY sanctioned concurrency is the sharded
@@ -145,6 +146,7 @@ func lintFile(fset *token.FileSet, path string, file *ast.File) []string {
 	}
 
 	inSim := strings.HasPrefix(filepath.ToSlash(path), "internal/sim/")
+	noMaps := inSim || strings.HasPrefix(filepath.ToSlash(path), "internal/compute/")
 
 	// Concurrency in the sim core needs an explicit audited waiver.
 	syncForbidden := func(pos token.Pos, what string) {
@@ -197,11 +199,31 @@ func lintFile(fset *token.FileSet, path string, file *ast.File) []string {
 				report(n.Pos(), "global math/rand.%s; draw from an explicitly seeded *rand.Rand (sim.Engine.Rand)", sel.Sel.Name)
 			}
 		case *ast.MapType:
-			if inSim {
-				report(n.Pos(), "map type in internal/sim; the simulation core must not depend on map iteration order")
+			if noMaps {
+				report(n.Pos(), "map type in %s; the simulation core and compute scheduler must not depend on map iteration order", filepath.Dir(filepath.ToSlash(path)))
 			}
 		}
 		return true
 	})
 	return out
+}
+
+// TestDeterminismLintForbidsMaps: a map type anywhere in internal/sim or
+// internal/compute fails the lint; the same source elsewhere passes.
+func TestDeterminismLintForbidsMaps(t *testing.T) {
+	const src = "package p\n\ntype F struct{ jobs map[int]*int }\n"
+	for path, want := range map[string]int{
+		"internal/compute/compute.go": 1,
+		"internal/sim/engine.go":      1,
+		"internal/migration/x.go":     0,
+	} {
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, path, src, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := lintFile(fset, path, file); len(got) != want {
+			t.Errorf("%s: %d violations %q, want %d", path, len(got), got, want)
+		}
+	}
 }

@@ -21,7 +21,9 @@ import (
 type JobSpec struct {
 	// Name labels the job in results.
 	Name string
-	// InputFiles are DFS files; one map task runs per input block.
+	// InputFiles are DFS files; one map task runs per input block. A
+	// file listed twice is read twice, as Hadoop does with duplicate
+	// input paths.
 	InputFiles []string
 
 	// MapCPUPerByte is seconds of map computation per input byte.
@@ -112,20 +114,12 @@ type Job struct {
 
 	Tasks []TaskResult
 
-	// SpeculativeLaunched counts duplicate map tasks launched by
-	// speculative execution for this job.
-	SpeculativeLaunched int
-
-	fw           *Framework
 	span         trace.SpanRef // job lifecycle span (submission to finish)
-	mapsPending  int
 	mapsRunning  int
 	mapsDone     int
 	totalMaps    int
 	reducersLeft int
 	started      bool
-	running      map[*task]*runningMap
-	doneBlocks   map[dfs.BlockID]bool
 }
 
 // Duration reports submission-to-completion time (the paper's job
@@ -146,8 +140,7 @@ type task struct {
 	block   *dfs.Block // nil for reduce tasks
 	isMap   bool
 	reducer int
-	queued  sim.Time       // when the task became runnable
-	avoid   cluster.NodeID // node to avoid (speculative copies); -1 = none
+	queued  sim.Time // when the task became runnable
 }
 
 // Framework is the cluster compute scheduler.
@@ -160,8 +153,7 @@ type Framework struct {
 
 	freeSlots []int
 	pending   []*task
-	jobs      map[migration.JobID]*Job
-	nextID    migration.JobID
+	jobs      []*Job // by ID-1; IDs are assigned 1, 2, 3, ...
 	done      []*Job
 	onDone    []func(*Job)
 
@@ -170,17 +162,14 @@ type Framework struct {
 	// delay scheduling. Zero disables the wait.
 	LocalityDelay sim.Duration
 
-	// Speculative execution state (see speculation.go).
-	specCfg    SpeculationConfig
-	specTicker *sim.Ticker
-
-	// sched selects the cross-job scheduling policy (see fair.go).
-	sched SchedPolicy
-
 	// scheduling rotation for non-local placement
 	rot int
-	// retry is armed when tasks were deferred waiting for locality.
-	retry *sim.Event
+	// retry is armed when tasks were deferred waiting for locality;
+	// retryPass, bound once, is its callback.
+	retry     *sim.Event
+	retryPass func()
+	// replicas is placeTask's scratch buffer for replica lookups.
+	replicas []cluster.NodeID
 }
 
 // New creates a compute framework over the file system, wiring the
@@ -196,8 +185,11 @@ func New(fs *dfs.FS, mgr migration.Manager) *Framework {
 		fs:            fs,
 		mgr:           mgr,
 		tr:            trace.FromEngine(cl.Engine()),
-		jobs:          make(map[migration.JobID]*Job),
 		LocalityDelay: 3 * time.Second,
+	}
+	fw.retryPass = func() {
+		fw.retry = nil
+		fw.trySchedule()
 	}
 	for _, n := range cl.Nodes() {
 		fw.freeSlots = append(fw.freeSlots, n.Cfg.TaskSlots)
@@ -207,8 +199,8 @@ func New(fs *dfs.FS, mgr migration.Manager) *Framework {
 
 // JobActive implements migration.ActiveJobChecker for scavenging.
 func (fw *Framework) JobActive(id migration.JobID) bool {
-	j, ok := fw.jobs[id]
-	return ok && j.State != JobDone
+	j := fw.Job(id)
+	return j != nil && j.State != JobDone
 }
 
 // OnJobDone registers a completion callback.
@@ -217,8 +209,13 @@ func (fw *Framework) OnJobDone(fn func(*Job)) { fw.onDone = append(fw.onDone, fn
 // Results returns completed jobs in completion order.
 func (fw *Framework) Results() []*Job { return fw.done }
 
-// Job returns a submitted job by id.
-func (fw *Framework) Job(id migration.JobID) *Job { return fw.jobs[id] }
+// Job returns a submitted job by id, or nil for an id never assigned.
+func (fw *Framework) Job(id migration.JobID) *Job {
+	if id < 1 || int(id) > len(fw.jobs) {
+		return nil
+	}
+	return fw.jobs[id-1]
+}
 
 // Submit enters a job at the current instant. The migration request is
 // issued immediately — inside the job submitter, before any platform
@@ -231,23 +228,19 @@ func (fw *Framework) Submit(spec JobSpec) (*Job, error) {
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("compute: job %q has no input blocks", spec.Name)
 	}
-	fw.nextID++
 	j := &Job{
-		ID:         fw.nextID,
-		Spec:       spec,
-		Submitted:  fw.eng.Now(),
-		State:      JobQueued,
-		fw:         fw,
-		totalMaps:  len(blocks),
-		running:    make(map[*task]*runningMap),
-		doneBlocks: make(map[dfs.BlockID]bool),
+		ID:        migration.JobID(len(fw.jobs) + 1),
+		Spec:      spec,
+		Submitted: fw.eng.Now(),
+		State:     JobQueued,
+		totalMaps: len(blocks),
 	}
 	for _, b := range blocks {
 		j.InputBytes += b.Size
 	}
 	j.ShuffleBytes = sim.Bytes(float64(j.InputBytes) * spec.MapOutputRatio)
 	j.OutputBytes = sim.Bytes(float64(j.ShuffleBytes) * spec.OutputRatio)
-	fw.jobs[j.ID] = j
+	fw.jobs = append(fw.jobs, j)
 	if fw.tr.Enabled() {
 		name := spec.Name
 		if name == "" {
@@ -279,8 +272,7 @@ func (fw *Framework) Submit(spec JobSpec) (*Job, error) {
 		j.Ready = fw.eng.Now()
 		j.State = JobRunning
 		for _, b := range blocks {
-			fw.pending = append(fw.pending, &task{job: j, block: b, isMap: true, queued: fw.eng.Now(), avoid: -1})
-			j.mapsPending++
+			fw.pending = append(fw.pending, &task{job: j, block: b, isMap: true, queued: fw.eng.Now()})
 		}
 		fw.trySchedule()
 	})
@@ -301,69 +293,45 @@ func (fw *Framework) SubmitAt(at sim.Time, spec JobSpec, cb func(*Job, error)) {
 // node holding the in-memory replica of their block, then any node with
 // a disk replica; like Hadoop's delay scheduling they wait up to
 // LocalityDelay for a local slot before settling for any free slot.
-// Reduce tasks take any free slot, rotating for balance.
+// Reduce tasks take any free slot, rotating for balance. The pass
+// filters fw.pending in place (launch never touches it synchronously),
+// so it allocates nothing.
 func (fw *Framework) trySchedule() {
 	if len(fw.pending) == 0 {
 		return
 	}
 	deferred := false
-	var still []*task
-	if fw.sched == SchedFair {
-		order, _ := fw.fairOrder()
-		assigned := make([]bool, len(fw.pending))
-		for _, i := range order {
-			t := fw.pending[i]
-			node := fw.placeTask(t)
-			if node < 0 {
-				if t.isMap {
-					deferred = true
-				}
-				continue
+	still := fw.pending[:0]
+	for _, t := range fw.pending {
+		node := fw.placeTask(t)
+		if node < 0 {
+			still = append(still, t)
+			if t.isMap {
+				deferred = true
 			}
-			assigned[i] = true
-			fw.freeSlots[int(node)]--
-			fw.launch(t, node)
+			continue
 		}
-		for i, t := range fw.pending {
-			if !assigned[i] {
-				still = append(still, t)
-			}
-		}
-	} else {
-		for _, t := range fw.pending {
-			node := fw.placeTask(t)
-			if node < 0 {
-				still = append(still, t)
-				if t.isMap {
-					deferred = true
-				}
-				continue
-			}
-			fw.freeSlots[int(node)]--
-			fw.launch(t, node)
-		}
+		fw.freeSlots[int(node)]--
+		fw.launch(t, node)
 	}
+	clear(fw.pending[len(still):])
 	fw.pending = still
 	if deferred && fw.retry == nil {
 		// A deferred task's locality delay can expire without any other
 		// event firing; poll for it.
-		fw.retry = fw.eng.Schedule(500*time.Millisecond, func() {
-			fw.retry = nil
-			fw.trySchedule()
-		})
+		fw.retry = fw.eng.Schedule(500*time.Millisecond, fw.retryPass)
 	}
 }
 
 // placeTask picks a node for the task, or -1 when the task should wait.
-// Speculative duplicates avoid the node their straggling sibling runs on.
 func (fw *Framework) placeTask(t *task) cluster.NodeID {
-	ok := func(id cluster.NodeID) bool { return id != t.avoid && fw.slotFree(id) }
 	if t.isMap {
-		if mem, found := fw.fs.MemReplica(t.block.ID); found && ok(mem) {
+		if mem, found := fw.fs.MemReplica(t.block.ID); found && fw.slotFree(mem) {
 			return mem
 		}
-		for _, r := range fw.fs.Replicas(t.block.ID) {
-			if ok(r) {
+		fw.replicas = fw.fs.LiveReplicas(t.block.ID, fw.replicas[:0])
+		for _, r := range fw.replicas {
+			if fw.slotFree(r) {
 				return r
 			}
 		}
@@ -376,7 +344,7 @@ func (fw *Framework) placeTask(t *task) cluster.NodeID {
 	n := fw.cl.Size()
 	for i := 0; i < n; i++ {
 		id := cluster.NodeID((fw.rot + i) % n)
-		if ok(id) {
+		if fw.slotFree(id) {
 			fw.rot = (int(id) + 1) % n
 			return id
 		}
@@ -393,24 +361,16 @@ func (fw *Framework) launch(t *task, node cluster.NodeID) {
 	j := t.job
 	start := fw.eng.Now()
 	if t.isMap {
-		isDup := t.avoid >= 0
-		if !isDup {
-			j.mapsPending--
-			j.mapsRunning++
-		}
+		j.mapsRunning++
 		if !j.started {
 			j.started = true
 			j.FirstTask = start
 		}
-		j.running[t] = &runningMap{task: t, node: node, started: start, speculated: isDup}
 		var tsp trace.SpanRef
 		if fw.tr.Enabled() {
 			tsp = j.span.Child("task", "map", int(node),
 				trace.Int("job", int64(j.ID)),
 				trace.Int("block", int64(t.block.ID)))
-			if isDup {
-				tsp.Annotate(trace.Str("speculative", "true"))
-			}
 			fw.tr.Inc("task.map")
 		}
 		fw.eng.Schedule(j.Spec.TaskOverhead, func() {
@@ -419,29 +379,12 @@ func (fw *Framework) launch(t *task, node cluster.NodeID) {
 					// Every replica vanished mid-failover: the task
 					// fails; count the block done so the job finishes
 					// degraded rather than hanging.
-					delete(j.running, t)
 					tsp.End(trace.Str("outcome", "failed"))
-					if t.avoid >= 0 {
-						fw.freeSlots[int(node)]++
-						fw.trySchedule()
-						return
-					}
-					j.doneBlocks[t.block.ID] = true
 					fw.mapDone(j, node)
 					return
 				}
 				cpu := sim.Duration(j.Spec.MapCPUPerByte * float64(t.block.Size) * float64(sim.Second))
 				fw.eng.Schedule(cpu, func() {
-					delete(j.running, t)
-					if j.doneBlocks[t.block.ID] {
-						// A speculative sibling already won; just free
-						// the slot.
-						tsp.End(trace.Str("outcome", "lost-race"))
-						fw.freeSlots[int(node)]++
-						fw.trySchedule()
-						return
-					}
-					j.doneBlocks[t.block.ID] = true
 					j.Tasks = append(j.Tasks, TaskResult{
 						Block:    t.block.ID,
 						Node:     node,
@@ -457,14 +400,7 @@ func (fw *Framework) launch(t *task, node cluster.NodeID) {
 			if err != nil {
 				// No live replica: the task fails; count it done so the
 				// job can finish degraded rather than hang.
-				delete(j.running, t)
 				tsp.End(trace.Str("outcome", "failed"))
-				if isDup {
-					fw.freeSlots[int(node)]++
-					fw.trySchedule()
-					return
-				}
-				j.doneBlocks[t.block.ID] = true
 				fw.mapDone(j, node)
 				return
 			}
@@ -517,7 +453,7 @@ func (fw *Framework) mapDone(j *Job, node cluster.NodeID) {
 		if j.Spec.Reducers > 0 && j.ShuffleBytes > 0 {
 			j.reducersLeft = j.Spec.Reducers
 			for r := 0; r < j.Spec.Reducers; r++ {
-				fw.pending = append(fw.pending, &task{job: j, isMap: false, reducer: r, queued: fw.eng.Now(), avoid: -1})
+				fw.pending = append(fw.pending, &task{job: j, isMap: false, reducer: r, queued: fw.eng.Now()})
 			}
 		} else {
 			fw.finishJob(j)

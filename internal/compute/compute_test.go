@@ -290,8 +290,10 @@ func TestJobActiveChecker(t *testing.T) {
 	if !r.fw.JobActive(j.ID) {
 		t.Error("running job reported inactive")
 	}
-	if r.fw.JobActive(999) {
-		t.Error("unknown job reported active")
+	for _, id := range []migration.JobID{0, -1, 999, 1 << 30} {
+		if r.fw.JobActive(id) || r.fw.Job(id) != nil {
+			t.Errorf("unknown job %d reported", id)
+		}
 	}
 	r.eng.Run()
 	if r.fw.JobActive(j.ID) {
@@ -416,51 +418,38 @@ func TestSchedulerHintsReachMigration(t *testing.T) {
 	}
 }
 
-func TestFairSchedulerRescuesSmallJob(t *testing.T) {
-	run := func(policy SchedPolicy) (small, big time.Duration) {
-		eng := sim.NewEngine(22)
-		cl := cluster.New(eng, 2, func(int) cluster.NodeConfig {
-			c := cluster.DefaultNodeConfig()
-			c.TaskSlots = 2
-			return c
-		})
-		fsCfg := dfs.DefaultConfig()
-		fsCfg.Replication = 2
-		fs := dfs.New(cl, fsCfg)
-		fw := New(fs, nil)
-		fw.SetSchedPolicy(policy)
-		fs.CreateFile("big", 16*256*sim.MB)
-		fs.CreateFile("small", 256*sim.MB)
-		bigSpec := basicSpec("big")
-		bigSpec.Reducers = 0
-		smallSpec := basicSpec("small")
-		smallSpec.Reducers = 0
-		jb, err := fw.Submit(bigSpec)
+// TestSubmitDuplicateInputCompletes: a job that lists the same file
+// twice reads every block twice and finishes, with or without migration.
+// The migration case must also drain: after the job's eviction and
+// Shutdown no block is left pending, queued, migrating or in memory.
+func TestSubmitDuplicateInputCompletes(t *testing.T) {
+	for _, migrate := range []bool{false, true} {
+		var binder migration.Binder
+		if migrate {
+			binder = migration.NewDYRSBinder()
+		}
+		r := newRig(t, 23, 7, binder)
+		r.fs.CreateFile("in", 4*256*sim.MB)
+		spec := basicSpec("in", "in")
+		spec.Migrate = migrate
+		j, err := r.fw.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		js, err := fw.Submit(smallSpec)
-		if err != nil {
-			t.Fatal(err)
+		r.eng.RunUntil(sim.Time(time.Hour))
+		if r.c != nil {
+			r.c.Shutdown()
 		}
-		eng.RunUntil(sim.Time(time.Hour))
-		if jb.State != JobDone || js.State != JobDone {
-			t.Fatal("jobs hung")
+		if j.State != JobDone {
+			t.Fatalf("migrate=%v: job state %v with %d of %d maps done", migrate, j.State, j.mapsDone, j.totalMaps)
 		}
-		return js.Duration(), jb.Duration()
-	}
-	smallFIFO, _ := run(SchedFIFO)
-	smallFair, bigFair := run(SchedFair)
-	if smallFair >= smallFIFO {
-		t.Errorf("fair did not help the small job: %v vs %v under FIFO", smallFair, smallFIFO)
-	}
-	if bigFair <= 0 {
-		t.Error("big job lost under fair")
-	}
-}
-
-func TestSchedPolicyString(t *testing.T) {
-	if SchedFIFO.String() != "fifo" || SchedFair.String() != "fair" {
-		t.Error("policy names wrong")
+		if j.totalMaps != 8 || len(j.Tasks) != 8 {
+			t.Errorf("migrate=%v: %d tasks of %d maps, want 8 of 8", migrate, len(j.Tasks), j.totalMaps)
+		}
+		if r.c != nil {
+			if p, q, m, in := r.c.StateCounts(); p+q+m+in != 0 {
+				t.Errorf("migration did not drain: pending %d queued %d migrating %d in-memory %d", p, q, m, in)
+			}
+		}
 	}
 }
