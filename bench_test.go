@@ -1,18 +1,20 @@
-// Benchmarks: ablations of DYRS's design decisions and extension studies
-// that no registered experiment runs, per-layer microbenchmarks, and the
-// datacenter-scale macro presets. Run with
+// Benchmarks: ablations of DYRS's design decisions that no registered
+// experiment runs, per-layer microbenchmarks, and the datacenter-scale
+// macro presets. Run with
 //
 //	go test -run '^$' -bench=. -benchmem
 //
 // The paper's tables and figures are regenerated by cmd/dyrs-bench
-// (`dyrs-bench -only fig4`), not here. An ablation or extension
-// iteration performs a complete study in virtual time and prints its
-// result once via b.Log at -v; ns/op measures simulation cost, not
+// (`dyrs-bench -only fig4`), not here. An ablation iteration performs
+// a complete study in virtual time and prints its result once via
+// b.Log at -v; ns/op measures simulation cost, not
 // cluster time. CI gates the microbenchmarks and macro presets with
 // cmd/dyrs-benchgate against BENCH_BASELINE.json.
 package dyrs_test
 
 import (
+	"io"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -21,6 +23,7 @@ import (
 	"dyrs/internal/dfs"
 	"dyrs/internal/experiments"
 	"dyrs/internal/migration"
+	"dyrs/internal/policy"
 	"dyrs/internal/sim"
 	"dyrs/internal/trace"
 	"dyrs/internal/workload"
@@ -604,56 +607,102 @@ func BenchmarkTraceReadSpan(b *testing.B) {
 	}
 }
 
-func BenchmarkExtensionAqueductRateControl(b *testing.B) {
-	// Aqueduct-style adaptive migration priority (§VI related work):
-	// compare a foreground job's duration with full-priority migration
-	// vs the AIMD rate controller, while a large background migration
-	// runs concurrently.
-	run := func(adaptive bool) (fg float64, migrated sim.Bytes) {
-		opt := experiments.DefaultOptions(benchSeed)
-		mcfg := migration.DefaultConfig()
-		mcfg.IOWeight = 1.0 // start at full priority either way
-		opt.MigrationConfig = &mcfg
-		env := experiments.NewEnv(experiments.DYRS, opt)
-		defer env.Close()
-		var rc *migration.RateController
-		if adaptive {
-			rc = migration.NewRateController(env.Coord, time.Second)
-			defer rc.Stop()
+// newTracedRun records a fixed trace: 10,000 reads on 200 nodes, each
+// a span with two attributes at begin and two at end and a child
+// transfer span, one instant per 16 reads, two counters and a
+// read-latency histogram.
+func newTracedRun() *trace.Tracer {
+	eng := sim.NewEngine(1)
+	tr := trace.New(eng)
+	lat := tr.Hist("read.latency_ns")
+	for i := 0; i < 10000; i++ {
+		node := i % 200
+		eng.RunUntil(sim.Time(i) * sim.Time(time.Millisecond))
+		sp := tr.Begin("read", "read", node, trace.Int("block", int64(i)), trace.Int("size", 128<<20))
+		sp.Child("read", "transfer", (node+1)%200, trace.Int("bytes", 128<<20)).End()
+		sp.End(trace.Str("source", "disk"), trace.Int("server", int64(node)))
+		lat.Observe(int64(i%977) * int64(time.Millisecond))
+		tr.Inc("dfs.reads")
+		if i%16 == 0 {
+			tr.Instant("migration", "evict", node, trace.Int("block", int64(i)))
+			tr.Inc("migration.evicted")
 		}
-		// Big background migration request (no job attached to it yet).
-		if err := env.CreateInput("background", 60*sim.GB); err != nil {
-			b.Fatal(err)
-		}
-		if err := env.Coord.Migrate(1000, []string{"background"}, false); err != nil {
-			b.Fatal(err)
-		}
-		// Foreground job arrives shortly after and reads cold data.
-		if err := env.CreateInput("foreground", 6*sim.GB); err != nil {
-			b.Fatal(err)
-		}
-		spec := env.Prepare(workload.SortSpec("foreground", 8, false))
-		spec.Migrate = false // pure foreground victim
-		var fgJob *compute.Job
-		env.FW.SubmitAt(sim.Time(5*time.Second), spec, func(j *compute.Job, err error) {
-			if err != nil {
-				b.Error(err)
-			}
-			fgJob = j
-		})
-		env.Eng.RunUntil(sim.Time(10 * time.Minute))
-		if fgJob == nil || fgJob.State != compute.JobDone {
-			b.Fatal("foreground job did not finish")
-		}
-		return fgJob.Duration().Seconds(), env.Coord.Stats().BytesMigrated
 	}
+	return tr
+}
+
+// BenchmarkTraceWriteJSON measures the canonical trace export of one
+// fixed traced run (newTracedRun): building the document and encoding
+// it, discarding the bytes.
+func BenchmarkTraceWriteJSON(b *testing.B) {
+	tr := newTracedRun()
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fgStatic, migStatic := run(false)
-		fgAdaptive, migAdaptive := run(true)
-		if i == 0 {
-			b.Logf("foreground job: %.1fs with full-priority migration (%.1fGB migrated) vs %.1fs with AIMD control (%.1fGB migrated)",
-				fgStatic, float64(migStatic)/float64(sim.GB),
-				fgAdaptive, float64(migAdaptive)/float64(sim.GB))
+		if err := tr.WriteJSON(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// newAssignPass returns one target-assignment pass of the named policy
+// as the migration master runs it: a Begin over a 1,000-node view (every
+// 50th node dead, costs and queue depths spread across nodes) and then
+// an Assign for each of 1,000 three-replica requests, the request slice
+// reused as the master reuses it.
+func newAssignPass(tb testing.TB, name string) func() {
+	tb.Helper()
+	p, err := policy.New(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const nodes = 1000
+	v := policy.View{
+		Nodes:    make([]policy.NodeView, nodes),
+		StdBlock: 128 * sim.MB,
+		Rand:     rand.New(rand.NewSource(1)),
+	}
+	for i := range v.Nodes {
+		v.Nodes[i] = policy.NodeView{Alive: i%50 != 7, PerByte: 1e-9 * float64(1+i%13), Queued: i % 5}
+	}
+	replicas := make([]cluster.NodeID, 3)
+	return func() {
+		p.Begin(v)
+		for k := 0; k < 1000; k++ {
+			for r := range replicas {
+				replicas[r] = cluster.NodeID((k*7 + r*331) % nodes)
+			}
+			p.Assign(policy.Request{Block: dfs.BlockID(k), Size: 128 * sim.MB, Replicas: replicas})
+		}
+	}
+}
+
+// assignPolicies are the migrating policies BenchmarkPolicyAssign and
+// TestPolicyAssignAllocs cover.
+var assignPolicies = []string{"dyrs", "ignem", "costaware"}
+
+// BenchmarkPolicyAssign measures one assignment pass (newAssignPass)
+// per policy.
+func BenchmarkPolicyAssign(b *testing.B) {
+	for _, name := range assignPolicies {
+		b.Run(name, func(b *testing.B) {
+			pass := newAssignPass(b, name)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pass()
+			}
+		})
+	}
+}
+
+// TestPolicyAssignAllocs pins BenchmarkPolicyAssign's steady state at
+// zero allocations: after the warm-up pass has sized each policy's
+// per-node tables, a pass allocates nothing.
+func TestPolicyAssignAllocs(t *testing.T) {
+	for _, name := range assignPolicies {
+		if allocs := testing.AllocsPerRun(20, newAssignPass(t, name)); allocs != 0 {
+			t.Errorf("%s: an assignment pass allocated %.2f objects, want 0", name, allocs)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"dyrs/internal/cluster"
@@ -47,12 +46,9 @@ type ScaleOptions struct {
 	// Seed drives all randomness; identical seeds give identical rows.
 	Seed int64
 	// SampleEvery, when >1, attaches a tracer with deterministic 1-in-N
-	// root-record sampling; the sampled trace is byte-identical run to
-	// run. TraceOut, when non-nil, receives the canonical trace
-	// document at the end of the run (attaching a tracer even when
-	// SampleEvery <= 1).
+	// root-record sampling, so a run pays what sampled tracing costs
+	// (BenchmarkScale1kSampled gates it). Rows are unchanged.
 	SampleEvery int
-	TraceOut    io.Writer
 }
 
 // Scale100Options is the CI-sized preset: 100 nodes for two days of
@@ -191,12 +187,21 @@ func RunScale(opt ScaleOptions) (ScaleRow, error) {
 		Jobs:         opt.Jobs,
 		VirtualHours: time.Duration(opt.Virtual).Hours(),
 	}
-	if opt.Nodes <= 0 || opt.Files <= 0 || opt.BlocksPerFile <= 0 || opt.Jobs <= 0 {
+	if opt.Nodes <= 0 || opt.Files <= 0 || opt.BlocksPerFile <= 0 || opt.Jobs <= 0 || opt.FilesPerJob <= 0 {
 		return row, fmt.Errorf("scale %s: non-positive size parameter", opt.Scenario)
+	}
+	// Checked here rather than left to the layers: a non-positive block
+	// size panics in dfs set-up and a negative span in scheduling, and a
+	// zero span would run nothing and still report a clean row.
+	if opt.BlockSize <= 0 || opt.Virtual <= 0 {
+		return row, fmt.Errorf("scale %s: BlockSize and Virtual must be positive", opt.Scenario)
+	}
+	if opt.Racks < 0 || opt.SampleEvery < 0 {
+		return row, fmt.Errorf("scale %s: Racks and SampleEvery must not be negative", opt.Scenario)
 	}
 
 	eng := sim.NewEngine(opt.Seed)
-	if opt.TraceOut != nil || opt.SampleEvery > 1 {
+	if opt.SampleEvery > 1 {
 		// Attach before components construct (they capture the tracer
 		// once). Recording is passive — the traced row stays byte-
 		// identical to the untraced one.
@@ -348,11 +353,6 @@ func RunScale(opt ScaleOptions) (ScaleRow, error) {
 	if pend != 0 || queued != 0 || migr != 0 || inMem != 0 {
 		return row, fmt.Errorf("scale %s: non-zero final state counts %d/%d/%d/%d",
 			opt.Scenario, pend, queued, migr, inMem)
-	}
-	if opt.TraceOut != nil {
-		if err := trace.FromEngine(eng).WriteJSON(opt.TraceOut); err != nil {
-			return row, fmt.Errorf("scale %s: trace export: %w", opt.Scenario, err)
-		}
 	}
 	return row, nil
 }

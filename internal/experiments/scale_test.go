@@ -156,3 +156,30 @@ func TestScalePresetShape(t *testing.T) {
 		}
 	}
 }
+
+// TestRunScaleRejectsBadOptions: sizes and spans that would panic deep
+// in dfs set-up or event scheduling, or silently run nothing, are
+// refused up front.
+func TestRunScaleRejectsBadOptions(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name string
+		edit func(*ScaleOptions)
+	}{
+		{"zero block size", func(o *ScaleOptions) { o.BlockSize = 0 }},
+		{"negative block size", func(o *ScaleOptions) { o.BlockSize = -1 }},
+		{"zero files per job", func(o *ScaleOptions) { o.FilesPerJob = 0 }},
+		{"negative files per job", func(o *ScaleOptions) { o.FilesPerJob = -1 }},
+		{"zero virtual span", func(o *ScaleOptions) { o.Virtual = 0 }},
+		{"negative virtual span", func(o *ScaleOptions) { o.Virtual = -time.Hour }},
+		{"negative racks", func(o *ScaleOptions) { o.Racks = -1 }},
+		{"negative sampling", func(o *ScaleOptions) { o.SampleEvery = -2 }},
+		{"zero jobs", func(o *ScaleOptions) { o.Jobs = 0 }},
+	} {
+		opt := tinyScaleOptions(1)
+		tc.edit(&opt)
+		if _, err := RunScale(opt); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}

@@ -2,14 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"runtime"
 	"time"
 
 	"dyrs/internal/cluster"
 	"dyrs/internal/sim"
-	"dyrs/internal/trace"
 )
 
 // The scaleshard experiment family is the parallel-in-virtual-time
@@ -62,15 +60,8 @@ type ScaleShardOptions struct {
 	// DataShards, when >0, overrides the data-shard count (default: one
 	// per rack). Node-level behavior is layout-invariant: every node's
 	// read stream draws from its own seed-derived RNG and its disk is a
-	// private resource, so the sampled trace and the merged metric
-	// registries are byte-identical at any DataShards value.
+	// private resource.
 	DataShards int
-	// SampleEvery, when >1, attaches per-shard tracers with
-	// deterministic 1-in-N root-record sampling. TraceOut, when non-nil,
-	// receives the canonical merged trace document at the end of the run
-	// (attaching tracers even when SampleEvery <= 1).
-	SampleEvery int
-	TraceOut    io.Writer
 }
 
 // ScaleShardSmokeOptions is the CI-sized preset registered in the
@@ -190,16 +181,13 @@ type shardNode struct {
 	resident    int
 	// rng drives the node's read think times. Per-node (derived from the
 	// run seed and the node id, never from a shard engine's stream) so
-	// the node's event sequence — and therefore the sampled trace — is
-	// identical at any data-shard layout.
+	// the node's event sequence is identical at any data-shard layout.
 	rng *rand.Rand
 
 	// The closed loop keeps at most one read outstanding per node: the
 	// next read is scheduled only when the last one completes. So the
 	// read in flight lives here, and its start and completion callbacks
 	// are bound once, at set-up, making a read allocation-free.
-	t0        sim.Time
-	sp        trace.SpanRef
 	startRead func()
 	readDone  func(*sim.Flow)
 }
@@ -222,14 +210,6 @@ type shardRack struct {
 	migrated  int
 	migBytes  sim.Bytes
 	evicted   int
-
-	// Per-shard observability (nil and no-op when untraced). Only
-	// node-level records go in — never shard-level ones like heartbeat
-	// batches, whose count depends on the data-shard layout — so the
-	// merged export is layout-invariant.
-	tr        *trace.Tracer
-	hRead     *trace.Hist // read latency, ns
-	hTransfer *trace.Hist // migration transfer size, bytes
 }
 
 // shardMaster is the control-shard state: the per-node migration-cost
@@ -273,8 +253,6 @@ func (n *shardNode) scheduleRead() {
 func (n *shardNode) beginRead() {
 	rk := n.rk
 	n.outstanding++
-	n.sp = rk.tr.Begin("read", "read", n.id)
-	n.t0 = rk.sh.Now()
 	n.disk.Start(rk.opt.BlockSize, n.readDone)
 }
 
@@ -284,8 +262,6 @@ func (n *shardNode) endRead(*sim.Flow) {
 	n.outstanding--
 	rk.reads++
 	rk.readBytes += rk.opt.BlockSize
-	rk.hRead.Observe(int64(rk.sh.Now().Sub(n.t0)))
-	n.sp.End()
 	n.scheduleRead()
 }
 
@@ -353,26 +329,11 @@ func RunScaleShard(opt ScaleShardOptions) (ScaleShardRow, error) {
 	}
 	master := se.Shard(0)
 	span := sim.Time(opt.Virtual)
-	traced := opt.TraceOut != nil || opt.SampleEvery > 1
 
 	m := &shardMaster{est: make([]float64, opt.Nodes)}
-	var masterTr *trace.Tracer
-	if traced {
-		masterTr = trace.New(master)
-		masterTr.SetSampling(opt.SampleEvery, uint64(opt.Seed))
-	}
 	racks := make([]*shardRack, part.Shards())
-	trs := []*trace.Tracer{masterTr}
 	for s := 1; s < part.Shards(); s++ {
-		rk := newShardRack(se.Shard(s), &opt, m)
-		if traced {
-			rk.tr = trace.New(rk.sh)
-			rk.tr.SetSampling(opt.SampleEvery, uint64(opt.Seed))
-			rk.hRead = rk.tr.Hist("read.latency_ns")
-			rk.hTransfer = rk.tr.Hist("migration.transfer_bytes")
-		}
-		racks[s] = rk
-		trs = append(trs, rk.tr)
+		racks[s] = newShardRack(se.Shard(s), &opt, m)
 	}
 
 	// Per-node disk heterogeneity, drawn from a dedicated setup stream
@@ -416,19 +377,13 @@ func RunScaleShard(opt ScaleShardOptions) (ScaleShardRow, error) {
 	// invariant independent of control-plane round trips.
 	const migWeight = 0.3
 	migrate := func(rk *shardRack, n *shardNode) {
-		sp := rk.tr.Begin("migration", "migrate", n.id, trace.Int("size", int64(opt.BlockSize)))
 		n.disk.StartWeighted(opt.BlockSize, migWeight, func(*sim.Flow) {
 			rk.migrated++
 			rk.migBytes += opt.BlockSize
 			n.resident++
-			rk.hTransfer.Observe(int64(opt.BlockSize))
-			rk.tr.Inc("migration.completed")
-			rk.tr.Add("migration.bytes", int64(opt.BlockSize))
-			sp.End(trace.Str("outcome", "pinned"))
 			rk.sh.Schedule(opt.Residency, func() {
 				n.resident--
 				rk.evicted++
-				rk.tr.Instant("migration", "evict", n.id)
 			})
 			id := n.id
 			rk.sh.Send(0, opt.ControlLatency, func() {
@@ -449,9 +404,6 @@ func RunScaleShard(opt ScaleShardOptions) (ScaleShardRow, error) {
 		submit := sim.Time(arrivalSpan * float64(j) / float64(opt.Jobs))
 		master.At(submit, func() {
 			m.requested += opt.BlocksPerJob
-			masterTr.Instant("job", "submit", trace.NodeMaster,
-				trace.Int("blocks", int64(opt.BlocksPerJob)))
-			masterTr.Add("migration.requested", int64(opt.BlocksPerJob))
 			batches := make([][]*shardNode, part.Shards())
 			for k := 0; k < opt.BlocksPerJob; k++ {
 				best := 0
@@ -519,11 +471,6 @@ func RunScaleShard(opt ScaleShardOptions) (ScaleShardRow, error) {
 	}
 	if row.Evicted != rackMigrated {
 		return row, fmt.Errorf("scaleshard %s: migrated %d but evicted %d", opt.Scenario, rackMigrated, row.Evicted)
-	}
-	if opt.TraceOut != nil {
-		if err := trace.WriteMergedJSON(opt.TraceOut, trs...); err != nil {
-			return row, fmt.Errorf("scaleshard %s: trace export: %w", opt.Scenario, err)
-		}
 	}
 	return row, nil
 }

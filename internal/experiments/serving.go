@@ -176,6 +176,18 @@ func servingPolicies(opt ServingOptions) []string {
 	return append([]string{"hdfs"}, migration.BinderNames()...)
 }
 
+// servingEnv names the environment one serving policy runs in: "hdfs"
+// is the non-migrating baseline, any other name a binder swapped into
+// the DYRS coordinator.
+func servingEnv(opt ServingOptions, name string) (Policy, Options) {
+	envOpt := Options{Workers: opt.Workers, Racks: opt.Racks, Seed: opt.Seed, Trace: true}
+	if name == "hdfs" {
+		return HDFS, envOpt
+	}
+	envOpt.MigBinder = name
+	return DYRS, envOpt
+}
+
 // RunServing draws the request stream once and scores every requested
 // policy against it.
 func RunServing(opt ServingOptions) (ServingReport, error) {
@@ -185,22 +197,23 @@ func RunServing(opt ServingOptions) (ServingReport, error) {
 	if opt.Load.CacheBudget == 0 {
 		opt.Load = DefaultServingLoadOptions()
 	}
+	if opt.Spec.Horizon < 0 {
+		return ServingReport{}, fmt.Errorf("serving %s: Spec.Horizon must not be negative, got %v", opt.Scenario, opt.Spec.Horizon)
+	}
+	// Every policy's environment is checked before anything runs, so an
+	// unknown policy name or a negative cluster size is an error here
+	// and never a panic inside NewEnv.
+	policies := servingPolicies(opt)
+	for _, name := range policies {
+		_, envOpt := servingEnv(opt, name)
+		if err := envOpt.Validate(); err != nil {
+			return ServingReport{}, fmt.Errorf("serving %s/%s: %w", opt.Scenario, name, err)
+		}
+	}
 	stream := workload.GenerateServing(opt.Spec, opt.Seed)
 	rep := ServingReport{Scenario: opt.Scenario, Requests: len(stream.Requests)}
-	for _, name := range servingPolicies(opt) {
-		envPolicy := HDFS
-		binder := ""
-		if name != "hdfs" {
-			envPolicy = DYRS
-			binder = name
-		}
-		env := NewEnv(envPolicy, Options{
-			Workers:   opt.Workers,
-			Racks:     opt.Racks,
-			Seed:      opt.Seed,
-			Trace:     true,
-			MigBinder: binder,
-		})
+	for _, name := range policies {
+		env := NewEnv(servingEnv(opt, name))
 		row, err := RunServingLoad(env, stream, opt.Load)
 		env.Close()
 		if err != nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"reflect"
 	"testing"
+	"time"
 )
 
 // TestServingSmokeScorecard runs the CI preset once and checks the
@@ -72,5 +73,27 @@ func TestServingDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Error("serving smoke is nondeterministic across identical runs")
+	}
+}
+
+// TestRunServingRejectsBadOptions: an unknown policy name, a negative
+// horizon or a negative cluster size is an error before anything runs,
+// never a panic inside NewEnv or the scheduler.
+func TestRunServingRejectsBadOptions(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name string
+		edit func(*ServingOptions)
+	}{
+		{"unknown policy", func(o *ServingOptions) { o.Policies = []string{"hdfs", "nope"} }},
+		{"negative horizon", func(o *ServingOptions) { o.Spec.Horizon = -time.Minute }},
+		{"negative workers", func(o *ServingOptions) { o.Workers = -1 }},
+		{"negative racks", func(o *ServingOptions) { o.Racks = -2 }},
+	} {
+		opt := ServingSmokeOptions(1)
+		tc.edit(&opt)
+		if _, err := RunServing(opt); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }

@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"dyrs/internal/sim"
 )
 
 // Schema versions the canonical trace document layout. v2 added the
@@ -43,8 +41,7 @@ type traceDoc struct {
 	NowNS   int64  `json:"now_ns"`             // virtual clock at export
 	SampleN int    `json:"sample_n,omitempty"` // 1-in-N root sampling; absent = full fidelity
 	// SampledOut counts root records the sampler dropped, so a reader
-	// knows what fraction of activity the spans/instants represent. The
-	// count is layout-invariant (drops are per (cat,node) ordinal).
+	// knows what fraction of activity the spans/instants represent.
 	SampledOut uint64              `json:"sampled_out,omitempty"`
 	Counters   map[string]int64    `json:"counters"`
 	Hists      map[string]histJSON `json:"hists,omitempty"`
@@ -86,22 +83,10 @@ func histDoc(h *Hist) (histJSON, bool) {
 	return out, true
 }
 
-// histsDoc folds the tracers' histograms by name and encodes every
-// non-empty result.
-func histsDoc(live []*Tracer) map[string]histJSON {
-	merged := make(map[string]*Hist)
-	for _, t := range live {
-		for name, h := range t.hists {
-			m := merged[name]
-			if m == nil {
-				m = &Hist{}
-				merged[name] = m
-			}
-			m.Merge(h)
-		}
-	}
+// histsDoc encodes every non-empty histogram of the tracer.
+func histsDoc(t *Tracer) map[string]histJSON {
 	var out map[string]histJSON
-	for name, h := range merged {
+	for name, h := range t.hists {
 		if doc, ok := histDoc(h); ok {
 			if out == nil {
 				out = make(map[string]histJSON)
@@ -112,11 +97,10 @@ func histsDoc(live []*Tracer) map[string]histJSON {
 	return out
 }
 
-// json encodes the span for the canonical document under the given
-// (possibly reassigned) ID and parent.
-func (s *Span) json(id, parent int) spanJSON {
+// json encodes the span for the canonical document.
+func (s *Span) json() spanJSON {
 	return spanJSON{
-		ID: id, Parent: parent, Cat: s.Cat(), Name: s.Name(), Node: s.Node(),
+		ID: s.ID(), Parent: s.Parent(), Cat: s.Cat(), Name: s.Name(), Node: s.Node(),
 		BeginNS: int64(s.begin), EndNS: int64(s.end), Attrs: s.st.attrMap(s.head),
 	}
 }
@@ -129,70 +113,29 @@ func (in *Instant) json() instantJSON {
 	}
 }
 
-// WriteJSON writes the canonical trace document. Every field derives
-// from virtual time, seeded randomness or record order, and
-// encoding/json sorts map keys, so identical seeds produce
-// byte-identical documents. A nil tracer writes the document of an
-// empty one at time 0.
+// WriteJSON writes the canonical trace document: spans and instants in
+// record order, each span under its own ID. Every field derives from
+// virtual time, seeded randomness or record order, and encoding/json
+// sorts map keys, so identical seeds produce byte-identical documents.
+// A nil tracer writes the document of an empty one at time 0.
 func (t *Tracer) WriteJSON(w io.Writer) error {
-	var live []*Tracer
+	doc := traceDoc{Schema: Schema, Counters: map[string]int64{}, Spans: []spanJSON{}, Instants: []instantJSON{}}
 	if t != nil {
-		live = []*Tracer{t}
-	}
-	return writeDoc(w, live, inRecordOrder(len(t.Spans())), inRecordOrder(len(t.Instants())))
-}
-
-// inRecordOrder lists the first n records of a lone tracer in the order
-// it recorded them.
-func inRecordOrder(n int) []mergedRec {
-	recs := make([]mergedRec, n)
-	for i := range recs {
-		recs[i].idx = i
-	}
-	return recs
-}
-
-// writeDoc writes the canonical document of the live tracers with their
-// spans and instants in the given order. Counters and histograms are
-// summed by name and the clock is the latest of the tracers'. Span IDs
-// are reassigned in order (the i-th span gets ID i+1) and parents
-// remapped per tracer, so the document is self-consistent; one tracer
-// in record order keeps its own IDs.
-func writeDoc(w io.Writer, live []*Tracer, spans, instants []mergedRec) error {
-	doc := traceDoc{Schema: Schema, Counters: map[string]int64{}, Hists: histsDoc(live)}
-	var now sim.Time
-	for _, t := range live {
-		now = max(now, t.eng.Now())
-		if n := t.SampleN(); n > doc.SampleN && n > 1 {
+		doc.NowNS = int64(t.eng.Now())
+		if n := t.SampleN(); n > 1 {
 			doc.SampleN = n
 		}
-		doc.SampledOut += t.SampledOut()
-		for name, p := range t.counters {
-			doc.Counters[name] += *p
+		doc.SampledOut = t.SampledOut()
+		doc.Counters = t.Counters()
+		doc.Hists = histsDoc(t)
+		doc.Spans = make([]spanJSON, len(t.spans))
+		for i := range t.spans {
+			doc.Spans[i] = t.spans[i].json()
 		}
-	}
-	doc.NowNS = int64(now)
-
-	// newID[tr][i] is the exported ID of span i of tracer tr.
-	newID := make([][]int32, len(live))
-	for tr, t := range live {
-		newID[tr] = make([]int32, len(t.spans))
-	}
-	for i, r := range spans {
-		newID[r.tr][r.idx] = int32(i + 1)
-	}
-	doc.Spans = make([]spanJSON, len(spans))
-	for i, r := range spans {
-		s := &live[r.tr].spans[r.idx]
-		parent := 0
-		if s.parent != 0 {
-			parent = int(newID[r.tr][s.parent-1])
+		doc.Instants = make([]instantJSON, len(t.instants))
+		for i := range t.instants {
+			doc.Instants[i] = t.instants[i].json()
 		}
-		doc.Spans[i] = s.json(i+1, parent)
-	}
-	doc.Instants = make([]instantJSON, len(instants))
-	for i, r := range instants {
-		doc.Instants[i] = live[r.tr].instants[r.idx].json()
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")

@@ -3,11 +3,7 @@
 // distributions at datacenter scale. A histogram is a fixed array of 64
 // power-of-two buckets aggregated online — no span or sample is ever
 // retained — so observing ten million reads costs the same memory as
-// observing ten. Bucket boundaries are value-independent (pure log2),
-// which is what makes per-shard histograms mergeable: Merge is a plain
-// element-wise sum and equals the histogram a single whole-run observer
-// would have produced (asserted by a differential test across shard
-// counts).
+// observing ten. Bucket boundaries are value-independent (pure log2).
 package trace
 
 import (
@@ -84,30 +80,6 @@ func (h *Hist) Observe(v int64) {
 	h.count++
 	h.sum += v
 	h.buckets[histBucket(v)]++
-}
-
-// Merge folds another histogram into this one element-wise. Because the
-// bucket boundaries are value-independent, merging per-shard histograms
-// is exactly equivalent to one observer having seen every value.
-func (h *Hist) Merge(o *Hist) {
-	if h == nil || o == nil || o.count == 0 {
-		return
-	}
-	if h.count == 0 {
-		h.min, h.max = o.min, o.max
-	} else {
-		if o.min < h.min {
-			h.min = o.min
-		}
-		if o.max > h.max {
-			h.max = o.max
-		}
-	}
-	h.count += o.count
-	h.sum += o.sum
-	for i := range h.buckets {
-		h.buckets[i] += o.buckets[i]
-	}
 }
 
 // Count reports the number of observations (0 for nil).

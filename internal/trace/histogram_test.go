@@ -87,55 +87,6 @@ func TestHistOverflowBucket(t *testing.T) {
 	}
 }
 
-// TestHistMergeEqualsWholeRun is the unit half of the merge
-// differential: splitting one observation stream over k shards and
-// merging must reproduce the whole-run histogram exactly, for several
-// shard counts, including negative, zero, and overflow values.
-func TestHistMergeEqualsWholeRun(t *testing.T) {
-	values := make([]int64, 0, 3000)
-	v := int64(-100)
-	for i := 0; i < 3000; i++ {
-		// Deterministic spread over negatives, zero, small, huge.
-		v = v*3 + int64(i)
-		values = append(values, v%(1<<40)-512)
-	}
-	values = append(values, 0, -1, 1<<62, math.MaxInt64)
-
-	var whole Hist
-	for _, v := range values {
-		whole.Observe(v)
-	}
-	for _, shards := range []int{1, 2, 4, 7} {
-		parts := make([]Hist, shards)
-		for i, v := range values {
-			parts[i%shards].Observe(v)
-		}
-		var merged Hist
-		for i := range parts {
-			merged.Merge(&parts[i])
-		}
-		if merged != whole {
-			t.Errorf("shards=%d: merged histogram differs from whole-run", shards)
-		}
-	}
-}
-
-func TestHistMergeEmptyAndNil(t *testing.T) {
-	var h Hist
-	h.Observe(42)
-	before := h
-	h.Merge(nil)
-	h.Merge(&Hist{})
-	if h != before {
-		t.Error("merging nil/empty changed the histogram")
-	}
-	var empty Hist
-	empty.Merge(&h)
-	if empty != h {
-		t.Error("merging into empty did not copy min/max")
-	}
-}
-
 func TestTracerHistRegistry(t *testing.T) {
 	eng := sim.NewEngine(1)
 	tr := New(eng)

@@ -162,17 +162,13 @@ func (s refRef) End(attrs ...Attr) {
 	}
 }
 
-// histsDoc is the one-tracer histogram section the reference writer
-// embeds.
-func (t *Tracer) histsDoc() map[string]histJSON { return histsDoc([]*Tracer{t}) }
-
 func (r *refRecorder) WriteJSON(w io.Writer) error {
 	t := r.t
 	doc := traceDoc{
 		Schema:   Schema,
 		NowNS:    int64(t.eng.Now()),
 		Counters: t.Counters(),
-		Hists:    t.histsDoc(),
+		Hists:    histsDoc(t),
 		Spans:    make([]spanJSON, len(r.spans)),
 		Instants: make([]instantJSON, len(r.instants)),
 	}
@@ -333,98 +329,6 @@ func (r *refRecorder) WriteChromeTrace(w io.Writer) error {
 	}
 
 	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
-}
-
-func refWriteMergedJSON(w io.Writer, recs ...*refRecorder) error {
-	live := make([]*refRecorder, 0, len(recs))
-	for _, r := range recs {
-		if r != nil {
-			live = append(live, r)
-		}
-	}
-
-	doc := traceDoc{Schema: Schema, Counters: map[string]int64{}}
-	var now sim.Time
-	merged := make(map[string]*Hist)
-	var spanRecs, instRecs []mergedRec
-	for ti, r := range live {
-		t := r.t
-		if t.eng.Now() > now {
-			now = t.eng.Now()
-		}
-		if n := r.sampleN(); n > doc.SampleN && n > 1 {
-			doc.SampleN = n
-		}
-		doc.SampledOut += r.sampledOut()
-		for name, p := range t.counters {
-			doc.Counters[name] += *p
-		}
-		for name, h := range t.hists {
-			m := merged[name]
-			if m == nil {
-				m = &Hist{}
-				merged[name] = m
-			}
-			m.Merge(h)
-		}
-		ord := map[int]uint64{}
-		for i := range r.spans {
-			s := &r.spans[i]
-			spanRecs = append(spanRecs, mergedRec{at: s.Begin, node: s.Node, ord: ord[s.Node], tr: ti, idx: i})
-			ord[s.Node]++
-		}
-		ord = map[int]uint64{}
-		for i := range r.instants {
-			in := &r.instants[i]
-			instRecs = append(instRecs, mergedRec{at: in.At, node: in.Node, ord: ord[in.Node], tr: ti, idx: i})
-			ord[in.Node]++
-		}
-	}
-	doc.NowNS = int64(now)
-	for name, h := range merged {
-		if hd, ok := histDoc(h); ok {
-			if doc.Hists == nil {
-				doc.Hists = make(map[string]histJSON)
-			}
-			doc.Hists[name] = hd
-		}
-	}
-
-	sort.Slice(spanRecs, func(i, j int) bool { return mergedLess(spanRecs[i], spanRecs[j]) })
-	sort.Slice(instRecs, func(i, j int) bool { return mergedLess(instRecs[i], instRecs[j]) })
-
-	// Reassign span IDs in merged order; remap parents per tracer.
-	newID := make([]map[int]int, len(live))
-	for i := range newID {
-		newID[i] = map[int]int{}
-	}
-	for i, r := range spanRecs {
-		newID[r.tr][live[r.tr].spans[r.idx].ID] = i + 1
-	}
-	doc.Spans = make([]spanJSON, len(spanRecs))
-	for i, r := range spanRecs {
-		s := live[r.tr].spans[r.idx]
-		parent := 0
-		if s.Parent != 0 {
-			parent = newID[r.tr][s.Parent]
-		}
-		doc.Spans[i] = spanJSON{
-			ID: i + 1, Parent: parent, Cat: s.Cat, Name: s.Name, Node: s.Node,
-			BeginNS: int64(s.Begin), EndNS: int64(s.End), Attrs: refAttrMap(s.Attrs),
-		}
-	}
-	doc.Instants = make([]instantJSON, len(instRecs))
-	for i, r := range instRecs {
-		in := live[r.tr].instants[r.idx]
-		doc.Instants[i] = instantJSON{
-			Cat: in.Cat, Name: in.Name, Node: in.Node,
-			AtNS: int64(in.At), Attrs: refAttrMap(in.Attrs),
-		}
-	}
-
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
 	return enc.Encode(doc)
 }
 

@@ -3,15 +3,10 @@
 //
 // The sampling decision for a root span (or instant) is a pure function
 // of (seed, category, node, per-(category,node) ordinal) hashed with
-// FNV-1a — no virtual time, no span IDs, no RNG draw. Span IDs are
-// assigned per tracer and shift with shard layout; virtual time shifts
-// with model edits; an RNG draw would perturb the model's stream. The
-// chosen key does none of that, and it is invariant across shard and
-// worker counts: every node is homed on exactly one shard, its events
-// execute in a deterministic order at any layout, so the k-th
-// (category, node) record is the same record in every configuration.
-// A 1-in-N sampled scaleshard trace is therefore byte-identical across
-// data-shard and worker counts — asserted by CI.
+// FNV-1a — no virtual time, no span IDs, no RNG draw. Virtual time
+// shifts with model edits and an RNG draw would perturb the model's
+// stream; the chosen key does neither, so a 1-in-N sampled trace is
+// byte-identical run to run at the same seed.
 //
 // Sampling drops whole trees: a sampled-out Begin returns the zero
 // SpanRef, and children/annotations of the zero ref are no-ops, so a

@@ -12,10 +12,10 @@ import (
 
 // FuzzTraceStore replays one byte program into the tracer and into the
 // reference []Attr-per-record store (refstore_test.go) and requires the
-// two to be indistinguishable: identical canonical, Chrome and
-// two-tracer merged documents, Summarize results, flight-recorder
-// contents, record fields and Attr values for every key. cfg selects
-// sampling and the flight recorder (see replay).
+// two to be indistinguishable: identical canonical and Chrome
+// documents, Summarize results, flight-recorder contents, record fields
+// and Attr values for every key. cfg selects sampling and the flight
+// recorder (see replay).
 func FuzzTraceStore(f *testing.F) {
 	f.Add(byte(0), []byte{})
 	// Duplicate keys: Begin with block, Annotate twice, End with block.
@@ -29,26 +29,16 @@ func FuzzTraceStore(f *testing.F) {
 	f.Add(byte(5), []byte{0, 0, 0, 3, 1, 1, 6, 50, 0, 1, 0, 0, 2, 2, 2, 5, 1, 1, 4, 3, 67})
 
 	f.Fuzz(func(t *testing.T, cfg byte, data []byte) {
-		half := len(data) / 2
-		a, ra := replay(data[:half], cfg, 7, true)
-		b, rb := replay(data[half:], cfg, 8, true)
-		for _, p := range []struct {
-			tr  *Tracer
-			ref *refRecorder
-		}{{a, ra}, {b, rb}} {
-			sameOutput(t, "WriteJSON", p.tr.WriteJSON, p.ref.WriteJSON)
-			sameOutput(t, "WriteChromeTrace", p.tr.WriteChromeTrace, p.ref.WriteChromeTrace)
-			if got, want := p.tr.Summarize(), p.ref.Summarize(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("Summarize differs:\n%s\nreference:\n%s", got, want)
-			}
-			if got, want := p.tr.FlightEvents(), p.ref.flight.eventsOrNil(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("flight events differ:\n%v\nreference:\n%v", got, want)
-			}
-			sameRecords(t, p.tr, p.ref)
+		tr, ref := replay(data, cfg, 7, true)
+		sameOutput(t, "WriteJSON", tr.WriteJSON, ref.WriteJSON)
+		sameOutput(t, "WriteChromeTrace", tr.WriteChromeTrace, ref.WriteChromeTrace)
+		if got, want := tr.Summarize(), ref.Summarize(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Summarize differs:\n%s\nreference:\n%s", got, want)
 		}
-		sameOutput(t, "WriteMergedJSON",
-			func(w io.Writer) error { return WriteMergedJSON(w, a, nil, b) },
-			func(w io.Writer) error { return refWriteMergedJSON(w, ra, nil, rb) })
+		if got, want := tr.FlightEvents(), ref.flight.eventsOrNil(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("flight events differ:\n%v\nreference:\n%v", got, want)
+		}
+		sameRecords(t, tr, ref)
 	})
 }
 

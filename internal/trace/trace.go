@@ -3,8 +3,8 @@
 // with node and key=value attributes), instant events, and a counter /
 // gauge registry, threaded through the DFS, migration and compute
 // layers so one run yields a complete causal timeline — when a
-// migration was requested vs. when its job's first read landed, which
-// reads were redirected to memory, where rate control throttled.
+// migration was requested vs. when its job's first read landed, and
+// which reads were redirected to memory.
 //
 // Everything is keyed to sim.Time, so traces are exactly reproducible:
 // the same seed produces a byte-identical canonical JSON export.
