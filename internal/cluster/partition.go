@@ -7,50 +7,27 @@ import (
 // Partition maps a cluster onto the logical shards of a
 // sim.ShardedEngine: shard 0 is the control shard (master, namenode,
 // coordinator — everything that must observe global state), and each
-// rack's nodes are homed on one data shard. A shard owns the event
-// queue, Resources, and DataNode state of its partition; everything
-// that crosses a partition edge (heartbeat reports, migration
-// commands, cross-rack flows) must travel as a sim Send with at least
-// the partition lookahead of delay.
+// rack's nodes are homed on a data shard of their own. A shard owns the
+// event queue, Resources, and DataNode state of its partition;
+// everything that crosses a partition edge (heartbeat reports,
+// migration commands, cross-rack flows) must travel as a sim Send with
+// at least the MinLookahead of delay.
 type Partition struct {
-	shards     int
-	shardOf    []int   // node index -> shard
-	rackShard  []int   // rack -> shard
-	shardRacks [][]int // shard -> racks homed on it (empty for shard 0)
-	lookahead  sim.Duration
+	shards  int
+	shardOf []int // node index -> shard
 }
 
 // PartitionByRack builds the canonical rack partition: shard 0 for the
-// control plane, then racks assigned round-robin over dataShards data
-// shards (so the shard count is tunable independently of the rack
-// count). dataShards is clamped to [1, racks]; the resulting engine
-// needs 1+dataShards shards. lookahead is the minimum cross-partition
-// latency the model guarantees — see MinLookahead for its derivation.
-func PartitionByRack(nodes, racks, dataShards int, lookahead sim.Duration) *Partition {
+// control plane, then one data shard per rack, so rack r is homed on
+// shard 1+r and the engine needs 1+racks shards.
+func PartitionByRack(nodes, racks int) *Partition {
 	if racks < 1 {
 		panic("cluster: partition needs at least one rack")
 	}
-	if dataShards < 1 {
-		dataShards = 1
-	}
-	if dataShards > racks {
-		dataShards = racks
-	}
-	p := &Partition{
-		shards:     1 + dataShards,
-		shardOf:    make([]int, nodes),
-		rackShard:  make([]int, racks),
-		shardRacks: make([][]int, 1+dataShards),
-		lookahead:  lookahead,
-	}
-	for r := 0; r < racks; r++ {
-		s := 1 + r%dataShards
-		p.rackShard[r] = s
-		p.shardRacks[s] = append(p.shardRacks[s], r)
-	}
+	p := &Partition{shards: 1 + racks, shardOf: make([]int, nodes)}
 	// Mirror ConfigureRacks' round-robin node->rack assignment.
 	for i := 0; i < nodes; i++ {
-		p.shardOf[i] = p.rackShard[i%racks]
+		p.shardOf[i] = 1 + i%racks
 	}
 	return p
 }
@@ -59,21 +36,8 @@ func PartitionByRack(nodes, racks, dataShards int, lookahead sim.Duration) *Part
 // shards) — the value to pass to sim.NewShardedEngine.
 func (p *Partition) Shards() int { return p.shards }
 
-// ControlShard is the shard index of the control plane (always 0).
-func (p *Partition) ControlShard() int { return 0 }
-
 // NodeShard reports the shard a node is homed on.
 func (p *Partition) NodeShard(id NodeID) int { return p.shardOf[int(id)] }
-
-// RackShard reports the shard a rack is homed on.
-func (p *Partition) RackShard(rack int) int { return p.rackShard[rack] }
-
-// ShardRacks returns the racks homed on a shard (empty for the control
-// shard). Callers must not mutate the returned slice.
-func (p *Partition) ShardRacks(shard int) []int { return p.shardRacks[shard] }
-
-// Lookahead reports the partition's cross-shard latency floor.
-func (p *Partition) Lookahead() sim.Duration { return p.lookahead }
 
 // MinLookahead derives a safe conservative-synchronization lookahead
 // from the model's cross-partition latencies: every interaction that

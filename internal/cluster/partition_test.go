@@ -8,59 +8,19 @@ import (
 )
 
 func TestPartitionByRack(t *testing.T) {
-	p := PartitionByRack(100, 4, 4, time.Millisecond)
+	p := PartitionByRack(100, 4)
 	if p.Shards() != 5 {
 		t.Fatalf("Shards() = %d, want 5 (control + 4 data)", p.Shards())
 	}
-	if p.ControlShard() != 0 {
-		t.Fatalf("ControlShard() = %d", p.ControlShard())
-	}
-	// Node->shard must agree with ConfigureRacks' round-robin rack map.
+	// Node->shard must agree with ConfigureRacks' round-robin rack map:
+	// rack r is homed on data shard 1+r, and no node on the control shard.
 	eng := sim.NewEngine(1)
 	c := New(eng, 100, nil)
 	c.ConfigureRacks(4, 0)
 	for i := 0; i < 100; i++ {
 		id := NodeID(i)
-		want := p.RackShard(c.Rack(id))
-		if got := p.NodeShard(id); got != want {
-			t.Fatalf("node %d: shard %d, rack %d homed on shard %d", i, got, c.Rack(id), want)
-		}
-	}
-	// Every rack homed on exactly one data shard, and the reverse map agrees.
-	seen := map[int]bool{}
-	for s := 1; s < p.Shards(); s++ {
-		for _, r := range p.ShardRacks(s) {
-			if seen[r] {
-				t.Fatalf("rack %d homed on two shards", r)
-			}
-			seen[r] = true
-			if p.RackShard(r) != s {
-				t.Fatalf("rack %d: RackShard=%d but listed under shard %d", r, p.RackShard(r), s)
-			}
-		}
-	}
-	if len(seen) != 4 {
-		t.Fatalf("homed %d racks, want 4", len(seen))
-	}
-	if len(p.ShardRacks(0)) != 0 {
-		t.Fatal("control shard must own no racks")
-	}
-}
-
-func TestPartitionByRackClamping(t *testing.T) {
-	// More data shards than racks clamps to one shard per rack.
-	p := PartitionByRack(10, 2, 8, time.Millisecond)
-	if p.Shards() != 3 {
-		t.Fatalf("Shards() = %d, want 3", p.Shards())
-	}
-	// Fewer shards than racks: racks round-robin over the data shards.
-	p = PartitionByRack(12, 6, 2, time.Millisecond)
-	if p.Shards() != 3 {
-		t.Fatalf("Shards() = %d, want 3", p.Shards())
-	}
-	for r := 0; r < 6; r++ {
-		if s := p.RackShard(r); s != 1+r%2 {
-			t.Fatalf("rack %d on shard %d, want %d", r, s, 1+r%2)
+		if got, want := p.NodeShard(id), 1+c.Rack(id); got != want {
+			t.Fatalf("node %d: shard %d, want %d (rack %d)", i, got, want, c.Rack(id))
 		}
 	}
 }

@@ -38,8 +38,6 @@ type JobSpec struct {
 	ReduceCPUPerByte float64
 	// OutputRatio is job output bytes per shuffle byte.
 	OutputRatio float64
-	// OutputReplication is the DFS replication of the job output.
-	OutputReplication int
 
 	// PlatformOverhead is fixed job-setup time between submission and
 	// tasks becoming runnable (container launch, JVM warm-up) — a main
@@ -56,6 +54,10 @@ type JobSpec struct {
 	ImplicitEvict bool
 }
 
+// outputReplication is the DFS replication of every job's output
+// (jobs often write output with replication 1 in sort benchmarks).
+const outputReplication = 1
+
 // DefaultOverheads fills in the typical constants used across the
 // evaluation: 1.5 s platform overhead and 0.3 s task overhead.
 func (s JobSpec) DefaultOverheads() JobSpec {
@@ -64,9 +66,6 @@ func (s JobSpec) DefaultOverheads() JobSpec {
 	}
 	if s.TaskOverhead == 0 {
 		s.TaskOverhead = 300 * time.Millisecond
-	}
-	if s.OutputReplication == 0 {
-		s.OutputReplication = 1
 	}
 	return s
 }
@@ -430,7 +429,7 @@ func (fw *Framework) launch(t *task, node cluster.NodeID) {
 			cpu := sim.Duration(j.Spec.ReduceCPUPerByte * float64(share) * float64(sim.Second))
 			fw.eng.Schedule(cpu, func() {
 				if outShare > 0 {
-					fw.fs.WriteBlocks(node, outShare, j.Spec.OutputReplication, done)
+					fw.fs.WriteBlocks(node, outShare, outputReplication, done)
 				} else {
 					done()
 				}

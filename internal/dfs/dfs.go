@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"time"
 
 	"dyrs/internal/cluster"
 	"dyrs/internal/sim"
@@ -721,11 +720,7 @@ func (fs *FS) ReadBlock(at cluster.NodeID, id BlockID, done func(ReadResult)) er
 func (fs *FS) readAttempt(at cluster.NodeID, id BlockID, start sim.Time,
 	exclude map[cluster.NodeID]bool, done func(ReadResult), first bool, sp trace.SpanRef) error {
 	failover := func(server cluster.NodeID) {
-		timeout := time.Second
-		if fs.liveness != nil {
-			timeout = fs.liveness.cfg.ConnectTimeout
-		}
-		fs.eng.Schedule(timeout, func() {
+		fs.eng.Schedule(connectTimeout, func() {
 			fs.failedOvers++
 			if fs.tr.Enabled() {
 				fs.tr.Inc("read.failover")

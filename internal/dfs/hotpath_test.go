@@ -207,7 +207,7 @@ func TestReadBlockAllocs(t *testing.T) {
 func TestReadOpPoolReuse(t *testing.T) {
 	t.Parallel()
 	eng, cl, fs := newTestFS(t, 5, 60)
-	fs.EnableHeartbeats(DefaultLivenessConfig())
+	fs.EnableHeartbeats()
 	defer fs.DisableHeartbeats()
 	fa, _ := fs.CreateFile("a", 256*sim.MB)
 	fb, _ := fs.CreateFile("b", 256*sim.MB)

@@ -18,46 +18,32 @@ import (
 // as a replica until its heartbeats have been missed, and reads routed
 // to it pay a connect timeout before failing over.
 
-// LivenessConfig tunes the heartbeat tracker.
-type LivenessConfig struct {
-	// Interval is the DataNode heartbeat period.
-	Interval time.Duration
-	// MissedBeats is how many consecutive misses mark a node dead.
-	MissedBeats int
-	// ConnectTimeout is what a client pays before failing over from an
-	// unreachable-but-not-yet-marked node.
-	ConnectTimeout time.Duration
-}
-
-// DefaultLivenessConfig mirrors HDFS-era settings scaled down: 3s
-// heartbeats, 3 missed beats to declare death, 1s connect timeout.
-func DefaultLivenessConfig() LivenessConfig {
-	return LivenessConfig{
-		Interval:       3 * time.Second,
-		MissedBeats:    3,
-		ConnectTimeout: time.Second,
-	}
-}
+// The tracker's settings mirror HDFS-era values scaled down.
+const (
+	// heartbeatInterval is the DataNode heartbeat period.
+	heartbeatInterval = 3 * time.Second
+	// missedBeats is how many consecutive misses mark a node dead.
+	missedBeats = 3
+	// connectTimeout is what a client pays before failing over from an
+	// unreachable node, with or without the tracker.
+	connectTimeout = time.Second
+)
 
 // liveness is the NameNode-side tracker.
 type liveness struct {
-	cfg      LivenessConfig
 	lastSeen []sim.Time
 	ticker   *sim.Ticker
 }
 
 // EnableHeartbeats starts heartbeat-based liveness tracking. Call once,
 // before failures are injected.
-func (fs *FS) EnableHeartbeats(cfg LivenessConfig) {
-	if cfg.Interval <= 0 || cfg.MissedBeats <= 0 {
-		panic("dfs: invalid liveness config")
-	}
-	lv := &liveness{cfg: cfg, lastSeen: make([]sim.Time, fs.cl.Size())}
+func (fs *FS) EnableHeartbeats() {
+	lv := &liveness{lastSeen: make([]sim.Time, fs.cl.Size())}
 	now := fs.eng.Now()
 	for i := range lv.lastSeen {
 		lv.lastSeen[i] = now
 	}
-	lv.ticker = sim.NewTicker(fs.eng, cfg.Interval, func() {
+	lv.ticker = sim.NewTicker(fs.eng, heartbeatInterval, func() {
 		for _, n := range fs.cl.Nodes() {
 			if n.Alive() {
 				lv.lastSeen[int(n.ID)] = fs.eng.Now()
@@ -82,9 +68,8 @@ func (fs *FS) nodeAvailable(id cluster.NodeID) bool {
 	if fs.liveness == nil {
 		return fs.cl.Node(id).Alive()
 	}
-	lv := fs.liveness
-	deadline := sim.Duration(lv.cfg.MissedBeats) * lv.cfg.Interval
-	return fs.eng.Now().Sub(lv.lastSeen[int(id)]) < deadline+lv.cfg.Interval
+	deadline := sim.Duration(missedBeats) * heartbeatInterval
+	return fs.eng.Now().Sub(fs.liveness.lastSeen[int(id)]) < deadline+heartbeatInterval
 }
 
 // FailedOvers counts reads that hit an unreachable node during the

@@ -11,23 +11,27 @@ import (
 func TestHeartbeatStaleViewAndFailover(t *testing.T) {
 	t.Parallel()
 	eng, cl, fs := newTestFS(t, 5, 60)
-	fs.EnableHeartbeats(DefaultLivenessConfig())
+	fs.EnableHeartbeats()
 	defer fs.DisableHeartbeats()
 	f, _ := fs.CreateFile("in", 256*sim.MB)
 	b := fs.Block(f.Blocks[0])
 	victim := b.Replicas[0]
 
+	offered := func() bool {
+		for _, r := range fs.Replicas(b.ID) {
+			if r == victim {
+				return true
+			}
+		}
+		return false
+	}
+
+	// Heartbeats land every 3 s, so the victim's last one is at 9 s.
 	eng.RunUntil(sim.Time(10 * time.Second))
 	cl.KillNode(victim)
 
 	// Immediately after the crash the NameNode still offers the victim.
-	offered := false
-	for _, r := range fs.Replicas(b.ID) {
-		if r == victim {
-			offered = true
-		}
-	}
-	if !offered {
+	if !offered() {
 		t.Fatal("stale view dropped the dead node instantly")
 	}
 
@@ -37,6 +41,19 @@ func TestHeartbeatStaleViewAndFailover(t *testing.T) {
 	if err := fs.ReadBlock(victim, b.ID, func(r ReadResult) { res = r }); err != nil {
 		t.Fatal(err)
 	}
+
+	// The stale window is three missed beats plus the beat in flight:
+	// 12 s after the last heartbeat, the NameNode marks the node dead
+	// and stops offering it.
+	eng.RunUntil(sim.Time(20900 * time.Millisecond))
+	if !offered() {
+		t.Fatal("victim dropped before the missed-beat window elapsed")
+	}
+	eng.RunUntil(sim.Time(21100 * time.Millisecond))
+	if offered() {
+		t.Fatal("dead node still offered after missed heartbeats")
+	}
+
 	eng.RunUntil(sim.Time(2 * time.Minute))
 	if res.Failed {
 		t.Fatal("read failed despite live replicas")
@@ -51,21 +68,12 @@ func TestHeartbeatStaleViewAndFailover(t *testing.T) {
 	if d := res.Duration().Seconds(); d < 2.5 {
 		t.Errorf("failover read took only %.1fs; connect timeout not charged", d)
 	}
-
-	// After the missed-beat window the NameNode marks the node dead and
-	// stops offering it.
-	eng.RunUntil(sim.Time(5 * time.Minute))
-	for _, r := range fs.Replicas(b.ID) {
-		if r == victim {
-			t.Error("dead node still offered after missed heartbeats")
-		}
-	}
 }
 
 func TestHeartbeatMemReplicaFailover(t *testing.T) {
 	t.Parallel()
 	eng, cl, fs := newTestFS(t, 5, 61)
-	fs.EnableHeartbeats(DefaultLivenessConfig())
+	fs.EnableHeartbeats()
 	defer fs.DisableHeartbeats()
 	f, _ := fs.CreateFile("in", 256*sim.MB)
 	b := fs.Block(f.Blocks[0])
@@ -97,7 +105,7 @@ func TestAllReplicasDeadMidFailover(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Replication = 2
 	fs := New(cl, cfg)
-	fs.EnableHeartbeats(DefaultLivenessConfig())
+	fs.EnableHeartbeats()
 	defer fs.DisableHeartbeats()
 	f, _ := fs.CreateFile("in", 256*sim.MB)
 	eng.RunUntil(sim.Time(5 * time.Second))
@@ -116,13 +124,64 @@ func TestAllReplicasDeadMidFailover(t *testing.T) {
 	}
 }
 
-func TestLivenessConfigValidation(t *testing.T) {
+// TestLivenessBlipShorterThanInterval: a node that dies and revives
+// between two heartbeats is never marked dead — the NameNode's view
+// glitches by at most one connect timeout per read during the blip, and
+// the node serves again after reviving.
+func TestLivenessBlipShorterThanInterval(t *testing.T) {
 	t.Parallel()
-	_, _, fs := newTestFS(t, 3, 63)
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid liveness config accepted")
+	eng, cl, fs := newTestFS(t, 5, 72)
+	fs.EnableHeartbeats()
+	defer fs.DisableHeartbeats()
+	f, _ := fs.CreateFile("in", 256*sim.MB)
+	b := fs.Block(f.Blocks[0])
+	victim := b.Replicas[0]
+	// A memory replica pins reads to the victim, so the blip is actually
+	// exercised rather than routed around.
+	fs.RegisterMem(b.ID, victim)
+
+	offered := func() bool {
+		for _, r := range fs.Replicas(b.ID) {
+			if r == victim {
+				return true
+			}
 		}
-	}()
-	fs.EnableHeartbeats(LivenessConfig{})
+		return false
+	}
+
+	// Down from 12.5s to 14.5s: strictly inside the 12s..15s tick gap.
+	eng.RunUntil(sim.Time(12500 * time.Millisecond))
+	cl.KillNode(victim)
+	var during ReadResult
+	if err := fs.ReadBlock((victim+1)%5, b.ID, func(r ReadResult) { during = r }); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(sim.Time(14500 * time.Millisecond))
+	cl.ReviveNode(victim)
+
+	if !offered() {
+		t.Fatal("victim dropped although no heartbeat was ever missed")
+	}
+	eng.RunUntil(sim.Time(60 * time.Second))
+	if during.Failed {
+		t.Fatal("read during the blip failed")
+	}
+	if during.Server == victim {
+		t.Error("read during the blip served by the down node")
+	}
+	if fs.FailedOvers() == 0 {
+		t.Error("blip read did not fail over")
+	}
+	if !offered() {
+		t.Fatal("victim not offered after reviving")
+	}
+	// After revival the memory replica serves again.
+	var after ReadResult
+	if err := fs.ReadBlock((victim+1)%5, b.ID, func(r ReadResult) { after = r }); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(sim.Time(2 * time.Minute))
+	if after.Failed || !after.Source.FromMemory() {
+		t.Errorf("post-blip read not served from memory: %+v", after)
+	}
 }

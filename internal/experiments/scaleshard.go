@@ -57,11 +57,6 @@ type ScaleShardOptions struct {
 	// Workers caps the engine's execution lanes (0 = GOMAXPROCS). Rows
 	// are byte-identical at any value — it is a wall-clock knob only.
 	Workers int
-	// DataShards, when >0, overrides the data-shard count (default: one
-	// per rack). Node-level behavior is layout-invariant: every node's
-	// read stream draws from its own seed-derived RNG and its disk is a
-	// private resource.
-	DataShards int
 }
 
 // ScaleShardSmokeOptions is the CI-sized preset registered in the
@@ -314,11 +309,7 @@ func RunScaleShard(opt ScaleShardOptions) (ScaleShardRow, error) {
 	}
 
 	look := cluster.MinLookahead(opt.ControlLatency, 0, opt.Heartbeat)
-	dataShards := opt.DataShards
-	if dataShards <= 0 {
-		dataShards = opt.Racks
-	}
-	part := cluster.PartitionByRack(opt.Nodes, opt.Racks, dataShards, look)
+	part := cluster.PartitionByRack(opt.Nodes, opt.Racks)
 	row.Shards = part.Shards()
 
 	se := sim.NewShardedEngine(opt.Seed, part.Shards(), look)

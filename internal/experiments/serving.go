@@ -116,8 +116,6 @@ type ServingOptions struct {
 	Seed int64
 	// Spec is the workload draw; zero value means DefaultServingSpec.
 	Spec workload.ServingSpec
-	// Load tunes the driver; zero value means DefaultServingLoadOptions.
-	Load ServingLoadOptions
 	// Policies lists the configurations to score: "hdfs" (baseline, no
 	// migration) or any migrating binder name from migration.BinderNames.
 	// Empty means hdfs + every migrating policy.
@@ -189,13 +187,10 @@ func servingEnv(opt ServingOptions, name string) (Policy, Options) {
 }
 
 // RunServing draws the request stream once and scores every requested
-// policy against it.
+// policy against it with DefaultServingLoadOptions.
 func RunServing(opt ServingOptions) (ServingReport, error) {
 	if opt.Spec.Files == 0 {
 		opt.Spec = workload.DefaultServingSpec()
-	}
-	if opt.Load.CacheBudget == 0 {
-		opt.Load = DefaultServingLoadOptions()
 	}
 	if opt.Spec.Horizon < 0 {
 		return ServingReport{}, fmt.Errorf("serving %s: Spec.Horizon must not be negative, got %v", opt.Scenario, opt.Spec.Horizon)
@@ -214,7 +209,7 @@ func RunServing(opt ServingOptions) (ServingReport, error) {
 	rep := ServingReport{Scenario: opt.Scenario, Requests: len(stream.Requests)}
 	for _, name := range policies {
 		env := NewEnv(servingEnv(opt, name))
-		row, err := RunServingLoad(env, stream, opt.Load)
+		row, err := RunServingLoad(env, stream, DefaultServingLoadOptions())
 		env.Close()
 		if err != nil {
 			return rep, fmt.Errorf("serving %s/%s: %w", opt.Scenario, name, err)

@@ -9,7 +9,6 @@ import (
 
 	"dyrs/internal/cluster"
 	"dyrs/internal/compute"
-	"dyrs/internal/dfs"
 	"dyrs/internal/experiments"
 	"dyrs/internal/migration"
 	"dyrs/internal/sim"
@@ -113,7 +112,7 @@ func RunScenario(sc Scenario, policy experiments.Policy) *RunResult {
 	}
 	defer env.Close()
 	if sc.Heartbeats {
-		env.FS.EnableHeartbeats(dfs.DefaultLivenessConfig())
+		env.FS.EnableHeartbeats()
 		defer env.FS.DisableHeartbeats()
 	}
 
@@ -304,7 +303,7 @@ func runServingScenario(sc Scenario, policy experiments.Policy) *RunResult {
 	}
 	defer env.Close()
 	if sc.Heartbeats {
-		env.FS.EnableHeartbeats(dfs.DefaultLivenessConfig())
+		env.FS.EnableHeartbeats()
 		defer env.FS.DisableHeartbeats()
 	}
 

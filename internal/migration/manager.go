@@ -99,18 +99,6 @@ type Config struct {
 	// TargetUpdateInterval is how often the master's off-critical-path
 	// thread re-runs Algorithm 1 over the pending list (§III-D).
 	TargetUpdateInterval time.Duration
-	// QueueDepth is the per-slave local queue length. Zero derives the
-	// paper's sizing: heartbeat interval divided by the time to read one
-	// block at full disk bandwidth, plus one (§III-B).
-	QueueDepth int
-	// EWMAAlpha is the smoothing factor of the migration-time estimator.
-	EWMAAlpha float64
-	// MemLimitFraction bounds the buffer to this fraction of the node's
-	// MemCapacity (the hard limit of §IV-A1).
-	MemLimitFraction float64
-	// ScavengeThreshold is the memory-usage fraction above which a slave
-	// queries the scheduler and clears references of inactive jobs.
-	ScavengeThreshold float64
 	// CancelOnMissedRead discards not-yet-migrated blocks as soon as a
 	// read makes migrating them pointless ("discarded due to missed
 	// reads", §IV-A1). DYRS does this; Ignem, which binds blindly at
@@ -126,10 +114,6 @@ type Config struct {
 	// serializes migrations (1) to limit disk seek thrash (§III-B);
 	// Ignem just mlocks every bound block at once (unbounded).
 	MaxConcurrent int
-	// DisableInProgressUpdates turns off the §IV-A heartbeat estimate
-	// inflation, reverting to the paper's "earlier prototype" that only
-	// updated estimates on migration completion — kept as an ablation.
-	DisableInProgressUpdates bool
 	// DisableEstimateSeries turns off the per-slave estimate time series
 	// recorded every heartbeat (the data behind Fig. 9). The series grows
 	// with virtual time × node count; the datacenter-scale experiments
@@ -146,24 +130,27 @@ func DefaultConfig() Config {
 	return Config{
 		Heartbeat:            1 * time.Second,
 		TargetUpdateInterval: 500 * time.Millisecond,
-		QueueDepth:           0, // auto
-		EWMAAlpha:            0.4,
-		MemLimitFraction:     1.0,
-		ScavengeThreshold:    0.8,
 		CancelOnMissedRead:   true,
 		IOWeight:             0.25,
 		MaxConcurrent:        1,
 	}
 }
 
-// queueDepth resolves the configured or derived local queue depth for a
-// node: enough queued work to cover one heartbeat of migration at full
-// disk speed, and never less than 2 so the disk cannot idle while the
-// slave is querying the master (§III-B).
+const (
+	// ewmaAlpha is the smoothing factor of the migration-time estimator.
+	ewmaAlpha = 0.4
+	// scavengeThreshold is the fraction of the node's MemCapacity (the
+	// buffer's hard limit, §IV-A1) above which a slave queries the
+	// scheduler and clears references of inactive jobs (§III-C3).
+	scavengeThreshold = 0.8
+)
+
+// queueDepth derives a node's local queue depth, the paper's sizing:
+// enough queued work to cover one heartbeat of migration at full disk
+// speed (the heartbeat interval divided by one block's read time, plus
+// one), and never less than 2 so the disk cannot idle while the slave
+// is querying the master (§III-B).
 func (c Config) queueDepth(blockSize sim.Bytes, diskBW float64) int {
-	if c.QueueDepth > 0 {
-		return c.QueueDepth
-	}
 	blockTime := float64(blockSize) / diskBW
 	d := int(c.Heartbeat.Seconds()/blockTime) + 1
 	if d < 2 {

@@ -16,8 +16,8 @@ type estimator struct {
 	seed float64 // seconds per byte at nominal disk bandwidth
 }
 
-func newEstimator(alpha float64, nominalBW float64) *estimator {
-	e := &estimator{ewma: metrics.NewEWMA(alpha), seed: 1 / nominalBW}
+func newEstimator(nominalBW float64) *estimator {
+	e := &estimator{ewma: metrics.NewEWMA(ewmaAlpha), seed: 1 / nominalBW}
 	e.ewma.Set(e.seed)
 	return e
 }
@@ -67,7 +67,6 @@ type Slave struct {
 
 	estimator *estimator
 	depth     int
-	memLimit  sim.Bytes
 
 	stopped   bool
 	estSeries *metrics.TimeSeries
@@ -90,9 +89,8 @@ func newSlave(c *Coordinator, node *cluster.Node) *Slave {
 		c:         c,
 		node:      node,
 		active:    make([]activeMigration, maxActive),
-		estimator: newEstimator(c.cfg.EWMAAlpha, node.Cfg.DiskBandwidth),
+		estimator: newEstimator(node.Cfg.DiskBandwidth),
 		depth:     c.cfg.queueDepth(c.fs.Config().BlockSize, node.Cfg.DiskBandwidth),
-		memLimit:  sim.Bytes(c.cfg.MemLimitFraction * float64(node.Cfg.MemCapacity)),
 	}
 	for i := range s.active {
 		am := &s.active[i]
@@ -106,9 +104,6 @@ func newSlave(c *Coordinator, node *cluster.Node) *Slave {
 
 // Node returns the cluster node this slave runs on.
 func (s *Slave) Node() *cluster.Node { return s.node }
-
-// QueueDepth reports the configured local queue depth.
-func (s *Slave) QueueDepth() int { return s.depth }
 
 // EstimateBlockSeconds reports the slave's current estimate of the time
 // to migrate one block of the given size.
@@ -136,29 +131,27 @@ func (s *Slave) tick() {
 	// With several concurrent migrations, the longest-running one is the
 	// strongest signal; among equally long ones (started by one kick) the
 	// lowest slot wins, so the update never depends on iteration order.
-	if !s.c.cfg.DisableInProgressUpdates {
-		var worst *blockInfo
-		var worstElapsed float64
-		for i := range s.active {
-			am := &s.active[i]
-			if am.bi == nil {
-				continue
-			}
-			elapsed := s.c.eng.Now().Sub(am.started).Seconds()
-			if elapsed > s.estimator.blockSeconds(am.bi.size) && elapsed > worstElapsed {
-				worst, worstElapsed = am.bi, elapsed
-			}
+	var worst *blockInfo
+	var worstElapsed float64
+	for i := range s.active {
+		am := &s.active[i]
+		if am.bi == nil {
+			continue
 		}
-		if worst != nil {
-			s.estimator.observe(worstElapsed, worst.size)
+		elapsed := s.c.eng.Now().Sub(am.started).Seconds()
+		if elapsed > s.estimator.blockSeconds(am.bi.size) && elapsed > worstElapsed {
+			worst, worstElapsed = am.bi, elapsed
 		}
+	}
+	if worst != nil {
+		s.estimator.observe(worstElapsed, worst.size)
 	}
 	s.c.onHeartbeat(s.node.ID, s.estimator.perByte(), s.occupancy())
 	if s.estSeries != nil {
 		s.estSeries.Record(s.c.eng.Now().Seconds(), s.estimator.blockSeconds(s.c.fs.Config().BlockSize))
 	}
 
-	if used := s.c.fs.DataNode(s.node.ID).MemUsed(); float64(used) > s.c.cfg.ScavengeThreshold*float64(s.memLimit) {
+	if used := s.c.fs.DataNode(s.node.ID).MemUsed(); float64(used) > scavengeThreshold*float64(s.node.Cfg.MemCapacity) {
 		s.scavenge()
 	}
 
@@ -226,10 +219,10 @@ func (s *Slave) kick() {
 	for s.nActive < len(s.active) && len(s.queue) > 0 {
 		next := s.queue[0]
 		dn := s.c.fs.DataNode(s.node.ID)
-		if dn.MemUsed()+next.size > s.memLimit {
-			// Hard limit reached: leave the command queued until buffer
-			// space frees up or the block is discarded on a missed read
-			// (§IV-A1).
+		if dn.MemUsed()+next.size > s.node.Cfg.MemCapacity {
+			// Hard limit (the node's buffer capacity) reached: leave the
+			// command queued until buffer space frees up or the block is
+			// discarded on a missed read (§IV-A1).
 			s.BlockedOnMemory++
 			return
 		}

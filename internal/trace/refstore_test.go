@@ -343,7 +343,6 @@ func (r *refRecorder) Summarize() *Summary {
 		MigrationsDropped:   t.Counter("migration.dropped"),
 		MigrationBytes:      t.Counter("migration.bytes"),
 		Evictions:           t.Counter("evictions"),
-		Throttles:           t.Counter("migration.throttle"),
 		ReadBytes:           map[string]int64{},
 		LeadTime:            metrics.NewSample(),
 		Margin:              metrics.NewSample(),

@@ -25,7 +25,6 @@ type Summary struct {
 	MigrationsDropped   int64
 	MigrationBytes      int64
 	Evictions           int64
-	Throttles           int64
 
 	// ReadBytes maps read source ("disk-local", "disk-remote",
 	// "mem-local", "mem-remote") to bytes served from it.
@@ -57,7 +56,6 @@ func (t *Tracer) Summarize() *Summary {
 		MigrationsDropped:   t.Counter("migration.dropped"),
 		MigrationBytes:      t.Counter("migration.bytes"),
 		Evictions:           t.Counter("evictions"),
-		Throttles:           t.Counter("migration.throttle"),
 		ReadBytes:           map[string]int64{},
 		LeadTime:            metrics.NewSample(),
 		Margin:              metrics.NewSample(),
@@ -110,9 +108,9 @@ func (t *Tracer) Summarize() *Summary {
 func (s *Summary) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  spans %d, instants %d\n", s.Spans, s.Instants)
-	fmt.Fprintf(&b, "  migrations: requested %d, completed %d, aborted %d, dropped %d, evictions %d, throttle events %d\n",
+	fmt.Fprintf(&b, "  migrations: requested %d, completed %d, aborted %d, dropped %d, evictions %d\n",
 		s.MigrationsRequested, s.MigrationsCompleted, s.MigrationsAborted,
-		s.MigrationsDropped, s.Evictions, s.Throttles)
+		s.MigrationsDropped, s.Evictions)
 	srcs := make([]string, 0, len(s.ReadBytes))
 	for src := range s.ReadBytes {
 		srcs = append(srcs, src)
