@@ -422,48 +422,77 @@ func BenchmarkAlgorithm1UpdateTargets(b *testing.B) {
 }
 
 // newIdleFleet builds an idle 1,000-slave migration coordinator (naive
-// binder, nothing requested, no estimate series) and runs it past 2^40
-// ns of virtual time: the first time the clock crosses a multiple of a
-// new power of two, the heartbeat lands in a radix-queue level never
-// filled before, which allocates its array once; the next such crossing
-// is at 2^41 ns, 1,100 rounds later. It returns the engine and the
-// heartbeat interval.
-func newIdleFleet(tb testing.TB) (*sim.Engine, time.Duration) {
+// binder, nothing requested), recording each slave's estimate series
+// or not, and runs it for 3,000 s of virtual time. The first time the
+// clock crosses a multiple of a new power of two, the heartbeat lands
+// in a radix-queue level never filled before, which allocates its array
+// once; the last such crossing was at 2^41 ns (2,199 s) and the next is
+// at 2^42 ns (4,398 s). Each series then holds 3,000 samples, so the
+// next 100 rounds take it past 3,072 = 3·1,024: a series that grew in
+// 1,024-sample chunks would allocate there. It returns the engine, the
+// coordinator and the heartbeat interval.
+func newIdleFleet(tb testing.TB, series bool) (*sim.Engine, *migration.Coordinator, time.Duration) {
 	tb.Helper()
 	eng := sim.NewEngine(1)
 	cl := cluster.New(eng, 1000, nil)
 	fs := dfs.New(cl, dfs.DefaultConfig())
 	cfg := migration.DefaultConfig()
-	cfg.DisableEstimateSeries = true
+	cfg.DisableEstimateSeries = !series
 	c := migration.NewCoordinator(fs, cfg, migration.NewNaiveBinder())
 	tb.Cleanup(c.Shutdown)
-	eng.RunUntil(sim.Time(1 << 40))
-	return eng, cfg.Heartbeat
+	eng.RunUntil(sim.Time(3000 * time.Second))
+	return eng, c, cfg.Heartbeat
 }
+
+// idleFleetSeries names the two idle-fleet cases: without and with the
+// per-slave estimate series of Fig 9.
+var idleFleetSeries = []struct {
+	name string
+	on   bool
+}{{"series=off", false}, {"series=on", true}}
 
 // BenchmarkHeartbeatRound measures one heartbeat round of an idle
 // 1,000-slave fleet: every slave refreshes its estimate, reports to the
-// master, checks its memory and pulls, all from one engine event.
+// master, checks its memory and pulls, all from one engine event. With
+// series=on every slave also records its unchanged estimate.
 func BenchmarkHeartbeatRound(b *testing.B) {
-	eng, heartbeat := newIdleFleet(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.RunFor(heartbeat)
+	for _, s := range idleFleetSeries {
+		b.Run(s.name, func(b *testing.B) {
+			eng, _, heartbeat := newIdleFleet(b, s.on)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.RunFor(heartbeat)
+			}
+		})
 	}
 }
 
 // TestHeartbeatRoundAllocs pins BenchmarkHeartbeatRound's steady state
 // at zero allocations: 100 rounds of 1,000 slave ticks each (after
-// AllocsPerRun's warm-up round) allocate nothing.
+// AllocsPerRun's warm-up round) allocate nothing. With series=on every
+// tick records an unchanged estimate one second after the last, which
+// extends the series' last run in place.
 func TestHeartbeatRoundAllocs(t *testing.T) {
-	eng, heartbeat := newIdleFleet(t)
-	before := eng.EventsFired()
-	if allocs := testing.AllocsPerRun(100, func() { eng.RunFor(heartbeat) }); allocs != 0 {
-		t.Errorf("a heartbeat round of 1,000 idle slaves allocated %.2f objects, want 0", allocs)
-	}
-	if fired := eng.EventsFired() - before; fired != 101*1000 {
-		t.Errorf("fired %d slave ticks, want %d", fired, 101*1000)
+	for _, s := range idleFleetSeries {
+		t.Run(s.name, func(t *testing.T) {
+			eng, c, heartbeat := newIdleFleet(t, s.on)
+			before, recorded := eng.EventsFired(), 0
+			if s.on {
+				recorded = c.EstimateSeries(999).Len()
+			}
+			if allocs := testing.AllocsPerRun(100, func() { eng.RunFor(heartbeat) }); allocs != 0 {
+				t.Errorf("a heartbeat round of 1,000 idle slaves allocated %.2f objects, want 0", allocs)
+			}
+			if fired := eng.EventsFired() - before; fired != 101*1000 {
+				t.Errorf("fired %d slave ticks, want %d", fired, 101*1000)
+			}
+			if s.on {
+				if n := c.EstimateSeries(999).Len() - recorded; n != 101 {
+					t.Errorf("the last slave recorded %d estimates, want 101", n)
+				}
+			}
+		})
 	}
 }
 
@@ -471,8 +500,9 @@ func TestHeartbeatRoundAllocs(t *testing.T) {
 // have no task slots and submits a 64-block map-only job. Once the
 // platform overhead has passed, all 64 map tasks stay pending and the
 // framework's locality retry runs one scheduling pass every 500 ms,
-// the only event in the queue. Like newIdleFleet it runs past 2^40 ns
-// first, so the radix queue has allocated every level the passes use.
+// the only event in the queue. Like newIdleFleet it first runs past a
+// power of two in nanoseconds (2^40), so the radix queue has allocated
+// every level the passes use.
 // It returns the engine and the retry interval.
 func newStalledScheduler(tb testing.TB) (*sim.Engine, time.Duration) {
 	tb.Helper()
@@ -581,6 +611,33 @@ func BenchmarkTraceWriteJSON(b *testing.B) {
 		if err := tr.WriteJSON(io.Discard); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkGenerateServing measures drawing the serving1k request
+// stream (DefaultServingSpec1k, about 96,000 requests over a 20-minute
+// day) for seed 42, the draw BenchmarkServing1k makes during set-up.
+func BenchmarkGenerateServing(b *testing.B) {
+	spec := experiments.DefaultServingSpec1k()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		workload.GenerateServing(spec, benchSeed)
+	}
+}
+
+// TestGenerateServingAllocs pins BenchmarkGenerateServing's allocation
+// count at 10, each made once per draw: the random source (its Rand
+// and the default tenant mix stay on the stack); the tenant-pick CDF;
+// the slice of per-tenant file CDFs and the three CDFs; the global CDF;
+// the file weights; the stream; and the one request log, sized four
+// standard deviations above the expected arrival count. Nothing is
+// allocated per request.
+func TestGenerateServingAllocs(t *testing.T) {
+	spec := experiments.DefaultServingSpec1k()
+	var n int
+	allocs := testing.AllocsPerRun(5, func() { n = len(workload.GenerateServing(spec, benchSeed).Requests) })
+	if allocs != 10 {
+		t.Errorf("drawing %d serving requests allocated %.2f objects, want 10", n, allocs)
 	}
 }
 

@@ -273,20 +273,36 @@ type TimePoint struct {
 // TimeSeries records (time, value) samples, e.g. a slave's migration-time
 // estimate over a run (Fig. 9) or per-node buffered bytes (Fig. 7).
 //
-// Samples live in pages. The first page grows by doubling up to
-// seriesPageLen points, so the hundreds of short series a run keeps
-// stay small; after that the series chains fixed seriesPageLen-point
-// pages and never re-copies what it holds (DESIGN.md §6).
+// Samples are stored as runs: a run holds samples with one value at
+// evenly spaced times, so an idle slave's estimate, refreshed every
+// heartbeat and unchanged for hours, costs one run. A sample joins the
+// last run only when the run gives back exactly what was recorded: the
+// same value bits and the same time bits (DESIGN.md §6).
 type TimeSeries struct {
-	name  string
-	pages [][]TimePoint
-	n     int
+	name string
+	runs []seriesRun
+	n    int
 }
 
-const (
-	seriesPageBits = 10
-	seriesPageLen  = 1 << seriesPageBits
-)
+// seriesRun is n samples of value v; sample k is at time(k).
+type seriesRun struct {
+	t0, dt, v float64
+	n         int
+}
+
+// time reports the time of the run's k-th sample. The first is t0 as
+// recorded; the k-th is t0 + k·dt, with the product rounded on its own
+// (the explicit conversion forbids fusing it into the add), so Record's
+// check and every reader compute the same bits on every platform.
+func (r *seriesRun) time(k int) float64 {
+	if k == 0 {
+		return r.t0
+	}
+	return r.t0 + float64(float64(k)*r.dt)
+}
+
+// point returns the run's k-th sample.
+func (r *seriesRun) point(k int) TimePoint { return TimePoint{T: r.time(k), V: r.v} }
 
 // NewTimeSeries returns an empty named series.
 func NewTimeSeries(name string) *TimeSeries { return &TimeSeries{name: name} }
@@ -296,32 +312,30 @@ func (ts *TimeSeries) Name() string { return ts.name }
 
 // Record appends a sample. Samples should be appended in time order.
 func (ts *TimeSeries) Record(t, v float64) {
-	last := len(ts.pages) - 1
-	switch {
-	case last < 0:
-		ts.pages = append(ts.pages, make([]TimePoint, 0, 1))
-		last = 0
-	case len(ts.pages[last]) < cap(ts.pages[last]):
-	case cap(ts.pages[last]) < seriesPageLen: // the first page, doubling
-		ts.pages[last] = append(make([]TimePoint, 0, 2*cap(ts.pages[last])), ts.pages[last]...)
-	default:
-		ts.pages = append(ts.pages, make([]TimePoint, 0, seriesPageLen))
-		last++
-	}
-	ts.pages[last] = append(ts.pages[last], TimePoint{T: t, V: v})
 	ts.n++
-}
-
-// at returns the i-th sample.
-func (ts *TimeSeries) at(i int) TimePoint {
-	return ts.pages[i>>seriesPageBits][i&(seriesPageLen-1)]
+	if len(ts.runs) > 0 {
+		r := &ts.runs[len(ts.runs)-1]
+		if math.Float64bits(r.v) == math.Float64bits(v) {
+			if r.n == 1 {
+				r.dt = t - r.t0
+			}
+			if math.Float64bits(r.time(r.n)) == math.Float64bits(t) {
+				r.n++
+				return
+			}
+		}
+	}
+	ts.runs = append(ts.runs, seriesRun{t0: t, v: v, n: 1})
 }
 
 // Points returns a copy of the recorded samples.
 func (ts *TimeSeries) Points() []TimePoint {
 	out := make([]TimePoint, 0, ts.n)
-	for _, p := range ts.pages {
-		out = append(out, p...)
+	for i := range ts.runs {
+		r := &ts.runs[i]
+		for k := 0; k < r.n; k++ {
+			out = append(out, r.point(k))
+		}
 	}
 	return out
 }
@@ -334,7 +348,8 @@ func (ts *TimeSeries) Last() TimePoint {
 	if ts.n == 0 {
 		return TimePoint{}
 	}
-	return ts.at(ts.n - 1)
+	r := &ts.runs[len(ts.runs)-1]
+	return r.point(r.n - 1)
 }
 
 // MeanValue reports the time-weighted mean of the series, treating each
@@ -345,19 +360,26 @@ func (ts *TimeSeries) MeanValue() float64 {
 	case 0:
 		return 0
 	case 1:
-		return ts.at(0).V
+		return ts.runs[0].v
 	}
 	var area, span float64
-	prev := ts.at(0)
-	for i := 1; i < ts.n; i++ {
-		p := ts.at(i)
-		dt := p.T - prev.T
-		area += prev.V * dt
-		span += dt
-		prev = p
+	prev := ts.runs[0].point(0)
+	for i := range ts.runs {
+		r := &ts.runs[i]
+		k := 0
+		if i == 0 {
+			k = 1
+		}
+		for ; k < r.n; k++ {
+			p := r.point(k)
+			dt := p.T - prev.T
+			area += prev.V * dt
+			span += dt
+			prev = p
+		}
 	}
 	if span == 0 {
-		return ts.at(0).V
+		return ts.runs[0].v
 	}
 	return area / span
 }
@@ -365,11 +387,9 @@ func (ts *TimeSeries) MeanValue() float64 {
 // MaxValue reports the largest sample value.
 func (ts *TimeSeries) MaxValue() float64 {
 	max := math.Inf(-1)
-	for _, pg := range ts.pages {
-		for _, p := range pg {
-			if p.V > max {
-				max = p.V
-			}
+	for _, r := range ts.runs {
+		if r.v > max {
+			max = r.v
 		}
 	}
 	if math.IsInf(max, -1) {
@@ -392,8 +412,16 @@ func (ts *TimeSeries) Downsample(n int) []TimePoint {
 	}
 	out := make([]TimePoint, 0, n)
 	step := float64(ts.n-1) / float64(n-1)
+	// The indices only increase, so one forward walk finds their runs;
+	// base is the index of run r's first sample.
+	r, base := 0, 0
 	for i := 0; i < n; i++ {
-		out = append(out, ts.at(int(math.Round(float64(i)*step))))
+		idx := int(math.Round(float64(i) * step))
+		for idx >= base+ts.runs[r].n {
+			base += ts.runs[r].n
+			r++
+		}
+		out = append(out, ts.runs[r].point(idx-base))
 	}
 	return out
 }

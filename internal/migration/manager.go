@@ -115,9 +115,12 @@ type Config struct {
 	// Ignem just mlocks every bound block at once (unbounded).
 	MaxConcurrent int
 	// DisableEstimateSeries turns off the per-slave estimate time series
-	// recorded every heartbeat (the data behind Fig. 9). The series grows
-	// with virtual time × node count; the datacenter-scale experiments
-	// disable it to keep days of virtual time at 10k nodes bounded.
+	// recorded every heartbeat (the data behind Fig. 9). A series stores
+	// a run per stretch of unchanged estimate, so it grows with virtual
+	// time × node count wherever estimates move. The datacenter-scale
+	// experiments disable it: the scale workload of benchmark/ (seed 42)
+	// allocates 101.5 MiB per run with it disabled and 110.3 MiB with
+	// the series on.
 	DisableEstimateSeries bool
 	// Order selects how the master orders pending migrations across
 	// jobs: the paper's FIFO, or the future-work policies SJF and EDF
