@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -243,6 +244,48 @@ func TestTimeSeriesDownsample(t *testing.T) {
 		flat[i] = TimePoint{T: float64(i), V: float64(i)}
 	}
 	checkAgainstFlat(t, ts, flat)
+}
+
+// TestTimeSeriesPagedDownsample checks Downsample and Points at sizes
+// around 1,024 and 2,048 points against the flat-slice definition: n
+// evenly spaced points ending at the final one, or the whole series when
+// it has at most n. Every sample has a new value, so each is its own run.
+func TestTimeSeriesPagedDownsample(t *testing.T) {
+	for _, size := range []int{1023, 1024, 1025, 2049} {
+		ts := NewTimeSeries("x")
+		flat := make([]TimePoint, size)
+		for i := range flat {
+			flat[i] = TimePoint{T: float64(i), V: float64(3*i + 1)}
+			ts.Record(flat[i].T, flat[i].V)
+		}
+		if ts.Len() != size || ts.Last() != flat[size-1] {
+			t.Fatalf("size %d: Len %d, Last %v", size, ts.Len(), ts.Last())
+		}
+		if got := ts.Points(); !reflect.DeepEqual(got, flat) {
+			t.Fatalf("size %d: Points differs from the recorded samples", size)
+		}
+		if ts.MaxValue() != flat[size-1].V {
+			t.Errorf("size %d: MaxValue %v", size, ts.MaxValue())
+		}
+		for _, n := range []int{1, 2, size - 1, size, size + 1} {
+			var want []TimePoint
+			switch {
+			case size <= n:
+				want = flat
+			case n == 1:
+				want = flat[size-1:]
+			default:
+				step := float64(size-1) / float64(n-1)
+				for i := 0; i < n; i++ {
+					want = append(want, flat[int(math.Round(float64(i)*step))])
+				}
+			}
+			if got := ts.Downsample(n); !reflect.DeepEqual(got, want) {
+				t.Errorf("size %d: Downsample(%d) = %d points, want %d ending at %v",
+					size, n, len(got), len(want), want[len(want)-1])
+			}
+		}
+	}
 }
 
 func TestSpeedup(t *testing.T) {
