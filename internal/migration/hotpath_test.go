@@ -17,31 +17,41 @@ import (
 // TestSlaveTransferAllocs: with the pipeline warm, a DYRS slave's
 // transfer cycle (kick → MigrateToMemory → finish → onMigrated → kick),
 // together with the heartbeats, pulls and Algorithm 1 passes around it,
-// allocates nothing. AllocsPerRun(1, ...) reports the exact count of 30
-// measured seconds, which hold about 30 transfers. Each migrated block
-// is read, and so released, as soon as it lands (implicit eviction), so
-// the node's resident set stays flat instead of growing its lists.
+// allocates nothing. AllocsPerRun(1, ...) runs the 30 s window twice,
+// once to warm up and once measured, and reports the exact count of the
+// second. Each migrated block is read, and so released, as soon as it
+// lands (implicit eviction), so the node's resident set stays flat
+// instead of growing its lists.
 //
-// The warm-up runs to 70 s, past the clock's crossing of 2^36 ns
-// (68.7 s): the radix event queue allocates a bucket the first time the
-// clock crosses each new power of two, and the next crossing (137 s)
-// lies beyond the measured seconds.
+// The slave runs its transfers one after another on an idle disk, so
+// the 60 s hold one transfer per block read time: the count must lie
+// within two of 60 s ÷ (block size ÷ disk bandwidth), about 30.
+//
+// The warm-up runs to 280 s, past the clock's crossing of 2^38 ns
+// (274.9 s). The radix event queue allocates a bucket the first time
+// the clock crosses each new power of two, and the first time an event
+// lands in each lower bucket; the transfers' completion times reach
+// their last new bucket at 256 s, and the next crossing (549.8 s) lies
+// beyond the 60 s. The file outlasts them all.
 func TestSlaveTransferAllocs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DisableEstimateSeries = true
 	r := newRig(t, 1, 1, NewDYRSBinder(), nil, cfg)
-	r.mkFile(t, "in", 150)
+	r.mkFile(t, "in", 400)
 	r.c.OnMigrated(func(id dfs.BlockID, _ cluster.NodeID, _ sim.Time) { r.c.NoteRead(1, id) })
 	if err := r.c.Migrate(1, []string{"in"}, true); err != nil {
 		t.Fatal(err)
 	}
-	r.eng.RunUntil(sim.Time(70 * time.Second))
+	r.eng.RunUntil(sim.Time(280 * time.Second))
 	before := r.c.Stats().Migrated
 	if allocs := testing.AllocsPerRun(1, func() { r.eng.RunFor(30 * time.Second) }); allocs != 0 {
 		t.Errorf("transfer cycle allocates %.0f objects per 30 s, want 0", allocs)
 	}
-	if n := r.c.Stats().Migrated - before; n < 50 {
-		t.Errorf("only %d migrations in 60 s", n)
+	const window = 60 * time.Second
+	readTime := float64(r.fs.Config().BlockSize) / r.cl.Node(0).Disk.Capacity()
+	want := int(window.Seconds() / readTime)
+	if n := r.c.Stats().Migrated - before; n < want-2 || n > want+2 {
+		t.Errorf("%d migrations in %v, want %d ± 2 (one per %.2f s block read)", n, window, want, readTime)
 	}
 	r.c.Shutdown()
 }

@@ -242,6 +242,7 @@ const (
 	opStartLoad
 	opCancel
 	opSetScale
+	opChain
 )
 
 type scriptOp struct {
@@ -250,18 +251,21 @@ type scriptOp struct {
 	size   Bytes
 	weight float64 // flow weight, or scale for opSetScale
 	pick   int     // which active flow a cancel targets
+	chain  int     // opChain: flows started one by one from done callbacks
 }
 
 // genScript builds a random op mix. Weights and scales are powers of two
-// (see file comment); sizes are whole megabytes.
+// (see file comment); sizes are whole megabytes. An opChain admits a
+// finite flow whose done callback admits the next one, up to chain
+// follow-ups, the way a serialized slave chains its migrations.
 func genScript(rng *rand.Rand, n int, horizon Duration) []scriptOp {
 	weights := []float64{0.25, 0.5, 1, 1, 2, 4}
 	scales := []float64{0.25, 0.5, 1, 2}
 	ops := make([]scriptOp, n)
 	for i := range ops {
 		o := scriptOp{at: Time(rng.Int63n(int64(horizon)))}
-		switch k := rng.Intn(10); {
-		case k < 5: // half the ops admit finite flows (incl. weight-1 Start)
+		switch k := rng.Intn(12); {
+		case k < 5: // most ops admit finite flows (incl. weight-1 Start)
 			o.kind = opStart
 			o.size = Bytes(1+rng.Intn(512)) * MB
 			o.weight = weights[rng.Intn(len(weights))]
@@ -271,9 +275,14 @@ func genScript(rng *rand.Rand, n int, horizon Duration) []scriptOp {
 		case k < 9:
 			o.kind = opCancel
 			o.pick = rng.Intn(1 << 16)
-		default:
+		case k < 10:
 			o.kind = opSetScale
 			o.weight = scales[rng.Intn(len(scales))]
+		default:
+			o.kind = opChain
+			o.size = Bytes(1+rng.Intn(512)) * MB
+			o.weight = weights[rng.Intn(len(weights))]
+			o.chain = 1 + rng.Intn(3)
 		}
 		ops[i] = o
 	}
@@ -314,7 +323,8 @@ func runScript(eng *Engine, r underTest, ops []scriptOp) scriptResult {
 	var active []int
 	cancels := map[int]func(){}
 	nextID := 0
-	admit := func(o scriptOp) {
+	var admit func(o scriptOp)
+	admit = func(o scriptOp) {
 		id := nextID
 		nextID++
 		var cancel func()
@@ -329,6 +339,10 @@ func runScript(eng *Engine, r underTest, ops []scriptOp) scriptResult {
 						break
 					}
 				}
+				if o.chain > 0 {
+					o.chain--
+					admit(o)
+				}
 			})
 		}
 		cancels[id] = cancel
@@ -338,7 +352,7 @@ func runScript(eng *Engine, r underTest, ops []scriptOp) scriptResult {
 		o := o
 		eng.At(o.at, func() {
 			switch o.kind {
-			case opStart, opStartLoad:
+			case opStart, opStartLoad, opChain:
 				admit(o)
 			case opCancel:
 				if len(active) == 0 {

@@ -162,10 +162,12 @@ func (r *refResource) onTimer() {
 }
 
 func (r *refResource) completeRipe() {
-	if len(r.flows) > 0 {
+	for len(r.flows) > 0 {
 		r.reprice()
-	}
-	for f := r.earliest(); f != nil; f = r.earliest() {
+		f := r.earliest()
+		if f == nil {
+			break
+		}
 		secs := (f.tag - r.vsrv) / r.vRate
 		if Duration(secs*float64(Second)) > 0 {
 			break
@@ -178,8 +180,6 @@ func (r *refResource) completeRipe() {
 		r.totalW -= f.weight
 		if len(r.flows) == 0 {
 			r.resetIdle()
-		} else {
-			r.reprice()
 		}
 		if f.done != nil {
 			f.done()

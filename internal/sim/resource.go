@@ -456,15 +456,15 @@ func (r *Resource) onTimer() {
 // completeRipe completes, in (tag, admission) order, every flow whose
 // remaining time at the current rates truncates to zero nanoseconds —
 // the set whose per-flow completion events would fire at this instant
-// under eager per-flow scheduling. Rates are repriced after each pop
-// (freeing capacity can ripen the next flow) and once more up front,
-// because a same-instant event before the timer may have changed
-// membership with the recompute still pending in the flush event.
+// under eager per-flow scheduling. Every ripeness test is preceded by a
+// reprice, so it always sees the current membership: a same-instant
+// event before the timer may have changed it with the recompute still
+// pending in the flush event, each pop frees capacity that can ripen
+// the next flow, and a done callback may admit a flow — onto a busy
+// resource, or onto one the pop just left idle at zero rate.
 func (r *Resource) completeRipe() {
-	if len(r.heap) > 0 {
-		r.reprice()
-	}
 	for len(r.heap) > 0 {
+		r.reprice()
 		f := r.heap[0]
 		if math.IsInf(f.tag, 1) {
 			break
@@ -486,8 +486,6 @@ func (r *Resource) completeRipe() {
 		r.totalW -= f.weight
 		if len(r.heap) == 0 {
 			r.resetIdle()
-		} else {
-			r.reprice()
 		}
 		if s := r.eng.flowSink; s != nil {
 			s.FlowEnded(r, f, true)

@@ -278,3 +278,54 @@ func TestFlowPoolReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestChainedFlowsFromDoneCallback: a flow started from the previous
+// flow's done callback, as a serialized slave chains its migrations,
+// pays its full transfer time. Three 1,000-byte flows on a 100 B/s
+// resource end at 10, 20 and 30 s when each one leaves the resource
+// idle, and at 20, 40 and 60 s beside a persistent load of equal
+// weight. The idle case once completed every chained flow at once: the
+// ripeness test ran at the zero rate the last departure left behind.
+func TestChainedFlowsFromDoneCallback(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		load bool
+		want []float64
+	}{
+		{"idle", false, []float64{10, 20, 30}},
+		{"busy", true, []float64{20, 40, 60}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(1)
+			r := NewResource(e, "d", 100, nil)
+			var load *Flow
+			if tc.load {
+				load = r.StartLoad(1)
+			}
+			var ends []float64
+			var next func(*Flow)
+			next = func(*Flow) {
+				ends = append(ends, e.Now().Seconds())
+				if len(ends) < len(tc.want) {
+					r.Start(1000, next)
+				} else if load != nil {
+					load.Cancel()
+				}
+			}
+			r.Start(1000, next)
+			e.Run()
+			if len(ends) != len(tc.want) {
+				t.Fatalf("%d of %d chained flows completed", len(ends), len(tc.want))
+			}
+			for i, w := range tc.want {
+				if !almostEqual(ends[i], w, 1e-6) {
+					t.Errorf("chained flows ended at %v s, want %v s", ends, tc.want)
+					break
+				}
+			}
+			if got, want := r.BusyTime(), Duration(tc.want[len(tc.want)-1]*float64(Second)); got != want {
+				t.Errorf("busy %v, want %v", got, want)
+			}
+		})
+	}
+}
