@@ -142,19 +142,15 @@ func (c *Cluster) Node(id NodeID) *Node {
 // Nodes returns all nodes in id order.
 func (c *Cluster) Nodes() []*Node { return c.nodes }
 
-// AliveNodes returns the ids of nodes currently up.
-func (c *Cluster) AliveNodes() []NodeID { return c.AppendAliveNodes(nil) }
-
-// AppendAliveNodes appends the ids of nodes currently up to buf, in id
-// order, and returns it; with a buf of sufficient capacity it allocates
-// nothing.
-func (c *Cluster) AppendAliveNodes(buf []NodeID) []NodeID {
+// AliveNodes returns the ids of nodes currently up, in id order.
+func (c *Cluster) AliveNodes() []NodeID {
+	var ids []NodeID
 	for _, n := range c.nodes {
 		if n.alive {
-			buf = append(buf, n.ID)
+			ids = append(ids, n.ID)
 		}
 	}
-	return buf
+	return ids
 }
 
 // KillNode marks a server down. Its resources stop being usable by model

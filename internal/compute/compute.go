@@ -54,10 +54,6 @@ type JobSpec struct {
 	ImplicitEvict bool
 }
 
-// outputReplication is the DFS replication of every job's output
-// (jobs often write output with replication 1 in sort benchmarks).
-const outputReplication = 1
-
 // DefaultOverheads fills in the typical constants used across the
 // evaluation: 1.5 s platform overhead and 0.3 s task overhead.
 func (s JobSpec) DefaultOverheads() JobSpec {
@@ -429,7 +425,7 @@ func (fw *Framework) launch(t *task, node cluster.NodeID) {
 			cpu := sim.Duration(j.Spec.ReduceCPUPerByte * float64(share) * float64(sim.Second))
 			fw.eng.Schedule(cpu, func() {
 				if outShare > 0 {
-					fw.fs.WriteBlocks(node, outShare, outputReplication, done)
+					fw.fs.WriteBlocks(node, outShare, done)
 				} else {
 					done()
 				}

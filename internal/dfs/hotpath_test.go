@@ -1,7 +1,6 @@
 package dfs
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
@@ -9,94 +8,15 @@ import (
 	"dyrs/internal/sim"
 )
 
-// refWriteTargets is writeTargets as it was written before the in-place
-// permutation: a fresh AliveNodes slice and a rand.Perm per block. It is
-// the reference the production picker must match target for target and
-// draw for draw.
-func refWriteTargets(fs *FS, at cluster.NodeID, replication int) []cluster.NodeID {
-	targets := []cluster.NodeID{at}
-	if !fs.cl.Node(at).Alive() {
-		targets = nil
-	}
-	alive := fs.cl.AliveNodes()
-	perm := fs.rng.Perm(len(alive))
-	for _, p := range perm {
-		if len(targets) >= replication {
-			break
-		}
-		id := alive[p]
-		if id == at {
-			continue
-		}
-		targets = append(targets, id)
-	}
-	return targets
-}
-
-// TestWriteTargetsMatchesPermReference locks the in-place permutation to
-// rand.Perm: on clusters of 3 to 600 nodes with dead nodes, at
-// replication 1-3 and from live and dead writers, both pickers choose
-// the same targets and leave the RNG at the same next draw.
-func TestWriteTargetsMatchesPermReference(t *testing.T) {
-	t.Parallel()
-	for _, n := range []int{3, 4, 7, 16, 63, 64, 65, 200, 500, 600} {
-		for seed := int64(1); seed <= 3; seed++ {
-			build := func() *FS {
-				eng := sim.NewEngine(seed)
-				cfg := DefaultConfig()
-				cfg.Replication = 1
-				return New(cluster.New(eng, n, nil), cfg)
-			}
-			got, want := build(), build()
-			faults := rand.New(rand.NewSource(seed * int64(n)))
-			for i := 0; i < n/5; i++ {
-				id := cluster.NodeID(faults.Intn(n))
-				got.cl.KillNode(id)
-				want.cl.KillNode(id)
-			}
-			for i := 0; i < 50; i++ {
-				at := cluster.NodeID(faults.Intn(n))
-				repl := 1 + i%3
-				g := got.writeTargets(at, repl)
-				w := refWriteTargets(want, at, repl)
-				if len(g) != len(w) {
-					t.Fatalf("n=%d seed=%d write %d: targets %v, reference %v", n, seed, i, g, w)
-				}
-				for k := range g {
-					if g[k] != w[k] {
-						t.Fatalf("n=%d seed=%d write %d: targets %v, reference %v", n, seed, i, g, w)
-					}
-				}
-			}
-			if g, w := got.rng.Int63(), want.rng.Int63(); g != w {
-				t.Fatalf("n=%d seed=%d: next draw %d, reference %d", n, seed, g, w)
-			}
-		}
-	}
-}
-
-// TestWriteAllocs pins writeTargets at zero allocations once its scratch
-// buffers have grown to the cluster size, and a whole two-block
-// replicated write once the pools are warm. The write runs on a small
-// racked cluster so that every disk, NIC and the core have admitted
-// flows (and grown their own pools) before the measurement.
+// TestWriteAllocs pins a warm two-block write at zero allocations: the
+// op and both blocks' flows come from pools.
 func TestWriteAllocs(t *testing.T) {
-	eng := sim.NewEngine(1)
-	fs := New(cluster.New(eng, 500, nil), DefaultConfig())
-	fs.cl.KillNode(7)
-	fs.writeTargets(3, 3)
-	if allocs := testing.AllocsPerRun(100, func() { fs.writeTargets(3, 3) }); allocs != 0 {
-		t.Errorf("writeTargets on 500 nodes allocates %.1f objects, want 0", allocs)
-	}
-
-	eng = sim.NewEngine(2)
-	cl := cluster.New(eng, 6, nil)
-	cl.ConfigureRacks(2, 1250*float64(sim.MB))
-	fs = New(cl, DefaultConfig())
+	eng := sim.NewEngine(2)
+	fs := New(cluster.New(eng, 6, nil), DefaultConfig())
 	writes := 0
 	done := func() { writes++ }
 	write := func() {
-		fs.WriteBlocks(3, 2*256*sim.MB, 3, done)
+		fs.WriteBlocks(3, 2*256*sim.MB, done)
 		eng.Run()
 	}
 	for i := 0; i < 50; i++ {

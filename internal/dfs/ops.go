@@ -162,14 +162,13 @@ func (op *migrateOp) finish(*sim.Flow) {
 	}
 }
 
-// writeOp is one WriteBlocks call in flight. It counts the pipeline
-// legs still streaming across all of the call's blocks; the last one to
-// finish completes the write.
+// writeOp is one WriteBlocks call in flight. It counts the call's
+// blocks still streaming; the last one to land completes the write.
 type writeOp struct {
-	fs      *FS
-	done    func()
-	pending int
-	legDone func(*sim.Flow) // every leg's completion callback
+	fs        *FS
+	done      func()
+	pending   int
+	blockDone func(*sim.Flow) // every block's completion callback
 }
 
 // newWriteOp takes an op from the pool, or allocates one.
@@ -177,21 +176,21 @@ func (fs *FS) newWriteOp(done func()) *writeOp {
 	op := fs.writePool.get()
 	if op == nil {
 		op = &writeOp{fs: fs}
-		op.legDone = op.finishLeg
+		op.blockDone = op.finishBlock
 	}
 	op.done = done
 	return op
 }
 
-// startLeg streams size bytes through one pipeline leg.
-func (op *writeOp) startLeg(leg *sim.Resource, size sim.Bytes) {
+// startBlock streams one block of size bytes onto disk.
+func (op *writeOp) startBlock(disk *sim.Resource, size sim.Bytes) {
 	op.pending++
-	leg.Start(size, op.legDone)
+	disk.Start(size, op.blockDone)
 }
 
-// finishLeg counts a leg's completion; the last one recycles the op and
-// then runs done.
-func (op *writeOp) finishLeg(*sim.Flow) {
+// finishBlock counts a block's completion; the last one recycles the op
+// and then runs done.
+func (op *writeOp) finishBlock(*sim.Flow) {
 	op.pending--
 	if op.pending > 0 {
 		return
