@@ -31,6 +31,7 @@ import (
 	"dyrs/internal/harness"
 	"dyrs/internal/migration"
 	"dyrs/internal/obs"
+	"dyrs/internal/policy"
 	"dyrs/internal/runner"
 	"dyrs/internal/trace"
 )
@@ -54,8 +55,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	repro := fs.String("repro", "", "keep-mask from a shrunk repro, e.g. 'faults=0,2;jobs=1' (requires -seed)")
 	large := fs.Bool("large", false, "draw datacenter-shaped scenarios (64-256 nodes, multi-rack)")
 	serving := fs.Bool("serving", false, "draw multi-tenant serving scenarios (open-loop Zipf/diurnal read stream)")
-	policy := fs.String("policy", "", "migrating policy for the oracle runs: "+
-		strings.Join(migration.BinderNames(), ", ")+" (default dyrs)")
+	policyName := fs.String("policy", "", "migrating policy for the oracle runs: "+
+		strings.Join(policy.Names(), ", ")+" (default dyrs)")
 	shrink := fs.Bool("shrink", true, "shrink failing scenarios to a minimal repro")
 	artifacts := fs.String("artifacts", ".", "directory for failure artifacts (flight-recorder dumps); empty disables")
 	manifestPath := fs.String("manifest", "", "write a run-manifest JSON (seed, flags, build, wall time, peak RSS) to this file")
@@ -81,8 +82,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}()
 	}
 
-	if *policy != "" {
-		if _, err := migration.BinderByName(*policy); err != nil {
+	if *policyName != "" {
+		if _, err := migration.BinderByName(*policyName); err != nil {
 			return err
 		}
 	}
@@ -92,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *repro != "" && *seed == 0 {
 		return fmt.Errorf("-repro requires -seed")
 	}
-	base := harness.Repro{Large: *large, Serving: *serving, Policy: *policy}
+	base := harness.Repro{Large: *large, Serving: *serving, Policy: *policyName}
 	if *seed != 0 {
 		base.Seed = *seed
 		return checkOne(stdout, base, *repro, *shrink, *artifacts)

@@ -64,8 +64,9 @@ func TestFlagValidation(t *testing.T) {
 	if err := run([]string{"-policy", "bogus"}, &out, &errb); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	if err := run([]string{"-policy", "hdfs"}, &out, &errb); err == nil {
-		t.Error("non-migrating policy accepted")
+	if err := run([]string{"-policy", "hdfs"}, &out, &errb); err == nil ||
+		!strings.Contains(err.Error(), "unknown policy") {
+		t.Errorf("-policy hdfs: got %v, want unknown-policy error", err)
 	}
 	if err := run([]string{"-large", "-serving", "-seeds", "1"}, &out, &errb); err == nil {
 		t.Error("-large with -serving accepted")

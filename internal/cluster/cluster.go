@@ -25,11 +25,6 @@ type NodeConfig struct {
 	// DiskSeekPenalty is the per-extra-stream efficiency loss applied by
 	// sim.SeekEfficiency; models seek overhead under concurrent reads.
 	DiskSeekPenalty float64
-	// SSDBandwidth is the throughput of the node's flash tier in
-	// bytes/sec. The paper's motivation compares RAM against SSD reads
-	// (§I: RAM still 7x faster than SSD); the SSD tier exists so that
-	// comparison can be reproduced.
-	SSDBandwidth float64
 	// NetBandwidth is the NIC throughput in bytes/sec (10 Gbps in the
 	// paper's testbed).
 	NetBandwidth float64
@@ -53,7 +48,6 @@ func DefaultNodeConfig() NodeConfig {
 	return NodeConfig{
 		DiskBandwidth:   130 * float64(sim.MB),
 		DiskSeekPenalty: 0.05,
-		SSDBandwidth:    500 * float64(sim.MB),
 		NetBandwidth:    1250 * float64(sim.MB), // 10 Gbps
 		MemBandwidth:    6 * float64(sim.GB),
 		MemCapacity:     64 * sim.GB,
@@ -67,7 +61,6 @@ type Node struct {
 	ID   NodeID
 	Cfg  NodeConfig
 	Disk *sim.Resource
-	SSD  *sim.Resource
 	NIC  *sim.Resource
 	Mem  *sim.Resource
 
@@ -86,11 +79,12 @@ type Cluster struct {
 	flatRack []NodeID // lazily built member list for the flat (1-rack) case
 	// membershipEpoch counts kill/revive transitions; see MembershipEpoch.
 	membershipEpoch uint64
-	// RPCLatency is the one-way latency of control-plane messages
-	// (heartbeats, migration commands). Data transfers are modeled on
-	// resources; control traffic only pays this latency.
-	RPCLatency sim.Duration
 }
+
+// RPCLatency is the one-way latency of control-plane messages
+// (heartbeats, migration commands). Data transfers are modeled on
+// resources; control traffic only pays this latency.
+const RPCLatency = 500 * sim.Duration(1e3) // 0.5ms
 
 // New creates a cluster of n nodes with per-node configs produced by
 // cfg(i). Pass nil to use DefaultNodeConfig for every node.
@@ -98,7 +92,7 @@ func New(eng *sim.Engine, n int, cfg func(i int) NodeConfig) *Cluster {
 	if n <= 0 {
 		panic("cluster: need at least one node")
 	}
-	c := &Cluster{eng: eng, RPCLatency: 500 * sim.Duration(1e3) /* 0.5ms */}
+	c := &Cluster{eng: eng}
 	for i := 0; i < n; i++ {
 		nc := DefaultNodeConfig()
 		if cfg != nil {
@@ -107,14 +101,10 @@ func New(eng *sim.Engine, n int, cfg func(i int) NodeConfig) *Cluster {
 		if nc.DiskScale == 0 {
 			nc.DiskScale = 1
 		}
-		if nc.SSDBandwidth <= 0 {
-			nc.SSDBandwidth = 500 * float64(sim.MB)
-		}
 		node := &Node{
 			ID:    NodeID(i),
 			Cfg:   nc,
 			Disk:  sim.NewResource(eng, fmt.Sprintf("disk:node%d", i), nc.DiskBandwidth, sim.SeekEfficiency(nc.DiskSeekPenalty)),
-			SSD:   sim.NewResource(eng, fmt.Sprintf("ssd:node%d", i), nc.SSDBandwidth, sim.SeekEfficiency(0.005)),
 			NIC:   sim.NewResource(eng, fmt.Sprintf("nic:node%d", i), nc.NetBandwidth, nil),
 			Mem:   sim.NewResource(eng, fmt.Sprintf("mem:node%d", i), nc.MemBandwidth, nil),
 			eng:   eng,
@@ -175,7 +165,7 @@ func (c *Cluster) MembershipEpoch() uint64 { return c.membershipEpoch }
 // RPC schedules fn after the control-plane latency, simulating a
 // master<->slave message.
 func (c *Cluster) RPC(fn func()) {
-	c.eng.Schedule(c.RPCLatency, fn)
+	c.eng.Schedule(RPCLatency, fn)
 }
 
 // Interference is a handle on background disk load occupying a node.

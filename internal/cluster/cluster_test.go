@@ -74,8 +74,8 @@ func TestRPCLatency(t *testing.T) {
 	var at sim.Time
 	c.RPC(func() { at = eng.Now() })
 	eng.Run()
-	if at != sim.Time(c.RPCLatency) {
-		t.Errorf("rpc fired at %v, want %v", at, c.RPCLatency)
+	if at != sim.Time(RPCLatency) {
+		t.Errorf("rpc fired at %v, want %v", at, RPCLatency)
 	}
 }
 

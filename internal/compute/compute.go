@@ -138,6 +138,11 @@ type task struct {
 	queued  sim.Time // when the task became runnable
 }
 
+// localityDelay is how long a map task waits for a slot on a node
+// holding its data before settling for a non-local slot — Hadoop's
+// delay scheduling.
+const localityDelay = 3 * time.Second
+
 // Framework is the cluster compute scheduler.
 type Framework struct {
 	eng *sim.Engine
@@ -151,11 +156,6 @@ type Framework struct {
 	jobs      []*Job // by ID-1; IDs are assigned 1, 2, 3, ...
 	done      []*Job
 	onDone    []func(*Job)
-
-	// LocalityDelay is how long a map task waits for a slot on a node
-	// holding its data before settling for a non-local slot — Hadoop's
-	// delay scheduling. Zero disables the wait.
-	LocalityDelay sim.Duration
 
 	// scheduling rotation for non-local placement
 	rot int
@@ -175,12 +175,11 @@ func New(fs *dfs.FS, mgr migration.Manager) *Framework {
 	}
 	cl := fs.Cluster()
 	fw := &Framework{
-		eng:           cl.Engine(),
-		cl:            cl,
-		fs:            fs,
-		mgr:           mgr,
-		tr:            trace.FromEngine(cl.Engine()),
-		LocalityDelay: 3 * time.Second,
+		eng: cl.Engine(),
+		cl:  cl,
+		fs:  fs,
+		mgr: mgr,
+		tr:  trace.FromEngine(cl.Engine()),
 	}
 	fw.retryPass = func() {
 		fw.retry = nil
@@ -287,7 +286,7 @@ func (fw *Framework) SubmitAt(at sim.Time, spec JobSpec, cb func(*Job, error)) {
 // trySchedule assigns pending tasks to free slots. Map tasks prefer the
 // node holding the in-memory replica of their block, then any node with
 // a disk replica; like Hadoop's delay scheduling they wait up to
-// LocalityDelay for a local slot before settling for any free slot.
+// localityDelay for a local slot before settling for any free slot.
 // Reduce tasks take any free slot, rotating for balance. The pass
 // filters fw.pending in place (launch never touches it synchronously),
 // so it allocates nothing.
@@ -331,7 +330,7 @@ func (fw *Framework) placeTask(t *task) cluster.NodeID {
 			}
 		}
 		// No local slot: hold out for locality until the delay expires.
-		if fw.eng.Now().Sub(t.queued) < fw.LocalityDelay {
+		if fw.eng.Now().Sub(t.queued) < localityDelay {
 			return -1
 		}
 	}

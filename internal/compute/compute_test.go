@@ -359,7 +359,6 @@ func TestDelaySchedulingWaitsForLocality(t *testing.T) {
 	fsCfg.Replication = 1
 	fs := dfs.New(cl, fsCfg)
 	fw := New(fs, nil)
-	fw.LocalityDelay = 5 * time.Second
 	// Two big files hog the replica-holder's slots, then a third task
 	// must choose: wait for locality or run remotely.
 	fs.CreateFile("a", 3*256*sim.MB)

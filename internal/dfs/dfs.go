@@ -26,23 +26,6 @@ import (
 // BlockID identifies a block in the file system.
 type BlockID int
 
-// Tier is the storage medium holding a file's blocks.
-type Tier int
-
-// Storage tiers, slowest first.
-const (
-	TierDisk Tier = iota
-	TierSSD
-)
-
-// String names the tier.
-func (t Tier) String() string {
-	if t == TierSSD {
-		return "ssd"
-	}
-	return "disk"
-}
-
 // maxBlockBytes bounds a single block so its size fits the table's
 // uint32 column. HDFS-era block sizes are 64-512 MB; 4 GiB-1 is far
 // above anything the model produces.
@@ -57,7 +40,6 @@ type Block struct {
 	File     string
 	Index    int // position within the file
 	Size     sim.Bytes
-	Tier     Tier
 	Replicas []cluster.NodeID // replica locations at materialization time
 }
 
@@ -66,7 +48,6 @@ type Block struct {
 type File struct {
 	Name   string
 	Size   sim.Bytes
-	Tier   Tier
 	Blocks []BlockID
 }
 
@@ -299,24 +280,18 @@ var (
 	ErrNoReplica    = errors.New("dfs: no live replica")
 )
 
-// CreateFile registers a file of the given size on the disk tier, splits
-// it into blocks and places replicas. Placement mimics HDFS default:
-// replicas land on distinct nodes chosen pseudo-randomly, rotating the
-// starting node so data spreads evenly.
+// CreateFile registers a file of the given size, splits it into blocks
+// and places replicas on disk. Placement mimics HDFS default: replicas
+// land on distinct nodes chosen pseudo-randomly, rotating the starting
+// node so data spreads evenly.
 func (fs *FS) CreateFile(name string, size sim.Bytes) (*File, error) {
-	return fs.CreateFileOnTier(name, size, TierDisk)
-}
-
-// CreateFileOnTier registers a file whose blocks live on the given
-// storage tier (disk or SSD).
-func (fs *FS) CreateFileOnTier(name string, size sim.Bytes, tier Tier) (*File, error) {
 	if _, ok := fs.files[name]; ok {
 		return nil, ErrFileExists
 	}
 	if size <= 0 {
 		return nil, errors.New("dfs: file size must be positive")
 	}
-	f := &File{Name: name, Size: size, Tier: tier}
+	f := &File{Name: name, Size: size}
 	fi := int32(len(fs.fileList))
 	nBlocks := int((size + fs.cfg.BlockSize - 1) / fs.cfg.BlockSize)
 	fs.table.grow(nBlocks)
@@ -487,7 +462,6 @@ func (fs *FS) Block(id BlockID) *Block {
 		File:     f.Name,
 		Index:    int(id - f.Blocks[0]),
 		Size:     fs.table.blockSize(id),
-		Tier:     f.Tier,
 		Replicas: fs.table.appendReplicas(id, nil),
 	}
 }
@@ -498,9 +472,6 @@ func (fs *FS) BlockSize(id BlockID) sim.Bytes { return fs.table.blockSize(id) }
 // BlockFile reports the file the block belongs to without materializing
 // a view.
 func (fs *FS) BlockFile(id BlockID) *File { return fs.fileList[fs.table.fileOf[int(id)]] }
-
-// blockTier reports the storage tier of the block's file.
-func (fs *FS) blockTier(id BlockID) Tier { return fs.BlockFile(id).Tier }
 
 // NumBlocks reports the total number of blocks in the catalog.
 func (fs *FS) NumBlocks() int { return fs.table.len() }
@@ -644,9 +615,8 @@ func (fs *FS) TotalMemUsed() sim.Bytes {
 // whether it is local or remote"); otherwise it is served from a disk
 // replica, preferring a local one. done receives the result.
 //
-// onRead, if non-nil, is invoked synchronously with the chosen result
-// metadata before the transfer begins; the migration layer uses it for
-// implicit eviction.
+// Hooks registered with OnRead run synchronously, before the transfer
+// begins; the cache layer uses one to count hits and misses.
 func (fs *FS) ReadBlock(at cluster.NodeID, id BlockID, done func(ReadResult)) error {
 	var sp trace.SpanRef
 	if fs.tr.Enabled() {
@@ -748,19 +718,15 @@ func (fs *FS) readAttempt(at cluster.NodeID, id BlockID, start sim.Time,
 	}
 	dn := fs.dns[int(server)]
 	dn.DiskReads++
-	res := dn.node.Disk
-	if fs.blockTier(id) == TierSSD {
-		res = dn.node.SSD
-	}
 	op := fs.newReadOp(at, id, start, fs.table.blockSize(id), done, sp)
 	op.server = server
 	if local {
 		op.src = SourceDiskLocal
-		op.legs[0] = res
+		op.legs[0] = dn.node.Disk
 	} else {
 		dn.RemoteServes++
 		op.src = SourceDiskRemote
-		op.setTransferLegs(res)
+		op.setTransferLegs(dn.node.Disk)
 	}
 	fs.eng.Schedule(fs.cfg.ReadLatency, op.launch)
 	return nil
@@ -792,13 +758,13 @@ func (fs *FS) pickRemoteReplica(at cluster.NodeID, replicas []cluster.NodeID) cl
 	return replicas[fs.rng.Intn(len(replicas))]
 }
 
-// readHook is invoked on every block read; the migration slave registers
-// one to implement implicit eviction (§III-C3).
+// readHook is invoked on every block read; the cache layer registers one
+// to track its LRU order.
 type readHook func(id BlockID, at cluster.NodeID)
 
 var errNilHook = errors.New("dfs: nil read hook")
 
-// hooks registered by the migration layer.
+// notifyRead runs the hooks registered with OnRead.
 func (fs *FS) notifyRead(id BlockID, at cluster.NodeID) {
 	for _, h := range fs.readHooks {
 		h(id, at)
@@ -836,12 +802,8 @@ func (dn *DataNode) MigrateToMemory(id BlockID, weight float64, done func(sim.Du
 		weight = 1
 	}
 	dn.DiskReads++
-	res := dn.node.Disk
-	if fs.blockTier(id) == TierSSD {
-		res = dn.node.SSD
-	}
 	op := fs.newMigrateOp(dn.node.ID, id, done)
-	return res.StartWeighted(fs.table.blockSize(id), weight, op.legDone), nil
+	return dn.node.Disk.StartWeighted(fs.table.blockSize(id), weight, op.legDone), nil
 }
 
 // WriteBlocks writes `size` bytes of job output originating at node `at`,

@@ -125,7 +125,7 @@ func (op *readOp) finishLeg(*sim.Flow) {
 }
 
 // migrateOp is one MigrateToMemory transfer in flight: a single flow on
-// the node's disk (or SSD) whose completion registers the in-memory
+// the node's disk whose completion registers the in-memory
 // replica. A cancelled transfer's op never completes and is left to the
 // garbage collector, as the cancelled flow is.
 type migrateOp struct {

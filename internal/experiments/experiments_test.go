@@ -3,10 +3,12 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"dyrs/internal/dfs"
 	"dyrs/internal/metrics"
 	"dyrs/internal/sim"
 	"dyrs/internal/workload"
@@ -450,6 +452,13 @@ func TestMotivationShape(t *testing.T) {
 	if !(rep.MemLocal < rep.MemRemote && rep.MemRemote < rep.SSDIdle &&
 		rep.SSDIdle < rep.DiskIdle && rep.DiskIdle < rep.DiskBusy) {
 		t.Errorf("latency ordering violated: %+v", rep)
+	}
+	// The SSD read is the read latency plus one block streamed at
+	// ssdBandwidth (0.514 s), with nothing else on the device.
+	cfg := dfs.DefaultConfig()
+	want := cfg.ReadLatency.Seconds() + float64(cfg.BlockSize)/ssdBandwidth
+	if math.Abs(rep.SSDIdle-want) > 1e-9 {
+		t.Errorf("SSDIdle = %.9fs, want %.9fs", rep.SSDIdle, want)
 	}
 	// RAM over SSD: paper says 7x; accept 3-30x.
 	if r := rep.RAMvsSSD(); r < 3 || r > 30 {

@@ -8,6 +8,7 @@ import (
 	"dyrs/internal/cluster"
 	"dyrs/internal/dfs"
 	"dyrs/internal/migration"
+	"dyrs/internal/policy"
 	"dyrs/internal/sim"
 	"dyrs/internal/trace"
 	"dyrs/internal/workload"
@@ -117,8 +118,8 @@ type ServingOptions struct {
 	// Spec is the workload draw; zero value means DefaultServingSpec.
 	Spec workload.ServingSpec
 	// Policies lists the configurations to score: "hdfs" (baseline, no
-	// migration) or any migrating binder name from migration.BinderNames.
-	// Empty means hdfs + every migrating policy.
+	// migration) or any policy name from policy.Names. Empty means hdfs
+	// + every policy.
 	Policies []string
 }
 
@@ -171,7 +172,7 @@ func servingPolicies(opt ServingOptions) []string {
 	if len(opt.Policies) > 0 {
 		return opt.Policies
 	}
-	return append([]string{"hdfs"}, migration.BinderNames()...)
+	return append([]string{"hdfs"}, policy.Names()...)
 }
 
 // servingEnv names the environment one serving policy runs in: "hdfs"

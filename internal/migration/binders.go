@@ -1,8 +1,6 @@
 package migration
 
 import (
-	"fmt"
-
 	"dyrs/internal/cluster"
 	"dyrs/internal/policy"
 	"dyrs/internal/sim"
@@ -23,7 +21,7 @@ import (
 // With policy.DYRS this binder reproduces the pre-extraction DYRS
 // binder byte for byte: the golden corpus in internal/harness, recorded
 // while that binder still existed, pins traces, stats and counters
-// across 72 scenarios at shard counts 1, 2 and 4.
+// across 72 scenarios.
 type PolicyBinder struct {
 	c   *Coordinator
 	pol policy.Policy
@@ -77,39 +75,16 @@ const maxSkippedPasses = 8
 // Algorithm 1 earliest-finish targeting (§III-A).
 func NewDYRSBinder() *PolicyBinder { return NewPolicyBinder(policy.NewDYRS()) }
 
-// NewPolicyBinder wraps a target-selection policy as a binder. The
-// policy must migrate (policy.HDFS and other Migrates() == false
-// policies run no framework at all).
-func NewPolicyBinder(p policy.Policy) *PolicyBinder {
-	if !p.Migrates() {
-		panic(fmt.Sprintf("migration: policy %s does not migrate; run without a coordinator instead", p.Name()))
-	}
-	return &PolicyBinder{pol: p}
-}
+// NewPolicyBinder wraps a target-selection policy as a binder.
+func NewPolicyBinder(p policy.Policy) *PolicyBinder { return &PolicyBinder{pol: p} }
 
-// BinderByName maps a migrating internal/policy name ("dyrs", "ignem",
-// "costaware") to a binder.
+// BinderByName maps a policy name from policy.Names to a binder.
 func BinderByName(name string) (Binder, error) {
 	p, err := policy.New(name)
 	if err != nil {
 		return nil, err
 	}
-	if !p.Migrates() {
-		return nil, fmt.Errorf("migration: policy %q does not migrate; use the HDFS experiment policy instead", name)
-	}
 	return NewPolicyBinder(p), nil
-}
-
-// BinderNames lists every name BinderByName accepts, sorted (the
-// migrating subset of policy.Names).
-func BinderNames() []string {
-	var names []string
-	for _, n := range policy.Names() {
-		if p, err := policy.New(n); err == nil && p.Migrates() {
-			names = append(names, n)
-		}
-	}
-	return names
 }
 
 // Name implements Binder.

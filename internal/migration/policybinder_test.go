@@ -21,25 +21,9 @@ func TestBinderByName(t *testing.T) {
 			t.Errorf("BinderByName(%q) returned nil binder", name)
 		}
 	}
-	if _, err := BinderByName("hdfs"); err == nil {
-		t.Error("BinderByName(\"hdfs\") should refuse a non-migrating policy")
-	}
 	if _, err := BinderByName("bogus"); err == nil {
 		t.Error("BinderByName(\"bogus\") should fail")
 	}
-	want := []string{"costaware", "dyrs", "ignem"}
-	if got := BinderNames(); !reflect.DeepEqual(got, want) {
-		t.Errorf("BinderNames() = %v, want %v", got, want)
-	}
-}
-
-func TestNewPolicyBinderRejectsNonMigrating(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewPolicyBinder(HDFS) did not panic")
-		}
-	}()
-	NewPolicyBinder(policy.NewHDFS())
 }
 
 // TestPolicyBinderImmediateBindsOnMigrate drives the immediate-binding

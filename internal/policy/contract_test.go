@@ -78,7 +78,7 @@ func runPass(p Policy, v View, reqs []Request) []cluster.NodeID {
 // TestPolicyContract is the table-driven suite every implementation
 // must pass: deterministic assignment, targets drawn from the request's
 // replica list, dead nodes never targeted, graceful no-replica
-// handling, and Migrates/BindImmediately consistency.
+// handling, and at least one assignment.
 func TestPolicyContract(t *testing.T) {
 	for _, p := range allPolicies(t) {
 		p := p
@@ -145,22 +145,16 @@ func TestPolicyContract(t *testing.T) {
 				t.Errorf("empty replica list got target %d", target)
 			}
 
-			// A policy that does not migrate must never assign; one that
-			// does must assign at least one of the contract requests.
+			// Every policy migrates, so it must assign at least one of
+			// the contract requests.
 			assigned := 0
 			for _, target := range first {
 				if target >= 0 {
 					assigned++
 				}
 			}
-			if p.Migrates() && assigned == 0 {
-				t.Error("migrating policy assigned nothing")
-			}
-			if !p.Migrates() && assigned != 0 {
-				t.Errorf("non-migrating policy assigned %d blocks", assigned)
-			}
-			if !p.Migrates() && p.BindImmediately() {
-				t.Error("non-migrating policy claims immediate binding")
+			if assigned == 0 {
+				t.Error("policy assigned nothing")
 			}
 		})
 	}
@@ -173,8 +167,6 @@ func nameKey(p Policy) string {
 		return "dyrs"
 	case "Ignem":
 		return "ignem"
-	case "HDFS":
-		return "hdfs"
 	case "CostAware":
 		return "costaware"
 	}
@@ -194,8 +186,8 @@ func TestPolicyContractTieBreaking(t *testing.T) {
 		Rand:     rand.New(rand.NewSource(1)),
 	}
 	for _, p := range allPolicies(t) {
-		if !p.Migrates() || p.BindImmediately() {
-			continue // HDFS assigns nothing; Ignem breaks ties randomly
+		if p.BindImmediately() {
+			continue // Ignem breaks ties randomly
 		}
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
@@ -220,8 +212,8 @@ func TestPolicyContractTieBreaking(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	names := Names()
-	if len(names) != 4 {
-		t.Fatalf("Names() = %v, want 4 entries", names)
+	if len(names) != 3 {
+		t.Fatalf("Names() = %v, want 3 entries", names)
 	}
 	for i := 1; i < len(names); i++ {
 		if names[i-1] >= names[i] {

@@ -25,9 +25,6 @@ func NewDYRS() *DYRS { return &DYRS{} }
 // Name implements Policy.
 func (p *DYRS) Name() string { return "DYRS" }
 
-// Migrates implements Policy.
-func (p *DYRS) Migrates() bool { return true }
-
 // BindImmediately implements Policy: DYRS delays binding until pull.
 func (p *DYRS) BindImmediately() bool { return false }
 

@@ -22,9 +22,6 @@ func NewIgnem() *Ignem { return &Ignem{} }
 // Name implements Policy.
 func (p *Ignem) Name() string { return "Ignem" }
 
-// Migrates implements Policy.
-func (p *Ignem) Migrates() bool { return true }
-
 // BindImmediately implements Policy: Ignem never delays binding.
 func (p *Ignem) BindImmediately() bool { return true }
 
@@ -53,29 +50,6 @@ func (p *Ignem) Assign(req Request) (cluster.NodeID, bool) {
 	return p.buf[p.rand.Intn(len(p.buf))], true
 }
 
-// HDFS is the no-migration baseline: plain disk reads. It exists so the
-// baseline is a registry entry like every competitor; callers see
-// Migrates() == false and run no migration framework at all.
-type HDFS struct{}
-
-// NewHDFS returns the no-migration baseline policy.
-func NewHDFS() HDFS { return HDFS{} }
-
-// Name implements Policy.
-func (HDFS) Name() string { return "HDFS" }
-
-// Migrates implements Policy.
-func (HDFS) Migrates() bool { return false }
-
-// BindImmediately implements Policy.
-func (HDFS) BindImmediately() bool { return false }
-
-// Begin implements Policy.
-func (HDFS) Begin(View) {}
-
-// Assign implements Policy: HDFS never targets anything.
-func (HDFS) Assign(Request) (cluster.NodeID, bool) { return -1, false }
-
 // CostAware is the new heuristic this lab adds: each block targets the
 // replica with the lowest marginal migration cost
 //
@@ -98,9 +72,6 @@ func NewCostAware() *CostAware { return &CostAware{} }
 
 // Name implements Policy.
 func (p *CostAware) Name() string { return "CostAware" }
-
-// Migrates implements Policy.
-func (p *CostAware) Migrates() bool { return true }
 
 // BindImmediately implements Policy: delayed binding, like DYRS.
 func (p *CostAware) BindImmediately() bool { return false }

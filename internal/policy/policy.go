@@ -1,8 +1,10 @@
 // Package policy extracts the migration target-selection decision —
 // which replica of which block should migrate to memory, and when that
-// binding happens — behind a small interface, so DYRS, Ignem, HDFS and
-// new heuristics are swappable implementations scored side by side
-// instead of branches hard-wired into the coordinator.
+// binding happens — behind a small interface, so DYRS, Ignem and new
+// heuristics are swappable implementations scored side by side instead
+// of branches hard-wired into the coordinator. Every policy migrates;
+// the no-migration baseline is an experiment environment that runs no
+// migration framework at all.
 //
 // A policy is a pure decision function over an explicit cluster view:
 // it sees per-node liveness, per-byte migration-time estimates and
@@ -12,8 +14,7 @@
 // wall clock, and never iterate maps — given the same Begin/Assign call
 // sequence they produce the same targets, which is what lets the
 // migration layer keep its byte-identical determinism contract after
-// the extraction (proven by the differential conformance suite in
-// internal/harness).
+// the extraction (pinned by the golden corpus in internal/harness).
 package policy
 
 import (
@@ -74,9 +75,6 @@ type Request struct {
 type Policy interface {
 	// Name identifies the policy in tables, repro lines and -policy flags.
 	Name() string
-	// Migrates reports whether the policy migrates at all. HDFS returns
-	// false: callers run no migration framework for such policies.
-	Migrates() bool
 	// BindImmediately reports whether blocks bind to their target the
 	// moment they are requested (Ignem) instead of staying pending at
 	// the master until a slave pulls (DYRS).
@@ -95,8 +93,6 @@ func New(name string) (Policy, error) {
 		return NewDYRS(), nil
 	case "ignem":
 		return NewIgnem(), nil
-	case "hdfs":
-		return NewHDFS(), nil
 	case "costaware":
 		return NewCostAware(), nil
 	}
@@ -105,7 +101,7 @@ func New(name string) (Policy, error) {
 
 // Names lists the registered policy names, sorted.
 func Names() []string {
-	names := []string{"dyrs", "ignem", "hdfs", "costaware"}
+	names := []string{"dyrs", "ignem", "costaware"}
 	sort.Strings(names)
 	return names
 }
