@@ -8,6 +8,7 @@ package compute
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"dyrs/internal/cluster"
@@ -64,6 +65,40 @@ func (s JobSpec) DefaultOverheads() JobSpec {
 		s.TaskOverhead = 300 * time.Millisecond
 	}
 	return s
+}
+
+// validate rejects a spec whose rates, reducer count or overheads would
+// reach a task's timers as non-finite or negative durations.
+func (s JobSpec) validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"MapCPUPerByte", s.MapCPUPerByte},
+		{"MapOutputRatio", s.MapOutputRatio},
+		{"ReduceCPUPerByte", s.ReduceCPUPerByte},
+		{"OutputRatio", s.OutputRatio},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
+			return fmt.Errorf("compute: job %q: %s %v is not a finite non-negative number", s.Name, f.name, f.v)
+		}
+	}
+	if s.Reducers < 0 {
+		return fmt.Errorf("compute: job %q: negative Reducers %d", s.Name, s.Reducers)
+	}
+	for _, f := range []struct {
+		name string
+		d    time.Duration
+	}{
+		{"PlatformOverhead", s.PlatformOverhead},
+		{"ExtraLeadTime", s.ExtraLeadTime},
+		{"TaskOverhead", s.TaskOverhead},
+	} {
+		if f.d < 0 {
+			return fmt.Errorf("compute: job %q: negative %s %v", s.Name, f.name, f.d)
+		}
+	}
+	return nil
 }
 
 // TaskResult records one map task's execution.
@@ -129,13 +164,65 @@ func (j *Job) MapPhase() sim.Duration { return j.MapDone.Sub(j.FirstTask) }
 // job lead-time definition (§II-C1).
 func (j *Job) LeadTime() sim.Duration { return j.FirstTask.Sub(j.Submitted) }
 
-// task is one schedulable unit.
+// task is one schedulable unit, and from launch to completion one
+// pooled op under the reuse contract of dfs's block I/O ops (DESIGN.md
+// §6). It carries its run state, and its engine, read, NIC and write
+// callbacks are method values bound once, when the task is first
+// allocated, so a task runs without allocating. Its last step records
+// its result, ends its span and recycles it before it calls mapDone or
+// reduceDone; nothing touches a task after it is recycled.
 type task struct {
+	fw      *Framework
 	job     *Job
-	block   *dfs.Block // nil for reduce tasks
+	block   dfs.BlockID // map tasks only
+	size    sim.Bytes   // a map task's block size
 	isMap   bool
 	reducer int
 	queued  sim.Time // when the task became runnable
+
+	node  cluster.NodeID
+	start sim.Time
+	span  trace.SpanRef
+	read  dfs.ReadResult // a map task's input read
+
+	afterOverhead func()               // the task-overhead timer's callback
+	afterRead     func(dfs.ReadResult) // a map task's read completion
+	afterCPU      func()               // the compute timer's callback
+	afterShuffle  func(*sim.Flow)      // a reduce task's shuffle fetch
+	afterWrite    func()               // a reduce task's output write
+}
+
+// maxFreeTasks caps the framework's task pool, as dfs caps its op
+// pools: past a burst of pending tasks, drained tasks beyond the cap are
+// left to the garbage collector.
+const maxFreeTasks = 1 << 13
+
+// newTask takes a task from the pool, or allocates one, and fills in
+// its identity.
+func (fw *Framework) newTask(j *Job, isMap bool, block dfs.BlockID, size sim.Bytes, reducer int) *task {
+	var t *task
+	if n := len(fw.freeTasks); n > 0 {
+		t = fw.freeTasks[n-1]
+		fw.freeTasks[n-1] = nil
+		fw.freeTasks = fw.freeTasks[:n-1]
+	} else {
+		t = &task{fw: fw}
+		t.afterOverhead = t.onRun
+		t.afterRead = t.onRead
+		t.afterCPU = t.onCPU
+		t.afterShuffle = t.onShuffle
+		t.afterWrite = t.finishReduce
+	}
+	t.job, t.isMap, t.block, t.size, t.reducer, t.queued = j, isMap, block, size, reducer, fw.eng.Now()
+	return t
+}
+
+// recycle clears the task's references and returns it to the pool.
+func (t *task) recycle() {
+	t.job, t.span = nil, trace.SpanRef{}
+	if fw := t.fw; len(fw.freeTasks) < maxFreeTasks {
+		fw.freeTasks = append(fw.freeTasks, t)
+	}
 }
 
 // localityDelay is how long a map task waits for a slot on a node
@@ -153,7 +240,8 @@ type Framework struct {
 
 	freeSlots []int
 	pending   []*task
-	jobs      []*Job // by ID-1; IDs are assigned 1, 2, 3, ...
+	freeTasks []*task // recycled tasks
+	jobs      []*Job  // by ID-1; IDs are assigned 1, 2, 3, ...
 	done      []*Job
 	onDone    []func(*Job)
 
@@ -215,7 +303,10 @@ func (fw *Framework) Job(id migration.JobID) *Job {
 // issued immediately — inside the job submitter, before any platform
 // overhead, to maximize usable lead-time (§IV-B).
 func (fw *Framework) Submit(spec JobSpec) (*Job, error) {
-	blocks, err := fw.fs.FileBlocks(spec.InputFiles)
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
+	blocks, err := fw.fs.FileBlockIDs(spec.InputFiles)
 	if err != nil {
 		return nil, fmt.Errorf("compute: %w", err)
 	}
@@ -227,10 +318,11 @@ func (fw *Framework) Submit(spec JobSpec) (*Job, error) {
 		Spec:      spec,
 		Submitted: fw.eng.Now(),
 		State:     JobQueued,
+		Tasks:     make([]TaskResult, 0, len(blocks)),
 		totalMaps: len(blocks),
 	}
-	for _, b := range blocks {
-		j.InputBytes += b.Size
+	for _, id := range blocks {
+		j.InputBytes += fw.fs.BlockSize(id)
 	}
 	j.ShuffleBytes = sim.Bytes(float64(j.InputBytes) * spec.MapOutputRatio)
 	j.OutputBytes = sim.Bytes(float64(j.ShuffleBytes) * spec.OutputRatio)
@@ -265,8 +357,8 @@ func (fw *Framework) Submit(spec JobSpec) (*Job, error) {
 	fw.eng.Schedule(lead, func() {
 		j.Ready = fw.eng.Now()
 		j.State = JobRunning
-		for _, b := range blocks {
-			fw.pending = append(fw.pending, &task{job: j, block: b, isMap: true, queued: fw.eng.Now()})
+		for _, id := range blocks {
+			fw.pending = append(fw.pending, fw.newTask(j, true, id, fw.fs.BlockSize(id), 0))
 		}
 		fw.trySchedule()
 	})
@@ -320,10 +412,10 @@ func (fw *Framework) trySchedule() {
 // placeTask picks a node for the task, or -1 when the task should wait.
 func (fw *Framework) placeTask(t *task) cluster.NodeID {
 	if t.isMap {
-		if mem, found := fw.fs.MemReplica(t.block.ID); found && fw.slotFree(mem) {
+		if mem, found := fw.fs.MemReplica(t.block); found && fw.slotFree(mem) {
 			return mem
 		}
-		fw.replicas = fw.fs.LiveReplicas(t.block.ID, fw.replicas[:0])
+		fw.replicas = fw.fs.LiveReplicas(t.block, fw.replicas[:0])
 		for _, r := range fw.replicas {
 			if fw.slotFree(r) {
 				return r
@@ -350,93 +442,120 @@ func (fw *Framework) slotFree(id cluster.NodeID) bool {
 	return fw.cl.Node(id).Alive() && fw.freeSlots[int(id)] > 0
 }
 
-// launch runs a task on the chosen node.
+// launch starts a task on the chosen node: its startup overhead first.
 func (fw *Framework) launch(t *task, node cluster.NodeID) {
 	j := t.job
-	start := fw.eng.Now()
+	t.node, t.start = node, fw.eng.Now()
 	if t.isMap {
 		j.mapsRunning++
 		if !j.started {
 			j.started = true
-			j.FirstTask = start
+			j.FirstTask = t.start
 		}
-		var tsp trace.SpanRef
 		if fw.tr.Enabled() {
-			tsp = j.span.Child("task", "map", int(node),
+			t.span = j.span.Child("task", "map", int(node),
 				trace.Int("job", int64(j.ID)),
-				trace.Int("block", int64(t.block.ID)))
+				trace.Int("block", int64(t.block)))
 			fw.tr.Inc("task.map")
 		}
-		fw.eng.Schedule(j.Spec.TaskOverhead, func() {
-			err := fw.fs.ReadBlock(node, t.block.ID, func(rr dfs.ReadResult) {
-				if rr.Failed {
-					// Every replica vanished mid-failover: the task
-					// fails; count the block done so the job finishes
-					// degraded rather than hanging.
-					tsp.End(trace.Str("outcome", "failed"))
-					fw.mapDone(j, node)
-					return
-				}
-				cpu := sim.Duration(j.Spec.MapCPUPerByte * float64(t.block.Size) * float64(sim.Second))
-				fw.eng.Schedule(cpu, func() {
-					j.Tasks = append(j.Tasks, TaskResult{
-						Block:    t.block.ID,
-						Node:     node,
-						Source:   rr.Source,
-						Started:  start,
-						ReadDone: rr.Finished,
-						Finished: fw.eng.Now(),
-					})
-					tsp.End(trace.Str("source", rr.Source.String()))
-					fw.mapDone(j, node)
-				})
-			})
-			if err != nil {
-				// No live replica: the task fails; count it done so the
-				// job can finish degraded rather than hang.
-				tsp.End(trace.Str("outcome", "failed"))
-				fw.mapDone(j, node)
-				return
-			}
-			// The slave sees the read call as it happens (§IV-A1):
-			// notifying at read start lets the framework cancel
-			// migrations the read has already made pointless.
-			fw.mgr.NoteRead(j.ID, t.block.ID)
-		})
-		return
-	}
-	// Reduce task: fetch shuffle share over the NIC, compute, write output.
-	share := j.ShuffleBytes / sim.Bytes(j.Spec.Reducers)
-	outShare := j.OutputBytes / sim.Bytes(j.Spec.Reducers)
-	var tsp trace.SpanRef
-	if fw.tr.Enabled() {
-		tsp = j.span.Child("task", "reduce", int(node),
+	} else if fw.tr.Enabled() {
+		t.span = j.span.Child("task", "reduce", int(node),
 			trace.Int("job", int64(j.ID)),
 			trace.Int("reducer", int64(t.reducer)))
 		fw.tr.Inc("task.reduce")
 	}
-	fw.eng.Schedule(j.Spec.TaskOverhead, func() {
-		done := func() {
-			tsp.End()
-			fw.reduceDone(j, node)
-		}
-		finishCompute := func() {
-			cpu := sim.Duration(j.Spec.ReduceCPUPerByte * float64(share) * float64(sim.Second))
-			fw.eng.Schedule(cpu, func() {
-				if outShare > 0 {
-					fw.fs.WriteBlocks(node, outShare, done)
-				} else {
-					done()
-				}
-			})
-		}
-		if share > 0 {
-			fw.cl.Node(node).NIC.Start(share, func(*sim.Flow) { finishCompute() })
-		} else {
-			finishCompute()
-		}
-	})
+	fw.eng.Schedule(j.Spec.TaskOverhead, t.afterOverhead)
 }
+
+// onRun follows the task overhead. A map task reads its block; a reduce
+// task fetches its shuffle share over the NIC, or computes at once when
+// the share is empty.
+func (t *task) onRun() {
+	if !t.isMap {
+		if share := t.job.shuffleShare(); share > 0 {
+			t.fw.cl.Node(t.node).NIC.Start(share, t.afterShuffle)
+		} else {
+			t.onShuffle(nil)
+		}
+		return
+	}
+	// ReadBlock's error path, or its done, may recycle t: keep what the
+	// read notice needs.
+	fw, jobID, id := t.fw, t.job.ID, t.block
+	if err := fw.fs.ReadBlock(t.node, id, t.afterRead); err != nil {
+		// No live replica: the task fails; count it done so the job can
+		// finish degraded rather than hang.
+		t.fail()
+		return
+	}
+	// The slave sees the read call as it happens (§IV-A1): notifying at
+	// read start lets the framework cancel migrations the read has
+	// already made pointless.
+	fw.mgr.NoteRead(jobID, id)
+}
+
+// onRead starts a map task's computation once its block is read.
+func (t *task) onRead(rr dfs.ReadResult) {
+	if rr.Failed {
+		// Every replica vanished mid-failover: the task fails; count the
+		// block done so the job finishes degraded rather than hanging.
+		t.fail()
+		return
+	}
+	t.read = rr
+	cpu := sim.Duration(t.job.Spec.MapCPUPerByte * float64(t.size) * float64(sim.Second))
+	t.fw.eng.Schedule(cpu, t.afterCPU)
+}
+
+// fail ends a map task whose read found no replica.
+func (t *task) fail() {
+	fw, j, node := t.fw, t.job, t.node
+	t.span.End(trace.Str("outcome", "failed"))
+	t.recycle()
+	fw.mapDone(j, node)
+}
+
+// onShuffle starts a reduce task's computation over its shuffle share.
+func (t *task) onShuffle(*sim.Flow) {
+	cpu := sim.Duration(t.job.Spec.ReduceCPUPerByte * float64(t.job.shuffleShare()) * float64(sim.Second))
+	t.fw.eng.Schedule(cpu, t.afterCPU)
+}
+
+// onCPU follows the computation. A map task records its result and
+// completes; a reduce task writes its output share, if any, first.
+func (t *task) onCPU() {
+	fw, j, node := t.fw, t.job, t.node
+	if !t.isMap {
+		if out := j.OutputBytes / sim.Bytes(j.Spec.Reducers); out > 0 {
+			fw.fs.WriteBlocks(node, out, t.afterWrite)
+		} else {
+			t.finishReduce()
+		}
+		return
+	}
+	j.Tasks = append(j.Tasks, TaskResult{
+		Block:    t.block,
+		Node:     node,
+		Source:   t.read.Source,
+		Started:  t.start,
+		ReadDone: t.read.Finished,
+		Finished: fw.eng.Now(),
+	})
+	t.span.End(trace.Str("source", t.read.Source.String()))
+	t.recycle()
+	fw.mapDone(j, node)
+}
+
+// finishReduce completes a reduce task.
+func (t *task) finishReduce() {
+	fw, j, node := t.fw, t.job, t.node
+	t.span.End()
+	t.recycle()
+	fw.reduceDone(j, node)
+}
+
+// shuffleShare is the shuffle bytes each reduce task fetches.
+func (j *Job) shuffleShare() sim.Bytes { return j.ShuffleBytes / sim.Bytes(j.Spec.Reducers) }
 
 func (fw *Framework) mapDone(j *Job, node cluster.NodeID) {
 	j.mapsRunning--
@@ -447,7 +566,7 @@ func (fw *Framework) mapDone(j *Job, node cluster.NodeID) {
 		if j.Spec.Reducers > 0 && j.ShuffleBytes > 0 {
 			j.reducersLeft = j.Spec.Reducers
 			for r := 0; r < j.Spec.Reducers; r++ {
-				fw.pending = append(fw.pending, &task{job: j, isMap: false, reducer: r, queued: fw.eng.Now()})
+				fw.pending = append(fw.pending, fw.newTask(j, false, 0, 0, r))
 			}
 		} else {
 			fw.finishJob(j)

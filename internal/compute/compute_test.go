@@ -1,6 +1,8 @@
 package compute
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -8,6 +10,7 @@ import (
 	"dyrs/internal/dfs"
 	"dyrs/internal/migration"
 	"dyrs/internal/sim"
+	"dyrs/internal/trace"
 )
 
 type rig struct {
@@ -84,6 +87,34 @@ func TestSubmitErrors(t *testing.T) {
 	}
 	if _, err := r.fw.Submit(basicSpec()); err == nil {
 		t.Error("no inputs should fail")
+	}
+
+	// A bad rate, reducer count or overhead is rejected at submission,
+	// naming the field, before it can reach a task's timer: a NaN rate
+	// used to become a zero-length computation.
+	r.fs.CreateFile("in", 256*sim.MB)
+	for _, c := range []struct {
+		field string
+		bad   func(*JobSpec)
+	}{
+		{"MapCPUPerByte", func(s *JobSpec) { s.MapCPUPerByte = math.NaN() }},
+		{"ReduceCPUPerByte", func(s *JobSpec) { s.ReduceCPUPerByte = -1 }},
+		{"MapOutputRatio", func(s *JobSpec) { s.MapOutputRatio = math.NaN() }},
+		{"OutputRatio", func(s *JobSpec) { s.OutputRatio = -0.5 }},
+		{"Reducers", func(s *JobSpec) { s.Reducers = -1 }},
+		{"PlatformOverhead", func(s *JobSpec) { s.PlatformOverhead = -time.Second }},
+		{"ExtraLeadTime", func(s *JobSpec) { s.ExtraLeadTime = -time.Second }},
+		{"TaskOverhead", func(s *JobSpec) { s.TaskOverhead = -time.Millisecond }},
+	} {
+		spec := basicSpec("in")
+		c.bad(&spec)
+		j, err := r.fw.Submit(spec)
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("bad %s: job %v, error %v; want an error naming the field", c.field, j, err)
+		}
+	}
+	if r.fw.Job(1) != nil {
+		t.Error("a rejected spec registered a job")
 	}
 }
 
@@ -449,6 +480,115 @@ func TestSubmitDuplicateInputCompletes(t *testing.T) {
 			if p, q, m, in := r.c.StateCounts(); p+q+m+in != 0 {
 				t.Errorf("migration did not drain: pending %d queued %d migrating %d in-memory %d", p, q, m, in)
 			}
+		}
+	}
+}
+
+// checkTaskPool fails the test if the framework's free list holds a
+// task twice, or holds one that still references a job or a span.
+func checkTaskPool(t *testing.T, fw *Framework) {
+	t.Helper()
+	for i, tk := range fw.freeTasks {
+		for _, other := range fw.freeTasks[:i] {
+			if tk == other {
+				t.Fatalf("task %p is in the free list twice", tk)
+			}
+		}
+		if tk.job != nil || tk.span != (trace.SpanRef{}) {
+			t.Fatalf("pooled task still references its last run: %+v", tk)
+		}
+	}
+}
+
+// TestTaskPoolReuse checks the task pool's reuse contract: a task is
+// back in the pool before its job's completion runs, so a chain of
+// one-block map-only jobs, each submitted from the previous job's
+// OnJobDone, runs on a single recycled task. A one-block job with one
+// reducer also runs on one task: its map task is recycled before
+// mapDone queues the reduce task.
+func TestTaskPoolReuse(t *testing.T) {
+	r := newRig(t, 30, 4, nil)
+	f, _ := r.fs.CreateFile("in", 256*sim.MB)
+	spec := basicSpec("in")
+	spec.Reducers = 0
+	const chain = 5
+	var jobs []*Job
+	r.fw.OnJobDone(func(j *Job) {
+		checkTaskPool(t, r.fw)
+		if n := len(r.fw.freeTasks); n != 1 {
+			t.Fatalf("job %d finished with %d tasks in the pool, want 1", j.ID, n)
+		}
+		if len(jobs) == chain {
+			return
+		}
+		s := spec
+		if len(jobs) == chain-1 {
+			s.Reducers = 1
+		}
+		next, err := r.fw.Submit(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, next)
+	})
+	first, err := r.fw.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs = append(jobs, first)
+	r.eng.Run()
+	if len(jobs) != chain || len(r.fw.Results()) != chain {
+		t.Fatalf("chain ran %d jobs, finished %d, want %d", len(jobs), len(r.fw.Results()), chain)
+	}
+	for i, j := range jobs {
+		if len(j.Tasks) != 1 || j.Tasks[0].Block != f.Blocks[0] || j.Tasks[0].Finished <= j.Tasks[0].Started {
+			t.Errorf("job %d: tasks %+v", i, j.Tasks)
+		}
+		if i > 0 && j.Submitted != jobs[i-1].Finished {
+			t.Errorf("job %d submitted at %v, previous finished at %v", i, j.Submitted, jobs[i-1].Finished)
+		}
+	}
+}
+
+// TestMapReadFailuresFinishDegraded covers both ways a map task's read
+// can fail. With oracle liveness, killing every replica holder before
+// the task launches makes ReadBlock return ErrNoReplica at once. With
+// heartbeat liveness the stale view still offers the dead holders, so
+// the read fails over through each and then reports rr.Failed. Either
+// way the job finishes, without a task result, and the failed task is
+// back in the pool.
+func TestMapReadFailuresFinishDegraded(t *testing.T) {
+	for _, heartbeats := range []bool{false, true} {
+		r := newRig(t, 31, 4, nil)
+		if heartbeats {
+			r.fs.EnableHeartbeats()
+		}
+		f, _ := r.fs.CreateFile("in", 256*sim.MB)
+		spec := basicSpec("in")
+		spec.Reducers = 0
+		j, err := r.fw.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		holders := r.fs.Replicas(f.Blocks[0])
+		for _, n := range holders {
+			r.cl.KillNode(n)
+		}
+		r.eng.RunUntil(sim.Time(time.Minute))
+		if heartbeats {
+			r.fs.DisableHeartbeats()
+			if got := r.fs.FailedOvers(); got != len(holders) {
+				t.Errorf("read failed over %d times, want %d", got, len(holders))
+			}
+		} else if r.fs.FailedOvers() != 0 {
+			t.Errorf("oracle liveness failed over %d times", r.fs.FailedOvers())
+		}
+		if j.State != JobDone || len(j.Tasks) != 0 || j.mapsDone != 1 {
+			t.Fatalf("heartbeats=%v: job state %v, %d task results, %d maps done", heartbeats, j.State, len(j.Tasks), j.mapsDone)
+		}
+		checkTaskPool(t, r.fw)
+		if n := len(r.fw.freeTasks); n != 1 {
+			t.Errorf("heartbeats=%v: pool holds %d tasks, want 1", heartbeats, n)
 		}
 	}
 }
