@@ -203,3 +203,53 @@ func TestReadOpPoolReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestReadOpPoolWaves: the read-op pool is bounded by concurrency, not
+// by the number of reads. A first wave of n concurrent reads allocates
+// n ops; once it drains they are all pooled, and a second wave of n
+// takes every op from the pool and allocates none, so the whole wave
+// allocates nothing. n is about the peak of in-flight reads an open-loop
+// serving run reaches on 200 nodes, below the pool's maxFreeOps cap.
+func TestReadOpPoolWaves(t *testing.T) {
+	const n = 4096
+	if n > maxFreeOps {
+		t.Fatalf("a wave of %d reads overflows the %d-op pool", n, maxFreeOps)
+	}
+	eng, cl, fs := newTestFS(t, 20, 9)
+	f, err := fs.CreateFile("in", 200*fs.Config().BlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	completed := 0
+	done := func(r ReadResult) {
+		if !r.Failed {
+			completed++
+		}
+	}
+	wave := func() {
+		for i := 0; i < n; i++ {
+			id := f.Blocks[i%len(f.Blocks)]
+			at := cluster.NodeID(i % cl.Size())
+			if err := fs.ReadBlock(at, id, done); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(fs.readPool) != 0 {
+			t.Fatalf("%d ops left in the pool with a whole wave in flight", len(fs.readPool))
+		}
+		eng.Run()
+	}
+	wave()
+	if got := len(fs.readPool); got != n {
+		t.Fatalf("first wave left %d ops in the pool, want %d", got, n)
+	}
+	if allocs := testing.AllocsPerRun(1, wave); allocs != 0 {
+		t.Errorf("a warm wave of %d reads allocates %.0f objects, want 0", n, allocs)
+	}
+	if got := len(fs.readPool); got != n {
+		t.Errorf("after three waves the pool holds %d ops, want %d: a wave allocated ops", got, n)
+	}
+	if completed != 3*n {
+		t.Errorf("%d of %d reads completed", completed, 3*n)
+	}
+}

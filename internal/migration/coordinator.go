@@ -42,6 +42,11 @@ type Coordinator struct {
 	// system). Untracked blocks hold nil. Indexing replaces the map probe
 	// the per-read and per-request hot paths used to pay.
 	info []*blockInfo
+	// recs is the unused tail of the chunk newRecord carves records
+	// from. A chunk is never moved or reused, so the pointers in info,
+	// in binder lists and in slave queues stay valid for the whole run,
+	// also for records a master restart detached.
+	recs []blockInfo
 	// jobBlocks lists the blocks each job has requested, for Evict. The
 	// lists may retain ids whose reference the job already dropped via
 	// implicit eviction — Evict tolerates stale entries, which is cheaper
@@ -183,16 +188,31 @@ func (c *Coordinator) blockRecord(id dfs.BlockID) *blockInfo {
 	return nil
 }
 
-// setRecord stores a block record, growing the dense table geometrically
-// so tracking n blocks costs O(n) total, not O(n²) copies.
+// recordChunk is how many block records one chunk holds: 104 KiB per
+// chunk, so the records of a whole run cost one allocation per 1,024
+// distinct blocks requested.
+const recordChunk = 1 << 10
+
+// newRecord carves the record for a block requested for the first time
+// from the current chunk, in request order, and enters it in info.
+func (c *Coordinator) newRecord(id dfs.BlockID) *blockInfo {
+	if len(c.recs) == 0 {
+		c.recs = make([]blockInfo, recordChunk)
+	}
+	bi := &c.recs[0]
+	c.recs = c.recs[1:]
+	bi.id, bi.size = id, c.fs.BlockSize(id)
+	c.setRecord(id, bi)
+	return bi
+}
+
+// setRecord stores a block record. The dense table is sized to the
+// whole namespace on first use and at least doubles after that, so
+// tracking n blocks costs O(n) total, not O(n²) copies.
 func (c *Coordinator) setRecord(id dfs.BlockID, bi *blockInfo) {
 	if n := int(id) + 1; n > len(c.info) {
 		if n > cap(c.info) {
-			newCap := 2 * cap(c.info)
-			if newCap < n {
-				newCap = n
-			}
-			grown := make([]*blockInfo, n, newCap)
+			grown := make([]*blockInfo, n, max(2*cap(c.info), n, c.fs.NumBlocks()))
 			copy(grown, c.info)
 			c.info = grown
 		} else {
@@ -234,8 +254,7 @@ func (c *Coordinator) Migrate(job JobID, files []string, implicitEvict bool) err
 		bi := c.blockRecord(id)
 		if bi == nil || bi.state == stateNone {
 			if bi == nil {
-				bi = &blockInfo{id: id, size: c.fs.BlockSize(id)}
-				c.setRecord(id, bi)
+				bi = c.newRecord(id)
 			}
 			if node, ok := c.fs.MemReplica(id); ok {
 				// The block is already resident — typically because a
@@ -269,16 +288,12 @@ func (c *Coordinator) Migrate(job JobID, files []string, implicitEvict bool) err
 				fresh = append(fresh, bi)
 			}
 		}
-		if !bi.refs.has(job) {
-			bi.refs = append(bi.refs, job)
+		if bi.refs.add(job, implicitEvict) {
 			list, ok := c.jobBlocks[job]
 			if !ok {
 				list = c.spareIDList()
 			}
 			c.jobBlocks[job] = append(list, id)
-		}
-		if implicitEvict {
-			bi.implicit.add(job)
 		}
 	}
 	c.fresh = fresh
@@ -312,7 +327,6 @@ func (c *Coordinator) Evict(job JobID) {
 		// and duplicates are no-ops here: remove misses and maybeRelease
 		// sees a released record.
 		bi.refs.remove(job)
-		bi.implicit.remove(job)
 		c.maybeRelease(bi)
 	}
 	delete(c.jobBlocks, job)
@@ -372,9 +386,8 @@ func (c *Coordinator) NoteRead(job JobID, block dfs.BlockID) {
 		// now-pointless migration in the pipeline.
 		return
 	}
-	if bi.implicit.has(job) {
-		bi.refs.remove(job)
-		bi.implicit.remove(job)
+	if i := bi.refs.find(job); i >= 0 && bi.refs[i].implicit {
+		bi.refs.removeAt(i)
 		// The id stays in jobBlocks[job]; Evict skips the stale entry.
 		c.maybeRelease(bi)
 	}

@@ -119,8 +119,8 @@ type Config struct {
 	// a run per stretch of unchanged estimate, so it grows with virtual
 	// time × node count wherever estimates move. The datacenter-scale
 	// experiments disable it: the scale workload of benchmark/ (seed 42)
-	// allocates 101.5 MiB per run with it disabled and 110.3 MiB with
-	// the series on.
+	// allocates 87.6 MiB per run with it disabled and 90.8 MiB with the
+	// series on.
 	DisableEstimateSeries bool
 	// Order selects how the master orders pending migrations across
 	// jobs: the paper's FIFO, or the future-work policies SJF and EDF
@@ -184,8 +184,9 @@ type nodeEstimate struct {
 	seen    bool    // a heartbeat has reported this slave
 }
 
-// blockState tracks where a requested block is in its migration lifecycle.
-type blockState int
+// blockState tracks where a requested block is in its migration
+// lifecycle. It is one byte so it packs beside blockInfo's flags.
+type blockState uint8
 
 const (
 	stateNone      blockState = iota // not tracked / released
@@ -209,39 +210,59 @@ func (s blockState) String() string {
 	return "none"
 }
 
-// jobSet is a small set of job IDs stored as an unsorted slice. A block
-// is referenced by one or two jobs in practice, so linear scans win —
-// and, unlike the two per-block maps this replaces, the representation
-// adds no extra heap objects for the GC to trace when the master tracks
-// millions of blocks. All consumers (hint aggregation, scavenging) are
-// order-independent, so the unsorted swap-remove is safe.
-type jobSet []JobID
+// jobRef is one entry of a block's reference set: a job that requested
+// the block, and whether that job opted into implicit eviction
+// (§III-C3), so that its read of the block drops the reference.
+type jobRef struct {
+	job      JobID
+	implicit bool
+}
 
-// has reports membership.
-func (s jobSet) has(j JobID) bool {
-	for _, v := range s {
-		if v == j {
-			return true
+// jobSet is a block's reference list: the jobs referencing it, each
+// with its implicit-evict mark, stored as an unsorted slice. A block is
+// referenced by one or two jobs in practice, so linear scans win, and
+// the whole set is one small array per block for the GC to trace. A
+// job's implicit mark lives in its own entry, so the mark is dropped
+// exactly when the reference is. All consumers (hint aggregation,
+// scavenging) are order-independent, so the unsorted swap-remove is
+// safe.
+type jobSet []jobRef
+
+// find returns the index of j's entry, or -1.
+func (s jobSet) find(j JobID) int {
+	for i, r := range s {
+		if r.job == j {
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
-// add inserts j if absent.
-func (s *jobSet) add(j JobID) {
-	if !s.has(j) {
-		*s = append(*s, j)
+// add references j, marking it implicit when asked, and reports whether
+// j was new. A job that already references the block gains the mark
+// from an implicit request and never loses it to an explicit one.
+func (s *jobSet) add(j JobID, implicit bool) bool {
+	if i := s.find(j); i >= 0 {
+		if implicit {
+			(*s)[i].implicit = true
+		}
+		return false
 	}
+	*s = append(*s, jobRef{job: j, implicit: implicit})
+	return true
 }
 
-// remove deletes j if present by swapping the last element into its slot.
+// removeAt deletes entry i by swapping the last entry into its slot.
+func (s *jobSet) removeAt(i int) {
+	n := len(*s) - 1
+	(*s)[i] = (*s)[n]
+	*s = (*s)[:n]
+}
+
+// remove deletes j's entry if present.
 func (s *jobSet) remove(j JobID) {
-	for i, v := range *s {
-		if v == j {
-			(*s)[i] = (*s)[len(*s)-1]
-			*s = (*s)[:len(*s)-1]
-			return
-		}
+	if i := s.find(j); i >= 0 {
+		s.removeAt(i)
 	}
 }
 
@@ -249,21 +270,31 @@ func (s *jobSet) remove(j JobID) {
 // carries the block's id and size directly (not a catalog view): at
 // datacenter scale the master tracks up to millions of these, and the
 // id+size pair is all the migration pipeline ever needs.
+//
+// Records are stored by value in the coordinator's fixed-size chunks
+// (Coordinator.newRecord), which never move, so binder pending lists
+// and slave queues hold plain pointers into them. The one-byte state
+// and the four flags share the last word; the record is 104 bytes on
+// 64-bit platforms (TestBlockInfoSize).
 type blockInfo struct {
 	id         dfs.BlockID
 	size       sim.Bytes
-	state      blockState
 	refs       jobSet
-	implicit   jobSet
 	slave      cluster.NodeID // binding location once queued
 	target     cluster.NodeID // Algorithm 1 target while pending
-	hasTarget  bool
 	enqueuedAt sim.Time
 	// requestedAt / pinnedAt feed the streaming lead-time and margin
 	// histograms. They are plain timestamps, not span lookups, so the
 	// metrics stay exact when span sampling drops the migration span.
 	requestedAt sim.Time
 	pinnedAt    sim.Time
+	// span is the block's migration lifecycle trace span, opened at the
+	// Migrate request and closed at pin, drop or abort. Zero (no-op)
+	// when the run is untraced.
+	span trace.SpanRef
+
+	state     blockState
+	hasTarget bool
 	// leadRecorded gates the lead/margin observation to the block's
 	// first in-memory read, matching the summary's definitions.
 	leadRecorded bool
@@ -276,8 +307,4 @@ type blockInfo struct {
 	// removal, reclaimed in bulk), so the flag — not list membership —
 	// is the source of truth for "still awaiting binding".
 	inPending bool
-	// span is the block's migration lifecycle trace span, opened at the
-	// Migrate request and closed at pin, drop or abort. Zero (no-op)
-	// when the run is untraced.
-	span trace.SpanRef
 }

@@ -67,8 +67,8 @@ func (c *Coordinator) SetJobHint(job JobID, hint JobHint) {
 // makes the block more urgent.
 func (c *Coordinator) hintFor(bi *blockInfo) (start sim.Time, bytes sim.Bytes) {
 	first := true
-	for _, job := range bi.refs {
-		h, ok := c.hints[job]
+	for _, r := range bi.refs {
+		h, ok := c.hints[r.job]
 		if !ok {
 			continue
 		}

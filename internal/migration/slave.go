@@ -344,10 +344,8 @@ func (s *Slave) scavenge() {
 		// Walk by index; remove swaps the last element into the hole, so
 		// the index is only advanced when the current entry survives.
 		for i := 0; i < len(bi.refs); {
-			job := bi.refs[i]
-			if !s.c.sched.JobActive(job) {
-				bi.refs.remove(job)
-				bi.implicit.remove(job)
+			if !s.c.sched.JobActive(bi.refs[i].job) {
+				bi.refs.removeAt(i)
 			} else {
 				i++
 			}

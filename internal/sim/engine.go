@@ -297,9 +297,14 @@ func (e *Engine) compact() {
 const maxFreeEvents = 1 << 16
 
 // release returns a popped or compacted-away event to the free pool.
+// The pool doubles when full, up to the cap: append's 1.25× steps past
+// 256 entries would re-copy it about four times on its way to the cap.
 func (e *Engine) release(ev *Event) {
 	ev.fn = nil
-	if len(e.free) < maxFreeEvents {
+	if n := len(e.free); n < maxFreeEvents {
+		if n == cap(e.free) {
+			e.free = append(make([]*Event, 0, min(max(2*n, 1), maxFreeEvents)), e.free...)
+		}
 		e.free = append(e.free, ev)
 	}
 }
