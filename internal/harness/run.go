@@ -254,10 +254,10 @@ func observeRun(env *experiments.Env, res *RunResult) {
 	tr := env.Tracer()
 	res.Counters = tr.Counters()
 	for _, s := range tr.Spans() {
-		switch {
-		case s.Cat() == "migration" && s.Name() == "migrate":
+		switch cat, name := tr.Label(s.Label()); {
+		case cat == "migration" && name == "migrate":
 			res.MigrateSpans++
-			switch s.Attr("outcome") {
+			switch tr.Attr(s.Attrs(), "outcome") {
 			case "pinned":
 				res.PinnedSpans++
 			case "dropped":
@@ -265,9 +265,9 @@ func observeRun(env *experiments.Env, res *RunResult) {
 			default:
 				res.OpenSpans++
 			}
-		case s.Cat() == "read" && !s.Open():
-			if s.Attr("outcome") != "failed" {
-				n, _ := s.IntAttr("size")
+		case cat == "read" && !s.Open():
+			if tr.Attr(s.Attrs(), "outcome") != "failed" {
+				n, _ := tr.IntAttr(s.Attrs(), "size")
 				res.ReadSpanBytes += n
 			}
 		}

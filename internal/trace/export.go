@@ -8,7 +8,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
+	"unicode/utf8"
 )
 
 // Schema versions the canonical trace document layout. v2 added the
@@ -17,129 +23,413 @@ import (
 // is byte-identical to v1 apart from this field).
 const Schema = "dyrs-trace/v2"
 
-type spanJSON struct {
-	ID      int               `json:"id"`
-	Parent  int               `json:"parent,omitempty"`
-	Cat     string            `json:"cat"`
-	Name    string            `json:"name"`
-	Node    int               `json:"node"`
-	BeginNS int64             `json:"begin_ns"`
-	EndNS   int64             `json:"end_ns"` // -1: still open at export
-	Attrs   map[string]string `json:"attrs,omitempty"`
-}
-
-type instantJSON struct {
-	Cat   string            `json:"cat"`
-	Name  string            `json:"name"`
-	Node  int               `json:"node"`
-	AtNS  int64             `json:"at_ns"`
-	Attrs map[string]string `json:"attrs,omitempty"`
-}
-
-type traceDoc struct {
-	Schema  string `json:"schema"`
-	NowNS   int64  `json:"now_ns"`             // virtual clock at export
-	SampleN int    `json:"sample_n,omitempty"` // 1-in-N root sampling; absent = full fidelity
-	// SampledOut counts root records the sampler dropped, so a reader
-	// knows what fraction of activity the spans/instants represent.
-	SampledOut uint64              `json:"sampled_out,omitempty"`
-	Counters   map[string]int64    `json:"counters"`
-	Hists      map[string]histJSON `json:"hists,omitempty"`
-	Spans      []spanJSON          `json:"spans"`
-	Instants   []instantJSON       `json:"instants"`
-}
-
-// histJSON is the canonical encoding of one streaming histogram: the
-// moments plus the non-empty log2 buckets in ascending order. "le" is
-// the bucket's inclusive upper bound (MaxInt64 marks the overflow
-// bucket).
-type histJSON struct {
-	Count   uint64           `json:"count"`
-	Sum     int64            `json:"sum"`
-	Min     int64            `json:"min"`
-	Max     int64            `json:"max"`
-	Buckets []histBucketJSON `json:"buckets"`
-}
-
-type histBucketJSON struct {
-	Le int64  `json:"le"`
-	N  uint64 `json:"n"`
-}
-
-// histDoc encodes a histogram for export; nil for an empty histogram,
-// so never-observed registered handles don't clutter the document.
-func histDoc(h *Hist) (histJSON, bool) {
-	hi := h.maxBucket()
-	if hi < 0 {
-		return histJSON{}, false
-	}
-	out := histJSON{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
-	for i := 0; i <= hi; i++ {
-		if h.buckets[i] == 0 {
-			continue
-		}
-		out.Buckets = append(out.Buckets, histBucketJSON{Le: HistBucketUpper(i), N: h.buckets[i]})
-	}
-	return out, true
-}
-
-// histsDoc encodes every non-empty histogram of the tracer.
-func histsDoc(t *Tracer) map[string]histJSON {
-	var out map[string]histJSON
-	for name, h := range t.hists {
-		if doc, ok := histDoc(h); ok {
-			if out == nil {
-				out = make(map[string]histJSON)
-			}
-			out[name] = doc
-		}
-	}
-	return out
-}
-
-// json encodes the span for the canonical document.
-func (s *Span) json() spanJSON {
-	return spanJSON{
-		ID: s.ID(), Parent: s.Parent(), Cat: s.Cat(), Name: s.Name(), Node: s.Node(),
-		BeginNS: int64(s.begin), EndNS: int64(s.end), Attrs: s.st.attrMap(s.head),
-	}
-}
-
-// json encodes the instant for the canonical document.
-func (in *Instant) json() instantJSON {
-	return instantJSON{
-		Cat: in.Cat(), Name: in.Name(), Node: in.Node(),
-		AtNS: int64(in.at), Attrs: in.st.attrMap(in.head),
-	}
-}
-
 // WriteJSON writes the canonical trace document: spans and instants in
 // record order, each span under its own ID. Every field derives from
-// virtual time, seeded randomness or record order, and encoding/json
-// sorts map keys, so identical seeds produce byte-identical documents.
-// A nil tracer writes the document of an empty one at time 0.
+// virtual time, seeded randomness or record order, and object keys are
+// sorted, so identical seeds produce byte-identical documents. A nil
+// tracer writes the document of an empty one at time 0.
+//
+// The bytes are exactly what encoding/json writes for the document with
+// SetIndent("", " "): the same key order, omitted empty fields and
+// HTML-safe escaping (refstore_test.go keeps that encoder as the
+// reference). The document streams to w through one fixed buffer.
 func (t *Tracer) WriteJSON(w io.Writer) error {
-	doc := traceDoc{Schema: Schema, Counters: map[string]int64{}, Spans: []spanJSON{}, Instants: []instantJSON{}}
+	e := canonWriter{w: w, buf: make([]byte, 0, canonChunk+canonChunk/4)}
+	var now int64
 	if t != nil {
-		doc.NowNS = int64(t.eng.Now())
-		if n := t.SampleN(); n > 1 {
-			doc.SampleN = n
+		now = int64(t.eng.Now())
+	}
+	e.buf = append(e.buf, "{\n \"schema\": "...)
+	e.buf = appendJSONString(e.buf, Schema)
+	e.buf = append(e.buf, ",\n \"now_ns\": "...)
+	e.buf = appendInt(e.buf, now)
+	if n := t.SampleN(); n > 1 {
+		e.buf = append(e.buf, ",\n \"sample_n\": "...)
+		e.buf = appendInt(e.buf, int64(n))
+	}
+	if n := t.SampledOut(); n != 0 {
+		e.buf = append(e.buf, ",\n \"sampled_out\": "...)
+		e.buf = strconv.AppendUint(e.buf, n, 10)
+	}
+	e.buf = append(e.buf, ",\n \"counters\": "...)
+	e.counters(t)
+	if names := t.HistNames(); len(names) > 0 {
+		e.buf = append(e.buf, ",\n \"hists\": {"...)
+		for i, name := range names {
+			if i > 0 {
+				e.buf = append(e.buf, ',')
+			}
+			e.buf = append(e.buf, "\n  "...)
+			e.buf = appendJSONString(e.buf, name)
+			e.buf = append(e.buf, ": "...)
+			e.hist(t.hists[name])
 		}
-		doc.SampledOut = t.SampledOut()
-		doc.Counters = t.Counters()
-		doc.Hists = histsDoc(t)
-		doc.Spans = make([]spanJSON, len(t.spans))
+		e.buf = append(e.buf, "\n }"...)
+	}
+	if t != nil {
+		e.index(&t.st)
+	}
+	e.buf = append(e.buf, ",\n \"spans\": "...)
+	if t == nil || len(t.spans) == 0 {
+		e.buf = append(e.buf, "[]"...)
+	} else {
+		e.buf = append(e.buf, '[')
 		for i := range t.spans {
-			doc.Spans[i] = t.spans[i].json()
+			e.span(i, &t.spans[i])
+			e.maybeFlush()
 		}
-		doc.Instants = make([]instantJSON, len(t.instants))
+		e.buf = append(e.buf, "\n ]"...)
+	}
+	e.buf = append(e.buf, ",\n \"instants\": "...)
+	if t == nil || len(t.instants) == 0 {
+		e.buf = append(e.buf, "[]"...)
+	} else {
+		e.buf = append(e.buf, '[')
 		for i := range t.instants {
-			doc.Instants[i] = t.instants[i].json()
+			e.instant(i, &t.instants[i])
+			e.maybeFlush()
+		}
+		e.buf = append(e.buf, "\n ]"...)
+	}
+	e.buf = append(e.buf, "\n}\n"...)
+	e.flush()
+	return e.err
+}
+
+// canonChunk is the size at which WriteJSON's buffer is flushed.
+const canonChunk = 32 << 10
+
+// canonWriter appends the canonical document to buf and flushes it to w
+// in chunks. The indentation is written literally: the document has a
+// fixed shape, so each field's depth is known where it is written.
+//
+// Records name their strings by intern index, so index escapes every
+// interned string and label once per export, into text, and the record
+// writers copy those bytes.
+type canonWriter struct {
+	w   io.Writer
+	buf []byte
+	err error // the first write error; later flushes are skipped
+
+	st    *store
+	text  []byte   // escaped interned strings, then label fields
+	str   []uint32 // interned string i is text[str[i]:str[i+1]]
+	rank  []uint32 // interned string i's position in bytewise order
+	label []uint32 // label i's "cat" and "name" fields are text[label[i]:label[i+1]]
+	keys  []uint32 // one record's attributes, deduplicated and sorted by key
+}
+
+func (e *canonWriter) flush() {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+}
+
+func (e *canonWriter) maybeFlush() {
+	if len(e.buf) >= canonChunk {
+		e.flush()
+	}
+}
+
+// index escapes st's interned strings and labels into e.text.
+func (e *canonWriter) index(st *store) {
+	e.st = st
+	e.str = make([]uint32, 0, len(st.strs)+1)
+	e.label = make([]uint32, 0, len(st.labels)+1)
+	for _, s := range st.strs {
+		e.str = append(e.str, uint32(len(e.text)))
+		e.text = appendJSONString(e.text, s)
+	}
+	e.str = append(e.str, uint32(len(e.text)))
+	for _, lb := range st.labels {
+		e.label = append(e.label, uint32(len(e.text)))
+		e.text = append(e.text, "\"cat\": "...)
+		e.text = appendJSONString(e.text, lb.cat)
+		e.text = append(e.text, ",\n   \"name\": "...)
+		e.text = appendJSONString(e.text, lb.name)
+	}
+	e.label = append(e.label, uint32(len(e.text)))
+	order := make([]uint32, len(st.strs))
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	slices.SortFunc(order, func(a, b uint32) int { return strings.Compare(st.strs[a], st.strs[b]) })
+	e.rank = make([]uint32, len(st.strs))
+	for r, i := range order {
+		e.rank[i] = uint32(r)
+	}
+}
+
+// counters writes the counter registry as an object sorted by name.
+func (e *canonWriter) counters(t *Tracer) {
+	if t == nil || len(t.counters) == 0 {
+		e.buf = append(e.buf, "{}"...)
+		return
+	}
+	names := make([]string, 0, len(t.counters))
+	for name := range t.counters {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	e.buf = append(e.buf, '{')
+	for i, name := range names {
+		if i > 0 {
+			e.buf = append(e.buf, ',')
+		}
+		e.buf = append(e.buf, "\n  "...)
+		e.buf = appendJSONString(e.buf, name)
+		e.buf = append(e.buf, ": "...)
+		e.buf = appendInt(e.buf, *t.counters[name])
+		e.maybeFlush()
+	}
+	e.buf = append(e.buf, "\n }"...)
+}
+
+// hist writes one non-empty histogram: its moments and its non-empty
+// log2 buckets in ascending order. "le" is the bucket's inclusive upper
+// bound (MaxInt64 marks the overflow bucket).
+func (e *canonWriter) hist(h *Hist) {
+	e.buf = append(e.buf, "{\n   \"count\": "...)
+	e.buf = strconv.AppendUint(e.buf, h.count, 10)
+	e.buf = append(e.buf, ",\n   \"sum\": "...)
+	e.buf = appendInt(e.buf, h.sum)
+	e.buf = append(e.buf, ",\n   \"min\": "...)
+	e.buf = appendInt(e.buf, h.min)
+	e.buf = append(e.buf, ",\n   \"max\": "...)
+	e.buf = appendInt(e.buf, h.max)
+	e.buf = append(e.buf, ",\n   \"buckets\": ["...)
+	sep := ""
+	for i, n := range h.buckets {
+		if n == 0 {
+			continue
+		}
+		e.buf = append(e.buf, sep...)
+		e.buf = append(e.buf, "\n    {\n     \"le\": "...)
+		e.buf = appendInt(e.buf, HistBucketUpper(i))
+		e.buf = append(e.buf, ",\n     \"n\": "...)
+		e.buf = strconv.AppendUint(e.buf, n, 10)
+		e.buf = append(e.buf, "\n    }"...)
+		sep = ","
+	}
+	e.buf = append(e.buf, "\n   ]\n  }"...)
+}
+
+// span writes span i (ID i+1); "parent" and "attrs" are omitted when
+// empty.
+func (e *canonWriter) span(i int, s *Span) {
+	b := e.buf
+	if i > 0 {
+		b = append(b, ',')
+	}
+	b = append(b, "\n  {\n   \"id\": "...)
+	b = appendInt(b, int64(i+1))
+	if s.parent != 0 {
+		b = append(b, ",\n   \"parent\": "...)
+		b = appendInt(b, int64(s.parent))
+	}
+	b = append(b, ",\n   "...)
+	b = append(b, e.text[e.label[s.label]:e.label[s.label+1]]...)
+	b = append(b, ",\n   \"node\": "...)
+	b = appendInt(b, int64(s.node))
+	b = append(b, ",\n   \"begin_ns\": "...)
+	b = appendInt(b, int64(s.begin))
+	b = append(b, ",\n   \"end_ns\": "...)
+	b = appendInt(b, int64(s.end))
+	b = e.attrs(b, s.head)
+	e.buf = append(b, "\n  }"...)
+}
+
+// instant writes instant i; "attrs" is omitted when empty.
+func (e *canonWriter) instant(i int, in *Instant) {
+	b := e.buf
+	if i > 0 {
+		b = append(b, ',')
+	}
+	b = append(b, "\n  {\n   "...)
+	b = append(b, e.text[e.label[in.label]:e.label[in.label+1]]...)
+	b = append(b, ",\n   \"node\": "...)
+	b = appendInt(b, int64(in.node))
+	b = append(b, ",\n   \"at_ns\": "...)
+	b = appendInt(b, int64(in.at))
+	b = e.attrs(b, in.head)
+	e.buf = append(b, "\n  }"...)
+}
+
+// attrs appends the chain from head as a ",\n   \"attrs\": {…}" object,
+// or nothing for an empty chain. On duplicate keys the last write wins,
+// as for Tracer.Attr, and keys are sorted bytewise, as encoding/json
+// sorts map keys. Chains hold a handful of attributes, so an insertion
+// sort into a reused slice of (key, record) pairs does it without
+// allocating.
+func (e *canonWriter) attrs(b []byte, head uint32) []byte {
+	if head == 0 {
+		return b
+	}
+	st := e.st
+	keys := e.keys[:0]
+	for i := head; i != 0; {
+		r := st.rec(i)
+		k := r.key >> 2
+		j := 0
+		for j < len(keys) && e.rank[keys[j]] < e.rank[k] {
+			j += 2
+		}
+		if j == len(keys) || keys[j] != k {
+			keys = append(keys, 0, 0)
+			copy(keys[j+2:], keys[j:])
+			keys[j] = k
+		}
+		keys[j+1] = i
+		i = r.next
+	}
+	e.keys = keys
+	b = append(b, ",\n   \"attrs\": {"...)
+	for j := 0; j < len(keys); j += 2 {
+		if j > 0 {
+			b = append(b, ',')
+		}
+		k, r := keys[j], st.rec(keys[j+1])
+		b = append(b, "\n    "...)
+		b = append(b, e.text[e.str[k]:e.str[k+1]]...)
+		switch uint8(r.key & 3) {
+		case attrInt:
+			b = append(b, ": \""...)
+			b = appendInt(b, int64(r.val))
+			b = append(b, '"')
+		case attrFloat:
+			b = append(b, ": \""...)
+			b = strconv.AppendFloat(b, math.Float64frombits(r.val), 'g', -1, 64)
+			b = append(b, '"')
+		default:
+			b = append(b, ": "...)
+			b = append(b, e.text[e.str[r.val]:e.str[r.val+1]]...)
 		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
+	return append(b, "\n   }"...)
+}
+
+// appendInt appends v in decimal, as strconv.AppendInt(dst, v, 10)
+// does, writing the digits in place. Timestamps run to 13 digits, so it
+// takes eight digits at a time and writes each half of them with
+// independent 32-bit arithmetic.
+func appendInt(dst []byte, v int64) []byte {
+	u := uint64(v)
+	if v < 0 {
+		dst = append(dst, '-')
+		u = -u
+	}
+	if u < 10 {
+		return append(dst, byte('0'+u))
+	}
+	t := bits.Len64(u) * 1233 >> 12 // ⌊log10 u⌋ or one less
+	if u >= pow10[t] {
+		t++
+	}
+	dst = slices.Grow(dst, t)
+	dst = dst[:len(dst)+t]
+	b := dst[len(dst)-t:]
+	i := len(b)
+	for u >= 1e8 {
+		q := u / 1e8
+		lo := uint32(u - q*1e8)
+		hi, lo := lo/1e4, lo%1e4
+		i -= 8
+		putDigits4(b[i:i+4], hi)
+		putDigits4(b[i+4:i+8], lo)
+		u = q
+	}
+	r := uint32(u)
+	for r >= 100 {
+		q := r / 100
+		d := (r - q*100) * 2
+		i -= 2
+		b[i], b[i+1] = digitPairs[d], digitPairs[d+1]
+		r = q
+	}
+	if r >= 10 {
+		b[i-2], b[i-1] = digitPairs[r*2], digitPairs[r*2+1]
+	} else {
+		b[i-1] = byte('0' + r)
+	}
+	return dst
+}
+
+// pow10[i] is 10^i.
+var pow10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// putDigits4 writes x < 10,000 as four decimal digits.
+func putDigits4(b []byte, x uint32) {
+	hi, lo := (x/100)*2, (x%100)*2
+	b[0], b[1], b[2], b[3] = digitPairs[hi], digitPairs[hi+1], digitPairs[lo], digitPairs[lo+1]
+}
+
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// appendJSONString appends s as a JSON string escaped as encoding/json
+// escapes it: '"', '\\' and control bytes, the HTML-sensitive '<', '>'
+// and '&', U+2028 and U+2029, with invalid UTF-8 replaced by \ufffd.
+// A string of plain printable ASCII, which is what the simulator
+// records, is copied in one append after a scan.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // ChromeEvent is one entry of the Chrome trace-event format
@@ -238,10 +528,12 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		return pid, tid
 	}
 	for i := range t.spans {
-		note(t.spans[i].Node(), t.spans[i].Cat())
+		cat, _ := t.Label(t.spans[i].Label())
+		note(t.spans[i].Node(), cat)
 	}
 	for i := range t.instants {
-		note(t.instants[i].Node(), t.instants[i].Cat())
+		cat, _ := t.Label(t.instants[i].Label())
+		note(t.instants[i].Node(), cat)
 	}
 	pidList := make([]int, 0, len(pids))
 	for pid := range pids {
@@ -285,13 +577,14 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 
 	for i := range t.spans {
 		s := &t.spans[i]
-		pid, tid := note(s.Node(), s.Cat())
+		cat, name := t.Label(s.Label())
+		pid, tid := note(s.Node(), cat)
 		end := s.end
-		args := s.st.attrMap(s.head)
+		args := t.st.attrMap(s.head)
 		if args == nil {
 			args = map[string]string{}
 		}
-		args["span"] = fmt.Sprint(s.ID())
+		args["span"] = fmt.Sprint(i + 1)
 		if s.parent != 0 {
 			args["parent"] = fmt.Sprint(s.Parent())
 		}
@@ -303,15 +596,16 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			args["open"] = "true"
 		}
 		doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
-			Name: s.Name(), Cat: s.Cat(), Ph: "X",
+			Name: name, Cat: cat, Ph: "X",
 			TS: float64(s.begin) * usPerNS, Dur: float64(end-s.begin) * usPerNS,
 			PID: pid, TID: tid, Args: args,
 		})
 	}
 	for i := range t.instants {
 		in := &t.instants[i]
-		pid, tid := note(in.Node(), in.Cat())
-		args := in.st.attrMap(in.head)
+		cat, name := t.Label(in.Label())
+		pid, tid := note(in.Node(), cat)
+		args := t.st.attrMap(in.head)
 		if byRack {
 			if args == nil {
 				args = map[string]string{}
@@ -319,7 +613,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			args["node"] = fmt.Sprint(in.Node())
 		}
 		doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
-			Name: in.Name(), Cat: in.Cat(), Ph: "i", Scope: "t",
+			Name: name, Cat: cat, Ph: "i", Scope: "t",
 			TS: float64(in.at) * usPerNS, PID: pid, TID: tid,
 			Args: args,
 		})

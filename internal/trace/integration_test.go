@@ -41,43 +41,42 @@ func runTracedSort(t *testing.T) *trace.Tracer {
 func TestMigrationLifecycleSpans(t *testing.T) {
 	tr := runTracedSort(t)
 	spans := tr.Spans()
+	label := func(sp *trace.Span) (string, string) { return tr.Label(sp.Label()) }
+	attr := func(sp *trace.Span, key string) string { return tr.Attr(sp.Attrs(), key) }
 
-	byID := map[int]*trace.Span{}
-	for i := range spans {
-		byID[spans[i].ID()] = &spans[i]
-	}
-
-	// Find a pinned migration with a completed transfer child.
-	var pinned *trace.Span
+	// Find a pinned migration with a completed transfer child. A span's
+	// ID is its index + 1.
+	pinnedID := 0
 	transfers := map[int]*trace.Span{} // parent ID -> transfer child
 	for i := range spans {
 		sp := &spans[i]
-		switch {
-		case sp.Cat() == "migration" && sp.Name() == "migrate" && sp.Attr("outcome") == "pinned":
-			if pinned == nil {
-				pinned = sp
+		switch cat, name := label(sp); {
+		case cat == "migration" && name == "migrate" && attr(sp, "outcome") == "pinned":
+			if pinnedID == 0 {
+				pinnedID = i + 1
 			}
-		case sp.Cat() == "migration" && sp.Name() == "transfer":
+		case cat == "migration" && name == "transfer":
 			transfers[sp.Parent()] = sp
 		}
 	}
-	if pinned == nil {
+	if pinnedID == 0 {
 		t.Fatal("no pinned migration span in trace")
 	}
+	pinned := &spans[pinnedID-1]
 	if pinned.Node() != trace.NodeMaster {
 		t.Errorf("migrate span on node %d, want master", pinned.Node())
 	}
 	for _, key := range []string{"job", "block", "size", "slave"} {
-		if pinned.Attr(key) == "" {
+		if attr(pinned, key) == "" {
 			t.Errorf("migrate span missing %q attr: %+v", key, pinned)
 		}
 	}
-	tx := transfers[pinned.ID()]
+	tx := transfers[pinnedID]
 	if tx == nil {
 		t.Fatal("pinned migration has no transfer child span")
 	}
-	if tx.Attr("outcome") != "completed" {
-		t.Errorf("transfer outcome = %q, want completed", tx.Attr("outcome"))
+	if attr(tx, "outcome") != "completed" {
+		t.Errorf("transfer outcome = %q, want completed", attr(tx, "outcome"))
 	}
 	if tx.Node() == trace.NodeMaster {
 		t.Error("transfer span should run on a worker node")
@@ -88,11 +87,11 @@ func TestMigrationLifecycleSpans(t *testing.T) {
 	}
 
 	// The job's read of the migrated block, from the trace alone.
-	block := pinned.Attr("block")
+	block := attr(pinned, "block")
 	var read *trace.Span
 	for i := range spans {
 		sp := &spans[i]
-		if sp.Cat() == "read" && sp.Attr("block") == block {
+		if cat, _ := label(sp); cat == "read" && attr(sp, "block") == block {
 			read = sp
 			break
 		}
@@ -100,7 +99,7 @@ func TestMigrationLifecycleSpans(t *testing.T) {
 	if read == nil {
 		t.Fatalf("no read span for migrated block %s", block)
 	}
-	if src := read.Attr("source"); src != "mem-local" && src != "mem-remote" {
+	if src := attr(read, "source"); src != "mem-local" && src != "mem-remote" {
 		t.Errorf("migrated block read from %q, want a memory path", src)
 	}
 	lead := read.Begin().Sub(pinned.Begin())
@@ -114,20 +113,23 @@ func TestMigrationLifecycleSpans(t *testing.T) {
 	tasks := 0
 	for i := range spans {
 		sp := &spans[i]
-		switch sp.Cat() {
+		switch cat, _ := label(sp); cat {
 		case "job":
 			jobSpan = sp
 		case "task":
 			tasks++
-			if parent := byID[sp.Parent()]; parent == nil || parent.Cat() != "job" {
-				t.Errorf("task span %d not parented under a job span", sp.ID())
+			p := sp.Parent()
+			if p < 1 || p > i {
+				t.Errorf("task span %d has no earlier parent span", i+1)
+			} else if parentCat, _ := label(&spans[p-1]); parentCat != "job" {
+				t.Errorf("task span %d not parented under a job span", i+1)
 			}
 		}
 	}
 	if jobSpan == nil || jobSpan.Open() {
 		t.Fatal("no closed job span in trace")
 	}
-	if jobSpan.Attr("lead-time") == "" {
+	if attr(jobSpan, "lead-time") == "" {
 		t.Error("job span missing lead-time attr")
 	}
 	if tasks == 0 {

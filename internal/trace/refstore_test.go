@@ -3,7 +3,9 @@ package trace
 // The reference record store: the []Attr-per-record span and instant
 // logs the attribute arena replaced, with the exporters and Summarize
 // written against them, kept so FuzzTraceStore can replay one program
-// into both stores and require identical output.
+// into both stores and require identical output. Its canonical export
+// is the reflection-based encoding/json document WriteJSON's append
+// encoder replaced.
 
 import (
 	"encoding/json"
@@ -14,6 +16,89 @@ import (
 	"dyrs/internal/metrics"
 	"dyrs/internal/sim"
 )
+
+// The canonical document model: WriteJSON writes exactly what
+// encoding/json writes for a traceDoc with SetIndent("", " ").
+
+type spanJSON struct {
+	ID      int               `json:"id"`
+	Parent  int               `json:"parent,omitempty"`
+	Cat     string            `json:"cat"`
+	Name    string            `json:"name"`
+	Node    int               `json:"node"`
+	BeginNS int64             `json:"begin_ns"`
+	EndNS   int64             `json:"end_ns"` // -1: still open at export
+	Attrs   map[string]string `json:"attrs,omitempty"`
+}
+
+type instantJSON struct {
+	Cat   string            `json:"cat"`
+	Name  string            `json:"name"`
+	Node  int               `json:"node"`
+	AtNS  int64             `json:"at_ns"`
+	Attrs map[string]string `json:"attrs,omitempty"`
+}
+
+type traceDoc struct {
+	Schema  string `json:"schema"`
+	NowNS   int64  `json:"now_ns"`             // virtual clock at export
+	SampleN int    `json:"sample_n,omitempty"` // 1-in-N root sampling; absent = full fidelity
+	// SampledOut counts root records the sampler dropped, so a reader
+	// knows what fraction of activity the spans/instants represent.
+	SampledOut uint64              `json:"sampled_out,omitempty"`
+	Counters   map[string]int64    `json:"counters"`
+	Hists      map[string]histJSON `json:"hists,omitempty"`
+	Spans      []spanJSON          `json:"spans"`
+	Instants   []instantJSON       `json:"instants"`
+}
+
+// histJSON is the canonical encoding of one streaming histogram: the
+// moments plus the non-empty log2 buckets in ascending order. "le" is
+// the bucket's inclusive upper bound (MaxInt64 marks the overflow
+// bucket).
+type histJSON struct {
+	Count   uint64           `json:"count"`
+	Sum     int64            `json:"sum"`
+	Min     int64            `json:"min"`
+	Max     int64            `json:"max"`
+	Buckets []histBucketJSON `json:"buckets"`
+}
+
+type histBucketJSON struct {
+	Le int64  `json:"le"`
+	N  uint64 `json:"n"`
+}
+
+// histDoc encodes a histogram for export; nil for an empty histogram,
+// so never-observed registered handles don't clutter the document.
+func histDoc(h *Hist) (histJSON, bool) {
+	hi := h.maxBucket()
+	if hi < 0 {
+		return histJSON{}, false
+	}
+	out := histJSON{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
+	for i := 0; i <= hi; i++ {
+		if h.buckets[i] == 0 {
+			continue
+		}
+		out.Buckets = append(out.Buckets, histBucketJSON{Le: HistBucketUpper(i), N: h.buckets[i]})
+	}
+	return out, true
+}
+
+// histsDoc encodes every non-empty histogram of the tracer.
+func histsDoc(t *Tracer) map[string]histJSON {
+	var out map[string]histJSON
+	for name, h := range t.hists {
+		if doc, ok := histDoc(h); ok {
+			if out == nil {
+				out = make(map[string]histJSON)
+			}
+			out[name] = doc
+		}
+	}
+	return out
+}
 
 type refSpan struct {
 	ID     int

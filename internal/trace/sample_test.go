@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"dyrs/internal/sim"
@@ -51,21 +52,15 @@ func TestSamplingKeepsSubsetAndExactCounters(t *testing.T) {
 	if got := tr.Counter("work.done"); got != 400 {
 		t.Errorf("counter = %d under sampling, want exact 400", got)
 	}
-	spans := len(tr.Spans())
-	if spans == 0 || spans >= 800 {
-		t.Errorf("sampled span count = %d, want 0 < n < 800", spans)
+	spans := tr.Spans()
+	if len(spans) == 0 || len(spans) >= 800 {
+		t.Errorf("sampled span count = %d, want 0 < n < 800", len(spans))
 	}
-	// Every kept root keeps its child: span count must be even and each
-	// child's parent must be present.
-	byID := map[int]Span{}
-	for _, s := range tr.Spans() {
-		byID[s.ID()] = s
-	}
-	for _, s := range tr.Spans() {
-		if s.Parent() != 0 {
-			if _, ok := byID[s.Parent()]; !ok {
-				t.Fatalf("child span %d kept without its parent %d", s.ID(), s.Parent())
-			}
+	// Every kept root keeps its child: each child's parent is a kept
+	// root recorded before it.
+	for i, s := range spans {
+		if p := s.Parent(); p != 0 && (p > i || spans[p-1].Parent() != 0) {
+			t.Fatalf("child span %d kept without its root parent %d", i+1, p)
 		}
 	}
 	if tr.SampledOut() == 0 {
@@ -77,16 +72,16 @@ func TestSamplingKeepsSubsetAndExactCounters(t *testing.T) {
 }
 
 func TestSamplingSeedSelectsDifferentSubsets(t *testing.T) {
-	subset := func(seed uint64) int {
+	subset := func(seed uint64) string {
 		eng := sim.NewEngine(42)
 		tr := New(eng)
 		tr.SetSampling(8, seed)
 		sampleWorkload(tr, eng)
-		ids := 0
+		var kept []sim.Time
 		for _, s := range tr.Spans() {
-			ids += s.ID() * 31
+			kept = append(kept, s.Begin())
 		}
-		return ids
+		return fmt.Sprint(kept)
 	}
 	if subset(1) == subset(2) {
 		t.Error("different sampling seeds kept the identical span subset")

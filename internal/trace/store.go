@@ -7,9 +7,9 @@
 // 16-byte attrRec in one tracer-owned arena: keys and string values are
 // interned per tracer, numbers stay raw, and a record's attributes form
 // a chain linked by arena index, so End and Annotate link new attributes
-// after the tail without copying the old ones. The arena grows in fixed
-// pages and never re-copies; attrRec holds no Go pointers, so the
-// garbage collector never scans it.
+// after the chain's last one without copying the old ones. The arena
+// grows in fixed pages and never re-copies; attrRec holds no Go
+// pointers, so the garbage collector never scans it.
 package trace
 
 // attrRec is one attribute in the arena.
@@ -70,9 +70,9 @@ func (st *store) rec(i uint32) *attrRec {
 	return &st.pages[i>>attrPageBits][i&attrPageMask]
 }
 
-// push stores attrs as a fresh chain and returns its first and last
-// arena indexes (0, 0 when attrs is empty). attrs does not escape.
-func (st *store) push(attrs []Attr) (head, tail uint32) {
+// push stores attrs as a fresh chain and returns its first arena index
+// (0 when attrs is empty). attrs does not escape.
+func (st *store) push(attrs []Attr) (head uint32) {
 	for i, a := range attrs {
 		idx := st.n
 		if int(idx>>attrPageBits) == len(st.pages) {
@@ -92,23 +92,24 @@ func (st *store) push(attrs []Attr) (head, tail uint32) {
 		} else {
 			head = idx
 		}
-		tail = idx
 	}
-	return head, tail
+	return head
 }
 
-// extend links attrs after the chain (head, tail) and returns the
-// chain's new ends.
-func (st *store) extend(head, tail uint32, attrs []Attr) (uint32, uint32) {
-	h, t := st.push(attrs)
-	switch {
-	case h == 0:
-		return head, tail
-	case head == 0:
-		return h, t
+// extend links attrs after the chain from head, found by walking it
+// (records keep no tail; chains hold a handful of attributes), and
+// returns the chain's head.
+func (st *store) extend(head uint32, attrs []Attr) uint32 {
+	h := st.push(attrs)
+	if head == 0 || h == 0 {
+		return head | h
 	}
-	st.rec(tail).next = h
-	return head, t
+	tail := st.rec(head)
+	for tail.next != 0 {
+		tail = st.rec(tail.next)
+	}
+	tail.next = h
+	return head
 }
 
 // attr decodes one arena record.

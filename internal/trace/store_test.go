@@ -5,7 +5,6 @@ import (
 	"io"
 	"reflect"
 	"testing"
-	"unsafe"
 
 	"dyrs/internal/sim"
 )
@@ -75,16 +74,17 @@ func sameRecords(t *testing.T, tr *Tracer, ref *refRecorder) {
 	}
 	for i := range spans {
 		s, w := &spans[i], &ref.spans[i]
-		if s.ID() != w.ID || s.Parent() != w.Parent || s.Cat() != w.Cat || s.Name() != w.Name ||
+		cat, name := tr.Label(s.Label())
+		if i+1 != w.ID || s.Parent() != w.Parent || cat != w.Cat || name != w.Name ||
 			s.Node() != w.Node || s.Begin() != w.Begin || s.End() != w.End || s.Open() != w.Open() {
-			t.Fatalf("span %d = {%d %d %s %s %d %d %d}, reference %+v", i,
-				s.ID(), s.Parent(), s.Cat(), s.Name(), s.Node(), s.Begin(), s.End(), *w)
+			t.Fatalf("span %d = {%d %s %s %d %d %d}, reference %+v", i,
+				s.Parent(), cat, name, s.Node(), s.Begin(), s.End(), *w)
 		}
 		for _, k := range keys {
-			if got, want := s.Attr(k), w.Attr(k); got != want {
+			if got, want := tr.Attr(s.Attrs(), k), w.Attr(k); got != want {
 				t.Fatalf("span %d Attr(%q) = %q, reference %q", i, k, got, want)
 			}
-			got, ok := s.IntAttr(k)
+			got, ok := tr.IntAttr(s.Attrs(), k)
 			want, wantOK := refIntAttr(w.Attrs, k)
 			if got != want || ok != wantOK {
 				t.Fatalf("span %d IntAttr(%q) = %d, %v; reference %d, %v", i, k, got, ok, want, wantOK)
@@ -93,12 +93,18 @@ func sameRecords(t *testing.T, tr *Tracer, ref *refRecorder) {
 	}
 	for i := range instants {
 		in, w := &instants[i], &ref.instants[i]
-		if in.Cat() != w.Cat || in.Name() != w.Name || in.Node() != w.Node || in.At() != w.At {
-			t.Fatalf("instant %d = {%s %s %d %d}, reference %+v", i, in.Cat(), in.Name(), in.Node(), in.At(), *w)
+		cat, name := tr.Label(in.Label())
+		if cat != w.Cat || name != w.Name || in.Node() != w.Node || in.At() != w.At {
+			t.Fatalf("instant %d = {%s %s %d %d}, reference %+v", i, cat, name, in.Node(), in.At(), *w)
 		}
 		for _, k := range keys {
-			if got, want := in.Attr(k), refAttr(w.Attrs, k); got != want {
+			if got, want := tr.Attr(in.Attrs(), k), refAttr(w.Attrs, k); got != want {
 				t.Fatalf("instant %d Attr(%q) = %q, reference %q", i, k, got, want)
+			}
+			got, ok := tr.IntAttr(in.Attrs(), k)
+			want, wantOK := refIntAttr(w.Attrs, k)
+			if got != want || ok != wantOK {
+				t.Fatalf("instant %d IntAttr(%q) = %d, %v; reference %d, %v", i, k, got, ok, want, wantOK)
 			}
 		}
 	}
@@ -119,17 +125,48 @@ func refIntAttr(attrs []Attr, key string) (int64, bool) {
 }
 
 // TestRecordSizes pins the compact layout (DESIGN.md §10): a 16-byte
-// pointer-free attribute record and slim span and instant records.
+// attribute record, 32-byte spans and 24-byte instants, none of them
+// holding a pointer, map, slice or string, so the attribute pages and
+// the span and instant logs are noscan and the garbage collector never
+// traverses them.
 func TestRecordSizes(t *testing.T) {
-	if n := unsafe.Sizeof(attrRec{}); n != 16 {
-		t.Errorf("attrRec is %d B, want 16", n)
+	for _, c := range []struct {
+		typ  reflect.Type
+		size uintptr
+	}{
+		{reflect.TypeFor[attrRec](), 16},
+		{reflect.TypeFor[Span](), 32},
+		{reflect.TypeFor[Instant](), 24},
+	} {
+		if c.typ.Size() != c.size {
+			t.Errorf("%s is %d B, want %d", c.typ, c.typ.Size(), c.size)
+		}
+		if path := pointerField(c.typ, c.typ.Name()); path != "" {
+			t.Errorf("%s holds a pointer-shaped field at %s; its log would be scanned by the GC", c.typ, path)
+		}
 	}
-	if n := unsafe.Sizeof(Span{}); n > 48 {
-		t.Errorf("Span is %d B, want <= 48", n)
+}
+
+// pointerField returns the path of the first field of typ that is or
+// holds a Go pointer, or "" when typ is pointer-free.
+func pointerField(typ reflect.Type, path string) string {
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if p := pointerField(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+		return ""
+	case reflect.Array:
+		return pointerField(typ.Elem(), path+"[]")
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return ""
 	}
-	if n := unsafe.Sizeof(Instant{}); n > 32 {
-		t.Errorf("Instant is %d B, want <= 32", n)
-	}
+	return path + " (" + typ.Kind().String() + ")"
 }
 
 // recordOp is one recording-path op: a read-shaped span begun and

@@ -70,10 +70,10 @@ func (t *Tracer) Summarize() *Summary {
 	firstRead := map[blockRef]int64{}
 	for i := range t.spans {
 		sp := &t.spans[i]
-		if sp.Cat() != "read" {
+		if cat, _ := t.Label(sp.Label()); cat != "read" {
 			continue
 		}
-		block, ok := sp.block()
+		block, ok := t.block(sp.Attrs())
 		if !ok {
 			continue
 		}
@@ -83,13 +83,13 @@ func (t *Tracer) Summarize() *Summary {
 	}
 	for i := range t.spans {
 		sp := &t.spans[i]
-		if sp.Cat() != "migration" || sp.Name() != "migrate" || sp.Open() {
+		if cat, name := t.Label(sp.Label()); cat != "migration" || name != "migrate" || sp.Open() {
 			continue
 		}
-		if sp.Attr("outcome") != "pinned" {
+		if t.Attr(sp.Attrs(), "outcome") != "pinned" {
 			continue
 		}
-		block, ok := sp.block()
+		block, ok := t.block(sp.Attrs())
 		if !ok {
 			continue
 		}
@@ -140,13 +140,13 @@ type blockRef struct {
 	text string
 }
 
-// block returns the span's "block" attribute; ok is false when it is
+// block returns the chain's "block" attribute; ok is false when it is
 // absent or empty.
-func (s *Span) block() (b blockRef, ok bool) {
-	if id, ok := s.IntAttr("block"); ok {
+func (t *Tracer) block(a Attrs) (b blockRef, ok bool) {
+	if id, ok := t.IntAttr(a, "block"); ok {
 		return blockRef{id: id}, true
 	}
-	v := s.Attr("block")
+	v := t.Attr(a, "block")
 	if v == "" {
 		return blockRef{}, false
 	}

@@ -73,29 +73,26 @@ func Dur(k string, d sim.Duration) Attr { return Int(k, int64(d)) }
 const NodeMaster = -1
 
 // Span is one begin/end interval in virtual time, read through its
-// accessor methods. The record is compact: category and name share one
-// interned label, and the attributes live in the tracer's arena as a
-// chain from head to tail (DESIGN.md §10).
+// accessor methods and its tracer's (Tracer.Label, Tracer.Attr). The
+// record holds no Go pointers, so the span log is never scanned by the
+// garbage collector: category and name share one interned label, the
+// attributes live in the tracer's arena as a chain from head, and a
+// span's ID is its index in Spans() plus one (DESIGN.md §10).
 type Span struct {
-	st         *store
-	begin, end sim.Time // end is -1 while open
-	id, parent int32    // 1-based, assigned in Begin order; parent 0 = root
-	node       int32
-	label      uint32 // interned (category, name)
-	head, tail uint32 // attribute chain in st's arena; 0 = none
+	begin, end   sim.Time // end is -1 while open
+	parent, node int32    // parent: the parent span's ID, 0 for a root
+	label, head  uint32   // interned (category, name); attribute chain, 0 = none
 }
 
-// ID reports the span's 1-based ID, assigned in Begin order.
-func (s *Span) ID() int { return int(s.id) }
+// Label is an interned (category, name) pair; Tracer.Label resolves it.
+type Label uint32
+
+// Attrs is a record's attribute chain in its tracer's arena; Tracer.Attr
+// and Tracer.IntAttr read it.
+type Attrs uint32
 
 // Parent reports the parent span's ID, or 0 for a root span.
 func (s *Span) Parent() int { return int(s.parent) }
-
-// Cat reports the taxonomy bucket: "migration", "read", "task", "job".
-func (s *Span) Cat() string { return s.st.labels[s.label].cat }
-
-// Name reports the span name.
-func (s *Span) Name() string { return s.st.labels[s.label].name }
 
 // Node reports the worker node index, or NodeMaster.
 func (s *Span) Node() int { return int(s.node) }
@@ -109,29 +106,20 @@ func (s *Span) End() sim.Time { return s.end }
 // Open reports whether the span has not ended.
 func (s *Span) Open() bool { return s.end < 0 }
 
-// Attr returns the value of the last attribute with the given key, or
-// "" when absent.
-func (s *Span) Attr(key string) string { return s.st.value(s.head, key) }
+// Label reports the span's interned (category, name).
+func (s *Span) Label() Label { return Label(s.label) }
 
-// IntAttr returns the last attribute with the given key when it is an
-// integer (Int or Dur) attribute, without formatting it.
-func (s *Span) IntAttr(key string) (int64, bool) { return s.st.intValue(s.head, key) }
+// Attrs reports the span's attribute chain.
+func (s *Span) Attrs() Attrs { return Attrs(s.head) }
 
-// Instant is a point event in virtual time, read through its accessor
-// methods; its attributes are one contiguous chain in the arena.
+// Instant is a point event in virtual time, read like a Span; its
+// attributes are one contiguous chain in the arena.
 type Instant struct {
-	st    *store
 	at    sim.Time
 	node  int32
 	label uint32
 	head  uint32
 }
-
-// Cat reports the instant's category.
-func (in *Instant) Cat() string { return in.st.labels[in.label].cat }
-
-// Name reports the instant's name.
-func (in *Instant) Name() string { return in.st.labels[in.label].name }
 
 // Node reports the worker node index, or NodeMaster.
 func (in *Instant) Node() int { return int(in.node) }
@@ -139,9 +127,39 @@ func (in *Instant) Node() int { return int(in.node) }
 // At reports the instant's virtual time.
 func (in *Instant) At() sim.Time { return in.at }
 
-// Attr returns the value of the last attribute with the given key, or
-// "" when absent.
-func (in *Instant) Attr(key string) string { return in.st.value(in.head, key) }
+// Label reports the instant's interned (category, name).
+func (in *Instant) Label() Label { return Label(in.label) }
+
+// Attrs reports the instant's attribute chain.
+func (in *Instant) Attrs() Attrs { return Attrs(in.head) }
+
+// Label resolves an interned label of one of the tracer's records to
+// its category ("migration", "read", "task", "job", …) and name.
+func (t *Tracer) Label(l Label) (cat, name string) {
+	if t == nil {
+		return "", ""
+	}
+	lb := t.st.labels[l]
+	return lb.cat, lb.name
+}
+
+// Attr returns the value of the last attribute in the chain with the
+// given key, or "" when absent.
+func (t *Tracer) Attr(a Attrs, key string) string {
+	if t == nil {
+		return ""
+	}
+	return t.st.value(uint32(a), key)
+}
+
+// IntAttr returns the last attribute in the chain with the given key
+// when it is an integer (Int or Dur) attribute, without formatting it.
+func (t *Tracer) IntAttr(a Attrs, key string) (int64, bool) {
+	if t == nil {
+		return 0, false
+	}
+	return t.st.intValue(uint32(a), key)
+}
 
 // flowCounters caches the per-resource counter cells the FlowSink hot
 // path increments, so steady-state flow tracing allocates nothing.
@@ -153,7 +171,7 @@ type flowCounters struct {
 // the tracer to the engine; retrieve anywhere with FromEngine.
 type Tracer struct {
 	eng      *sim.Engine
-	st       store // attribute arena and intern tables the records point into
+	st       store // attribute arena and intern tables the records index into
 	spans    []Span
 	instants []Instant
 	counters map[string]*int64
@@ -232,10 +250,9 @@ func (t *Tracer) begin(cat, name string, node int, attrs []Attr) SpanRef {
 		// re-copies it about four times over (DESIGN.md §6).
 		t.spans = append(make([]Span, 0, max(2*cap(t.spans), 1)), t.spans...)
 	}
-	head, tail := t.st.push(attrs)
 	t.spans = append(t.spans, Span{
-		st: &t.st, begin: t.eng.Now(), end: -1, id: int32(id), node: int32(node),
-		label: t.st.label(cat, name), head: head, tail: tail,
+		begin: t.eng.Now(), end: -1, node: int32(node),
+		label: t.st.label(cat, name), head: t.st.push(attrs),
 	})
 	if t.flight != nil {
 		t.flight.record(FlightEvent{At: t.eng.Now(), Kind: FlightSpanBegin,
@@ -256,9 +273,8 @@ func (t *Tracer) Instant(cat, name string, node int, attrs ...Attr) {
 	if len(t.instants) == cap(t.instants) {
 		t.instants = append(make([]Instant, 0, max(2*cap(t.instants), 1)), t.instants...) // double, as for spans
 	}
-	head, _ := t.st.push(attrs)
 	t.instants = append(t.instants, Instant{
-		st: &t.st, at: t.eng.Now(), node: int32(node), label: t.st.label(cat, name), head: head,
+		at: t.eng.Now(), node: int32(node), label: t.st.label(cat, name), head: t.st.push(attrs),
 	})
 	if t.flight != nil {
 		t.flight.record(FlightEvent{At: t.eng.Now(), Kind: FlightInstant,
@@ -284,7 +300,7 @@ func (s SpanRef) Child(cat, name string, node int, attrs ...Attr) SpanRef {
 		return SpanRef{}
 	}
 	c := s.t.begin(cat, name, node, attrs)
-	s.t.spans[c.idx].parent = s.t.spans[s.idx].id
+	s.t.spans[c.idx].parent = int32(s.idx + 1)
 	return c
 }
 
@@ -294,7 +310,7 @@ func (s SpanRef) Annotate(attrs ...Attr) {
 		return
 	}
 	sp := &s.t.spans[s.idx]
-	sp.head, sp.tail = s.t.st.extend(sp.head, sp.tail, attrs)
+	sp.head = s.t.st.extend(sp.head, attrs)
 }
 
 // End closes the span at the current virtual instant, appending any
@@ -309,10 +325,11 @@ func (s SpanRef) End(attrs ...Attr) {
 		return
 	}
 	sp.end = s.t.eng.Now()
-	sp.head, sp.tail = s.t.st.extend(sp.head, sp.tail, attrs)
+	sp.head = s.t.st.extend(sp.head, attrs)
 	if s.t.flight != nil {
+		lb := s.t.st.labels[sp.label]
 		s.t.flight.record(FlightEvent{At: sp.end, Kind: FlightSpanEnd,
-			Cat: sp.Cat(), Name: sp.Name(), Node: sp.Node(), Span: sp.ID()})
+			Cat: lb.cat, Name: lb.name, Node: sp.Node(), Span: s.idx + 1})
 	}
 }
 
@@ -329,11 +346,11 @@ func (s SpanRef) ID() int {
 	if s.t == nil {
 		return 0
 	}
-	return s.t.spans[s.idx].ID()
+	return s.idx + 1
 }
 
-// Spans returns the recorded spans in begin order. The slice is the
-// tracer's own storage; callers must not mutate it.
+// Spans returns the recorded spans in begin order; span i has ID i+1.
+// The slice is the tracer's own storage; callers must not mutate it.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil

@@ -36,7 +36,7 @@ func TestSpanLifecycle(t *testing.T) {
 		t.Fatalf("got %d spans, want 2", len(spans))
 	}
 	r, c := spans[0], spans[1]
-	if r.ID() != 1 || c.ID() != 2 || c.Parent() != r.ID() || r.Parent() != 0 {
+	if root.ID() != 1 || child.ID() != 2 || c.Parent() != 1 || r.Parent() != 0 {
 		t.Errorf("bad IDs/parentage: root %+v child %+v", r, c)
 	}
 	if r.Begin() != 0 || c.Begin() != sim.Time(time.Second) || c.End() != sim.Time(2*time.Second) {
@@ -45,14 +45,20 @@ func TestSpanLifecycle(t *testing.T) {
 	if r.Open() || c.Open() {
 		t.Error("spans should be closed")
 	}
-	if got := r.Attr("outcome"); got != "pinned" {
+	if cat, name := tr.Label(c.Label()); cat != "migration" || name != "transfer" {
+		t.Errorf("child label = %s/%s, want migration/transfer", cat, name)
+	}
+	if got := tr.Attr(r.Attrs(), "outcome"); got != "pinned" {
 		t.Errorf("outcome = %q, want pinned (first End wins)", got)
 	}
-	if got := r.Attr("slave"); got != "3" {
+	if got := tr.Attr(r.Attrs(), "slave"); got != "3" {
 		t.Errorf("slave = %q, want 3", got)
 	}
-	if got := r.Attr("missing"); got != "" {
+	if got := tr.Attr(r.Attrs(), "missing"); got != "" {
 		t.Errorf("missing attr = %q, want empty", got)
+	}
+	if got, ok := tr.IntAttr(r.Attrs(), "block"); !ok || got != 7 {
+		t.Errorf("IntAttr(block) = %d, %v; want 7, true", got, ok)
 	}
 }
 
@@ -61,11 +67,10 @@ func TestAttrLastWins(t *testing.T) {
 	tr := New(eng)
 	sp := tr.Begin("x", "y", 0, Str("k", "a"))
 	sp.Annotate(Str("k", "b"))
-	if got := tr.Spans()[0].Attr("k"); got != "b" {
+	if got := tr.Attr(tr.Spans()[0].Attrs(), "k"); got != "b" {
 		t.Errorf("Attr = %q, want last-written b", got)
 	}
-	sp0 := &tr.Spans()[0]
-	m := sp0.st.attrMap(sp0.head)
+	m := tr.st.attrMap(tr.Spans()[0].head)
 	if m["k"] != "b" {
 		t.Errorf("attrMap = %v, want k=b", m)
 	}
