@@ -75,7 +75,9 @@ type Options struct {
 // Validate reports the first option NewEnv cannot build a cluster from:
 // a negative count, a non-finite or negative core bandwidth, a SlowNodes
 // entry outside the cluster or with a scale that is not finite and
-// positive, or an unknown MigBinder. Callers that take options from
+// positive, an unknown MigBinder, or a MigrationConfig with a
+// non-positive Heartbeat or TargetUpdateInterval or a non-finite
+// IOWeight (a non-positive one means weight 1). Callers that take options from
 // users or fuzzers check them here, at the boundary, rather than
 // letting them panic or turn into NaN rates inside the layers.
 func (opt Options) Validate() error {
@@ -111,6 +113,17 @@ func (opt Options) Validate() error {
 	if opt.MigBinder != "" {
 		if _, err := migration.BinderByName(opt.MigBinder); err != nil {
 			return fmt.Errorf("experiments: MigBinder: %w", err)
+		}
+	}
+	if c := opt.MigrationConfig; c != nil {
+		if c.Heartbeat <= 0 {
+			return fmt.Errorf("experiments: MigrationConfig.Heartbeat must be positive, got %v", c.Heartbeat)
+		}
+		if c.TargetUpdateInterval <= 0 {
+			return fmt.Errorf("experiments: MigrationConfig.TargetUpdateInterval must be positive, got %v", c.TargetUpdateInterval)
+		}
+		if math.IsNaN(c.IOWeight) || math.IsInf(c.IOWeight, 0) {
+			return fmt.Errorf("experiments: MigrationConfig.IOWeight must be finite, got %v", c.IOWeight)
 		}
 	}
 	return nil

@@ -6,11 +6,18 @@ import (
 	"testing"
 	"time"
 
+	"dyrs/internal/migration"
 	"dyrs/internal/sim"
 	"dyrs/internal/workload"
 )
 
 func TestOptionsValidate(t *testing.T) {
+	mcfg := migration.DefaultConfig()
+	migCfg := func(edit func(*migration.Config)) *migration.Config {
+		c := migration.DefaultConfig()
+		edit(&c)
+		return &c
+	}
 	for _, tc := range []struct {
 		name string
 		opt  Options
@@ -34,6 +41,12 @@ func TestOptionsValidate(t *testing.T) {
 		{"NaN scale", Options{SlowNodes: map[int]float64{0: math.NaN()}}, "SlowNodes[0]"},
 		{"infinite scale", Options{SlowNodes: map[int]float64{0: math.Inf(1)}}, "SlowNodes[0]"},
 		{"unknown binder", Options{MigBinder: "bogus"}, "MigBinder"},
+		{"migration defaults", Options{MigrationConfig: &mcfg}, ""},
+		{"zero IO weight", Options{MigrationConfig: migCfg(func(c *migration.Config) { c.IOWeight = 0 })}, ""},
+		{"zero heartbeat", Options{MigrationConfig: migCfg(func(c *migration.Config) { c.Heartbeat = 0 })}, "Heartbeat"},
+		{"negative target interval", Options{MigrationConfig: migCfg(func(c *migration.Config) { c.TargetUpdateInterval = -1 })}, "TargetUpdateInterval"},
+		{"NaN IO weight", Options{MigrationConfig: migCfg(func(c *migration.Config) { c.IOWeight = math.NaN() })}, "IOWeight"},
+		{"infinite IO weight", Options{MigrationConfig: migCfg(func(c *migration.Config) { c.IOWeight = math.Inf(1) })}, "IOWeight"},
 	} {
 		err := tc.opt.Validate()
 		switch {

@@ -117,21 +117,6 @@ func (s *Sample) Max() float64 {
 	return s.xs[len(s.xs)-1]
 }
 
-// Stddev reports the population standard deviation.
-func (s *Sample) Stddev() float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return 0
-	}
-	mean := s.Mean()
-	var ss float64
-	for _, x := range s.xs {
-		d := x - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 func (s *Sample) ensureSorted() {
 	if !s.sorted {
 		sort.Float64s(s.xs)
@@ -176,26 +161,6 @@ func (s *Sample) FractionBelow(v float64) float64 {
 	s.ensureSorted()
 	idx := sort.SearchFloat64s(s.xs, math.Nextafter(v, math.Inf(1)))
 	return float64(idx) / float64(n)
-}
-
-// CDFPoint is one point of an empirical CDF: fraction F of observations
-// are <= X.
-type CDFPoint struct {
-	X float64
-	F float64
-}
-
-// CDF extracts the empirical CDF sampled at n evenly spaced quantiles.
-func (s *Sample) CDF(n int) []CDFPoint {
-	if s.Len() == 0 || n <= 0 {
-		return nil
-	}
-	pts := make([]CDFPoint, n)
-	for i := 0; i < n; i++ {
-		f := float64(i+1) / float64(n)
-		pts[i] = CDFPoint{X: s.Percentile(f * 100), F: f}
-	}
-	return pts
 }
 
 // Values returns a copy of all observations (sorted).

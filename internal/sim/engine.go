@@ -53,100 +53,6 @@ type Event struct {
 // At reports the instant the event is scheduled to fire.
 func (e *Event) At() Time { return e.at }
 
-// eventLess orders events by time, breaking ties by scheduling order so
-// the simulation is deterministic.
-func eventLess(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// eventQueue is a 4-ary min-heap specialized to *Event, in strict
-// (time, seq) pop order. The engine's queue is the radix heap in
-// radix.go; this heap holds only the events scheduled below the radix
-// heap's base (see radixQueue). Lazy cancellation means no
-// remove-by-index is ever needed, so sifting uses cheap hole moves with
-// a single final write instead of index-maintaining swaps.
-type eventQueue []*Event
-
-// heapArity is the heap fan-out; pop order is arity-independent.
-const heapArity = 4
-
-func (q *eventQueue) push(ev *Event) {
-	ev.queued = true
-	*q = append(*q, ev)
-	q.siftUp(len(*q) - 1)
-}
-
-// popMin removes and returns the earliest event. The queue must be
-// non-empty.
-func (q *eventQueue) popMin() *Event {
-	evs := *q
-	root := evs[0]
-	n := len(evs) - 1
-	last := evs[n]
-	evs[n] = nil
-	*q = evs[:n]
-	if n > 0 {
-		evs[0] = last
-		q.siftDown(0)
-	}
-	root.queued = false
-	return root
-}
-
-func (q eventQueue) siftUp(i int) {
-	ev := q[i]
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		if !eventLess(ev, q[parent]) {
-			break
-		}
-		q[i] = q[parent]
-		i = parent
-	}
-	q[i] = ev
-}
-
-func (q eventQueue) siftDown(i int) {
-	n := len(q)
-	ev := q[i]
-	for {
-		first := heapArity*i + 1
-		if first >= n {
-			break
-		}
-		last := first + heapArity
-		if last > n {
-			last = n
-		}
-		min := first
-		for c := first + 1; c < last; c++ {
-			if eventLess(q[c], q[min]) {
-				min = c
-			}
-		}
-		if !eventLess(q[min], ev) {
-			break
-		}
-		q[i] = q[min]
-		i = min
-	}
-	q[i] = ev
-}
-
-// reinit restores the heap invariant after bulk filtering (Floyd's
-// heap-construction, O(n)).
-func (q eventQueue) reinit() {
-	if len(q) < 2 {
-		return
-	}
-	for i := (len(q) - 2) / heapArity; i >= 0; i-- {
-		q.siftDown(i)
-	}
-}
-
 // compactMin is the queue length below which tombstone compaction is not
 // worth an O(n) sweep; dead events that small are cheaper to skim off
 // the head as the clock reaches them.

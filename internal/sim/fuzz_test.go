@@ -14,8 +14,9 @@ import (
 // model must never cancel through a stale handle). Three ops aim at the
 // radix queue's regimes: far-future schedules that reach its top
 // buckets, a RunUntil that stops just short of the head followed by
-// schedules below it (the below-base heap), and same-instant bursts at
-// a time already queued (the seq order of bucket 0).
+// schedules below it (which rebases the queue onto the clock), and
+// same-instant bursts at a time already queued (the seq order of bucket
+// 0, kept across refills and rebases).
 //
 // Invariants checked:
 //   - events fire exactly in (time, scheduling-order) order;
@@ -42,6 +43,9 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 20, 0, 40, 9, 3, 9, 7, 0, 1, 9, 0, 5, 10, 9, 5})
 	// Bursts at queued instants, some queued long before the burst.
 	f.Add([]byte{0, 30, 8, 1, 0, 40, 5, 20, 10, 0, 10, 1, 10, 2, 3, 5, 10, 9})
+	// A burst at a queued instant, then a push below base: the rebase
+	// must keep the burst in scheduling order.
+	f.Add([]byte{0, 20, 10, 0, 0, 40, 8, 2, 10, 1, 9, 3, 9, 5, 5, 63})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		eng := NewEngine(1)

@@ -6,7 +6,7 @@ import "math/bits"
 // (Ahuja, Mehlhorn, Orlin & Tarjan, JACM 1990) over *Event that pops in
 // strict (at, seq) order.
 //
-// It relies on the clock never running backwards. Every bucketed event
+// It relies on the clock never running backwards. Every queued event
 // has at >= base and lives in bucket bits.Len64(at^base), the position
 // of the highest bit where its time differs from base, so every event in
 // bucket i is earlier than every event in any bucket above i, bucket 0
@@ -18,24 +18,23 @@ import "math/bits"
 // and a pop costs amortized O(1) bucket moves instead of a heap's
 // O(log n) sift through the whole queue.
 //
-// Every bucket also stays in seq order, so bucket 0 pops same-instant
-// events in scheduling order without sorting: a push appends the newest
-// seq; a redistribution moves events in order into buckets that are all
-// empty (they lie below the lowest nonempty one); regrow and compact
-// keep order.
+// Events at one instant also stay in seq order within their bucket, so
+// bucket 0 pops them in scheduling order without sorting: a push
+// appends the newest seq; a redistribution moves events in order; regrow,
+// compact and rebase keep order.
 //
 // The one event that can arrive below base is one scheduled after
 // RunUntil or a shard window stopped short of a head it had already
-// peeked (peeking advances base to that head). Such events go to below,
-// the 4-ary heap, which always pops before the buckets: everything in it
-// is earlier than base.
+// peeked (peeking advances base to that head). Such a push first
+// rebases the queue onto the clock, which is never later than any
+// queued entry, so every entry again has at >= base.
 type radixQueue struct {
 	base     Time
 	n        int    // queued entries, tombstones included
 	nonempty uint64 // bit i set iff buckets[i] holds an entry
 	head     int    // next entry of buckets[0] to pop
 	buckets  [64][]*Event
-	below    eventQueue
+	spare    []*Event // rebase's scratch, kept between calls
 }
 
 // push queues ev; now is the engine clock, never later than ev.at.
@@ -43,12 +42,10 @@ func (q *radixQueue) push(ev *Event, now Time) {
 	ev.queued = true
 	if q.n == 0 {
 		q.base = now // an empty queue has no order to keep
+	} else if ev.at < q.base {
+		q.rebase(now)
 	}
 	q.n++
-	if ev.at < q.base {
-		q.below.push(ev)
-		return
-	}
 	q.add(bits.Len64(uint64(ev.at^q.base)), ev)
 }
 
@@ -60,6 +57,31 @@ func (q *radixQueue) add(i int, ev *Event) {
 	}
 	q.buckets[i] = append(b, ev)
 	q.nonempty |= 1 << i
+}
+
+// rebase moves every queued entry onto base now, which must not be
+// later than any of them. It gathers the buckets lowest first, each
+// front to back, and re-adds the entries in that order: events at one
+// instant share a bucket, so they keep their seq order.
+func (q *radixQueue) rebase(now Time) {
+	s := q.spare
+	for m := q.nonempty; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		b := q.buckets[i]
+		if i == 0 {
+			s = append(s, b[q.head:]...)
+		} else {
+			s = append(s, b...)
+		}
+		clear(b)
+		q.buckets[i] = b[:0]
+	}
+	q.base, q.head, q.nonempty = now, 0, 0
+	for _, ev := range s {
+		q.add(bits.Len64(uint64(ev.at^now)), ev)
+	}
+	clear(s)
+	q.spare = s[:0]
 }
 
 // Bounds on the arrays regrow moves between buckets. Below stealMin
@@ -104,9 +126,6 @@ func (q *radixQueue) regrow(i int) []*Event {
 // peek returns the earliest entry without removing it. The queue must be
 // non-empty.
 func (q *radixQueue) peek() *Event {
-	if len(q.below) > 0 {
-		return q.below[0]
-	}
 	if len(q.buckets[0]) == 0 {
 		q.refill()
 	}
@@ -118,9 +137,6 @@ func (q *radixQueue) peek() *Event {
 func (q *radixQueue) popMin() *Event {
 	ev := q.peek()
 	q.n--
-	if len(q.below) > 0 {
-		return q.below.popMin()
-	}
 	b0 := q.buckets[0]
 	b0[q.head] = nil
 	if q.head++; q.head == len(b0) {
@@ -160,7 +176,7 @@ func (q *radixQueue) refill() {
 }
 
 // compact removes every cancelled entry in place, handing each to
-// release. Buckets keep their order; the below heap is rebuilt.
+// release. Buckets keep their order.
 func (q *radixQueue) compact(release func(*Event)) {
 	if q.head > 0 {
 		b0 := q.buckets[0]
@@ -177,9 +193,6 @@ func (q *radixQueue) compact(release func(*Event)) {
 		}
 		q.n += len(q.buckets[i])
 	}
-	q.below = sweep(q.below, release)
-	q.below.reinit()
-	q.n += len(q.below)
 }
 
 // sweep filters the cancelled events out of s in place, handing each to

@@ -1,21 +1,42 @@
 package sim
 
 import (
+	"container/heap"
 	"math/rand"
 	"testing"
 	"time"
 )
 
-// refEngine is the engine loop as it ran before the radix queue: every
-// event in one 4-ary pointer heap (eventQueue) ordered by (at, seq),
-// lazy-cancel tombstones skimmed at the head, and no pooling or
-// compaction. TestRadixQueueLockstep runs it beside Engine.
+// refEngine is the engine loop with an independent queue: every event
+// in one container/heap binary heap ordered by (at, seq), lazy-cancel
+// tombstones skimmed at the head, and no pooling or compaction.
+// TestRadixQueueLockstep runs it beside Engine.
 type refEngine struct {
 	now   Time
 	seq   uint64
-	q     eventQueue
+	q     refHeap
 	live  int
 	fired uint64
+}
+
+// refHeap is a heap.Interface over *Event in (at, seq) order.
+type refHeap []*Event
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(*Event)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	ev := old[len(old)-1]
+	*h = old[:len(old)-1]
+	ev.queued = false
+	return ev
 }
 
 func (r *refEngine) Now() Time           { return r.now }
@@ -23,9 +44,9 @@ func (r *refEngine) Pending() int        { return r.live }
 func (r *refEngine) EventsFired() uint64 { return r.fired }
 
 func (r *refEngine) At(t Time, fn func()) *Event {
-	ev := &Event{at: t, seq: r.seq, fn: fn}
+	ev := &Event{at: t, seq: r.seq, fn: fn, queued: true}
 	r.seq++
-	r.q.push(ev)
+	heap.Push(&r.q, ev)
 	r.live++
 	return ev
 }
@@ -43,7 +64,7 @@ func (r *refEngine) Cancel(ev *Event) {
 // next reports the earliest live event's time, skimming tombstones.
 func (r *refEngine) next() (Time, bool) {
 	for len(r.q) > 0 && r.q[0].cancelled {
-		r.q.popMin()
+		heap.Pop(&r.q)
 	}
 	if len(r.q) == 0 {
 		return 0, false
@@ -53,7 +74,7 @@ func (r *refEngine) next() (Time, bool) {
 
 func (r *refEngine) RunUntil(t Time) {
 	for len(r.q) > 0 && r.q[0].at <= t {
-		ev := r.q.popMin()
+		ev := heap.Pop(&r.q).(*Event)
 		if ev.cancelled {
 			continue
 		}
@@ -234,4 +255,39 @@ func checkLockstep(t *testing.T, seed int64, op int, sides [2]*lockstepSide) {
 		}
 	}
 	a.checked = len(a.fired)
+}
+
+// A push below base rebases the queue onto the clock. On a warm engine
+// the rebase reuses the buckets' arrays and its scratch slice, so the
+// cycle — RunUntil stops one nanosecond short of the head, a burst is
+// scheduled there, below base, and fires, then the head fires and
+// reschedules itself an hour on — allocates nothing.
+func TestRebaseSteadyStateAllocs(t *testing.T) {
+	e := NewEngine(1)
+	nop := func() {}
+	var far func()
+	far = func() { e.Schedule(time.Hour, far) }
+	for i := 0; i < 256; i++ {
+		e.At(Time(time.Hour)+Time(i)*Time(14*time.Second+7), far)
+	}
+	cycle := func() {
+		h := e.head().at
+		e.RunUntil(h - 1)
+		for i := 0; i < 16; i++ {
+			e.At(h-1, nop)
+		}
+		if e.events.base != h-1 {
+			t.Fatalf("burst at %v did not rebase the queue (base %v)", h-1, e.events.base)
+		}
+		e.RunUntil(h)
+	}
+	for i := 0; i < 1024; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Errorf("steady-state rebase cycle allocates %.2f objects/op, want 0", avg)
+	}
+	if e.Pending() != 256 {
+		t.Fatalf("Pending = %d after the cycles, want 256", e.Pending())
+	}
 }
