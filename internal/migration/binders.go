@@ -32,7 +32,8 @@ type PolicyBinder struct {
 	// (reordered only by the configured OrderPolicy). Entries are
 	// tombstoned in place when bound or removed (bi.inPending cleared)
 	// and reclaimed in bulk at the next full Algorithm 1 pass, so no
-	// binder operation is O(pending) per block.
+	// binder operation is O(pending) per block. bi.listed marks a record
+	// with an entry, live or tombstoned, until the entry is reclaimed.
 	pending []*blockInfo
 	dead    int // tombstoned entries still in pending
 	// targets buckets the pending list by current Algorithm 1 target,
@@ -152,6 +153,13 @@ func (b *PolicyBinder) OnMigrate(blocks []*blockInfo) {
 			continue
 		}
 		bi.inPending = true
+		if bi.listed {
+			// Re-requested before a pass reclaimed its tombstone: revive
+			// the entry rather than list the block twice.
+			b.dead--
+			continue
+		}
+		bi.listed = true
 		b.pending = append(b.pending, bi)
 	}
 	b.pendGen++
@@ -204,7 +212,7 @@ func (b *PolicyBinder) PendingCount() int { return len(b.pending) - b.dead }
 // Reset implements Binder (master restart).
 func (b *PolicyBinder) Reset() {
 	for _, bi := range b.pending {
-		bi.inPending = false
+		bi.inPending, bi.listed = false, false
 	}
 	b.pending = nil
 	b.dead = 0
@@ -227,6 +235,9 @@ func (b *PolicyBinder) UpdateTargets() {
 		// Nothing live. Drop any remaining tombstones so an idle binder
 		// holds no stale references.
 		if len(b.pending) > 0 {
+			for _, bi := range b.pending {
+				bi.listed = false
+			}
 			b.pending = b.pending[:0]
 			b.dead = 0
 		}
@@ -256,6 +267,8 @@ func (b *PolicyBinder) UpdateTargets() {
 		for _, bi := range b.pending {
 			if bi.inPending {
 				kept = append(kept, bi)
+			} else {
+				bi.listed = false
 			}
 		}
 		for i := len(kept); i < len(b.pending); i++ {

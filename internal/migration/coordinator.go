@@ -43,10 +43,13 @@ type Coordinator struct {
 	// the per-read and per-request hot paths used to pay.
 	info []*blockInfo
 	// recs is the unused tail of the chunk newRecord carves records
-	// from. A chunk is never moved or reused, so the pointers in info,
-	// in binder lists and in slave queues stay valid for the whole run,
-	// also for records a master restart detached.
+	// from. A chunk is never moved, so the pointers in info, in binder
+	// lists and in slave queues stay valid for the whole run, also for
+	// records a master restart detached.
 	recs []blockInfo
+	// spare holds released records, each with its reference set's
+	// array, for newRecord to reuse before it carves (see recycle).
+	spare []*blockInfo
 	// jobBlocks lists the blocks each job has requested, for Evict. The
 	// lists may retain ids whose reference the job already dropped via
 	// implicit eviction — Evict tolerates stale entries, which is cheaper
@@ -193,17 +196,41 @@ func (c *Coordinator) blockRecord(id dfs.BlockID) *blockInfo {
 // distinct blocks requested.
 const recordChunk = 1 << 10
 
-// newRecord carves the record for a block requested for the first time
-// from the current chunk, in request order, and enters it in info.
+// newRecord makes the record for a block the master does not track and
+// enters it in info. It reuses a spare record, emptied but keeping its
+// reference set's array, and carves one from the current chunk only
+// when none is spare.
 func (c *Coordinator) newRecord(id dfs.BlockID) *blockInfo {
-	if len(c.recs) == 0 {
-		c.recs = make([]blockInfo, recordChunk)
+	var bi *blockInfo
+	if n := len(c.spare); n > 0 {
+		bi = c.spare[n-1]
+		c.spare = c.spare[:n-1]
+		*bi = blockInfo{refs: bi.refs[:0]}
+	} else {
+		if len(c.recs) == 0 {
+			c.recs = make([]blockInfo, recordChunk)
+		}
+		bi = &c.recs[0]
+		c.recs = c.recs[1:]
 	}
-	bi := &c.recs[0]
-	c.recs = c.recs[1:]
 	bi.id, bi.size = id, c.fs.BlockSize(id)
 	c.setRecord(id, bi)
 	return bi
+}
+
+// recycle gives a record maybeRelease just released back for reuse: it
+// leaves info and goes on the spare list. Slave queues and transfer
+// slots dropped it before the release, and jobBlocks and Evict hold
+// ids, which now resolve to nil, the same no-op a released record was.
+// Two kinds of record stay put: a detached one, which the slaves may
+// still hold and which info no longer lists, and one still listed in
+// the binder's pending list, where a reuse would put another block.
+func (c *Coordinator) recycle(bi *blockInfo) {
+	if bi.detached || bi.listed {
+		return
+	}
+	c.info[int(bi.id)] = nil
+	c.spare = append(c.spare, bi)
 }
 
 // setRecord stores a block record. The dense table is sized to the
@@ -393,7 +420,8 @@ func (c *Coordinator) NoteRead(job JobID, block dfs.BlockID) {
 	}
 }
 
-// maybeRelease frees a block whose reference list has emptied.
+// maybeRelease frees a block whose reference list has emptied and
+// recycles its record.
 func (c *Coordinator) maybeRelease(bi *blockInfo) {
 	if len(bi.refs) > 0 {
 		return
@@ -404,11 +432,13 @@ func (c *Coordinator) maybeRelease(bi *blockInfo) {
 		c.transition(bi, stateNone)
 		c.stats.Dropped++
 		c.dropTrace(bi, "released-pending")
+		c.recycle(bi)
 	case stateQueued:
 		c.slaves[int(bi.slave)].dequeue(bi)
 		c.transition(bi, stateNone)
 		c.stats.Dropped++
 		c.dropTrace(bi, "released-queued")
+		c.recycle(bi)
 	case stateMigrating:
 		if c.cfg.CancelOnMissedRead {
 			// Discard the in-flight migration: its disk bandwidth is
@@ -421,6 +451,7 @@ func (c *Coordinator) maybeRelease(bi *blockInfo) {
 			c.transition(bi, stateNone)
 			c.stats.Dropped++
 			c.dropTrace(bi, "missed-read")
+			c.recycle(bi)
 			return
 		}
 		// Policies without missed-read handling let the migration
@@ -429,6 +460,7 @@ func (c *Coordinator) maybeRelease(bi *blockInfo) {
 		c.fs.DropMem(bi.id, bi.slave)
 		c.transition(bi, stateNone)
 		c.stats.Evicted++
+		c.recycle(bi)
 	}
 }
 

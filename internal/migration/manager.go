@@ -119,7 +119,7 @@ type Config struct {
 	// a run per stretch of unchanged estimate, so it grows with virtual
 	// time × node count wherever estimates move. The datacenter-scale
 	// experiments disable it: the scale workload of benchmark/ (seed 42)
-	// allocates 87.6 MiB per run with it disabled and 90.8 MiB with the
+	// allocates 58.0 MiB per run with it disabled and 61.2 MiB with the
 	// series on.
 	DisableEstimateSeries bool
 	// Order selects how the master orders pending migrations across
@@ -273,9 +273,11 @@ func (s *jobSet) remove(j JobID) {
 //
 // Records are stored by value in the coordinator's fixed-size chunks
 // (Coordinator.newRecord), which never move, so binder pending lists
-// and slave queues hold plain pointers into them. The one-byte state
-// and the four flags share the last word; the record is 104 bytes on
-// 64-bit platforms (TestBlockInfoSize).
+// and slave queues hold plain pointers into them. A released record is
+// reused for the next block requested (Coordinator.recycle), so the
+// chunks hold the blocks in flight, not every block ever requested.
+// The one-byte state and the five flags share the last word; the
+// record is 104 bytes on 64-bit platforms (TestBlockInfoSize).
 type blockInfo struct {
 	id         dfs.BlockID
 	size       sim.Bytes
@@ -307,4 +309,8 @@ type blockInfo struct {
 	// removal, reclaimed in bulk), so the flag — not list membership —
 	// is the source of truth for "still awaiting binding".
 	inPending bool
+	// listed marks a record that has an entry, live or tombstoned, in
+	// the DYRS binder's pending list. Such a record is not recycled, and
+	// a re-request revives its entry instead of adding a second one.
+	listed bool
 }

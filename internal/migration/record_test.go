@@ -6,7 +6,9 @@ import (
 	"time"
 	"unsafe"
 
+	"dyrs/internal/cluster"
 	"dyrs/internal/dfs"
+	"dyrs/internal/sim"
 )
 
 // TestBlockInfoSize pins the packed record: the master keeps one per
@@ -36,7 +38,7 @@ func chunkBreaks(recs []*blockInfo) int {
 
 // checkRecords checks that every record in info sits under its own id
 // and that every record the binder and the slave queues hold is the one
-// info holds for its id.
+// info holds for its id, unless a master restart detached it.
 func checkRecords(t *testing.T, c *Coordinator) (tracked int) {
 	t.Helper()
 	for id, bi := range c.info {
@@ -50,7 +52,7 @@ func checkRecords(t *testing.T, c *Coordinator) (tracked int) {
 	}
 	resolves := func(where string, bi *blockInfo) {
 		t.Helper()
-		if got := c.blockRecord(bi.id); got != bi {
+		if got := c.blockRecord(bi.id); got != bi && !bi.detached {
 			t.Fatalf("%s holds a record of block %d that info does not", where, bi.id)
 		}
 	}
@@ -261,6 +263,85 @@ func TestMigrateRecordAllocs(t *testing.T) {
 	}
 	if got := r.c.Stats().Requested; got != 2*blocks {
 		t.Errorf("requested %d blocks, want %d", got, 2*blocks)
+	}
+	r.c.Shutdown()
+}
+
+// TestReRequestBeforePassQueuesOnce: a block released while pending
+// leaves a tombstone in the binder's list until the next full pass. A
+// job that requests it again before that pass must revive the entry,
+// not list the block a second time, or Algorithm 1 would assign it
+// twice and count its migration twice in its target's finish time.
+func TestReRequestBeforePassQueuesOnce(t *testing.T) {
+	b := NewDYRSBinder()
+	r := newRig(t, 1, 4, b, nil, DefaultConfig())
+	r.mkFile(t, "in", 8)
+	if err := r.c.Migrate(1, []string{"in"}, false); err != nil {
+		t.Fatal(err)
+	}
+	r.c.Evict(1)
+	if err := r.c.Migrate(2, []string{"in"}, false); err != nil {
+		t.Fatal(err)
+	}
+	pending, _, _, _ := r.c.StateCounts()
+	if got := r.c.PendingBlocks(); got != 8 || pending != 8 {
+		t.Fatalf("binder holds %d pending blocks and the master counts %d, want 8 and 8", got, pending)
+	}
+	if len(b.pending) != 8 {
+		t.Errorf("pending list has %d entries, want 8", len(b.pending))
+	}
+	checkRecords(t, r.c)
+	r.eng.RunUntil(sim.Time(5 * time.Minute))
+	if st := r.c.Stats(); st.Requested != 16 || st.Dropped != 8 || st.Migrated != 8 {
+		t.Errorf("requested %d, dropped %d, migrated %d; want 16, 8, 8", st.Requested, st.Dropped, st.Migrated)
+	}
+	r.c.Shutdown()
+}
+
+// TestRecycledMigrateAllocs: records released by eviction are reused,
+// together with their reference sets' arrays. After a 4,096-block job
+// has migrated, been read and been evicted, a fresh Migrate of a second
+// 4,096-block job allocates no chunk and no reference-set array: only
+// the per-call constant TestMigrateRecordAllocs allows. The first job
+// reads each block as it lands (implicit eviction), so the nodes'
+// buffers stay nearly empty.
+func TestRecycledMigrateAllocs(t *testing.T) {
+	const blocks = 4096
+	cfg := DefaultConfig()
+	cfg.DisableEstimateSeries = true
+	r := newRig(t, 1, 7, NewDYRSBinder(), nil, cfg)
+	for _, name := range []string{"first", "second"} {
+		r.mkFile(t, name, blocks)
+	}
+	r.c.OnMigrated(func(id dfs.BlockID, _ cluster.NodeID, _ sim.Time) { r.c.NoteRead(1, id) })
+	job := JobID(0)
+	allocs := testing.AllocsPerRun(1, func() {
+		job++
+		if job > 1 {
+			if err := r.c.Migrate(job, []string{"second"}, true); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		// The warm-up run, which AllocsPerRun does not count.
+		if err := r.c.Migrate(job, []string{"first"}, true); err != nil {
+			t.Fatal(err)
+		}
+		r.eng.RunFor(time.Hour)
+		if got := r.c.Stats().Migrated; got != blocks {
+			t.Fatalf("first job migrated %d blocks, want %d", got, blocks)
+		}
+		r.c.Evict(job)
+	})
+	const constant = 64
+	if allocs > constant {
+		t.Errorf("Migrate of %d blocks after %d were released allocates %.0f objects, want <= %d", blocks, blocks, allocs, constant)
+	}
+	if got := r.c.Stats().Requested; got != 2*blocks {
+		t.Errorf("requested %d blocks, want %d", got, 2*blocks)
+	}
+	if n := checkRecords(t, r.c); n != blocks {
+		t.Errorf("info tracks %d records, want %d", n, blocks)
 	}
 	r.c.Shutdown()
 }
