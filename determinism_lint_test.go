@@ -23,14 +23,24 @@ package dyrs
 //     executor's audited worker pool (internal/sim/shard.go), whose
 //     lines carry a //lint:shardsync waiver. Any new waiver is a signal
 //     the sharding design is changing and deserves review.
+//   - a bare conversion of a float to time.Duration (sim.Duration) or
+//     sim.Time. Past the clock's range it wraps silently, which once made
+//     an overlong transfer or computation instant; every such conversion
+//     goes through sim.FloatDuration, which saturates and rejects NaN
+//     and ±Inf, and only that helper converts bare. The rule needs types
+//     (an operand's type, and what a conversion's target resolves to),
+//     so the lint type-checks internal/ with go/types, the standard
+//     library from source.
 
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -66,10 +76,18 @@ var globalRandFuncs = map[string]bool{
 	"Perm": true, "Shuffle": true, "Read": true,
 }
 
-func TestDeterminismLint(t *testing.T) {
-	var violations []string
-	fset := token.NewFileSet()
+// modulePath is this module's import path prefix (go.mod).
+const modulePath = "dyrs"
 
+// floatDurationHelper is the one function allowed a bare float→clock
+// conversion.
+const floatDurationHelper = "FloatDuration"
+
+func TestDeterminismLint(t *testing.T) {
+	fset := token.NewFileSet()
+	var paths []string
+	var files []*ast.File
+	pkgFiles := map[string][]*ast.File{} // import path → files
 	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -77,26 +95,83 @@ func TestDeterminismLint(t *testing.T) {
 		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		src, err := os.ReadFile(path)
+		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {
 			return err
 		}
-		file, err := parser.ParseFile(fset, path, src, parser.ParseComments)
-		if err != nil {
+		paths, files = append(paths, path), append(files, file)
+		// Type-check the default build, without tag-gated variants.
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); err != nil || !ok {
 			return err
 		}
-		violations = append(violations, lintFile(fset, path, file)...)
+		pkg := modulePath + "/" + filepath.ToSlash(filepath.Dir(path))
+		pkgFiles[pkg] = append(pkgFiles[pkg], file)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range violations {
-		t.Error(v)
+	info, err := typeCheck(fset, pkgFiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, path := range paths {
+		for _, v := range lintFile(fset, path, files[i], info) {
+			t.Error(v)
+		}
 	}
 }
 
-func lintFile(fset *token.FileSet, path string, file *ast.File) []string {
+// typeCheck type-checks each package in pkgFiles, the module's own
+// imports from pkgFiles and the standard library from source, and
+// returns the types of their expressions.
+func typeCheck(fset *token.FileSet, pkgFiles map[string][]*ast.File) (*types.Info, error) {
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
+	std := importer.ForCompiler(fset, "source", nil)
+	pkgs := map[string]*types.Package{}
+	var imp importerFunc
+	imp = func(path string) (*types.Package, error) {
+		if p, ok := pkgs[path]; ok {
+			return p, nil
+		}
+		if pkgFiles[path] == nil {
+			return std.Import(path)
+		}
+		p, err := (&types.Config{Importer: imp}).Check(path, fset, pkgFiles[path], info)
+		pkgs[path] = p
+		return p, err
+	}
+	for path := range pkgFiles {
+		if _, err := imp(path); err != nil {
+			return nil, err
+		}
+	}
+	return info, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// bareFloatClockConversion reports whether call converts a non-constant
+// float to time.Duration (sim.Duration is an alias of it) or sim.Time.
+// The compiler checks a constant operand.
+func bareFloatClockConversion(info *types.Info, call *ast.CallExpr) bool {
+	fun := info.Types[call.Fun]
+	if !fun.IsType() || len(call.Args) != 1 {
+		return false
+	}
+	if to := types.TypeString(fun.Type, nil); to != "time.Duration" && to != modulePath+"/internal/sim.Time" {
+		return false
+	}
+	arg := info.Types[call.Args[0]]
+	basic, ok := arg.Type.Underlying().(*types.Basic)
+	return ok && arg.Value == nil && basic.Info()&types.IsFloat != 0
+}
+
+// lintFile reports the file's violations. With info nil it skips the
+// rules that need types.
+func lintFile(fset *token.FileSet, path string, file *ast.File, info *types.Info) []string {
 	var out []string
 	report := func(pos token.Pos, format string, args ...any) {
 		p := fset.Position(pos)
@@ -165,6 +240,9 @@ func lintFile(fset *token.FileSet, path string, file *ast.File) []string {
 	}
 
 	ast.Inspect(file, func(n ast.Node) bool {
+		if fd, ok := n.(*ast.FuncDecl); ok && inSim && fd.Name.Name == floatDurationHelper {
+			return false // the one place a bare float→clock conversion belongs
+		}
 		switch n := n.(type) {
 		case *ast.GoStmt:
 			syncForbidden(n.Pos(), "go statement")
@@ -179,6 +257,9 @@ func lintFile(fset *token.FileSet, path string, file *ast.File) []string {
 				syncForbidden(n.Pos(), "channel receive")
 			}
 		case *ast.CallExpr:
+			if info != nil && bareFloatClockConversion(info, n) {
+				report(n.Pos(), "bare float conversion to a clock type wraps past the clock's range; use sim.%s", floatDurationHelper)
+			}
 			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "close" && id.Obj == nil {
 				syncForbidden(n.Pos(), "channel close")
 			}
@@ -222,8 +303,39 @@ func TestDeterminismLintForbidsMaps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := lintFile(fset, path, file); len(got) != want {
+		if got := lintFile(fset, path, file, nil); len(got) != want {
 			t.Errorf("%s: %d violations %q, want %d", path, len(got), got, want)
 		}
+	}
+}
+
+// TestDeterminismLintForbidsBareFloatConversions: a float converted to
+// time.Duration or sim.Time outside sim.FloatDuration fails the lint;
+// integer and constant operands, and the helper's own body, pass.
+func TestDeterminismLintForbidsBareFloatConversions(t *testing.T) {
+	const src = `package sim
+
+import "time"
+
+type Time int64
+
+func FloatDuration(ns float64) time.Duration { return time.Duration(ns) }
+
+var x, n = 1.5, 2
+var bad = []any{time.Duration(x), Time(x * 2)}
+var good = []any{time.Duration(n), Time(n), time.Duration(1.5e9), Time(FloatDuration(x))}
+`
+	const path = "internal/sim/x.go"
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, path, src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := typeCheck(fset, map[string][]*ast.File{modulePath + "/internal/sim": {file}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := lintFile(fset, path, file, info); len(got) != 2 || !strings.HasPrefix(got[0], path+":10:") || !strings.HasPrefix(got[1], path+":10:") {
+		t.Errorf("violations %q, want two on line 10", got)
 	}
 }

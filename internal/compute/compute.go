@@ -68,19 +68,26 @@ func (s JobSpec) DefaultOverheads() JobSpec {
 }
 
 // validate rejects a spec whose rates, reducer count or overheads would
-// reach a task's timers as non-finite or negative durations.
+// reach a task's timers as non-finite or negative durations. A CPU rate
+// is also rejected when the CPU time of the largest byte count
+// overflows float64; one that merely outlasts the clock's range
+// saturates the task's timer, and the task never finishes.
 func (s JobSpec) validate() error {
 	for _, f := range []struct {
 		name string
 		v    float64
+		cpu  bool
 	}{
-		{"MapCPUPerByte", s.MapCPUPerByte},
-		{"MapOutputRatio", s.MapOutputRatio},
-		{"ReduceCPUPerByte", s.ReduceCPUPerByte},
-		{"OutputRatio", s.OutputRatio},
+		{"MapCPUPerByte", s.MapCPUPerByte, true},
+		{"MapOutputRatio", s.MapOutputRatio, false},
+		{"ReduceCPUPerByte", s.ReduceCPUPerByte, true},
+		{"OutputRatio", s.OutputRatio, false},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
 			return fmt.Errorf("compute: job %q: %s %v is not a finite non-negative number", s.Name, f.name, f.v)
+		}
+		if f.cpu && math.IsInf(f.v*math.MaxInt64*float64(sim.Second), 1) {
+			return fmt.Errorf("compute: job %q: %s %v s/B overflows the CPU time of a large task", s.Name, f.name, f.v)
 		}
 	}
 	if s.Reducers < 0 {
@@ -503,7 +510,7 @@ func (t *task) onRead(rr dfs.ReadResult) {
 		return
 	}
 	t.read = rr
-	cpu := sim.Duration(t.job.Spec.MapCPUPerByte * float64(t.size) * float64(sim.Second))
+	cpu := sim.FloatDuration(t.job.Spec.MapCPUPerByte * float64(t.size) * float64(sim.Second))
 	t.fw.eng.Schedule(cpu, t.afterCPU)
 }
 
@@ -517,7 +524,7 @@ func (t *task) fail() {
 
 // onShuffle starts a reduce task's computation over its shuffle share.
 func (t *task) onShuffle(*sim.Flow) {
-	cpu := sim.Duration(t.job.Spec.ReduceCPUPerByte * float64(t.job.shuffleShare()) * float64(sim.Second))
+	cpu := sim.FloatDuration(t.job.Spec.ReduceCPUPerByte * float64(t.job.shuffleShare()) * float64(sim.Second))
 	t.fw.eng.Schedule(cpu, t.afterCPU)
 }
 

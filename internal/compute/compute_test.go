@@ -98,6 +98,8 @@ func TestSubmitErrors(t *testing.T) {
 		bad   func(*JobSpec)
 	}{
 		{"MapCPUPerByte", func(s *JobSpec) { s.MapCPUPerByte = math.NaN() }},
+		{"MapCPUPerByte", func(s *JobSpec) { s.MapCPUPerByte = 1e300 }},
+		{"ReduceCPUPerByte", func(s *JobSpec) { s.ReduceCPUPerByte = math.MaxFloat64 }},
 		{"ReduceCPUPerByte", func(s *JobSpec) { s.ReduceCPUPerByte = -1 }},
 		{"MapOutputRatio", func(s *JobSpec) { s.MapOutputRatio = math.NaN() }},
 		{"OutputRatio", func(s *JobSpec) { s.OutputRatio = -0.5 }},

@@ -72,12 +72,24 @@ type Options struct {
 	MigBinder string
 }
 
+// magnitudeRange bounds the rate factors and weights Validate accepts to
+// [1/magnitudeRange, magnitudeRange]: a SlowNodes scale, a positive
+// IOWeight and a positive CoreBandwidth in bytes/s. At the low end a
+// 130 MB/s disk moves about one byte in the clock's 292-year range, so
+// nothing slower can be told apart from it; past the range a resource's
+// finish-time arithmetic could leave float64 and reach a timer as ±Inf,
+// where an overlong transfer must saturate the clock.
+const magnitudeRange = 1e18
+
+func inMagnitudeRange(v float64) bool { return v >= 1/magnitudeRange && v <= magnitudeRange }
+
 // Validate reports the first option NewEnv cannot build a cluster from:
-// a negative count, a non-finite or negative core bandwidth, a SlowNodes
-// entry outside the cluster or with a scale that is not finite and
-// positive, an unknown MigBinder, or a MigrationConfig with a
-// non-positive Heartbeat or TargetUpdateInterval or a non-finite
-// IOWeight (a non-positive one means weight 1). Callers that take options from
+// a negative count, a core bandwidth that is neither 0 nor within
+// magnitudeRange, a SlowNodes entry outside the cluster or with a scale
+// outside magnitudeRange, an unknown MigBinder, or a MigrationConfig
+// with a non-positive Heartbeat or TargetUpdateInterval or an IOWeight
+// that is NaN, -Inf or positive and outside magnitudeRange (a
+// non-positive one means weight 1). Callers that take options from
 // users or fuzzers check them here, at the boundary, rather than
 // letting them panic or turn into NaN rates inside the layers.
 func (opt Options) Validate() error {
@@ -89,8 +101,8 @@ func (opt Options) Validate() error {
 			return fmt.Errorf("experiments: %s must not be negative, got %d", c.name, c.v)
 		}
 	}
-	if math.IsNaN(opt.CoreBandwidth) || math.IsInf(opt.CoreBandwidth, 0) || opt.CoreBandwidth < 0 {
-		return fmt.Errorf("experiments: CoreBandwidth must be finite and non-negative, got %v", opt.CoreBandwidth)
+	if opt.CoreBandwidth != 0 && !inMagnitudeRange(opt.CoreBandwidth) {
+		return fmt.Errorf("experiments: CoreBandwidth must be 0 or within [%g, %g], got %v", 1/magnitudeRange, magnitudeRange, opt.CoreBandwidth)
 	}
 	workers := opt.Workers
 	if workers == 0 {
@@ -106,8 +118,8 @@ func (opt Options) Validate() error {
 		if i < 0 || i >= workers {
 			return fmt.Errorf("experiments: SlowNodes index %d outside the %d-node cluster", i, workers)
 		}
-		if math.IsNaN(scale) || math.IsInf(scale, 0) || scale <= 0 {
-			return fmt.Errorf("experiments: SlowNodes[%d] scale must be finite and positive, got %v", i, scale)
+		if !inMagnitudeRange(scale) {
+			return fmt.Errorf("experiments: SlowNodes[%d] scale must be within [%g, %g], got %v", i, 1/magnitudeRange, magnitudeRange, scale)
 		}
 	}
 	if opt.MigBinder != "" {
@@ -122,8 +134,8 @@ func (opt Options) Validate() error {
 		if c.TargetUpdateInterval <= 0 {
 			return fmt.Errorf("experiments: MigrationConfig.TargetUpdateInterval must be positive, got %v", c.TargetUpdateInterval)
 		}
-		if math.IsNaN(c.IOWeight) || math.IsInf(c.IOWeight, 0) {
-			return fmt.Errorf("experiments: MigrationConfig.IOWeight must be finite, got %v", c.IOWeight)
+		if w := c.IOWeight; math.IsNaN(w) || math.IsInf(w, -1) || (w > 0 && !inMagnitudeRange(w)) {
+			return fmt.Errorf("experiments: MigrationConfig.IOWeight must be non-positive or within [%g, %g], got %v", 1/magnitudeRange, magnitudeRange, w)
 		}
 	}
 	return nil

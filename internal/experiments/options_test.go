@@ -40,6 +40,10 @@ func TestOptionsValidate(t *testing.T) {
 		{"zero scale", Options{SlowNodes: map[int]float64{0: 0}}, "SlowNodes[0]"},
 		{"NaN scale", Options{SlowNodes: map[int]float64{0: math.NaN()}}, "SlowNodes[0]"},
 		{"infinite scale", Options{SlowNodes: map[int]float64{0: math.Inf(1)}}, "SlowNodes[0]"},
+		{"overlong scale", Options{SlowNodes: map[int]float64{0: 1e-12}}, ""},
+		{"vanishing scale", Options{SlowNodes: map[int]float64{0: 1e-300}}, "SlowNodes[0]"},
+		{"huge scale", Options{SlowNodes: map[int]float64{0: 1e300}}, "SlowNodes[0]"},
+		{"vanishing core", Options{Racks: 2, CoreBandwidth: 5e-324}, "CoreBandwidth"},
 		{"unknown binder", Options{MigBinder: "bogus"}, "MigBinder"},
 		{"migration defaults", Options{MigrationConfig: &mcfg}, ""},
 		{"zero IO weight", Options{MigrationConfig: migCfg(func(c *migration.Config) { c.IOWeight = 0 })}, ""},
@@ -47,6 +51,8 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative target interval", Options{MigrationConfig: migCfg(func(c *migration.Config) { c.TargetUpdateInterval = -1 })}, "TargetUpdateInterval"},
 		{"NaN IO weight", Options{MigrationConfig: migCfg(func(c *migration.Config) { c.IOWeight = math.NaN() })}, "IOWeight"},
 		{"infinite IO weight", Options{MigrationConfig: migCfg(func(c *migration.Config) { c.IOWeight = math.Inf(1) })}, "IOWeight"},
+		{"huge IO weight", Options{MigrationConfig: migCfg(func(c *migration.Config) { c.IOWeight = 1e300 })}, "IOWeight"},
+		{"negative IO weight", Options{MigrationConfig: migCfg(func(c *migration.Config) { c.IOWeight = -2 })}, ""},
 	} {
 		err := tc.opt.Validate()
 		switch {
@@ -96,4 +102,32 @@ func FuzzOptions(f *testing.F) {
 		}
 		env.Eng.RunFor(time.Minute)
 	})
+}
+
+// TestOverlongOperationsTimeOut: a disk scale or map CPU rate that makes
+// an operation outlast the clock's range leaves the job unfinished at
+// the horizon, as a merely very slow one does; the operation's duration
+// saturates instead of wrapping into an instant one.
+func TestOverlongOperationsTimeOut(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct{ scale, cpu float64 }{{1e-9, 0}, {1e-12, 0}, {1, 1e-3}, {1, 1000}} {
+		opt := Options{Workers: 3, Seed: 1, SlowNodes: map[int]float64{0: c.scale}}
+		if err := opt.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		env := NewEnv(DYRS, opt)
+		env.CreateInput("in", sim.GB)
+		spec := env.Prepare(workload.SortSpec("in", 4, true))
+		if c.cpu > 0 {
+			spec.MapCPUPerByte = c.cpu
+		}
+		j, err := env.FW.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env.WaitJob(j, time.Hour) == nil {
+			t.Errorf("disk scale %g, map CPU %g s/B: job finished in %v; want a timeout at 1h", c.scale, c.cpu, j.Duration())
+		}
+		env.Close()
+	}
 }

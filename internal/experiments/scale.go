@@ -267,8 +267,7 @@ func RunScale(opt ScaleOptions) (ScaleRow, error) {
 	// so the queue holds millions of events at once for the large
 	// presets, which is exactly the engine regime this family exists to
 	// cover.
-	span := float64(opt.Virtual)
-	arrivalSpan := 0.75 * span
+	arrivalSpan := 0.75 * float64(opt.Virtual)
 	peakQueued := 0
 	sample := func() {
 		if p := eng.Pending(); p > peakQueued {
@@ -282,7 +281,7 @@ func RunScale(opt ScaleOptions) (ScaleRow, error) {
 	for j := 0; j < opt.Jobs; j++ {
 		job := migration.JobID(j + 1)
 		tj := tr.Jobs[j%len(tr.Jobs)]
-		submit := sim.Time(arrivalSpan * float64(j) / float64(opt.Jobs))
+		submit := sim.Time(sim.FloatDuration(arrivalSpan * float64(j) / float64(opt.Jobs)))
 
 		files := make([]string, opt.FilesPerJob)
 		for k := range files {
@@ -296,7 +295,7 @@ func RunScale(opt ScaleOptions) (ScaleRow, error) {
 		// Lead and read times follow the trace job's shape, stretched to
 		// datacenter magnitudes: migrations race reads, most win (the
 		// §II motivation), the losers exercise missed-read cancellation.
-		lead := sim.Duration(2 * tj.LeadSeconds * float64(time.Second))
+		lead := sim.FloatDuration(2 * tj.LeadSeconds * float64(time.Second))
 		readSpan := 5 * tj.ReadSeconds
 		if readSpan < 120 {
 			readSpan = 120
@@ -311,15 +310,15 @@ func RunScale(opt ScaleOptions) (ScaleRow, error) {
 		})
 		for k, id := range ids {
 			id := id
-			at := readStart.Add(sim.Duration(readSpan * float64(k) / float64(len(ids)) * float64(time.Second)))
+			at := readStart.Add(sim.FloatDuration(readSpan * float64(k) / float64(len(ids)) * float64(time.Second)))
 			eng.At(at, func() { coord.NoteRead(job, id) })
 		}
-		evictAt := readStart.Add(sim.Duration((readSpan + 60) * float64(time.Second)))
+		evictAt := readStart.Add(sim.FloatDuration((readSpan + 60) * float64(time.Second)))
 		eng.At(evictAt, func() { coord.Evict(job) })
 	}
 	sample()
 
-	eng.RunUntil(sim.Time(span))
+	eng.RunUntil(sim.Time(opt.Virtual))
 	coord.ScavengeAll()
 	coord.Shutdown()
 	eng.Run() // drain remaining completions after tickers stop

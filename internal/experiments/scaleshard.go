@@ -237,7 +237,7 @@ func (rk *shardRack) addNode(n *shardNode) {
 // its next read, unless that falls past the end of the span.
 func (n *shardNode) scheduleRead() {
 	rk := n.rk
-	at := rk.sh.Now().Add(sim.Duration(n.rng.ExpFloat64() * float64(rk.opt.ReadEvery)))
+	at := rk.sh.Now().Add(sim.FloatDuration(n.rng.ExpFloat64() * float64(rk.opt.ReadEvery)))
 	if at >= sim.Time(rk.opt.Virtual) {
 		return
 	}
@@ -392,7 +392,7 @@ func RunScaleShard(opt ScaleShardOptions) (ScaleShardRow, error) {
 	blockCost := float64(opt.BlockSize) / nodeCfg.DiskBandwidth
 	arrivalSpan := 0.75 * float64(opt.Virtual)
 	for j := 0; j < opt.Jobs; j++ {
-		submit := sim.Time(arrivalSpan * float64(j) / float64(opt.Jobs))
+		submit := sim.Time(sim.FloatDuration(arrivalSpan * float64(j) / float64(opt.Jobs)))
 		master.At(submit, func() {
 			m.requested += opt.BlocksPerJob
 			batches := make([][]*shardNode, part.Shards())

@@ -1,26 +1,16 @@
 package sim
 
-// Differential proofs for the virtual-service-time Resource.
-//
-// Two references, two claims:
-//
-//  1. TestDifferentialResourceVsReference — byte-identical. The optimized
-//     resource (finish-tag heap, O(1) accrual, coalesced flush) against
-//     the test-only refResource (reference_test.go: admission-ordered
-//     slice, linear scans) on the same seeded op scripts. The two share
-//     every float expression — only the bookkeeping structure differs —
-//     so completions, timestamps, BytesMoved and BusyTime must match
-//     exactly, including under mid-run accounting probes that stress the
-//     lazy O(1) accrual.
-//
-//  2. TestDifferentialResourceVsLegacy — semantically equivalent. The
-//     preserved pre-rewrite implementation (legacyResource below: one
-//     eagerly-cancelled completion event per flow, per-flow remaining
-//     counters decremented every advance) is the old arithmetic; exact
-//     bit-equality to it is unattainable once per-flow accrual is gone,
-//     so this test bounds the drift instead: same completion sets, same
-//     cancel behaviour, timestamps within nanoseconds, bytes within a
-//     few KB over 90 virtual seconds.
+// Differential proof for the virtual-service-time Resource against an
+// independent reference: legacyResource below, the pre-rewrite
+// implementation (one eagerly-cancelled completion event per flow,
+// per-flow remaining counters decremented every advance). Its
+// arithmetic is not the Resource's — no virtual-service accumulator, no
+// finish tags — so a shared float mistake cannot hide in both. Exact
+// bit-equality is unattainable once per-flow accrual is gone, so
+// TestDifferentialResourceVsLegacy and FuzzResourceModel bound the
+// drift instead: same completion sets, same cancel behaviour,
+// timestamps within nanoseconds, bytes within a few KB, including under
+// mid-run accounting probes that stress the lazy O(1) accrual.
 //
 // Weights and scales are powers of two so that incremental and re-summed
 // weight totals are bit-identical (dyadic rationals add and subtract
@@ -28,8 +18,11 @@ package sim
 // difference, not float noise.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 )
@@ -160,7 +153,7 @@ func (r *legacyResource) rebalance() {
 		}
 		secs := f.remaining / f.rate
 		ff := f
-		f.ev = r.eng.Schedule(Duration(secs*float64(Second)), func() { r.complete(ff) })
+		f.ev = r.eng.Schedule(FloatDuration(secs*float64(Second)), func() { r.complete(ff) })
 	}
 }
 
@@ -181,9 +174,10 @@ func (r *legacyResource) complete(f *legacyFlow) {
 
 // --- common harness ---
 
-// underTest adapts either implementation to the op script.
+// underTest adapts either implementation to the op script. A finite
+// flow's done callback receives the rate the flow ended at.
 type underTest interface {
-	start(size Bytes, weight float64, done func()) (cancel func())
+	start(size Bytes, weight float64, done func(rate float64)) (cancel func())
 	startLoad(weight float64) (cancel func())
 	setScale(s float64)
 	bytesMoved() Bytes
@@ -193,8 +187,8 @@ type underTest interface {
 
 type resourceUT struct{ r *Resource }
 
-func (u resourceUT) start(size Bytes, weight float64, done func()) func() {
-	f := u.r.StartWeighted(size, weight, func(*Flow) { done() })
+func (u resourceUT) start(size Bytes, weight float64, done func(float64)) func() {
+	f := u.r.StartWeighted(size, weight, func(f *Flow) { done(f.Rate()) })
 	return f.Cancel
 }
 func (u resourceUT) startLoad(weight float64) func() { return u.r.StartLoad(weight).Cancel }
@@ -205,8 +199,10 @@ func (u resourceUT) activeFlows() int                { return u.r.ActiveFlows() 
 
 type legacyUT struct{ r *legacyResource }
 
-func (u legacyUT) start(size Bytes, weight float64, done func()) func() {
-	return u.r.start(size, weight, done).cancel
+func (u legacyUT) start(size Bytes, weight float64, done func(float64)) func() {
+	var f *legacyFlow
+	f = u.r.start(size, weight, func() { done(f.rate) })
+	return f.cancel
 }
 func (u legacyUT) startLoad(weight float64) func() { return u.r.startLoad(weight).cancel }
 func (u legacyUT) setScale(s float64)              { u.r.setScale(s) }
@@ -220,29 +216,14 @@ func (u legacyUT) busyTime() Duration {
 }
 func (u legacyUT) activeFlows() int { return len(u.r.flows) }
 
-type refUT struct{ r *refResource }
-
-func (u refUT) start(size Bytes, weight float64, done func()) func() {
-	return u.r.start(size, weight, done).cancel
-}
-func (u refUT) startLoad(weight float64) func() { return u.r.startLoad(weight).cancel }
-func (u refUT) setScale(s float64)              { u.r.setScale(s) }
-func (u refUT) bytesMoved() Bytes {
-	b, _ := u.r.accrued()
-	return b
-}
-func (u refUT) busyTime() Duration {
-	_, d := u.r.accrued()
-	return d
-}
-func (u refUT) activeFlows() int { return len(u.r.flows) }
-
 const (
 	opStart = iota
 	opStartLoad
 	opCancel
+	opRecancel
 	opSetScale
 	opChain
+	opProbe
 )
 
 type scriptOp struct {
@@ -250,14 +231,15 @@ type scriptOp struct {
 	kind   int
 	size   Bytes
 	weight float64 // flow weight, or scale for opSetScale
-	pick   int     // which active flow a cancel targets
+	pick   int     // which flow a cancel or re-cancel targets
 	chain  int     // opChain: flows started one by one from done callbacks
 }
 
-// genScript builds a random op mix. Weights and scales are powers of two
-// (see file comment); sizes are whole megabytes. An opChain admits a
-// finite flow whose done callback admits the next one, up to chain
-// follow-ups, the way a serialized slave chains its migrations.
+// genScript builds a random op mix in time order. Weights and scales
+// are powers of two (see file comment); sizes are whole megabytes. An
+// opChain admits a finite flow whose done callback admits the next one,
+// up to chain follow-ups, the way a serialized slave chains its
+// migrations.
 func genScript(rng *rand.Rand, n int, horizon Duration) []scriptOp {
 	weights := []float64{0.25, 0.5, 1, 1, 2, 4}
 	scales := []float64{0.25, 0.5, 1, 2}
@@ -286,150 +268,8 @@ func genScript(rng *rand.Rand, n int, horizon Duration) []scriptOp {
 		}
 		ops[i] = o
 	}
+	sort.SliceStable(ops, func(i, j int) bool { return ops[i].at < ops[j].at })
 	return ops
-}
-
-type completionRec struct {
-	id int
-	at Time
-}
-
-type scriptResult struct {
-	completions []completionRec
-	bytesMoved  Bytes
-	busy        Duration
-	stillActive int
-}
-
-// scheduleProbes sprinkles accounting reads over the horizon. Probes are
-// where the lazy-accrual design earns its keep (each one advances the
-// aggregate accumulators mid-interval), so the byte-identity test wants
-// them between the ops.
-func scheduleProbes(eng *Engine, r underTest, horizon Duration) {
-	for at := Duration(13 * time.Millisecond); at < horizon; at += 7 * time.Second {
-		eng.At(Time(at), func() {
-			r.bytesMoved()
-			r.busyTime()
-		})
-	}
-}
-
-// runScript replays the ops against one implementation. Flows are named
-// by admission order, so both implementations agree on ids as long as
-// they agree on completion behaviour — which is exactly what the caller
-// asserts.
-func runScript(eng *Engine, r underTest, ops []scriptOp) scriptResult {
-	var res scriptResult
-	var active []int
-	cancels := map[int]func(){}
-	nextID := 0
-	var admit func(o scriptOp)
-	admit = func(o scriptOp) {
-		id := nextID
-		nextID++
-		var cancel func()
-		if o.kind == opStartLoad {
-			cancel = r.startLoad(o.weight)
-		} else {
-			cancel = r.start(o.size, o.weight, func() {
-				res.completions = append(res.completions, completionRec{id, eng.Now()})
-				for i, a := range active {
-					if a == id {
-						active = append(active[:i], active[i+1:]...)
-						break
-					}
-				}
-				if o.chain > 0 {
-					o.chain--
-					admit(o)
-				}
-			})
-		}
-		cancels[id] = cancel
-		active = append(active, id)
-	}
-	for _, o := range ops {
-		o := o
-		eng.At(o.at, func() {
-			switch o.kind {
-			case opStart, opStartLoad, opChain:
-				admit(o)
-			case opCancel:
-				if len(active) == 0 {
-					return
-				}
-				idx := o.pick % len(active)
-				id := active[idx]
-				active = append(active[:idx], active[idx+1:]...)
-				cancels[id]()
-			case opSetScale:
-				r.setScale(o.weight)
-			}
-		})
-	}
-	eng.Run() // drains once every finite flow has completed or been cancelled
-	res.bytesMoved = r.bytesMoved()
-	res.busy = r.busyTime()
-	res.stillActive = r.activeFlows()
-	return res
-}
-
-const (
-	diffSeeds   = 60
-	diffOps     = 80
-	diffHorizon = 90 * time.Second
-)
-
-// TestDifferentialResourceVsReference is the byte-identity proof: the
-// finish-tag heap, flow pooling, O(1) lazy accrual and same-instant
-// flush coalescing must not change a single bit of observable behaviour
-// relative to the reference's linear bookkeeping, because the two share
-// every arithmetic expression.
-func TestDifferentialResourceVsReference(t *testing.T) {
-	totalCompletions := 0
-	for seed := int64(0); seed < diffSeeds; seed++ {
-		ops := genScript(rand.New(rand.NewSource(seed)), diffOps, diffHorizon)
-
-		run := func(ut func(*Engine) underTest) scriptResult {
-			eng := NewEngine(seed)
-			u := ut(eng)
-			scheduleProbes(eng, u, diffHorizon)
-			return runScript(eng, u, ops)
-		}
-		opt := run(func(eng *Engine) underTest {
-			return resourceUT{NewResource(eng, "r", 128*float64(MB), SeekEfficiency(0.25))}
-		})
-		ref := run(func(eng *Engine) underTest {
-			return refUT{newRefResource(eng, 128*float64(MB), SeekEfficiency(0.25))}
-		})
-
-		if len(opt.completions) != len(ref.completions) {
-			t.Fatalf("seed %d: %d completions vs reference %d", seed, len(opt.completions), len(ref.completions))
-		}
-		for i := range opt.completions {
-			o, n := opt.completions[i], ref.completions[i]
-			if o.id != n.id {
-				t.Fatalf("seed %d: completion %d order diverged: flow %d vs reference flow %d", seed, i, o.id, n.id)
-			}
-			if o.at != n.at {
-				t.Fatalf("seed %d: flow %d completed at %v vs reference %v (Δ %v)", seed, o.id, o.at, n.at, o.at.Sub(n.at))
-			}
-		}
-		if opt.bytesMoved != ref.bytesMoved {
-			t.Fatalf("seed %d: BytesMoved %d vs reference %d", seed, opt.bytesMoved, ref.bytesMoved)
-		}
-		if opt.busy != ref.busy {
-			t.Fatalf("seed %d: BusyTime %v vs reference %v", seed, opt.busy, ref.busy)
-		}
-		if opt.stillActive != ref.stillActive {
-			t.Fatalf("seed %d: %d active flows at drain vs reference %d", seed, opt.stillActive, ref.stillActive)
-		}
-		totalCompletions += len(opt.completions)
-	}
-	if totalCompletions == 0 {
-		t.Fatal("scripts produced no completions; test exercised nothing")
-	}
-	t.Logf("compared %d completions across %d seeds", totalCompletions, diffSeeds)
 }
 
 // Drift bounds for the legacy comparison. The old per-flow accrual and
@@ -438,11 +278,222 @@ func TestDifferentialResourceVsReference(t *testing.T) {
 // the service seen by the surviving flows by rate·1ns (~0.1 byte), so
 // over a 90s script the divergence stays in single-digit nanoseconds and
 // bytes. The bounds below leave an order of magnitude of headroom while
-// still catching any real semantic change.
+// still catching any real semantic change, and runLockstep widens them
+// with the run.
 const (
 	legacyTimeTol  = Duration(250)    // per-completion timestamp drift
 	legacyBusyTol  = Duration(2000)   // cumulative busy-time drift
 	legacyBytesTol = Bytes(64 * 1024) // cumulative BytesMoved drift
+)
+
+// diffCapacity is the nominal capacity both sides run at.
+const diffCapacity = 128 * float64(MB)
+
+// runLockstep replays ops, in time order, on a Resource and a
+// legacyResource side by side, then drains both for an hour. It fails t
+// unless:
+//
+//   - the same flows complete, each within a time bound of the other
+//     side, and flows admitted and ending together end in admission
+//     order. A flow one side completes and the other cancels agrees only
+//     when the completion lies within that bound of the cancel;
+//   - BytesMoved and BusyTime agree within bounds after every op (each
+//     read is also a mid-flight accounting probe) and after the drain;
+//   - the same number of flows is still active at the end.
+//
+// The bounds grow with the run from one fact: a completion the two sides
+// time Δ apart moves a busy period's edge by Δ, and shifts up to
+// maxRate·Δ bytes of service between the flows still running. So each
+// completion widens legacyBusyTol by legacyTimeTol for each of the two
+// period edges it can shift (its own end, and the start of a follow-up
+// it admits), and legacyBytesTol by maxRate times those two spans. A
+// later flow makes up the service the earlier completions' measured Δs
+// shifted at its own end rate, so its time bound is legacyTimeTol plus
+// that shift over that rate: a flow starved by persistent loads turns a
+// fraction of a byte into microseconds.
+//
+// The program picks cancel targets from the flows the Resource still
+// runs. It returns the number of flows that completed on the Resource.
+func runLockstep(t *testing.T, ops []scriptOp) int {
+	const never = Time(-1)
+	maxRate := diffCapacity * 2 // the largest scale the ops set
+	engs := [2]*Engine{NewEngine(1), NewEngine(1)}
+	sides := [2]underTest{
+		resourceUT{NewResource(engs[0], "r", diffCapacity, SeekEfficiency(0.25))},
+		legacyUT{newLegacyResource(engs[1], diffCapacity, SeekEfficiency(0.25))},
+	}
+
+	// One record per flow id, shared by both sides.
+	type flowRec struct {
+		size     Bytes // 0 for a persistent load
+		weight   float64
+		chain    int  // follow-ups still to admit from done callbacks
+		child    int  // id of the follow-up, -1 until a side admits it
+		startAt  Time // admission on the Resource side
+		cancelAt Time
+		cancel   [2]func()
+		endAt    [2]Time    // completion instant per side
+		endRate  [2]float64 // rate at completion per side
+		endSeq   [2]int     // completion order per side
+	}
+	var recs []*flowRec
+	var live []int
+	var ends [2]int // completions per side
+	dropLive := func(id int) {
+		if i := slices.Index(live, id); i >= 0 {
+			live = slices.Delete(live, i, i+1)
+		}
+	}
+	newRec := func(o scriptOp) int {
+		recs = append(recs, &flowRec{size: o.size, weight: o.weight, chain: o.chain, child: -1,
+			cancelAt: never, endAt: [2]Time{never, never}})
+		return len(recs) - 1
+	}
+	var admit func(id, s int)
+	admit = func(id, s int) {
+		r := recs[id]
+		if s == 0 {
+			live, r.startAt = append(live, id), engs[0].Now()
+		}
+		if r.size == 0 {
+			r.cancel[s] = sides[s].startLoad(r.weight)
+			return
+		}
+		r.cancel[s] = sides[s].start(r.size, r.weight, func(rate float64) {
+			r.endAt[s], r.endRate[s], r.endSeq[s] = engs[s].Now(), rate, ends[s]
+			ends[s]++
+			if s == 0 {
+				dropLive(id)
+			}
+			if r.chain == 0 {
+				return
+			}
+			if r.child < 0 {
+				r.child = newRec(scriptOp{size: r.size, weight: r.weight, chain: r.chain - 1})
+			}
+			if recs[r.child].cancelAt == never {
+				admit(r.child, s)
+			}
+		})
+	}
+	// endCancelled cancels a flow on every side that has not completed
+	// it; a completed Resource flow's pooled handle may be reused.
+	endCancelled := func(r *flowRec) {
+		for s := range sides {
+			if r.cancel[s] != nil && r.endAt[s] == never {
+				r.cancel[s]()
+			}
+		}
+	}
+	// cancelFlow ends a flow and any follow-up an early side admitted.
+	var cancelFlow func(id int, at Time)
+	cancelFlow = func(id int, at Time) {
+		r := recs[id]
+		r.cancelAt = at
+		endCancelled(r)
+		if r.child >= 0 && recs[r.child].cancelAt == never {
+			cancelFlow(r.child, at)
+		}
+	}
+	check := func(op int) { // op len(ops) is the drain
+		t.Helper()
+		busyTol := legacyBusyTol + Duration(2*ends[0])*legacyTimeTol
+		bytesTol := legacyBytesTol + Bytes(float64(2*ends[0])*maxRate*legacyTimeTol.Seconds())
+		if b, l := sides[0].bytesMoved(), sides[1].bytesMoved(); b-l < -bytesTol || b-l > bytesTol {
+			t.Fatalf("op %d: BytesMoved %d vs legacy %d (Δ %d, bound %d)", op, b, l, b-l, bytesTol)
+		}
+		if b, l := sides[0].busyTime(), sides[1].busyTime(); b-l < -busyTol || b-l > busyTol {
+			t.Fatalf("op %d: BusyTime %v vs legacy %v (Δ %v, bound %v)", op, b, l, b-l, busyTol)
+		}
+	}
+
+	for i, o := range ops {
+		for _, e := range engs {
+			e.RunUntil(o.at)
+		}
+		switch o.kind {
+		case opStart, opStartLoad, opChain:
+			id := newRec(o)
+			admit(id, 0)
+			admit(id, 1)
+		case opCancel:
+			if len(live) > 0 {
+				id := live[o.pick%len(live)]
+				dropLive(id)
+				cancelFlow(id, o.at)
+			}
+		case opRecancel:
+			if len(recs) > 0 && recs[o.pick%len(recs)].cancelAt != never {
+				endCancelled(recs[o.pick%len(recs)])
+			}
+		case opSetScale:
+			for _, u := range sides {
+				u.setScale(o.weight)
+			}
+		}
+		check(i)
+	}
+	for _, e := range engs {
+		e.RunFor(time.Hour)
+	}
+	check(len(ops))
+	if g, w := sides[0].activeFlows(), sides[1].activeFlows(); g != w {
+		t.Fatalf("%d active flows at drain vs legacy %d", g, w)
+	}
+
+	// Walk the completions in time order, accumulating the service each
+	// one shifted onto the flows after it.
+	var ended []int
+	for id, r := range recs {
+		if r.endAt[0] != never || r.endAt[1] != never {
+			ended = append(ended, id)
+		}
+	}
+	last := func(id int) Time { return max(recs[id].endAt[0], recs[id].endAt[1]) }
+	sort.SliceStable(ended, func(i, j int) bool { return last(ended[i]) < last(ended[j]) })
+	shifted := 0.0 // bytes of service moved between survivors so far
+	for _, id := range ended {
+		r := recs[id]
+		o, l := r.endAt[0], r.endAt[1]
+		d, rate := o.Sub(l), min(r.endRate[0], r.endRate[1])
+		switch {
+		case o != never && l != never:
+		case r.cancelAt == never:
+			t.Fatalf("flow %d completed on one side only (Resource %v, legacy %v)", id, o, l)
+		default: // completed on one side, cancelled on the other
+			d, rate = r.cancelAt.Sub(max(o, l)), max(r.endRate[0], r.endRate[1])
+		}
+		if tol := legacyTimeTol + FloatDuration(shifted/rate*float64(Second)); d < -tol || d > tol {
+			t.Fatalf("flow %d ended at %v vs legacy %v, cancelled at %v (Δ %v, bound %v)", id, o, l, r.cancelAt, d, tol)
+		}
+		shifted += maxRate * d.Abs().Seconds()
+	}
+
+	// Flows admitted together that end together on each side tie on
+	// their finish tags (the sizes and dyadic weights here keep unequal
+	// tags apart by far more than a nanosecond of service), and ties
+	// break by admission, as legacy same-instant completion events fire
+	// in scheduling order.
+	sort.SliceStable(ended, func(i, j int) bool { return recs[ended[i]].endSeq[0] < recs[ended[j]].endSeq[0] })
+	lastSeq := map[[3]Time]int{} // legacy order of the latest flow per (admission, end, end)
+	for _, id := range ended {
+		r := recs[id]
+		if r.endAt[0] == never || r.endAt[1] == never {
+			continue
+		}
+		k := [3]Time{r.startAt, r.endAt[0], r.endAt[1]}
+		if prev, ok := lastSeq[k]; ok && prev > r.endSeq[1] {
+			t.Fatalf("flow %d ends at %v and legacy %v out of admission order", id, r.endAt[0], r.endAt[1])
+		}
+		lastSeq[k] = r.endSeq[1]
+	}
+	return ends[0]
+}
+
+const (
+	diffSeeds   = 60
+	diffOps     = 80
+	diffHorizon = 90 * time.Second
 )
 
 // TestDifferentialResourceVsLegacy pins the rewrite to the preserved
@@ -454,40 +505,9 @@ const (
 func TestDifferentialResourceVsLegacy(t *testing.T) {
 	totalCompletions := 0
 	for seed := int64(0); seed < diffSeeds; seed++ {
-		ops := genScript(rand.New(rand.NewSource(seed)), diffOps, diffHorizon)
-
-		engNew := NewEngine(seed)
-		cur := runScript(engNew, resourceUT{NewResource(engNew, "r", 128*float64(MB), SeekEfficiency(0.25))}, ops)
-
-		engLegacy := NewEngine(seed)
-		legacy := runScript(engLegacy, legacyUT{newLegacyResource(engLegacy, 128*float64(MB), SeekEfficiency(0.25))}, ops)
-
-		if len(cur.completions) != len(legacy.completions) {
-			t.Fatalf("seed %d: %d completions vs legacy %d", seed, len(cur.completions), len(legacy.completions))
-		}
-		legacyAt := make(map[int]Time, len(legacy.completions))
-		for _, c := range legacy.completions {
-			legacyAt[c.id] = c.at
-		}
-		for _, c := range cur.completions {
-			lat, ok := legacyAt[c.id]
-			if !ok {
-				t.Fatalf("seed %d: flow %d completed but legacy cancelled or kept it", seed, c.id)
-			}
-			if d := c.at.Sub(lat); d < -legacyTimeTol || d > legacyTimeTol {
-				t.Fatalf("seed %d: flow %d completed at %v vs legacy %v (Δ %v)", seed, c.id, c.at, lat, d)
-			}
-		}
-		if d := cur.bytesMoved - legacy.bytesMoved; d < -legacyBytesTol || d > legacyBytesTol {
-			t.Fatalf("seed %d: BytesMoved %d vs legacy %d (Δ %d)", seed, cur.bytesMoved, legacy.bytesMoved, d)
-		}
-		if d := cur.busy - legacy.busy; d < -legacyBusyTol || d > legacyBusyTol {
-			t.Fatalf("seed %d: BusyTime %v vs legacy %v (Δ %v)", seed, cur.busy, legacy.busy, d)
-		}
-		if cur.stillActive != legacy.stillActive {
-			t.Fatalf("seed %d: %d active flows at drain vs legacy %d", seed, cur.stillActive, legacy.stillActive)
-		}
-		totalCompletions += len(cur.completions)
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			totalCompletions += runLockstep(t, genScript(rand.New(rand.NewSource(seed)), diffOps, diffHorizon))
+		})
 	}
 	if totalCompletions == 0 {
 		t.Fatal("scripts produced no completions; test exercised nothing")

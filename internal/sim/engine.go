@@ -9,6 +9,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -21,8 +22,50 @@ type Time int64
 // use ordinary time.Duration values.
 type Duration = time.Duration
 
-// Add returns the instant d after t.
-func (t Time) Add(d Duration) Time { return t + Time(d) }
+// Add returns the instant d after t. It saturates at the ends of the
+// clock's range instead of wrapping, so a delay too long ever to elapse
+// (FloatDuration's saturated result) still lands in the future.
+func (t Time) Add(d Duration) Time {
+	s := t + Time(d)
+	if (s > t) != (d > 0) { // wrapped
+		if d > 0 {
+			return math.MaxInt64
+		}
+		return math.MinInt64
+	}
+	return s
+}
+
+// durationRange is 2^63, the first float64 nanosecond count past the
+// largest Duration.
+const durationRange = float64(1 << 63)
+
+// FloatDuration converts a float count of nanoseconds to a Duration. It
+// is the model's one float→Duration conversion: each caller passes its
+// float expression in nanoseconds, so an in-range value converts
+// exactly as the bare Duration(ns) cast did. A finite value past the
+// clock's range saturates instead of wrapping to the far negative end:
+// an operation that long never completes within any horizon a run
+// uses, and Time.Add keeps scheduling it from overflowing. NaN and ±Inf
+// are model bugs and panic.
+func FloatDuration(ns float64) Duration {
+	if ns < durationRange && ns >= -durationRange {
+		return Duration(ns)
+	}
+	return outOfRange(ns)
+}
+
+// outOfRange is FloatDuration's slow path, kept apart so the fast path
+// inlines.
+func outOfRange(ns float64) Duration {
+	if math.IsNaN(ns) || math.IsInf(ns, 0) {
+		panic(fmt.Sprintf("sim: non-finite duration of %v ns", ns))
+	}
+	if ns > 0 {
+		return math.MaxInt64
+	}
+	return math.MinInt64
+}
 
 // Sub returns the duration between t and earlier instant u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }

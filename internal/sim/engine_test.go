@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -203,5 +204,49 @@ func TestTimeHelpers(t *testing.T) {
 	}
 	if tm.String() != "1m30s" {
 		t.Errorf("String = %q", tm.String())
+	}
+}
+
+// TestFloatDuration: in range the conversion is the bare cast; past the
+// clock's range it saturates, and so does Time.Add, so the saturated
+// delay stays in the future, for a sharded run too; NaN and ±Inf panic.
+func TestFloatDuration(t *testing.T) {
+	for _, c := range []struct {
+		ns   float64
+		want Duration
+	}{
+		{1.9, 1}, {-1.9, -1}, {1.5e9, 1.5e9}, {-(1 << 63), math.MinInt64},
+		{1 << 63, math.MaxInt64}, {1e300, math.MaxInt64}, {-1e19, math.MinInt64},
+	} {
+		if got := FloatDuration(c.ns); got != c.want {
+			t.Errorf("FloatDuration(%v) = %d, want %d", c.ns, got, c.want)
+		}
+	}
+	for _, ns := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("FloatDuration(%v) did not panic", ns)
+				}
+			}()
+			FloatDuration(ns)
+		}()
+	}
+	if Time(5).Add(math.MaxInt64) != math.MaxInt64 || Time(-5).Add(math.MinInt64) != math.MinInt64 {
+		t.Error("Time.Add wraps instead of saturating")
+	}
+
+	// Both shards' heads sit at the clock's end: the window cap saturates
+	// with them, so Run still drains.
+	se := NewShardedEngine(1, 2, time.Millisecond)
+	fired := 0
+	for i := 0; i < 2; i++ {
+		se.Shard(i).Schedule(FloatDuration(1e30), func() { fired++ })
+	}
+	if se.RunFor(1e18); fired != 0 {
+		t.Errorf("%d overlong delays fired within 1e18ns", fired)
+	}
+	if se.Run(); fired != 2 {
+		t.Errorf("sharded run fired %d of 2 events at the clock's end", fired)
 	}
 }

@@ -422,7 +422,7 @@ func (r *Resource) flush() {
 	}
 	r.reprice()
 	if f := r.heap[0]; !math.IsInf(f.tag, 1) {
-		r.timer = r.eng.Schedule(Duration((f.tag-r.vsrv)/r.vRate*float64(Second)), r.timerFn)
+		r.timer = r.eng.Schedule(FloatDuration((f.tag-r.vsrv)/r.vRate*float64(Second)), r.timerFn)
 	}
 }
 
@@ -470,7 +470,7 @@ func (r *Resource) completeRipe() {
 			break
 		}
 		secs := (f.tag - r.vsrv) / r.vRate
-		if Duration(secs*float64(Second)) > 0 {
+		if FloatDuration(secs*float64(Second)) > 0 {
 			break
 		}
 		f.endRate = r.totalRate * f.weight / r.totalW

@@ -130,6 +130,24 @@ func TestDegenerateParamRejection(t *testing.T) {
 	}
 }
 
+// TestOverlongFlowStaysActive: a flow whose finish lies past the
+// clock's range never completes; its duration must not wrap into an
+// instant completion. 10GB at 1B/s needs 1.1e19ns, past the 9.2e18ns
+// clock.
+func TestOverlongFlowStaysActive(t *testing.T) {
+	e := NewEngine(1)
+	r := NewResource(e, "d", 1, nil)
+	done := false
+	f := r.Start(10*GB, func(*Flow) { done = true })
+	e.RunFor(1e18)
+	if done || !f.Active() || r.ActiveFlows() != 1 {
+		t.Fatalf("10GB at 1B/s completed=%v active=%v by %v", done, f.Active(), e.Now())
+	}
+	if got := r.BytesMoved(); got != Bytes(e.Now().Seconds()) {
+		t.Errorf("BytesMoved %d after %v at 1B/s", got, e.Now())
+	}
+}
+
 // TestSameInstantBurstCoalesces: a burst of admissions at one virtual
 // instant triggers exactly one rebalance flush, not one per admission.
 func TestSameInstantBurstCoalesces(t *testing.T) {

@@ -458,7 +458,7 @@ func (se *ShardedEngine) run(bounded bool, target Time) {
 			continue
 		}
 
-		cap := minAt.Add(se.lookahead) - 1
+		cap := minAt.Add(se.lookahead - 1) // saturates, so a head at the clock's end still runs
 		if bounded && cap > target {
 			cap = target
 		}

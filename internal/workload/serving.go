@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sort"
 	"time"
+
+	"dyrs/internal/sim"
 )
 
 // This file defines the multi-tenant serving workload (ROADMAP item 2):
@@ -243,7 +245,7 @@ func GenerateServing(spec ServingSpec, seed int64) *ServingStream {
 	}
 	for t := time.Duration(0); ; {
 		gap := rng.ExpFloat64() / lambdaMax
-		t += time.Duration(gap * float64(time.Second))
+		t += sim.FloatDuration(gap * float64(time.Second))
 		if t >= spec.Horizon {
 			break
 		}

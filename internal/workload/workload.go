@@ -216,7 +216,7 @@ func GenerateSWIM(rng *rand.Rand, cfg SWIMConfig) []SWIMJob {
 			OutputRatio:  0.2 + 0.8*rng.Float64(),
 			Arrival:      arrival,
 		}
-		gap := time.Duration(rng.ExpFloat64() * float64(cfg.MeanInterarrival))
+		gap := sim.FloatDuration(rng.ExpFloat64() * float64(cfg.MeanInterarrival))
 		arrival += gap
 	}
 	return jobs
