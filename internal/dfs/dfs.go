@@ -214,6 +214,8 @@ type FS struct {
 	memCount int
 
 	readHooks []readHook
+	// memHooks run after a registration grows a node's buffered bytes.
+	memHooks []func(cluster.NodeID)
 
 	// hReadLat is the streaming read-latency histogram handle (nil and
 	// no-op when untraced); it aggregates every completed read exactly,
@@ -530,6 +532,9 @@ func (fs *FS) RegisterMem(id BlockID, node cluster.NodeID) {
 	dn.resident = append(dn.resident, id)
 	dn.memUsed += fs.table.blockSize(id)
 	fs.memCount++
+	for _, h := range fs.memHooks {
+		h(node)
+	}
 }
 
 // DropMem removes the in-memory replica of a block from a node.
@@ -778,6 +783,12 @@ func (fs *FS) OnRead(fn func(id BlockID, at cluster.NodeID)) error {
 	}
 	fs.readHooks = append(fs.readHooks, fn)
 	return nil
+}
+
+// OnMemRegistered registers fn to be called with the node whenever
+// RegisterMem has grown that node's buffered bytes.
+func (fs *FS) OnMemRegistered(fn func(node cluster.NodeID)) {
+	fs.memHooks = append(fs.memHooks, fn)
 }
 
 // MigrateToMemory performs the slave-side migration mechanics: read the

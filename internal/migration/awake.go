@@ -1,0 +1,255 @@
+package migration
+
+import (
+	"fmt"
+	"math/bits"
+
+	"dyrs/internal/cluster"
+	"dyrs/internal/sim"
+)
+
+// Work-driven heartbeats. A slave with nothing to do changes no state
+// when it ticks or pulls: its estimate is unchanged, its report repeats
+// the stored one, its queue is empty and its memory below the scavenge
+// threshold. The coordinator keeps one awake bit per slave and the
+// heartbeat round and Migrate's RPC visit only the slaves whose bit is
+// set, in node order. A slave's bit is cleared at the end of its own
+// tick when it is idle, and set again by whatever can give it work:
+// an enqueue, a binder target, a slave restart, buffered memory crossing
+// the scavenge threshold, and a change of cluster membership (which
+// makes one round visit every slave). The engine still counts every
+// slave's tick as an event, so event counts and digests do not move.
+//
+// A sleeping slave's estimate series would have recorded its unchanged
+// estimate each round; it backfills those samples when it wakes, when
+// the series is read and at Shutdown.
+
+// pullWaker is implemented by binders that can tell whether a pull may
+// bind work to a slave it has not woken. A binder
+// without it, one that cannot tell, has every slave visited.
+type pullWaker interface {
+	// pullsAny reports whether a pull on any slave may bind work, so
+	// every slave must be visited. A binder that wakes the slaves it
+	// targets reports false.
+	pullsAny() bool
+}
+
+// visitAll reports whether the heartbeat round and the RPC must visit
+// every slave, not only the awake ones.
+func (c *Coordinator) visitAll() bool {
+	return c.waker == nil || c.waker.pullsAny()
+}
+
+// awakeAt reports whether slave i's bit is set.
+func (c *Coordinator) awakeAt(i int) bool {
+	return c.awake[i>>6]&(1<<(uint(i)&63)) != 0
+}
+
+// next returns the first slave at or after i to visit: i itself when
+// all are visited, else the first awake one. It returns len(c.slaves)
+// when none is left.
+func (c *Coordinator) next(i int, all bool) int {
+	if all || i >= len(c.slaves) {
+		return i
+	}
+	w := i >> 6
+	word := c.awake[w] &^ (1<<(uint(i)&63) - 1)
+	for word == 0 {
+		if w++; w == len(c.awake) {
+			return len(c.slaves)
+		}
+		word = c.awake[w]
+	}
+	return w<<6 | bits.TrailingZeros64(word)
+}
+
+// wake sets slave n's bit. A slave that was asleep first backfills its
+// estimate series up to now, so wake must run before anything changes
+// the slave's estimate.
+func (c *Coordinator) wake(n cluster.NodeID) {
+	i := int(n)
+	if c.awakeAt(i) {
+		return
+	}
+	c.awake[i>>6] |= 1 << (uint(i) & 63)
+	c.slaves[i].catchUp()
+}
+
+// sleep clears slave n's bit; only its own idle tick calls it.
+func (c *Coordinator) sleep(n cluster.NodeID) {
+	i := int(n)
+	c.awake[i>>6] &^= 1 << (uint(i) & 63)
+}
+
+// onMemRegistered wakes the slave whose buffered memory a registration
+// (a migration, the cache, a pinned input) took past the scavenge
+// threshold, since its next tick would scavenge.
+func (c *Coordinator) onMemRegistered(n cluster.NodeID) {
+	if c.slaves[int(n)].overThreshold() {
+		c.wake(n)
+	}
+}
+
+// passed reports the last heartbeat round that has visited or skipped
+// slave i: the running round once its walk is past i, else the one
+// before.
+func (c *Coordinator) passed(i int) int {
+	if i < c.cursor {
+		return c.round
+	}
+	return c.round - 1
+}
+
+// roundAt reports when heartbeat round r fired.
+func (c *Coordinator) roundAt(r int) sim.Time {
+	return c.start.Add(sim.Duration(r) * c.cfg.Heartbeat)
+}
+
+// heartbeatRound is one heartbeat: it ticks the awake slaves, or every
+// slave when the binder cannot tell or membership changed, in node
+// order.
+func (c *Coordinator) heartbeatRound(t *sim.Ticker) {
+	c.round++
+	all := c.visitAll()
+	if e := c.cl.MembershipEpoch(); e != c.members {
+		c.members, all = e, true
+	}
+	// The skip oracle visits every slave and checks the ones the awake
+	// set skips.
+	check, walk := wakeCheck && !all, all || wakeCheck
+	n := len(c.slaves)
+	for i := c.next(0, walk); i < n; i = c.next(i+1, walk) {
+		if !t.Visit(i) {
+			break
+		}
+		c.cursor = i
+		if check && !c.awakeAt(i) {
+			c.checkedTick(i)
+			continue
+		}
+		c.slaves[i].tick()
+	}
+	c.cursor = n
+}
+
+// rpcPull is the RPC Migrate sends: the awake slaves pull and start
+// work, so migration can begin within a round-trip instead of a
+// heartbeat.
+func (c *Coordinator) rpcPull() {
+	all := c.visitAll()
+	check, walk := wakeCheck && !all, all || wakeCheck
+	n := len(c.slaves)
+	for i := c.next(0, walk); i < n; i = c.next(i+1, walk) {
+		if check && !c.awakeAt(i) {
+			c.checkedPull(i)
+			continue
+		}
+		s := c.slaves[i]
+		s.pull()
+		s.kick()
+	}
+}
+
+// catchUp backfills the estimate series of a sleeping slave with one
+// sample per round it slept through. Its estimate has not changed since
+// its last tick, so each sample is the one that tick would have
+// recorded. For an awake slave it records nothing: its series already
+// accounts for every round that has passed it.
+func (s *Slave) catchUp() {
+	if s.estSeries == nil || s.stopped {
+		return
+	}
+	upto := s.c.passed(int(s.node.ID))
+	if s.synced >= upto {
+		return
+	}
+	v := s.estimator.blockSeconds(s.c.fs.Config().BlockSize)
+	for r := s.synced + 1; r <= upto; r++ {
+		s.estSeries.Record(s.c.roundAt(r).Seconds(), v)
+	}
+	s.synced = upto
+}
+
+// overThreshold reports whether the slave's buffered memory is past the
+// scavenge threshold, so its tick scavenges.
+func (s *Slave) overThreshold() bool {
+	used := s.c.fs.DataNode(s.node.ID).MemUsed()
+	return float64(used) > scavengeThreshold*float64(s.node.Cfg.MemCapacity)
+}
+
+// idle reports whether the slave can sleep after a tick in which its
+// pull bound nothing: no queued or active migration, memory at or below
+// the scavenge threshold, and a stored report equal to the one its next
+// tick would send.
+func (s *Slave) idle() bool {
+	return s.occupancy() == 0 && !s.overThreshold() &&
+		s.c.estimates[int(s.node.ID)] == nodeEstimate{perByte: s.estimator.perByte(), seen: true}
+}
+
+// wakeSnap is what a visit to a slave can change, on the slave and
+// around it. The skip oracle compares it across visits the awake set
+// would have skipped.
+type wakeSnap struct {
+	est            nodeEstimate
+	estEpoch       uint64
+	queued, active int
+	blocked        int
+	migrations     int
+	stats          Stats
+	pendGen        uint64
+	pending        int
+	series         int
+	memUsed        sim.Bytes
+	events         int
+}
+
+// snap takes slave i's wakeSnap; series is the length its estimate
+// series would have after rounds extra more samples.
+func (c *Coordinator) snap(i, extra int) wakeSnap {
+	s := c.slaves[i]
+	w := wakeSnap{
+		est:        c.estimates[i],
+		estEpoch:   c.estEpoch,
+		queued:     len(s.queue),
+		active:     s.nActive,
+		blocked:    s.BlockedOnMemory,
+		migrations: s.Migrations,
+		stats:      c.stats,
+		pending:    c.binder.PendingCount(),
+		memUsed:    c.fs.DataNode(s.node.ID).MemUsed(),
+		events:     c.eng.Pending(),
+	}
+	if pb, ok := c.binder.(*PolicyBinder); ok {
+		w.pendGen = pb.pendGen
+	}
+	if s.estSeries != nil {
+		s.catchUp()
+		w.series = s.estSeries.Len() + extra
+	}
+	return w
+}
+
+// checkedTick ticks slave i, which the awake set would have skipped this
+// round, and panics if the tick changed anything: a missing wake.
+func (c *Coordinator) checkedTick(i int) {
+	before := c.snap(i, 1)
+	c.slaves[i].tick()
+	c.checkSkip(i, "tick", before, c.snap(i, 0))
+}
+
+// checkedPull has slave i, which the awake set would have skipped, pull
+// and kick as Migrate's RPC does, and panics if that changed anything.
+func (c *Coordinator) checkedPull(i int) {
+	before := c.snap(i, 0)
+	s := c.slaves[i]
+	s.pull()
+	s.kick()
+	c.checkSkip(i, "pull", before, c.snap(i, 0))
+}
+
+func (c *Coordinator) checkSkip(i int, what string, before, after wakeSnap) {
+	if before != after {
+		panic(fmt.Sprintf("migration: slave %d was asleep, but a %s at %v changed it: %+v -> %+v",
+			i, what, c.eng.Now(), before, after))
+	}
+}

@@ -301,8 +301,13 @@ func (b *PolicyBinder) UpdateTargets() {
 		bi.target = best
 		bi.hasTarget = true
 		b.targets[int(best)] = append(b.targets[int(best)], bi)
+		b.c.wake(best)
 	}
 }
+
+// pullsAny implements pullWaker: a pull binds only blocks targeted at
+// the puller, and UpdateTargets wakes each target.
+func (b *PolicyBinder) pullsAny() bool { return false }
 
 func (b *PolicyBinder) stopBinder() {
 	if b.ticker != nil {
@@ -372,6 +377,11 @@ func (b *NaiveBinder) Remove(bi *blockInfo) {
 
 // PendingCount implements Binder.
 func (b *NaiveBinder) PendingCount() int { return len(b.pending) }
+
+// pullsAny implements pullWaker: any slave holding a replica of a
+// pending block may bind it, so while blocks are pending every slave
+// pulls.
+func (b *NaiveBinder) pullsAny() bool { return len(b.pending) > 0 }
 
 // Reset implements Binder.
 func (b *NaiveBinder) Reset() { b.pending = nil }

@@ -31,11 +31,25 @@ type Coordinator struct {
 	hQueue    *trace.Hist // slave queue occupancy at each bind
 
 	binder Binder
+	// waker is the binder as a pullWaker, nil when it cannot tell which
+	// slaves a pull may bind work to.
+	waker  pullWaker
 	slaves []*Slave
 	sched  ActiveJobChecker
-	// heartbeat ticks every slave, in node order, from one engine event
-	// per interval; the engine counts each slave's tick as a model event.
+	// heartbeat ticks the awake slaves, in node order, from one engine
+	// event per interval; the engine counts every slave's tick as a model
+	// event, visited or not (see awake.go).
 	heartbeat *sim.Ticker
+	// awake holds one bit per slave, set while it may have work.
+	awake []uint64
+	// round counts heartbeat rounds begun, the first fired at start plus
+	// one interval; cursor is the slave the running round visits, and
+	// len(slaves) between rounds. members is the cluster membership epoch
+	// the last round saw.
+	round   int
+	cursor  int
+	start   sim.Time
+	members uint64
 
 	// info is the master's block-record table, a dense slice indexed by
 	// BlockID (block IDs are small dense integers allocated by the file
@@ -136,10 +150,18 @@ func NewCoordinator(fs *dfs.FS, cfg Config, binder Binder) *Coordinator {
 	if ab, ok := binder.(attachable); ok {
 		ab.attach(c)
 	}
+	c.waker, _ = binder.(pullWaker)
 	for _, n := range cl.Nodes() {
 		c.slaves = append(c.slaves, newSlave(c, n))
 	}
-	c.heartbeat = sim.NewTickerN(c.eng, cfg.Heartbeat, len(c.slaves), func(i int) { c.slaves[i].tick() })
+	// Every slave starts awake: none has reported yet.
+	c.awake = make([]uint64, (len(c.slaves)+63)/64)
+	for i := range c.slaves {
+		c.awake[i>>6] |= 1 << (uint(i) & 63)
+	}
+	c.cursor, c.start, c.members = len(c.slaves), c.eng.Now(), cl.MembershipEpoch()
+	fs.OnMemRegistered(c.onMemRegistered)
+	c.heartbeat = sim.NewTickerN(c.eng, cfg.Heartbeat, len(c.slaves), c.heartbeatRound)
 	return c
 }
 
@@ -328,12 +350,7 @@ func (c *Coordinator) Migrate(job JobID, files []string, implicitEvict bool) err
 		c.binder.OnMigrate(fresh)
 		// Kick the slaves so migration can begin within an RPC round-trip
 		// instead of waiting out a heartbeat; slaves pull per policy.
-		c.cl.RPC(func() {
-			for _, s := range c.slaves {
-				s.pull()
-				s.kick()
-			}
-		})
+		c.cl.RPC(c.rpcPull)
 	}
 	return nil
 }
@@ -540,6 +557,9 @@ func (c *Coordinator) RestartMaster() {
 // OS reclaims all locked buffers, the master drops its state about blocks
 // buffered there, and bound-but-unfinished migrations are lost (§III-C2).
 func (c *Coordinator) RestartSlaveProcess(id cluster.NodeID) {
+	// Waking backfills the estimate series with the estimate from before
+	// the reset below, and the next round reports the reset one.
+	c.wake(id)
 	s := c.slaves[int(id)]
 	for _, bi := range s.queue {
 		c.transition(bi, stateNone)
@@ -591,6 +611,7 @@ func (c *Coordinator) ScavengeAll() {
 // thread; used at the end of an experiment so the event queue can drain.
 func (c *Coordinator) Shutdown() {
 	for _, s := range c.slaves {
+		s.catchUp()
 		s.stopped = true
 	}
 	c.heartbeat.Stop()
@@ -617,7 +638,9 @@ func (c *Coordinator) QueuedBlocks() int {
 // heartbeat) — the data behind Fig. 9. Nil when recording is disabled
 // via Config.DisableEstimateSeries.
 func (c *Coordinator) EstimateSeries(id cluster.NodeID) *metrics.TimeSeries {
-	return c.slaves[int(id)].estSeries
+	s := c.slaves[int(id)]
+	s.catchUp()
+	return s.estSeries
 }
 
 var _ Manager = (*Coordinator)(nil)

@@ -70,6 +70,9 @@ type Slave struct {
 
 	stopped   bool
 	estSeries *metrics.TimeSeries
+	// synced is the last heartbeat round the estimate series accounts
+	// for (see catchUp).
+	synced int
 
 	// Migrations counts completed migrations on this slave.
 	Migrations int
@@ -116,12 +119,19 @@ func (s *Slave) occupancy() int {
 	return len(s.queue) + s.nActive
 }
 
-// tick is the heartbeat, which the coordinator's one heartbeat ticker
-// runs for every slave in node order: refresh the estimate (including
+// tick is the heartbeat, which the coordinator's heartbeat round runs
+// for every awake slave in node order: refresh the estimate (including
 // the in-progress inflation of §IV-A), report to the master, scavenge
-// if needed, pull more work, and make sure the disk is busy.
+// if needed, pull more work, and make sure the disk is busy. A slave
+// left idle goes to sleep; one on a dead node stays awake.
 func (s *Slave) tick() {
-	if s.stopped || !s.node.Alive() {
+	s.catchUp()
+	s.synced = s.c.round
+	if s.stopped {
+		return
+	}
+	if !s.node.Alive() {
+		s.c.wake(s.node.ID)
 		return
 	}
 	// In-progress inflation: once an active migration has run longer than
@@ -151,33 +161,39 @@ func (s *Slave) tick() {
 		s.estSeries.Record(s.c.eng.Now().Seconds(), s.estimator.blockSeconds(s.c.fs.Config().BlockSize))
 	}
 
-	if used := s.c.fs.DataNode(s.node.ID).MemUsed(); float64(used) > scavengeThreshold*float64(s.node.Cfg.MemCapacity) {
+	if s.overThreshold() {
 		s.scavenge()
 	}
 
-	s.pull()
+	bound := s.pull()
 	s.kick()
+	if !bound && s.idle() {
+		s.c.sleep(s.node.ID)
+	}
 }
 
 // pull asks the binder for more work when the local queue has space —
-// the slave querying the master (§III-A1).
-func (s *Slave) pull() {
+// the slave querying the master (§III-A1). It reports whether it bound
+// any.
+func (s *Slave) pull() bool {
 	if s.stopped || !s.node.Alive() {
-		return
+		return false
 	}
 	space := s.depth - s.occupancy()
 	if space <= 0 {
-		return
+		return false
 	}
 	c := s.c
 	c.pullBuf = c.binder.OnPull(s.node.ID, space, c.pullBuf[:0])
 	for _, bi := range c.pullBuf {
 		s.enqueue(bi)
 	}
+	return len(c.pullBuf) > 0
 }
 
 // enqueue binds a block to this slave's local queue.
 func (s *Slave) enqueue(bi *blockInfo) {
+	s.c.wake(s.node.ID)
 	s.c.transition(bi, stateQueued)
 	bi.slave = s.node.ID
 	bi.enqueuedAt = s.c.eng.Now()

@@ -341,58 +341,72 @@ func (e *Engine) step() {
 	e.release(ev)
 }
 
-// Ticker invokes fn every interval until cancelled. It is the building
-// block for heartbeats and samplers.
+// Ticker invokes its callback every interval until cancelled. It is the
+// building block for heartbeats and samplers.
 //
-// A ticker of n members (NewTickerN) runs fn(0), ..., fn(n-1) from one
-// queue event per interval, in place of n tickers started at one
-// instant. The engine still reports the n model events: each member run
-// counts in EventsFired and each armed member in Pending. Every callback
-// sees the same clock, EventsFired and Pending as under n tickers, and
-// the same order, unless member i>0 schedules an event exactly one
-// interval ahead: n tickers fire it after members 0..i-1 of the next
-// round, the shared event before all of them (DESIGN.md §5).
+// A ticker of n members (NewTickerN) runs one round callback per
+// interval in place of n tickers started at one instant. The round
+// enters the members that have something to do with Visit, in member
+// order, and skips the rest. The engine still reports the n model
+// events: every member counts in EventsFired, visited or not, and each
+// armed member in Pending. Every visited member sees the same clock,
+// EventsFired and Pending as under n tickers, and the same order,
+// unless member i>0 schedules an event exactly one interval ahead: n
+// tickers fire it after members 0..i-1 of the next round, the shared
+// event before all of them (DESIGN.md §5).
 type Ticker struct {
 	eng      *Engine
 	interval Duration
 	n        int
-	fn       func(member int)
+	round    func(t *Ticker)
 	tick     func() // rearming wrapper, allocated once
 	ev       *Event
 	stopped  bool
+	// base is EventsFired before the current round's first member.
+	base uint64
 }
 
 // NewTicker starts a ticker whose first tick fires after one interval.
 func NewTicker(eng *Engine, interval Duration, fn func()) *Ticker {
-	return NewTickerN(eng, interval, 1, func(int) { fn() })
+	return NewTickerN(eng, interval, 1, func(*Ticker) { fn() })
 }
 
 // NewTickerN starts a ticker of n members whose first round fires after
-// one interval. Each round calls fn once per member, in member order,
-// until the ticker stops; a Stop from inside fn ends the round.
-func NewTickerN(eng *Engine, interval Duration, n int, fn func(member int)) *Ticker {
+// one interval. Each round calls round once, which enters the members
+// it runs with Visit, until the ticker stops; a Stop from inside a
+// member ends the round.
+func NewTickerN(eng *Engine, interval Duration, n int, round func(t *Ticker)) *Ticker {
 	if interval <= 0 {
 		panic("sim: ticker interval must be positive")
 	}
 	if n < 1 {
 		panic("sim: ticker needs at least one member")
 	}
-	t := &Ticker{eng: eng, interval: interval, n: n, fn: fn}
+	t := &Ticker{eng: eng, interval: interval, n: n, round: round}
 	t.tick = func() {
 		t.ev = nil
-		for i := 0; i < t.n && !t.stopped; i++ {
-			if i > 0 {
-				t.eng.fired++ // the engine counted member 0's event
-			}
-			t.fn(i)
-		}
+		t.base = t.eng.fired - 1 // the engine counted the round's event
+		t.round(t)
 		if !t.stopped {
+			t.eng.fired = t.base + uint64(t.n)
 			t.ev = t.eng.Schedule(t.interval, t.tick)
 		}
 	}
 	t.ev = eng.Schedule(interval, t.tick)
 	eng.grouped += n - 1
 	return t
+}
+
+// Visit enters member i of the running round, which must come after
+// every member the round entered before it: EventsFired then counts
+// members 0..i, as it would while member i's own ticker ran. It reports
+// false once the ticker has stopped, and the round must then end.
+func (t *Ticker) Visit(i int) bool {
+	if t.stopped {
+		return false
+	}
+	t.eng.fired = t.base + uint64(i) + 1
+	return true
 }
 
 // Stop halts the ticker. It is safe to call multiple times and from within
@@ -407,5 +421,5 @@ func (t *Ticker) Stop() {
 	t.eng.Cancel(t.ev)
 	t.eng.grouped -= t.n - 1
 	t.ev = nil
-	t.fn = nil
+	t.round = nil
 }

@@ -144,7 +144,7 @@ func TestTickerStopReleasesEvent(t *testing.T) {
 	tk := NewTicker(e, time.Hour, func() { n++ })
 	ev := tk.ev
 	tk.Stop()
-	if tk.ev != nil || tk.fn != nil {
+	if tk.ev != nil || tk.round != nil {
 		t.Error("stopped ticker retains event/callback references")
 	}
 	if ev.fn != nil {

@@ -19,9 +19,13 @@ type tickRec struct {
 
 // tickerWorld runs one seeded program of n same-phase heartbeat members
 // plus foreign events, either on n Tickers (grouped false) or on one
-// NewTickerN ticker. Every random choice is drawn inside a callback, so
-// two worlds that fire callbacks in the same order make the same
-// choices.
+// NewTickerN ticker whose round visits the members. Every random choice
+// is drawn inside a callback, so two worlds that fire callbacks in the
+// same order make the same choices.
+//
+// With sparse set, some members are idle in some rounds, as a sleeping
+// slave is: under n tickers an idle member's callback returns at once,
+// drawing and recording nothing; the grouped round does not visit it.
 type tickerWorld struct {
 	eng      *Engine
 	rng      *rand.Rand
@@ -29,11 +33,38 @@ type tickerWorld struct {
 	log      []tickRec
 	nextID   int
 	n        int
+	sparse   bool
 	stop     func()
 	stopped  bool
 	// Coverage counters: foreign callbacks at a round instant while the
-	// heartbeat runs, and stops from foreign events and mid-round.
-	ties, foreignStops, midRoundStops int
+	// heartbeat runs, stops from foreign events and mid-round, and idle
+	// members.
+	ties, foreignStops, midRoundStops, idles int
+}
+
+// idle reports whether member i sits out the round at the current
+// instant. It depends on the clock and i alone, not on the world's
+// random stream, so both worlds agree on it.
+func (w *tickerWorld) idle(i int) bool {
+	if !w.sparse {
+		return false
+	}
+	h := uint64(w.eng.Now())/uint64(w.interval)*0x9e3779b97f4a7c15 + uint64(i)*0xbf58476d1ce4e5b9
+	return (h>>29)%3 == 0
+}
+
+// round is the grouped ticker's round: it visits the members that are
+// not idle, in member order, and ends when the ticker stops.
+func (w *tickerWorld) round(t *Ticker) {
+	for i := 0; i < w.n; i++ {
+		if w.idle(i) {
+			continue
+		}
+		if !t.Visit(i) {
+			return
+		}
+		w.member(i)
+	}
 }
 
 func (w *tickerWorld) record(who string) {
@@ -85,6 +116,10 @@ func (w *tickerWorld) stopHeartbeat() {
 
 // member is heartbeat member i's callback.
 func (w *tickerWorld) member(i int) {
+	if w.idle(i) {
+		w.idles++
+		return
+	}
 	w.record(fmt.Sprintf("m%d", i))
 	switch w.rng.Intn(6) {
 	case 0: // a zero-delay event, as a slave's kick schedules
@@ -106,19 +141,21 @@ func (w *tickerWorld) member(i int) {
 	}
 }
 
-// newTickerWorld builds the program for seed on n members.
+// newTickerWorld builds the program for seed on n members; odd seeds
+// make some members idle in some rounds.
 func newTickerWorld(seed int64, n int, grouped bool) *tickerWorld {
 	w := &tickerWorld{
 		eng:      NewEngine(seed),
 		rng:      rand.New(rand.NewSource(seed)),
 		interval: 10 * time.Second,
 		n:        n,
+		sparse:   seed%2 == 1,
 	}
 	for k := w.rng.Intn(4); k > 0; k-- {
 		w.foreign(w.delay(), 0)
 	}
 	if grouped {
-		t := NewTickerN(w.eng, w.interval, n, w.member)
+		t := NewTickerN(w.eng, w.interval, n, w.round)
 		w.stop = t.Stop
 	} else {
 		ts := make([]*Ticker, n)
@@ -141,14 +178,14 @@ func newTickerWorld(seed int64, n int, grouped bool) *tickerWorld {
 // TestTickerNMatchesTickers drives n Tickers and one NewTickerN ticker
 // of n members through the same seeded programs: foreign events at
 // exact round-instant ties, members that schedule zero-delay and later
-// events (member 0 also exactly one interval ahead), and heartbeat
-// stops from foreign events and from inside a round. Every callback
-// must run in the same order at the same instant and see the same
-// EventsFired and Pending, and both engines must agree after every
-// advance of the clock.
+// events (member 0 also exactly one interval ahead), heartbeat stops
+// from foreign events and from inside a round, and, on odd seeds,
+// members the round skips as idle. Every callback must run in the same
+// order at the same instant and see the same EventsFired and Pending,
+// and both engines must agree after every advance of the clock.
 func TestTickerNMatchesTickers(t *testing.T) {
 	t.Parallel()
-	var ties, foreignStops, midRoundStops int
+	var ties, foreignStops, midRoundStops, idles int
 	for seed := int64(1); seed <= 300; seed++ {
 		n := 1 + int(seed%7)
 		per := newTickerWorld(seed, n, false)
@@ -182,12 +219,23 @@ func TestTickerNMatchesTickers(t *testing.T) {
 		ties += per.ties
 		foreignStops += per.foreignStops
 		midRoundStops += per.midRoundStops
+		idles += per.idles
 	}
-	if ties < 100 || foreignStops < 10 || midRoundStops < 10 {
-		t.Errorf("programs too tame: %d round-instant ties, %d foreign stops, %d mid-round stops",
-			ties, foreignStops, midRoundStops)
+	if ties < 100 || foreignStops < 10 || midRoundStops < 10 || idles < 100 {
+		t.Errorf("programs too tame: %d round-instant ties, %d foreign stops, %d mid-round stops, %d idle members",
+			ties, foreignStops, midRoundStops, idles)
 	}
-	t.Logf("%d round-instant ties, %d foreign stops, %d mid-round stops", ties, foreignStops, midRoundStops)
+	t.Logf("%d round-instant ties, %d foreign stops, %d mid-round stops, %d idle members",
+		ties, foreignStops, midRoundStops, idles)
+}
+
+// visitAll returns a round that visits all n members in order.
+func visitAll(n int, member func(int)) func(*Ticker) {
+	return func(t *Ticker) {
+		for i := 0; i < n && t.Visit(i); i++ {
+			member(i)
+		}
+	}
 }
 
 // TestTickerNStopMidRound stops the heartbeat from inside member 1 of 4:
@@ -205,7 +253,7 @@ func TestTickerNStopMidRound(t *testing.T) {
 			}
 		}
 		if grouped {
-			stop = NewTickerN(e, time.Second, 4, member).Stop
+			stop = NewTickerN(e, time.Second, 4, visitAll(4, member)).Stop
 		} else {
 			var ts []*Ticker
 			for i := 0; i < 4; i++ {
@@ -251,7 +299,7 @@ func TestTickerNPlusIntervalDivergence(t *testing.T) {
 			}
 		}
 		if grouped {
-			NewTickerN(e, time.Second, 3, member)
+			NewTickerN(e, time.Second, 3, visitAll(3, member))
 		} else {
 			for i := 0; i < 3; i++ {
 				i := i
