@@ -93,6 +93,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *repro != "" && *seed == 0 {
 		return fmt.Errorf("-repro requires -seed")
 	}
+	if *seed == 0 && *seeds < 1 {
+		return fmt.Errorf("-seeds must be at least 1, got %d", *seeds)
+	}
 	base := harness.Repro{Large: *large, Serving: *serving, Policy: *policyName}
 	if *seed != 0 {
 		base.Seed = *seed

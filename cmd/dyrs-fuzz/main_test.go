@@ -71,4 +71,9 @@ func TestFlagValidation(t *testing.T) {
 	if err := run([]string{"-large", "-serving", "-seeds", "1"}, &out, &errb); err == nil {
 		t.Error("-large with -serving accepted")
 	}
+	for _, n := range []string{"0", "-1"} {
+		if err := run([]string{"-seeds", n}, &out, &errb); err == nil || !strings.Contains(err.Error(), "-seeds") {
+			t.Errorf("-seeds %s: got %v, want an error naming -seeds", n, err)
+		}
+	}
 }

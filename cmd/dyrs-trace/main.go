@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 
@@ -18,6 +19,9 @@ import (
 	"dyrs/internal/gtrace"
 	"dyrs/internal/obs"
 )
+
+// maxHours is the longest trace span whose nanoseconds fit the clock.
+const maxHours = math.MaxInt64 / int64(time.Hour)
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
@@ -41,6 +45,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	manifestPath := fs.String("manifest", "", "write a run-manifest JSON (seed, flags, build, wall time, peak RSS) to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	switch {
+	case *servers < 1:
+		return fmt.Errorf("-servers must be at least 1, got %d", *servers)
+	case *hours < 1 || int64(*hours) > maxHours:
+		return fmt.Errorf("-hours must be in [1, %d], got %d", maxHours, *hours)
+	case *jobs < 0:
+		return fmt.Errorf("-jobs must not be negative, got %d", *jobs)
 	}
 
 	var manifest *obs.Manifest

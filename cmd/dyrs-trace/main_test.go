@@ -23,6 +23,24 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
+// Bad synthesis flags are errors at the flag boundary, not panics deep
+// in trace generation.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-servers", "0"},
+		{"-servers", "-3"},
+		{"-hours", "0"},
+		{"-hours", "-1"},
+		{"-hours", "2562048"},
+		{"-jobs", "-5"},
+	} {
+		var out, errOut bytes.Buffer
+		if err := run(args, &out, &errOut); err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("run(%v) = %v, want an error naming %s", args, err, args[0])
+		}
+	}
+}
+
 func TestRunRejectsBadLoadPath(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if err := run([]string{"-load", filepath.Join(t.TempDir(), "missing.json")}, &out, &errOut); err == nil {

@@ -28,9 +28,21 @@ package dyrs
 //     an overlong transfer or computation instant; every such conversion
 //     goes through sim.FloatDuration, which saturates and rejects NaN
 //     and ±Inf, and only that helper converts bare. The rule needs types
-//     (an operand's type, and what a conversion's target resolves to),
-//     so the lint type-checks internal/ with go/types, the standard
-//     library from source.
+//     (an operand's type, and what a conversion's target resolves to).
+//   - an exported function or method that only tests call. internal/
+//     exports exactly what programs use: the root package, cmd/,
+//     examples/, benchmark/ and internal/ itself, all non-test code. A
+//     method passes if its receiver satisfies an interface that has it,
+//     since a call through the interface names the interface's method.
+//     A function another package's tests need as an oracle stays
+//     exported with a //lint:testapi <reason> waiver in its doc
+//     comment; a waiver without a reason, or on a function that
+//     programs call, fails. Same-package tests read unexported state
+//     instead of going through an accessor.
+//
+// The last two rules need types, so the lint type-checks the default
+// build of every non-test file in the module, benchmark/ included, with
+// go/types, and the standard library from source.
 
 import (
 	"fmt"
@@ -41,6 +53,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -83,50 +96,103 @@ const modulePath = "dyrs"
 // conversion.
 const floatDurationHelper = "FloatDuration"
 
+// testapiWaiver, in an exported internal/ declaration's doc comment and
+// followed by a reason, keeps a function or method that only tests call
+// exported: another package's tests need it as an oracle.
+const testapiWaiver = "lint:testapi"
+
 func TestDeterminismLint(t *testing.T) {
-	fset := token.NewFileSet()
-	var paths []string
-	var files []*ast.File
-	pkgFiles := map[string][]*ast.File{} // import path → files
-	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			return err
-		}
-		paths, files = append(paths, path), append(files, file)
-		// Type-check the default build, without tag-gated variants.
-		if ok, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); err != nil || !ok {
-			return err
-		}
-		pkg := modulePath + "/" + filepath.ToSlash(filepath.Dir(path))
-		pkgFiles[pkg] = append(pkgFiles[pkg], file)
-		return nil
-	})
+	violations, err := lintTree(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := typeCheck(fset, pkgFiles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, path := range paths {
-		for _, v := range lintFile(fset, path, files[i], info) {
-			t.Error(v)
-		}
+	for _, v := range violations {
+		t.Error(v)
 	}
 }
 
+// srcFile is one parsed non-test Go file of the tree being linted.
+type srcFile struct {
+	path  string // slash-separated, relative to the tree's root
+	file  *ast.File
+	built bool // part of the default build (no tag-gated variant)
+}
+
+// lintTree lints the module rooted at root. Every internal/ non-test
+// file gets lintFile's rules; then the default build's non-test files of
+// the whole tree (root package, cmd/, examples/, internal/, benchmark/)
+// are type-checked together and testOnlyExports judges internal/'s
+// exports against their references.
+func lintTree(root string) ([]string, error) {
+	fset := token.NewFileSet()
+	var srcs []srcFile
+	pkgFiles := map[string][]*ast.File{} // import path → default-build files
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			if rel != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		file, err := parser.ParseFile(fset, rel, src, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		built, err := build.Default.MatchFile(filepath.Dir(path), d.Name())
+		if err != nil {
+			return err
+		}
+		srcs = append(srcs, srcFile{rel, file, built})
+		if built {
+			pkg := modulePath
+			if dir := filepath.Dir(filepath.FromSlash(rel)); dir != "." {
+				pkg += "/" + filepath.ToSlash(dir)
+			}
+			pkgFiles[pkg] = append(pkgFiles[pkg], file)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	info, pkgs, err := typeCheck(fset, pkgFiles)
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	for _, s := range srcs {
+		if strings.HasPrefix(s.path, "internal/") {
+			out = append(out, lintFile(fset, s.path, s.file, info)...)
+		}
+	}
+	return append(out, testOnlyExports(fset, srcs, info, pkgs)...), nil
+}
+
 // typeCheck type-checks each package in pkgFiles, the module's own
-// imports from pkgFiles and the standard library from source, and
-// returns the types of their expressions.
-func typeCheck(fset *token.FileSet, pkgFiles map[string][]*ast.File) (*types.Info, error) {
-	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
+// imports from pkgFiles and the standard library from source. It
+// returns the types, definitions and uses of the module's expressions
+// and identifiers, and the module's packages.
+func typeCheck(fset *token.FileSet, pkgFiles map[string][]*ast.File) (*types.Info, []*types.Package, error) {
+	info := &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}
 	std := importer.ForCompiler(fset, "source", nil)
 	pkgs := map[string]*types.Package{}
 	var imp importerFunc
@@ -141,12 +207,15 @@ func typeCheck(fset *token.FileSet, pkgFiles map[string][]*ast.File) (*types.Inf
 		pkgs[path] = p
 		return p, err
 	}
+	var out []*types.Package
 	for path := range pkgFiles {
-		if _, err := imp(path); err != nil {
-			return nil, err
+		p, err := imp(path)
+		if err != nil {
+			return nil, nil, err
 		}
+		out = append(out, p)
 	}
-	return info, nil
+	return info, out, nil
 }
 
 type importerFunc func(path string) (*types.Package, error)
@@ -289,6 +358,151 @@ func lintFile(fset *token.FileSet, path string, file *ast.File, info *types.Info
 	return out
 }
 
+// testOnlyExports reports each exported function and method declared in
+// internal/'s default build that no type-checked file references outside
+// its own body. Only non-test files are type-checked, so a reference from
+// a test does not count. A method passes if its receiver satisfies an
+// interface that has the method, since a call through the interface names
+// the interface's method, not this one. A declaration passes if its doc
+// comment carries a //lint:testapi waiver with a reason; a waiver with no
+// reason, on a referenced declaration, or anywhere but an exported
+// internal/ declaration's doc comment fails.
+func testOnlyExports(fset *token.FileSet, srcs []srcFile, info *types.Info, pkgs []*types.Package) []string {
+	var out []string
+	report := func(pos token.Pos, format string, args ...any) {
+		p := fset.Position(pos)
+		out = append(out, fmt.Sprintf("%s:%d: %s", p.Filename, p.Line, fmt.Sprintf(format, args...)))
+	}
+	decls := map[*types.Func]*ast.FuncDecl{}
+	var order []*types.Func
+	docs := map[*ast.CommentGroup]bool{}
+	for _, s := range srcs {
+		if !s.built || !strings.HasPrefix(s.path, "internal/") {
+			continue
+		}
+		for _, d := range s.file.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() {
+				fn := info.Defs[fd.Name].(*types.Func)
+				decls[fn], order = fd, append(order, fn)
+				docs[fd.Doc] = true
+			}
+		}
+	}
+	for _, s := range srcs {
+		if !strings.HasPrefix(s.path, "internal/") {
+			continue
+		}
+		for _, cg := range s.file.Comments {
+			if _, ok := testapiReason(cg); ok && !docs[cg] {
+				report(cg.Pos(), "//%s waiver outside an exported declaration's doc comment", testapiWaiver)
+			}
+		}
+	}
+	used := map[*types.Func]bool{}
+	for id, obj := range info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		fn = fn.Origin()
+		if fd := decls[fn]; fd != nil && fd.Pos() <= id.Pos() && id.Pos() < fd.End() {
+			continue // recursion is not a caller
+		}
+		used[fn] = true
+	}
+	ifaces := interfaceMethods(pkgs, info)
+	for _, fn := range order {
+		fd := decls[fn]
+		reason, waived := testapiReason(fd.Doc)
+		switch {
+		case waived && reason == "":
+			report(fd.Pos(), "//%s waiver on %s gives no reason", testapiWaiver, fd.Name.Name)
+		case waived && used[fn]:
+			report(fd.Pos(), "//%s waiver on %s, which non-test code calls; drop the waiver", testapiWaiver, fd.Name.Name)
+		case !waived && !used[fn] && !satisfiesInterface(fn, ifaces):
+			report(fd.Pos(), "exported %s has no non-test caller; delete it, read unexported state from an in-package test, or waive with //%s <reason>", fd.Name.Name, testapiWaiver)
+		}
+	}
+	return out
+}
+
+// testapiReason returns the reason of the //lint:testapi waiver in cg, if
+// it has one.
+func testapiReason(cg *ast.CommentGroup) (reason string, ok bool) {
+	if cg == nil {
+		return "", false
+	}
+	for _, c := range cg.List {
+		if rest, ok := strings.CutPrefix(c.Text, "//"+testapiWaiver); ok && (rest == "" || rest[0] == ' ') {
+			return strings.TrimSpace(rest), true
+		}
+	}
+	return "", false
+}
+
+// interfaceMethods indexes by method name every interface the packages
+// can reach: error, those declared at package level in the packages and
+// everything they import, and those the packages' expressions have.
+func interfaceMethods(pkgs []*types.Package, info *types.Info) map[string][]*types.Interface {
+	out := map[string][]*types.Interface{}
+	seen := map[*types.Interface]bool{}
+	add := func(t types.Type) {
+		it, ok := t.Underlying().(*types.Interface)
+		if !ok || seen[it] {
+			return
+		}
+		seen[it] = true
+		for i := 0; i < it.NumMethods(); i++ {
+			out[it.Method(i).Name()] = append(out[it.Method(i).Name()], it)
+		}
+	}
+	add(types.Universe.Lookup("error").Type())
+	visited := map[*types.Package]bool{}
+	var visit func(p *types.Package)
+	visit = func(p *types.Package) {
+		if visited[p] {
+			return
+		}
+		visited[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				add(tn.Type())
+			}
+		}
+		for _, q := range p.Imports() {
+			visit(q)
+		}
+	}
+	for _, p := range pkgs {
+		visit(p)
+	}
+	for _, tv := range info.Types {
+		if tv.Type != nil {
+			add(tv.Type)
+		}
+	}
+	return out
+}
+
+// satisfiesInterface reports whether method fn's receiver type, or a
+// pointer to it, implements an interface that has a method of fn's name.
+func satisfiesInterface(fn *types.Func, ifaces map[string][]*types.Interface) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	for _, it := range ifaces[fn.Name()] {
+		if types.Implements(t, it) || types.Implements(types.NewPointer(t), it) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestDeterminismLintForbidsMaps: a map type anywhere in internal/sim or
 // internal/compute fails the lint; the same source elsewhere passes.
 func TestDeterminismLintForbidsMaps(t *testing.T) {
@@ -331,11 +545,96 @@ var good = []any{time.Duration(n), Time(n), time.Duration(1.5e9), Time(FloatDura
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := typeCheck(fset, map[string][]*ast.File{modulePath + "/internal/sim": {file}})
+	info, _, err := typeCheck(fset, map[string][]*ast.File{modulePath + "/internal/sim": {file}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := lintFile(fset, path, file, info); len(got) != 2 || !strings.HasPrefix(got[0], path+":10:") || !strings.HasPrefix(got[1], path+":10:") {
 		t.Errorf("violations %q, want two on line 10", got)
+	}
+}
+
+// TestDeterminismLintTestOnlyExports: in a synthetic module, an exported
+// internal/ function or method that nothing calls fails the lint, as
+// does one called only from a test or from its own body. One called from
+// cmd/ or benchmark/, a method that satisfies an interface, and a
+// function waived with a reason pass. A waiver fails when it gives no
+// reason, sits on a function that programs call, or sits anywhere but a
+// function's doc comment.
+func TestDeterminismLintTestOnlyExports(t *testing.T) {
+	root := t.TempDir()
+	for path, src := range map[string]string{
+		"internal/p/p.go": `package p
+
+type Visitor interface{ Visit() }
+
+type T struct{}
+
+func (T) Visit()        {}
+func (T) Step()         {}
+func (T) Error() string { return "" }
+func (T) Unused()       {}
+
+func Walk(w interface{ Step() }) { w.Step() }
+
+func Unused()       {}
+func CalledByTest() {}
+func FromCmd()      {}
+func FromBench()    {}
+
+func Recursive(n int) {
+	if n > 0 {
+		Recursive(n - 1)
+	}
+}
+
+//lint:testapi
+func EmptyWaiver() {}
+
+//lint:testapi an oracle for other packages' tests
+func Waived() {}
+
+//lint:testapi stale
+func WaivedButCalled() {}
+
+//lint:testapi misplaced
+var V = 1
+`,
+		"internal/p/p_test.go": "package p\n\nfunc use() { CalledByTest() }\n",
+		"cmd/c/main.go":        "package main\n\nimport \"dyrs/internal/p\"\n\nfunc main() { p.FromCmd(); p.WaivedButCalled(); p.Walk(p.T{}) }\n",
+		"benchmark/main.go":    "package main\n\nimport \"dyrs/internal/p\"\n\nfunc main() { p.FromBench() }\n",
+	} {
+		path = filepath.Join(root, path)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := lintTree(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"internal/p/p.go:10: exported Unused has no non-test caller",
+		"internal/p/p.go:14: exported Unused has no non-test caller",
+		"internal/p/p.go:15: exported CalledByTest has no non-test caller",
+		"internal/p/p.go:19: exported Recursive has no non-test caller",
+		"internal/p/p.go:26: //lint:testapi waiver on EmptyWaiver gives no reason",
+		"internal/p/p.go:32: //lint:testapi waiver on WaivedButCalled, which non-test code calls",
+		"internal/p/p.go:34: //lint:testapi waiver outside an exported declaration's doc comment",
+	}
+	if len(got) != len(want) {
+		t.Fatalf("violations:\n%s\nwant %d", strings.Join(got, "\n"), len(want))
+	}
+	for _, w := range want {
+		found := false
+		for _, g := range got {
+			found = found || strings.HasPrefix(g, w)
+		}
+		if !found {
+			t.Errorf("missing violation %q in:\n%s", w, strings.Join(got, "\n"))
+		}
 	}
 }

@@ -74,13 +74,12 @@ func (l *nodeLRU) unlink(e *entry) {
 // evicting the node's least recently used blocks when the per-node
 // budget is exceeded.
 type Cache struct {
-	fs       *dfs.FS
-	perNode  sim.Bytes
-	nodes    []nodeLRU        // indexed by node
-	byBlock  []*entry         // indexed by block; nil when not cached
-	free     *entry           // recycled entries, linked through next
-	repBuf   []cluster.NodeID // scratch for placement
-	resident int
+	fs      *dfs.FS
+	perNode sim.Bytes
+	nodes   []nodeLRU        // indexed by node
+	byBlock []*entry         // indexed by block; nil when not cached
+	free    *entry           // recycled entries, linked through next
+	repBuf  []cluster.NodeID // scratch for placement
 
 	// Stats.
 	Hits, Misses, Insertions, Evictions int
@@ -102,12 +101,6 @@ func New(fs *dfs.FS, perNodeBudget sim.Bytes, _ EvictPolicy) (*Cache, error) {
 	}
 	return c, nil
 }
-
-// Resident reports the number of cached blocks.
-func (c *Cache) Resident() int { return c.resident }
-
-// UsedOn reports cached bytes charged to a node.
-func (c *Cache) UsedOn(n cluster.NodeID) sim.Bytes { return c.nodes[int(n)].used }
 
 // lookup returns the block's entry, or nil when it is not cached.
 func (c *Cache) lookup(id dfs.BlockID) *entry {
@@ -176,7 +169,6 @@ func (c *Cache) insert(id dfs.BlockID, at cluster.NodeID) {
 		c.byBlock = grown
 	}
 	c.byBlock[int(id)] = e
-	c.resident++
 	l.used += size
 	c.Insertions++
 }
@@ -221,7 +213,6 @@ func (c *Cache) remove(e *entry, dropReplica bool) {
 	l.unlink(e)
 	l.used -= e.size
 	c.byBlock[int(e.id)] = nil
-	c.resident--
 	*e = entry{next: c.free}
 	c.free = e
 }

@@ -10,6 +10,17 @@ import (
 	"dyrs/internal/sim"
 )
 
+// resident counts the cached blocks.
+func (c *Cache) resident() int {
+	n := 0
+	for _, e := range c.byBlock {
+		if e != nil {
+			n++
+		}
+	}
+	return n
+}
+
 func newFS(t *testing.T, seed int64) (*sim.Engine, *dfs.FS) {
 	t.Helper()
 	eng := sim.NewEngine(seed)
@@ -85,8 +96,8 @@ func TestBudgetEviction(t *testing.T) {
 	if c.Evictions != 1 {
 		t.Fatalf("evictions = %d", c.Evictions)
 	}
-	if c.UsedOn(0) != 512*sim.MB {
-		t.Errorf("used = %d", c.UsedOn(0))
+	if c.nodes[0].used != 512*sim.MB {
+		t.Errorf("used = %d", c.nodes[0].used)
 	}
 	// "a" must miss again; "c" must hit.
 	if r := readAll(t, eng, fs, "c"); !r[0].Source.FromMemory() {
@@ -106,8 +117,8 @@ func TestOversizeBlockNotCached(t *testing.T) {
 	}
 	fs.CreateFile("big", 256*sim.MB)
 	readAll(t, eng, fs, "big")
-	if c.Resident() != 0 || c.Insertions != 0 {
-		t.Errorf("oversize block cached: resident=%d", c.Resident())
+	if c.resident() != 0 || c.Insertions != 0 {
+		t.Errorf("oversize block cached: resident=%d", c.resident())
 	}
 }
 
@@ -128,8 +139,8 @@ func TestStaleEntryRevalidated(t *testing.T) {
 	if r[0].Source.FromMemory() {
 		t.Error("stale entry served from memory")
 	}
-	if c.Resident() != 1 {
-		t.Errorf("resident = %d after revalidation", c.Resident())
+	if c.resident() != 1 {
+		t.Errorf("resident = %d after revalidation", c.resident())
 	}
 	// And the read after that hits again.
 	if r := readAll(t, eng, fs, "x"); !r[0].Source.FromMemory() {
@@ -142,11 +153,11 @@ func TestFlush(t *testing.T) {
 	c, _ := New(fs, 8*sim.GB, LRU)
 	fs.CreateFile("x", 512*sim.MB)
 	readAll(t, eng, fs, "x")
-	if c.Resident() != 2 {
-		t.Fatalf("resident = %d", c.Resident())
+	if c.resident() != 2 {
+		t.Fatalf("resident = %d", c.resident())
 	}
 	c.Flush()
-	if c.Resident() != 0 || fs.MemReplicaCount() != 0 || c.UsedOn(0) != 0 {
+	if c.resident() != 0 || fs.MemReplicaCount() != 0 || c.nodes[0].used != 0 {
 		t.Error("flush left state")
 	}
 }
@@ -189,8 +200,8 @@ func TestPlacementAnchorsToReplicaHolder(t *testing.T) {
 	if !holders[loc] {
 		t.Errorf("cached on %v, which holds no disk replica", loc)
 	}
-	if c.UsedOn(reader) != 0 {
-		t.Errorf("reader charged %d bytes", c.UsedOn(reader))
+	if c.nodes[reader].used != 0 {
+		t.Errorf("reader charged %d bytes", c.nodes[reader].used)
 	}
 	if errs := fs.Fsck(); len(errs) > 0 {
 		t.Errorf("fsck: %v", errs)

@@ -151,6 +151,8 @@ func (c *Cluster) KillNode(id NodeID) {
 }
 
 // ReviveNode brings a server back up.
+//
+//lint:testapi dfs and migration tests revive a dead node to check recovery
 func (c *Cluster) ReviveNode(id NodeID) {
 	c.nodes[int(id)].alive = true
 	c.membershipEpoch++
@@ -247,6 +249,3 @@ func (p *AlternatingPattern) Stop() {
 	p.ticker.Stop()
 	p.inf.Stop()
 }
-
-// Interference reports the underlying interference handle (for tests).
-func (p *AlternatingPattern) Interference() *Interference { return p.inf }

@@ -131,23 +131,23 @@ func TestAlternatingPattern(t *testing.T) {
 	c := New(eng, 1, nil)
 	n := c.Node(0)
 	p := StartAlternating(eng, n, 2, 1, 10*time.Second, true)
-	if !p.Interference().Active() {
+	if !p.inf.Active() {
 		t.Fatal("should start active")
 	}
 	eng.RunUntil(sim.Time(11 * time.Second))
-	if p.Interference().Active() {
+	if p.inf.Active() {
 		t.Error("should be paused after first toggle")
 	}
 	eng.RunUntil(sim.Time(21 * time.Second))
-	if !p.Interference().Active() {
+	if !p.inf.Active() {
 		t.Error("should be active after second toggle")
 	}
 	p.Stop()
-	if p.Interference().Active() || n.Disk.ActiveFlows() != 0 {
+	if p.inf.Active() || n.Disk.ActiveFlows() != 0 {
 		t.Error("stop did not clean up")
 	}
 	eng.RunFor(time.Minute)
-	if p.Interference().Active() {
+	if p.inf.Active() {
 		t.Error("pattern kept toggling after Stop")
 	}
 }
@@ -158,9 +158,9 @@ func TestAlternatingAntiPhase(t *testing.T) {
 	a := StartAlternating(eng, c.Node(0), 2, 1, 10*time.Second, true)
 	b := StartAlternating(eng, c.Node(1), 2, 1, 10*time.Second, false)
 	check := func(wantA, wantB bool) {
-		if a.Interference().Active() != wantA || b.Interference().Active() != wantB {
+		if a.inf.Active() != wantA || b.inf.Active() != wantB {
 			t.Errorf("at %v: active = %v/%v, want %v/%v", eng.Now(),
-				a.Interference().Active(), b.Interference().Active(), wantA, wantB)
+				a.inf.Active(), b.inf.Active(), wantA, wantB)
 		}
 	}
 	check(true, false)

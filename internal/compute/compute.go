@@ -121,9 +121,6 @@ type TaskResult struct {
 // Duration reports the task's total runtime.
 func (t TaskResult) Duration() sim.Duration { return t.Finished.Sub(t.Started) }
 
-// ReadTime reports time spent reading the input block.
-func (t TaskResult) ReadTime() sim.Duration { return t.ReadDone.Sub(t.Started) }
-
 // JobState tracks a job through its lifecycle.
 type JobState int
 

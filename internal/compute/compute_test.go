@@ -374,8 +374,8 @@ func TestTaskResultAccessors(t *testing.T) {
 		ReadDone: sim.Time(3 * time.Second),
 		Finished: sim.Time(4 * time.Second),
 	}
-	if tr.Duration() != 3*time.Second || tr.ReadTime() != 2*time.Second {
-		t.Errorf("accessors wrong: %v %v", tr.Duration(), tr.ReadTime())
+	if tr.Duration() != 3*time.Second {
+		t.Errorf("Duration = %v, want 3s", tr.Duration())
 	}
 }
 

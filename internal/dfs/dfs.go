@@ -7,9 +7,9 @@
 // The NameNode catalog is stored as a struct-of-arrays block table (see
 // blocktable.go) with per-node replica postings, so the metadata for
 // millions of blocks fits in a few flat arrays instead of per-block heap
-// objects and maps. Public accessors that return *Block materialize a
-// view on demand; hot paths use the ID-based accessors (BlockSize,
-// LiveReplicas, FileBlockIDs) which do not allocate.
+// objects and maps. Blocks are read through ID-based accessors
+// (FileBlockIDs, BlockSize, Replicas, LiveReplicas); none materializes a
+// per-block object.
 package dfs
 
 import (
@@ -30,18 +30,6 @@ type BlockID int
 // uint32 column. HDFS-era block sizes are 64-512 MB; 4 GiB-1 is far
 // above anything the model produces.
 const maxBlockBytes = sim.Bytes(1<<32 - 1)
-
-// Block is one fixed-size chunk of a file, replicated on several nodes.
-//
-// Block values are materialized views over the block table, built on
-// demand by Block/FileBlocks; mutating one does not change the catalog.
-type Block struct {
-	ID       BlockID
-	File     string
-	Index    int // position within the file
-	Size     sim.Bytes
-	Replicas []cluster.NodeID // replica locations at materialization time
-}
 
 // File is a named sequence of blocks. Blocks are assigned consecutive
 // IDs at creation, so Blocks[i] == Blocks[0]+i always holds.
@@ -173,9 +161,6 @@ type DataNode struct {
 	BlocksWritten int
 }
 
-// Node returns the underlying cluster node.
-func (dn *DataNode) Node() *cluster.Node { return dn.node }
-
 // MemUsed reports bytes of migrated blocks currently buffered.
 func (dn *DataNode) MemUsed() sim.Bytes { return dn.memUsed }
 
@@ -183,9 +168,6 @@ func (dn *DataNode) MemUsed() sim.Bytes { return dn.memUsed }
 func (dn *DataNode) HasMem(b BlockID) bool {
 	return dn.fs.table.memNode[int(b)] == int32(dn.node.ID)
 }
-
-// MemBlockCount reports how many blocks are buffered.
-func (dn *DataNode) MemBlockCount() int { return len(dn.resident) }
 
 // placeSampleTries bounds rejection sampling before the picker falls
 // back to a deterministic scan from a random offset. With ≤3 replicas
@@ -419,27 +401,9 @@ func (fs *FS) File(name string) (*File, error) {
 	return f, nil
 }
 
-// FileBlocks maps a list of file names to their blocks, in file order —
-// the operation the DYRS master performs when it receives a migration
-// request for a job's input files. The returned blocks are materialized
-// views (one allocation each); scale-sensitive callers should use
-// FileBlockIDs with the ID-based accessors instead.
-func (fs *FS) FileBlocks(names []string) ([]*Block, error) {
-	var out []*Block
-	for _, name := range names {
-		f, err := fs.File(name)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s", err, name)
-		}
-		for _, id := range f.Blocks {
-			out = append(out, fs.Block(id))
-		}
-	}
-	return out, nil
-}
-
 // FileBlockIDs maps a list of file names to their block IDs, in file
-// order, without materializing Block views.
+// order — the operation the DYRS master performs when it receives a
+// migration request for a job's input files.
 func (fs *FS) FileBlockIDs(names []string) ([]BlockID, error) {
 	total := 0
 	for _, name := range names {
@@ -456,24 +420,8 @@ func (fs *FS) FileBlockIDs(names []string) ([]BlockID, error) {
 	return out, nil
 }
 
-// Block materializes a view of the block with the given id.
-func (fs *FS) Block(id BlockID) *Block {
-	f := fs.BlockFile(id)
-	return &Block{
-		ID:       id,
-		File:     f.Name,
-		Index:    int(id - f.Blocks[0]),
-		Size:     fs.table.blockSize(id),
-		Replicas: fs.table.appendReplicas(id, nil),
-	}
-}
-
-// BlockSize reports the block's length without materializing a view.
+// BlockSize reports the block's length.
 func (fs *FS) BlockSize(id BlockID) sim.Bytes { return fs.table.blockSize(id) }
-
-// BlockFile reports the file the block belongs to without materializing
-// a view.
-func (fs *FS) BlockFile(id BlockID) *File { return fs.fileList[fs.table.fileOf[int(id)]] }
 
 // NumBlocks reports the total number of blocks in the catalog.
 func (fs *FS) NumBlocks() int { return fs.table.len() }

@@ -32,16 +32,16 @@ func TestCreateFileBlocks(t *testing.T) {
 	}
 	var total sim.Bytes
 	for i, id := range f.Blocks {
-		b := fs.Block(id)
-		total += b.Size
-		if b.File != "input" || b.Index != i {
-			t.Errorf("block %d metadata wrong: %+v", id, b)
+		total += fs.BlockSize(id)
+		if bf := fs.fileList[fs.table.fileOf[int(id)]]; bf.Name != "input" || bf.Blocks[i] != id {
+			t.Errorf("block %d metadata wrong: file %q, index %d", id, bf.Name, i)
 		}
-		if len(b.Replicas) != 3 {
-			t.Errorf("block %d has %d replicas", id, len(b.Replicas))
+		reps := fs.Replicas(id)
+		if len(reps) != 3 {
+			t.Errorf("block %d has %d replicas", id, len(reps))
 		}
 		seen := map[cluster.NodeID]bool{}
-		for _, r := range b.Replicas {
+		for _, r := range reps {
 			if seen[r] {
 				t.Errorf("block %d has duplicate replica %v", id, r)
 			}
@@ -68,8 +68,8 @@ func TestCreateFileErrors(t *testing.T) {
 	if _, err := fs.File("missing"); !errors.Is(err, ErrFileNotFound) {
 		t.Errorf("missing file: %v", err)
 	}
-	if _, err := fs.FileBlocks([]string{"a", "missing"}); !errors.Is(err, ErrFileNotFound) {
-		t.Errorf("FileBlocks missing: %v", err)
+	if _, err := fs.FileBlockIDs([]string{"a", "missing"}); !errors.Is(err, ErrFileNotFound) {
+		t.Errorf("FileBlockIDs missing: %v", err)
 	}
 }
 
@@ -82,7 +82,7 @@ func TestPlacementSpreads(t *testing.T) {
 	}
 	counts := make([]int, cl.Size())
 	for i := 0; i < fs.NumBlocks(); i++ {
-		for _, r := range fs.Block(BlockID(i)).Replicas {
+		for _, r := range fs.Replicas(BlockID(i)) {
 			counts[int(r)]++
 		}
 	}
@@ -99,10 +99,10 @@ func TestReadBlockDiskLocalPreferred(t *testing.T) {
 	t.Parallel()
 	eng, _, fs := newTestFS(t, 5, 3)
 	f, _ := fs.CreateFile("in", 256*sim.MB)
-	b := fs.Block(f.Blocks[0])
-	at := b.Replicas[1] // a replica holder; local read expected
+	b := f.Blocks[0]
+	at := fs.Replicas(b)[1] // a replica holder; local read expected
 	var res ReadResult
-	if err := fs.ReadBlock(at, b.ID, func(r ReadResult) { res = r }); err != nil {
+	if err := fs.ReadBlock(at, b, func(r ReadResult) { res = r }); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -122,12 +122,13 @@ func TestReadBlockDiskRemote(t *testing.T) {
 	t.Parallel()
 	eng, _, fs := newTestFS(t, 5, 4)
 	f, _ := fs.CreateFile("in", 256*sim.MB)
-	b := fs.Block(f.Blocks[0])
+	b := f.Blocks[0]
+	reps := fs.Replicas(b)
 	// Find a node holding no replica.
 	var at cluster.NodeID = -1
 	for i := 0; i < 5; i++ {
 		holds := false
-		for _, r := range b.Replicas {
+		for _, r := range reps {
 			if r == cluster.NodeID(i) {
 				holds = true
 			}
@@ -138,7 +139,7 @@ func TestReadBlockDiskRemote(t *testing.T) {
 		}
 	}
 	var res ReadResult
-	if err := fs.ReadBlock(at, b.ID, func(r ReadResult) { res = r }); err != nil {
+	if err := fs.ReadBlock(at, b, func(r ReadResult) { res = r }); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -154,13 +155,13 @@ func TestReadRedirectsToMemory(t *testing.T) {
 	t.Parallel()
 	eng, _, fs := newTestFS(t, 5, 5)
 	f, _ := fs.CreateFile("in", 256*sim.MB)
-	b := fs.Block(f.Blocks[0])
-	memNode := b.Replicas[0]
-	fs.RegisterMem(b.ID, memNode)
+	b := f.Blocks[0]
+	memNode := fs.Replicas(b)[0]
+	fs.RegisterMem(b, memNode)
 
 	// Local memory read.
 	var res ReadResult
-	fs.ReadBlock(memNode, b.ID, func(r ReadResult) { res = r })
+	fs.ReadBlock(memNode, b, func(r ReadResult) { res = r })
 	eng.Run()
 	if res.Source != SourceMemLocal {
 		t.Fatalf("source = %v, want mem-local", res.Source)
@@ -171,7 +172,7 @@ func TestReadRedirectsToMemory(t *testing.T) {
 
 	// Remote memory read from another node.
 	other := (memNode + 1) % 5
-	fs.ReadBlock(other, b.ID, func(r ReadResult) { res = r })
+	fs.ReadBlock(other, b, func(r ReadResult) { res = r })
 	eng.Run()
 	if res.Source != SourceMemRemote || res.Server != memNode {
 		t.Errorf("source=%v server=%v, want mem-remote from %v", res.Source, res.Server, memNode)
@@ -191,8 +192,8 @@ func TestMemAccounting(t *testing.T) {
 		fs.RegisterMem(id, n)
 	}
 	dn := fs.DataNode(n)
-	if dn.MemUsed() != 3*256*sim.MB || dn.MemBlockCount() != 3 {
-		t.Fatalf("mem used=%d count=%d", dn.MemUsed(), dn.MemBlockCount())
+	if dn.MemUsed() != 3*256*sim.MB || len(dn.resident) != 3 {
+		t.Fatalf("mem used=%d count=%d", dn.MemUsed(), len(dn.resident))
 	}
 	// Double registration is idempotent.
 	fs.RegisterMem(f.Blocks[0], n)
@@ -218,16 +219,16 @@ func TestMemReplicaIgnoresDeadNode(t *testing.T) {
 	t.Parallel()
 	eng, cl, fs := newTestFS(t, 5, 7)
 	f, _ := fs.CreateFile("in", 256*sim.MB)
-	b := fs.Block(f.Blocks[0])
-	memNode := b.Replicas[0]
-	fs.RegisterMem(b.ID, memNode)
+	b := f.Blocks[0]
+	memNode := fs.Replicas(b)[0]
+	fs.RegisterMem(b, memNode)
 	cl.KillNode(memNode)
-	if _, ok := fs.MemReplica(b.ID); ok {
+	if _, ok := fs.MemReplica(b); ok {
 		t.Error("dead node's memory replica still offered")
 	}
 	// Read must fail over to a live disk replica.
 	var res ReadResult
-	if err := fs.ReadBlock(memNode+1, b.ID, func(r ReadResult) { res = r }); err != nil {
+	if err := fs.ReadBlock(memNode+1, b, func(r ReadResult) { res = r }); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -255,17 +256,17 @@ func TestMigrateToMemory(t *testing.T) {
 	t.Parallel()
 	eng, _, fs := newTestFS(t, 5, 9)
 	f, _ := fs.CreateFile("in", 256*sim.MB)
-	b := fs.Block(f.Blocks[0])
-	dn := fs.DataNode(b.Replicas[0])
+	b := f.Blocks[0]
+	dn := fs.DataNode(fs.Replicas(b)[0])
 	var dur sim.Duration
-	if _, err := dn.MigrateToMemory(b.ID, 1, func(d sim.Duration) { dur = d }); err != nil {
+	if _, err := dn.MigrateToMemory(b, 1, func(d sim.Duration) { dur = d }); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
-	if !dn.HasMem(b.ID) {
+	if !dn.HasMem(b) {
 		t.Fatal("block not in memory after migration")
 	}
-	if loc, ok := fs.MemReplica(b.ID); !ok || loc != dn.Node().ID {
+	if loc, ok := fs.MemReplica(b); !ok || loc != dn.node.ID {
 		t.Errorf("registry: %v %v", loc, ok)
 	}
 	if s := dur.Seconds(); s < 1.9 || s > 2.1 {
@@ -277,16 +278,17 @@ func TestMigrateWithoutReplicaFails(t *testing.T) {
 	t.Parallel()
 	_, _, fs := newTestFS(t, 5, 10)
 	f, _ := fs.CreateFile("in", 256*sim.MB)
-	b := fs.Block(f.Blocks[0])
+	b := f.Blocks[0]
+	reps := fs.Replicas(b)
 	for i := 0; i < 5; i++ {
 		holds := false
-		for _, r := range b.Replicas {
+		for _, r := range reps {
 			if r == cluster.NodeID(i) {
 				holds = true
 			}
 		}
 		if !holds {
-			if _, err := fs.DataNode(cluster.NodeID(i)).MigrateToMemory(b.ID, 1, nil); err == nil {
+			if _, err := fs.DataNode(cluster.NodeID(i)).MigrateToMemory(b, 1, nil); err == nil {
 				t.Error("migration on non-replica node should fail")
 			}
 			return
@@ -298,7 +300,8 @@ func TestOnReadHook(t *testing.T) {
 	t.Parallel()
 	eng, _, fs := newTestFS(t, 5, 11)
 	f, _ := fs.CreateFile("in", 256*sim.MB)
-	b := fs.Block(f.Blocks[0])
+	b := f.Blocks[0]
+	reps := fs.Replicas(b)
 	var hookBlock BlockID = -1
 	var hookAt cluster.NodeID = -1
 	if err := fs.OnRead(func(id BlockID, at cluster.NodeID) { hookBlock, hookAt = id, at }); err != nil {
@@ -307,9 +310,9 @@ func TestOnReadHook(t *testing.T) {
 	if err := fs.OnRead(nil); err == nil {
 		t.Error("nil hook accepted")
 	}
-	fs.ReadBlock(b.Replicas[0], b.ID, nil)
+	fs.ReadBlock(reps[0], b, nil)
 	eng.Run()
-	if hookBlock != b.ID || hookAt != b.Replicas[0] {
+	if hookBlock != b || hookAt != reps[0] {
 		t.Errorf("hook saw %v@%v", hookBlock, hookAt)
 	}
 }
@@ -467,11 +470,11 @@ func TestConcurrentReadsShareDisk(t *testing.T) {
 	eng, _, fs := newTestFS(t, 5, 15)
 	cfg := fs.Config()
 	f, _ := fs.CreateFile("in", 2*cfg.BlockSize)
-	b0, b1 := fs.Block(f.Blocks[0]), fs.Block(f.Blocks[1])
+	b0, b1 := f.Blocks[0], f.Blocks[1]
 	// Force both reads onto the same serving node if they share a replica.
 	var common cluster.NodeID = -1
-	for _, r0 := range b0.Replicas {
-		for _, r1 := range b1.Replicas {
+	for _, r0 := range fs.Replicas(b0) {
+		for _, r1 := range fs.Replicas(b1) {
 			if r0 == r1 {
 				common = r0
 			}
@@ -481,8 +484,8 @@ func TestConcurrentReadsShareDisk(t *testing.T) {
 		t.Skip("no common replica with this seed")
 	}
 	var d0, d1 time.Duration
-	fs.ReadBlock(common, b0.ID, func(r ReadResult) { d0 = r.Duration() })
-	fs.ReadBlock(common, b1.ID, func(r ReadResult) { d1 = r.Duration() })
+	fs.ReadBlock(common, b0, func(r ReadResult) { d0 = r.Duration() })
+	fs.ReadBlock(common, b1, func(r ReadResult) { d1 = r.Duration() })
 	eng.Run()
 	// Sharing one disk with seek penalty must take >2x a solo read.
 	if d0.Seconds() < 3.9 || d1.Seconds() < 3.9 {
@@ -496,7 +499,7 @@ func TestFsckCleanState(t *testing.T) {
 	fs.CreateFile("a", 3*256*sim.MB)
 	fs.CreateFile("b", 100*sim.MB)
 	f, _ := fs.File("a")
-	fs.RegisterMem(f.Blocks[0], fs.Block(f.Blocks[0]).Replicas[0])
+	fs.RegisterMem(f.Blocks[0], fs.Replicas(f.Blocks[0])[0])
 	eng.Run()
 	if errs := fs.Fsck(); len(errs) != 0 {
 		t.Errorf("clean state reported errors: %v", errs)
@@ -509,11 +512,12 @@ func TestFsckDetectsCorruption(t *testing.T) {
 	f, _ := fs.CreateFile("a", 2*256*sim.MB)
 	// Corrupt: register a memory replica on a node without a disk
 	// replica (violates invariant 5), bypassing the migration path.
-	b := fs.Block(f.Blocks[0])
+	b := f.Blocks[0]
+	reps := fs.Replicas(b)
 	var nonHolder cluster.NodeID = -1
 	for i := 0; i < 5; i++ {
 		holds := false
-		for _, r := range b.Replicas {
+		for _, r := range reps {
 			if r == cluster.NodeID(i) {
 				holds = true
 			}
@@ -523,7 +527,7 @@ func TestFsckDetectsCorruption(t *testing.T) {
 			break
 		}
 	}
-	fs.RegisterMem(b.ID, nonHolder)
+	fs.RegisterMem(b, nonHolder)
 	if errs := fs.Fsck(); len(errs) == 0 {
 		t.Error("fsck missed a memory replica without a disk replica")
 	}

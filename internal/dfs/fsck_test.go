@@ -22,7 +22,7 @@ func fsckRig(t *testing.T) (*FS, *File, cluster.NodeID) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memNode := fs.Block(f.Blocks[0]).Replicas[0]
+	memNode := fs.Replicas(f.Blocks[0])[0]
 	fs.RegisterMem(f.Blocks[0], memNode)
 	if errs := fs.Fsck(); len(errs) != 0 {
 		t.Fatalf("healthy rig is not clean: %v", errs)
@@ -100,10 +100,10 @@ func TestFsckBufferWithoutRegistryEntry(t *testing.T) {
 	// Reverse direction: buffered block the registry does not know (or
 	// records on another node) — the orphan shape a master restart plus
 	// re-migration used to leave behind.
-	b := fs.Block(f.Blocks[1])
-	other := b.Replicas[0]
-	fs.dns[int(other)].resident = append(fs.dns[int(other)].resident, b.ID)
-	fs.dns[int(other)].memUsed += b.Size
+	b := f.Blocks[1]
+	other := fs.Replicas(b)[0]
+	fs.dns[int(other)].resident = append(fs.dns[int(other)].resident, b)
+	fs.dns[int(other)].memUsed += fs.BlockSize(b)
 	expectFsck(t, fs, "but the registry records holder")
 	_ = memNode
 }
@@ -134,12 +134,13 @@ func TestFsckMemoryCapacityExceeded(t *testing.T) {
 func TestFsckBufferWithoutDiskReplica(t *testing.T) {
 	t.Parallel()
 	fs, f, _ := fsckRig(t)
-	b := fs.Block(f.Blocks[2])
+	b := f.Blocks[2]
+	reps := fs.Replicas(b)
 	// Find a node that holds no disk replica of the block.
 	var outsider cluster.NodeID = -1
 	for n := 0; n < 5; n++ {
 		holds := false
-		for _, r := range b.Replicas {
+		for _, r := range reps {
 			if int(r) == n {
 				holds = true
 			}
@@ -152,6 +153,6 @@ func TestFsckBufferWithoutDiskReplica(t *testing.T) {
 	if outsider < 0 {
 		t.Fatal("every node holds a replica; enlarge the rig")
 	}
-	fs.RegisterMem(b.ID, outsider)
+	fs.RegisterMem(b, outsider)
 	expectFsck(t, fs, "without holding a disk replica")
 }

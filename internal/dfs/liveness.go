@@ -74,4 +74,6 @@ func (fs *FS) nodeAvailable(id cluster.NodeID) bool {
 
 // FailedOvers counts reads that hit an unreachable node during the
 // stale window and retried elsewhere.
+//
+//lint:testapi compute tests count the reads that failed over to a live replica
 func (fs *FS) FailedOvers() int { return fs.failedOvers }

@@ -14,11 +14,11 @@ func TestHeartbeatStaleViewAndFailover(t *testing.T) {
 	fs.EnableHeartbeats()
 	defer fs.DisableHeartbeats()
 	f, _ := fs.CreateFile("in", 256*sim.MB)
-	b := fs.Block(f.Blocks[0])
-	victim := b.Replicas[0]
+	b := f.Blocks[0]
+	victim := fs.Replicas(b)[0]
 
 	offered := func() bool {
-		for _, r := range fs.Replicas(b.ID) {
+		for _, r := range fs.Replicas(b) {
 			if r == victim {
 				return true
 			}
@@ -38,7 +38,7 @@ func TestHeartbeatStaleViewAndFailover(t *testing.T) {
 	// A read placed at the dead node fails over to a live replica and
 	// still completes, paying the connect timeout (§III-C2).
 	var res ReadResult
-	if err := fs.ReadBlock(victim, b.ID, func(r ReadResult) { res = r }); err != nil {
+	if err := fs.ReadBlock(victim, b, func(r ReadResult) { res = r }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -76,9 +76,9 @@ func TestHeartbeatMemReplicaFailover(t *testing.T) {
 	fs.EnableHeartbeats()
 	defer fs.DisableHeartbeats()
 	f, _ := fs.CreateFile("in", 256*sim.MB)
-	b := fs.Block(f.Blocks[0])
-	memNode := b.Replicas[0]
-	fs.RegisterMem(b.ID, memNode)
+	b := f.Blocks[0]
+	memNode := fs.Replicas(b)[0]
+	fs.RegisterMem(b, memNode)
 	eng.RunUntil(sim.Time(5 * time.Second))
 	cl.KillNode(memNode)
 
@@ -86,7 +86,7 @@ func TestHeartbeatMemReplicaFailover(t *testing.T) {
 	// replica, times out, and fails over to a disk replica.
 	reader := (memNode + 1) % 5
 	var res ReadResult
-	if err := fs.ReadBlock(reader, b.ID, func(r ReadResult) { res = r }); err != nil {
+	if err := fs.ReadBlock(reader, b, func(r ReadResult) { res = r }); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunUntil(sim.Time(2 * time.Minute))
@@ -134,14 +134,14 @@ func TestLivenessBlipShorterThanInterval(t *testing.T) {
 	fs.EnableHeartbeats()
 	defer fs.DisableHeartbeats()
 	f, _ := fs.CreateFile("in", 256*sim.MB)
-	b := fs.Block(f.Blocks[0])
-	victim := b.Replicas[0]
+	b := f.Blocks[0]
+	victim := fs.Replicas(b)[0]
 	// A memory replica pins reads to the victim, so the blip is actually
 	// exercised rather than routed around.
-	fs.RegisterMem(b.ID, victim)
+	fs.RegisterMem(b, victim)
 
 	offered := func() bool {
-		for _, r := range fs.Replicas(b.ID) {
+		for _, r := range fs.Replicas(b) {
 			if r == victim {
 				return true
 			}
@@ -153,7 +153,7 @@ func TestLivenessBlipShorterThanInterval(t *testing.T) {
 	eng.RunUntil(sim.Time(12500 * time.Millisecond))
 	cl.KillNode(victim)
 	var during ReadResult
-	if err := fs.ReadBlock((victim+1)%5, b.ID, func(r ReadResult) { during = r }); err != nil {
+	if err := fs.ReadBlock((victim+1)%5, b, func(r ReadResult) { during = r }); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunUntil(sim.Time(14500 * time.Millisecond))
@@ -177,7 +177,7 @@ func TestLivenessBlipShorterThanInterval(t *testing.T) {
 	}
 	// After revival the memory replica serves again.
 	var after ReadResult
-	if err := fs.ReadBlock((victim+1)%5, b.ID, func(r ReadResult) { after = r }); err != nil {
+	if err := fs.ReadBlock((victim+1)%5, b, func(r ReadResult) { after = r }); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunUntil(sim.Time(2 * time.Minute))

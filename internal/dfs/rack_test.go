@@ -23,20 +23,20 @@ func TestRackAwarePlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < fs.NumBlocks(); i++ {
-		b := fs.Block(BlockID(i))
-		if len(b.Replicas) != 3 {
-			t.Fatalf("block %d has %d replicas", i, len(b.Replicas))
+		reps := fs.Replicas(BlockID(i))
+		if len(reps) != 3 {
+			t.Fatalf("block %d has %d replicas", i, len(reps))
 		}
 		// HDFS default: replicas span exactly two racks, with the second
 		// and third replica sharing a rack distinct from the first's.
-		r0 := cl.Rack(b.Replicas[0])
-		r1 := cl.Rack(b.Replicas[1])
-		r2 := cl.Rack(b.Replicas[2])
+		r0 := cl.Rack(reps[0])
+		r1 := cl.Rack(reps[1])
+		r2 := cl.Rack(reps[2])
 		if r0 == r1 {
-			t.Errorf("block %d: second replica on first's rack (%v)", i, b.Replicas)
+			t.Errorf("block %d: second replica on first's rack (%v)", i, reps)
 		}
 		if r1 != r2 {
-			t.Errorf("block %d: third replica not on second's rack (%v)", i, b.Replicas)
+			t.Errorf("block %d: third replica not on second's rack (%v)", i, reps)
 		}
 	}
 }
@@ -54,9 +54,10 @@ func TestRackPlacementDegradesGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := fs.Block(f.Blocks[0])
-	if cl.SameRack(b.Replicas[0], b.Replicas[1]) {
-		t.Errorf("replicas on same rack: %v", b.Replicas)
+	b := f.Blocks[0]
+	reps := fs.Replicas(b)
+	if cl.SameRack(reps[0], reps[1]) {
+		t.Errorf("replicas on same rack: %v", reps)
 	}
 }
 
@@ -64,14 +65,15 @@ func TestRemoteReadPrefersSameRack(t *testing.T) {
 	t.Parallel()
 	eng, cl, fs := newRackedFS(t, 8, 2, 0, 3)
 	f, _ := fs.CreateFile("in", 256*sim.MB)
-	b := fs.Block(f.Blocks[0])
+	b := f.Blocks[0]
+	reps := fs.Replicas(b)
 	// Find a non-replica node sharing a rack with some replica.
 	var reader cluster.NodeID = -1
 	for i := 0; i < 8; i++ {
 		id := cluster.NodeID(i)
 		isReplica := false
 		sameRack := false
-		for _, r := range b.Replicas {
+		for _, r := range reps {
 			if r == id {
 				isReplica = true
 			}
@@ -88,11 +90,11 @@ func TestRemoteReadPrefersSameRack(t *testing.T) {
 		t.Skip("no suitable reader with this seed")
 	}
 	var res ReadResult
-	fs.ReadBlock(reader, b.ID, func(r ReadResult) { res = r })
+	fs.ReadBlock(reader, b, func(r ReadResult) { res = r })
 	eng.Run()
 	if !cl.SameRack(reader, res.Server) {
 		t.Errorf("read served cross-rack from %v though a same-rack replica exists (%v)",
-			res.Server, b.Replicas)
+			res.Server, reps)
 	}
 }
 
@@ -101,9 +103,9 @@ func TestCrossRackReadTraversesCore(t *testing.T) {
 	// A tiny core (20MB/s) makes cross-rack memory reads obviously slow.
 	eng, cl, fs := newRackedFS(t, 4, 2, 20*float64(sim.MB), 4)
 	f, _ := fs.CreateFile("in", 256*sim.MB)
-	b := fs.Block(f.Blocks[0])
-	server := b.Replicas[0]
-	fs.RegisterMem(b.ID, server)
+	b := f.Blocks[0]
+	server := fs.Replicas(b)[0]
+	fs.RegisterMem(b, server)
 	// Pick a reader on the other rack.
 	var reader cluster.NodeID = -1
 	for i := 0; i < 4; i++ {
@@ -113,7 +115,7 @@ func TestCrossRackReadTraversesCore(t *testing.T) {
 		}
 	}
 	var res ReadResult
-	fs.ReadBlock(reader, b.ID, func(r ReadResult) { res = r })
+	fs.ReadBlock(reader, b, func(r ReadResult) { res = r })
 	eng.RunFor(5 * time.Minute)
 	// 256MB through a 20MB/s core ~ 12.8s; without the core it would be
 	// ~0.2s over the NIC.
@@ -132,7 +134,7 @@ func TestCrossRackReadTraversesCore(t *testing.T) {
 	}
 	if sameRackReader >= 0 {
 		var res2 ReadResult
-		fs.ReadBlock(sameRackReader, b.ID, func(r ReadResult) { res2 = r })
+		fs.ReadBlock(sameRackReader, b, func(r ReadResult) { res2 = r })
 		eng.RunFor(5 * time.Minute)
 		if d := res2.Duration().Seconds(); d > 1 {
 			t.Errorf("same-rack memory read took %.1fs; should not traverse core", d)
@@ -146,9 +148,9 @@ func TestCoreContention(t *testing.T) {
 	eng, cl, fs := newRackedFS(t, 4, 2, 100*float64(sim.MB), 5)
 	fa, _ := fs.CreateFile("a", 256*sim.MB)
 	fb, _ := fs.CreateFile("b", 256*sim.MB)
-	ba, bb := fs.Block(fa.Blocks[0]), fs.Block(fb.Blocks[0])
-	fs.RegisterMem(ba.ID, ba.Replicas[0])
-	fs.RegisterMem(bb.ID, bb.Replicas[0])
+	ba, bb := fa.Blocks[0], fb.Blocks[0]
+	fs.RegisterMem(ba, fs.Replicas(ba)[0])
+	fs.RegisterMem(bb, fs.Replicas(bb)[0])
 	otherRack := func(server cluster.NodeID) cluster.NodeID {
 		for i := 0; i < 4; i++ {
 			if !cl.SameRack(cluster.NodeID(i), server) {
@@ -158,8 +160,8 @@ func TestCoreContention(t *testing.T) {
 		return -1
 	}
 	var d1, d2 float64
-	fs.ReadBlock(otherRack(ba.Replicas[0]), ba.ID, func(r ReadResult) { d1 = r.Duration().Seconds() })
-	fs.ReadBlock(otherRack(bb.Replicas[0]), bb.ID, func(r ReadResult) { d2 = r.Duration().Seconds() })
+	fs.ReadBlock(otherRack(fs.Replicas(ba)[0]), ba, func(r ReadResult) { d1 = r.Duration().Seconds() })
+	fs.ReadBlock(otherRack(fs.Replicas(bb)[0]), bb, func(r ReadResult) { d2 = r.Duration().Seconds() })
 	eng.RunFor(5 * time.Minute)
 	// Each alone: 2.56s at 100MB/s; sharing: ~5.1s.
 	if d1 < 4.5 || d2 < 4.5 {

@@ -105,7 +105,7 @@ func TestChaosNodeDeath(t *testing.T) {
 	// With 3-way replication one node's death leaves every block
 	// readable; all jobs completed above. The dead node must not be
 	// holding queued migration work.
-	if env.Coord.Slave(3).Node().Alive() {
+	if env.Cl.Node(3).Alive() {
 		t.Fatal("node 3 should be dead")
 	}
 }

@@ -75,11 +75,11 @@ func TestWarmupEstimates(t *testing.T) {
 	if err := env.WarmupEstimates(); err != nil {
 		t.Fatal(err)
 	}
-	std := env.FS.Config().BlockSize
-	slow := env.Coord.Slave(0).EstimateBlockSeconds(std)
-	fast := env.Coord.Slave(3).EstimateBlockSeconds(std)
+	std := float64(env.FS.Config().BlockSize)
+	slow, _ := env.Coord.Estimate(0)
+	fast, _ := env.Coord.Estimate(3)
 	if slow < 2*fast {
-		t.Errorf("warmup did not teach the slow node: slow=%.1fs fast=%.1fs", slow, fast)
+		t.Errorf("warmup did not teach the slow node: slow=%.1fs fast=%.1fs", slow*std, fast*std)
 	}
 	// Warmup must leave no residue.
 	if env.FS.TotalMemUsed() != 0 {
@@ -461,7 +461,7 @@ func TestMotivationShape(t *testing.T) {
 		t.Errorf("SSDIdle = %.9fs, want %.9fs", rep.SSDIdle, want)
 	}
 	// RAM over SSD: paper says 7x; accept 3-30x.
-	if r := rep.RAMvsSSD(); r < 3 || r > 30 {
+	if r := rep.SSDIdle / rep.MemLocal; r < 3 || r > 30 {
 		t.Errorf("RAM vs SSD = %.1fx out of band", r)
 	}
 	// Mapper speedup: paper says 10x; accept 5-20x.

@@ -25,9 +25,6 @@ type MotivationReport struct {
 	MapperDisk, MapperRAM float64
 }
 
-// RAMvsSSD reports the speedup of RAM over SSD reads (paper: 7x).
-func (m MotivationReport) RAMvsSSD() float64 { return m.SSDIdle / m.MemLocal }
-
 // MapperSpeedup reports the map task speedup from pinned inputs
 // (paper: 10x).
 func (m MotivationReport) MapperSpeedup() float64 { return m.MapperDisk / m.MapperRAM }
@@ -68,11 +65,11 @@ func RunMotivation(seed int64) (MotivationReport, error) {
 		if err != nil {
 			return 0, err
 		}
-		b := fs.Block(f.Blocks[0])
-		server := b.Replicas[0]
+		id := f.Blocks[0]
+		server := fs.Replicas(id)[0]
 		at := server
 		if mem {
-			fs.RegisterMem(b.ID, server)
+			fs.RegisterMem(id, server)
 			if remote {
 				at = (server + 1) % 7
 			}
@@ -84,7 +81,7 @@ func RunMotivation(seed int64) (MotivationReport, error) {
 			load = append(load, disk.StartLoad(1))
 		}
 		var dur float64
-		err = fs.ReadBlock(at, b.ID, func(r dfs.ReadResult) { dur = r.Duration().Seconds() })
+		err = fs.ReadBlock(at, id, func(r dfs.ReadResult) { dur = r.Duration().Seconds() })
 		if err != nil {
 			return 0, err
 		}
@@ -93,7 +90,7 @@ func RunMotivation(seed int64) (MotivationReport, error) {
 			l.Cancel()
 		}
 		if mem {
-			fs.DropMem(b.ID, server)
+			fs.DropMem(id, server)
 		}
 		return dur, nil
 	}

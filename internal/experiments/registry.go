@@ -72,9 +72,6 @@ func Registry() []Experiment {
 // (or nil) selection means "everything".
 type Selection map[string]bool
 
-// Empty reports whether the selection requests everything.
-func (s Selection) Empty() bool { return len(s) == 0 }
-
 // Has reports whether any of the names was requested. An empty
 // selection has everything.
 func (s Selection) Has(names ...string) bool {

@@ -50,7 +50,7 @@ func TestSelectAll(t *testing.T) {
 		if len(picked) != len(Registry()) {
 			t.Errorf("Select(%q) picked %d experiments", empty, len(picked))
 		}
-		if !sel.Empty() || !sel.Has("anything") {
+		if len(sel) != 0 || !sel.Has("anything") {
 			t.Errorf("Select(%q) selection not universal", empty)
 		}
 	}

@@ -91,6 +91,8 @@ func Scale1kOptions(seed int64) ScaleOptions {
 // blocks. Virtual time is one day — heartbeat volume scales as nodes x
 // span, and a day at 10k nodes already fires an order of magnitude more
 // events than two days at 1k.
+//
+//lint:testapi BenchmarkScale10k, which the README documents, runs it
 func Scale10kOptions(seed int64) ScaleOptions {
 	return ScaleOptions{
 		Scenario:      "scale10k",

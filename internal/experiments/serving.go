@@ -144,6 +144,8 @@ func ServingSmokeOptions(seed int64) ServingOptions {
 // Serving1kOptions is the macro-benchmark preset: 1,000 nodes, a wider
 // file population, a heavier request rate, DYRS only (the benchmark
 // measures throughput of the serving path, not the policy comparison).
+//
+//lint:testapi BenchmarkServing1k, a gated benchmark, runs it
 func Serving1kOptions(seed int64) ServingOptions {
 	spec := DefaultServingSpec1k()
 	return ServingOptions{

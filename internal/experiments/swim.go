@@ -197,13 +197,13 @@ func RunSWIMOnce(policy Policy, seed int64) (*SWIMRun, error) {
 	windowIdx := map[int]int{} // block id -> windows index
 	if policy == RAM {
 		for _, j := range jobs {
-			blocks, err := env.FS.FileBlocks([]string{j.FileName()})
+			ids, err := env.FS.FileBlockIDs([]string{j.FileName()})
 			if err != nil {
 				return nil, err
 			}
-			for _, b := range blocks {
-				windowIdx[int(b.ID)] = len(windows)
-				windows = append(windows, blockWindow{server: b.Replicas[0], size: b.Size})
+			for _, id := range ids {
+				windowIdx[int(id)] = len(windows)
+				windows = append(windows, blockWindow{server: env.FS.Replicas(id)[0], size: env.FS.BlockSize(id)})
 			}
 		}
 	}

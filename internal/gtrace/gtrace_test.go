@@ -103,9 +103,6 @@ func TestUtilizationSeries(t *testing.T) {
 func TestRatioPDF(t *testing.T) {
 	tr := defaultTrace(t)
 	h := tr.RatioPDF(30)
-	if h.Count() != len(tr.Jobs) {
-		t.Errorf("pdf count = %d", h.Count())
-	}
 	var sum float64
 	for _, p := range h.PDF() {
 		sum += p

@@ -97,40 +97,3 @@ func (t *Trace) WriteJobsCSV(w io.Writer) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// ReadJobsCSV parses a jobs CSV (as written by WriteJobsCSV, or derived
-// from a real trace) into Job records, replacing t.Jobs-style data for
-// the Fig. 2 analysis.
-func ReadJobsCSV(r io.Reader) ([]Job, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("gtrace: reading jobs csv: %w", err)
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("gtrace: empty jobs csv")
-	}
-	var jobs []Job
-	for i, rec := range records {
-		if i == 0 && rec[0] == "tasks" {
-			continue // header
-		}
-		if len(rec) != 3 {
-			return nil, fmt.Errorf("gtrace: jobs csv row %d has %d fields", i, len(rec))
-		}
-		tasks, err := strconv.Atoi(rec[0])
-		if err != nil {
-			return nil, fmt.Errorf("gtrace: row %d tasks: %w", i, err)
-		}
-		lead, err := strconv.ParseFloat(rec[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("gtrace: row %d lead: %w", i, err)
-		}
-		read, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("gtrace: row %d read: %w", i, err)
-		}
-		jobs = append(jobs, Job{Tasks: tasks, LeadSeconds: lead, ReadSeconds: read})
-	}
-	return jobs, nil
-}

@@ -22,7 +22,7 @@ func TestCanaryBugIsDetectedAndShrunk(t *testing.T) {
 	// The bug fires whenever a slave crash catches resident buffers; the
 	// generator produces such a scenario within the first few seeds.
 	for seed = 1; seed <= 100; seed++ {
-		if failures = CheckScenario(Generate(seed)); len(failures) > 0 {
+		if failures = CheckScenario(generate(seed, false)); len(failures) > 0 {
 			break
 		}
 	}

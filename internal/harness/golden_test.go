@@ -48,7 +48,7 @@ type goldenCase struct {
 func goldenCases() []goldenCase {
 	var cases []goldenCase
 	for seed := int64(1); seed <= 60; seed++ {
-		cases = append(cases, goldenCase{fmt.Sprintf("generate/seed=%d", seed), Generate(seed)})
+		cases = append(cases, goldenCase{fmt.Sprintf("generate/seed=%d", seed), generate(seed, false)})
 	}
 	for seed := int64(1); seed <= 12; seed++ {
 		cases = append(cases, goldenCase{fmt.Sprintf("serving/seed=%d", seed), GenerateServing(seed)})

@@ -13,7 +13,7 @@ import (
 func TestGenerateDeterministic(t *testing.T) {
 	t.Parallel()
 	for seed := int64(1); seed <= 50; seed++ {
-		a, b := Generate(seed), Generate(seed)
+		a, b := generate(seed, false), generate(seed, false)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: Generate is not deterministic:\n%+v\n%+v", seed, a, b)
 		}
@@ -23,7 +23,7 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestGenerateBounds(t *testing.T) {
 	t.Parallel()
 	for seed := int64(1); seed <= 200; seed++ {
-		sc := Generate(seed)
+		sc := generate(seed, false)
 		if sc.Workers < 5 || sc.Workers > 8 {
 			t.Fatalf("seed %d: workers = %d", seed, sc.Workers)
 		}
@@ -71,9 +71,9 @@ func TestGenerateLargeDeterministicAndBounds(t *testing.T) {
 	t.Parallel()
 	sawDeaths := 0
 	for seed := int64(1); seed <= 100; seed++ {
-		sc := GenerateLarge(seed)
-		if !reflect.DeepEqual(sc, GenerateLarge(seed)) {
-			t.Fatalf("seed %d: GenerateLarge is not deterministic", seed)
+		sc := generate(seed, true)
+		if !reflect.DeepEqual(sc, generate(seed, true)) {
+			t.Fatalf("seed %d: the large draw is not deterministic", seed)
 		}
 		if !sc.Large {
 			t.Fatalf("seed %d: Large not set", seed)
@@ -112,7 +112,7 @@ func TestGenerateLargeIndependentStream(t *testing.T) {
 	t.Parallel()
 	same := 0
 	for seed := int64(1); seed <= 20; seed++ {
-		if len(Generate(seed).Jobs) == len(GenerateLarge(seed).Jobs) {
+		if len(generate(seed, false).Jobs) == len(generate(seed, true).Jobs) {
 			same++
 		}
 	}
@@ -130,7 +130,7 @@ func TestCheckScenarioLargeSmoke(t *testing.T) {
 		t.Skip("large scenario run skipped under -short")
 	}
 	t.Parallel()
-	sc := GenerateLarge(3)
+	sc := generate(3, true)
 	if sc.Racks <= 1 {
 		t.Fatalf("large scenario has no racks: %s", sc)
 	}
@@ -145,7 +145,7 @@ func TestCheckScenarioLargeSmoke(t *testing.T) {
 func TestCheckScenarioSmokeSeeds(t *testing.T) {
 	t.Parallel()
 	for _, seed := range []int64{3, 7, 9} {
-		for _, f := range CheckScenario(Generate(seed)) {
+		for _, f := range CheckScenario(generate(seed, false)) {
 			t.Errorf("seed %d: %s", seed, f)
 		}
 	}
@@ -156,7 +156,7 @@ func TestCheckScenarioSmokeSeeds(t *testing.T) {
 // stable across runs.
 func TestRunScenarioObservations(t *testing.T) {
 	t.Parallel()
-	sc := Generate(7)
+	sc := generate(7, false)
 	r := RunScenario(sc, experiments.DYRS)
 	if len(r.Completed) != len(sc.Jobs) {
 		t.Fatalf("completed %d of %d jobs", len(r.Completed), len(sc.Jobs))
@@ -195,7 +195,7 @@ func TestRunScenarioRejectsInvalidScenario(t *testing.T) {
 		}, "negative node"},
 		{"negative time", func(sc *Scenario) { sc.Faults[0].At = -time.Second }, "negative time"},
 	}
-	for _, base := range []Scenario{Generate(7), GenerateServing(1)} {
+	for _, base := range []Scenario{generate(7, false), GenerateServing(1)} {
 		for _, tc := range cases {
 			sc := base
 			sc.Faults = append([]Fault(nil), base.Faults...)
@@ -218,7 +218,7 @@ func TestRunScenarioRejectsInvalidScenario(t *testing.T) {
 // each oracle to prove none of them is vacuous.
 func TestEvaluateDetectsSyntheticViolations(t *testing.T) {
 	t.Parallel()
-	sc := Generate(1)
+	sc := generate(1, false)
 	clean := func() (*RunResult, *RunResult, *RunResult) {
 		mk := func(p experiments.Policy) *RunResult {
 			return &RunResult{Policy: p, TraceHash: "h", Counters: map[string]int64{}}
@@ -296,12 +296,12 @@ func TestReproScenarioAppliesMasks(t *testing.T) {
 	t.Parallel()
 	var seed int64
 	for seed = 1; ; seed++ {
-		sc := Generate(seed)
+		sc := generate(seed, false)
 		if len(sc.Faults) >= 2 && len(sc.Jobs) >= 2 {
 			break
 		}
 	}
-	full := Generate(seed)
+	full := generate(seed, false)
 	r := Repro{Seed: seed, KeepFaults: []int{1}, KeepJobs: []int{0}}
 	sc := r.Scenario()
 	if len(sc.Faults) != 1 || !reflect.DeepEqual(sc.Faults[0], full.Faults[1]) {
@@ -331,7 +331,7 @@ func TestShrinkWithSyntheticPredicate(t *testing.T) {
 	t.Parallel()
 	var seed int64
 	for seed = 1; ; seed++ {
-		sc := Generate(seed)
+		sc := generate(seed, false)
 		if len(sc.Faults) >= 3 && len(sc.Jobs) >= 3 {
 			break
 		}

@@ -126,7 +126,7 @@ type Fault struct {
 // oracle) or repeatedly (determinism oracle).
 type Scenario struct {
 	Seed int64
-	// Large marks a datacenter-shaped draw (see GenerateLarge); recorded
+	// Large marks a datacenter-shaped draw (see generate); recorded
 	// so repro lines regenerate from the right envelope.
 	Large   bool
 	Workers int
@@ -199,24 +199,19 @@ func (sc Scenario) String() string {
 		sc.Seed, sc.Workers, size, pol, len(sc.SlowNodes), len(sc.Jobs), len(sc.Faults), sc.Heartbeats)
 }
 
-// Generate draws the testbed-scale scenario for a seed (5-8 workers,
-// the paper's envelope). It is deterministic: the same seed always
-// yields a deeply equal Scenario, which is what makes the keep-mask
-// repro encoding (see Repro) stable.
-func Generate(seed int64) Scenario { return generate(seed, false) }
-
-// GenerateLarge draws a datacenter-shaped scenario: 64-256 workers in
-// 4-16 racks, more jobs, more faults (including multiple node deaths).
-// It exercises the paths testbed scenarios cannot — rack-aware replica
-// placement, the per-rack replica indexes, and scale-dependent binder
-// behaviour — under the same five oracles. Deterministic per seed, and
-// drawn from an independent stream, so large seed N is unrelated to
-// small seed N.
-func GenerateLarge(seed int64) Scenario { return generate(seed, true) }
-
-// generate is the shared draw. The large envelope only widens ranges;
-// the structure (hardware, workload, fault schedule) is identical, so
-// shrinking and repro masks work the same way in both modes.
+// generate draws the batch scenario for a seed. The testbed envelope
+// (large false) has 5-8 workers, the paper's scale. The large envelope
+// is datacenter-shaped: 64-256 workers in 4-16 racks, more jobs, more
+// faults (including multiple node deaths). It exercises the paths
+// testbed scenarios cannot — rack-aware replica placement, the per-rack
+// replica indexes, and scale-dependent binder behaviour — under the
+// same five oracles, and is drawn from an independent stream, so large
+// seed N is unrelated to small seed N. The large envelope only widens
+// ranges; the structure (hardware, workload, fault schedule) is
+// identical, so shrinking and repro masks work the same way in both
+// modes. The draw is deterministic: the same seed always yields a
+// deeply equal Scenario, which is what makes the keep-mask repro
+// encoding (see Repro) stable.
 func generate(seed int64, large bool) Scenario {
 	rng := rand.New(rand.NewSource(seed))
 	if large {

@@ -10,8 +10,8 @@ import (
 // Repro names a (possibly reduced) scenario: the generator seed plus
 // keep-masks over the generated fault and job lists. A nil mask keeps
 // everything, so Repro{Seed: n} is the full scenario for seed n. The
-// masks index into Generate(seed)'s output, which is deterministic, so
-// a repro line is stable across machines and runs.
+// masks index into generate's output, which is deterministic, so a
+// repro line is stable across machines and runs.
 type Repro struct {
 	Seed       int64
 	Large      bool   // regenerate from the large-topology envelope

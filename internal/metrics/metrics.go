@@ -43,9 +43,6 @@ func (e *EWMA) Observe(v float64) {
 // Value reports the current average, or 0 before any samples.
 func (e *EWMA) Value() float64 { return e.value }
 
-// Samples reports how many observations have been incorporated.
-func (e *EWMA) Samples() int { return e.samples }
-
 // Set overrides the current value without counting a sample; used to seed
 // an estimator with a prior.
 func (e *EWMA) Set(v float64) {
@@ -78,18 +75,8 @@ func (s *Sample) Add(v float64) {
 	s.sum += v
 }
 
-// AddAll appends many observations.
-func (s *Sample) AddAll(vs []float64) {
-	for _, v := range vs {
-		s.Add(v)
-	}
-}
-
 // Len reports the number of observations.
 func (s *Sample) Len() int { return len(s.xs) }
-
-// Sum reports the sum of all observations.
-func (s *Sample) Sum() float64 { return s.sum }
 
 // Mean reports the arithmetic mean, or 0 for an empty sample.
 func (s *Sample) Mean() float64 {
@@ -148,9 +135,6 @@ func (s *Sample) Percentile(p float64) float64 {
 	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
 }
 
-// Median reports the 50th percentile.
-func (s *Sample) Median() float64 { return s.Percentile(50) }
-
 // FractionBelow reports the fraction of observations <= v (the empirical
 // CDF evaluated at v).
 func (s *Sample) FractionBelow(v float64) float64 {
@@ -161,14 +145,6 @@ func (s *Sample) FractionBelow(v float64) float64 {
 	s.ensureSorted()
 	idx := sort.SearchFloat64s(s.xs, math.Nextafter(v, math.Inf(1)))
 	return float64(idx) / float64(n)
-}
-
-// Values returns a copy of all observations (sorted).
-func (s *Sample) Values() []float64 {
-	s.ensureSorted()
-	out := make([]float64, len(s.xs))
-	copy(out, s.xs)
-	return out
 }
 
 // Histogram counts observations into fixed-width bins over [lo, hi).
@@ -198,16 +174,6 @@ func (h *Histogram) Add(v float64) {
 	}
 	h.bins[idx]++
 	h.n++
-}
-
-// Count reports the total observations.
-func (h *Histogram) Count() int { return h.n }
-
-// Bins returns a copy of the per-bin counts.
-func (h *Histogram) Bins() []int {
-	out := make([]int, len(h.bins))
-	copy(out, h.bins)
-	return out
 }
 
 // BinCenter reports the midpoint value of bin i.
@@ -347,20 +313,6 @@ func (ts *TimeSeries) MeanValue() float64 {
 		return ts.runs[0].v
 	}
 	return area / span
-}
-
-// MaxValue reports the largest sample value.
-func (ts *TimeSeries) MaxValue() float64 {
-	max := math.Inf(-1)
-	for _, r := range ts.runs {
-		if r.v > max {
-			max = r.v
-		}
-	}
-	if math.IsInf(max, -1) {
-		return 0
-	}
-	return max
 }
 
 // Downsample returns at most n points evenly spaced through the series,

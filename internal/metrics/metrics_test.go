@@ -10,7 +10,7 @@ import (
 
 func TestEWMABasics(t *testing.T) {
 	e := NewEWMA(0.5)
-	if e.Value() != 0 || e.Samples() != 0 {
+	if e.Value() != 0 || e.samples != 0 {
 		t.Fatal("fresh EWMA not zero")
 	}
 	e.Observe(10)
@@ -21,8 +21,8 @@ func TestEWMABasics(t *testing.T) {
 	if e.Value() != 15 {
 		t.Errorf("after 10,20 with alpha .5: %v, want 15", e.Value())
 	}
-	if e.Samples() != 2 {
-		t.Errorf("samples = %d", e.Samples())
+	if e.samples != 2 {
+		t.Errorf("samples = %d", e.samples)
 	}
 }
 
@@ -32,8 +32,8 @@ func TestEWMASet(t *testing.T) {
 	if e.Value() != 42 {
 		t.Errorf("Set: %v", e.Value())
 	}
-	if e.Samples() != 1 {
-		t.Errorf("Set should mark initialized: %d", e.Samples())
+	if e.samples != 1 {
+		t.Errorf("Set should mark initialized: %d", e.samples)
 	}
 	e.Observe(42)
 	if e.Value() != 42 {
@@ -79,15 +79,17 @@ func TestPropertyEWMABounded(t *testing.T) {
 
 func TestSampleStats(t *testing.T) {
 	s := NewSample()
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Median() != 0 {
+	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Percentile(50) != 0 {
 		t.Error("empty sample stats not zero")
 	}
-	s.AddAll([]float64{4, 1, 3, 2, 5})
-	if s.Len() != 5 || s.Sum() != 15 || s.Mean() != 3 {
-		t.Errorf("len/sum/mean = %d/%v/%v", s.Len(), s.Sum(), s.Mean())
+	for _, v := range []float64{4, 1, 3, 2, 5} {
+		s.Add(v)
 	}
-	if s.Min() != 1 || s.Max() != 5 || s.Median() != 3 {
-		t.Errorf("min/max/median = %v/%v/%v", s.Min(), s.Max(), s.Median())
+	if s.Len() != 5 || s.sum != 15 || s.Mean() != 3 {
+		t.Errorf("len/sum/mean = %d/%v/%v", s.Len(), s.sum, s.Mean())
+	}
+	if s.Min() != 1 || s.Max() != 5 || s.Percentile(50) != 3 {
+		t.Errorf("min/max/median = %v/%v/%v", s.Min(), s.Max(), s.Percentile(50))
 	}
 }
 
@@ -112,7 +114,9 @@ func TestSamplePercentiles(t *testing.T) {
 
 func TestFractionBelow(t *testing.T) {
 	s := NewSample()
-	s.AddAll([]float64{1, 2, 3, 4})
+	for _, v := range []float64{1, 2, 3, 4} {
+		s.Add(v)
+	}
 	cases := []struct{ v, want float64 }{
 		{0, 0}, {1, 0.25}, {2.5, 0.5}, {4, 1}, {10, 1},
 	}
@@ -123,25 +127,12 @@ func TestFractionBelow(t *testing.T) {
 	}
 }
 
-func TestSampleValuesCopy(t *testing.T) {
-	s := NewSample()
-	s.AddAll([]float64{3, 1, 2})
-	v := s.Values()
-	if v[0] != 1 || v[2] != 3 {
-		t.Errorf("values not sorted: %v", v)
-	}
-	v[0] = 99
-	if s.Min() == 99 {
-		t.Error("Values did not copy")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(0, 10, 5)
 	for _, v := range []float64{-1, 0, 1.9, 2, 5, 9.9, 10, 100} {
 		h.Add(v)
 	}
-	bins := h.Bins()
+	bins := h.bins
 	// -1,0,1.9 -> bin0; 2 -> bin1; 5 -> bin2; 9.9,10,100 -> bin4.
 	want := []int{3, 1, 1, 0, 3}
 	for i := range want {
@@ -149,8 +140,8 @@ func TestHistogram(t *testing.T) {
 			t.Fatalf("bins = %v, want %v", bins, want)
 		}
 	}
-	if h.Count() != 8 {
-		t.Errorf("count = %d", h.Count())
+	if h.n != 8 {
+		t.Errorf("count = %d", h.n)
 	}
 	if c := h.BinCenter(0); c != 1 {
 		t.Errorf("BinCenter(0) = %v, want 1", c)
@@ -176,7 +167,7 @@ func TestHistogramValidation(t *testing.T) {
 
 func TestTimeSeries(t *testing.T) {
 	ts := NewTimeSeries("est")
-	if ts.Name() != "est" || ts.Len() != 0 || ts.MaxValue() != 0 {
+	if ts.Name() != "est" || ts.Len() != 0 {
 		t.Error("fresh series wrong")
 	}
 	if (ts.Last() != TimePoint{}) {
@@ -191,9 +182,6 @@ func TestTimeSeries(t *testing.T) {
 	// Time-weighted mean: 10*1 + 20*2 over span 3 = 50/3.
 	if m := ts.MeanValue(); math.Abs(m-50.0/3) > 1e-12 {
 		t.Errorf("MeanValue = %v", m)
-	}
-	if ts.MaxValue() != 30 {
-		t.Errorf("MaxValue = %v", ts.MaxValue())
 	}
 }
 
@@ -239,9 +227,6 @@ func TestTimeSeriesPagedDownsample(t *testing.T) {
 		}
 		if got := ts.Points(); !reflect.DeepEqual(got, flat) {
 			t.Fatalf("size %d: Points differs from the recorded samples", size)
-		}
-		if ts.MaxValue() != flat[size-1].V {
-			t.Errorf("size %d: MaxValue %v", size, ts.MaxValue())
 		}
 		for _, n := range []int{1, 2, size - 1, size, size + 1} {
 			var want []TimePoint

@@ -30,19 +30,6 @@ func flatMean(pts []TimePoint) float64 {
 	return area / span
 }
 
-func flatMax(pts []TimePoint) float64 {
-	max := math.Inf(-1)
-	for _, p := range pts {
-		if p.V > max {
-			max = p.V
-		}
-	}
-	if math.IsInf(max, -1) {
-		return 0
-	}
-	return max
-}
-
 func flatDownsample(pts []TimePoint, n int) []TimePoint {
 	switch {
 	case n <= 0 || len(pts) == 0:
@@ -92,9 +79,6 @@ func checkAgainstFlat(t *testing.T, ts *TimeSeries, flat []TimePoint) {
 	}
 	if got := ts.Last(); !samePoint(got, last) {
 		t.Fatalf("Last %v, want %v", got, last)
-	}
-	if got, want := ts.MaxValue(), flatMax(flat); !sameFloat(got, want) {
-		t.Fatalf("MaxValue %v, want %v", got, want)
 	}
 	if got, want := ts.MeanValue(), flatMean(flat); !sameFloat(got, want) {
 		t.Fatalf("MeanValue %v, want %v", got, want)

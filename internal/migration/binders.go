@@ -91,9 +91,6 @@ func BinderByName(name string) (Binder, error) {
 // Name implements Binder.
 func (b *PolicyBinder) Name() string { return b.pol.Name() }
 
-// Policy returns the wrapped target-selection policy.
-func (b *PolicyBinder) Policy() policy.Policy { return b.pol }
-
 func (b *PolicyBinder) attach(c *Coordinator) {
 	b.c = c
 	b.targets = make([][]*blockInfo, c.cl.Size())

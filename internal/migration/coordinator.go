@@ -275,6 +275,8 @@ func (c *Coordinator) setRecord(id dfs.BlockID, bi *blockInfo) {
 func (c *Coordinator) Binder() Binder { return c.binder }
 
 // Slave returns the migration slave on the given node.
+//
+//lint:testapi the root package's memory-blocked benchmarks read a slave's BlockedOnMemory
 func (c *Coordinator) Slave(id cluster.NodeID) *Slave { return c.slaves[int(id)] }
 
 // Estimate reports the master's view of a slave's per-byte migration

@@ -76,17 +76,18 @@ func (None) NoteRead(JobID, dfs.BlockID) {}
 // configuration (inputs locked in RAM with vmtouch before the run, §V-A).
 // It returns the total bytes pinned.
 func PinFiles(fs *dfs.FS, files []string) (sim.Bytes, error) {
-	blocks, err := fs.FileBlocks(files)
+	ids, err := fs.FileBlockIDs(files)
 	if err != nil {
 		return 0, err
 	}
 	var total sim.Bytes
-	for _, b := range blocks {
-		if len(b.Replicas) == 0 {
+	for _, id := range ids {
+		replicas := fs.Replicas(id)
+		if len(replicas) == 0 {
 			continue
 		}
-		fs.RegisterMem(b.ID, b.Replicas[0])
-		total += b.Size
+		fs.RegisterMem(id, replicas[0])
+		total += fs.BlockSize(id)
 	}
 	return total, nil
 }

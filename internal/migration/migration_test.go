@@ -353,10 +353,10 @@ func TestMasterRestartKeepsSystemAlive(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.eng.RunUntil(sim.Time(5 * time.Minute))
-	blocks, _ := r.fs.FileBlocks([]string{"b"})
+	blocks, _ := r.fs.FileBlockIDs([]string{"b"})
 	for _, b := range blocks {
-		if _, ok := r.fs.MemReplica(b.ID); !ok {
-			t.Errorf("post-restart migration incomplete: block %d", b.ID)
+		if _, ok := r.fs.MemReplica(b); !ok {
+			t.Errorf("post-restart migration incomplete: block %d", b)
 		}
 	}
 	r.c.Shutdown()
@@ -407,11 +407,11 @@ func TestEstimatorTracksInterference(t *testing.T) {
 	r := newRig(t, 16, 2, NewDYRSBinder(), nil, DefaultConfig())
 	r.mkFile(t, "in", 30)
 	node := r.cl.Node(0)
-	baseline := r.c.Slave(0).EstimateBlockSeconds(r.fs.Config().BlockSize)
+	baseline := r.c.Slave(0).estimator.blockSeconds(r.fs.Config().BlockSize)
 	node.StartInterference(2, 1)
 	r.c.Migrate(1, []string{"in"}, false)
 	r.eng.RunUntil(sim.Time(60 * time.Second))
-	inflated := r.c.Slave(0).EstimateBlockSeconds(r.fs.Config().BlockSize)
+	inflated := r.c.Slave(0).estimator.blockSeconds(r.fs.Config().BlockSize)
 	if inflated < baseline*1.5 {
 		t.Errorf("estimate %.2fs did not reflect interference (baseline %.2fs)", inflated, baseline)
 	}
@@ -438,9 +438,9 @@ func TestInProgressInflationRaisesEstimateBeforeCompletion(t *testing.T) {
 	// 9 competing streams -> migration runs ~10x slower (~20s+).
 	cl.Node(0).StartInterference(9, 1)
 	c.Migrate(1, []string{"in"}, false)
-	before := c.Slave(0).EstimateBlockSeconds(fs.Config().BlockSize)
+	before := c.Slave(0).estimator.blockSeconds(fs.Config().BlockSize)
 	eng.RunUntil(sim.Time(10 * time.Second))
-	mid := c.Slave(0).EstimateBlockSeconds(fs.Config().BlockSize)
+	mid := c.Slave(0).estimator.blockSeconds(fs.Config().BlockSize)
 	if c.Stats().Migrated != 0 {
 		t.Skip("migration finished too fast for the inflation window")
 	}

@@ -1,6 +1,7 @@
 package migration
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -23,8 +24,8 @@ func TestHintForAggregation(t *testing.T) {
 	r.c.Migrate(2, []string{"shared"}, false)
 	r.c.SetJobHint(1, JobHint{ExpectedStart: sim.Time(20 * time.Second), InputBytes: 1 * sim.GB})
 	r.c.SetJobHint(2, JobHint{ExpectedStart: sim.Time(5 * time.Second), InputBytes: 8 * sim.GB})
-	blocks, _ := r.fs.FileBlocks([]string{"shared"})
-	bi := r.c.blockRecord(blocks[0].ID)
+	blocks, _ := r.fs.FileBlockIDs([]string{"shared"})
+	bi := r.c.blockRecord(blocks[0])
 	start, bytes := r.c.hintFor(bi)
 	if start != sim.Time(5*time.Second) {
 		t.Errorf("start = %v, want 5s (earliest)", start)
@@ -39,8 +40,8 @@ func TestHintForUnhinted(t *testing.T) {
 	defer r.c.Shutdown()
 	r.mkFile(t, "f", 1)
 	r.c.Migrate(1, []string{"f"}, false)
-	blocks, _ := r.fs.FileBlocks([]string{"f"})
-	start, bytes := r.c.hintFor(r.c.blockRecord(blocks[0].ID))
+	blocks, _ := r.fs.FileBlockIDs([]string{"f"})
+	start, bytes := r.c.hintFor(r.c.blockRecord(blocks[0]))
 	if start != 0 {
 		t.Errorf("unhinted start = %v, want 0 (urgent)", start)
 	}
@@ -62,8 +63,8 @@ func TestSJFOrdersSmallJobsFirst(t *testing.T) {
 	r.c.SetJobHint(2, JobHint{InputBytes: 256 * sim.MB})
 	b := r.c.binder.(*PolicyBinder)
 	b.UpdateTargets()
-	if got := r.fs.Block(b.pending[0].id).File; got != "small" {
-		t.Errorf("SJF head of pending = %s, want small", got)
+	if want, _ := r.fs.FileBlockIDs([]string{"small"}); !slices.Contains(want, b.pending[0].id) {
+		t.Errorf("SJF head of pending = block %d, want one of small's blocks %v", b.pending[0].id, want)
 	}
 }
 
@@ -80,8 +81,8 @@ func TestEDFOrdersEarliestDeadlineFirst(t *testing.T) {
 	r.c.SetJobHint(2, JobHint{ExpectedStart: sim.Time(3 * time.Second)})
 	b := r.c.binder.(*PolicyBinder)
 	b.UpdateTargets()
-	if got := r.fs.Block(b.pending[0].id).File; got != "soon" {
-		t.Errorf("EDF head of pending = %s, want soon", got)
+	if want, _ := r.fs.FileBlockIDs([]string{"soon"}); !slices.Contains(want, b.pending[0].id) {
+		t.Errorf("EDF head of pending = block %d, want one of soon's blocks %v", b.pending[0].id, want)
 	}
 }
 
@@ -96,8 +97,8 @@ func TestFIFOKeepsArrivalOrder(t *testing.T) {
 	r.c.SetJobHint(2, JobHint{InputBytes: sim.MB, ExpectedStart: 0})
 	b := r.c.binder.(*PolicyBinder)
 	b.UpdateTargets()
-	if got := r.fs.Block(b.pending[0].id).File; got != "first" {
-		t.Errorf("FIFO head = %s, want first (hints must be ignored)", got)
+	if want, _ := r.fs.FileBlockIDs([]string{"first"}); !slices.Contains(want, b.pending[0].id) {
+		t.Errorf("FIFO head = block %d, want one of first's blocks %v (hints must be ignored)", b.pending[0].id, want)
 	}
 }
 

@@ -64,9 +64,6 @@ func TestPolicyBinderCostAwareMigrates(t *testing.T) {
 	if b.Name() != "CostAware" {
 		t.Errorf("binder name %q", b.Name())
 	}
-	if b.Policy().Name() != "CostAware" {
-		t.Errorf("wrapped policy name %q", b.Policy().Name())
-	}
 	r.c.Shutdown()
 }
 

@@ -89,7 +89,7 @@ func rackBlockCounts(fs *dfs.FS) []int {
 	cl := fs.Cluster()
 	out := make([]int, cl.Racks())
 	for id := dfs.BlockID(0); int(id) < fs.NumBlocks(); id++ {
-		for _, r := range fs.Block(id).Replicas {
+		for _, r := range fs.Replicas(id) {
 			out[cl.Rack(r)]++
 		}
 	}

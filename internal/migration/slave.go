@@ -105,15 +105,6 @@ func newSlave(c *Coordinator, node *cluster.Node) *Slave {
 	return s
 }
 
-// Node returns the cluster node this slave runs on.
-func (s *Slave) Node() *cluster.Node { return s.node }
-
-// EstimateBlockSeconds reports the slave's current estimate of the time
-// to migrate one block of the given size.
-func (s *Slave) EstimateBlockSeconds(size sim.Bytes) float64 {
-	return s.estimator.blockSeconds(size)
-}
-
 // occupancy counts queued plus active migrations.
 func (s *Slave) occupancy() int {
 	return len(s.queue) + s.nActive

@@ -188,7 +188,7 @@ type underTest interface {
 type resourceUT struct{ r *Resource }
 
 func (u resourceUT) start(size Bytes, weight float64, done func(float64)) func() {
-	f := u.r.StartWeighted(size, weight, func(f *Flow) { done(f.Rate()) })
+	f := u.r.StartWeighted(size, weight, func(f *Flow) { done(f.rate()) })
 	return f.Cancel
 }
 func (u resourceUT) startLoad(weight float64) func() { return u.r.StartLoad(weight).Cancel }

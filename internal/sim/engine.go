@@ -93,9 +93,6 @@ type Event struct {
 	cancelled bool
 }
 
-// At reports the instant the event is scheduled to fire.
-func (e *Event) At() Time { return e.at }
-
 // compactMin is the queue length below which tombstone compaction is not
 // worth an O(n) sweep; dead events that small are cheaper to skim off
 // the head as the clock reaches them.

@@ -243,7 +243,7 @@ func TestFloatDuration(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		se.Shard(i).Schedule(FloatDuration(1e30), func() { fired++ })
 	}
-	if se.RunFor(1e18); fired != 0 {
+	if se.RunUntil(1e18); fired != 0 {
 		t.Errorf("%d overlong delays fired within 1e18ns", fired)
 	}
 	if se.Run(); fired != 2 {

@@ -89,42 +89,10 @@ type Flow struct {
 	total   float64 // original size, NaN for persistent
 
 	// Materialized at the end of the flow's life: remaining bytes and
-	// last rate, so accessors on ended flows need no resource state.
+	// last rate, so tests can read an ended flow without resource state.
 	endRem  float64
 	endRate float64
 }
-
-// Remaining reports the bytes this flow still has to transfer, as of the
-// resource's last accounting advance.
-func (f *Flow) Remaining() Bytes {
-	if f.active {
-		rem := (f.tag - f.res.vsrv) * f.weight
-		if rem < 0 {
-			rem = 0
-		}
-		return Bytes(math.Ceil(rem))
-	}
-	return Bytes(math.Ceil(f.endRem))
-}
-
-// Rate reports the flow's current transfer rate in bytes/sec (the rate
-// it was ending at, for completed or cancelled flows).
-func (f *Flow) Rate() float64 {
-	if !f.active {
-		return f.endRate
-	}
-	r := f.res
-	if r.totalW <= 0 {
-		return 0
-	}
-	return r.base * r.scale * r.eff(r.totalW) * f.weight / r.totalW
-}
-
-// Started reports when the flow was admitted.
-func (f *Flow) Started() Time { return f.started }
-
-// Active reports whether the flow is still transferring.
-func (f *Flow) Active() bool { return f.active }
 
 // Size reports the flow's original size in bytes, or 0 for persistent
 // load flows (which have no size).
@@ -241,10 +209,14 @@ func (r *Resource) Name() string { return r.name }
 func (r *Resource) Capacity() float64 { return r.base }
 
 // ActiveFlows reports the number of in-progress flows.
+//
+//lint:testapi other packages' tests check that their flows drained
 func (r *Resource) ActiveFlows() int { return len(r.heap) }
 
 // BytesMoved reports the cumulative bytes transferred through this
 // resource up to the current instant, including progress of active flows.
+//
+//lint:testapi dfs tests count the bytes a read moved through a disk or NIC
 func (r *Resource) BytesMoved() Bytes {
 	r.advance()
 	return Bytes(r.bytesMoved)
@@ -255,21 +227,6 @@ func (r *Resource) BytesMoved() Bytes {
 func (r *Resource) BusyTime() Duration {
 	r.advance()
 	return r.busy
-}
-
-// Utilization reports the fraction of the window [since, now] during which
-// the resource was busy.
-func (r *Resource) Utilization(since Time) float64 {
-	r.advance()
-	window := r.eng.Now().Sub(since)
-	if window <= 0 {
-		return 0
-	}
-	b := r.busy
-	if b > window {
-		b = window
-	}
-	return float64(b) / float64(window)
 }
 
 // SetScale changes the dynamic capacity multiplier (e.g. 0.3 for a
@@ -284,6 +241,8 @@ func (r *Resource) SetScale(s float64) {
 }
 
 // Scale reports the current capacity multiplier.
+//
+//lint:testapi cluster tests check that a node's disk scale reached its resource
 func (r *Resource) Scale() float64 { return r.scale }
 
 // Start admits a transfer of size bytes with weight 1. done, if non-nil,

@@ -140,8 +140,8 @@ func TestOverlongFlowStaysActive(t *testing.T) {
 	done := false
 	f := r.Start(10*GB, func(*Flow) { done = true })
 	e.RunFor(1e18)
-	if done || !f.Active() || r.ActiveFlows() != 1 {
-		t.Fatalf("10GB at 1B/s completed=%v active=%v by %v", done, f.Active(), e.Now())
+	if done || !f.active || r.ActiveFlows() != 1 {
+		t.Fatalf("10GB at 1B/s completed=%v active=%v by %v", done, f.active, e.Now())
 	}
 	if got := r.BytesMoved(); got != Bytes(e.Now().Seconds()) {
 		t.Errorf("BytesMoved %d after %v at 1B/s", got, e.Now())
@@ -237,14 +237,14 @@ func TestEndedHandleAccessors(t *testing.T) {
 	e.RunFor(500 * time.Millisecond)
 	r.BytesMoved() // advance
 	fc.Cancel()
-	if fc.Active() {
+	if fc.active {
 		t.Fatal("cancelled flow still active")
 	}
-	if rem := fc.Remaining(); rem != 50*MB {
+	if rem := fc.remaining(); rem != 50*MB {
 		t.Fatalf("cancelled Remaining = %d, want %d", rem, 50*MB)
 	}
-	if fc.Rate() != 100*float64(MB) {
-		t.Fatalf("cancelled Rate = %v, want %v", fc.Rate(), 100*float64(MB))
+	if fc.rate() != 100*float64(MB) {
+		t.Fatalf("cancelled Rate = %v, want %v", fc.rate(), 100*float64(MB))
 	}
 	if fc.Size() != 100*MB {
 		t.Fatalf("cancelled Size = %d", fc.Size())
@@ -254,7 +254,7 @@ func TestEndedHandleAccessors(t *testing.T) {
 	r.Start(10*MB, nil)
 	e.Run()
 	fc.Cancel() // still a no-op
-	if fc.Remaining() != 50*MB || fc.Active() {
+	if fc.remaining() != 50*MB || fc.active {
 		t.Fatal("cancelled handle mutated by later activity")
 	}
 
@@ -263,8 +263,8 @@ func TestEndedHandleAccessors(t *testing.T) {
 	var sawRem Bytes = -1
 	var sawRate float64
 	f := r.Start(100*MB, func(f *Flow) {
-		sawRem = f.Remaining()
-		sawRate = f.Rate()
+		sawRem = f.remaining()
+		sawRate = f.rate()
 	})
 	_ = f
 	e.Run()
@@ -287,7 +287,7 @@ func TestFlowPoolReuse(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		completed := false
 		f := r.Start(Bytes(i+1)*MB, func(*Flow) { completed = true })
-		if !f.Active() || f.Size() != Bytes(i+1)*MB || f.Started() != e.Now() {
+		if !f.active || f.Size() != Bytes(i+1)*MB || f.started != e.Now() {
 			t.Fatalf("iter %d: reused flow carries stale state", i)
 		}
 		e.Run()

@@ -169,31 +169,53 @@ func TestUtilizationAndBusyTime(t *testing.T) {
 	if got := r.BusyTime(); got != time.Second {
 		t.Errorf("busy = %v, want 1s", got)
 	}
-	if u := r.Utilization(0); !almostEqual(u, 0.25, 1e-9) {
+	if u := r.BusyTime().Seconds() / e.Now().Seconds(); !almostEqual(u, 0.25, 1e-9) {
 		t.Errorf("utilization = %v, want 0.25", u)
 	}
+}
+
+// remaining reports the bytes the flow still has to transfer, as of the
+// resource's last accounting advance.
+func (f *Flow) remaining() Bytes {
+	if f.active {
+		return Bytes(math.Ceil(max((f.tag-f.res.vsrv)*f.weight, 0)))
+	}
+	return Bytes(math.Ceil(f.endRem))
+}
+
+// rate reports the flow's transfer rate in bytes/sec (the rate it was
+// ending at, for completed or cancelled flows).
+func (f *Flow) rate() float64 {
+	if !f.active {
+		return f.endRate
+	}
+	r := f.res
+	if r.totalW <= 0 {
+		return 0
+	}
+	return r.base * r.scale * r.eff(r.totalW) * f.weight / r.totalW
 }
 
 func TestFlowAccessors(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e, "d", 100*float64(MB), nil)
 	f := r.Start(100*MB, nil)
-	if !f.Active() {
+	if !f.active {
 		t.Error("new flow not active")
 	}
-	if f.Started() != 0 {
-		t.Errorf("started = %v", f.Started())
+	if f.started != 0 {
+		t.Errorf("started = %v", f.started)
 	}
 	e.RunUntil(Time(500 * time.Millisecond))
 	r.BytesMoved() // forces advance
-	if rem := f.Remaining(); rem != 50*MB {
+	if rem := f.remaining(); rem != 50*MB {
 		t.Errorf("remaining = %d, want %d", rem, 50*MB)
 	}
-	if f.Rate() != 100*float64(MB) {
-		t.Errorf("rate = %v", f.Rate())
+	if f.rate() != 100*float64(MB) {
+		t.Errorf("rate = %v", f.rate())
 	}
 	e.Run()
-	if f.Active() {
+	if f.active {
 		t.Error("completed flow still active")
 	}
 }

@@ -105,30 +105,6 @@ type ShardProfile struct {
 	Delivered    uint64     // total cross-shard messages delivered
 }
 
-// SoloRate reports the fraction of rounds served by the solo fast path
-// (0 when no rounds ran).
-func (p *ShardProfile) SoloRate() float64 {
-	total := p.Rounds + p.SoloRounds
-	if total == 0 {
-		return 0
-	}
-	return float64(p.SoloRounds) / float64(total)
-}
-
-// StallRate reports the fraction of shard-window participations that
-// stalled on lookahead (0 when no windows ran).
-func (p *ShardProfile) StallRate() float64 {
-	var windows, stalled uint64
-	for i := range p.Windows {
-		windows += p.Windows[i]
-		stalled += p.Stalled[i]
-	}
-	if windows == 0 {
-		return 0
-	}
-	return float64(stalled) / float64(windows)
-}
-
 // Profile returns a snapshot copy of the coordinator's execution
 // profile. Call it between Run calls (or after Run returns); the
 // coordinator owns the live counters while running.
@@ -204,21 +180,15 @@ func NewShardedEngine(seed int64, shards int, lookahead Duration) *ShardedEngine
 	return se
 }
 
-// Shards reports the number of logical shards.
-func (se *ShardedEngine) Shards() int { return len(se.shards) }
-
 // Shard returns the engine of the given shard. Model setup code builds
 // each partition's components against its home shard; shard 0 is the
 // conventional control/master shard.
 func (se *ShardedEngine) Shard(i int) *Engine { return se.shards[i] }
 
-// Lookahead reports the conservative window width.
-func (se *ShardedEngine) Lookahead() Duration { return se.lookahead }
-
 // SetWorkers bounds the parallel execution lanes (goroutines) used for
 // multi-shard windows. Worker count affects wall-clock speed only —
 // results are byte-identical at any value. Defaults to the shard count;
-// values are clamped to [1, Shards()].
+// values are clamped to [1, shard count].
 func (se *ShardedEngine) SetWorkers(n int) {
 	if n < 1 {
 		n = 1
@@ -229,27 +199,11 @@ func (se *ShardedEngine) SetWorkers(n int) {
 	se.workers = n
 }
 
-// Workers reports the configured execution lane count.
-func (se *ShardedEngine) Workers() int { return se.workers }
-
-// Now reports the virtual clock of shard 0, the control shard whose
-// clock model-facing code conventionally observes.
-func (se *ShardedEngine) Now() Time { return se.shards[0].now }
-
 // EventsFired sums executed events across all shards.
 func (se *ShardedEngine) EventsFired() uint64 {
 	var n uint64
 	for _, sh := range se.shards {
 		n += sh.fired
-	}
-	return n
-}
-
-// Pending sums live queued events across all shards.
-func (se *ShardedEngine) Pending() int {
-	n := 0
-	for _, sh := range se.shards {
-		n += sh.Pending()
 	}
 	return n
 }
@@ -282,10 +236,6 @@ func (se *ShardedEngine) Run() { se.run(false, 0) }
 // shard clock to exactly t (unless stopped early, mirroring
 // Engine.RunUntil).
 func (se *ShardedEngine) RunUntil(t Time) { se.run(true, t) }
-
-// RunFor executes events for a span d of virtual time from the control
-// shard's clock.
-func (se *ShardedEngine) RunFor(d Duration) { se.RunUntil(se.shards[0].now.Add(d)) }
 
 // Send schedules fn to run on shard dst after delay d of virtual time.
 // It is the only legal way to affect state owned by another shard: the
@@ -324,10 +274,6 @@ func (e *Engine) Send(dst int, d Duration, fn func()) {
 	}
 	e.out = append(e.out, outMsg{dst: dst, at: e.now.Add(d), fn: fn})
 }
-
-// ShardID reports which shard of a ShardedEngine this engine is
-// (0 for a standalone engine).
-func (e *Engine) ShardID() int { return e.shard }
 
 // nextLiveAt skims tombstones and reports the shard's next live event
 // time.

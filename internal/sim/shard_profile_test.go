@@ -59,8 +59,12 @@ func TestShardProfileAccounting(t *testing.T) {
 	if exec+p.SoloExecuted == 0 {
 		t.Error("profile recorded no executed events")
 	}
-	if p.StallRate() <= 0 || p.StallRate() >= 1 {
-		t.Errorf("stall rate = %v, want in (0,1)", p.StallRate())
+	var windows, stalled uint64
+	for i := range p.Windows {
+		windows, stalled = windows+p.Windows[i], stalled+p.Stalled[i]
+	}
+	if stalled == 0 || stalled >= windows {
+		t.Errorf("%d of %d shard windows stalled, want some but not all", stalled, windows)
 	}
 }
 
@@ -91,8 +95,8 @@ func TestShardProfileWorkerInvariant(t *testing.T) {
 	}
 }
 
-// SoloRate covers the solo fast path: a model pinned to one shard
-// never runs a coordinated window.
+// A model pinned to one shard runs every round on the solo fast path
+// and never runs a coordinated window.
 func TestShardProfileSoloRate(t *testing.T) {
 	se := NewShardedEngine(1, 4, time.Second)
 	for i := 0; i < 10; i++ {
@@ -102,9 +106,6 @@ func TestShardProfileSoloRate(t *testing.T) {
 	p := se.Profile()
 	if p.Rounds != 0 || p.SoloRounds == 0 {
 		t.Errorf("pinned model: rounds %d solo %d, want 0 and >0", p.Rounds, p.SoloRounds)
-	}
-	if p.SoloRate() != 1 {
-		t.Errorf("solo rate = %v, want 1", p.SoloRate())
 	}
 	if p.SoloExecuted != 10 {
 		t.Errorf("solo executed = %d, want 10", p.SoloExecuted)

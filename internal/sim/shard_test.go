@@ -76,7 +76,7 @@ func TestShardedRunUntilMatchesSequential(t *testing.T) {
 	if got, want := se.Shard(0).Now(), ref.Now(); got != want {
 		t.Fatalf("clock after RunUntil: %v != %v", got, want)
 	}
-	for i := 0; i < se.Shards(); i++ {
+	for i := 0; i < len(se.shards); i++ {
 		if se.Shard(i).Now() != Time(3*time.Second) {
 			t.Fatalf("shard %d clock %v not advanced to target", i, se.Shard(i).Now())
 		}
@@ -93,12 +93,12 @@ type pholdModel struct {
 }
 
 func newPholdModel(se *ShardedEngine, jobsPerShard int) *pholdModel {
-	m := &pholdModel{se: se, logs: make([][]string, se.Shards())}
-	for i := 0; i < se.Shards(); i++ {
+	m := &pholdModel{se: se, logs: make([][]string, len(se.shards))}
+	for i := 0; i < len(se.shards); i++ {
 		sh := se.Shard(i)
 		for j := 0; j < jobsPerShard; j++ {
 			id := fmt.Sprintf("j%d.%d", i, j)
-			sh.Schedule(Duration(j+1)*time.Millisecond, func() { m.hop(sh.ShardID(), id, 0) })
+			sh.Schedule(Duration(j+1)*time.Millisecond, func() { m.hop(sh.shard, id, 0) })
 		}
 	}
 	return m
@@ -112,8 +112,8 @@ func (m *pholdModel) hop(shard int, id string, depth int) {
 	}
 	if sh.Rand().Intn(3) == 0 {
 		// Cross-shard hop: land on a neighbor no earlier than lookahead.
-		dst := (shard + 1 + sh.Rand().Intn(m.se.Shards()-1)) % m.se.Shards()
-		d := m.se.Lookahead() + Duration(sh.Rand().Intn(2000))*time.Microsecond
+		dst := (shard + 1 + sh.Rand().Intn(len(m.se.shards)-1)) % len(m.se.shards)
+		d := m.se.lookahead + Duration(sh.Rand().Intn(2000))*time.Microsecond
 		sh.Send(dst, d, func() { m.hop(dst, id, depth+1) })
 		return
 	}
@@ -146,7 +146,7 @@ func TestShardedWorkerInvariance(t *testing.T) {
 		m := newPholdModel(se, 8)
 		se.Run()
 		var clocks []Time
-		for i := 0; i < se.Shards(); i++ {
+		for i := 0; i < len(se.shards); i++ {
 			clocks = append(clocks, se.Shard(i).Now())
 		}
 		return result{logs: m.logs, digest: se.Digest(), fired: se.EventsFired(), clocks: clocks}
@@ -308,7 +308,7 @@ func TestShardedStopWindowWorkerInvariant(t *testing.T) {
 		for _, workers := range []int{1, 2, 4} {
 			se := NewShardedEngine(3, 4, 10*time.Millisecond)
 			se.SetWorkers(workers)
-			for i := 0; i < se.Shards(); i++ {
+			for i := 0; i < len(se.shards); i++ {
 				sh := se.Shard(i)
 				for k := 0; k < 6; k++ {
 					fn := func() {}
@@ -323,7 +323,7 @@ func TestShardedStopWindowWorkerInvariant(t *testing.T) {
 				sh.At(Time(2*time.Second), func() {})
 			}
 			se.Run()
-			fired := make([]uint64, se.Shards())
+			fired := make([]uint64, len(se.shards))
 			for i := range fired {
 				fired[i] = se.Shard(i).EventsFired()
 			}

@@ -51,17 +51,17 @@ func TestSeriesUnderMigrationTraffic(t *testing.T) {
 
 	var memPeak, nicPeak, diskPeak float64
 	for _, n := range cl.Nodes() {
-		for _, p := range col.MemUsed(n.ID).Points() {
+		for _, p := range col.memUsed[n.ID].Points() {
 			if p.V > memPeak {
 				memPeak = p.V
 			}
 		}
-		for _, p := range col.NICUtilization(n.ID).Points() {
+		for _, p := range col.nicUtil[n.ID].Points() {
 			if p.V > nicPeak {
 				nicPeak = p.V
 			}
 		}
-		for _, p := range col.DiskUtilization(n.ID).Points() {
+		for _, p := range col.diskUtil[n.ID].Points() {
 			if p.V > diskPeak {
 				diskPeak = p.V
 			}
@@ -81,7 +81,7 @@ func TestSeriesUnderMigrationTraffic(t *testing.T) {
 	// Memory must drain after the job's implicit eviction.
 	finalMem := 0.0
 	for _, n := range cl.Nodes() {
-		pts := col.MemUsed(n.ID).Points()
+		pts := col.memUsed[n.ID].Points()
 		if len(pts) > 0 {
 			finalMem += pts[len(pts)-1].V
 		}

@@ -84,22 +84,6 @@ func (c *Collector) sample() {
 	c.lastSample = now
 }
 
-// DiskUtilization returns the node's disk-utilization series (fraction
-// of each sampling window the disk was busy).
-func (c *Collector) DiskUtilization(id cluster.NodeID) *metrics.TimeSeries {
-	return c.diskUtil[int(id)]
-}
-
-// NICUtilization returns the node's NIC-utilization series.
-func (c *Collector) NICUtilization(id cluster.NodeID) *metrics.TimeSeries {
-	return c.nicUtil[int(id)]
-}
-
-// MemUsed returns the node's buffered-bytes series.
-func (c *Collector) MemUsed(id cluster.NodeID) *metrics.TimeSeries {
-	return c.memUsed[int(id)]
-}
-
 // MeanDiskUtilization reports the time-weighted mean disk utilization of
 // a node over the collected window.
 func (c *Collector) MeanDiskUtilization(id cluster.NodeID) float64 {

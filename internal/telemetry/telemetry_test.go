@@ -32,11 +32,11 @@ func TestCollectorSamplesUtilization(t *testing.T) {
 	if idle != 0 {
 		t.Errorf("node1 util = %.2f, want 0", idle)
 	}
-	if col.DiskUtilization(0).Len() != 10 {
-		t.Errorf("samples = %d, want 10", col.DiskUtilization(0).Len())
+	if col.diskUtil[0].Len() != 10 {
+		t.Errorf("samples = %d, want 10", col.diskUtil[0].Len())
 	}
 	// First 5 samples ~1.0, rest ~0.
-	pts := col.DiskUtilization(0).Points()
+	pts := col.diskUtil[0].Points()
 	if pts[0].V < 0.95 || pts[9].V > 0.05 {
 		t.Errorf("window utilization wrong: first=%.2f last=%.2f", pts[0].V, pts[9].V)
 	}
@@ -53,7 +53,7 @@ func TestCollectorMemorySeries(t *testing.T) {
 	eng.Schedule(2500*time.Millisecond, func() { fs.RegisterMem(f.Blocks[0], 0) })
 	eng.RunUntil(sim.Time(5 * time.Second))
 	col.Stop()
-	pts := col.MemUsed(0).Points()
+	pts := col.memUsed[0].Points()
 	if pts[1].V != 0 {
 		t.Errorf("early sample nonzero: %v", pts[1].V)
 	}
@@ -107,8 +107,8 @@ func TestCollectorNilFS(t *testing.T) {
 	if err := col.WriteCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
-	if col.NICUtilization(0).Len() != 3 {
-		t.Errorf("nic samples = %d", col.NICUtilization(0).Len())
+	if col.nicUtil[0].Len() != 3 {
+		t.Errorf("nic samples = %d", col.nicUtil[0].Len())
 	}
 }
 

@@ -14,11 +14,14 @@ import (
 // hundreds of millions of events, and one object per event is the
 // difference between a benchmark and a GC storm.
 
+// testShards is the shard count of the engines these tests build.
+const testShards = 4
+
 // shardCycle schedules one local event per shard plus one cross-shard
 // message and drains the engine — exercising census, the coordinated
 // window (inline, workers=1), deliver, and the solo tail.
 func shardCycle(se *sim.ShardedEngine, nop func()) {
-	for s := 0; s < se.Shards(); s++ {
+	for s := 0; s < testShards; s++ {
 		se.Shard(s).Schedule(time.Millisecond, nop)
 	}
 	se.Shard(0).Send(1, time.Second, nop)
@@ -33,7 +36,7 @@ func soloCycle(se *sim.ShardedEngine, nop func()) {
 
 func shardAllocs(t *testing.T, workers int, cycle func(*sim.ShardedEngine, func()), observe func(*sim.ShardedEngine)) float64 {
 	t.Helper()
-	se := sim.NewShardedEngine(1, 4, time.Second)
+	se := sim.NewShardedEngine(1, testShards, time.Second)
 	se.SetWorkers(workers)
 	if observe != nil {
 		observe(se)
@@ -60,7 +63,7 @@ func TestShardedEngineNilTracerZeroAllocs(t *testing.T) {
 // observability layer only costs where call sites record.
 func TestShardedEngineIdleTracerZeroAllocs(t *testing.T) {
 	observe := func(se *sim.ShardedEngine) {
-		for s := 0; s < se.Shards(); s++ {
+		for s := 0; s < testShards; s++ {
 			tr := New(se.Shard(s))
 			tr.SetSampling(64, 7)
 			tr.Hist("read.latency_ns")

@@ -99,15 +99,6 @@ func (t *Tracer) FlightEvents() []FlightEvent {
 	return t.flight.events()
 }
 
-// FlightTotal reports how many records passed through the ring
-// (retained or overwritten) since it was armed.
-func (t *Tracer) FlightTotal() uint64 {
-	if t == nil || t.flight == nil {
-		return 0
-	}
-	return t.flight.total
-}
-
 // WriteFlightDump renders flight events as one line per record —
 // virtual timestamp, kind, category/name, node, span ID — the artifact
 // dyrs-fuzz writes next to a failing seed's repro command.

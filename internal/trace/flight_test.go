@@ -23,8 +23,8 @@ func TestFlightRingRetainsTail(t *testing.T) {
 	if len(evs) != 8 {
 		t.Fatalf("retained %d events, want ring capacity 8", len(evs))
 	}
-	if tr.FlightTotal() != 20 {
-		t.Errorf("total = %d, want 20", tr.FlightTotal())
+	if tr.flight.total != 20 {
+		t.Errorf("total = %d, want 20", tr.flight.total)
 	}
 	// Oldest-first unroll: the retained tail is instants 12..19.
 	for i, ev := range evs {
@@ -61,7 +61,7 @@ func TestFlightDisarm(t *testing.T) {
 	tr.SetFlightRecorder(4)
 	tr.SetFlightRecorder(0)
 	tr.Instant("read", "hit", 1)
-	if tr.FlightEvents() != nil || tr.FlightTotal() != 0 {
+	if tr.FlightEvents() != nil || tr.flight != nil {
 		t.Error("disarmed recorder retained events")
 	}
 	var nilTr *Tracer

@@ -90,46 +90,6 @@ func (h *Hist) Count() uint64 {
 	return h.count
 }
 
-// Sum reports the sum of all observations (0 for nil).
-func (h *Hist) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
-// Min reports the smallest observation; meaningful only when Count > 0.
-func (h *Hist) Min() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.min
-}
-
-// Max reports the largest observation; meaningful only when Count > 0.
-func (h *Hist) Max() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.max
-}
-
-// Mean reports the arithmetic mean, or 0 with no observations.
-func (h *Hist) Mean() float64 {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
-// Bucket reports the raw count of bucket i.
-func (h *Hist) Bucket(i int) uint64 {
-	if h == nil || i < 0 || i >= HistBuckets {
-		return 0
-	}
-	return h.buckets[i]
-}
-
 // maxBucket reports the highest non-empty bucket index, or -1 when the
 // histogram is empty. Exports use it to trim trailing empty buckets.
 func (h *Hist) maxBucket() int {

@@ -9,9 +9,9 @@ import (
 
 func TestHistZeroObservations(t *testing.T) {
 	var h Hist
-	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
-		t.Errorf("empty histogram not all-zero: count %d sum %d mean %v q50 %v",
-			h.Count(), h.Sum(), h.Mean(), h.Quantile(0.5))
+	if h.Count() != 0 || h.sum != 0 || h.Quantile(0.5) != 0 {
+		t.Errorf("empty histogram not all-zero: count %d sum %d q50 %v",
+			h.Count(), h.sum, h.Quantile(0.5))
 	}
 	if h.maxBucket() != -1 {
 		t.Errorf("maxBucket of empty = %d, want -1", h.maxBucket())
@@ -35,16 +35,16 @@ func TestHistSingleBucket(t *testing.T) {
 	if h.Count() != 7 {
 		t.Fatalf("count = %d, want 7", h.Count())
 	}
-	if got := h.Bucket(4); got != 7 {
+	if got := h.buckets[4]; got != 7 {
 		t.Errorf("bucket 4 = %d, want 7", got)
 	}
 	for i := 0; i < HistBuckets; i++ {
-		if i != 4 && h.Bucket(i) != 0 {
-			t.Errorf("bucket %d = %d, want 0", i, h.Bucket(i))
+		if i != 4 && h.buckets[i] != 0 {
+			t.Errorf("bucket %d = %d, want 0", i, h.buckets[i])
 		}
 	}
-	if h.Min() != 9 || h.Max() != 15 {
-		t.Errorf("min/max = %d/%d, want 9/15", h.Min(), h.Max())
+	if h.min != 9 || h.max != 15 {
+		t.Errorf("min/max = %d/%d, want 9/15", h.min, h.max)
 	}
 	q := h.Quantile(0.5)
 	if q < 8 || q > 15 {
@@ -72,7 +72,7 @@ func TestHistOverflowBucket(t *testing.T) {
 	var h Hist
 	h.Observe(1 << 62)       // smallest overflow value
 	h.Observe(math.MaxInt64) // largest
-	if got := h.Bucket(HistBuckets - 1); got != 2 {
+	if got := h.buckets[HistBuckets-1]; got != 2 {
 		t.Fatalf("overflow bucket = %d, want 2", got)
 	}
 	if h.maxBucket() != HistBuckets-1 {

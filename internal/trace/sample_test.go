@@ -120,7 +120,7 @@ func TestSampledOutZeroRefNoOps(t *testing.T) {
 	ch.End()
 	kept.Annotate(Str("k", "v"))
 	kept.End()
-	if kept.ID() != 0 || kept.Begin() != 0 {
+	if kept.Begin() != 0 {
 		t.Error("zero SpanRef leaked state")
 	}
 }

@@ -94,14 +94,14 @@ func sameRecords(t *testing.T, tr *Tracer, ref *refRecorder) {
 	for i := range instants {
 		in, w := &instants[i], &ref.instants[i]
 		cat, name := tr.Label(in.Label())
-		if cat != w.Cat || name != w.Name || in.Node() != w.Node || in.At() != w.At {
-			t.Fatalf("instant %d = {%s %s %d %d}, reference %+v", i, cat, name, in.Node(), in.At(), *w)
+		if cat != w.Cat || name != w.Name || in.Node() != w.Node || in.at != w.At {
+			t.Fatalf("instant %d = {%s %s %d %d}, reference %+v", i, cat, name, in.Node(), in.at, *w)
 		}
 		for _, k := range keys {
-			if got, want := tr.Attr(in.Attrs(), k), refAttr(w.Attrs, k); got != want {
+			if got, want := tr.Attr(Attrs(in.head), k), refAttr(w.Attrs, k); got != want {
 				t.Fatalf("instant %d Attr(%q) = %q, reference %q", i, k, got, want)
 			}
-			got, ok := tr.IntAttr(in.Attrs(), k)
+			got, ok := tr.IntAttr(Attrs(in.head), k)
 			want, wantOK := refIntAttr(w.Attrs, k)
 			if got != want || ok != wantOK {
 				t.Fatalf("instant %d IntAttr(%q) = %d, %v; reference %d, %v", i, k, got, ok, want, wantOK)

@@ -98,9 +98,13 @@ func (s *Span) Parent() int { return int(s.parent) }
 func (s *Span) Node() int { return int(s.node) }
 
 // Begin reports the span's begin instant.
+//
+//lint:testapi the out-of-package integration test checks span nesting and lead time
 func (s *Span) Begin() sim.Time { return s.begin }
 
 // End reports the span's end instant, or -1 while it is open.
+//
+//lint:testapi the out-of-package integration test checks span nesting
 func (s *Span) End() sim.Time { return s.end }
 
 // Open reports whether the span has not ended.
@@ -124,14 +128,8 @@ type Instant struct {
 // Node reports the worker node index, or NodeMaster.
 func (in *Instant) Node() int { return int(in.node) }
 
-// At reports the instant's virtual time.
-func (in *Instant) At() sim.Time { return in.at }
-
 // Label reports the instant's interned (category, name).
 func (in *Instant) Label() Label { return Label(in.label) }
-
-// Attrs reports the instant's attribute chain.
-func (in *Instant) Attrs() Attrs { return Attrs(in.head) }
 
 // Label resolves an interned label of one of the tracer's records to
 // its category ("migration", "read", "task", "job", …) and name.
@@ -211,14 +209,6 @@ func FromEngine(eng *sim.Engine) *Tracer {
 // Enabled reports whether the tracer actually records. Call sites use
 // it to skip attribute construction on the disabled path.
 func (t *Tracer) Enabled() bool { return t != nil }
-
-// Now reports the tracer's current virtual time.
-func (t *Tracer) Now() sim.Time {
-	if t == nil {
-		return 0
-	}
-	return t.eng.Now()
-}
 
 // SpanRef is a cheap handle on a recorded span. The zero SpanRef (from
 // a nil tracer) is valid; End/Annotate/Child on it are no-ops.
@@ -341,14 +331,6 @@ func (s SpanRef) Begin() sim.Time {
 	return s.t.spans[s.idx].begin
 }
 
-// ID reports the span's 1-based ID, or 0 for the zero SpanRef.
-func (s SpanRef) ID() int {
-	if s.t == nil {
-		return 0
-	}
-	return s.idx + 1
-}
-
 // Spans returns the recorded spans in begin order; span i has ID i+1.
 // The slice is the tracer's own storage; callers must not mutate it.
 func (t *Tracer) Spans() []Span {
@@ -388,14 +370,6 @@ func (t *Tracer) Add(name string, delta int64) {
 
 // Inc increments the named counter by one.
 func (t *Tracer) Inc(name string) { t.Add(name, 1) }
-
-// Set overwrites the named cell — gauge semantics.
-func (t *Tracer) Set(name string, v int64) {
-	if t == nil {
-		return
-	}
-	*t.cell(name) = v
-}
 
 // Counter reports the named counter's value (0 when absent or the
 // tracer is nil).

@@ -174,29 +174,6 @@ func (s ServingSpec) rate(t time.Duration) float64 {
 	return s.MeanRate * (1 + s.DiurnalAmp*math.Cos(2*math.Pi*phase))
 }
 
-// ArrivalBuckets integrates the diurnal rate curve into n equal-width
-// buckets over the horizon and returns each bucket's expected request
-// count. Pure function of the spec — the workload tests pin these
-// expectations as goldens and compare drawn streams against them.
-func (s ServingSpec) ArrivalBuckets(n int) []float64 {
-	out := make([]float64, n)
-	if n <= 0 || s.Horizon <= 0 {
-		return out
-	}
-	w := s.Horizon / time.Duration(n)
-	const steps = 32 // midpoint-rule sub-steps per bucket
-	for i := 0; i < n; i++ {
-		start := time.Duration(i) * w
-		sum := 0.0
-		for k := 0; k < steps; k++ {
-			mid := start + w*time.Duration(2*k+1)/time.Duration(2*steps)
-			sum += s.rate(mid)
-		}
-		out[i] = sum / steps * w.Seconds()
-	}
-	return out
-}
-
 // GenerateServing draws the full request stream for a seed. The draw is
 // a nonhomogeneous Poisson process realized by thinning a homogeneous
 // process at the peak rate: exponential gaps at rate λmax, each arrival
@@ -263,41 +240,6 @@ func GenerateServing(spec ServingSpec, seed int64) *ServingStream {
 		})
 	}
 	return st
-}
-
-// CountsPerBucket tallies drawn arrivals into n equal-width buckets, the
-// observed counterpart of ArrivalBuckets.
-func (st *ServingStream) CountsPerBucket(n int) []int {
-	out := make([]int, n)
-	if n <= 0 || st.Spec.Horizon <= 0 {
-		return out
-	}
-	for _, r := range st.Requests {
-		i := int(float64(r.At) / float64(st.Spec.Horizon) * float64(n))
-		if i >= n {
-			i = n - 1
-		}
-		out[i]++
-	}
-	return out
-}
-
-// FileCounts tallies drawn requests per file rank.
-func (st *ServingStream) FileCounts() []int {
-	out := make([]int, st.Spec.Files)
-	for _, r := range st.Requests {
-		out[r.File]++
-	}
-	return out
-}
-
-// TenantCounts tallies drawn requests per tenant class.
-func (st *ServingStream) TenantCounts() []int {
-	out := make([]int, len(st.Spec.tenants()))
-	for _, r := range st.Requests {
-		out[r.Tenant]++
-	}
-	return out
 }
 
 // HotFiles returns the file indexes covering the top `frac` of global

@@ -39,6 +39,24 @@ func TestServingSeedDeterminism(t *testing.T) {
 	}
 }
 
+// arrivalBuckets integrates the spec's diurnal rate curve into n
+// equal-width buckets over the horizon and returns each bucket's
+// expected request count (midpoint rule).
+func arrivalBuckets(s ServingSpec, n int) []float64 {
+	out := make([]float64, n)
+	w := s.Horizon / time.Duration(n)
+	const steps = 32 // midpoint-rule sub-steps per bucket
+	for i := range out {
+		start := time.Duration(i) * w
+		sum := 0.0
+		for k := 0; k < steps; k++ {
+			sum += s.rate(start + w*time.Duration(2*k+1)/time.Duration(2*steps))
+		}
+		out[i] = sum / steps * w.Seconds()
+	}
+	return out
+}
+
 // TestServingDiurnalBucketsGolden pins the integrated arrival-rate curve
 // (pure function of the spec) and checks a drawn stream tracks it. The
 // golden values are the midpoint-rule integral of
@@ -46,7 +64,7 @@ func TestServingSeedDeterminism(t *testing.T) {
 // 10-minute horizon; total mass is MeanRate·Horizon = 7200.
 func TestServingDiurnalBucketsGolden(t *testing.T) {
 	spec := DefaultServingSpec()
-	got := spec.ArrivalBuckets(8)
+	got := arrivalBuckets(spec, 8)
 	// Analytically: bucket i carries 900 + 687.55·Δsin over its span
 	// (Δsin the sine increment of the diurnal phase), symmetric around
 	// the peak in buckets 1-2 and the trough in buckets 5-6.
@@ -65,7 +83,10 @@ func TestServingDiurnalBucketsGolden(t *testing.T) {
 	// A drawn stream is Poisson around those expectations: check each
 	// bucket within 5 sigma and the peak/trough ordering is preserved.
 	st := GenerateServing(spec, 7)
-	counts := st.CountsPerBucket(8)
+	counts := make([]int, 8)
+	for _, r := range st.Requests {
+		counts[int(r.At*8/spec.Horizon)]++
+	}
 	for i, c := range counts {
 		sigma := math.Sqrt(golden[i])
 		if d := math.Abs(float64(c) - golden[i]); d > 5*sigma {
@@ -84,7 +105,7 @@ func TestServingDiurnalBucketsGolden(t *testing.T) {
 func TestServingFlatRate(t *testing.T) {
 	spec := DefaultServingSpec()
 	spec.DiurnalAmp = 0
-	b := spec.ArrivalBuckets(4)
+	b := arrivalBuckets(spec, 4)
 	for i, v := range b {
 		if math.Abs(v-1800) > 0.01 {
 			t.Errorf("flat bucket %d = %f, want 1800", i, v)
@@ -102,7 +123,10 @@ func TestServingZipfChiSquared(t *testing.T) {
 	spec.Tenants = []TenantClass{{Name: "solo", Weight: 1, LatencyTarget: time.Second}}
 	spec.MeanRate = 60 // more mass, tighter test
 	st := GenerateServing(spec, 11)
-	counts := st.FileCounts()
+	counts := make([]int, spec.Files)
+	for _, r := range st.Requests {
+		counts[r.File]++
+	}
 	n := float64(len(st.Requests))
 
 	chi2, dof := 0.0, 0
@@ -137,18 +161,7 @@ func TestServingTenantMixAndBias(t *testing.T) {
 	spec := DefaultServingSpec()
 	spec.MeanRate = 40
 	st := GenerateServing(spec, 3)
-	tc := st.TenantCounts()
 	n := float64(len(st.Requests))
-	wantShare := []float64{0.5, 0.35, 0.15}
-	for i, c := range tc {
-		share := float64(c) / n
-		if math.Abs(share-wantShare[i]) > 0.05 {
-			t.Errorf("tenant %d share %.3f, want %.2f±0.05", i, share, wantShare[i])
-		}
-	}
-
-	// Head mass per tenant: interactive (bias +0.6) must be more
-	// head-heavy than batch (bias −0.8) on the top-4 files.
 	headByTenant := make([]int, 3)
 	totByTenant := make([]int, 3)
 	for _, r := range st.Requests {
@@ -157,6 +170,16 @@ func TestServingTenantMixAndBias(t *testing.T) {
 			headByTenant[r.Tenant]++
 		}
 	}
+	wantShare := []float64{0.5, 0.35, 0.15}
+	for i, c := range totByTenant {
+		share := float64(c) / n
+		if math.Abs(share-wantShare[i]) > 0.05 {
+			t.Errorf("tenant %d share %.3f, want %.2f±0.05", i, share, wantShare[i])
+		}
+	}
+
+	// Head mass per tenant: interactive (bias +0.6) must be more
+	// head-heavy than batch (bias −0.8) on the top-4 files.
 	hi := float64(headByTenant[0]) / float64(totByTenant[0])
 	lo := float64(headByTenant[2]) / float64(totByTenant[2])
 	if hi <= lo+0.1 {
@@ -195,9 +218,6 @@ func TestServingSpecHelpers(t *testing.T) {
 	}
 	if spec.TotalBlocks() != spec.Files*spec.BlocksPerFile {
 		t.Errorf("TotalBlocks = %d", spec.TotalBlocks())
-	}
-	if got := spec.ArrivalBuckets(0); len(got) != 0 {
-		t.Errorf("ArrivalBuckets(0) = %v", got)
 	}
 	empty := ServingSpec{}
 	if s := GenerateServing(empty, 1); len(s.Requests) != 0 {
