@@ -188,13 +188,13 @@ func run() int {
 
 	default:
 		start := time.Now()
-		results := runner.Run(experimentJobs(selected, *seed),
+		results := runner.Run(experiments.Jobs(selected, *seed),
 			runner.Options{Jobs: *jobs, Progress: progress})
 		if err := runner.FirstError(results); err != nil {
 			return fail(err)
 		}
 		for i, res := range results {
-			for _, section := range selected[i].Render(res.Value, sel) {
+			for _, section := range selected[i].Sections(res.Value, sel) {
 				fmt.Println(section)
 			}
 		}
@@ -202,19 +202,6 @@ func run() int {
 			time.Since(start).Seconds())
 	}
 	return code
-}
-
-// experimentJobs adapts selected experiments to runner jobs.
-func experimentJobs(selected []experiments.Experiment, seed int64) []runner.Job {
-	out := make([]runner.Job, len(selected))
-	for i, exp := range selected {
-		exp := exp
-		out[i] = runner.Job{
-			Name: exp.Name,
-			Run:  func() (any, error) { return exp.Run(seed) },
-		}
-	}
-	return out
 }
 
 // progressPrinter returns a runner progress callback that narrates

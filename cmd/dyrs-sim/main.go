@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"time"
@@ -93,6 +94,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *workers <= 0 {
 		return fmt.Errorf("-workers must be positive, got %d", *workers)
 	}
+	if *interfere < -1 || *interfere >= *workers {
+		return fmt.Errorf("-interfere must be -1 (none) or a node index below -workers %d, got %d", *workers, *interfere)
+	}
+	if *alternate < 0 {
+		return fmt.Errorf("-alternate must not be negative, got %v", *alternate)
+	}
+	// Below one byte or past the int64 byte count is no file size; the
+	// negated test also catches NaN.
+	if b := *sizeGB * float64(dyrs.GB); !(b >= 1 && b < math.MaxInt64) {
+		return fmt.Errorf("-size must be at least one byte and below %.0f GB, got %v", math.MaxInt64/float64(dyrs.GB), *sizeGB)
+	}
 
 	if *wl == "hive" {
 		if *tracePath != "" || *telemetryCSV != "" || *metricsAddr != "" {
@@ -137,7 +149,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *wl == "swim" {
 		runErr = runSWIM(stdout, env, *swimJobs, *seed)
 	} else {
-		runErr = runSort(stdout, env, policy, *sizeGB, *lead, *interfere, *alternate, *workers)
+		runErr = runSort(stdout, env, *sizeGB, *lead, *interfere, *alternate)
 	}
 	if runErr != nil {
 		return runErr
@@ -175,12 +187,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return writeManifest(manifest, *manifestPath, env.Eng.Now())
 }
 
-// startMetricsTicker schedules a self-rechaining virtual-time event that
-// renders fresh OpenMetrics and progress snapshots for the live endpoint
-// once per simulated second. The handler only reads simulation state and
-// swaps immutable byte slices into the server, so enabling the endpoint
-// never changes a run's results. The returned stop function publishes a
-// final snapshot and unchains the ticker.
+// startMetricsTicker starts a virtual-time ticker that renders fresh
+// OpenMetrics and progress snapshots for the live endpoint once per
+// simulated second. The tick only reads simulation state and swaps
+// immutable byte slices into the server, so enabling the endpoint never
+// changes a run's results. The returned stop function stops the ticker
+// and publishes a final snapshot.
 func startMetricsTicker(env *dyrs.Env, srv *obs.Server) (stop func()) {
 	publish := func() {
 		tr := env.Tracer()
@@ -191,15 +203,9 @@ func startMetricsTicker(env *dyrs.Env, srv *obs.Server) (stop func()) {
 			srv.Publish(metrics.Bytes(), []byte(progress))
 		}
 	}
-	var ev *sim.Event
-	var tick func()
-	tick = func() {
-		publish()
-		ev = env.Eng.Schedule(sim.Duration(time.Second), tick)
-	}
-	ev = env.Eng.Schedule(sim.Duration(time.Second), tick)
+	tk := sim.NewTicker(env.Eng, sim.Duration(time.Second), publish)
 	return func() {
-		env.Eng.Cancel(ev)
+		tk.Stop()
 		publish()
 	}
 }
@@ -232,39 +238,25 @@ func writeFile(path string, write func(io.Writer) error) error {
 }
 
 // runSort runs the single-job Sort scenario with optional interference.
-func runSort(stdout io.Writer, env *dyrs.Env, policy dyrs.Policy,
-	sizeGB float64, lead time.Duration, interfere int, alternate time.Duration, workers int) error {
-	var stop func()
-	if interfere >= 0 && interfere < workers {
-		node := env.Cl.Node(cluster.NodeID(interfere))
+func runSort(stdout io.Writer, env *dyrs.Env, sizeGB float64, lead time.Duration, interfere int, alternate time.Duration) error {
+	if interfere >= 0 {
+		node := cluster.NodeID(interfere)
 		if alternate > 0 {
-			p := cluster.StartAlternating(env.Eng, node, 2, 2.5, alternate, true)
-			stop = p.Stop
+			defer cluster.StartAlternating(env.Eng, env.Cl.Node(node), 2, 2.5, alternate, true).Stop()
 		} else {
-			inf := node.StartInterference(2, 2.5)
-			stop = inf.Stop
+			defer env.SlowNodeInterference(node)()
 		}
-		defer stop()
 	}
-
 	if err := env.WarmupEstimates(); err != nil {
 		return err
 	}
 	size := sim.Bytes(sizeGB * float64(dyrs.GB))
-	if err := env.CreateInput("input", size); err != nil {
-		return err
-	}
-	spec := env.Prepare(dyrs.SortSpec("input", 2*workers, policy.Migrates()))
-	spec.ExtraLeadTime = lead
-	j, err := env.FW.Submit(spec)
+	j, err := env.RunSort(size, lead)
 	if err != nil {
 		return err
 	}
-	if err := env.WaitJob(j, time.Hour); err != nil {
-		return err
-	}
 
-	fmt.Fprintf(stdout, "policy      : %s\n", policy)
+	fmt.Fprintf(stdout, "policy      : %s\n", env.Policy)
 	fmt.Fprintf(stdout, "input       : %s in %d blocks\n", sim.FormatBytes(size), len(j.Tasks))
 	fmt.Fprintf(stdout, "lead-time   : %v (inserted %v)\n", j.LeadTime(), lead)
 	fmt.Fprintf(stdout, "map phase   : %v\n", j.MapPhase())

@@ -43,9 +43,12 @@ func TestRunRejectsUnknownPolicy(t *testing.T) {
 
 // TestRunRejectsBadFlags covers flag values that used to be accepted
 // silently (an unknown workload ran sort, non-positive workers became
-// 7) or panicked deep in workload generation (-swim-jobs 0).
-// Options.Validate rejects the rest before the environment is built
-// (-trace-sample -4). The retired -shards flag is an unknown flag.
+// 7, an -interfere index past the cluster ran without interference, a
+// negative -alternate meant persistent), panicked deep in workload
+// generation (-swim-jobs 0) or failed with a misleading DFS error (a
+// NaN or overflowing -size). Options.Validate rejects the rest before
+// the environment is built (-trace-sample -4). The retired -shards flag
+// is an unknown flag.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -58,6 +61,15 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{sortArgs("-workers", "-1"), "-workers must be positive"},
 		{sortArgs("-shards", "2"), "flag provided but not defined: -shards"},
 		{sortArgs("-trace-sample", "-4"), "SampleEvery must not be negative"},
+		{sortArgs("-interfere", "9", "-workers", "7"), "-interfere must be -1 (none) or a node index below -workers 7"},
+		{sortArgs("-interfere", "7"), "-interfere must be -1"},
+		{sortArgs("-interfere", "-2"), "-interfere must be -1"},
+		{sortArgs("-alternate", "-10s"), "-alternate must not be negative"},
+		{sortArgs("-size", "NaN"), "-size must be at least one byte"},
+		{sortArgs("-size", "1e30"), "-size must be at least one byte"},
+		{sortArgs("-size", "+Inf"), "-size must be at least one byte"},
+		{sortArgs("-size", "0"), "-size must be at least one byte"},
+		{sortArgs("-size", "-2"), "-size must be at least one byte"},
 	} {
 		var out, errOut bytes.Buffer
 		err := run(tc.args, &out, &errOut)
@@ -228,8 +240,11 @@ func TestTraceSampling(t *testing.T) {
 		filepath.Join(dir, "s1.json"),
 		filepath.Join(dir, "s1b.json"),
 	}
-	runOK(t, sortArgs("-trace", paths[0], "-trace-sample", "4"))
+	out := runOK(t, sortArgs("-trace", paths[0], "-trace-sample", "4"))
 	runOK(t, sortArgs("-trace", paths[1], "-trace-sample", "4"))
+	if strings.Contains(out, "achieved lead-time") || !strings.Contains(out, "spans are sampled 1-in-4") {
+		t.Errorf("sampled run's summary should omit lead-time and margin and say why:\n%s", out)
+	}
 
 	read := func(p string) []byte {
 		t.Helper()

@@ -17,8 +17,7 @@
 //	defer env.Close()
 //	env.CreateInput("logs", 4*dyrs.GB)
 //	spec := env.Prepare(dyrs.SortSpec("logs", 8, true))
-//	job, _ := env.FW.Submit(spec)
-//	env.WaitJob(job, time.Hour)
+//	job, _ := env.RunJob(spec) // submit, then run until it finishes
 //	fmt.Println("job took", job.Duration())
 //
 // # Reproducing the paper

@@ -18,11 +18,8 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 	spec := env.Prepare(dyrs.SortSpec("logs", 4, true))
 	spec.ExtraLeadTime = 10 * time.Second
-	job, err := env.FW.Submit(spec)
+	job, err := env.RunJob(spec)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := env.WaitJob(job, time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if job.Duration() <= 0 || job.MapPhase() <= 0 {
@@ -48,11 +45,8 @@ func TestFacadeDeterminism(t *testing.T) {
 		}
 		spec := env.Prepare(dyrs.SortSpec("x", 4, true))
 		spec.ExtraLeadTime = 5 * time.Second
-		j, err := env.FW.Submit(spec)
+		j, err := env.RunJob(spec)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := env.WaitJob(j, time.Hour); err != nil {
 			t.Fatal(err)
 		}
 		return j.Duration().Seconds()

@@ -30,11 +30,8 @@ func main() {
 		spec := env.Prepare(dyrs.SortSpec("clickstream-2026-07-04", 8, true))
 		spec.ExtraLeadTime = 10 * time.Second
 
-		job, err := env.FW.Submit(spec)
+		job, err := env.RunJob(spec)
 		if err != nil {
-			log.Fatal(err)
-		}
-		if err := env.WaitJob(job, time.Hour); err != nil {
 			log.Fatal(err)
 		}
 

@@ -73,11 +73,8 @@ func TestChaosMasterRestartMidWorkload(t *testing.T) {
 	}
 	spec := env.Prepare(workload.SortSpec("post-failover", 4, true))
 	spec.ExtraLeadTime = 15 * time.Second
-	j, err := env.FW.Submit(spec)
+	j, err := env.RunJob(spec)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := env.WaitJob(j, Hour); err != nil {
 		t.Fatal(err)
 	}
 	mem := 0

@@ -17,6 +17,7 @@ import (
 	"dyrs/internal/policy"
 	"dyrs/internal/sim"
 	"dyrs/internal/trace"
+	"dyrs/internal/workload"
 )
 
 // Policy selects one of the four file-system configurations compared in
@@ -271,19 +272,34 @@ func (e *Env) Prepare(spec compute.JobSpec) compute.JobSpec {
 	return spec
 }
 
-// WaitJob runs the simulation until the job completes or the horizon
-// passes. It returns an error on timeout.
-func (e *Env) WaitJob(j *compute.Job, horizon sim.Duration) error {
-	if j.State == compute.JobDone {
-		return nil
+// RunJob submits spec and runs the simulation until the job completes,
+// failing if it is still running an Hour of virtual time later. The job
+// is returned whenever it was submitted, finished or not.
+func (e *Env) RunJob(spec compute.JobSpec) (*compute.Job, error) {
+	j, err := e.FW.Submit(spec)
+	if err != nil || j.State == compute.JobDone {
+		return j, err
 	}
 	e.waitTarget = j
-	defer func() { e.waitTarget = nil }()
-	e.Eng.RunUntil(e.Eng.Now().Add(horizon))
+	e.Eng.RunUntil(e.Eng.Now().Add(Hour))
+	e.waitTarget = nil
 	if j.State != compute.JobDone {
-		return fmt.Errorf("experiments: job %q did not finish within %v", j.Spec.Name, horizon)
+		return j, fmt.Errorf("experiments: job %q did not finish within %v", spec.Name, Hour)
 	}
-	return nil
+	return j, nil
+}
+
+// RunSort runs the paper's Sort benchmark (§V-B3): it creates a
+// size-byte input and runs one Sort job over it, with two reducers per
+// node and lead inserted lead-time. Callers warm the estimators
+// (WarmupEstimates) first, as every run of the evaluation does.
+func (e *Env) RunSort(size sim.Bytes, lead sim.Duration) (*compute.Job, error) {
+	if err := e.CreateInput("sort-input", size); err != nil {
+		return nil, err
+	}
+	spec := e.Prepare(workload.SortSpec("sort-input", 2*e.Cl.Size(), e.Policy.Migrates()))
+	spec.ExtraLeadTime = lead
+	return e.RunJob(spec)
 }
 
 // WaitJobs runs the simulation until n jobs have completed in total or
@@ -342,5 +358,5 @@ func (e *Env) SlowNodeInterference(node cluster.NodeID) func() {
 	return inf.Stop
 }
 
-// Hour is a convenient long horizon for WaitJob(s).
+// Hour is RunJob's horizon, and a convenient long one for WaitJobs.
 const Hour = time.Hour

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dyrs/internal/compute"
 	"dyrs/internal/dfs"
 	"dyrs/internal/metrics"
 	"dyrs/internal/sim"
@@ -93,24 +94,33 @@ func TestWarmupEstimates(t *testing.T) {
 	}
 }
 
+// TestWaitJobTimeout: RunJob runs a job to completion, and gives up on
+// one still running an Hour of virtual time after submission, returning
+// it unfinished with an error.
 func TestWaitJobTimeout(t *testing.T) {
 	t.Parallel()
 	env := NewEnv(HDFS, DefaultOptions(1))
 	defer env.Close()
 	env.CreateInput("in", sim.GB)
-	j, err := env.FW.Submit(env.Prepare(workload.SortSpec("in", 4, false)))
+	j, err := env.RunJob(env.Prepare(workload.SortSpec("in", 4, false)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := env.WaitJob(j, 1*time.Millisecond); err == nil {
-		t.Error("expected timeout error")
+	if j.State != compute.JobDone {
+		t.Fatalf("RunJob returned without error but job state is %v", j.State)
 	}
-	if err := env.WaitJob(j, Hour); err != nil {
-		t.Fatal(err)
+	slow := env.Prepare(workload.SortSpec("in", 4, false))
+	slow.MapCPUPerByte = 1e-3 // days of CPU per block
+	start := env.Eng.Now()
+	j, err = env.RunJob(slow)
+	if err == nil || !strings.Contains(err.Error(), "did not finish within 1h0m0s") {
+		t.Fatalf("want a one-hour timeout error, got %v", err)
 	}
-	// Waiting on a done job returns immediately.
-	if err := env.WaitJob(j, 0); err != nil {
-		t.Error(err)
+	if j == nil || j.State == compute.JobDone {
+		t.Fatalf("timed-out job = %+v, want the unfinished job", j)
+	}
+	if got := env.Eng.Now().Sub(start); got != Hour {
+		t.Errorf("RunJob gave up after %v, want %v", got, Hour)
 	}
 }
 
@@ -549,11 +559,8 @@ func TestRackedClusterStillBenefitsFromDYRS(t *testing.T) {
 		}
 		spec := env.Prepare(workload.SortSpec("in", 8, policy.Migrates()))
 		spec.ExtraLeadTime = 20 * time.Second
-		j, err := env.FW.Submit(spec)
+		j, err := env.RunJob(spec)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := env.WaitJob(j, Hour); err != nil {
 			t.Fatal(err)
 		}
 		return j.MapPhase().Seconds()

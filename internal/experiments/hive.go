@@ -100,12 +100,8 @@ func RunHiveQuery(q workload.HiveQuery, policy Policy, seed int64) (float64, err
 	input := q.TableName()
 	var last *compute.Job
 	for stage := 0; stage < q.Stages; stage++ {
-		spec := env.Prepare(q.StageSpec(stage, input, policy.Migrates()))
-		j, err := env.FW.Submit(spec)
+		j, err := env.RunJob(env.Prepare(q.StageSpec(stage, input, policy.Migrates())))
 		if err != nil {
-			return 0, err
-		}
-		if err := env.WaitJob(j, Hour); err != nil {
 			return 0, err
 		}
 		last = j
@@ -153,9 +149,6 @@ func hiveExperiment() Experiment {
 		Aliases: []string{"fig4"},
 		Summary: "Fig. 4: ten Hive queries under all four configurations",
 		Run:     func(seed int64) (any, error) { return RunHive(seed) },
-		Render: func(result any, sel Selection) []string {
-			return []string{result.(HiveReport).String()}
-		},
 		Merge: func(rep *FullReport, result any) {
 			for _, r := range result.(HiveReport).Rows {
 				rep.Hive = append(rep.Hive, HiveRowJSON{

@@ -144,9 +144,6 @@ func hotcoldExperiment() Experiment {
 		Name:    "hotcold",
 		Summary: "extension: PACMan-like cache vs DYRS on hot/cold data",
 		Run:     func(seed int64) (any, error) { return RunHotCold(seed) },
-		Render: func(result any, sel Selection) []string {
-			return []string{result.(HotColdReport).String()}
-		},
 		Merge: func(rep *FullReport, result any) {
 			rep.HotCold = result.(HotColdReport).Rows
 		},

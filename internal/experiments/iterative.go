@@ -102,12 +102,8 @@ func RunIterative(seed int64) (IterativeReport, error) {
 					return rep, err
 				}
 			}
-			j, err := env.FW.Submit(spec)
+			j, err := env.RunJob(spec)
 			if err != nil {
-				env.Close()
-				return rep, err
-			}
-			if err := env.WaitJob(j, Hour); err != nil {
 				env.Close()
 				return rep, err
 			}
@@ -125,9 +121,6 @@ func iterativeExperiment() Experiment {
 		Name:    "iterative",
 		Summary: "extension: cold-start penalty of iterative jobs",
 		Run:     func(seed int64) (any, error) { return RunIterative(seed) },
-		Render: func(result any, sel Selection) []string {
-			return []string{result.(IterativeReport).String()}
-		},
 		Merge: func(rep *FullReport, result any) {
 			rep.Iterative = result.(IterativeReport).Rows
 		},

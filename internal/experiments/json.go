@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 
-	"dyrs/internal/metrics"
 	"dyrs/internal/runner"
 	"dyrs/internal/sim"
 )
@@ -37,7 +36,7 @@ type FullReport struct {
 		Reads    map[string]map[Policy][]int `json:"reads"`
 	} `json:"fig8"`
 
-	TableII []TableIIRowJSON `json:"table2"`
+	TableII []TableIIRow `json:"table2"`
 
 	Fig10 struct {
 		NaiveSlowTail    int     `json:"naive_slow_tail"`
@@ -46,7 +45,7 @@ type FullReport struct {
 		DYRSOverhangSec  float64 `json:"dyrs_overhang_seconds"`
 	} `json:"fig10"`
 
-	Fig11 []Fig11RowJSON `json:"fig11"`
+	Fig11 []Fig11Row `json:"fig11"`
 
 	Motivation MotivationReport `json:"motivation"`
 
@@ -71,23 +70,6 @@ type HiveRowJSON struct {
 	Speedup   float64            `json:"dyrs_speedup"`
 }
 
-// TableIIRowJSON is the JSON form of one interference pattern result.
-type TableIIRowJSON struct {
-	Pattern  string              `json:"pattern"`
-	Figure   string              `json:"figure"`
-	Runtime  float64             `json:"runtime_seconds"`
-	EstNode1 []metrics.TimePoint `json:"estimate_node1"`
-	EstNode2 []metrics.TimePoint `json:"estimate_node2"`
-}
-
-// Fig11RowJSON is the JSON form of one sweep cell.
-type Fig11RowJSON struct {
-	SizeGB    float64            `json:"size_gb"`
-	ExtraLead float64            `json:"extra_lead_seconds"`
-	Map       map[Policy]float64 `json:"map_seconds"`
-	Total     map[Policy]float64 `json:"total_seconds"`
-}
-
 // OrderRowJSON is the JSON form of one ordering-policy result.
 type OrderRowJSON struct {
 	Order     string  `json:"order"`
@@ -109,7 +91,7 @@ func RunAll(seed int64) (*FullReport, error) {
 // serialized start/done events.
 func RunAllParallel(seed int64, jobs int, progress func(runner.Event)) (*FullReport, error) {
 	reg := Registry()
-	results := runner.Run(registryJobs(reg, seed), runner.Options{Jobs: jobs, Progress: progress})
+	results := runner.Run(Jobs(reg, seed), runner.Options{Jobs: jobs, Progress: progress})
 	if err := runner.FirstError(results); err != nil {
 		return nil, err
 	}
@@ -120,11 +102,11 @@ func RunAllParallel(seed int64, jobs int, progress func(runner.Event)) (*FullRep
 	return out, nil
 }
 
-// registryJobs adapts experiments to runner jobs, preserving order.
-func registryJobs(reg []Experiment, seed int64) []runner.Job {
-	out := make([]runner.Job, len(reg))
-	for i, exp := range reg {
-		exp := exp
+// Jobs adapts experiments to runner jobs at the given seed, preserving
+// order.
+func Jobs(exps []Experiment, seed int64) []runner.Job {
+	out := make([]runner.Job, len(exps))
+	for i, exp := range exps {
 		out[i] = runner.Job{
 			Name: exp.Name,
 			Run:  func() (any, error) { return exp.Run(seed) },

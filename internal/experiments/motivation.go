@@ -129,11 +129,8 @@ func RunMotivation(seed int64) (MotivationReport, error) {
 			Reducers:       4,
 			OutputRatio:    1,
 		}.DefaultOverheads())
-		j, err := e.FW.Submit(spec)
+		j, err := e.RunJob(spec)
 		if err != nil {
-			return 0, err
-		}
-		if err := e.WaitJob(j, Hour); err != nil {
 			return 0, err
 		}
 		s := metrics.NewSample()
@@ -157,9 +154,6 @@ func motivationExperiment() Experiment {
 		Name:    "motivation",
 		Summary: "§I micro-comparison: RAM vs SSD vs disk block reads",
 		Run:     func(seed int64) (any, error) { return RunMotivation(seed) },
-		Render: func(result any, sel Selection) []string {
-			return []string{result.(MotivationReport).String()}
-		},
 		Merge: func(rep *FullReport, result any) {
 			rep.Motivation = result.(MotivationReport)
 		},

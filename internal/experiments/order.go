@@ -138,9 +138,6 @@ func orderExperiment() Experiment {
 		Name:    "order",
 		Summary: "future work: FIFO/SJF/EDF migration ordering policies",
 		Run:     func(seed int64) (any, error) { return RunOrderPolicies(seed) },
-		Render: func(result any, sel Selection) []string {
-			return []string{result.(OrderReport).String()}
-		},
 		Merge: func(rep *FullReport, result any) {
 			for _, r := range result.(OrderReport).Rows {
 				rep.Order = append(rep.Order, OrderRowJSON{

@@ -27,6 +27,7 @@ type Experiment struct {
 	Run func(seed int64) (any, error)
 	// Render returns the text sections requested by the selection, in
 	// presentation order. The result argument is whatever Run returned.
+	// Nil means the result's String() as one section.
 	Render func(result any, sel Selection) []string
 	// Merge folds the result into the aggregated JSON report.
 	Merge func(rep *FullReport, result any)
@@ -44,6 +45,15 @@ func (e Experiment) Covers(name string) bool {
 		}
 	}
 	return false
+}
+
+// Sections returns the text sections of result that sel requests:
+// Render's, or the result's String() when Render is nil.
+func (e Experiment) Sections(result any, sel Selection) []string {
+	if e.Render == nil {
+		return []string{result.(fmt.Stringer).String()}
+	}
+	return e.Render(result, sel)
 }
 
 // Registry returns every experiment in presentation order (the order

@@ -14,7 +14,7 @@ func TestRegistryShape(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, e := range reg {
-		if e.Name == "" || e.Summary == "" || e.Run == nil || e.Render == nil || e.Merge == nil {
+		if e.Name == "" || e.Summary == "" || e.Run == nil || e.Merge == nil {
 			t.Errorf("experiment %q incomplete: %+v", e.Name, e)
 		}
 		for _, n := range append([]string{e.Name}, e.Aliases...) {

@@ -381,9 +381,6 @@ func scaleExperiment() Experiment {
 		Run: func(seed int64) (any, error) {
 			return RunScaleFamily([]ScaleOptions{Scale100Options(seed)})
 		},
-		Render: func(result any, sel Selection) []string {
-			return []string{result.(ScaleReport).String()}
-		},
 		Merge: func(rep *FullReport, result any) {
 			rep.Scale = result.(ScaleReport).Rows
 		},

@@ -491,9 +491,6 @@ func scaleShardExperiment() Experiment {
 		Run: func(seed int64) (any, error) {
 			return RunScaleShardFamily([]ScaleShardOptions{ScaleShardSmokeOptions(seed)})
 		},
-		Render: func(result any, sel Selection) []string {
-			return []string{result.(ScaleShardReport).String()}
-		},
 		Merge: func(rep *FullReport, result any) {
 			rep.ScaleShard = result.(ScaleShardReport).Rows
 		},

@@ -431,9 +431,6 @@ func servingExperiment() Experiment {
 		Run: func(seed int64) (any, error) {
 			return RunServing(ServingSmokeOptions(seed))
 		},
-		Render: func(result any, sel Selection) []string {
-			return []string{result.(ServingReport).String()}
-		},
 		Merge: func(rep *FullReport, result any) {
 			r := result.(ServingReport)
 			rep.Serving = r.Rows

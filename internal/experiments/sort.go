@@ -13,41 +13,6 @@ import (
 	"dyrs/internal/workload"
 )
 
-// sortReducers is the reducer count for Sort runs (2 per worker).
-const sortReducers = 14
-
-// runOneSort creates the input, optionally applies interference before
-// warmup, runs one Sort job, and returns the job plus the environment
-// (callers inspect counters before Close).
-func runOneSort(policy Policy, seed int64, size sim.Bytes, extraLead sim.Duration,
-	applyInterference func(e *Env) func()) (*compute.Job, *Env, func(), error) {
-	env := NewEnv(policy, DefaultOptions(seed))
-	stop := func() {}
-	if applyInterference != nil {
-		stop = applyInterference(env)
-	}
-	if err := env.WarmupEstimates(); err != nil {
-		env.Close()
-		return nil, nil, nil, err
-	}
-	if err := env.CreateInput("sort-input", size); err != nil {
-		env.Close()
-		return nil, nil, nil, err
-	}
-	spec := env.Prepare(workload.SortSpec("sort-input", sortReducers, policy.Migrates()))
-	spec.ExtraLeadTime = extraLead
-	j, err := env.FW.Submit(spec)
-	if err != nil {
-		env.Close()
-		return nil, nil, nil, err
-	}
-	if err := env.WaitJob(j, Hour); err != nil {
-		env.Close()
-		return nil, nil, nil, err
-	}
-	return j, env, stop, nil
-}
-
 // Fig8Report holds per-DataNode read counts for the replica-selection
 // comparison (Fig. 8): how each policy distributes block reads when the
 // cluster is homogeneous vs when one node is slow.
@@ -78,22 +43,12 @@ func RunFig8(seed int64) (Fig8Report, error) {
 			if setup == "slow-node" {
 				stop = env.SlowNodeInterference(cluster.NodeID(rep.SlowNode))
 			}
-			if err := env.WarmupEstimates(); err != nil {
-				env.Close()
-				return rep, err
-			}
+			err := env.WarmupEstimates()
 			// Snapshot read counters after warmup so only the sort's
 			// reads (tasks + migrations) are counted.
 			baseline := env.FS.ReadCounts()
-			if err := env.CreateInput("sort-input", 30*sim.GB); err != nil {
-				env.Close()
-				return rep, err
-			}
-			spec := env.Prepare(workload.SortSpec("sort-input", sortReducers, p.Migrates()))
-			spec.ExtraLeadTime = 10 * time.Second
-			j, err := env.FW.Submit(spec)
 			if err == nil {
-				err = env.WaitJob(j, Hour)
+				_, err = env.RunSort(30*sim.GB, 10*time.Second)
 			}
 			if err != nil {
 				env.Close()
@@ -139,13 +94,13 @@ func (r Fig8Report) String() string {
 // the migration-time-estimate trajectories behind the matching Fig. 9
 // panel.
 type TableIIRow struct {
-	Pattern string
-	Figure  string
-	Runtime float64 // seconds
+	Pattern string  `json:"pattern"`
+	Figure  string  `json:"figure"`
+	Runtime float64 `json:"runtime_seconds"`
 	// EstimateNode1/2 are the per-heartbeat estimates (seconds to
 	// migrate one block) for the two interfered nodes.
-	EstimateNode1 []metrics.TimePoint
-	EstimateNode2 []metrics.TimePoint
+	EstimateNode1 []metrics.TimePoint `json:"estimate_node1"`
+	EstimateNode2 []metrics.TimePoint `json:"estimate_node2"`
 }
 
 // TableIIReport bundles all five patterns.
@@ -160,20 +115,24 @@ type TableIIReport struct {
 func RunTableII(seed int64) (TableIIReport, error) {
 	rep := TableIIReport{SortGB: 30}
 	for _, pat := range workload.TableIIPatterns(1, 2) {
-		pat := pat
-		j, env, stop, err := runOneSort(DYRS, seed, 30*sim.GB, 10*time.Second,
-			func(e *Env) func() { return pat.Start(e.Cl) })
+		env := NewEnv(DYRS, DefaultOptions(seed))
+		stop := pat.Start(env.Cl)
+		err := env.WarmupEstimates()
+		var j *compute.Job
+		if err == nil {
+			j, err = env.RunSort(30*sim.GB, 10*time.Second)
+		}
 		if err != nil {
+			env.Close()
 			return rep, fmt.Errorf("tableII %q: %w", pat.Name, err)
 		}
-		row := TableIIRow{
-			Pattern: pat.Name,
-			Figure:  pat.Figure,
-			Runtime: j.Duration().Seconds(),
-		}
-		row.EstimateNode1 = env.Coord.EstimateSeries(1).Downsample(40)
-		row.EstimateNode2 = env.Coord.EstimateSeries(2).Downsample(40)
-		rep.Rows = append(rep.Rows, row)
+		rep.Rows = append(rep.Rows, TableIIRow{
+			Pattern:       pat.Name,
+			Figure:        pat.Figure,
+			Runtime:       j.Duration().Seconds(),
+			EstimateNode1: env.Coord.EstimateSeries(1).Downsample(40),
+			EstimateNode2: env.Coord.EstimateSeries(2).Downsample(40),
+		})
 		stop()
 		env.Close()
 	}
@@ -231,30 +190,19 @@ func RunFig10(seed int64) (Fig10Report, error) {
 		var events []MigEvent
 		env := NewEnv(p, DefaultOptions(seed))
 		stop := env.SlowNodeInterference(rep.SlowNode)
-		if err := env.WarmupEstimates(); err != nil {
-			env.Close()
-			return rep, err
+		err := env.WarmupEstimates()
+		if err == nil {
+			env.Coord.OnMigrated(func(b dfs.BlockID, n cluster.NodeID, at sim.Time) {
+				events = append(events, MigEvent{Block: b, Node: n, At: at})
+			})
+			// Enough lead to migrate the full input, as in the paper's
+			// straggler study: the interesting part is the tail of the
+			// migration, not the job itself.
+			_, err = env.RunSort(10*sim.GB, 2*time.Minute)
 		}
-		env.Coord.OnMigrated(func(b dfs.BlockID, n cluster.NodeID, at sim.Time) {
-			events = append(events, MigEvent{Block: b, Node: n, At: at})
-		})
-		if err := env.CreateInput("sort-input", 10*sim.GB); err != nil {
-			env.Close()
-			return rep, err
-		}
-		spec := env.Prepare(workload.SortSpec("sort-input", sortReducers, true))
-		// Enough lead to migrate the full input, as in the paper's
-		// straggler study: the interesting part is the tail of the
-		// migration, not the job itself.
-		spec.ExtraLeadTime = 2 * time.Minute
-		j, err := env.FW.Submit(spec)
 		if err != nil {
 			env.Close()
-			return rep, err
-		}
-		if err := env.WaitJob(j, Hour); err != nil {
-			env.Close()
-			return rep, err
+			return rep, fmt.Errorf("fig10 %s: %w", p, err)
 		}
 		if len(events) > 30 {
 			events = events[len(events)-30:]
@@ -317,11 +265,11 @@ func (r Fig10Report) String() string {
 // Fig11Row is one (input size, extra lead-time) cell of the Fig. 11
 // sweep, for HDFS and DYRS.
 type Fig11Row struct {
-	SizeGB    float64
-	ExtraLead float64 // seconds
+	SizeGB    float64 `json:"size_gb"`
+	ExtraLead float64 `json:"extra_lead_seconds"`
 	// MapSeconds and TotalSeconds per policy; Total includes lead-time.
-	MapSeconds   map[Policy]float64
-	TotalSeconds map[Policy]float64
+	MapSeconds   map[Policy]float64 `json:"map_seconds"`
+	TotalSeconds map[Policy]float64 `json:"total_seconds"`
 }
 
 // Fig11Report is the full sweep.
@@ -343,10 +291,15 @@ func RunFig11(seed int64) (Fig11Report, error) {
 				TotalSeconds: map[Policy]float64{},
 			}
 			for _, p := range []Policy{HDFS, DYRS} {
-				j, env, stop, err := runOneSort(p, seed, size, lead, func(e *Env) func() {
-					return e.SlowNodeInterference(0)
-				})
+				env := NewEnv(p, DefaultOptions(seed))
+				stop := env.SlowNodeInterference(0)
+				err := env.WarmupEstimates()
+				var j *compute.Job
+				if err == nil {
+					j, err = env.RunSort(size, lead)
+				}
 				if err != nil {
+					env.Close()
 					return rep, fmt.Errorf("fig11 %vGB/%v/%s: %w", row.SizeGB, lead, p, err)
 				}
 				row.MapSeconds[p] = j.MapPhase().Seconds()
@@ -384,9 +337,6 @@ func fig8Experiment() Experiment {
 		Name:    "fig8",
 		Summary: "Fig. 8: per-DataNode read distribution, homogeneous vs slow-node",
 		Run:     func(seed int64) (any, error) { return RunFig8(seed) },
-		Render: func(result any, sel Selection) []string {
-			return []string{result.(Fig8Report).String()}
-		},
 		Merge: func(rep *FullReport, result any) {
 			r := result.(Fig8Report)
 			rep.Fig8.SlowNode = r.SlowNode
@@ -415,12 +365,7 @@ func tableIIExperiment() Experiment {
 			return out
 		},
 		Merge: func(rep *FullReport, result any) {
-			for _, r := range result.(TableIIReport).Rows {
-				rep.TableII = append(rep.TableII, TableIIRowJSON{
-					Pattern: r.Pattern, Figure: r.Figure, Runtime: r.Runtime,
-					EstNode1: r.EstimateNode1, EstNode2: r.EstimateNode2,
-				})
-			}
+			rep.TableII = result.(TableIIReport).Rows
 		},
 	}
 }
@@ -431,9 +376,6 @@ func fig10Experiment() Experiment {
 		Name:    "fig10",
 		Summary: "Fig. 10: end-of-migration straggler timelines, DYRS vs naive",
 		Run:     func(seed int64) (any, error) { return RunFig10(seed) },
-		Render: func(result any, sel Selection) []string {
-			return []string{result.(Fig10Report).String()}
-		},
 		Merge: func(rep *FullReport, result any) {
 			r := result.(Fig10Report)
 			rep.Fig10.NaiveSlowTail, rep.Fig10.NaiveOverhangSec = r.SlowTail(Naive, 10)
@@ -448,16 +390,8 @@ func fig11Experiment() Experiment {
 		Name:    "fig11",
 		Summary: "Fig. 11: sort sweep over input size and inserted lead-time",
 		Run:     func(seed int64) (any, error) { return RunFig11(seed) },
-		Render: func(result any, sel Selection) []string {
-			return []string{result.(Fig11Report).String()}
-		},
 		Merge: func(rep *FullReport, result any) {
-			for _, r := range result.(Fig11Report).Rows {
-				rep.Fig11 = append(rep.Fig11, Fig11RowJSON{
-					SizeGB: r.SizeGB, ExtraLead: r.ExtraLead,
-					Map: r.MapSeconds, Total: r.TotalSeconds,
-				})
-			}
+			rep.Fig11 = result.(Fig11Report).Rows
 		},
 	}
 }

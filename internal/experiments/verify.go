@@ -70,11 +70,11 @@ func verifyExperiments(reg []Experiment, seed int64, jobs int, progress func(run
 		jobs = runtime.GOMAXPROCS(0)
 	}
 	rep := VerifyReport{Seed: seed, Jobs: jobs}
-	serial := runner.Run(registryJobs(reg, seed), runner.Options{Jobs: 1, Progress: progress})
+	serial := runner.Run(Jobs(reg, seed), runner.Options{Jobs: 1, Progress: progress})
 	if err := runner.FirstError(serial); err != nil {
 		return rep, fmt.Errorf("serial pass: %w", err)
 	}
-	parallel := runner.Run(registryJobs(reg, seed), runner.Options{Jobs: jobs, Progress: progress})
+	parallel := runner.Run(Jobs(reg, seed), runner.Options{Jobs: jobs, Progress: progress})
 	if err := runner.FirstError(parallel); err != nil {
 		return rep, fmt.Errorf("parallel pass: %w", err)
 	}

@@ -21,11 +21,7 @@ func runTracedSort(t *testing.T) *trace.Tracer {
 	}
 	spec := env.Prepare(dyrs.SortSpec("input", 4, true))
 	spec.ExtraLeadTime = 5 * time.Second
-	j, err := env.FW.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := env.WaitJob(j, time.Hour); err != nil {
+	if _, err := env.RunJob(spec); err != nil {
 		t.Fatal(err)
 	}
 	tr := env.Tracer()
@@ -183,11 +179,8 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 		if err := env.CreateInput("input", dyrs.GB); err != nil {
 			t.Fatal(err)
 		}
-		j, err := env.FW.Submit(env.Prepare(dyrs.SortSpec("input", 4, true)))
+		j, err := env.RunJob(env.Prepare(dyrs.SortSpec("input", 4, true)))
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := env.WaitJob(j, time.Hour); err != nil {
 			t.Fatal(err)
 		}
 		durations[i] = j.Duration()

@@ -431,11 +431,15 @@ func (r *refRecorder) Summarize() *Summary {
 		ReadBytes:           map[string]int64{},
 		LeadTime:            metrics.NewSample(),
 		Margin:              metrics.NewSample(),
+		SampleN:             r.sampleN(),
 	}
 	for _, src := range []string{"disk-local", "disk-remote", "mem-local", "mem-remote"} {
 		if v := t.Counter("read.bytes." + src); v != 0 {
 			s.ReadBytes[src] = v
 		}
+	}
+	if s.SampleN > 1 {
+		return s
 	}
 	firstRead := map[string]int64{}
 	for i := range r.spans {

@@ -37,6 +37,13 @@ type Summary struct {
 	// Margin: seconds from migration pin to that first read. Positive
 	// means the block was in memory before the job touched it.
 	Margin *metrics.Sample
+
+	// SampleN is the tracer's 1-in-N root sampling rate. Above 1,
+	// LeadTime and Margin stay empty: a sampled trace keeps a migration
+	// span and its block's first read together only by chance, so its
+	// pairs would be few and skewed. The migration.lead_ns and
+	// migration.margin_ns histograms stay exact.
+	SampleN int
 }
 
 // Summarize recomputes summary statistics from the recorded spans and
@@ -59,11 +66,15 @@ func (t *Tracer) Summarize() *Summary {
 		ReadBytes:           map[string]int64{},
 		LeadTime:            metrics.NewSample(),
 		Margin:              metrics.NewSample(),
+		SampleN:             t.SampleN(),
 	}
 	for _, src := range []string{"disk-local", "disk-remote", "mem-local", "mem-remote"} {
 		if v := t.Counter("read.bytes." + src); v != 0 {
 			s.ReadBytes[src] = v
 		}
+	}
+	if s.SampleN > 1 {
+		return s
 	}
 
 	// First read instant per block, from read spans.
@@ -123,7 +134,9 @@ func (s *Summary) String() string {
 	if len(parts) > 0 {
 		fmt.Fprintf(&b, "  read bytes by path: %s\n", strings.Join(parts, ", "))
 	}
-	if n := s.LeadTime.Len(); n > 0 {
+	if s.SampleN > 1 {
+		fmt.Fprintf(&b, "  lead-time and margin omitted: spans are sampled 1-in-%d (the migration.lead_ns and migration.margin_ns histograms are exact)\n", s.SampleN)
+	} else if n := s.LeadTime.Len(); n > 0 {
 		fmt.Fprintf(&b, "  achieved lead-time (request->first read, n=%d): p50 %.1fs, p90 %.1fs, mean %.1fs\n",
 			n, s.LeadTime.Percentile(50), s.LeadTime.Percentile(90), s.LeadTime.Mean())
 		fmt.Fprintf(&b, "  migration margin (pin->first read, n=%d): p50 %.1fs, min %.1fs\n",

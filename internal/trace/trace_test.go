@@ -277,3 +277,29 @@ func TestSummarize(t *testing.T) {
 		t.Errorf("summary rendering missing lead-time line:\n%s", s)
 	}
 }
+
+// TestSummarizeSampled: under 1-in-N sampling the span-derived lead-time
+// and margin would come from whichever pairs survived, so Summarize
+// leaves them out and String says why; the counters stay exact.
+func TestSummarizeSampled(t *testing.T) {
+	eng := sim.NewEngine(1)
+	tr := New(eng)
+	tr.SetSampling(4, 1)
+	for b := int64(0); b < 8; b++ {
+		tr.Begin("migration", "migrate", NodeMaster, Int("block", b)).End(Str("outcome", "pinned"))
+		advance(eng, time.Second)
+		tr.Begin("read", "read", 1, Int("block", b)).End(Str("source", "mem-local"))
+		tr.Inc("migration.completed")
+	}
+	s := tr.Summarize()
+	if s.SampleN != 4 || s.MigrationsCompleted != 8 {
+		t.Errorf("SampleN = %d, completed = %d; want 4 and 8", s.SampleN, s.MigrationsCompleted)
+	}
+	if s.LeadTime.Len() != 0 || s.Margin.Len() != 0 {
+		t.Errorf("sampled summary kept %d lead-time and %d margin samples, want none", s.LeadTime.Len(), s.Margin.Len())
+	}
+	out := s.String()
+	if strings.Contains(out, "achieved lead-time") || !strings.Contains(out, "omitted: spans are sampled 1-in-4") {
+		t.Errorf("sampled summary should omit lead-time and margin and say why:\n%s", out)
+	}
+}
