@@ -12,13 +12,19 @@ import (
 // when it ticks or pulls: its estimate is unchanged, its report repeats
 // the stored one, its queue is empty and its memory below the scavenge
 // threshold. The coordinator keeps one awake bit per slave and the
-// heartbeat round and Migrate's RPC visit only the slaves whose bit is
-// set, in node order. A slave's bit is cleared at the end of its own
-// tick when it is idle, and set again by whatever can give it work:
-// an enqueue, a binder target, a slave restart, buffered memory crossing
-// the scavenge threshold, and a change of cluster membership (which
-// makes one round visit every slave). The engine still counts every
-// slave's tick as an event, so event counts and digests do not move.
+// heartbeat round visits only the slaves whose bit is set, in node
+// order. A slave's bit is cleared at the end of its own tick when it is
+// idle, and set again by whatever can give it work: an enqueue, a binder
+// target, a slave restart, buffered memory crossing the scavenge
+// threshold, and a change of cluster membership (which makes one round
+// visit every slave). The engine still counts every slave's tick as an
+// event, so event counts and digests do not move.
+//
+// Migrate's RPC only pulls and kicks, so it visits a narrower set: the
+// ready slaves, those on which a pull could bind a block or a kick
+// could start (or retry) a transfer. Most awake slaves are not ready:
+// their queue is full, their transfer slots are busy and the binder has
+// targeted nothing more at them.
 //
 // A sleeping slave's estimate series would have recorded its unchanged
 // estimate each round; it backfills those samples when it wakes, when
@@ -32,33 +38,50 @@ type pullWaker interface {
 	// every slave must be visited. A binder that wakes the slaves it
 	// targets reports false.
 	pullsAny() bool
+	// pullable reports whether a pull by slave n, given queue space, may
+	// bind a block the binder has targeted at it.
+	pullable(n cluster.NodeID) bool
 }
 
 // visitAll reports whether the heartbeat round and the RPC must visit
-// every slave, not only the awake ones.
+// every slave, not only the awake or ready ones.
 func (c *Coordinator) visitAll() bool {
 	return c.waker == nil || c.waker.pullsAny()
 }
 
-// awakeAt reports whether slave i's bit is set.
-func (c *Coordinator) awakeAt(i int) bool {
-	return c.awake[i>>6]&(1<<(uint(i)&63)) != 0
+// bitAt reports whether bit i of set is set.
+func bitAt(set []uint64, i int) bool {
+	return set[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
+// setBit sets bit i of set; clearBit clears it.
+func setBit(set []uint64, i int)   { set[i>>6] |= 1 << (uint(i) & 63) }
+func clearBit(set []uint64, i int) { set[i>>6] &^= 1 << (uint(i) & 63) }
+
+// setBits sets bits 0 to n-1 of set.
+func setBits(set []uint64, n int) {
+	for i := 0; i < n; i++ {
+		setBit(set, i)
+	}
+}
+
+// awakeAt reports whether slave i's awake bit is set.
+func (c *Coordinator) awakeAt(i int) bool { return bitAt(c.awake, i) }
+
 // next returns the first slave at or after i to visit: i itself when
-// all are visited, else the first awake one. It returns len(c.slaves)
-// when none is left.
-func (c *Coordinator) next(i int, all bool) int {
+// all are visited, else the first one whose bit is set in set. It
+// returns len(c.slaves) when none is left.
+func (c *Coordinator) next(set []uint64, i int, all bool) int {
 	if all || i >= len(c.slaves) {
 		return i
 	}
 	w := i >> 6
-	word := c.awake[w] &^ (1<<(uint(i)&63) - 1)
+	word := set[w] &^ (1<<(uint(i)&63) - 1)
 	for word == 0 {
-		if w++; w == len(c.awake) {
+		if w++; w == len(set) {
 			return len(c.slaves)
 		}
-		word = c.awake[w]
+		word = set[w]
 	}
 	return w<<6 | bits.TrailingZeros64(word)
 }
@@ -71,14 +94,40 @@ func (c *Coordinator) wake(n cluster.NodeID) {
 	if c.awakeAt(i) {
 		return
 	}
-	c.awake[i>>6] |= 1 << (uint(i) & 63)
+	setBit(c.awake, i)
 	c.slaves[i].catchUp()
 }
 
 // sleep clears slave n's bit; only its own idle tick calls it.
-func (c *Coordinator) sleep(n cluster.NodeID) {
-	i := int(n)
-	c.awake[i>>6] &^= 1 << (uint(i) & 63)
+func (c *Coordinator) sleep(n cluster.NodeID) { clearBit(c.awake, int(n)) }
+
+// markReady puts slave n in the ready set: an enqueue gave it a queued
+// block, or the binder targeted a block at it and it has queue space.
+func (c *Coordinator) markReady(n cluster.NodeID) { setBit(c.ready, int(n)) }
+
+// onTargeted records that the binder put a block in slave n's pull
+// bucket: it wakes the slave, and makes it ready if it has queue space.
+func (c *Coordinator) onTargeted(n cluster.NodeID) {
+	c.wake(n)
+	if s := c.slaves[int(n)]; s.occupancy() < s.depth {
+		c.markReady(n)
+	}
+}
+
+// settle recomputes slave s's ready bit after something that can take
+// it out of the set: a kick, a dequeue, a restart. The slave stays
+// ready while a kick has a queued block and a free transfer slot to try
+// (a slave blocked on memory is retried by every kick, so it stays, and
+// BlockedOnMemory counts the same), or while a pull has queue space and
+// a block the binder targeted at it. Every change that can make either
+// hold again is followed by a settle or a markReady.
+func (c *Coordinator) settle(s *Slave) {
+	startable := len(s.queue) > 0 && s.nActive < len(s.active)
+	if startable || s.occupancy() < s.depth && c.waker != nil && c.waker.pullable(s.node.ID) {
+		setBit(c.ready, int(s.node.ID))
+	} else {
+		clearBit(c.ready, int(s.node.ID))
+	}
 }
 
 // onMemRegistered wakes the slave whose buffered memory a registration
@@ -118,7 +167,7 @@ func (c *Coordinator) heartbeatRound(t *sim.Ticker) {
 	// set skips.
 	check, walk := wakeCheck && !all, all || wakeCheck
 	n := len(c.slaves)
-	for i := c.next(0, walk); i < n; i = c.next(i+1, walk) {
+	for i := c.next(c.awake, 0, walk); i < n; i = c.next(c.awake, i+1, walk) {
 		if !t.Visit(i) {
 			break
 		}
@@ -132,15 +181,17 @@ func (c *Coordinator) heartbeatRound(t *sim.Ticker) {
 	c.cursor = n
 }
 
-// rpcPull is the RPC Migrate sends: the awake slaves pull and start
+// rpcPull is the RPC Migrate sends: the ready slaves pull and start
 // work, so migration can begin within a round-trip instead of a
 // heartbeat.
 func (c *Coordinator) rpcPull() {
 	all := c.visitAll()
+	// The skip oracle visits every slave and checks the ones the ready
+	// set skips.
 	check, walk := wakeCheck && !all, all || wakeCheck
 	n := len(c.slaves)
-	for i := c.next(0, walk); i < n; i = c.next(i+1, walk) {
-		if check && !c.awakeAt(i) {
+	for i := c.next(c.ready, 0, walk); i < n; i = c.next(c.ready, i+1, walk) {
+		if check && !bitAt(c.ready, i) {
 			c.checkedPull(i)
 			continue
 		}
@@ -234,22 +285,22 @@ func (c *Coordinator) snap(i, extra int) wakeSnap {
 func (c *Coordinator) checkedTick(i int) {
 	before := c.snap(i, 1)
 	c.slaves[i].tick()
-	c.checkSkip(i, "tick", before, c.snap(i, 0))
+	c.checkSkip(i, "asleep", "tick", before, c.snap(i, 0))
 }
 
-// checkedPull has slave i, which the awake set would have skipped, pull
+// checkedPull has slave i, which the ready set would have skipped, pull
 // and kick as Migrate's RPC does, and panics if that changed anything.
 func (c *Coordinator) checkedPull(i int) {
 	before := c.snap(i, 0)
 	s := c.slaves[i]
 	s.pull()
 	s.kick()
-	c.checkSkip(i, "pull", before, c.snap(i, 0))
+	c.checkSkip(i, "not ready", "pull", before, c.snap(i, 0))
 }
 
-func (c *Coordinator) checkSkip(i int, what string, before, after wakeSnap) {
+func (c *Coordinator) checkSkip(i int, skipped, what string, before, after wakeSnap) {
 	if before != after {
-		panic(fmt.Sprintf("migration: slave %d was asleep, but a %s at %v changed it: %+v -> %+v",
-			i, what, c.eng.Now(), before, after))
+		panic(fmt.Sprintf("migration: slave %d was %s, but a %s at %v changed it: %+v -> %+v",
+			i, skipped, what, c.eng.Now(), before, after))
 	}
 }

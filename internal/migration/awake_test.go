@@ -308,3 +308,77 @@ func TestSlaveThatBoundWorkStaysAwake(t *testing.T) {
 		t.Errorf("drops %v do not grow round by round", want)
 	}
 }
+
+// readySlaves lists the slaves whose ready bit is set.
+func readySlaves(c *Coordinator) []cluster.NodeID {
+	out := []cluster.NodeID{}
+	for i := range c.slaves {
+		if bitAt(c.ready, i) {
+			out = append(out, cluster.NodeID(i))
+		}
+	}
+	return out
+}
+
+// TestReadySetFollowsQueueSpace: on one node, a file of two blocks more
+// than the slave's queue depth is targeted at it. Migrate's RPC binds a
+// queue's worth and starts one transfer; the slave, with its queue
+// full, its slot busy and two blocks still in its pull bucket, leaves
+// the ready set. A missed read then drops a queued block: the freed
+// queue space puts the slave back in the set, and the next RPC binds
+// one more block from the bucket. A transfer slot freed by an aborted
+// transfer does the same.
+func TestReadySetFollowsQueueSpace(t *testing.T) {
+	b := &loggedBinder{PolicyBinder: NewDYRSBinder()}
+	cfg := DefaultConfig()
+	cfg.TargetUpdateInterval = time.Hour // Migrate's own pass targets the blocks
+	r := newRig(t, 1, 1, b, nil, cfg)
+	r.eng.RunFor(3 * time.Second)
+	s := r.c.slaves[0]
+	r.mkFile(t, "in", s.depth+2)
+	readyIs := func(want []cluster.NodeID) {
+		t.Helper()
+		if got := readySlaves(r.c); !reflect.DeepEqual(got, want) {
+			t.Errorf("at %v: ready %v, want %v", r.eng.Now(), got, want)
+		}
+	}
+	if err := r.c.Migrate(1, []string{"in"}, true); err != nil {
+		t.Fatal(err)
+	}
+	readyIs([]cluster.NodeID{0})
+	r.eng.RunFor(cluster.RPCLatency)
+	if len(s.queue) != s.depth-1 || s.nActive != 1 {
+		t.Fatalf("after the RPC: %d queued, %d active, want %d and 1", len(s.queue), s.nActive, s.depth-1)
+	}
+	readyIs([]cluster.NodeID{})
+
+	queued := s.queue[len(s.queue)-1].id
+	r.c.NoteRead(1, queued)
+	readyIs([]cluster.NodeID{0})
+	b.take()
+	r.cl.RPC(r.c.rpcPull)
+	r.eng.RunFor(cluster.RPCLatency)
+	if got := b.take(); !reflect.DeepEqual(got, []cluster.NodeID{0}) {
+		t.Errorf("the RPC after the missed read pulled on %v, want [0]", got)
+	}
+	if len(s.queue) != s.depth-1 {
+		t.Errorf("after the second RPC: %d queued, want %d", len(s.queue), s.depth-1)
+	}
+	readyIs([]cluster.NodeID{})
+
+	// A missed read on the transfer aborts it; the kick that follows
+	// starts the next queued block and the queue space takes the last
+	// block in the bucket at the next RPC.
+	r.c.NoteRead(1, s.active[0].bi.id)
+	readyIs([]cluster.NodeID{0})
+	r.cl.RPC(r.c.rpcPull)
+	r.eng.RunFor(cluster.RPCLatency)
+	if len(s.queue) != s.depth-1 || s.nActive != 1 || b.heads[0] != len(b.targets[0]) {
+		t.Errorf("after the third RPC: %d queued, %d active, bucket at %d of %d, want %d, 1 and drained",
+			len(s.queue), s.nActive, b.heads[0], len(b.targets[0]), s.depth-1)
+	}
+	readyIs([]cluster.NodeID{})
+	if r.eng.Now() >= sim.Time(4*time.Second) {
+		t.Fatalf("the test ran into the next heartbeat at %v", r.eng.Now())
+	}
+}

@@ -1,6 +1,9 @@
 package migration
 
 import (
+	"fmt"
+	"math/bits"
+
 	"dyrs/internal/cluster"
 	"dyrs/internal/policy"
 	"dyrs/internal/sim"
@@ -25,9 +28,15 @@ import (
 type PolicyBinder struct {
 	c   *Coordinator
 	pol policy.Policy
-	// views is the reusable dense NodeView table handed to the policy
-	// each pass.
-	views []policy.NodeView
+	// views is the dense NodeView table handed to the policy each pass,
+	// kept across passes and refreshed in place between them;
+	// viewMembers is the membership epoch it has caught up with (see
+	// beginPass).
+	views       []policy.NodeView
+	viewMembers uint64
+	// eager is the skip oracle's copy of views, rebuilt in full every
+	// pass (see checkViews); nil unless built with dyrs_wakecheck.
+	eager []policy.NodeView
 	// pending is the master's unbound-block list, in FIFO arrival order
 	// (reordered only by the configured OrderPolicy). Entries are
 	// tombstoned in place when bound or removed (bi.inPending cleared)
@@ -43,7 +52,10 @@ type PolicyBinder struct {
 	// was quadratic in cluster size.
 	targets [][]*blockInfo
 	heads   []int
-	ticker  *sim.Ticker
+	// filled lists the nodes whose bucket is non-empty, so a pass
+	// empties only those.
+	filled []cluster.NodeID
+	ticker *sim.Ticker
 	// Updates counts Algorithm 1 passes that did work; SkippedUpdates
 	// counts ticks the input-change gate short-circuited.
 	Updates        int
@@ -93,6 +105,8 @@ func (b *PolicyBinder) Name() string { return b.pol.Name() }
 
 func (b *PolicyBinder) attach(c *Coordinator) {
 	b.c = c
+	b.views = make([]policy.NodeView, c.cl.Size())
+	b.viewMembers = c.cl.MembershipEpoch()
 	b.targets = make([][]*blockInfo, c.cl.Size())
 	b.heads = make([]int, c.cl.Size())
 	if !b.pol.BindImmediately() {
@@ -103,27 +117,63 @@ func (b *PolicyBinder) attach(c *Coordinator) {
 	}
 }
 
-// beginPass snapshots the master's heartbeat state into the policy's
-// view: liveness, per-byte estimates, queue occupancy.
+// beginPass brings the policy's view of the master's heartbeat state
+// (liveness, per-byte estimates, queue occupancy) up to date and starts
+// a pass over it. The view is kept across passes and only the stale
+// nodes are re-read: those whose stored estimate a heartbeat changed,
+// those no heartbeat has reached yet (Estimate reads their live
+// state), and every node once cluster membership moves.
 func (b *PolicyBinder) beginPass() {
-	n := b.c.cl.Size()
-	if len(b.views) < n {
-		b.views = make([]policy.NodeView, n)
+	c := b.c
+	if e := c.cl.MembershipEpoch(); e != b.viewMembers {
+		b.viewMembers = e
+		setBits(c.stale, len(b.views))
 	}
-	for _, node := range b.c.cl.Nodes() {
-		i := int(node.ID)
-		if !node.Alive() {
-			b.views[i].Alive = false
-			continue
+	for w, word := range c.stale {
+		c.stale[w] = 0
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			c.readView(b.views, i)
+			if !c.estimates[i].seen {
+				setBit(c.stale, i)
+			}
 		}
-		per, queued := b.c.Estimate(node.ID)
-		b.views[i] = policy.NodeView{Alive: true, PerByte: per, Queued: queued}
+	}
+	if wakeCheck {
+		b.checkViews()
 	}
 	b.pol.Begin(policy.View{
-		Nodes:    b.views[:n],
-		StdBlock: b.c.fs.Config().BlockSize,
-		Rand:     b.c.eng.Rand(),
+		Nodes:    b.views,
+		StdBlock: c.fs.Config().BlockSize,
+		Rand:     c.eng.Rand(),
 	})
+}
+
+// readView reads node i's view into views. A dead node keeps its last
+// estimate and is marked untargetable.
+func (c *Coordinator) readView(views []policy.NodeView, i int) {
+	if !c.slaves[i].node.Alive() {
+		views[i].Alive = false
+		return
+	}
+	per, queued := c.Estimate(cluster.NodeID(i))
+	views[i] = policy.NodeView{Alive: true, PerByte: per, Queued: queued}
+}
+
+// checkViews is the skip oracle for the kept view: it re-reads every
+// node into a second table and panics if the kept view differs, which
+// would mean a missing stale mark.
+func (b *PolicyBinder) checkViews() {
+	if b.eager == nil {
+		b.eager = make([]policy.NodeView, len(b.views))
+	}
+	for i := range b.eager {
+		b.c.readView(b.eager, i)
+		if b.views[i] != b.eager[i] {
+			panic(fmt.Sprintf("migration: node %d's view at %v is %+v, but a full rebuild reads %+v",
+				i, b.c.eng.Now(), b.views[i], b.eager[i]))
+		}
+	}
 }
 
 // OnMigrate adds blocks to the pending list and refreshes targets so
@@ -213,10 +263,7 @@ func (b *PolicyBinder) Reset() {
 	}
 	b.pending = nil
 	b.dead = 0
-	for i := range b.targets {
-		b.targets[i] = b.targets[i][:0]
-		b.heads[i] = 0
-	}
+	b.emptyBuckets()
 	b.pendGen++
 }
 
@@ -278,10 +325,7 @@ func (b *PolicyBinder) UpdateTargets() {
 	// pass; with FIFO this is a no-op (§III, future-work extension).
 	b.c.orderPending(b.pending)
 	b.beginPass()
-	for i := range b.targets {
-		b.targets[i] = b.targets[i][:0]
-		b.heads[i] = 0
-	}
+	b.emptyBuckets()
 	for _, bi := range b.pending {
 		b.repBuf = b.c.fs.LiveReplicas(bi.id, b.repBuf[:0])
 		best, ok := b.pol.Assign(policy.Request{Block: bi.id, Size: bi.size, Replicas: b.repBuf})
@@ -297,14 +341,32 @@ func (b *PolicyBinder) UpdateTargets() {
 		}
 		bi.target = best
 		bi.hasTarget = true
+		if len(b.targets[int(best)]) == 0 {
+			b.filled = append(b.filled, best)
+			b.c.onTargeted(best)
+		}
 		b.targets[int(best)] = append(b.targets[int(best)], bi)
-		b.c.wake(best)
 	}
+}
+
+// emptyBuckets empties the pull buckets a pass filled.
+func (b *PolicyBinder) emptyBuckets() {
+	for _, n := range b.filled {
+		b.targets[int(n)] = b.targets[int(n)][:0]
+		b.heads[int(n)] = 0
+	}
+	b.filled = b.filled[:0]
 }
 
 // pullsAny implements pullWaker: a pull binds only blocks targeted at
 // the puller, and UpdateTargets wakes each target.
 func (b *PolicyBinder) pullsAny() bool { return false }
+
+// pullable implements pullWaker: OnPull binds from n's bucket until it
+// has consumed it, tombstones included.
+func (b *PolicyBinder) pullable(n cluster.NodeID) bool {
+	return len(b.pending) != b.dead && b.heads[int(n)] < len(b.targets[int(n)])
+}
 
 func (b *PolicyBinder) stopBinder() {
 	if b.ticker != nil {
@@ -380,8 +442,17 @@ func (b *NaiveBinder) PendingCount() int { return len(b.pending) }
 // pulls.
 func (b *NaiveBinder) pullsAny() bool { return len(b.pending) > 0 }
 
+// pullable implements pullWaker: while blocks are pending any slave may
+// take one.
+func (b *NaiveBinder) pullable(cluster.NodeID) bool { return b.pullsAny() }
+
 // Reset implements Binder.
 func (b *NaiveBinder) Reset() { b.pending = nil }
+
+var (
+	_ pullWaker = (*PolicyBinder)(nil)
+	_ pullWaker = (*NaiveBinder)(nil)
+)
 
 // stoppable is implemented by binders owning background tickers.
 type stoppable interface{ stopBinder() }

@@ -40,8 +40,11 @@ type Coordinator struct {
 	// event per interval; the engine counts every slave's tick as a model
 	// event, visited or not (see awake.go).
 	heartbeat *sim.Ticker
-	// awake holds one bit per slave, set while it may have work.
+	// awake holds one bit per slave, set while it may have work; ready
+	// holds one bit per slave, set while a pull or kick on it may change
+	// something (see settle).
 	awake []uint64
+	ready []uint64
 	// round counts heartbeat rounds begun, the first fired at start plus
 	// one interval; cursor is the slave the running round visits, and
 	// len(slaves) between rounds. members is the cluster membership epoch
@@ -74,6 +77,9 @@ type Coordinator struct {
 	spareIDs [][]dfs.BlockID
 	hints    map[JobID]JobHint
 
+	// rpc is rpcPull bound once, so sending the RPC allocates nothing.
+	rpc func()
+
 	// Scratch reused across calls: fresh collects Migrate's newly
 	// pending blocks for Binder.OnMigrate, pullBuf receives
 	// Binder.OnPull's blocks. Binders must not retain either slice.
@@ -91,8 +97,10 @@ type Coordinator struct {
 	estimates []nodeEstimate
 	// estEpoch increments whenever a heartbeat actually changes a stored
 	// estimate; the DYRS binder uses it to skip Algorithm 1 passes whose
-	// inputs have not moved.
+	// inputs have not moved. stale holds one bit per node the binder's
+	// next pass must re-read (see PolicyBinder.beginPass).
 	estEpoch uint64
+	stale    []uint64
 	// hintEpoch increments whenever scheduler hints change (set or
 	// cleared); ordering policies read hints, so the binder's gate must
 	// treat a hint change as an input change.
@@ -151,14 +159,16 @@ func NewCoordinator(fs *dfs.FS, cfg Config, binder Binder) *Coordinator {
 		ab.attach(c)
 	}
 	c.waker, _ = binder.(pullWaker)
+	c.rpc = c.rpcPull
 	for _, n := range cl.Nodes() {
 		c.slaves = append(c.slaves, newSlave(c, n))
 	}
-	// Every slave starts awake: none has reported yet.
-	c.awake = make([]uint64, (len(c.slaves)+63)/64)
-	for i := range c.slaves {
-		c.awake[i>>6] |= 1 << (uint(i) & 63)
-	}
+	// Every slave starts awake and stale: none has reported yet, and no
+	// pass has read it.
+	words := (len(c.slaves) + 63) / 64
+	c.awake, c.ready, c.stale = make([]uint64, words), make([]uint64, words), make([]uint64, words)
+	setBits(c.awake, len(c.slaves))
+	setBits(c.stale, len(c.slaves))
 	c.cursor, c.start, c.members = len(c.slaves), c.eng.Now(), cl.MembershipEpoch()
 	fs.OnMemRegistered(c.onMemRegistered)
 	c.heartbeat = sim.NewTickerN(c.eng, cfg.Heartbeat, len(c.slaves), c.heartbeatRound)
@@ -281,8 +291,8 @@ func (c *Coordinator) Slave(id cluster.NodeID) *Slave { return c.slaves[int(id)]
 
 // Estimate reports the master's view of a slave's per-byte migration
 // time and queue occupancy, as refreshed by heartbeats. Before the first
-// heartbeat it falls back to the slave's seeded estimate so Algorithm 1
-// has sane inputs from time zero.
+// heartbeat reaches the master it falls back to the slave's live
+// estimate and occupancy, so Algorithm 1 has sane inputs from time zero.
 func (c *Coordinator) Estimate(id cluster.NodeID) (perByteSeconds float64, queued int) {
 	if e := c.estimates[int(id)]; e.seen {
 		return e.perByte, e.queued
@@ -352,7 +362,7 @@ func (c *Coordinator) Migrate(job JobID, files []string, implicitEvict bool) err
 		c.binder.OnMigrate(fresh)
 		// Kick the slaves so migration can begin within an RPC round-trip
 		// instead of waiting out a heartbeat; slaves pull per policy.
-		c.cl.RPC(c.rpcPull)
+		c.cl.RPC(c.rpc)
 	}
 	return nil
 }
@@ -500,6 +510,7 @@ func (c *Coordinator) onHeartbeat(n cluster.NodeID, perByte float64, queued int)
 	if est := &c.estimates[int(n)]; *est != e {
 		*est = e
 		c.estEpoch++
+		setBit(c.stale, int(n))
 	}
 }
 
@@ -528,6 +539,10 @@ func (c *Coordinator) OnMigrated(fn func(block dfs.BlockID, node cluster.NodeID,
 // jobs finish.
 func (c *Coordinator) RestartMaster() {
 	c.binder.Reset()
+	// The pull buckets are gone; the slaves keep their queues.
+	for _, s := range c.slaves {
+		c.settle(s)
+	}
 	// The dense info table walks in block-ID order by construction, so
 	// the trace (span ends, drop counters) is deterministic.
 	for _, bi := range c.info {
@@ -594,6 +609,7 @@ func (c *Coordinator) RestartSlaveProcess(id cluster.NodeID) {
 	}
 	c.fs.DropAllMem(id)
 	s.estimator.reset()
+	c.settle(s)
 }
 
 // ScavengeAll runs the scavenging pass on every slave immediately,

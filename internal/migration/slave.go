@@ -185,6 +185,7 @@ func (s *Slave) pull() bool {
 // enqueue binds a block to this slave's local queue.
 func (s *Slave) enqueue(bi *blockInfo) {
 	s.c.wake(s.node.ID)
+	s.c.markReady(s.node.ID)
 	s.c.transition(bi, stateQueued)
 	bi.slave = s.node.ID
 	bi.enqueuedAt = s.c.eng.Now()
@@ -203,6 +204,7 @@ func (s *Slave) dequeue(bi *blockInfo) {
 	for i, q := range s.queue {
 		if q == bi {
 			s.removeQueued(i)
+			s.c.settle(s)
 			return
 		}
 	}
@@ -218,11 +220,18 @@ func (s *Slave) removeQueued(i int) {
 	s.queue = s.queue[:n]
 }
 
-// kick starts queued migrations while the concurrency limit allows.
+// kick starts queued migrations while the concurrency limit allows, then
+// settles the slave's ready bit.
 func (s *Slave) kick() {
-	if s.stopped || !s.node.Alive() {
-		return
+	if !s.stopped && s.node.Alive() {
+		s.start()
 	}
+	s.c.settle(s)
+}
+
+// start starts queued migrations until the transfer slots are full, the
+// queue is empty or the next block does not fit in memory.
+func (s *Slave) start() {
 	for s.nActive < len(s.active) && len(s.queue) > 0 {
 		next := s.queue[0]
 		dn := s.c.fs.DataNode(s.node.ID)

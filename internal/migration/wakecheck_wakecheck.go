@@ -3,5 +3,6 @@
 package migration
 
 // wakeCheck: see wakecheck.go. Under the dyrs_wakecheck build tag every
-// skip the awake set makes is checked by visiting the skipped slave.
+// skip the awake and ready sets make is checked by visiting the skipped
+// slave, and every kept node view by re-reading it.
 const wakeCheck = true

@@ -12,7 +12,7 @@ import (
 // bandwidth heterogeneity (§V-E, Fig. 8).
 type Ignem struct {
 	rand  *rand.Rand
-	alive []bool
+	nodes []NodeView
 	buf   []cluster.NodeID
 }
 
@@ -25,22 +25,14 @@ func (p *Ignem) Name() string { return "Ignem" }
 // BindImmediately implements Policy: Ignem never delays binding.
 func (p *Ignem) BindImmediately() bool { return true }
 
-// Begin captures the liveness view and the deterministic random stream.
-func (p *Ignem) Begin(v View) {
-	p.rand = v.Rand
-	if len(p.alive) < len(v.Nodes) {
-		p.alive = make([]bool, len(v.Nodes))
-	}
-	for i, nv := range v.Nodes {
-		p.alive[i] = nv.Alive
-	}
-}
+// Begin captures the view and the deterministic random stream.
+func (p *Ignem) Begin(v View) { p.rand, p.nodes = v.Rand, v.Nodes }
 
 // Assign picks a uniformly random live replica.
 func (p *Ignem) Assign(req Request) (cluster.NodeID, bool) {
 	p.buf = p.buf[:0]
 	for _, loc := range req.Replicas {
-		if p.alive[int(loc)] {
+		if p.nodes[int(loc)].Alive {
 			p.buf = append(p.buf, loc)
 		}
 	}
@@ -62,9 +54,10 @@ func (p *Ignem) Assign(req Request) (cluster.NodeID, bool) {
 // small block. The comparison quantifies how much of DYRS's win comes
 // from true finish-time accounting versus mere queue-depth spreading.
 type CostAware struct {
-	perByte []float64
-	load    []int
-	valid   []bool
+	nodes []NodeView
+	// load holds the queue depth plus this pass's assignments of the
+	// nodes the pass has touched.
+	load perPass[int]
 }
 
 // NewCostAware returns the marginal-cost heuristic.
@@ -76,44 +69,35 @@ func (p *CostAware) Name() string { return "CostAware" }
 // BindImmediately implements Policy: delayed binding, like DYRS.
 func (p *CostAware) BindImmediately() bool { return false }
 
-// Begin snapshots per-node costs and queue depths.
+// Begin starts a pass over the view.
 func (p *CostAware) Begin(v View) {
-	n := len(v.Nodes)
-	if len(p.load) < n {
-		p.perByte = make([]float64, n)
-		p.load = make([]int, n)
-		p.valid = make([]bool, n)
-	}
-	for i, nv := range v.Nodes {
-		if !nv.Alive {
-			p.valid[i] = false
-			continue
-		}
-		p.perByte[i] = nv.PerByte
-		p.load[i] = nv.Queued
-		p.valid[i] = true
-	}
+	p.nodes = v.Nodes
+	p.load.begin(len(v.Nodes))
 }
 
 // Assign picks the replica with the lowest marginal cost; ties break on
 // the first replica in Request order (strict <).
 func (p *CostAware) Assign(req Request) (cluster.NodeID, bool) {
 	best := cluster.NodeID(-1)
+	var bestLoad *int
 	bestCost := 0.0
 	size := float64(req.Size)
 	for _, loc := range req.Replicas {
-		if !p.valid[int(loc)] {
+		nv := &p.nodes[int(loc)]
+		if !nv.Alive {
 			continue
 		}
-		cost := p.perByte[int(loc)] * size * float64(p.load[int(loc)]+1)
-		if best < 0 || cost < bestCost {
-			best = loc
-			bestCost = cost
+		load, fresh := p.load.at(int(loc))
+		if fresh {
+			*load = nv.Queued
+		}
+		if cost := nv.PerByte * size * float64(*load+1); best < 0 || cost < bestCost {
+			best, bestLoad, bestCost = loc, load, cost
 		}
 	}
 	if best < 0 {
 		return -1, false
 	}
-	p.load[int(best)]++
+	*bestLoad++
 	return best, true
 }

@@ -41,8 +41,11 @@ type NodeView struct {
 }
 
 // View is the cluster state one assignment pass reads. The Nodes slice
-// is dense, indexed by cluster.NodeID, and is only valid during the
-// pass — policies must copy anything they keep.
+// is dense, indexed by cluster.NodeID, and is valid from Begin through
+// the pass's last Assign, so a policy may keep it for the pass and read
+// it in Assign instead of copying it. The migration binder keeps one
+// slice across passes and updates it in place, only between passes; a
+// policy must not keep it, or anything read from it, past the pass.
 type View struct {
 	// Nodes holds the per-node states, indexed by NodeID.
 	Nodes []NodeView
@@ -65,8 +68,9 @@ type Request struct {
 
 // Policy is a migration target-selection strategy. One assignment pass
 // is a Begin call followed by an Assign per pending block, in pending
-// order; Begin resets any per-pass state (running finish times, pass
-// load) from the view.
+// order; per-pass state (running finish times, pass load) starts from
+// the view at Begin, and a policy may initialize a node's share of it
+// the first time the pass reads that node.
 //
 // Implementations must be deterministic: identical views and request
 // sequences yield identical targets (randomized policies draw only
