@@ -20,6 +20,9 @@
 // identically, turning "identical seeds give identical results" into a
 // machine-checked invariant.
 //
+// A flag that does not parse, a negative -jobs or an unknown -only name
+// exits 2; a failed run or a diverged -verify exits 1.
+//
 // -cpuprofile/-memprofile write pprof profiles of whatever mode ran,
 // for digging into where simulation time and memory actually go;
 // -mutexprofile/-blockprofile add contention profiles, the tools for
@@ -28,8 +31,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -40,23 +45,49 @@ import (
 	"dyrs/internal/runner"
 )
 
-// main delegates to run so deferred profile flushes happen before exit.
-func main() { os.Exit(run()) }
+func main() {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	fmt.Fprintln(os.Stderr, "dyrs-bench:", err)
+	if errors.As(err, new(usageError)) {
+		os.Exit(2)
+	}
+	os.Exit(1)
+}
 
-func run() int {
-	seed := flag.Int64("seed", 42, "simulation seed; identical seeds give identical results")
-	only := flag.String("only", "", "comma-separated experiment subset (default: all)")
-	asJSON := flag.Bool("json", false, "emit every experiment as one JSON document instead of text tables")
-	jobs := flag.Int("jobs", 0, "max experiments running concurrently (0 = GOMAXPROCS)")
-	verify := flag.Bool("verify", false, "run every experiment serially and in parallel and fail on any result divergence")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	mutexProfile := flag.String("mutexprofile", "", "write a mutex contention profile to this file on exit")
-	blockProfile := flag.String("blockprofile", "", "write a goroutine blocking profile to this file on exit")
-	quiet := flag.Bool("q", false, "suppress per-experiment progress on stderr")
-	manifestPath := flag.String("manifest", "", "write a run-manifest JSON (seed, flags, build, wall time, peak RSS) to this file")
-	list := flag.Bool("list", false, "list experiment names and exit")
-	flag.Parse()
+// usageError is a bad command line; the command exits 2 for it, as for
+// a flag it cannot parse.
+type usageError struct{ error }
+
+// run executes one mode end to end. It is main minus the exit code, so
+// tests can drive the command in-process; deferred profile flushes
+// finish before it returns.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("dyrs-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Int64("seed", 42, "simulation seed; identical seeds give identical results")
+	only := fs.String("only", "", "comma-separated experiment subset (default: all)")
+	asJSON := fs.Bool("json", false, "emit every experiment as one JSON document instead of text tables")
+	jobs := fs.Int("jobs", 0, "max experiments running concurrently (0 = GOMAXPROCS)")
+	verify := fs.Bool("verify", false, "run every experiment serially and in parallel and fail on any result divergence")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	mutexProfile := fs.String("mutexprofile", "", "write a mutex contention profile to this file on exit")
+	blockProfile := fs.String("blockprofile", "", "write a goroutine blocking profile to this file on exit")
+	quiet := fs.Bool("q", false, "suppress per-experiment progress on stderr")
+	manifestPath := fs.String("manifest", "", "write a run-manifest JSON (seed, flags, build, wall time, peak RSS) to this file")
+	list := fs.Bool("list", false, "list experiment names and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError{err}
+	}
+	if *jobs < 0 {
+		return usageError{fmt.Errorf("-jobs must not be negative, got %d", *jobs)}
+	}
 
 	if *list {
 		for _, e := range experiments.Registry() {
@@ -64,29 +95,34 @@ func run() int {
 			for _, a := range e.Aliases {
 				names += "," + a
 			}
-			fmt.Printf("%-32s %s\n", names, e.Summary)
+			fmt.Fprintf(stdout, "%-32s %s\n", names, e.Summary)
 		}
-		return 0
+		return nil
 	}
 
-	code := 0
-	fail := func(err error) int {
-		fmt.Fprintln(os.Stderr, "dyrs-bench:", err)
-		return 1
+	selected, sel, err := experiments.Select(*only)
+	if err != nil {
+		return usageError{err}
 	}
-	progress := progressPrinter(*quiet)
+	progress := progressPrinter(stderr, *quiet)
+	// keep records the first error a deferred flush meets.
+	keep := func(ferr error) {
+		if ferr != nil && err == nil {
+			err = ferr
+		}
+	}
 
 	// The manifest is written on the way out so it captures the full
 	// wall time and peak RSS of whatever mode ran.
 	if *manifestPath != "" {
 		manifest := obs.NewManifest("dyrs-bench")
 		manifest.Seed = *seed
-		manifest.CaptureFlags(flag.CommandLine)
+		manifest.CaptureFlags(fs)
 		defer func() {
 			manifest.Finish(0)
 			f, err := os.Create(*manifestPath)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "dyrs-bench:", err)
+				fmt.Fprintln(stderr, "dyrs-bench:", err)
 				return
 			}
 			err = manifest.WriteJSON(f)
@@ -94,7 +130,7 @@ func run() int {
 				err = cerr
 			}
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "dyrs-bench:", err)
+				fmt.Fprintln(stderr, "dyrs-bench:", err)
 			}
 		}()
 	}
@@ -102,11 +138,11 @@ func run() int {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			f.Close()
-			return fail(err)
+			return err
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -117,16 +153,12 @@ func run() int {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "dyrs-bench:", err)
-				code = 1
+				keep(err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // settle the heap so the profile shows retained memory
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "dyrs-bench:", err)
-				code = 1
-			}
+			keep(pprof.WriteHeapProfile(f))
 		}()
 	}
 	// Contention profiling must be switched on before any workload runs;
@@ -135,15 +167,11 @@ func run() int {
 	writeLookup := func(path, name string) {
 		f, err := os.Create(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dyrs-bench:", err)
-			code = 1
+			keep(err)
 			return
 		}
 		defer f.Close()
-		if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-			fmt.Fprintln(os.Stderr, "dyrs-bench:", err)
-			code = 1
-		}
+		keep(pprof.Lookup(name).WriteTo(f, 0))
 	}
 	if *mutexProfile != "" {
 		runtime.SetMutexProfileFraction(1)
@@ -154,36 +182,30 @@ func run() int {
 		defer writeLookup(*blockProfile, "block")
 	}
 
-	selected, sel, err := experiments.Select(*only)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dyrs-bench:", err)
-		return 2
-	}
-
 	switch {
 	case *verify:
 		if *only != "" {
-			fmt.Fprintln(os.Stderr, "dyrs-bench: -verify always checks every experiment; ignoring -only")
+			fmt.Fprintln(stderr, "dyrs-bench: -verify always checks every experiment; ignoring -only")
 		}
 		rep, err := experiments.VerifyDeterminism(*seed, *jobs, progress)
 		if err != nil {
-			return fail(err)
+			return err
 		}
-		printVerify(rep)
+		printVerify(stdout, rep)
 		if !rep.OK() {
-			return 1
+			return errors.New("determinism check failed")
 		}
 
 	case *asJSON:
 		if *only != "" {
-			fmt.Fprintln(os.Stderr, "dyrs-bench: -json always emits the full report; ignoring -only")
+			fmt.Fprintln(stderr, "dyrs-bench: -json always emits the full report; ignoring -only")
 		}
 		rep, err := experiments.RunAllParallel(*seed, *jobs, progress)
 		if err != nil {
-			return fail(err)
+			return err
 		}
-		if err := rep.WriteJSON(os.Stdout); err != nil {
-			return fail(err)
+		if err := rep.WriteJSON(stdout); err != nil {
+			return err
 		}
 
 	default:
@@ -191,56 +213,56 @@ func run() int {
 		results := runner.Run(experiments.Jobs(selected, *seed),
 			runner.Options{Jobs: *jobs, Progress: progress})
 		if err := runner.FirstError(results); err != nil {
-			return fail(err)
+			return err
 		}
 		for i, res := range results {
 			for _, section := range selected[i].Sections(res.Value, sel) {
-				fmt.Println(section)
+				fmt.Fprintln(stdout, section)
 			}
 		}
-		fmt.Printf("(all requested experiments regenerated in %.2fs wall-clock)\n",
+		fmt.Fprintf(stdout, "(all requested experiments regenerated in %.2fs wall-clock)\n",
 			time.Since(start).Seconds())
 	}
-	return code
+	return nil
 }
 
 // progressPrinter returns a runner progress callback that narrates
 // start/done events on stderr (stdout stays reserved for results, so
 // byte-for-byte output comparisons are unaffected).
-func progressPrinter(quiet bool) func(runner.Event) {
+func progressPrinter(stderr io.Writer, quiet bool) func(runner.Event) {
 	if quiet {
 		return nil
 	}
 	return func(ev runner.Event) {
 		switch ev.Kind {
 		case runner.EventStart:
-			fmt.Fprintf(os.Stderr, "dyrs-bench: start %s\n", ev.Name)
+			fmt.Fprintf(stderr, "dyrs-bench: start %s\n", ev.Name)
 		case runner.EventDone:
 			status := ""
 			if ev.Err != nil {
 				status = " FAILED"
 			}
-			fmt.Fprintf(os.Stderr, "dyrs-bench: done  %-12s (%d/%d) %.2fs%s\n",
+			fmt.Fprintf(stderr, "dyrs-bench: done  %-12s (%d/%d) %.2fs%s\n",
 				ev.Name, ev.Done, ev.Total, ev.Elapsed.Seconds(), status)
 		}
 	}
 }
 
 // printVerify renders the determinism report.
-func printVerify(rep experiments.VerifyReport) {
-	fmt.Printf("determinism check: seed %d, serial vs %d-way parallel\n", rep.Seed, rep.Jobs)
+func printVerify(stdout io.Writer, rep experiments.VerifyReport) {
+	fmt.Fprintf(stdout, "determinism check: seed %d, serial vs %d-way parallel\n", rep.Seed, rep.Jobs)
 	for _, row := range rep.Rows {
 		status := "ok"
 		if !row.OK() {
 			status = fmt.Sprintf("DIVERGED (serial %s != parallel %s)",
 				row.SerialHash[:12], row.ParallelHash[:12])
 		}
-		fmt.Printf("  %-12s %s  sha256:%s  serial %.2fs / parallel %.2fs\n",
+		fmt.Fprintf(stdout, "  %-12s %s  sha256:%s  serial %.2fs / parallel %.2fs\n",
 			row.Name, status, row.SerialHash[:12], row.Serial.Seconds(), row.Parallel.Seconds())
 	}
 	if div := rep.Divergent(); len(div) > 0 {
-		fmt.Printf("FAIL: %d experiment(s) diverged: %v\n", len(div), div)
+		fmt.Fprintf(stdout, "FAIL: %d experiment(s) diverged: %v\n", len(div), div)
 	} else {
-		fmt.Printf("PASS: all %d experiments bit-identical serial vs parallel\n", len(rep.Rows))
+		fmt.Fprintf(stdout, "PASS: all %d experiments bit-identical serial vs parallel\n", len(rep.Rows))
 	}
 }

@@ -44,7 +44,7 @@ func traceExperiment() Experiment {
 		Merge: func(rep *FullReport, result any) {
 			r := result.(TraceReport)
 			rep.Trace.MeanUtilization = r.Trace.MeanUtilization()
-			rep.Trace.FractionUnder4Pct = r.Trace.FractionUnder(0.04)
+			rep.Trace.FractionUnder4Pct = r.Trace.UtilizationSamples().FractionBelow(0.04)
 			rep.Trace.FractionLeadCovers = r.Trace.FractionLeadCoversRead()
 			rep.Trace.MeanLeadSeconds = r.Trace.MeanLeadSeconds()
 		},
@@ -92,10 +92,11 @@ func (r TraceReport) Fig2() string {
 func (r TraceReport) Fig3() string {
 	var b strings.Builder
 	b.WriteString("Fig 3 — CDF of disk utilization samples, 40 servers x 24h\n")
+	util := r.Trace.UtilizationSamples()
 	for _, u := range []float64{0.01, 0.02, 0.04, 0.08, 0.16, 0.32} {
-		fmt.Fprintf(&b, "  util <= %4.1f%%: %5.1f%%\n", u*100, r.Trace.FractionUnder(u)*100)
+		fmt.Fprintf(&b, "  util <= %4.1f%%: %5.1f%%\n", u*100, util.FractionBelow(u)*100)
 	}
 	fmt.Fprintf(&b, "mean utilization: %.1f%% (paper: ~3.1%%); samples under 4%%: %.0f%% (paper: 80%%)\n",
-		r.Trace.MeanUtilization()*100, r.Trace.FractionUnder(0.04)*100)
+		r.Trace.MeanUtilization()*100, util.FractionBelow(0.04)*100)
 	return b.String()
 }

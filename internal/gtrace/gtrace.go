@@ -271,7 +271,8 @@ func (t *Trace) RankedServers() []int {
 }
 
 // UtilizationSamples collects every (server, bin) utilization sample —
-// the population behind the Fig. 3 CDF.
+// the population behind the Fig. 3 CDF. Its FractionBelow(0.04)
+// reproduces the "80% of time utilization is under 4%" claim.
 func (t *Trace) UtilizationSamples() *metrics.Sample {
 	s := metrics.NewSample()
 	for _, series := range t.Util {
@@ -280,13 +281,6 @@ func (t *Trace) UtilizationSamples() *metrics.Sample {
 		}
 	}
 	return s
-}
-
-// FractionUnder reports the fraction of utilization samples below u —
-// e.g. FractionUnder(0.04) reproduces the "80% of time utilization is
-// under 4%" claim.
-func (t *Trace) FractionUnder(u float64) float64 {
-	return t.UtilizationSamples().FractionBelow(u)
 }
 
 // FractionLeadCoversRead reports the fraction of jobs whose lead-time

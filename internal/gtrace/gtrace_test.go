@@ -55,7 +55,7 @@ func TestMeanUtilizationCalibration(t *testing.T) {
 
 func TestFractionUnder4Percent(t *testing.T) {
 	tr := defaultTrace(t)
-	f := tr.FractionUnder(0.04)
+	f := tr.UtilizationSamples().FractionBelow(0.04)
 	if f < 0.65 || f > 0.92 {
 		t.Errorf("fraction under 4%% = %.2f, want ~0.80", f)
 	}

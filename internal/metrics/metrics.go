@@ -54,10 +54,40 @@ func (e *EWMA) Set(v float64) {
 
 // Sample is an accumulating collection of float64 observations supporting
 // summary statistics, percentiles and CDF extraction.
+//
+// Values are stored in pages that never move (DESIGN.md §6): the first
+// holds 8 values and each later one twice its predecessor's capacity,
+// up to 4,096, so an Add never copies earlier values. A sorted query
+// joins the pages, in append order, into one slice, sorts it and keeps
+// it as the only page: the sort sees exactly the values, in exactly the
+// order, that one contiguous log would hold.
 type Sample struct {
-	xs     []float64
+	pages  [][]float64
+	n      int
 	sorted bool
 	sum    float64
+}
+
+// Page capacities of a Sample, in values.
+const (
+	samplePageFirst = 8
+	samplePageMax   = 4096 // 32 KiB
+)
+
+// push appends v to the last page of *pages, adding a page first if
+// there is none or the last is full. The first page holds first
+// elements; a later page holds twice as many as the page before it, up
+// to limit.
+func push[T any](pages *[][]T, v T, first, limit int) {
+	k := len(*pages) - 1
+	if k < 0 || len((*pages)[k]) == cap((*pages)[k]) {
+		if k >= 0 {
+			first = min(2*cap((*pages)[k]), limit)
+		}
+		*pages = append(*pages, make([]T, 0, first))
+		k++
+	}
+	(*pages)[k] = append((*pages)[k], v)
 }
 
 // NewSample returns an empty sample collection.
@@ -65,56 +95,62 @@ func NewSample() *Sample { return &Sample{} }
 
 // Add appends an observation.
 func (s *Sample) Add(v float64) {
-	if len(s.xs) == cap(s.xs) {
-		// Double: append grows a long log by only ~1.25× and so
-		// re-copies it about four times over.
-		s.xs = append(make([]float64, 0, max(2*cap(s.xs), 1)), s.xs...)
-	}
-	s.xs = append(s.xs, v)
+	push(&s.pages, v, samplePageFirst, samplePageMax)
+	s.n++
 	s.sorted = false
 	s.sum += v
 }
 
 // Len reports the number of observations.
-func (s *Sample) Len() int { return len(s.xs) }
+func (s *Sample) Len() int { return s.n }
 
 // Mean reports the arithmetic mean, or 0 for an empty sample.
 func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
+	if s.n == 0 {
 		return 0
 	}
-	return s.sum / float64(len(s.xs))
+	return s.sum / float64(s.n)
 }
 
 // Min reports the smallest observation, or 0 for an empty sample.
 func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
+	if s.n == 0 {
 		return 0
 	}
-	s.ensureSorted()
-	return s.xs[0]
+	return s.sortedValues()[0]
 }
 
 // Max reports the largest observation, or 0 for an empty sample.
 func (s *Sample) Max() float64 {
-	if len(s.xs) == 0 {
+	if s.n == 0 {
 		return 0
 	}
-	s.ensureSorted()
-	return s.xs[len(s.xs)-1]
+	return s.sortedValues()[s.n-1]
 }
 
-func (s *Sample) ensureSorted() {
+// sortedValues returns every observation in one ascending slice, which
+// stays the sample's only page until the next Add. It needs a nonempty
+// sample.
+func (s *Sample) sortedValues() []float64 {
+	if len(s.pages) > 1 {
+		xs := make([]float64, 0, s.n)
+		for _, p := range s.pages {
+			xs = append(xs, p...)
+		}
+		s.pages = [][]float64{xs}
+	}
+	xs := s.pages[0]
 	if !s.sorted {
-		sort.Float64s(s.xs)
+		sort.Float64s(xs)
 		s.sorted = true
 	}
+	return xs
 }
 
 // Percentile reports the p-th percentile (p in [0,100]) using linear
 // interpolation between order statistics.
 func (s *Sample) Percentile(p float64) float64 {
-	n := len(s.xs)
+	n := s.n
 	if n == 0 {
 		return 0
 	}
@@ -124,26 +160,25 @@ func (s *Sample) Percentile(p float64) float64 {
 	if p >= 100 {
 		return s.Max()
 	}
-	s.ensureSorted()
+	xs := s.sortedValues()
 	rank := p / 100 * float64(n-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return s.xs[lo]
+		return xs[lo]
 	}
 	frac := rank - float64(lo)
-	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
+	return xs[lo]*(1-frac) + xs[hi]*frac
 }
 
 // FractionBelow reports the fraction of observations <= v (the empirical
 // CDF evaluated at v).
 func (s *Sample) FractionBelow(v float64) float64 {
-	n := len(s.xs)
+	n := s.n
 	if n == 0 {
 		return 0
 	}
-	s.ensureSorted()
-	idx := sort.SearchFloat64s(s.xs, math.Nextafter(v, math.Inf(1)))
+	idx := sort.SearchFloat64s(s.sortedValues(), math.Nextafter(v, math.Inf(1)))
 	return float64(idx) / float64(n)
 }
 
@@ -208,12 +243,20 @@ type TimePoint struct {
 // evenly spaced times, so an idle slave's estimate, refreshed every
 // heartbeat and unchanged for hours, costs one run. A sample joins the
 // last run only when the run gives back exactly what was recorded: the
-// same value bits and the same time bits (DESIGN.md §6).
+// same value bits and the same time bits. Runs live in pages that never
+// move: the first holds 2 runs and each later one twice its
+// predecessor's capacity, up to 256 (DESIGN.md §6).
 type TimeSeries struct {
-	name string
-	runs []seriesRun
-	n    int
+	name  string
+	pages [][]seriesRun
+	n     int
 }
+
+// Page capacities of a TimeSeries, in runs.
+const (
+	seriesPageFirst = 2
+	seriesPageMax   = 256 // 8 KiB
+)
 
 // seriesRun is n samples of value v; sample k is at time(k).
 type seriesRun struct {
@@ -241,11 +284,17 @@ func NewTimeSeries(name string) *TimeSeries { return &TimeSeries{name: name} }
 // Name reports the series label.
 func (ts *TimeSeries) Name() string { return ts.name }
 
+// lastRun returns the series' last run; the series must not be empty.
+func (ts *TimeSeries) lastRun() *seriesRun {
+	p := ts.pages[len(ts.pages)-1]
+	return &p[len(p)-1]
+}
+
 // Record appends a sample. Samples should be appended in time order.
 func (ts *TimeSeries) Record(t, v float64) {
 	ts.n++
-	if len(ts.runs) > 0 {
-		r := &ts.runs[len(ts.runs)-1]
+	if len(ts.pages) > 0 {
+		r := ts.lastRun()
 		if math.Float64bits(r.v) == math.Float64bits(v) {
 			if r.n == 1 {
 				r.dt = t - r.t0
@@ -256,16 +305,18 @@ func (ts *TimeSeries) Record(t, v float64) {
 			}
 		}
 	}
-	ts.runs = append(ts.runs, seriesRun{t0: t, v: v, n: 1})
+	push(&ts.pages, seriesRun{t0: t, v: v, n: 1}, seriesPageFirst, seriesPageMax)
 }
 
 // Points returns a copy of the recorded samples.
 func (ts *TimeSeries) Points() []TimePoint {
 	out := make([]TimePoint, 0, ts.n)
-	for i := range ts.runs {
-		r := &ts.runs[i]
-		for k := 0; k < r.n; k++ {
-			out = append(out, r.point(k))
+	for _, p := range ts.pages {
+		for i := range p {
+			r := &p[i]
+			for k := 0; k < r.n; k++ {
+				out = append(out, r.point(k))
+			}
 		}
 	}
 	return out
@@ -279,7 +330,7 @@ func (ts *TimeSeries) Last() TimePoint {
 	if ts.n == 0 {
 		return TimePoint{}
 	}
-	r := &ts.runs[len(ts.runs)-1]
+	r := ts.lastRun()
 	return r.point(r.n - 1)
 }
 
@@ -291,26 +342,26 @@ func (ts *TimeSeries) MeanValue() float64 {
 	case 0:
 		return 0
 	case 1:
-		return ts.runs[0].v
+		return ts.pages[0][0].v
 	}
 	var area, span float64
-	prev := ts.runs[0].point(0)
-	for i := range ts.runs {
-		r := &ts.runs[i]
-		k := 0
-		if i == 0 {
-			k = 1
-		}
-		for ; k < r.n; k++ {
-			p := r.point(k)
-			dt := p.T - prev.T
-			area += prev.V * dt
-			span += dt
-			prev = p
+	prev := ts.pages[0][0].point(0)
+	skip := 1 // the first sample starts the first interval
+	for _, p := range ts.pages {
+		for i := range p {
+			r := &p[i]
+			for k := skip; k < r.n; k++ {
+				pt := r.point(k)
+				dt := pt.T - prev.T
+				area += prev.V * dt
+				span += dt
+				prev = pt
+			}
+			skip = 0
 		}
 	}
 	if span == 0 {
-		return ts.runs[0].v
+		return ts.pages[0][0].v
 	}
 	return area / span
 }
@@ -329,16 +380,18 @@ func (ts *TimeSeries) Downsample(n int) []TimePoint {
 	}
 	out := make([]TimePoint, 0, n)
 	step := float64(ts.n-1) / float64(n-1)
-	// The indices only increase, so one forward walk finds their runs;
-	// base is the index of run r's first sample.
-	r, base := 0, 0
+	// The indices only increase, so one forward walk finds their runs:
+	// run r of page p, whose first sample has index base.
+	p, r, base := 0, 0, 0
 	for i := 0; i < n; i++ {
 		idx := int(math.Round(float64(i) * step))
-		for idx >= base+ts.runs[r].n {
-			base += ts.runs[r].n
-			r++
+		for idx >= base+ts.pages[p][r].n {
+			base += ts.pages[p][r].n
+			if r++; r == len(ts.pages[p]) {
+				p, r = p+1, 0
+			}
 		}
-		out = append(out, ts.runs[r].point(idx-base))
+		out = append(out, ts.pages[p][r].point(idx-base))
 	}
 	return out
 }
