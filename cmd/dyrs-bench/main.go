@@ -122,16 +122,11 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			manifest.Finish(0)
 			f, err := os.Create(*manifestPath)
 			if err != nil {
-				fmt.Fprintln(stderr, "dyrs-bench:", err)
+				keep(err)
 				return
 			}
-			err = manifest.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintln(stderr, "dyrs-bench:", err)
-			}
+			keep(manifest.WriteJSON(f))
+			keep(f.Close())
 		}()
 	}
 

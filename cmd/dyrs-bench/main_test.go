@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"errors"
+	"io/fs"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -46,5 +48,20 @@ func TestRunList(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("-list output lacks %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestRunFailsOnUnwritableManifest: a -manifest path under a missing
+// directory fails the run with the write's error, which exits 1 (it
+// used to print the error and exit 0).
+func TestRunFailsOnUnwritableManifest(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "missing", "m.json")
+	var out, errOut bytes.Buffer
+	err := run([]string{"-only", "motivation", "-q", "-manifest", path}, &out, &errOut)
+	if !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("run = %v, want the manifest's not-exist error", err)
+	}
+	if errors.As(err, new(usageError)) {
+		t.Errorf("run = %v, a usage error (exit 2); want exit 1", err)
 	}
 }

@@ -45,13 +45,13 @@ func main() {
 
 // run is main minus the exit code, so tests can drive the binary
 // in-process.
-func run(args []string, stdout, stderr io.Writer) error {
+func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("dyrs-fuzz", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	seed := fs.Int64("seed", 0, "check a single seed (0: sweep -seeds)")
 	seeds := fs.Int("seeds", 50, "number of consecutive seeds to sweep")
 	start := fs.Int64("start", 1, "first seed of the sweep")
-	jobs := fs.Int("jobs", 0, "parallel scenario checks (<=0: GOMAXPROCS)")
+	jobs := fs.Int("jobs", 0, "parallel scenario checks (0: GOMAXPROCS)")
 	repro := fs.String("repro", "", "keep-mask from a shrunk repro, e.g. 'faults=0,2;jobs=1' (requires -seed)")
 	large := fs.Bool("large", false, "draw datacenter-shaped scenarios (64-256 nodes, multi-rack)")
 	serving := fs.Bool("serving", false, "draw multi-tenant serving scenarios (open-loop Zipf/diurnal read stream)")
@@ -64,20 +64,30 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *jobs < 0 {
+		return fmt.Errorf("-jobs must not be negative, got %d", *jobs)
+	}
 
-	var manifest *obs.Manifest
 	if *manifestPath != "" {
-		manifest = obs.NewManifest("dyrs-fuzz")
+		manifest := obs.NewManifest("dyrs-fuzz")
 		manifest.Seed = *start
 		if *seed != 0 {
 			manifest.Seed = *seed
 		}
 		manifest.CaptureFlags(fs)
+		// The manifest is written on the way out; the first error its
+		// write meets is returned unless the run already failed.
 		defer func() {
 			manifest.Finish(0)
-			if f, err := os.Create(*manifestPath); err == nil {
-				manifest.WriteJSON(f)
-				f.Close()
+			f, ferr := os.Create(*manifestPath)
+			if ferr == nil {
+				ferr = manifest.WriteJSON(f)
+				if cerr := f.Close(); ferr == nil {
+					ferr = cerr
+				}
+			}
+			if err == nil {
+				err = ferr
 			}
 		}()
 	}

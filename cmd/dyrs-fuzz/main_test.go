@@ -1,6 +1,9 @@
 package main
 
 import (
+	"errors"
+	"io/fs"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -75,5 +78,19 @@ func TestFlagValidation(t *testing.T) {
 		if err := run([]string{"-seeds", n}, &out, &errb); err == nil || !strings.Contains(err.Error(), "-seeds") {
 			t.Errorf("-seeds %s: got %v, want an error naming -seeds", n, err)
 		}
+	}
+	if err := run([]string{"-jobs", "-1", "-seeds", "1"}, &out, &errb); err == nil ||
+		!strings.Contains(err.Error(), "-jobs must not be negative, got -1") {
+		t.Errorf("-jobs -1: got %v, want an error naming -jobs", err)
+	}
+}
+
+// TestUnwritableManifest: a -manifest path under a missing directory
+// fails the run with the write's error (it used to be dropped).
+func TestUnwritableManifest(t *testing.T) {
+	var out, errb strings.Builder
+	path := filepath.Join(t.TempDir(), "missing", "m.json")
+	if err := run([]string{"-seeds", "1", "-manifest", path}, &out, &errb); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("run = %v, want the manifest's not-exist error\n%s", err, out.String())
 	}
 }

@@ -39,8 +39,14 @@ package dyrs
 //     comment; a waiver without a reason, or on a function that
 //     programs call, fails. Same-package tests read unexported state
 //     instead of going through an accessor.
+//   - an exported name of the root package that no program names. The
+//     root package is the library facade: each func, var, const and
+//     type it declares must be referenced by a non-test file of another
+//     package (cmd/, examples/, benchmark/), or carry the same
+//     //lint:testapi <reason> waiver, in its own or its group's doc
+//     comment.
 //
-// The last two rules need types, so the lint type-checks the default
+// The last three rules need types, so the lint type-checks the default
 // build of every non-test file in the module, benchmark/ included, with
 // go/types, and the standard library from source.
 
@@ -96,9 +102,9 @@ const modulePath = "dyrs"
 // conversion.
 const floatDurationHelper = "FloatDuration"
 
-// testapiWaiver, in an exported internal/ declaration's doc comment and
-// followed by a reason, keeps a function or method that only tests call
-// exported: another package's tests need it as an oracle.
+// testapiWaiver, in an exported internal/ function's or root-package
+// declaration's doc comment and followed by a reason, keeps a name that
+// only tests reference exported: another package's tests need it.
 const testapiWaiver = "lint:testapi"
 
 func TestDeterminismLint(t *testing.T) {
@@ -121,8 +127,8 @@ type srcFile struct {
 // lintTree lints the module rooted at root. Every internal/ non-test
 // file gets lintFile's rules; then the default build's non-test files of
 // the whole tree (root package, cmd/, examples/, internal/, benchmark/)
-// are type-checked together and testOnlyExports judges internal/'s
-// exports against their references.
+// are type-checked together and testOnlyExports judges the exports of
+// internal/ and of the root package against their references.
 func lintTree(root string) ([]string, error) {
 	fset := token.NewFileSet()
 	var srcs []srcFile
@@ -360,13 +366,15 @@ func lintFile(fset *token.FileSet, path string, file *ast.File, info *types.Info
 
 // testOnlyExports reports each exported function and method declared in
 // internal/'s default build that no type-checked file references outside
-// its own body. Only non-test files are type-checked, so a reference from
-// a test does not count. A method passes if its receiver satisfies an
-// interface that has the method, since a call through the interface names
-// the interface's method, not this one. A declaration passes if its doc
-// comment carries a //lint:testapi waiver with a reason; a waiver with no
-// reason, on a referenced declaration, or anywhere but an exported
-// internal/ declaration's doc comment fails.
+// its own body, and each exported name declared in the root package's
+// default build that no type-checked file of another package references.
+// Only non-test files are type-checked, so a reference from a test does
+// not count. A method passes if its receiver satisfies an interface that
+// has the method, since a call through the interface names the
+// interface's method, not this one. A declaration passes if its doc
+// comment (for a root name, its own or its group's) carries a
+// //lint:testapi waiver with a reason; a waiver with no reason, on a
+// referenced declaration, or anywhere but such a doc comment fails.
 func testOnlyExports(fset *token.FileSet, srcs []srcFile, info *types.Info, pkgs []*types.Package) []string {
 	var out []string
 	report := func(pos token.Pos, format string, args ...any) {
@@ -375,21 +383,28 @@ func testOnlyExports(fset *token.FileSet, srcs []srcFile, info *types.Info, pkgs
 	}
 	decls := map[*types.Func]*ast.FuncDecl{}
 	var order []*types.Func
+	var roots []rootDecl
 	docs := map[*ast.CommentGroup]bool{}
 	for _, s := range srcs {
-		if !s.built || !strings.HasPrefix(s.path, "internal/") {
-			continue
-		}
-		for _, d := range s.file.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() {
-				fn := info.Defs[fd.Name].(*types.Func)
-				decls[fn], order = fd, append(order, fn)
-				docs[fd.Doc] = true
+		switch {
+		case !s.built:
+		case strings.HasPrefix(s.path, "internal/"):
+			for _, d := range s.file.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() {
+					fn := info.Defs[fd.Name].(*types.Func)
+					decls[fn], order = fd, append(order, fn)
+					docs[fd.Doc] = true
+				}
+			}
+		case !strings.Contains(s.path, "/"):
+			for _, r := range rootDecls(s.file) {
+				roots = append(roots, r)
+				docs[r.doc] = true
 			}
 		}
 	}
 	for _, s := range srcs {
-		if !strings.HasPrefix(s.path, "internal/") {
+		if !strings.HasPrefix(s.path, "internal/") && strings.Contains(s.path, "/") {
 			continue
 		}
 		for _, cg := range s.file.Comments {
@@ -399,7 +414,11 @@ func testOnlyExports(fset *token.FileSet, srcs []srcFile, info *types.Info, pkgs
 		}
 	}
 	used := map[*types.Func]bool{}
+	named := map[types.Object]bool{} // named from outside the root package
 	for id, obj := range info.Uses {
+		if strings.Contains(fset.Position(id.Pos()).Filename, "/") {
+			named[obj] = true
+		}
 		fn, ok := obj.(*types.Func)
 		if !ok {
 			continue
@@ -421,6 +440,62 @@ func testOnlyExports(fset *token.FileSet, srcs []srcFile, info *types.Info, pkgs
 			report(fd.Pos(), "//%s waiver on %s, which non-test code calls; drop the waiver", testapiWaiver, fd.Name.Name)
 		case !waived && !used[fn] && !satisfiesInterface(fn, ifaces):
 			report(fd.Pos(), "exported %s has no non-test caller; delete it, read unexported state from an in-package test, or waive with //%s <reason>", fd.Name.Name, testapiWaiver)
+		}
+	}
+	for _, r := range roots {
+		reason, waived := testapiReason(r.doc)
+		used := named[info.Defs[r.name]]
+		switch {
+		case waived && reason == "":
+			report(r.name.Pos(), "//%s waiver on %s gives no reason", testapiWaiver, r.name.Name)
+		case waived && used:
+			report(r.name.Pos(), "//%s waiver on %s, which another package's non-test code names; drop the waiver", testapiWaiver, r.name.Name)
+		case !waived && !used:
+			report(r.name.Pos(), "root package exports %s, which no other package's non-test code names; delete it, or waive with //%s <reason>", r.name.Name, testapiWaiver)
+		}
+	}
+	return out
+}
+
+// rootDecl is one exported name a root-package file declares, with the
+// doc comment its waiver belongs in.
+type rootDecl struct {
+	name *ast.Ident
+	doc  *ast.CommentGroup
+}
+
+// rootDecls lists file's exported package-level funcs, vars, consts and
+// types. A name in a group without a doc of its own takes the group's.
+func rootDecls(file *ast.File) []rootDecl {
+	var out []rootDecl
+	add := func(id *ast.Ident, doc *ast.CommentGroup) {
+		if id.IsExported() {
+			out = append(out, rootDecl{id, doc})
+		}
+	}
+	for _, d := range file.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				add(d.Name, d.Doc)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				var names []*ast.Ident // none for an import
+				var doc *ast.CommentGroup
+				switch spec := spec.(type) {
+				case *ast.ValueSpec:
+					names, doc = spec.Names, spec.Doc
+				case *ast.TypeSpec:
+					names, doc = []*ast.Ident{spec.Name}, spec.Doc
+				}
+				if doc == nil {
+					doc = d.Doc
+				}
+				for _, id := range names {
+					add(id, doc)
+				}
+			}
 		}
 	}
 	return out
@@ -560,10 +635,43 @@ var good = []any{time.Duration(n), Time(n), time.Duration(1.5e9), Time(FloatDura
 // cmd/ or benchmark/, a method that satisfies an interface, and a
 // function waived with a reason pass. A waiver fails when it gives no
 // reason, sits on a function that programs call, or sits anywhere but a
-// function's doc comment.
+// function's doc comment. In the root package, a func, var, const and
+// type alias that only a root test or root code names fail, and pass
+// once examples/ or cmd/ name them; a waived name passes unless the
+// waiver gives no reason or a program names it.
 func TestDeterminismLintTestOnlyExports(t *testing.T) {
 	root := t.TempDir()
-	for path, src := range map[string]string{
+	write := func(files map[string]string) {
+		for path, src := range files {
+			path = filepath.Join(root, path)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(want []string) {
+		t.Helper()
+		got, err := lintTree(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("violations:\n%s\nwant %d", strings.Join(got, "\n"), len(want))
+		}
+		for _, w := range want {
+			found := false
+			for _, g := range got {
+				found = found || strings.HasPrefix(g, w)
+			}
+			if !found {
+				t.Errorf("missing violation %q in:\n%s", w, strings.Join(got, "\n"))
+			}
+		}
+	}
+	write(map[string]string{
 		"internal/p/p.go": `package p
 
 type Visitor interface{ Visit() }
@@ -603,20 +711,40 @@ var V = 1
 		"internal/p/p_test.go": "package p\n\nfunc use() { CalledByTest() }\n",
 		"cmd/c/main.go":        "package main\n\nimport \"dyrs/internal/p\"\n\nfunc main() { p.FromCmd(); p.WaivedButCalled(); p.Walk(p.T{}) }\n",
 		"benchmark/main.go":    "package main\n\nimport \"dyrs/internal/p\"\n\nfunc main() { p.FromBench() }\n",
-	} {
-		path = filepath.Join(root, path)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := lintTree(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{
+		"root.go": `package dyrs
+
+import "dyrs/internal/p"
+
+func Func() {}
+
+var Var = 1
+
+const Const = 2
+
+type Alias = p.T
+
+func SelfNamed() {}
+
+var _ = SelfNamed
+
+// A group's doc comment holds its names' waiver.
+//
+//lint:testapi an oracle for the root package's tests
+const (
+	WaivedA = 3
+	WaivedB = 4
+)
+
+//lint:testapi
+var EmptyWaiver = 5
+
+//lint:testapi stale
+func WaivedButNamed() {}
+`,
+		"root_test.go":       "package dyrs\n\nvar _ = []any{Func, Var, Const, Alias{}, WaivedA, WaivedB, EmptyWaiver}\n",
+		"examples/e/main.go": "package main\n\nimport \"dyrs\"\n\nfunc main() { dyrs.WaivedButNamed() }\n",
+	})
+	internal := []string{
 		"internal/p/p.go:10: exported Unused has no non-test caller",
 		"internal/p/p.go:14: exported Unused has no non-test caller",
 		"internal/p/p.go:15: exported CalledByTest has no non-test caller",
@@ -624,17 +752,20 @@ var V = 1
 		"internal/p/p.go:26: //lint:testapi waiver on EmptyWaiver gives no reason",
 		"internal/p/p.go:32: //lint:testapi waiver on WaivedButCalled, which non-test code calls",
 		"internal/p/p.go:34: //lint:testapi waiver outside an exported declaration's doc comment",
+		"root.go:13: root package exports SelfNamed, which no other package's non-test code names",
+		"root.go:26: //lint:testapi waiver on EmptyWaiver gives no reason",
+		"root.go:29: //lint:testapi waiver on WaivedButNamed, which another package's non-test code names",
 	}
-	if len(got) != len(want) {
-		t.Fatalf("violations:\n%s\nwant %d", strings.Join(got, "\n"), len(want))
-	}
-	for _, w := range want {
-		found := false
-		for _, g := range got {
-			found = found || strings.HasPrefix(g, w)
-		}
-		if !found {
-			t.Errorf("missing violation %q in:\n%s", w, strings.Join(got, "\n"))
-		}
-	}
+	check(append([]string{
+		"root.go:5: root package exports Func, which no other package's non-test code names",
+		"root.go:7: root package exports Var, which no other package's non-test code names",
+		"root.go:9: root package exports Const, which no other package's non-test code names",
+		"root.go:11: root package exports Alias, which no other package's non-test code names",
+	}, internal...))
+
+	write(map[string]string{
+		"examples/f/main.go": "package main\n\nimport \"dyrs\"\n\nfunc main() { dyrs.Func(); _ = dyrs.Var }\n",
+		"cmd/r/main.go":      "package main\n\nimport \"dyrs\"\n\nvar _ dyrs.Alias = dyrs.Alias{}\n\nfunc main() { _ = dyrs.Const }\n",
+	})
+	check(internal)
 }

@@ -25,12 +25,6 @@ type NodeConfig struct {
 	// DiskSeekPenalty is the per-extra-stream efficiency loss applied by
 	// sim.SeekEfficiency; models seek overhead under concurrent reads.
 	DiskSeekPenalty float64
-	// NetBandwidth is the NIC throughput in bytes/sec (10 Gbps in the
-	// paper's testbed).
-	NetBandwidth float64
-	// MemBandwidth is the throughput of reads served from the in-memory
-	// buffer, in bytes/sec.
-	MemBandwidth float64
 	// MemCapacity is the buffer space available for migrated blocks.
 	MemCapacity sim.Bytes
 	// TaskSlots is the number of concurrent task containers the node's
@@ -41,6 +35,14 @@ type NodeConfig struct {
 	DiskScale float64
 }
 
+// nicBandwidth is every node's NIC throughput (10 Gbps in the paper's
+// testbed) and memBandwidth the throughput of reads served from its
+// in-memory buffer, both in bytes/sec.
+const (
+	nicBandwidth = 1250 * float64(sim.MB)
+	memBandwidth = 6 * float64(sim.GB)
+)
+
 // DefaultNodeConfig mirrors the paper's testbed: ~130 MB/s HDD, 10 Gbps
 // network, 128 GB RAM (half of it available for migration buffers), and
 // 12 hyperthreads driving the slot count.
@@ -48,8 +50,6 @@ func DefaultNodeConfig() NodeConfig {
 	return NodeConfig{
 		DiskBandwidth:   130 * float64(sim.MB),
 		DiskSeekPenalty: 0.05,
-		NetBandwidth:    1250 * float64(sim.MB), // 10 Gbps
-		MemBandwidth:    6 * float64(sim.GB),
 		MemCapacity:     64 * sim.GB,
 		TaskSlots:       8,
 		DiskScale:       1,
@@ -105,8 +105,8 @@ func New(eng *sim.Engine, n int, cfg func(i int) NodeConfig) *Cluster {
 			ID:    NodeID(i),
 			Cfg:   nc,
 			Disk:  sim.NewResource(eng, fmt.Sprintf("disk:node%d", i), nc.DiskBandwidth, sim.SeekEfficiency(nc.DiskSeekPenalty)),
-			NIC:   sim.NewResource(eng, fmt.Sprintf("nic:node%d", i), nc.NetBandwidth, nil),
-			Mem:   sim.NewResource(eng, fmt.Sprintf("mem:node%d", i), nc.MemBandwidth, nil),
+			NIC:   sim.NewResource(eng, fmt.Sprintf("nic:node%d", i), nicBandwidth, nil),
+			Mem:   sim.NewResource(eng, fmt.Sprintf("mem:node%d", i), memBandwidth, nil),
 			eng:   eng,
 			alive: true,
 		}

@@ -52,10 +52,8 @@ type Options struct {
 	// MigrationConfig optionally overrides migration framework tunables.
 	MigrationConfig *migration.Config
 	// Racks, when >1, partitions the cluster into racks with HDFS-style
-	// rack-aware replica placement; CoreBandwidth is the cross-rack core
-	// switch capacity in bytes/sec (0 = non-blocking).
-	Racks         int
-	CoreBandwidth float64
+	// rack-aware replica placement behind a non-blocking core switch.
+	Racks int
 	// Trace attaches a trace.Tracer to the run so migrations, reads and
 	// tasks record spans; retrieve it with Env.Tracer.
 	Trace bool
@@ -74,19 +72,18 @@ type Options struct {
 }
 
 // magnitudeRange bounds the rate factors and weights Validate accepts to
-// [1/magnitudeRange, magnitudeRange]: a SlowNodes scale, a positive
-// IOWeight and a positive CoreBandwidth in bytes/s. At the low end a
-// 130 MB/s disk moves about one byte in the clock's 292-year range, so
-// nothing slower can be told apart from it; past the range a resource's
-// finish-time arithmetic could leave float64 and reach a timer as ±Inf,
-// where an overlong transfer must saturate the clock.
+// [1/magnitudeRange, magnitudeRange]: a SlowNodes scale and a positive
+// IOWeight. At the low end a 130 MB/s disk moves about one byte in the
+// clock's 292-year range, so nothing slower can be told apart from it;
+// past the range a resource's finish-time arithmetic could leave
+// float64 and reach a timer as ±Inf, where an overlong transfer must
+// saturate the clock.
 const magnitudeRange = 1e18
 
 func inMagnitudeRange(v float64) bool { return v >= 1/magnitudeRange && v <= magnitudeRange }
 
 // Validate reports the first option NewEnv cannot build a cluster from:
-// a negative count, a core bandwidth that is neither 0 nor within
-// magnitudeRange, a SlowNodes entry outside the cluster or with a scale
+// a negative count, a SlowNodes entry outside the cluster or with a scale
 // outside magnitudeRange, an unknown MigBinder, or a MigrationConfig
 // with a non-positive Heartbeat or TargetUpdateInterval or an IOWeight
 // that is NaN, -Inf or positive and outside magnitudeRange (a
@@ -101,9 +98,6 @@ func (opt Options) Validate() error {
 		if c.v < 0 {
 			return fmt.Errorf("experiments: %s must not be negative, got %d", c.name, c.v)
 		}
-	}
-	if opt.CoreBandwidth != 0 && !inMagnitudeRange(opt.CoreBandwidth) {
-		return fmt.Errorf("experiments: CoreBandwidth must be 0 or within [%g, %g], got %v", 1/magnitudeRange, magnitudeRange, opt.CoreBandwidth)
 	}
 	workers := opt.Workers
 	if workers == 0 {
@@ -182,7 +176,7 @@ func NewEnv(pol Policy, opt Options) *Env {
 		return cfg
 	})
 	if opt.Racks > 1 {
-		cl.ConfigureRacks(opt.Racks, opt.CoreBandwidth)
+		cl.ConfigureRacks(opt.Racks, 0)
 	}
 	if tr := trace.FromEngine(eng); tr.Enabled() {
 		rackOf := make([]int, opt.Workers)

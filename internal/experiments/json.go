@@ -78,12 +78,6 @@ type OrderRowJSON struct {
 	LargeMean float64 `json:"large_mean_seconds"`
 }
 
-// RunAll executes every registered experiment serially and aggregates
-// the results. It is RunAllParallel with one worker.
-func RunAll(seed int64) (*FullReport, error) {
-	return RunAllParallel(seed, 1, nil)
-}
-
 // RunAllParallel executes every registered experiment on a worker pool
 // of the given size (jobs <= 0 means GOMAXPROCS) and merges the results
 // into one report in registry order, so the output is byte-identical at

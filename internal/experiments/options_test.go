@@ -25,15 +25,12 @@ func TestOptionsValidate(t *testing.T) {
 	}{
 		{"defaults", DefaultOptions(1), ""},
 		{"zero value", Options{}, ""},
-		{"racks and core", Options{Workers: 8, Racks: 2, CoreBandwidth: 1e9}, ""},
+		{"racks", Options{Workers: 8, Racks: 2}, ""},
 		{"slow node", Options{SlowNodes: map[int]float64{6: 0.5}}, ""},
 		{"binder", Options{MigBinder: "ignem"}, ""},
 		{"negative workers", Options{Workers: -1}, "Workers"},
 		{"negative racks", Options{Racks: -2}, "Racks"},
 		{"negative sampling", Options{SampleEvery: -3}, "SampleEvery"},
-		{"NaN core", Options{CoreBandwidth: math.NaN()}, "CoreBandwidth"},
-		{"infinite core", Options{CoreBandwidth: math.Inf(1)}, "CoreBandwidth"},
-		{"negative core", Options{CoreBandwidth: -1}, "CoreBandwidth"},
 		{"slow node past default cluster", Options{SlowNodes: map[int]float64{7: 0.5}}, "index 7"},
 		{"slow node past cluster", Options{Workers: 3, SlowNodes: map[int]float64{1: 0.5, 3: 0.5}}, "index 3"},
 		{"negative slow node", Options{SlowNodes: map[int]float64{-1: 0.5}}, "index -1"},
@@ -43,7 +40,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"overlong scale", Options{SlowNodes: map[int]float64{0: 1e-12}}, ""},
 		{"vanishing scale", Options{SlowNodes: map[int]float64{0: 1e-300}}, "SlowNodes[0]"},
 		{"huge scale", Options{SlowNodes: map[int]float64{0: 1e300}}, "SlowNodes[0]"},
-		{"vanishing core", Options{Racks: 2, CoreBandwidth: 5e-324}, "CoreBandwidth"},
 		{"unknown binder", Options{MigBinder: "bogus"}, "MigBinder"},
 		{"migration defaults", Options{MigrationConfig: &mcfg}, ""},
 		{"zero IO weight", Options{MigrationConfig: migCfg(func(c *migration.Config) { c.IOWeight = 0 })}, ""},
@@ -68,23 +64,22 @@ func TestOptionsValidate(t *testing.T) {
 // they build an environment that runs a small sort for one virtual
 // minute without panicking.
 func FuzzOptions(f *testing.F) {
-	f.Add(int8(7), int8(0), int8(0), 0.0, int8(-1), 1.0, uint8(0), uint8(3), false)
-	f.Add(int8(8), int8(2), int8(4), 1e9, int8(1), 0.25, uint8(1), uint8(2), true)
-	f.Add(int8(3), int8(5), int8(-1), -1.0, int8(5), 0.0, uint8(4), uint8(4), true)
-	f.Add(int8(0), int8(0), int8(0), math.Inf(1), int8(0), math.NaN(), uint8(5), uint8(0), false)
+	f.Add(int8(7), int8(0), int8(0), int8(-1), 1.0, uint8(0), uint8(3), false)
+	f.Add(int8(8), int8(2), int8(4), int8(1), 0.25, uint8(1), uint8(2), true)
+	f.Add(int8(3), int8(5), int8(-1), int8(5), 0.0, uint8(4), uint8(4), true)
+	f.Add(int8(0), int8(0), int8(0), int8(0), math.NaN(), uint8(5), uint8(0), false)
 	binders := []string{"", "dyrs", "ignem", "costaware", "bogus", "hdfs"}
 	policies := []Policy{HDFS, RAM, Ignem, DYRS, Naive}
 
-	f.Fuzz(func(t *testing.T, workers, racks, sample int8, core float64,
-		slowIdx int8, slowScale float64, binder, pol uint8, traced bool) {
+	f.Fuzz(func(t *testing.T, workers, racks, sample, slowIdx int8,
+		slowScale float64, binder, pol uint8, traced bool) {
 		opt := Options{
-			Workers:       int(workers),
-			Seed:          1,
-			Racks:         int(racks),
-			CoreBandwidth: core,
-			Trace:         traced,
-			SampleEvery:   int(sample),
-			MigBinder:     binders[int(binder)%len(binders)],
+			Workers:     int(workers),
+			Seed:        1,
+			Racks:       int(racks),
+			Trace:       traced,
+			SampleEvery: int(sample),
+			MigBinder:   binders[int(binder)%len(binders)],
 		}
 		if slowIdx != -1 { // -1 leaves SlowNodes unset
 			opt.SlowNodes = map[int]float64{int(slowIdx): slowScale}

@@ -8,9 +8,8 @@ import (
 
 // Experiment is one registered unit of the evaluation: a named, seeded,
 // independent simulation plus its text rendering and its slot in the
-// aggregated JSON report. The registry replaces both the hand-rolled
-// figure dispatch in cmd/dyrs-bench and the serial body of RunAll, and
-// is what the parallel runner and the determinism verifier iterate
+// aggregated JSON report. The registry is what dyrs-bench's figure
+// dispatch, the parallel runner and the determinism verifier iterate
 // over.
 type Experiment struct {
 	// Name is the canonical experiment name (accepted by -only).

@@ -30,25 +30,6 @@ import (
 // estimate each round; it backfills those samples when it wakes, when
 // the series is read and at Shutdown.
 
-// pullWaker is implemented by binders that can tell whether a pull may
-// bind work to a slave it has not woken. A binder
-// without it, one that cannot tell, has every slave visited.
-type pullWaker interface {
-	// pullsAny reports whether a pull on any slave may bind work, so
-	// every slave must be visited. A binder that wakes the slaves it
-	// targets reports false.
-	pullsAny() bool
-	// pullable reports whether a pull by slave n, given queue space, may
-	// bind a block the binder has targeted at it.
-	pullable(n cluster.NodeID) bool
-}
-
-// visitAll reports whether the heartbeat round and the RPC must visit
-// every slave, not only the awake or ready ones.
-func (c *Coordinator) visitAll() bool {
-	return c.waker == nil || c.waker.pullsAny()
-}
-
 // bitAt reports whether bit i of set is set.
 func bitAt(set []uint64, i int) bool {
 	return set[i>>6]&(1<<(uint(i)&63)) != 0
@@ -123,7 +104,7 @@ func (c *Coordinator) onTargeted(n cluster.NodeID) {
 // hold again is followed by a settle or a markReady.
 func (c *Coordinator) settle(s *Slave) {
 	startable := len(s.queue) > 0 && s.nActive < len(s.active)
-	if startable || s.occupancy() < s.depth && c.waker != nil && c.waker.pullable(s.node.ID) {
+	if startable || s.occupancy() < s.depth && c.binder.pullable(s.node.ID) {
 		setBit(c.ready, int(s.node.ID))
 	} else {
 		clearBit(c.ready, int(s.node.ID))
@@ -155,11 +136,11 @@ func (c *Coordinator) roundAt(r int) sim.Time {
 }
 
 // heartbeatRound is one heartbeat: it ticks the awake slaves, or every
-// slave when the binder cannot tell or membership changed, in node
-// order.
+// slave when the binder's pulls may bind anywhere or membership
+// changed, in node order.
 func (c *Coordinator) heartbeatRound(t *sim.Ticker) {
 	c.round++
-	all := c.visitAll()
+	all := c.binder.pullsAny()
 	if e := c.cl.MembershipEpoch(); e != c.members {
 		c.members, all = e, true
 	}
@@ -185,7 +166,7 @@ func (c *Coordinator) heartbeatRound(t *sim.Ticker) {
 // work, so migration can begin within a round-trip instead of a
 // heartbeat.
 func (c *Coordinator) rpcPull() {
-	all := c.visitAll()
+	all := c.binder.pullsAny()
 	// The skip oracle visits every slave and checks the ones the ready
 	// set skips.
 	check, walk := wakeCheck && !all, all || wakeCheck

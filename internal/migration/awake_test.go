@@ -27,9 +27,9 @@ func (b *loggedBinder) OnPull(n cluster.NodeID, space int, out []*blockInfo) []*
 
 func (b *loggedBinder) take() (p []cluster.NodeID) { p, b.pulls = b.pulls, nil; return p }
 
-// visitAllBinder is a PolicyBinder that reports it cannot tell which
-// slaves a pull may bind work to, so every round and RPC visits every
-// slave: the behaviour the awake set must reproduce.
+// visitAllBinder is a PolicyBinder that reports any slave's pull may
+// bind work, so every round and RPC visits every slave: the behaviour
+// the awake set must reproduce.
 type visitAllBinder struct{ *PolicyBinder }
 
 func (visitAllBinder) pullsAny() bool { return true }

@@ -358,16 +358,17 @@ func (b *PolicyBinder) emptyBuckets() {
 	b.filled = b.filled[:0]
 }
 
-// pullsAny implements pullWaker: a pull binds only blocks targeted at
-// the puller, and UpdateTargets wakes each target.
+// pullsAny implements Binder: a pull binds only blocks targeted at the
+// puller, and UpdateTargets wakes each target.
 func (b *PolicyBinder) pullsAny() bool { return false }
 
-// pullable implements pullWaker: OnPull binds from n's bucket until it
-// has consumed it, tombstones included.
+// pullable implements Binder: OnPull binds from n's bucket until it has
+// consumed it, tombstones included.
 func (b *PolicyBinder) pullable(n cluster.NodeID) bool {
 	return len(b.pending) != b.dead && b.heads[int(n)] < len(b.targets[int(n)])
 }
 
+// stopBinder implements Binder: it stops the update ticker.
 func (b *PolicyBinder) stopBinder() {
 	if b.ticker != nil {
 		b.ticker.Stop()
@@ -390,6 +391,10 @@ func NewNaiveBinder() *NaiveBinder { return &NaiveBinder{} }
 func (b *NaiveBinder) Name() string { return "Naive" }
 
 func (b *NaiveBinder) attach(c *Coordinator) { b.c = c }
+
+// stopBinder implements Binder: the naive binder runs no background
+// work.
+func (b *NaiveBinder) stopBinder() {}
 
 // OnMigrate appends to the pending list.
 func (b *NaiveBinder) OnMigrate(blocks []*blockInfo) {
@@ -437,22 +442,13 @@ func (b *NaiveBinder) Remove(bi *blockInfo) {
 // PendingCount implements Binder.
 func (b *NaiveBinder) PendingCount() int { return len(b.pending) }
 
-// pullsAny implements pullWaker: any slave holding a replica of a
-// pending block may bind it, so while blocks are pending every slave
-// pulls.
+// pullsAny implements Binder: any slave holding a replica of a pending
+// block may bind it, so while blocks are pending every slave pulls.
 func (b *NaiveBinder) pullsAny() bool { return len(b.pending) > 0 }
 
-// pullable implements pullWaker: while blocks are pending any slave may
+// pullable implements Binder: while blocks are pending any slave may
 // take one.
 func (b *NaiveBinder) pullable(cluster.NodeID) bool { return b.pullsAny() }
 
 // Reset implements Binder.
 func (b *NaiveBinder) Reset() { b.pending = nil }
-
-var (
-	_ pullWaker = (*PolicyBinder)(nil)
-	_ pullWaker = (*NaiveBinder)(nil)
-)
-
-// stoppable is implemented by binders owning background tickers.
-type stoppable interface{ stopBinder() }

@@ -31,9 +31,6 @@ type Coordinator struct {
 	hQueue    *trace.Hist // slave queue occupancy at each bind
 
 	binder Binder
-	// waker is the binder as a pullWaker, nil when it cannot tell which
-	// slaves a pull may bind work to.
-	waker  pullWaker
 	slaves []*Slave
 	sched  ActiveJobChecker
 	// heartbeat ticks the awake slaves, in node order, from one engine
@@ -113,7 +110,8 @@ type Coordinator struct {
 
 // Binder decides replica selection and binding time. Implementations:
 // PolicyBinder (any migrating policy.Policy: DYRS, Ignem, CostAware)
-// and NaiveBinder.
+// and NaiveBinder. Its methods take the unexported *blockInfo, so only
+// this package implements it.
 type Binder interface {
 	// Name identifies the policy in output tables.
 	Name() string
@@ -133,6 +131,18 @@ type Binder interface {
 	PendingCount() int
 	// Reset drops all pending state (master restart).
 	Reset()
+
+	// attach gives the binder its coordinator, before any other call.
+	attach(c *Coordinator)
+	// stopBinder stops the binder's background work (Shutdown).
+	stopBinder()
+	// pullsAny reports whether a pull on any slave may bind work, so
+	// the heartbeat round and Migrate's RPC must visit every slave. A
+	// binder that wakes the slaves it targets reports false.
+	pullsAny() bool
+	// pullable reports whether a pull by slave n, given queue space, may
+	// bind a block the binder has targeted at it.
+	pullable(n cluster.NodeID) bool
 }
 
 // NewCoordinator wires a migration framework over the file system with
@@ -155,10 +165,7 @@ func NewCoordinator(fs *dfs.FS, cfg Config, binder Binder) *Coordinator {
 	c.hMargin = c.tr.Hist("migration.margin_ns")
 	c.hTransfer = c.tr.Hist("migration.transfer_bytes")
 	c.hQueue = c.tr.Hist("migration.queue_depth")
-	if ab, ok := binder.(attachable); ok {
-		ab.attach(c)
-	}
-	c.waker, _ = binder.(pullWaker)
+	binder.attach(c)
 	c.rpc = c.rpcPull
 	for _, n := range cl.Nodes() {
 		c.slaves = append(c.slaves, newSlave(c, n))
@@ -174,10 +181,6 @@ func NewCoordinator(fs *dfs.FS, cfg Config, binder Binder) *Coordinator {
 	c.heartbeat = sim.NewTickerN(c.eng, cfg.Heartbeat, len(c.slaves), c.heartbeatRound)
 	return c
 }
-
-// attachable is implemented by binders that need a back-reference to the
-// coordinator (to push immediate bindings or read estimates).
-type attachable interface{ attach(c *Coordinator) }
 
 // SetScheduler wires the cluster scheduler used by scavenging.
 func (c *Coordinator) SetScheduler(s ActiveJobChecker) {
@@ -633,9 +636,7 @@ func (c *Coordinator) Shutdown() {
 		s.stopped = true
 	}
 	c.heartbeat.Stop()
-	if sb, ok := c.binder.(stoppable); ok {
-		sb.stopBinder()
-	}
+	c.binder.stopBinder()
 }
 
 // PendingBlocks reports the number of blocks the binder is still holding

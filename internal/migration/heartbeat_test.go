@@ -9,15 +9,20 @@ import (
 )
 
 // pullLog is a Binder that binds nothing and records which slaves
-// pulled, in order.
+// pulled, in order. It reports that any slave's pull may bind work, so
+// every round visits every slave.
 type pullLog struct{ pulls []cluster.NodeID }
 
-func (b *pullLog) Name() string               { return "pull-log" }
-func (b *pullLog) OnMigrate([]*blockInfo)     {}
-func (b *pullLog) Remove(*blockInfo)          {}
-func (b *pullLog) PendingCount() int          { return 0 }
-func (b *pullLog) Reset()                     {}
-func (b *pullLog) take() (p []cluster.NodeID) { p, b.pulls = b.pulls, nil; return p }
+func (b *pullLog) Name() string                 { return "pull-log" }
+func (b *pullLog) OnMigrate([]*blockInfo)       {}
+func (b *pullLog) Remove(*blockInfo)            {}
+func (b *pullLog) PendingCount() int            { return 0 }
+func (b *pullLog) Reset()                       {}
+func (b *pullLog) attach(*Coordinator)          {}
+func (b *pullLog) stopBinder()                  {}
+func (b *pullLog) pullsAny() bool               { return true }
+func (b *pullLog) pullable(cluster.NodeID) bool { return false }
+func (b *pullLog) take() (p []cluster.NodeID)   { p, b.pulls = b.pulls, nil; return p }
 func (b *pullLog) OnPull(n cluster.NodeID, _ int, out []*blockInfo) []*blockInfo {
 	b.pulls = append(b.pulls, n)
 	return out

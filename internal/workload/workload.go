@@ -128,26 +128,25 @@ type SWIMConfig struct {
 	// TotalInput is the cumulative input size (170 GB scaled to the
 	// 8-node cluster in the paper).
 	TotalInput sim.Bytes
-	// SmallFraction is the share of jobs reading less than SmallMax
-	// (85% read under 64 MB in the Facebook trace).
-	SmallFraction float64
-	// SmallMax bounds a "small" job's input.
-	SmallMax sim.Bytes
-	// LargeMax caps the heavy tail (24 GB in the paper).
-	LargeMax sim.Bytes
 	// MeanInterarrival is the mean submission gap after the paper's 75%
 	// compression of trace inter-arrival times.
 	MeanInterarrival time.Duration
 }
+
+// The SWIM trace's size marginals: swimSmallFraction of the jobs read
+// at most swimSmallMax (85% read under 64 MB in the Facebook trace),
+// and swimLargeMax caps the heavy tail (24 GB in the paper).
+const (
+	swimSmallFraction = 0.85
+	swimSmallMax      = 64 * sim.MB
+	swimLargeMax      = 24 * sim.GB
+)
 
 // DefaultSWIMConfig reproduces §V-B2's published parameters.
 func DefaultSWIMConfig() SWIMConfig {
 	return SWIMConfig{
 		Jobs:             200,
 		TotalInput:       170 * sim.GB,
-		SmallFraction:    0.85,
-		SmallMax:         64 * sim.MB,
-		LargeMax:         24 * sim.GB,
 		MeanInterarrival: 5 * time.Second,
 	}
 }
@@ -165,20 +164,20 @@ func GenerateSWIM(rng *rand.Rand, cfg SWIMConfig) []SWIMJob {
 	for i := range sizes {
 		u := rng.Float64()
 		switch {
-		case u < cfg.SmallFraction:
-			// Small: log-uniform in [4MB, SmallMax].
-			lo, hi := math.Log(4*float64(sim.MB)), math.Log(float64(cfg.SmallMax))
+		case u < swimSmallFraction:
+			// Small: log-uniform in [4MB, swimSmallMax].
+			lo, hi := math.Log(4*float64(sim.MB)), math.Log(float64(swimSmallMax))
 			sizes[i] = math.Exp(lo + rng.Float64()*(hi-lo))
-		case u < cfg.SmallFraction+0.10:
-			// Medium: log-uniform in (SmallMax, 1GB].
-			lo, hi := math.Log(float64(cfg.SmallMax)), math.Log(float64(sim.GB))
+		case u < swimSmallFraction+0.10:
+			// Medium: log-uniform in (swimSmallMax, 1GB].
+			lo, hi := math.Log(float64(swimSmallMax)), math.Log(float64(sim.GB))
 			sizes[i] = math.Exp(lo + rng.Float64()*(hi-lo))
 		default:
-			// Large: Pareto-ish tail in (1GB, LargeMax].
+			// Large: Pareto-ish tail in (1GB, swimLargeMax].
 			alpha := 1.1
 			x := float64(sim.GB) / math.Pow(rng.Float64(), 1/alpha)
-			if x > float64(cfg.LargeMax) {
-				x = float64(cfg.LargeMax)
+			if x > float64(swimLargeMax) {
+				x = float64(swimLargeMax)
 			}
 			sizes[i] = x
 		}
@@ -189,7 +188,7 @@ func GenerateSWIM(rng *rand.Rand, cfg SWIMConfig) []SWIMJob {
 	// marginal).
 	var smallSum float64
 	for _, s := range sizes {
-		if s <= float64(cfg.SmallMax) {
+		if s <= float64(swimSmallMax) {
 			smallSum += s
 		}
 	}
@@ -200,10 +199,10 @@ func GenerateSWIM(rng *rand.Rand, cfg SWIMConfig) []SWIMJob {
 	arrival := time.Duration(0)
 	for i := range jobs {
 		sz := sizes[i]
-		if sz > float64(cfg.SmallMax) {
+		if sz > float64(swimSmallMax) {
 			sz *= scale
-			if sz > float64(cfg.LargeMax) {
-				sz = float64(cfg.LargeMax)
+			if sz > float64(swimLargeMax) {
+				sz = float64(swimLargeMax)
 			}
 		}
 		if sz < float64(sim.MB) {

@@ -69,13 +69,13 @@ func TestGenerateSWIMMarginals(t *testing.T) {
 	prevArrival := time.Duration(-1)
 	for _, j := range jobs {
 		total += j.InputSize
-		if j.InputSize < cfg.SmallMax {
+		if j.InputSize < swimSmallMax {
 			small++
 		}
 		if j.InputSize > maxSize {
 			maxSize = j.InputSize
 		}
-		if j.InputSize > cfg.LargeMax {
+		if j.InputSize > swimLargeMax {
 			t.Errorf("job %s exceeds cap: %d", j.Name, j.InputSize)
 		}
 		if j.Arrival < prevArrival {
@@ -110,7 +110,7 @@ func TestPropertySWIMGeneration(t *testing.T) {
 			if a[i] != b[i] {
 				return false
 			}
-			if a[i].InputSize < sim.MB || a[i].InputSize > cfg.LargeMax {
+			if a[i].InputSize < sim.MB || a[i].InputSize > swimLargeMax {
 				return false
 			}
 		}
