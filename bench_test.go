@@ -138,8 +138,8 @@ func BenchmarkSimEngineEventsTraced(b *testing.B) { benchEngineEvents(b, true) }
 // 10 ms of virtual time fires exactly one tick. The clock is left at
 // 70 s, just past 2^36 ns: the first time the clock crosses a multiple
 // of a new power of two, the ticks beyond it collect in a queue level
-// never filled before, which allocates its array once; the next such
-// crossing is at 2^37 ns (137 s).
+// never filled before, which may take a chunk the queue's free list
+// lacks; the next such crossing is at 2^37 ns (137 s).
 func newDeepQueue() *sim.Engine {
 	eng := sim.NewEngine(1)
 	nop := func() {}
@@ -163,6 +163,22 @@ func BenchmarkEngineDeepQueue(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.RunFor(10 * time.Millisecond)
+	}
+}
+
+// BenchmarkEngineFill fills an engine with 2^18 events at random
+// instants within an hour and drains it: B/op is the queue's memory for
+// that many events plus the Events themselves, ns/op the pushes and the
+// bucket moves of the drain.
+func BenchmarkEngineFill(b *testing.B) {
+	nop := func() {}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		eng := sim.NewEngine(1)
+		for j := 0; j < 1<<18; j++ {
+			eng.At(sim.Time(eng.Rand().Int63n(int64(time.Hour))), nop)
+		}
+		eng.Run()
 	}
 }
 

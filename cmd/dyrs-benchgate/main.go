@@ -9,7 +9,7 @@
 //	go test -run '^$' -bench 'SimEngineEvents' -benchmem -count 6 . > micro.txt
 //	go test -run '^$' -bench 'Scale100$' -benchmem -benchtime 1x -count 5 . > macro.txt
 //	dyrs-benchgate micro.txt macro.txt          # gate vs BENCH_BASELINE.json
-//	dyrs-benchgate -write micro.txt macro.txt   # (re)generate the baseline
+//	dyrs-benchgate -write micro.txt macro.txt   # update the baseline's entries
 //	dyrs-benchgate -inject 2.0 micro.txt macro.txt  # self-test: must fail
 //
 // Which quantities an entry gates is read from the input that -write
@@ -33,9 +33,14 @@
 // Benchmarks present in the baseline but missing from the input fail
 // the gate (so a gated benchmark cannot be silently deleted); new
 // benchmarks absent from the baseline are reported but do not fail.
-// The baseline records the Go version and platform it was measured on;
-// maintainers regenerate it with -write when the reference hardware
-// moves.
+//
+// -write replaces the entries of the benchmarks its input names, adds
+// the new ones and keeps every other entry as it was, so a change that
+// moved a few benchmarks re-measures only those. Removing an entry is
+// an edit of the file. A baseline that exists but does not load (bad
+// JSON, another schema) is an error rather than overwritten. The
+// baseline records the Go version and platform of its last write;
+// maintainers re-measure every entry when the reference hardware moves.
 //
 // -inject multiplies every head median, ns/op, allocs/op and B/op, by
 // the given factor before comparing. CI uses it to prove the gate
@@ -45,6 +50,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -145,11 +151,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *write {
-		if err := writeBaseline(*baselinePath, medians); err != nil {
+		kept, err := writeBaseline(*baselinePath, medians)
+		if err != nil {
 			fmt.Fprintln(stderr, "dyrs-benchgate:", err)
 			return 2
 		}
-		fmt.Fprintf(stdout, "wrote %s with %d benchmark(s)\n", *baselinePath, len(medians))
+		fmt.Fprintf(stdout, "wrote %s: %d benchmark(s) measured, %d kept\n", *baselinePath, len(medians), kept)
 		return 0
 	}
 
@@ -455,25 +462,24 @@ func loadBaseline(path string) (*Baseline, error) {
 	return &base, nil
 }
 
-// writeBaseline emits a fresh baseline document from head medians, in
+// writeBaseline records head medians in the baseline at path, in
 // sorted name order so regeneration diffs cleanly: ns/op and spread for
 // benchmarks that ran more than one iteration, allocs/op and B/op for
-// those with -benchmem columns.
-func writeBaseline(path string, medians map[string]result) error {
-	base := Baseline{
-		Schema:    baselineSchema,
-		Note:      "Reference medians for dyrs-benchgate; regenerate with `dyrs-benchgate -write` on the reference runner class after intentional performance changes.",
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
+// those with -benchmem columns. Entries of benchmarks absent from
+// medians are kept as they were; it reports how many. A missing file
+// starts an empty baseline.
+func writeBaseline(path string, medians map[string]result) (kept int, err error) {
+	entries := map[string]BaselineEntry{}
+	old, err := loadBaseline(path)
+	switch {
+	case err == nil:
+		for _, e := range old.Entries {
+			entries[e.Name] = e
+		}
+	case !errors.Is(err, os.ErrNotExist):
+		return 0, err
 	}
-	names := make([]string, 0, len(medians))
-	for name := range medians {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		r := medians[name]
+	for name, r := range medians {
 		e := BaselineEntry{Name: name}
 		if r.multi {
 			e.NsPerOp, e.Spread = &r.ns, math.Round(r.spread*1000)/1000
@@ -482,13 +488,29 @@ func writeBaseline(path string, medians map[string]result) error {
 			e.AllocsPerOp, e.BytesPerOp = &r.allocs, &r.bytes
 		}
 		if e.NsPerOp == nil && e.AllocsPerOp == nil {
-			return fmt.Errorf("%s ran one iteration without -benchmem columns: nothing to gate", name)
+			return 0, fmt.Errorf("%s ran one iteration without -benchmem columns: nothing to gate", name)
 		}
-		base.Entries = append(base.Entries, e)
+		entries[name] = e
+	}
+	kept = len(entries) - len(medians)
+	base := Baseline{
+		Schema:    baselineSchema,
+		Note:      "Reference medians for dyrs-benchgate; after intentional performance changes, `dyrs-benchgate -write` on the reference runner class re-measures the entries its input names and keeps the rest.",
+		GoVersion: runtime.Version(),
+		GOOS:      runtime.GOOS,
+		GOARCH:    runtime.GOARCH,
+	}
+	names := make([]string, 0, len(entries))
+	for name := range entries {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		base.Entries = append(base.Entries, entries[name])
 	}
 	data, err := json.MarshalIndent(&base, "", "  ")
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return kept, os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -361,3 +361,61 @@ func TestLoadBaselineRejectsBadSchema(t *testing.T) {
 		t.Error("wrong schema accepted")
 	}
 }
+
+// TestWriteKeepsUnmeasuredEntries: -write over an existing baseline
+// re-measures the benchmarks its input names, adds new ones and keeps
+// every other entry byte for byte; a baseline that does not load is an
+// error and stays as it was.
+func TestWriteKeepsUnmeasuredEntries(t *testing.T) {
+	dir := t.TempDir()
+	basePath := filepath.Join(dir, "base.json")
+	headPath := filepath.Join(dir, "head.txt")
+	kept := BaselineEntry{Name: "BenchmarkKept", NsPerOp: ptr(123), Spread: 0.07, AllocsPerOp: ptr(4), BytesPerOp: ptr(96)}
+	writeBaselineDoc(t, basePath, &Baseline{Schema: baselineSchema, Entries: []BaselineEntry{
+		kept,
+		{Name: "BenchmarkScale1k", AllocsPerOp: ptr(1), BytesPerOp: ptr(1)},
+	}})
+	if err := os.WriteFile(headPath, []byte(sampleBench), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-write", "-baseline", basePath, headPath}, &out, &errOut); code != 0 {
+		t.Fatalf("-write exited %d: %s", code, errOut.String())
+	}
+	if !strings.Contains(out.String(), "2 benchmark(s) measured, 1 kept") {
+		t.Errorf("-write reported %q", out.String())
+	}
+	base, err := loadBaseline(basePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]BaselineEntry{}
+	var names []string
+	for _, e := range base.Entries {
+		got[e.Name] = e
+		names = append(names, e.Name)
+	}
+	if want := "BenchmarkKept BenchmarkScale1k BenchmarkSimEngineEvents"; strings.Join(names, " ") != want {
+		t.Fatalf("entries %v, want %s", names, want)
+	}
+	if e := got["BenchmarkKept"]; *e.NsPerOp != 123 || e.Spread != 0.07 || *e.AllocsPerOp != 4 || *e.BytesPerOp != 96 {
+		t.Errorf("unmeasured entry changed: %+v", e)
+	}
+	if e := got["BenchmarkScale1k"]; *e.AllocsPerOp != 12000000 || *e.BytesPerOp != 7.6e8 {
+		t.Errorf("measured entry not replaced: %+v", e)
+	}
+	if e := got["BenchmarkSimEngineEvents"]; e.NsPerOp == nil || *e.NsPerOp != 5000 {
+		t.Errorf("new entry not added: %+v", e)
+	}
+
+	bad := []byte(`{"schema": "dyrs-benchgate/v1", "entries": []}`)
+	if err := os.WriteFile(basePath, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := run([]string{"-write", "-baseline", basePath, headPath}, &out, &errOut); code != 2 {
+		t.Errorf("-write over a baseline of another schema exited %d, want 2", code)
+	}
+	if data, _ := os.ReadFile(basePath); !bytes.Equal(data, bad) {
+		t.Errorf("-write overwrote a baseline it could not load:\n%s", data)
+	}
+}

@@ -23,17 +23,19 @@ func TestBlockInfoSize(t *testing.T) {
 	}
 }
 
-// chunkBreaks counts the places where consecutive records of recs do
-// not sit side by side in memory: a run of records carved from one
-// chunk in request order is contiguous.
-func chunkBreaks(recs []*blockInfo) int {
-	breaks := 0
+// chunkGaps counts the records of recs, carved in request order from
+// chunks of recordChunk records, that do not sit right after the
+// record before them in the same chunk. Pairs across a chunk boundary
+// are not checked: two separately allocated chunks may sit back to
+// back in memory.
+func chunkGaps(recs []*blockInfo) int {
+	gaps := 0
 	for i := 1; i < len(recs); i++ {
-		if uintptr(unsafe.Pointer(recs[i])) != uintptr(unsafe.Pointer(recs[i-1]))+unsafe.Sizeof(blockInfo{}) {
-			breaks++
+		if i%recordChunk != 0 && uintptr(unsafe.Pointer(recs[i])) != uintptr(unsafe.Pointer(recs[i-1]))+unsafe.Sizeof(blockInfo{}) {
+			gaps++
 		}
 	}
-	return breaks
+	return gaps
 }
 
 // checkRecords checks that every record in info sits under its own id
@@ -78,8 +80,9 @@ func checkRecords(t *testing.T, c *Coordinator) (tracked int) {
 
 // TestRecordChunksStayValid requests more than two chunks' worth of
 // blocks over several overlapping jobs and checks, before and while the
-// pipeline runs, that the records are carved in request order, one chunk
-// after another, and that every pointer into them still resolves.
+// pipeline runs, that the records are carved in request order, side by
+// side within each chunk, and that every pointer into them still
+// resolves.
 func TestRecordChunksStayValid(t *testing.T) {
 	r := newRig(t, 3, 7, NewDYRSBinder(), nil, DefaultConfig())
 	r.mkFile(t, "a", 900)
@@ -109,8 +112,8 @@ func TestRecordChunksStayValid(t *testing.T) {
 	}
 	// Files are created in order, so request order is id order here.
 	ordered := r.c.info[:blocks]
-	if got, want := chunkBreaks(ordered), (blocks-1)/recordChunk; got != want {
-		t.Errorf("records span %d chunks, want %d", got+1, want+1)
+	if gaps := chunkGaps(ordered); gaps != 0 {
+		t.Errorf("%d records sit apart from the record before them in their chunk", gaps)
 	}
 	if got := r.c.Stats().Requested; got != blocks {
 		t.Errorf("requested %d blocks, want %d", got, blocks)

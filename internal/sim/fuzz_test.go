@@ -11,12 +11,14 @@ import (
 // small op program: schedule, cancel, advance the clock, and schedule
 // events whose callbacks themselves schedule or cancel (which is what
 // exercises handle pooling — a fired event's struct is recycled, so the
-// model must never cancel through a stale handle). Three ops aim at the
+// model must never cancel through a stale handle). Four ops aim at the
 // radix queue's regimes: far-future schedules that reach its top
 // buckets, a RunUntil that stops just short of the head followed by
-// schedules below it (which rebases the queue onto the clock), and
+// schedules below it (which rebases the queue onto the clock),
 // same-instant bursts at a time already queued (the seq order of bucket
-// 0, kept across refills and rebases).
+// 0, kept across refills and rebases), and same-instant bursts longer
+// than a chunk at a far instant (a bucket chain of several chunks, read
+// in order into bucket 0).
 //
 // Invariants checked:
 //   - events fire exactly in (time, scheduling-order) order;
@@ -46,6 +48,18 @@ func FuzzEventQueue(f *testing.F) {
 	// A burst at a queued instant, then a push below base: the rebase
 	// must keep the burst in scheduling order.
 	f.Add([]byte{0, 20, 10, 0, 0, 40, 8, 2, 10, 1, 9, 3, 9, 5, 5, 63})
+	// A 189-event burst fills three chunks of one bucket; cancelling the
+	// middle chunk's 63 events and 32 of the last's compacts the queue,
+	// which moves the last chunk's survivors into the middle one.
+	middle := []byte{11, 125}
+	for id := 63; id < 158; id++ {
+		middle = append(middle, 3, byte(id))
+	}
+	f.Add(middle)
+	// A head at 20 ms is peeked into bucket 0, a 194-event burst spans
+	// four chunks of a higher bucket, then a push below the head
+	// rebases the queue with both in place.
+	f.Add([]byte{0, 20, 11, 130, 9, 3, 5, 31})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		eng := NewEngine(1)
@@ -121,7 +135,7 @@ func FuzzEventQueue(f *testing.F) {
 
 		for i := 0; i+1 < len(data); i += 2 {
 			arg := int(data[i+1])
-			switch data[i] % 11 {
+			switch data[i] % 12 {
 			case 0, 1, 2: // schedule at now+delta
 				schedule(eng.Now().Add(Duration(arg%64)*unit), -1)
 			case 3, 4: // cancel by index
@@ -151,6 +165,11 @@ func FuzzEventQueue(f *testing.F) {
 				}
 				for k := 0; k < 8+arg%8; k++ {
 					schedule(m.at, -1)
+				}
+			case 11: // burst of 64-200 events 1-275 s on: more than one chunk
+				at := eng.Now().Add(Duration(1+arg) << 30)
+				for k := 0; k < 64+arg%137; k++ {
+					schedule(at, -1)
 				}
 			}
 			if got, want := eng.Pending(), live(); got != want {

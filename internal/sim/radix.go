@@ -18,10 +18,17 @@ import "math/bits"
 // and a pop costs amortized O(1) bucket moves instead of a heap's
 // O(log n) sift through the whole queue.
 //
+// Bucket 0 is one slice, reused and popped from the front. Buckets 1-63
+// are only ever appended to and then read whole, so each is a FIFO
+// chain of fixed-size chunks drawn from one queue-wide free list: a
+// chunk goes back to the list as soon as a refill, compaction or rebase
+// has read it, so no bucket array is regrown or copied and the queue
+// holds memory for what is queued rather than for every bucket's peak.
+//
 // Events at one instant also stay in seq order within their bucket, so
 // bucket 0 pops them in scheduling order without sorting: a push
-// appends the newest seq; a redistribution moves events in order; regrow,
-// compact and rebase keep order.
+// appends the newest seq; a redistribution reads each chain first chunk
+// to last and moves events in order; compact and rebase keep order.
 //
 // The one event that can arrive below base is one scheduled after
 // RunUntil or a shard window stopped short of a head it had already
@@ -31,10 +38,35 @@ import "math/bits"
 type radixQueue struct {
 	base     Time
 	n        int    // queued entries, tombstones included
-	nonempty uint64 // bit i set iff buckets[i] holds an entry
-	head     int    // next entry of buckets[0] to pop
-	buckets  [64][]*Event
-	spare    []*Event // rebase's scratch, kept between calls
+	nonempty uint64 // bit i set iff bucket i holds an entry
+	head     int    // next entry of b0 to pop
+	b0       []*Event
+	chains   [64]chain // buckets 1-63; chains[0] is unused
+	free     *chunk    // read chunks, cleared, linked by next
+}
+
+// chunkLen fills a chunk to 512 bytes, one Go size class, with its link.
+const chunkLen = 63
+
+// chunk is one link of a bucket's chain.
+type chunk struct {
+	evs  [chunkLen]*Event
+	next *chunk
+}
+
+// chain is a FIFO of chunks. Every chunk but the last is full; the last
+// holds n entries. An empty chain has no chunks.
+type chain struct {
+	first, last *chunk
+	n           int
+}
+
+// fill reports how many entries chunk k of c holds.
+func (c *chain) fill(k *chunk) int {
+	if k == c.last {
+		return c.n
+	}
+	return chunkLen
 }
 
 // push queues ev; now is the engine clock, never later than ev.at.
@@ -51,85 +83,74 @@ func (q *radixQueue) push(ev *Event, now Time) {
 
 // add appends ev to bucket i.
 func (q *radixQueue) add(i int, ev *Event) {
-	b := q.buckets[i]
-	if len(b) == cap(b) && len(b) >= stealMin {
-		b = q.regrow(i)
-	}
-	q.buckets[i] = append(b, ev)
 	q.nonempty |= 1 << i
+	if i == 0 {
+		q.b0 = append(q.b0, ev)
+		return
+	}
+	c := &q.chains[i]
+	if c.last == nil || c.n == chunkLen {
+		k := q.free
+		if k != nil {
+			q.free, k.next = k.next, nil
+		} else {
+			k = new(chunk)
+		}
+		if c.last == nil {
+			c.first = k
+		} else {
+			c.last.next = k
+		}
+		c.last, c.n = k, 0
+	}
+	c.last.evs[c.n] = ev
+	c.n++
+}
+
+// recycle clears the first n entries of read chunk k, all it was
+// written, and puts it on the free list. It returns k's successor.
+func (q *radixQueue) recycle(k *chunk, n int) *chunk {
+	next := k.next
+	clear(k.evs[:n])
+	k.next, q.free = q.free, k
+	return next
 }
 
 // rebase moves every queued entry onto base now, which must not be
-// later than any of them. It gathers the buckets lowest first, each
-// front to back, and re-adds the entries in that order: events at one
-// instant share a bucket, so they keep their seq order.
+// later than any of them. It reads the buckets lowest first, bucket 0
+// from head, each front to back, and re-adds the entries in that order:
+// events at one instant share a bucket, so they keep their seq order.
+// No entry lands in the new bucket 0, since now is earlier than the old
+// base.
 func (q *radixQueue) rebase(now Time) {
-	s := q.spare
-	for m := q.nonempty; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		b := q.buckets[i]
-		if i == 0 {
-			s = append(s, b[q.head:]...)
-		} else {
-			s = append(s, b...)
+	old, m := q.chains, q.nonempty
+	q.chains, q.base, q.nonempty = [64]chain{}, now, 0
+	if m&1 != 0 {
+		for _, ev := range q.b0[q.head:] {
+			q.add(bits.Len64(uint64(ev.at^now)), ev)
 		}
-		clear(b)
-		q.buckets[i] = b[:0]
+		clear(q.b0)
+		q.b0, q.head = q.b0[:0], 0
 	}
-	q.base, q.head, q.nonempty = now, 0, 0
-	for _, ev := range s {
-		q.add(bits.Len64(uint64(ev.at^now)), ev)
-	}
-	clear(s)
-	q.spare = s[:0]
-}
-
-// Bounds on the arrays regrow moves between buckets. Below stealMin
-// entries a bucket grows by append: small arrays are cheap to keep at
-// every level, and trading them would reshuffle arrays on every pass,
-// since how a queue's events spread over the buckets shifts with base.
-// Above stealCap times the full array's size, a large array stays for
-// the level that grew it instead of being pinned by a small bucket.
-const (
-	stealMin = 16
-	stealCap = 4
-)
-
-// regrow moves full bucket i into the smallest larger array an empty
-// bucket holds, at least twice and at most stealCap times the size,
-// handing bucket i's array to that bucket; with none, it returns bucket
-// i as is and append grows it. Buckets fill in turn — as the clock nears
-// a multiple of 2^k, every event past it collects in bucket k+1 — so one
-// drained array serves level after level, and a queue holds arrays for
-// its peak rather than for every level's.
-func (q *radixQueue) regrow(i int) []*Event {
-	b := q.buckets[i]
-	best := -1
-	for j := range q.buckets {
-		c := cap(q.buckets[j])
-		if q.nonempty&(1<<j) != 0 || c < 2*cap(b) || c > stealCap*cap(b) {
-			continue
-		}
-		if best < 0 || c < cap(q.buckets[best]) {
-			best = j
+	for m &^= 1; m != 0; m &= m - 1 {
+		c := &old[bits.TrailingZeros64(m)]
+		for k := c.first; k != nil; {
+			n := c.fill(k)
+			for _, ev := range k.evs[:n] {
+				q.add(bits.Len64(uint64(ev.at^now)), ev)
+			}
+			k = q.recycle(k, n)
 		}
 	}
-	if best < 0 {
-		return b
-	}
-	nb := append(q.buckets[best], b...)
-	clear(b)
-	q.buckets[best] = b[:0]
-	return nb
 }
 
 // peek returns the earliest entry without removing it. The queue must be
 // non-empty.
 func (q *radixQueue) peek() *Event {
-	if len(q.buckets[0]) == 0 {
+	if len(q.b0) == 0 {
 		q.refill()
 	}
-	return q.buckets[0][q.head]
+	return q.b0[q.head]
 }
 
 // popMin removes and returns the earliest entry. The queue must be
@@ -137,10 +158,9 @@ func (q *radixQueue) peek() *Event {
 func (q *radixQueue) popMin() *Event {
 	ev := q.peek()
 	q.n--
-	b0 := q.buckets[0]
-	b0[q.head] = nil
-	if q.head++; q.head == len(b0) {
-		q.buckets[0], q.head = b0[:0], 0
+	q.b0[q.head] = nil
+	if q.head++; q.head == len(q.b0) {
+		q.b0, q.head = q.b0[:0], 0
 		q.nonempty &^= 1
 	}
 	ev.queued = false
@@ -152,61 +172,93 @@ func (q *radixQueue) popMin() *Event {
 // empty.
 func (q *radixQueue) refill() {
 	i := bits.TrailingZeros64(q.nonempty)
-	src, cur := q.buckets[i], q.buckets[0]
-	// Detach both arrays while src is read and cur written, so regrow
-	// cannot hand either to another bucket.
-	q.buckets[i], q.buckets[0] = nil, nil
+	c := q.chains[i]
+	q.chains[i] = chain{}
 	q.nonempty &^= 1 << i
-	m := src[0].at
-	for _, ev := range src[1:] {
-		m = min(m, ev.at)
+	m := c.first.evs[0].at
+	for k := c.first; k != nil; k = k.next {
+		for _, ev := range k.evs[:c.fill(k)] {
+			m = min(m, ev.at)
+		}
 	}
 	q.base = m
-	for _, ev := range src {
-		j := bits.Len64(uint64(ev.at ^ m))
-		if j == 0 {
-			cur = append(cur, ev)
-			continue
+	for k := c.first; k != nil; {
+		n := c.fill(k)
+		for _, ev := range k.evs[:n] {
+			q.add(bits.Len64(uint64(ev.at^m)), ev)
 		}
-		q.add(j, ev)
+		k = q.recycle(k, n)
 	}
-	clear(src)
-	q.buckets[i], q.buckets[0], q.head = src[:0], cur, 0
-	q.nonempty |= 1
 }
 
 // compact removes every cancelled entry in place, handing each to
 // release. Buckets keep their order.
 func (q *radixQueue) compact(release func(*Event)) {
-	if q.head > 0 {
-		b0 := q.buckets[0]
-		k := copy(b0, b0[q.head:])
-		clear(b0[k:])
-		q.buckets[0], q.head = b0[:k], 0
-	}
 	q.n = 0
-	for m := q.nonempty; m != 0; m &= m - 1 {
+	if q.nonempty&1 != 0 {
+		live := q.b0[:0]
+		for _, ev := range q.b0[q.head:] {
+			if !drop(ev, release) {
+				live = append(live, ev)
+			}
+		}
+		clear(q.b0[len(live):])
+		q.b0, q.head = q.b0[:len(live)], 0
+		if len(live) == 0 {
+			q.nonempty &^= 1
+		}
+		q.n = len(live)
+	}
+	for m := q.nonempty &^ 1; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		q.buckets[i] = sweep(q.buckets[i], release)
-		if len(q.buckets[i]) == 0 {
+		if n := q.sweep(&q.chains[i], release); n > 0 {
+			q.n += n
+		} else {
 			q.nonempty &^= 1 << i
 		}
-		q.n += len(q.buckets[i])
 	}
 }
 
-// sweep filters the cancelled events out of s in place, handing each to
-// release, and returns the survivors in their original order.
-func sweep(s []*Event, release func(*Event)) []*Event {
-	live := s[:0]
-	for _, ev := range s {
-		if ev.cancelled {
-			ev.queued = false
-			release(ev)
-			continue
+// sweep filters the cancelled events out of chain c in place, handing
+// each to release, and returns how many survive. Survivors are written
+// back from the front in their original order, and the chunks past the
+// last one written go back to the free list.
+func (q *radixQueue) sweep(c *chain, release func(*Event)) int {
+	w, wn, live := c.first, 0, 0
+	for k := c.first; k != nil; k = k.next {
+		for _, ev := range k.evs[:c.fill(k)] {
+			if drop(ev, release) {
+				continue
+			}
+			if wn == chunkLen {
+				w, wn = w.next, 0
+			}
+			w.evs[wn] = ev
+			wn++
+			live++
 		}
-		live = append(live, ev)
 	}
-	clear(s[len(live):])
+	if live == 0 {
+		for k := c.first; k != nil; {
+			k = q.recycle(k, c.fill(k))
+		}
+		*c = chain{}
+		return 0
+	}
+	clear(w.evs[wn:c.fill(w)])
+	for k := w.next; k != nil; {
+		k = q.recycle(k, c.fill(k))
+	}
+	w.next, c.last, c.n = nil, w, wn
 	return live
+}
+
+// drop reports whether ev is cancelled, handing it to release if so.
+func drop(ev *Event, release func(*Event)) bool {
+	if !ev.cancelled {
+		return false
+	}
+	ev.queued = false
+	release(ev)
+	return true
 }

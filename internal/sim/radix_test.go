@@ -3,8 +3,10 @@ package sim
 import (
 	"container/heap"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // refEngine is the engine loop with an independent queue: every event
@@ -258,10 +260,11 @@ func checkLockstep(t *testing.T, seed int64, op int, sides [2]*lockstepSide) {
 }
 
 // A push below base rebases the queue onto the clock. On a warm engine
-// the rebase reuses the buckets' arrays and its scratch slice, so the
-// cycle — RunUntil stops one nanosecond short of the head, a burst is
-// scheduled there, below base, and fires, then the head fires and
-// reschedules itself an hour on — allocates nothing.
+// the rebase re-adds every entry into chunks from the queue's free
+// list, which the chunks it has read refill, so the cycle — RunUntil
+// stops one nanosecond short of the head, a burst is scheduled there,
+// below base, and fires, then the head fires and reschedules itself an
+// hour on — allocates nothing.
 func TestRebaseSteadyStateAllocs(t *testing.T) {
 	e := NewEngine(1)
 	nop := func() {}
@@ -289,5 +292,41 @@ func TestRebaseSteadyStateAllocs(t *testing.T) {
 	}
 	if e.Pending() != 256 {
 		t.Fatalf("Pending = %d after the cycles, want 256", e.Pending())
+	}
+}
+
+// TestQueueGrowthAllocBytes bounds what filling an engine with 2^18
+// events allocates per event beyond the Event itself, once at random
+// instants within an hour and once evenly spaced over 90 minutes.
+// Chunks never move, so the queue allocates what it holds, 512 B per 63
+// entries (8.1 B each), plus at most one partly filled chunk a bucket;
+// bucket arrays grown by append allocated about 42 B per event.
+func TestQueueGrowthAllocBytes(t *testing.T) {
+	const n = 1 << 18
+	rng := rand.New(rand.NewSource(1))
+	random, even := make([]Time, n), make([]Time, n)
+	for i := range random {
+		random[i] = Time(rng.Int63n(int64(time.Hour)))
+		even[i] = Time(i) * Time(90*time.Minute/n)
+	}
+	nop := func() {}
+	for _, tc := range []struct {
+		name string
+		ats  []Time
+	}{{"random", random}, {"even", even}} {
+		e := NewEngine(1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, at := range tc.ats {
+			e.At(at, nop)
+		}
+		runtime.ReadMemStats(&after)
+		perEvent := float64(after.TotalAlloc-before.TotalAlloc)/n - float64(unsafe.Sizeof(Event{}))
+		if perEvent > 9 {
+			t.Errorf("%s: queue allocates %.2f B per queued event, want at most 9", tc.name, perEvent)
+		}
+		if e.Pending() != n {
+			t.Fatalf("%s: Pending = %d, want %d", tc.name, e.Pending(), n)
+		}
 	}
 }
