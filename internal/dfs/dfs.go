@@ -46,9 +46,10 @@ type Config struct {
 	BlockSize sim.Bytes
 	// Replication is the number of disk replicas per block.
 	Replication int
-	// ReadLatency is the fixed per-read setup latency (RPC + open).
-	ReadLatency sim.Duration
 }
+
+// ReadLatency is the fixed per-read setup latency (RPC + open).
+const ReadLatency = 2 * sim.Duration(1e6) // 2ms
 
 // DefaultConfig returns the configuration used throughout the paper's
 // evaluation: 256 MB blocks, 3-way replication.
@@ -56,7 +57,6 @@ func DefaultConfig() Config {
 	return Config{
 		BlockSize:   256 * sim.MB,
 		Replication: 3,
-		ReadLatency: 2 * sim.Duration(1e6), // 2ms
 	}
 }
 
@@ -625,7 +625,7 @@ func (fs *FS) readAttempt(at cluster.NodeID, id BlockID, start sim.Time,
 			op.src = SourceMemRemote
 			op.setTransferLegs(dn.node.NIC)
 		}
-		fs.eng.Schedule(fs.cfg.ReadLatency, op.launch)
+		fs.eng.Schedule(ReadLatency, op.launch)
 		return nil
 	}
 
@@ -681,7 +681,7 @@ func (fs *FS) readAttempt(at cluster.NodeID, id BlockID, start sim.Time,
 		op.src = SourceDiskRemote
 		op.setTransferLegs(dn.node.Disk)
 	}
-	fs.eng.Schedule(fs.cfg.ReadLatency, op.launch)
+	fs.eng.Schedule(ReadLatency, op.launch)
 	return nil
 }
 

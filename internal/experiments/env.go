@@ -85,11 +85,13 @@ func inMagnitudeRange(v float64) bool { return v >= 1/magnitudeRange && v <= mag
 // Validate reports the first option NewEnv cannot build a cluster from:
 // a negative count, a SlowNodes entry outside the cluster or with a scale
 // outside magnitudeRange, an unknown MigBinder, or a MigrationConfig
-// with a non-positive Heartbeat or TargetUpdateInterval or an IOWeight
+// with a non-positive Heartbeat or TargetUpdateInterval, an IOWeight
 // that is NaN, -Inf or positive and outside magnitudeRange (a
-// non-positive one means weight 1). Callers that take options from
-// users or fuzzers check them here, at the boundary, rather than
-// letting them panic or turn into NaN rates inside the layers.
+// non-positive one means weight 1), a negative MaxConcurrent (zero
+// means one) or an Order that names no policy. Callers that take
+// options from users or fuzzers check them here, at the boundary,
+// rather than letting them panic or turn into NaN rates inside the
+// layers.
 func (opt Options) Validate() error {
 	for _, c := range []struct {
 		name string
@@ -131,6 +133,12 @@ func (opt Options) Validate() error {
 		}
 		if w := c.IOWeight; math.IsNaN(w) || math.IsInf(w, -1) || (w > 0 && !inMagnitudeRange(w)) {
 			return fmt.Errorf("experiments: MigrationConfig.IOWeight must be non-positive or within [%g, %g], got %v", 1/magnitudeRange, magnitudeRange, w)
+		}
+		if c.MaxConcurrent < 0 {
+			return fmt.Errorf("experiments: MigrationConfig.MaxConcurrent must not be negative, got %d", c.MaxConcurrent)
+		}
+		if c.Order < migration.OrderFIFO || c.Order > migration.OrderEDF {
+			return fmt.Errorf("experiments: MigrationConfig.Order must be FIFO, SJF or EDF, got %d", int(c.Order))
 		}
 	}
 	return nil

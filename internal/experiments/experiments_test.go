@@ -467,7 +467,7 @@ func TestMotivationShape(t *testing.T) {
 	// The SSD read is the read latency plus one block streamed at
 	// ssdBandwidth (0.514 s), with nothing else on the device.
 	cfg := dfs.DefaultConfig()
-	want := cfg.ReadLatency.Seconds() + float64(cfg.BlockSize)/ssdBandwidth
+	want := dfs.ReadLatency.Seconds() + float64(cfg.BlockSize)/ssdBandwidth
 	if math.Abs(rep.SSDIdle-want) > 1e-9 {
 		t.Errorf("SSDIdle = %.9fs, want %.9fs", rep.SSDIdle, want)
 	}

@@ -105,7 +105,7 @@ func RunMotivation(seed int64) (MotivationReport, error) {
 	// The SSD read pays the same setup latency as a disk read, then
 	// streams the block.
 	stream := sim.FloatDuration(float64(block) / ssdBandwidth * float64(time.Second))
-	rep.SSDIdle = (fs.Config().ReadLatency + stream).Seconds()
+	rep.SSDIdle = (dfs.ReadLatency + stream).Seconds()
 	if rep.MemLocal, err = readOnce("m-mem", 0, true, false); err != nil {
 		return rep, err
 	}

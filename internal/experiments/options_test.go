@@ -49,6 +49,9 @@ func TestOptionsValidate(t *testing.T) {
 		{"infinite IO weight", Options{MigrationConfig: migCfg(func(c *migration.Config) { c.IOWeight = math.Inf(1) })}, "IOWeight"},
 		{"huge IO weight", Options{MigrationConfig: migCfg(func(c *migration.Config) { c.IOWeight = 1e300 })}, "IOWeight"},
 		{"negative IO weight", Options{MigrationConfig: migCfg(func(c *migration.Config) { c.IOWeight = -2 })}, ""},
+		{"zero max concurrent", Options{MigrationConfig: migCfg(func(c *migration.Config) { c.MaxConcurrent = 0 })}, ""},
+		{"negative max concurrent", Options{MigrationConfig: migCfg(func(c *migration.Config) { c.MaxConcurrent = -1 })}, "MaxConcurrent"},
+		{"unknown order", Options{MigrationConfig: migCfg(func(c *migration.Config) { c.Order = migration.OrderEDF + 1 })}, "Order"},
 	} {
 		err := tc.opt.Validate()
 		switch {

@@ -26,9 +26,9 @@ import (
 // their queue is full, their transfer slots are busy and the binder has
 // targeted nothing more at them.
 //
-// A sleeping slave's estimate series would have recorded its unchanged
-// estimate each round; it backfills those samples when it wakes, when
-// the series is read and at Shutdown.
+// The estimate series (Fig 9) takes one sample from every slave every
+// round. While the series is kept, the round walks every slave, and a
+// sleeping one records its unchanged estimate without ticking.
 
 // bitAt reports whether bit i of set is set.
 func bitAt(set []uint64, i int) bool {
@@ -67,17 +67,8 @@ func (c *Coordinator) next(set []uint64, i int, all bool) int {
 	return w<<6 | bits.TrailingZeros64(word)
 }
 
-// wake sets slave n's bit. A slave that was asleep first backfills its
-// estimate series up to now, so wake must run before anything changes
-// the slave's estimate.
-func (c *Coordinator) wake(n cluster.NodeID) {
-	i := int(n)
-	if c.awakeAt(i) {
-		return
-	}
-	setBit(c.awake, i)
-	c.slaves[i].catchUp()
-}
+// wake sets slave n's bit.
+func (c *Coordinator) wake(n cluster.NodeID) { setBit(c.awake, int(n)) }
 
 // sleep clears slave n's bit; only its own idle tick calls it.
 func (c *Coordinator) sleep(n cluster.NodeID) { clearBit(c.awake, int(n)) }
@@ -120,46 +111,32 @@ func (c *Coordinator) onMemRegistered(n cluster.NodeID) {
 	}
 }
 
-// passed reports the last heartbeat round that has visited or skipped
-// slave i: the running round once its walk is past i, else the one
-// before.
-func (c *Coordinator) passed(i int) int {
-	if i < c.cursor {
-		return c.round
-	}
-	return c.round - 1
-}
-
-// roundAt reports when heartbeat round r fired.
-func (c *Coordinator) roundAt(r int) sim.Time {
-	return c.start.Add(sim.Duration(r) * c.cfg.Heartbeat)
-}
-
 // heartbeatRound is one heartbeat: it ticks the awake slaves, or every
 // slave when the binder's pulls may bind anywhere or membership
-// changed, in node order.
+// changed, in node order. While the estimate series is kept it walks
+// every slave, and a sleeping one only records its estimate.
 func (c *Coordinator) heartbeatRound(t *sim.Ticker) {
-	c.round++
 	all := c.binder.pullsAny()
 	if e := c.cl.MembershipEpoch(); e != c.members {
 		c.members, all = e, true
 	}
-	// The skip oracle visits every slave and checks the ones the awake
-	// set skips.
-	check, walk := wakeCheck && !all, all || wakeCheck
+	// The skip oracle also walks every slave, and checks the ones the
+	// awake set skips.
+	walk := all || wakeCheck || !c.cfg.DisableEstimateSeries
 	n := len(c.slaves)
 	for i := c.next(c.awake, 0, walk); i < n; i = c.next(c.awake, i+1, walk) {
 		if !t.Visit(i) {
 			break
 		}
-		c.cursor = i
-		if check && !c.awakeAt(i) {
+		switch {
+		case all || c.awakeAt(i):
+			c.slaves[i].tick()
+		case wakeCheck:
 			c.checkedTick(i)
-			continue
+		default:
+			c.slaves[i].recordEstimate()
 		}
-		c.slaves[i].tick()
 	}
-	c.cursor = n
 }
 
 // rpcPull is the RPC Migrate sends: the ready slaves pull and start
@@ -180,26 +157,6 @@ func (c *Coordinator) rpcPull() {
 		s.pull()
 		s.kick()
 	}
-}
-
-// catchUp backfills the estimate series of a sleeping slave with one
-// sample per round it slept through. Its estimate has not changed since
-// its last tick, so each sample is the one that tick would have
-// recorded. For an awake slave it records nothing: its series already
-// accounts for every round that has passed it.
-func (s *Slave) catchUp() {
-	if s.estSeries == nil || s.stopped {
-		return
-	}
-	upto := s.c.passed(int(s.node.ID))
-	if s.synced >= upto {
-		return
-	}
-	v := s.estimator.blockSeconds(s.c.fs.Config().BlockSize)
-	for r := s.synced + 1; r <= upto; r++ {
-		s.estSeries.Record(s.c.roundAt(r).Seconds(), v)
-	}
-	s.synced = upto
 }
 
 // overThreshold reports whether the slave's buffered memory is past the
@@ -236,7 +193,7 @@ type wakeSnap struct {
 }
 
 // snap takes slave i's wakeSnap; series is the length its estimate
-// series would have after rounds extra more samples.
+// series would have after extra more samples.
 func (c *Coordinator) snap(i, extra int) wakeSnap {
 	s := c.slaves[i]
 	w := wakeSnap{
@@ -255,7 +212,6 @@ func (c *Coordinator) snap(i, extra int) wakeSnap {
 		w.pendGen = pb.pendGen
 	}
 	if s.estSeries != nil {
-		s.catchUp()
 		w.series = s.estSeries.Len() + extra
 	}
 	return w

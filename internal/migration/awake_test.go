@@ -188,14 +188,15 @@ func backfillRun(t *testing.T, pol func() policy.Policy, visitAll bool, wake fun
 	return append(out, fmt.Sprintf("%+v", r.c.Stats()))
 }
 
-// TestEstimateSeriesBackfill: a slave that sleeps through rounds and is
-// then woken (by an enqueue, by RestartSlaveProcess, by Shutdown, by a
-// mid-run EstimateSeries read, by its node dying and reviving, or by
-// buffered memory crossing the scavenge threshold) leaves the same
+// TestEstimateSeriesBackfill: a slave that sleeps through rounds, each
+// of which records its estimate without ticking it, and is then woken
+// (by an enqueue between rounds or on a round's instant, just after or
+// just before the round's event, by RestartSlaveProcess, by Shutdown,
+// by a mid-run EstimateSeries read, by its node dying and reviving, or
+// by buffered memory crossing the scavenge threshold) leaves the same
 // estimate series and stats as a run that visits every slave every
-// round. RestartSlaveProcess resets the estimate, so the backfill must
-// happen before the reset; the slave restarted has migrated, so its
-// estimate is no longer the seeded one the reset restores.
+// round. The slave restarted has migrated, so its estimate is no longer
+// the seeded one the reset restores.
 func TestEstimateSeriesBackfill(t *testing.T) {
 	dyrs := func() policy.Policy { return policy.NewDYRS() }
 	ignem := func() policy.Policy { return policy.NewIgnem() }
@@ -205,6 +206,20 @@ func TestEstimateSeriesBackfill(t *testing.T) {
 			s += fmt.Sprint(r.c.EstimateSeries(cluster.NodeID(n)).Points())
 		}
 		return s
+	}
+	// migrateAt returns a wake that enqueues from an event at the given
+	// round instant. The wake runs at 47.5 s: the round at 48 s was
+	// scheduled before it and fires first, the round at 49 s after it.
+	migrateAt := func(at time.Duration) func(*testRig) string {
+		return func(r *testRig) string {
+			r.mkFile(t, "b", 4)
+			r.eng.At(sim.Time(at), func() {
+				if err := r.c.Migrate(2, []string{"b"}, false); err != nil {
+					t.Error(err)
+				}
+			})
+			return ""
+		}
 	}
 	cases := []struct {
 		name string
@@ -218,6 +233,8 @@ func TestEstimateSeriesBackfill(t *testing.T) {
 			}
 			return ""
 		}},
+		{"enqueue-after-round", ignem, migrateAt(48 * time.Second)},
+		{"enqueue-before-round", ignem, migrateAt(49 * time.Second)},
 		{"restart", dyrs, func(r *testRig) string {
 			for n := 0; n < 5; n++ {
 				if s := r.c.slaves[n]; s.Migrations > 0 {

@@ -42,13 +42,7 @@ type Coordinator struct {
 	// something (see settle).
 	awake []uint64
 	ready []uint64
-	// round counts heartbeat rounds begun, the first fired at start plus
-	// one interval; cursor is the slave the running round visits, and
-	// len(slaves) between rounds. members is the cluster membership epoch
-	// the last round saw.
-	round   int
-	cursor  int
-	start   sim.Time
+	// members is the cluster membership epoch the last round saw.
 	members uint64
 
 	// info is the master's block-record table, a dense slice indexed by
@@ -176,7 +170,7 @@ func NewCoordinator(fs *dfs.FS, cfg Config, binder Binder) *Coordinator {
 	c.awake, c.ready, c.stale = make([]uint64, words), make([]uint64, words), make([]uint64, words)
 	setBits(c.awake, len(c.slaves))
 	setBits(c.stale, len(c.slaves))
-	c.cursor, c.start, c.members = len(c.slaves), c.eng.Now(), cl.MembershipEpoch()
+	c.members = cl.MembershipEpoch()
 	fs.OnMemRegistered(c.onMemRegistered)
 	c.heartbeat = sim.NewTickerN(c.eng, cfg.Heartbeat, len(c.slaves), c.heartbeatRound)
 	return c
@@ -577,8 +571,6 @@ func (c *Coordinator) RestartMaster() {
 // OS reclaims all locked buffers, the master drops its state about blocks
 // buffered there, and bound-but-unfinished migrations are lost (§III-C2).
 func (c *Coordinator) RestartSlaveProcess(id cluster.NodeID) {
-	// Waking backfills the estimate series with the estimate from before
-	// the reset below, and the next round reports the reset one.
 	c.wake(id)
 	s := c.slaves[int(id)]
 	for _, bi := range s.queue {
@@ -632,7 +624,6 @@ func (c *Coordinator) ScavengeAll() {
 // thread; used at the end of an experiment so the event queue can drain.
 func (c *Coordinator) Shutdown() {
 	for _, s := range c.slaves {
-		s.catchUp()
 		s.stopped = true
 	}
 	c.heartbeat.Stop()
@@ -657,9 +648,7 @@ func (c *Coordinator) QueuedBlocks() int {
 // heartbeat) — the data behind Fig. 9. Nil when recording is disabled
 // via Config.DisableEstimateSeries.
 func (c *Coordinator) EstimateSeries(id cluster.NodeID) *metrics.TimeSeries {
-	s := c.slaves[int(id)]
-	s.catchUp()
-	return s.estSeries
+	return c.slaves[int(id)].estSeries
 }
 
 var _ Manager = (*Coordinator)(nil)

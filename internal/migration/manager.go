@@ -113,12 +113,15 @@ type Config struct {
 	IOWeight float64
 	// MaxConcurrent caps simultaneous migrations per slave. DYRS
 	// serializes migrations (1) to limit disk seek thrash (§III-B);
-	// Ignem just mlocks every bound block at once (unbounded).
+	// Ignem just mlocks every bound block at once (unbounded). Zero
+	// means one.
 	MaxConcurrent int
 	// DisableEstimateSeries turns off the per-slave estimate time series
-	// recorded every heartbeat (the data behind Fig. 9). A series stores
-	// a run per stretch of unchanged estimate, so it grows with virtual
-	// time × node count wherever estimates move. The datacenter-scale
+	// recorded every heartbeat (the data behind Fig. 9), so the heartbeat
+	// round skips the sleeping slaves instead of recording their
+	// unchanged estimates. A series stores a run per stretch of
+	// unchanged estimate, so it grows with virtual time × node count
+	// wherever estimates move. The datacenter-scale
 	// experiments disable it: the scale workload of benchmark/ (seed 42)
 	// allocates 58.0 MiB per run with it disabled and 61.2 MiB with the
 	// series on.

@@ -70,9 +70,6 @@ type Slave struct {
 
 	stopped   bool
 	estSeries *metrics.TimeSeries
-	// synced is the last heartbeat round the estimate series accounts
-	// for (see catchUp).
-	synced int
 
 	// Migrations counts completed migrations on this slave.
 	Migrations int
@@ -116,8 +113,6 @@ func (s *Slave) occupancy() int {
 // if needed, pull more work, and make sure the disk is busy. A slave
 // left idle goes to sleep; one on a dead node stays awake.
 func (s *Slave) tick() {
-	s.catchUp()
-	s.synced = s.c.round
 	if s.stopped {
 		return
 	}
@@ -148,9 +143,7 @@ func (s *Slave) tick() {
 		s.estimator.observe(worstElapsed, worst.size)
 	}
 	s.c.onHeartbeat(s.node.ID, s.estimator.perByte(), s.occupancy())
-	if s.estSeries != nil {
-		s.estSeries.Record(s.c.eng.Now().Seconds(), s.estimator.blockSeconds(s.c.fs.Config().BlockSize))
-	}
+	s.recordEstimate()
 
 	if s.overThreshold() {
 		s.scavenge()
@@ -160,6 +153,14 @@ func (s *Slave) tick() {
 	s.kick()
 	if !bound && s.idle() {
 		s.c.sleep(s.node.ID)
+	}
+}
+
+// recordEstimate adds this round's sample to the estimate series, when
+// it is kept: the time to migrate one standard block.
+func (s *Slave) recordEstimate() {
+	if s.estSeries != nil {
+		s.estSeries.Record(s.c.eng.Now().Seconds(), s.estimator.blockSeconds(s.c.fs.Config().BlockSize))
 	}
 }
 
