@@ -22,6 +22,7 @@ var goldenRuns = []struct {
 	{"sort-interfere.txt", []string{"-size", "5", "-interfere", "1"}},
 	{"sort-alternate-naive.txt", []string{"-size", "5", "-interfere", "2", "-alternate", "10s", "-policy", "Naive"}},
 	{"swim.txt", []string{"-workload", "swim", "-swim-jobs", "20"}},
+	{"hive-q21.txt", []string{"-workload", "hive", "-query", "q21"}},
 }
 
 func TestGoldenStdout(t *testing.T) {

@@ -20,6 +20,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"time"
 
 	"dyrs"
@@ -83,9 +84,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	default:
 		return fmt.Errorf("unknown trace format %q (want json or perfetto)", *traceFormat)
 	}
-	switch *wl {
-	case "sort", "hive", "swim":
-	default:
+	unused, ok := unusedFlags[*wl]
+	if !ok {
 		return fmt.Errorf("unknown workload %q (want sort, hive or swim)", *wl)
 	}
 	if *swimJobs <= 0 {
@@ -105,11 +105,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if b := *sizeGB * float64(dyrs.GB); !(b >= 1 && b < math.MaxInt64) {
 		return fmt.Errorf("-size must be at least one byte and below %.0f GB, got %v", math.MaxInt64/float64(dyrs.GB), *sizeGB)
 	}
+	var unsupported string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(unused, f.Name) {
+			unsupported += ", -" + f.Name
+		}
+	})
+	if unsupported != "" {
+		return fmt.Errorf("%s not supported with the %s workload", unsupported[2:], *wl)
+	}
 
 	if *wl == "hive" {
-		if *tracePath != "" || *telemetryCSV != "" || *metricsAddr != "" {
-			return fmt.Errorf("-trace, -telemetry-csv and -metrics-addr are not supported with the hive workload")
-		}
 		if err := runHive(stdout, policy, *query, *seed); err != nil {
 			return err
 		}
@@ -185,6 +191,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	return writeManifest(manifest, *manifestPath, env.Eng.Now())
+}
+
+// unusedFlags names, per workload, the flags its run never reads.
+var unusedFlags = map[string][]string{
+	"hive": {"workers", "size", "lead", "interfere", "alternate", "swim-jobs", "telemetry", "trace", "telemetry-csv", "metrics-addr"},
+	"swim": {"size", "lead", "interfere", "alternate", "query"},
+	"sort": {"swim-jobs", "query"},
 }
 
 // startMetricsTicker starts a virtual-time ticker that renders fresh
@@ -288,8 +301,7 @@ func runSWIM(stdout io.Writer, env *dyrs.Env, jobs int, seed int64) error {
 		}
 	}
 	for _, j := range swimJobs {
-		spec := env.Prepare(j.Spec(env.Policy.Migrates()))
-		env.FW.SubmitAt(sim.Time(j.Arrival), spec, nil)
+		env.FW.SubmitAt(sim.Time(j.Arrival), j.Spec(true), nil)
 	}
 	if err := env.WaitJobs(len(swimJobs), 4*time.Hour); err != nil {
 		return err

@@ -48,7 +48,9 @@ func TestRunRejectsUnknownPolicy(t *testing.T) {
 // generation (-swim-jobs 0) or failed with a misleading DFS error (a
 // NaN or overflowing -size). Options.Validate rejects the rest before
 // the environment is built (-trace-sample -4). The retired -shards flag
-// is an unknown flag.
+// is an unknown flag. A flag the chosen workload never reads (hive's
+// -workers or -telemetry, swim's -interfere) used to be ignored; each
+// one set is now named in the error.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -70,6 +72,13 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{sortArgs("-size", "+Inf"), "-size must be at least one byte"},
 		{sortArgs("-size", "0"), "-size must be at least one byte"},
 		{sortArgs("-size", "-2"), "-size must be at least one byte"},
+		{[]string{"-workload", "hive", "-query", "q21", "-workers", "3", "-telemetry"}, "-telemetry, -workers not supported with the hive workload"},
+		{[]string{"-workload", "hive", "-size", "5", "-lead", "1s", "-interfere", "2", "-alternate", "10s", "-swim-jobs", "5"},
+			"-alternate, -interfere, -lead, -size, -swim-jobs not supported with the hive workload"},
+		{[]string{"-workload", "swim", "-interfere", "2", "-size", "99"}, "-interfere, -size not supported with the swim workload"},
+		{[]string{"-workload", "swim", "-lead", "1s", "-alternate", "10s", "-query", "q21"}, "-alternate, -lead, -query not supported with the swim workload"},
+		{sortArgs("-swim-jobs", "5"), "-swim-jobs not supported with the sort workload"},
+		{sortArgs("-query", "q21"), "-query not supported with the sort workload"},
 	} {
 		var out, errOut bytes.Buffer
 		err := run(tc.args, &out, &errOut)

@@ -16,7 +16,7 @@
 //	env := dyrs.NewEnv(dyrs.PolicyDYRS, dyrs.DefaultOptions(1))
 //	defer env.Close()
 //	env.CreateInput("logs", 4*dyrs.GB)
-//	spec := env.Prepare(dyrs.SortSpec("logs", 8, true))
+//	spec := dyrs.SortSpec("logs", 8) // asks for its input; the policy decides
 //	job, _ := env.RunJob(spec) // submit, then run until it finishes
 //	fmt.Println("job took", job.Duration())
 //
@@ -71,9 +71,7 @@ func NewEnv(policy Policy, opt experiments.Options) *Env { return experiments.Ne
 func DefaultOptions(seed int64) experiments.Options { return experiments.DefaultOptions(seed) }
 
 // SortSpec builds a Sort job over the named file (§V-B3).
-func SortSpec(file string, reducers int, migrate bool) compute.JobSpec {
-	return workload.SortSpec(file, reducers, migrate)
-}
+func SortSpec(file string, reducers int) compute.JobSpec { return workload.SortSpec(file, reducers) }
 
 // TPCDSQueries returns the ten-query Hive suite of §V-B1.
 func TPCDSQueries() []workload.HiveQuery { return workload.TPCDSQueries() }

@@ -17,7 +17,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	if err := env.CreateInput("logs", 2*dyrs.GB); err != nil {
 		t.Fatal(err)
 	}
-	spec := env.Prepare(dyrs.SortSpec("logs", 4, true))
+	spec := dyrs.SortSpec("logs", 4)
 	spec.ExtraLeadTime = 10 * time.Second
 	job, err := env.RunJob(spec)
 	if err != nil {
@@ -44,7 +44,7 @@ func TestFacadeDeterminism(t *testing.T) {
 		if err := env.CreateInput("x", 3*dyrs.GB); err != nil {
 			t.Fatal(err)
 		}
-		spec := env.Prepare(dyrs.SortSpec("x", 4, true))
+		spec := dyrs.SortSpec("x", 4)
 		spec.ExtraLeadTime = 5 * time.Second
 		j, err := env.RunJob(spec)
 		if err != nil {
@@ -64,9 +64,6 @@ func TestFacadeQueriesAndPolicies(t *testing.T) {
 	}
 	if len(dyrs.AllPolicies) != 4 {
 		t.Errorf("policies = %d", len(dyrs.AllPolicies))
-	}
-	if !dyrs.PolicyDYRS.Migrates() || dyrs.PolicyRAM.Migrates() {
-		t.Error("Migrates wrong")
 	}
 }
 

@@ -23,11 +23,10 @@ func main() {
 			log.Fatal(err)
 		}
 
-		// A Sort job over it. Prepare wires the policy's migration
-		// request into the job submitter; ExtraLeadTime simulates the
-		// job waiting in a queue before its tasks launch — the window
-		// DYRS uses to move the input into memory.
-		spec := env.Prepare(dyrs.SortSpec("clickstream-2026-07-04", 8, true))
+		// A Sort job over it, asking for its input (only DYRS moves it).
+		// ExtraLeadTime simulates the job queueing before its tasks
+		// launch — the window DYRS uses to move the input into memory.
+		spec := dyrs.SortSpec("clickstream-2026-07-04", 8)
 		spec.ExtraLeadTime = 10 * time.Second
 
 		job, err := env.RunJob(spec)

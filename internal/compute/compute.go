@@ -49,8 +49,8 @@ type JobSpec struct {
 	// TaskOverhead is fixed per-task startup time.
 	TaskOverhead time.Duration
 
-	// Migrate requests input migration at submission; ImplicitEvict opts
-	// into eviction-on-read.
+	// Migrate asks the Manager for the inputs at submission (it alone
+	// decides what moves); ImplicitEvict opts into eviction-on-read.
 	Migrate       bool
 	ImplicitEvict bool
 }

@@ -23,7 +23,7 @@ func submitBatch(t *testing.T, env *Env, n int) {
 		if err := env.CreateInput(name, sim.Bytes(1+i%4)*sim.GB); err != nil {
 			t.Fatal(err)
 		}
-		spec := env.Prepare(workload.SortSpec(name, 4, true))
+		spec := workload.SortSpec(name, 4)
 		spec.ExtraLeadTime = 5 * time.Second
 		env.FW.SubmitAt(sim.Time(sim.Duration(i)*3*time.Second), spec, nil)
 	}
@@ -71,7 +71,7 @@ func TestChaosMasterRestartMidWorkload(t *testing.T) {
 	if err := env.CreateInput("post-failover", 2*sim.GB); err != nil {
 		t.Fatal(err)
 	}
-	spec := env.Prepare(workload.SortSpec("post-failover", 4, true))
+	spec := workload.SortSpec("post-failover", 4)
 	spec.ExtraLeadTime = 15 * time.Second
 	j, err := env.RunJob(spec)
 	if err != nil {

@@ -36,9 +36,6 @@ const (
 // AllPolicies lists the four headline configurations in table order.
 var AllPolicies = []Policy{HDFS, RAM, Ignem, DYRS}
 
-// Migrates reports whether the policy runs a migration framework.
-func (p Policy) Migrates() bool { return p == DYRS || p == Ignem || p == Naive }
-
 // Options configures an experiment environment.
 type Options struct {
 	// Workers is the number of storage/compute nodes (the paper's
@@ -199,29 +196,31 @@ func NewEnv(pol Policy, opt Options) *Env {
 	}
 	fs := dfs.New(cl, fsCfg)
 
+	mcfg := migration.DefaultConfig()
+	if opt.MigrationConfig != nil {
+		mcfg = *opt.MigrationConfig
+	}
+	// The policy picks a binder exactly when it migrates; HDFS and RAM
+	// keep migration.None, so their jobs' migrate requests move nothing.
+	var binder migration.Binder
+	switch pol {
+	case DYRS:
+		binder = migration.NewDYRSBinder()
+	case Ignem:
+		binder = migration.NewPolicyBinder(policy.NewIgnem())
+		// Ignem binds blindly at submission and never reconsiders —
+		// it has no missed-read handling (§VI), copies at full IO
+		// priority, and mlocks every bound block at once instead of
+		// serializing migrations the way DYRS does (§III-B).
+		mcfg.CancelOnMissedRead = false
+		mcfg.IOWeight = 1.0
+		mcfg.MaxConcurrent = 6
+	case Naive:
+		binder = migration.NewNaiveBinder()
+	}
 	var mgr migration.Manager = migration.None{}
 	var coord *migration.Coordinator
-	if pol.Migrates() {
-		mcfg := migration.DefaultConfig()
-		if opt.MigrationConfig != nil {
-			mcfg = *opt.MigrationConfig
-		}
-		var binder migration.Binder
-		switch pol {
-		case DYRS:
-			binder = migration.NewDYRSBinder()
-		case Ignem:
-			binder = migration.NewPolicyBinder(policy.NewIgnem())
-			// Ignem binds blindly at submission and never reconsiders —
-			// it has no missed-read handling (§VI), copies at full IO
-			// priority, and mlocks every bound block at once instead of
-			// serializing migrations the way DYRS does (§III-B).
-			mcfg.CancelOnMissedRead = false
-			mcfg.IOWeight = 1.0
-			mcfg.MaxConcurrent = 6
-		case Naive:
-			binder = migration.NewNaiveBinder()
-		}
+	if binder != nil {
 		if opt.MigBinder != "" {
 			b, err := migration.BinderByName(opt.MigBinder)
 			if err != nil {
@@ -267,13 +266,6 @@ func (e *Env) CreateInput(name string, size sim.Bytes) error {
 	return nil
 }
 
-// Prepare adapts a job spec to the environment's policy: migrating
-// policies request migration at submission; HDFS and RAM do not.
-func (e *Env) Prepare(spec compute.JobSpec) compute.JobSpec {
-	spec.Migrate = e.Policy.Migrates()
-	return spec
-}
-
 // RunJob submits spec and runs the simulation until the job completes,
 // failing if it is still running an Hour of virtual time later. The job
 // is returned whenever it was submitted, finished or not.
@@ -299,7 +291,7 @@ func (e *Env) RunSort(size sim.Bytes, lead sim.Duration) (*compute.Job, error) {
 	if err := e.CreateInput("sort-input", size); err != nil {
 		return nil, err
 	}
-	spec := e.Prepare(workload.SortSpec("sort-input", 2*e.Cl.Size(), e.Policy.Migrates()))
+	spec := workload.SortSpec("sort-input", 2*e.Cl.Size())
 	spec.ExtraLeadTime = lead
 	return e.RunJob(spec)
 }

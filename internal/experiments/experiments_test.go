@@ -19,12 +19,13 @@ import (
 
 func TestEnvPolicies(t *testing.T) {
 	t.Parallel()
+	migrating := map[Policy]bool{Ignem: true, DYRS: true, Naive: true}
 	for _, p := range []Policy{HDFS, RAM, Ignem, DYRS, Naive} {
 		env := NewEnv(p, DefaultOptions(1))
-		if p.Migrates() && env.Coord == nil {
+		if migrating[p] && env.Coord == nil {
 			t.Errorf("%s: no coordinator", p)
 		}
-		if !p.Migrates() && env.Coord != nil {
+		if !migrating[p] && env.Coord != nil {
 			t.Errorf("%s: unexpected coordinator", p)
 		}
 		env.Close()
@@ -49,19 +50,44 @@ func TestCreateInputPinsUnderRAM(t *testing.T) {
 	}
 }
 
-func TestPrepareSetsMigrateFlag(t *testing.T) {
+// TestPolicyDecidesMigration: every Sort job asks for its input
+// (Migrate is set by the builder), and the policy's migration Manager
+// alone decides what moves. HDFS and RAM run no coordinator, so HDFS
+// ends with nothing in memory and RAM with exactly its pinned input;
+// each migrating policy's coordinator receives every input block.
+func TestPolicyDecidesMigration(t *testing.T) {
 	t.Parallel()
-	spec := workload.SortSpec("f", 4, false)
-	env := NewEnv(DYRS, DefaultOptions(1))
-	defer env.Close()
-	if !env.Prepare(spec).Migrate {
-		t.Error("DYRS env should migrate")
+	if !workload.SortSpec("in", 4).Migrate {
+		t.Fatal("SortSpec does not ask for its input")
 	}
-	env2 := NewEnv(RAM, DefaultOptions(1))
-	defer env2.Close()
-	spec.Migrate = true
-	if env2.Prepare(spec).Migrate {
-		t.Error("RAM env should not migrate")
+	for _, p := range []Policy{HDFS, RAM, Ignem, DYRS, Naive} {
+		env := NewEnv(p, DefaultOptions(1))
+		if _, err := env.RunSort(sim.GB, 0); err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		ids, err := env.FS.FileBlockIDs([]string{"sort-input"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := len(ids)
+		switch p {
+		case HDFS, RAM:
+			if env.Coord != nil {
+				t.Errorf("%s: unexpected coordinator", p)
+			}
+			want := 0
+			if p == RAM {
+				want = blocks
+			}
+			if got := env.FS.MemReplicaCount(); got != want {
+				t.Errorf("%s: %d memory replicas after the job, want %d", p, got, want)
+			}
+		default:
+			if got := env.Coord.Stats().Requested; got != blocks {
+				t.Errorf("%s: coordinator got %d block requests, want the %d input blocks", p, got, blocks)
+			}
+		}
+		env.Close()
 	}
 }
 
@@ -100,14 +126,14 @@ func TestWaitJobTimeout(t *testing.T) {
 	env := NewEnv(HDFS, DefaultOptions(1))
 	defer env.Close()
 	env.CreateInput("in", sim.GB)
-	j, err := env.RunJob(env.Prepare(workload.SortSpec("in", 4, false)))
+	j, err := env.RunJob(workload.SortSpec("in", 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if j.State != compute.JobDone {
 		t.Fatalf("RunJob returned without error but job state is %v", j.State)
 	}
-	slow := env.Prepare(workload.SortSpec("in", 4, false))
+	slow := workload.SortSpec("in", 4)
 	slow.MapCPUPerByte = 1e-3 // days of CPU per block
 	start := env.Eng.Now()
 	j, err = env.RunJob(slow)
@@ -558,7 +584,7 @@ func TestRackedClusterStillBenefitsFromDYRS(t *testing.T) {
 		if err := env.CreateInput("in", 10*sim.GB); err != nil {
 			t.Fatal(err)
 		}
-		spec := env.Prepare(workload.SortSpec("in", 8, policy.Migrates()))
+		spec := workload.SortSpec("in", 8)
 		spec.ExtraLeadTime = 20 * time.Second
 		j, err := env.RunJob(spec)
 		if err != nil {

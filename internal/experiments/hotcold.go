@@ -90,7 +90,7 @@ func RunHotCold(seed int64) (HotColdReport, error) {
 			}
 		}
 		mkSpec := func(name, input string) compute.JobSpec {
-			return env.Prepare(compute.JobSpec{
+			return compute.JobSpec{
 				Name:             name,
 				InputFiles:       []string{input},
 				MapCPUPerByte:    0.8 / float64(256*sim.MB),
@@ -99,8 +99,9 @@ func RunHotCold(seed int64) (HotColdReport, error) {
 				OutputRatio:      1,
 				PlatformOverhead: 9 * time.Second,
 				TaskOverhead:     500 * time.Millisecond,
+				Migrate:          true,
 				ImplicitEvict:    true,
-			}.DefaultOverheads())
+			}.DefaultOverheads()
 		}
 		// Interleave: hot job, cold job, hot job, ... spaced 20s apart so
 		// each mostly runs alone (isolating read-source effects).

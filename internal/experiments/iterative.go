@@ -87,12 +87,11 @@ func RunIterative(seed int64) (IterativeReport, error) {
 				// The driver start-up (SparkContext, executor launch) is
 				// the lead-time available to migration.
 				spec.PlatformOverhead = 8 * time.Second
-				spec = env.Prepare(spec)
+				spec.Migrate = true
 			} else {
 				// Later iterations run inside warm executors over the
 				// RDD cache: no DFS read, tiny scheduling overhead.
 				spec.PlatformOverhead = 300 * time.Millisecond
-				spec.Migrate = false
 			}
 			if iter == 1 {
 				// Iteration 1 materialized the RDD: pin the input so

@@ -121,14 +121,14 @@ func RunMotivation(seed int64) (MotivationReport, error) {
 		if err := e.CreateInput("job-input", 10*sim.GB); err != nil {
 			return 0, err
 		}
-		spec := e.Prepare(compute.JobSpec{
+		spec := compute.JobSpec{
 			Name:           "motivation",
 			InputFiles:     []string{"job-input"},
 			MapCPUPerByte:  0.8 / float64(256*sim.MB),
 			MapOutputRatio: 0.2,
 			Reducers:       4,
 			OutputRatio:    1,
-		}.DefaultOverheads())
+		}.DefaultOverheads()
 		j, err := e.RunJob(spec)
 		if err != nil {
 			return 0, err

@@ -95,7 +95,7 @@ func FuzzOptions(f *testing.F) {
 		if err := env.CreateInput("in", 512*sim.MB); err != nil {
 			return
 		}
-		if _, err := env.FW.Submit(env.Prepare(workload.SortSpec("in", 2, true))); err != nil {
+		if _, err := env.FW.Submit(workload.SortSpec("in", 2)); err != nil {
 			return
 		}
 		env.Eng.RunFor(time.Minute)
@@ -115,7 +115,7 @@ func TestOverlongOperationsTimeOut(t *testing.T) {
 		}
 		env := NewEnv(DYRS, opt)
 		env.CreateInput("in", sim.GB)
-		spec := env.Prepare(workload.SortSpec("in", 4, true))
+		spec := workload.SortSpec("in", 4)
 		if c.cpu > 0 {
 			spec.MapCPUPerByte = c.cpu
 		}

@@ -90,8 +90,7 @@ func RunOrderPolicies(seed int64) (OrderReport, error) {
 			}
 		}
 		for _, p := range plans {
-			p := p
-			spec := env.Prepare(compute.JobSpec{
+			spec := compute.JobSpec{
 				Name:             p.name,
 				InputFiles:       []string{p.name},
 				MapCPUPerByte:    0.8 / float64(256*sim.MB),
@@ -100,8 +99,9 @@ func RunOrderPolicies(seed int64) (OrderReport, error) {
 				OutputRatio:      1,
 				PlatformOverhead: 9 * time.Second,
 				TaskOverhead:     500 * time.Millisecond,
+				Migrate:          true,
 				ImplicitEvict:    true,
-			}.DefaultOverheads())
+			}.DefaultOverheads()
 			env.FW.SubmitAt(sim.Time(p.at), spec, nil)
 		}
 		if err := env.WaitJobs(len(plans), Hour); err != nil {

@@ -210,8 +210,7 @@ func RunSWIMOnce(policy Policy, seed int64) (*SWIMRun, error) {
 
 	replayStart := env.Eng.Now()
 	for _, wj := range jobs {
-		wj := wj
-		spec := env.Prepare(wj.Spec(policy.Migrates()))
+		spec := wj.Spec(true)
 		env.FW.SubmitAt(replayStart.Add(wj.Arrival), spec, func(j *compute.Job, err error) {
 			if err == nil && policy == RAM {
 				for _, id := range env.FS.SortedBlockIDs(spec.InputFiles) {

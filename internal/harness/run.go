@@ -65,20 +65,18 @@ type RunResult struct {
 	Flight []trace.FlightEvent
 }
 
-// buildSpec maps a generated JobSpec onto a concrete compute.JobSpec
-// for the environment's policy.
-func buildSpec(env *experiments.Env, j JobSpec) compute.JobSpec {
-	migrate := env.Policy.Migrates()
+// buildSpec maps a generated JobSpec onto a concrete compute.JobSpec.
+func buildSpec(j JobSpec) compute.JobSpec {
 	var spec compute.JobSpec
 	switch j.Kind {
 	case KindSort:
-		spec = workload.SortSpec(j.File, j.Reducers, migrate)
+		spec = workload.SortSpec(j.File, j.Reducers)
 	case KindGrep:
-		spec = workload.GrepSpec(j.File, migrate)
+		spec = workload.GrepSpec(j.File)
 	case KindWordCount:
-		spec = workload.WordCountSpec(j.File, j.Reducers, migrate)
+		spec = workload.WordCountSpec(j.File, j.Reducers)
 	case KindJoin:
-		spec = workload.JoinSpec(j.File, j.File2, j.Reducers, migrate)
+		spec = workload.JoinSpec(j.File, j.File2, j.Reducers)
 	case KindHiveScan:
 		q := workload.HiveQuery{
 			Name:        j.Name,
@@ -87,7 +85,7 @@ func buildSpec(env *experiments.Env, j JobSpec) compute.JobSpec {
 			Selectivity: 0.05,
 			CompileTime: j.Lead,
 		}
-		spec = q.StageSpec(0, j.File, migrate)
+		spec = q.StageSpec(0, j.File)
 	}
 	if j.Kind != KindHiveScan {
 		spec.ExtraLeadTime = j.Lead
@@ -134,8 +132,7 @@ func RunScenario(sc Scenario, policy experiments.Policy) *RunResult {
 
 	// Workload.
 	for _, j := range sc.Jobs {
-		j := j
-		spec := env.Prepare(buildSpec(env, j))
+		spec := buildSpec(j)
 		env.FW.SubmitAt(sim.Time(j.Submit), spec, func(_ *compute.Job, err error) {
 			if err != nil {
 				res.SubmitErrors = append(res.SubmitErrors,

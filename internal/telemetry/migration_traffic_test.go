@@ -35,7 +35,7 @@ func TestSeriesUnderMigrationTraffic(t *testing.T) {
 	if _, err := fs.CreateFile("input", 2*sim.GB); err != nil {
 		t.Fatal(err)
 	}
-	spec := workload.SortSpec("input", 8, true)
+	spec := workload.SortSpec("input", 8)
 	spec.ExtraLeadTime = 5 * time.Second
 	j, err := fw.Submit(spec)
 	if err != nil {

@@ -19,7 +19,7 @@ func runTracedSort(t *testing.T) *trace.Tracer {
 	if err := env.CreateInput("input", dyrs.GB); err != nil {
 		t.Fatal(err)
 	}
-	spec := env.Prepare(dyrs.SortSpec("input", 4, true))
+	spec := dyrs.SortSpec("input", 4)
 	spec.ExtraLeadTime = 5 * time.Second
 	if _, err := env.RunJob(spec); err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 		if err := env.CreateInput("input", dyrs.GB); err != nil {
 			t.Fatal(err)
 		}
-		j, err := env.RunJob(env.Prepare(dyrs.SortSpec("input", 4, true)))
+		j, err := env.RunJob(dyrs.SortSpec("input", 4))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,7 +82,7 @@ func TPCDSQueries() []HiveQuery {
 // Stage 0 reads the table; stage k reads the (already much smaller)
 // output of stage k-1 from the given file. Only stage 0 carries the
 // migration request — Hive migrates the tables named in the query.
-func (q HiveQuery) StageSpec(stage int, inputFile string, migrate bool) compute.JobSpec {
+func (q HiveQuery) StageSpec(stage int, inputFile string) compute.JobSpec {
 	spec := compute.JobSpec{
 		Name:             fmt.Sprintf("%s-stage%d", q.Name, stage),
 		InputFiles:       []string{inputFile},
@@ -97,7 +97,7 @@ func (q HiveQuery) StageSpec(stage int, inputFile string, migrate bool) compute.
 		// and container launch, JVM warm-up, AM negotiation. This is the
 		// platform-overhead lead-time migration exploits (§II-C1).
 		spec.PlatformOverhead = 7 * time.Second
-		spec.Migrate = migrate
+		spec.Migrate = true
 		spec.ImplicitEvict = true
 		spec.ExtraLeadTime = q.CompileTime
 	} else {
@@ -256,7 +256,7 @@ func (j SWIMJob) Spec(migrate bool) compute.JobSpec {
 
 // SortSpec builds a Sort job over the named file: identity map (all input
 // shuffled), full-size output (§V-B3).
-func SortSpec(file string, reducers int, migrate bool) compute.JobSpec {
+func SortSpec(file string, reducers int) compute.JobSpec {
 	return compute.JobSpec{
 		Name:             "sort",
 		InputFiles:       []string{file},
@@ -265,7 +265,7 @@ func SortSpec(file string, reducers int, migrate bool) compute.JobSpec {
 		Reducers:         reducers,
 		OutputRatio:      1.0,
 		ReduceCPUPerByte: 0.6 / float64(256*sim.MB),
-		Migrate:          migrate,
+		Migrate:          true,
 		ImplicitEvict:    true,
 	}.DefaultOverheads()
 }
@@ -335,7 +335,7 @@ func TableIIPatterns(node1, node2 cluster.NodeID) []Pattern {
 // GrepSpec builds a grep-style scan job: read everything, emit almost
 // nothing — the most read-dominated job shape and the best case for
 // migration.
-func GrepSpec(file string, migrate bool) compute.JobSpec {
+func GrepSpec(file string) compute.JobSpec {
 	return compute.JobSpec{
 		Name:           "grep",
 		InputFiles:     []string{file},
@@ -343,14 +343,14 @@ func GrepSpec(file string, migrate bool) compute.JobSpec {
 		MapOutputRatio: 1e-5,
 		Reducers:       1,
 		OutputRatio:    1,
-		Migrate:        migrate,
+		Migrate:        true,
 		ImplicitEvict:  true,
 	}.DefaultOverheads()
 }
 
 // WordCountSpec builds a wordcount-style job: moderate CPU, small
 // aggregated output.
-func WordCountSpec(file string, reducers int, migrate bool) compute.JobSpec {
+func WordCountSpec(file string, reducers int) compute.JobSpec {
 	return compute.JobSpec{
 		Name:             "wordcount",
 		InputFiles:       []string{file},
@@ -359,7 +359,7 @@ func WordCountSpec(file string, reducers int, migrate bool) compute.JobSpec {
 		Reducers:         reducers,
 		ReduceCPUPerByte: 0.5 / float64(256*sim.MB),
 		OutputRatio:      0.5,
-		Migrate:          migrate,
+		Migrate:          true,
 		ImplicitEvict:    true,
 	}.DefaultOverheads()
 }
@@ -367,7 +367,7 @@ func WordCountSpec(file string, reducers int, migrate bool) compute.JobSpec {
 // JoinSpec builds a two-input join: both tables are scanned (and both
 // are migrated — compute jobs may read any number of input files), the
 // smaller side determines the shuffle volume.
-func JoinSpec(left, right string, reducers int, migrate bool) compute.JobSpec {
+func JoinSpec(left, right string, reducers int) compute.JobSpec {
 	return compute.JobSpec{
 		Name:             "join",
 		InputFiles:       []string{left, right},
@@ -376,7 +376,7 @@ func JoinSpec(left, right string, reducers int, migrate bool) compute.JobSpec {
 		Reducers:         reducers,
 		ReduceCPUPerByte: 0.8 / float64(256*sim.MB),
 		OutputRatio:      0.6,
-		Migrate:          migrate,
+		Migrate:          true,
 		ImplicitEvict:    true,
 	}.DefaultOverheads()
 }

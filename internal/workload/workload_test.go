@@ -35,7 +35,7 @@ func TestTPCDSQueries(t *testing.T) {
 
 func TestHiveStageSpecs(t *testing.T) {
 	q := TPCDSQueries()[0]
-	s0 := q.StageSpec(0, q.TableName(), true)
+	s0 := q.StageSpec(0, q.TableName())
 	if !s0.Migrate || !s0.ImplicitEvict {
 		t.Error("stage 0 should migrate with implicit eviction")
 	}
@@ -45,7 +45,7 @@ func TestHiveStageSpecs(t *testing.T) {
 	if s0.MapOutputRatio != q.Selectivity {
 		t.Errorf("stage 0 selectivity = %v", s0.MapOutputRatio)
 	}
-	s1 := q.StageSpec(1, "intermediate", true)
+	s1 := q.StageSpec(1, "intermediate")
 	if s1.Migrate {
 		t.Error("later stages must not re-trigger migration")
 	}
@@ -140,7 +140,7 @@ func TestSWIMSpec(t *testing.T) {
 }
 
 func TestSortSpec(t *testing.T) {
-	spec := SortSpec("data", 8, true)
+	spec := SortSpec("data", 8)
 	if spec.MapOutputRatio != 1.0 || spec.OutputRatio != 1.0 {
 		t.Error("sort must shuffle and write its full input")
 	}
@@ -194,15 +194,15 @@ func TestTableIIPatternsAntiphase(t *testing.T) {
 }
 
 func TestJobSpecBuilders(t *testing.T) {
-	g := GrepSpec("logs", true)
+	g := GrepSpec("logs")
 	if g.MapOutputRatio >= 0.01 {
 		t.Error("grep should emit almost nothing")
 	}
-	w := WordCountSpec("corpus", 4, false)
-	if w.Migrate || w.Reducers != 4 {
+	w := WordCountSpec("corpus", 4)
+	if !g.Migrate || !w.Migrate || w.Reducers != 4 {
 		t.Errorf("wordcount spec wrong: %+v", w)
 	}
-	j := JoinSpec("orders", "customers", 8, true)
+	j := JoinSpec("orders", "customers", 8)
 	if len(j.InputFiles) != 2 {
 		t.Errorf("join inputs = %v", j.InputFiles)
 	}
