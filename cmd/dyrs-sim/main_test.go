@@ -46,8 +46,10 @@ func TestRunRejectsUnknownPolicy(t *testing.T) {
 // 7, an -interfere index past the cluster ran without interference, a
 // negative -alternate meant persistent), panicked deep in workload
 // generation (-swim-jobs 0) or failed with a misleading DFS error (a
-// NaN or overflowing -size). Options.Validate rejects the rest before
-// the environment is built (-trace-sample -4). The retired -shards flag
+// NaN or overflowing -size). A -size of more blocks than the dfs block
+// table holds (1e9 GB) ran out of memory and is now the dfs error.
+// Options.Validate rejects the rest before the environment is built
+// (-trace-sample -4). The retired -shards flag
 // is an unknown flag. A flag the chosen workload never reads (hive's
 // -workers or -telemetry, swim's -interfere) used to be ignored; each
 // one set is now named in the error.
@@ -72,6 +74,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{sortArgs("-size", "+Inf"), "-size must be at least one byte"},
 		{sortArgs("-size", "0"), "-size must be at least one byte"},
 		{sortArgs("-size", "-2"), "-size must be at least one byte"},
+		{sortArgs("-size", "1e9"), "dfs: block table full: file sort-input needs 4000000000 blocks"},
 		{[]string{"-workload", "hive", "-query", "q21", "-workers", "3", "-telemetry"}, "-telemetry, -workers not supported with the hive workload"},
 		{[]string{"-workload", "hive", "-size", "5", "-lead", "1s", "-interfere", "2", "-alternate", "10s", "-swim-jobs", "5"},
 			"-alternate, -interfere, -lead, -size, -swim-jobs not supported with the hive workload"},

@@ -4,12 +4,11 @@
 // placement, and the read-redirection hook DYRS uses to steer reads to
 // in-memory replicas (paper §III, §IV).
 //
-// The NameNode catalog is stored as a struct-of-arrays block table (see
-// blocktable.go) with per-node replica postings, so the metadata for
-// millions of blocks fits in a few flat arrays instead of per-block heap
-// objects and maps. Blocks are read through ID-based accessors
-// (FileBlockIDs, BlockSize, Replicas, LiveReplicas); none materializes a
-// per-block object.
+// The NameNode catalog is stored as a paged block table (see
+// blocktable.go), so the metadata for millions of blocks fits in fixed
+// pages of flat records instead of per-block heap objects and maps.
+// Blocks are read through ID-based accessors (FileBlockIDs, BlockSize,
+// Replicas, LiveReplicas); none materializes a per-block object.
 package dfs
 
 import (
@@ -27,7 +26,7 @@ import (
 type BlockID int
 
 // maxBlockBytes bounds a single block so its size fits the table's
-// uint32 column. HDFS-era block sizes are 64-512 MB; 4 GiB-1 is far
+// uint32 size field. HDFS-era block sizes are 64-512 MB; 4 GiB-1 is far
 // above anything the model produces.
 const maxBlockBytes = sim.Bytes(1<<32 - 1)
 
@@ -141,16 +140,16 @@ func (r ReadResult) Duration() sim.Duration { return r.Finished.Sub(r.Started) }
 
 // DataNode is the per-node storage server: it owns the node's disk for
 // block reads and tracks which blocks are resident in its memory buffer.
-// Residency itself lives in the block table's memNode/memPos columns;
+// Residency itself lives in the block table's memNode/memPos fields;
 // the DataNode keeps the node's resident list (for O(1) membership the
-// table column is consulted) and the byte accounting.
+// table row is consulted) and the byte accounting.
 type DataNode struct {
 	fs   *FS
 	node *cluster.Node
 
-	// resident lists the blocks buffered on this node, unordered;
-	// table.memPos[id] is the block's index here, so insert and remove
-	// are O(1) swap operations.
+	// resident lists the blocks buffered on this node, unordered; a
+	// block's table row holds its index here (memPos), so insert and
+	// remove are O(1) swap operations.
 	resident []BlockID
 	memUsed  sim.Bytes
 
@@ -166,7 +165,7 @@ func (dn *DataNode) MemUsed() sim.Bytes { return dn.memUsed }
 
 // HasMem reports whether the block is resident in this node's buffer.
 func (dn *DataNode) HasMem(b BlockID) bool {
-	return dn.fs.table.memNode[int(b)] == int32(dn.node.ID)
+	return dn.fs.table.row(b).memNode == int32(dn.node.ID)
 }
 
 // placeSampleTries bounds rejection sampling before the picker falls
@@ -187,7 +186,7 @@ type FS struct {
 	tr  *trace.Tracer // run tracer; nil (no-op) when untraced
 
 	files    map[string]*File
-	fileList []*File // index space for the table's fileOf column
+	fileList []*File // index space for the table rows' fileOf
 	table    *blockTable
 	dns      []*DataNode
 
@@ -262,6 +261,7 @@ var (
 	ErrFileExists   = errors.New("dfs: file already exists")
 	ErrFileNotFound = errors.New("dfs: file not found")
 	ErrNoReplica    = errors.New("dfs: no live replica")
+	ErrTableFull    = errors.New("dfs: block table full")
 )
 
 // CreateFile registers a file of the given size, splits it into blocks
@@ -275,10 +275,16 @@ func (fs *FS) CreateFile(name string, size sim.Bytes) (*File, error) {
 	if size <= 0 {
 		return nil, errors.New("dfs: file size must be positive")
 	}
+	nBlocks := size / fs.cfg.BlockSize
+	if size%fs.cfg.BlockSize != 0 {
+		nBlocks++
+	}
+	if nBlocks > sim.Bytes(maxTableBlocks-fs.table.len()) {
+		return nil, fmt.Errorf("%w: file %s needs %d blocks, %d are free",
+			ErrTableFull, name, int64(nBlocks), maxTableBlocks-fs.table.len())
+	}
 	f := &File{Name: name, Size: size}
 	fi := int32(len(fs.fileList))
-	nBlocks := int((size + fs.cfg.BlockSize - 1) / fs.cfg.BlockSize)
-	fs.table.grow(nBlocks)
 	f.Blocks = make([]BlockID, 0, nBlocks)
 	remaining := size
 	for remaining > 0 {
@@ -405,19 +411,28 @@ func (fs *FS) File(name string) (*File, error) {
 // order — the operation the DYRS master performs when it receives a
 // migration request for a job's input files.
 func (fs *FS) FileBlockIDs(names []string) ([]BlockID, error) {
+	return fs.AppendFileBlockIDs(nil, names)
+}
+
+// AppendFileBlockIDs appends the named files' block IDs to buf, in file
+// order, and returns it. It checks every name first, so an unknown file
+// returns its error with buf unchanged.
+func (fs *FS) AppendFileBlockIDs(buf []BlockID, names []string) ([]BlockID, error) {
 	total := 0
 	for _, name := range names {
 		f, err := fs.File(name)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %s", err, name)
+			return buf, fmt.Errorf("%w: %s", err, name)
 		}
 		total += len(f.Blocks)
 	}
-	out := make([]BlockID, 0, total)
-	for _, name := range names {
-		out = append(out, fs.files[name].Blocks...)
+	if cap(buf)-len(buf) < total {
+		buf = append(make([]BlockID, 0, len(buf)+total), buf...)
 	}
-	return out, nil
+	for _, name := range names {
+		buf = append(buf, fs.files[name].Blocks...)
+	}
+	return buf, nil
 }
 
 // BlockSize reports the block's length.
@@ -438,9 +453,8 @@ func (fs *FS) Replicas(id BlockID) []cluster.NodeID {
 // and returns it; with a pre-sized buf this allocates nothing. Same
 // staleness semantics as Replicas.
 func (fs *FS) LiveReplicas(id BlockID, buf []cluster.NodeID) []cluster.NodeID {
-	base := int(id) * fs.table.stride
-	for i := 0; i < fs.table.stride; i++ {
-		if r := fs.table.replicas[base+i]; r >= 0 && fs.nodeAvailable(cluster.NodeID(r)) {
+	for _, r := range fs.table.slots(id) {
+		if r >= 0 && fs.nodeAvailable(cluster.NodeID(r)) {
 			buf = append(buf, cluster.NodeID(r))
 		}
 	}
@@ -450,7 +464,7 @@ func (fs *FS) LiveReplicas(id BlockID, buf []cluster.NodeID) []cluster.NodeID {
 // MemReplica reports the node holding an in-memory replica of the block,
 // if the NameNode considers that node available.
 func (fs *FS) MemReplica(id BlockID) (cluster.NodeID, bool) {
-	n := fs.table.memNode[int(id)]
+	n := fs.table.row(id).memNode
 	if n < 0 || !fs.nodeAvailable(cluster.NodeID(n)) {
 		return 0, false
 	}
@@ -467,7 +481,8 @@ func (fs *FS) MemReplica(id BlockID) (cluster.NodeID, bool) {
 // copy is released so the registry and the per-node buffers stay in
 // bijection (Fsck invariant 3 checks both directions).
 func (fs *FS) RegisterMem(id BlockID, node cluster.NodeID) {
-	prev := fs.table.memNode[int(id)]
+	row := fs.table.row(id)
+	prev := row.memNode
 	if prev == int32(node) {
 		return
 	}
@@ -475,10 +490,10 @@ func (fs *FS) RegisterMem(id BlockID, node cluster.NodeID) {
 		fs.DropMem(id, cluster.NodeID(prev))
 	}
 	dn := fs.dns[int(node)]
-	fs.table.memNode[int(id)] = int32(node)
-	fs.table.memPos[int(id)] = int32(len(dn.resident))
+	row.memNode = int32(node)
+	row.memPos = int32(len(dn.resident))
 	dn.resident = append(dn.resident, id)
-	dn.memUsed += fs.table.blockSize(id)
+	dn.memUsed += sim.Bytes(row.size)
 	fs.memCount++
 	for _, h := range fs.memHooks {
 		h(node)
@@ -487,7 +502,7 @@ func (fs *FS) RegisterMem(id BlockID, node cluster.NodeID) {
 
 // DropMem removes the in-memory replica of a block from a node.
 func (fs *FS) DropMem(id BlockID, node cluster.NodeID) {
-	if fs.table.memNode[int(id)] != int32(node) {
+	if fs.table.row(id).memNode != int32(node) {
 		return
 	}
 	dn := fs.dns[int(node)]
@@ -503,16 +518,17 @@ func (fs *FS) DropMem(id BlockID, node cluster.NodeID) {
 }
 
 // detachResident unlinks the block from the node's resident list with a
-// swap-remove and clears its registry columns.
+// swap-remove and clears its registry fields.
 func (fs *FS) detachResident(dn *DataNode, id BlockID) {
-	pos := fs.table.memPos[int(id)]
+	row := fs.table.row(id)
+	pos := row.memPos
 	last := len(dn.resident) - 1
 	moved := dn.resident[last]
 	dn.resident[pos] = moved
-	fs.table.memPos[int(moved)] = pos
+	fs.table.row(moved).memPos = pos
 	dn.resident = dn.resident[:last]
-	fs.table.memNode[int(id)] = -1
-	fs.table.memPos[int(id)] = -1
+	row.memNode = -1
+	row.memPos = -1
 }
 
 // DropAllMem clears every buffered block on a node — what happens when a
@@ -527,8 +543,9 @@ func (fs *FS) DropAllMem(node cluster.NodeID) {
 			trace.Int("bytes", int64(dn.memUsed)))
 	}
 	for _, id := range dn.resident {
-		fs.table.memNode[int(id)] = -1
-		fs.table.memPos[int(id)] = -1
+		row := fs.table.row(id)
+		row.memNode = -1
+		row.memPos = -1
 	}
 	fs.memCount -= n
 	dn.resident = dn.resident[:0]

@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -33,7 +34,7 @@ func TestCreateFileBlocks(t *testing.T) {
 	var total sim.Bytes
 	for i, id := range f.Blocks {
 		total += fs.BlockSize(id)
-		if bf := fs.fileList[fs.table.fileOf[int(id)]]; bf.Name != "input" || bf.Blocks[i] != id {
+		if bf := fs.fileList[fs.table.row(id).fileOf]; bf.Name != "input" || bf.Blocks[i] != id {
 			t.Errorf("block %d metadata wrong: file %q, index %d", id, bf.Name, i)
 		}
 		reps := fs.Replicas(id)
@@ -70,6 +71,41 @@ func TestCreateFileErrors(t *testing.T) {
 	}
 	if _, err := fs.FileBlockIDs([]string{"a", "missing"}); !errors.Is(err, ErrFileNotFound) {
 		t.Errorf("FileBlockIDs missing: %v", err)
+	}
+}
+
+// TestCreateFileTooManyBlocks: a file whose block count overflows the
+// rounding (math.MaxInt64 bytes) or would take the table past its int32
+// row range is an error, and the catalog is left as it was. The rounding
+// used to overflow into a negative capacity and panic.
+func TestCreateFileTooManyBlocks(t *testing.T) {
+	t.Parallel()
+	_, _, fs := newTestFS(t, 5, 1)
+	if _, err := fs.CreateFile("a", 3*256*sim.MB); err != nil {
+		t.Fatal(err)
+	}
+	bs := fs.Config().BlockSize
+	for _, size := range []sim.Bytes{
+		math.MaxInt64,
+		math.MaxInt64 - bs + 1,
+		sim.Bytes(maxTableBlocks-fs.NumBlocks())*bs + 1,
+	} {
+		if _, err := fs.CreateFile("huge", size); !errors.Is(err, ErrTableFull) {
+			t.Errorf("CreateFile of %d bytes: %v, want %v", size, err, ErrTableFull)
+		}
+		if n := fs.NumBlocks(); n != 3 {
+			t.Errorf("after a rejected %d-byte file the table holds %d blocks, want 3", size, n)
+		}
+	}
+	if _, err := fs.File("huge"); !errors.Is(err, ErrFileNotFound) {
+		t.Errorf("rejected file is in the catalog: %v", err)
+	}
+	for _, err := range fs.Fsck() {
+		t.Errorf("fsck after rejected creates: %v", err)
+	}
+	f, err := fs.CreateFile("huge", bs)
+	if err != nil || f.Blocks[0] != 3 {
+		t.Errorf("create after rejections: %v, blocks %v, want [3]", err, f)
 	}
 }
 

@@ -1,8 +1,8 @@
 package dfs
 
-// Differential tests pitting the struct-of-arrays block table and the
-// flat registry columns against straightforward map-based reference
-// implementations — the shape of the catalog before the SoA refactor.
+// Differential tests pitting the paged block table and the registry
+// fields of its rows against straightforward map-based reference
+// implementations — the shape of the catalog before the table.
 // The references are deliberately naive (maps of slices, no scratch
 // buffers, no positional bookkeeping): any divergence under a long
 // random op sequence is a bug in the compact representation, not in the
@@ -46,8 +46,10 @@ func (r *refTable) holds(id BlockID, node cluster.NodeID) bool {
 
 // TestBlockTableDifferential drives a long seeded op sequence through
 // blockTable and refTable in lockstep and compares every accessor after
-// every mutation. Replica sets are compared in slot order, since the
-// rack placement tests depend on placement order surviving.
+// every mutation, then every block again once the table spans two
+// pages. Replica sets are compared in slot order, since the rack
+// placement tests depend on placement order surviving. A lookup past
+// the last block must panic, although the last page has a row for it.
 func TestBlockTableDifferential(t *testing.T) {
 	t.Parallel()
 	const nodes, stride, ops = 12, 3, 4000
@@ -73,7 +75,7 @@ func TestBlockTableDifferential(t *testing.T) {
 		if got, want := tab.blockSize(id), ref.sizes[id]; got != want {
 			t.Fatalf("block %d size: table %d, reference %d", id, got, want)
 		}
-		if got, want := tab.fileOf[int(id)], ref.files[id]; got != want {
+		if got, want := tab.row(id).fileOf, ref.files[id]; got != want {
 			t.Fatalf("block %d file: table %d, reference %d", id, got, want)
 		}
 		if got, want := tab.appendReplicas(id, nil), ref.reps[id]; !reflect.DeepEqual(got, want) {
@@ -92,9 +94,6 @@ func TestBlockTableDifferential(t *testing.T) {
 	for op := 0; op < ops; op++ {
 		switch {
 		case tab.len() == 0 || rng.Intn(3) == 0:
-			if rng.Intn(8) == 0 {
-				tab.grow(rng.Intn(64)) // pre-sizing must never change contents
-			}
 			size := sim.Bytes(1 + rng.Int63n(int64(maxBlockBytes)))
 			file := int32(rng.Intn(50))
 			reps := drawReps()
@@ -105,16 +104,32 @@ func TestBlockTableDifferential(t *testing.T) {
 			}
 			checkBlock(got)
 		default:
-			checkBlock(BlockID(rng.Intn(tab.len()))) // later adds and grows must not disturb it
+			checkBlock(BlockID(rng.Intn(tab.len()))) // later adds must not disturb it
 		}
 	}
 	if tab.len() != len(ref.sizes) {
 		t.Fatalf("table has %d blocks, reference %d", tab.len(), len(ref.sizes))
 	}
+	if tab.len() <= pageRows {
+		t.Fatalf("table has %d blocks, want more than one %d-row page", tab.len(), pageRows)
+	}
+	for id := BlockID(0); int(id) < tab.len(); id++ {
+		checkBlock(id)
+	}
+	for _, id := range []BlockID{-1, BlockID(tab.len()), BlockID(tab.len() + 1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("looking up block %d of %d did not panic", id, tab.len())
+				}
+			}()
+			tab.row(id)
+		}()
+	}
 }
 
 // refRegistry is the map-based reference for the memory-replica
-// registry — the "three layers of maps" the memNode/memPos columns and
+// registry — the "three layers of maps" the memNode/memPos fields and
 // resident lists replaced.
 type refRegistry struct {
 	holder  map[BlockID]cluster.NodeID

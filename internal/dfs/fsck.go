@@ -16,8 +16,8 @@ import (
 //  1. Every file's blocks exist, belong to it, and are indexed densely
 //     (consecutive block IDs from the file's first block).
 //  2. Every block has between 1 and Replication replicas, all distinct.
-//  3. The in-memory replica registry (the table's memNode/memPos
-//     columns) and the per-node resident lists agree in both directions:
+//  3. The in-memory replica registry (the table rows' memNode/memPos
+//     fields) and the per-node resident lists agree in both directions:
 //     the registry points into the holder's resident list, and every
 //     resident block is the registry's holder (a block has at most one
 //     memory replica).
@@ -39,7 +39,7 @@ func (fs *FS) Fsck() []error {
 				report("file %s references unknown block %d", name, id)
 				continue
 			}
-			owner := fs.fileList[fs.table.fileOf[int(id)]]
+			owner := fs.fileList[fs.table.row(id).fileOf]
 			if owner.Name != name {
 				report("block %d claims file %s, referenced by %s", id, owner.Name, name)
 			}
@@ -51,14 +51,13 @@ func (fs *FS) Fsck() []error {
 			if nrep == 0 || nrep > fs.cfg.Replication {
 				report("block %d has %d replicas", id, nrep)
 			}
-			base := int(id) * fs.table.stride
-			for si := 0; si < fs.table.stride; si++ {
-				r := fs.table.replicas[base+si]
+			slots := fs.table.slots(id)
+			for si, r := range slots {
 				if r < 0 {
 					continue
 				}
-				for sj := si + 1; sj < fs.table.stride; sj++ {
-					if fs.table.replicas[base+sj] == r {
+				for _, other := range slots[si+1:] {
+					if other == r {
 						report("block %d has duplicate replica on %v", id, cluster.NodeID(r))
 					}
 				}
@@ -72,9 +71,9 @@ func (fs *FS) Fsck() []error {
 
 	// 3: registry consistency (forward direction).
 	registered := 0
-	for id := 0; id < fs.table.len(); id++ {
-		node := fs.table.memNode[id]
-		pos := fs.table.memPos[id]
+	for id := BlockID(0); int(id) < fs.table.len(); id++ {
+		row := fs.table.row(id)
+		node, pos := row.memNode, row.memPos
 		if node < 0 {
 			if pos >= 0 {
 				report("block %d has no memory holder but resident position %d", id, pos)
@@ -83,7 +82,7 @@ func (fs *FS) Fsck() []error {
 		}
 		registered++
 		dn := fs.dns[int(node)]
-		if pos < 0 || int(pos) >= len(dn.resident) || dn.resident[pos] != BlockID(id) {
+		if pos < 0 || int(pos) >= len(dn.resident) || dn.resident[pos] != id {
 			report("registry says block %d is at position %d on %v, but the resident list disagrees",
 				id, pos, dn.node.ID)
 		}
@@ -96,9 +95,9 @@ func (fs *FS) Fsck() []error {
 	for _, dn := range fs.dns {
 		var sum sim.Bytes
 		for _, id := range dn.resident {
-			if fs.table.memNode[int(id)] != int32(dn.node.ID) {
+			if holder := fs.table.row(id).memNode; holder != int32(dn.node.ID) {
 				report("node %v buffers block %d, but the registry records holder %d",
-					dn.node.ID, id, fs.table.memNode[int(id)])
+					dn.node.ID, id, holder)
 			}
 			sum += fs.table.blockSize(id)
 			if !fs.table.holdsReplica(id, dn.node.ID) {

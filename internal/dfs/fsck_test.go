@@ -60,8 +60,8 @@ func TestFsckBlockIndexAndOwnership(t *testing.T) {
 	if _, err := fs2.CreateFile("someone-else", 256*sim.MB); err != nil {
 		t.Fatal(err)
 	}
-	// Point the block's fileOf column at the other file.
-	fs2.table.fileOf[int(f2.Blocks[0])] = int32(len(fs2.fileList) - 1)
+	// Point the block's fileOf field at the other file.
+	fs2.table.row(f2.Blocks[0]).fileOf = int32(len(fs2.fileList) - 1)
 	expectFsck(t, fs2, "claims file")
 }
 
@@ -75,13 +75,13 @@ func TestFsckFileSizeMismatch(t *testing.T) {
 func TestFsckReplicaCountAndDuplicates(t *testing.T) {
 	t.Parallel()
 	fs, f, memNode := fsckRig(t)
-	base := int(f.Blocks[1]) * fs.table.stride
-	for i := 0; i < fs.table.stride; i++ {
-		fs.table.replicas[base+i] = -1
+	slots := fs.table.slots(f.Blocks[1])
+	for i := range slots {
+		slots[i] = -1
 	}
 	expectFsck(t, fs, "has 0 replicas")
-	fs.table.replicas[base] = int32(memNode)
-	fs.table.replicas[base+1] = int32(memNode)
+	slots[0] = int32(memNode)
+	slots[1] = int32(memNode)
 	expectFsck(t, fs, "duplicate replica")
 }
 

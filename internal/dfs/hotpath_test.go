@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -251,5 +252,29 @@ func TestReadOpPoolWaves(t *testing.T) {
 	}
 	if completed != 3*n {
 		t.Errorf("%d of %d reads completed", completed, 3*n)
+	}
+}
+
+// TestBlockTableGrowthAllocBytes bounds what adding 2^18 blocks to a
+// 3-way table allocates per block. Pages never move, so the table
+// allocates what it holds, a 16 B record and 12 B of replica slots per
+// block, plus its page directories. The flat columns it replaced
+// allocated about 56 B per block doubled by CreateFile, 144 B grown by
+// append.
+func TestBlockTableGrowthAllocBytes(t *testing.T) {
+	const n = 1 << 18
+	tab := newBlockTable(3)
+	reps := []cluster.NodeID{0, 1, 2}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		tab.add(256*sim.MB, int32(i>>10), reps)
+	}
+	runtime.ReadMemStats(&after)
+	if perBlock := float64(after.TotalAlloc-before.TotalAlloc) / n; perBlock > 30 {
+		t.Errorf("table allocates %.2f B per block, want at most 30", perBlock)
+	}
+	if tab.len() != n {
+		t.Fatalf("table holds %d blocks, want %d", tab.len(), n)
 	}
 }

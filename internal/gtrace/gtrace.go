@@ -74,10 +74,10 @@ type Job struct {
 // Ratio reports lead-time over read-time.
 func (j Job) Ratio() float64 { return j.LeadSeconds / j.ReadSeconds }
 
-// TaskRecord is one task's footprint in the trace: when it ran and how
+// taskRecord is one task's footprint in the trace: when it ran and how
 // much disk IO time it accumulated, mirroring the per-task IO records the
 // Google trace provides at 5-minute granularity.
-type TaskRecord struct {
+type taskRecord struct {
 	// Start and End are seconds from trace start.
 	Start, End float64
 	// IOSeconds is total disk IO time within [Start, End). The paper's
@@ -85,13 +85,14 @@ type TaskRecord struct {
 	IOSeconds float64
 }
 
-// Trace is a synthesized cluster trace plus its derived utilization data.
+// Trace is a synthesized cluster trace's derived utilization data and
+// jobs. The per-server task records Generate derives Util from are
+// scratch: no analysis reads them, so the trace does not keep them.
 type Trace struct {
 	Cfg Config
-	// Tasks[s] holds server s's task records — the raw trace.
-	Tasks [][]TaskRecord
 	// Util[s][b] is server s's disk utilization (0..1) during bin b,
-	// derived from Tasks by the paper's §II-B pipeline.
+	// derived from server s's task records by the paper's §II-B
+	// pipeline.
 	Util [][]float64
 	// Jobs are the synthesized jobs for the lead-time analysis.
 	Jobs []Job
@@ -102,13 +103,19 @@ type Trace struct {
 // rate follows a lognormal per-server activity level, exponential
 // durations, and a constant per-task IO rate), then derives per-node
 // utilization exactly as §II-B does — per-second utilization is the sum
-// of the IO rates of active tasks, averaged into 5-minute bins.
-func Generate(cfg Config) *Trace {
+// of the IO rates of active tasks, averaged into 5-minute bins. One task
+// buffer serves every server in turn.
+func Generate(cfg Config) *Trace { return generate(cfg, nil) }
+
+// generate is Generate that also passes each server's task records to
+// onServer, if set, before the buffer holding them is reused.
+func generate(cfg Config, onServer func(s int, tasks []taskRecord)) *Trace {
 	if cfg.Servers <= 0 || cfg.Duration <= 0 || cfg.BinWidth <= 0 {
 		panic("gtrace: invalid config")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	t := &Trace{Cfg: cfg, Tasks: make([][]TaskRecord, cfg.Servers), Util: make([][]float64, cfg.Servers)}
+	t := &Trace{Cfg: cfg, Util: make([][]float64, cfg.Servers)}
+	var tasks []taskRecord
 
 	const (
 		meanDur    = 240.0 // seconds, mean task duration
@@ -130,7 +137,7 @@ func Generate(cfg Config) *Trace {
 		// Start the arrival process before the window so utilization is
 		// in steady state at t=0.
 		at := -3 * meanDur
-		var tasks []TaskRecord
+		tasks = tasks[:0]
 		for {
 			at += rng.ExpFloat64() / lambda
 			if at >= span {
@@ -144,13 +151,15 @@ func Generate(cfg Config) *Trace {
 			if rng.Float64() < 0.03 {
 				ioFrac = 0.5 + 0.4*rng.Float64() // IO-heavy outlier task
 			}
-			tasks = append(tasks, TaskRecord{
+			tasks = append(tasks, taskRecord{
 				Start:     at,
 				End:       at + dur,
 				IOSeconds: dur * ioFrac,
 			})
 		}
-		t.Tasks[s] = tasks
+		if onServer != nil {
+			onServer(s, tasks)
+		}
 		t.Util[s] = deriveUtilization(tasks, span, cfg.BinWidth.Seconds())
 	}
 
@@ -162,7 +171,7 @@ func Generate(cfg Config) *Trace {
 // performs IO at constant rate IOSeconds/(End-Start); a bin's utilization
 // is the summed IO time of tasks active in the bin divided by the bin
 // width, capped at the device's capacity (1.0).
-func deriveUtilization(tasks []TaskRecord, span, binWidth float64) []float64 {
+func deriveUtilization(tasks []taskRecord, span, binWidth float64) []float64 {
 	bins := int(span / binWidth)
 	util := make([]float64, bins)
 	for _, task := range tasks {

@@ -2,6 +2,7 @@ package gtrace
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -165,13 +166,27 @@ func TestEmptyJobAnalyses(t *testing.T) {
 	}
 }
 
+// tracedTasks generates the default trace and keeps a copy of every
+// server's task records, which Generate drops.
+func tracedTasks(t *testing.T) (*Trace, [][]taskRecord) {
+	t.Helper()
+	var all [][]taskRecord
+	tr := generate(DefaultConfig(), func(s int, tasks []taskRecord) {
+		if s != len(all) {
+			t.Fatalf("server %d's tasks arrived after %d servers", s, len(all))
+		}
+		all = append(all, append([]taskRecord(nil), tasks...))
+	})
+	return tr, all
+}
+
 func TestTaskRecordsSane(t *testing.T) {
-	tr := defaultTrace(t)
-	if len(tr.Tasks) != tr.Cfg.Servers {
-		t.Fatalf("task lists = %d", len(tr.Tasks))
+	tr, all := tracedTasks(t)
+	if len(all) != tr.Cfg.Servers {
+		t.Fatalf("task lists = %d", len(all))
 	}
 	total := 0
-	for s, tasks := range tr.Tasks {
+	for s, tasks := range all {
 		for i, task := range tasks {
 			if task.End <= task.Start {
 				t.Fatalf("server %d task %d has non-positive duration", s, i)
@@ -192,16 +207,19 @@ func TestTaskRecordsSane(t *testing.T) {
 }
 
 func TestUtilDerivedFromTasks(t *testing.T) {
-	// The Util matrix must be exactly the §II-B derivation of the Tasks
+	// The Util matrix must be exactly the §II-B derivation of the task
 	// records: recompute one busy server by brute force per-second
-	// accumulation and compare.
-	tr := defaultTrace(t)
+	// accumulation and compare. The hook must not change the trace.
+	tr, all := tracedTasks(t)
+	if plain := defaultTrace(t); !reflect.DeepEqual(plain, tr) {
+		t.Fatal("generating with a task hook changed the trace")
+	}
 	s := tr.RankedServers()[0]
 	span := tr.Cfg.Duration.Seconds()
 	binW := tr.Cfg.BinWidth.Seconds()
 	bins := int(span / binW)
 	want := make([]float64, bins)
-	for _, task := range tr.Tasks[s] {
+	for _, task := range all[s] {
 		rate := task.IOSeconds / (task.End - task.Start)
 		for b := 0; b < bins; b++ {
 			lo := math.Max(task.Start, float64(b)*binW)

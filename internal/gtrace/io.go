@@ -10,7 +10,8 @@ import (
 
 // WriteJSON serializes the whole trace (config, utilization matrix,
 // jobs) so external tools can plot it or so a trace can be archived and
-// re-analyzed later.
+// re-analyzed later. A trace keeps no task records (see Trace), so there
+// is no Tasks key; ReadJSON ignores the one older files carry.
 func (t *Trace) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")

@@ -40,6 +40,26 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJSONHasNoTasks: a trace keeps no task records, so its JSON has no
+// Tasks key, and a file written while it did still loads.
+func TestJSONHasNoTasks(t *testing.T) {
+	var buf bytes.Buffer
+	if err := smallTrace().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), `"Tasks": [`) {
+		t.Error("trace JSON has a Tasks key")
+	}
+	old := `{"Cfg":{},"Tasks":[[{"Start":0,"End":60,"IOSeconds":6}]],"Util":[[0.1]],"Jobs":[{"Tasks":1,"LeadSeconds":1,"ReadSeconds":1}]}`
+	tr, err := ReadJSON(strings.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Util) != 1 || len(tr.Jobs) != 1 {
+		t.Errorf("old trace loaded %d servers and %d jobs, want 1 and 1", len(tr.Util), len(tr.Jobs))
+	}
+}
+
 func TestReadJSONValidation(t *testing.T) {
 	cases := map[string]string{
 		"garbage":       "{not json",

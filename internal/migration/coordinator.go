@@ -71,9 +71,11 @@ type Coordinator struct {
 	// rpc is rpcPull bound once, so sending the RPC allocates nothing.
 	rpc func()
 
-	// Scratch reused across calls: fresh collects Migrate's newly
-	// pending blocks for Binder.OnMigrate, pullBuf receives
-	// Binder.OnPull's blocks. Binders must not retain either slice.
+	// Scratch reused across calls: ids holds the block ids of
+	// Migrate's files, fresh collects Migrate's newly pending blocks for
+	// Binder.OnMigrate, pullBuf receives Binder.OnPull's blocks. Binders
+	// must not retain either of the last two.
+	ids     []dfs.BlockID
 	fresh   []*blockInfo
 	pullBuf []*blockInfo
 
@@ -301,12 +303,14 @@ func (c *Coordinator) Estimate(id cluster.NodeID) (perByteSeconds float64, queue
 // Migrate implements Manager. It maps files to blocks (the master's job,
 // §III), registers the job on each block's reference list, and hands new
 // blocks to the binder. Binding may happen now (Ignem) or lazily on
-// slave pulls (DYRS/naive).
+// slave pulls (DYRS/naive). An unknown file is an error before anything
+// changes.
 func (c *Coordinator) Migrate(job JobID, files []string, implicitEvict bool) error {
-	ids, err := c.fs.FileBlockIDs(files)
+	ids, err := c.fs.AppendFileBlockIDs(c.ids[:0], files)
 	if err != nil {
 		return fmt.Errorf("migration: %w", err)
 	}
+	c.ids = ids
 	fresh := c.fresh[:0]
 	for _, id := range ids {
 		bi := c.blockRecord(id)

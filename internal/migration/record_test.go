@@ -2,6 +2,7 @@ package migration
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 	"unsafe"
@@ -241,8 +242,8 @@ func TestImplicitMarkMerging(t *testing.T) {
 // TestMigrateRecordAllocs: a fresh Migrate of a 4,096-block job
 // allocates each new block only its reference set's array. Records
 // come from chunks, one allocation per 1,024 blocks, and the rest is a
-// constant (35 allocations here): the job's id list and the binder's
-// pending list growing, FileBlockIDs' result and the slaves' kick.
+// constant (32 allocations here): the job's id list and the binder's
+// pending list growing and the slaves' kick.
 func TestMigrateRecordAllocs(t *testing.T) {
 	const blocks = 4096
 	r := newRig(t, 1, 7, NewDYRSBinder(), nil, DefaultConfig())
@@ -345,6 +346,41 @@ func TestRecycledMigrateAllocs(t *testing.T) {
 	}
 	if n := checkRecords(t, r.c); n != blocks {
 		t.Errorf("info tracks %d records, want %d", n, blocks)
+	}
+	r.c.Shutdown()
+}
+
+// TestWarmMigrateBytes: Migrate collects a job's block ids into a
+// buffer the coordinator keeps, so once a first 4,096-block job has
+// migrated, been read and been evicted, a Migrate of a second
+// 4,096-block job allocates no id list (32 KiB when each call built
+// its own).
+func TestWarmMigrateBytes(t *testing.T) {
+	const blocks = 4096
+	cfg := DefaultConfig()
+	cfg.DisableEstimateSeries = true
+	r := newRig(t, 1, 7, NewDYRSBinder(), nil, cfg)
+	for _, name := range []string{"first", "second"} {
+		r.mkFile(t, name, blocks)
+	}
+	r.c.OnMigrated(func(id dfs.BlockID, _ cluster.NodeID, _ sim.Time) { r.c.NoteRead(1, id) })
+	if err := r.c.Migrate(1, []string{"first"}, true); err != nil {
+		t.Fatal(err)
+	}
+	r.eng.RunFor(time.Hour)
+	r.c.Evict(1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := r.c.Migrate(2, []string{"second"}, true); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const limit = 4 << 10
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("warm Migrate of %d blocks allocates %d B, want at most %d", blocks, got, limit)
+	}
+	if got := r.c.Stats().Requested; got != 2*blocks {
+		t.Errorf("requested %d blocks, want %d", got, 2*blocks)
 	}
 	r.c.Shutdown()
 }
