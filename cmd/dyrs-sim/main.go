@@ -131,8 +131,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := opt.Validate(); err != nil {
 		return err
 	}
+	// The format and the sample shape the trace file; only -metrics-addr
+	// also reads the sample, as the span count of its progress snapshots.
+	var traceless string
+	fs.Visit(func(f *flag.Flag) {
+		if *tracePath == "" && (f.Name == "trace-format" || (f.Name == "trace-sample" && *metricsAddr == "")) {
+			traceless += ", -" + f.Name
+		}
+	})
+	if traceless != "" {
+		return fmt.Errorf("%s not supported without -trace", traceless[2:])
+	}
 	env := dyrs.NewEnv(policy, opt)
-	defer env.Close()
 
 	if *metricsAddr != "" {
 		srv, err := obs.StartServer(*metricsAddr)
@@ -195,7 +205,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 // unusedFlags names, per workload, the flags its run never reads.
 var unusedFlags = map[string][]string{
-	"hive": {"workers", "size", "lead", "interfere", "alternate", "swim-jobs", "telemetry", "trace", "telemetry-csv", "metrics-addr"},
+	"hive": {"workers", "size", "lead", "interfere", "alternate", "swim-jobs", "telemetry", "trace", "trace-format", "trace-sample", "telemetry-csv", "metrics-addr"},
 	"swim": {"size", "lead", "interfere", "alternate", "query"},
 	"sort": {"swim-jobs", "query"},
 }

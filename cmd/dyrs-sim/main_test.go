@@ -52,7 +52,8 @@ func TestRunRejectsUnknownPolicy(t *testing.T) {
 // (-trace-sample -4). The retired -shards flag
 // is an unknown flag. A flag the chosen workload never reads (hive's
 // -workers or -telemetry, swim's -interfere) used to be ignored; each
-// one set is now named in the error.
+// one set is now named in the error, and so is a -trace-format or
+// -trace-sample given where no trace file is written.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -82,6 +83,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-workload", "swim", "-lead", "1s", "-alternate", "10s", "-query", "q21"}, "-alternate, -lead, -query not supported with the swim workload"},
 		{sortArgs("-swim-jobs", "5"), "-swim-jobs not supported with the sort workload"},
 		{sortArgs("-query", "q21"), "-query not supported with the sort workload"},
+		{[]string{"-workload", "hive", "-query", "q52", "-trace-sample", "8", "-trace-format", "perfetto"},
+			"-trace-format, -trace-sample not supported with the hive workload"},
+		{[]string{"-size", "1", "-trace-sample", "8", "-trace-format", "perfetto"}, "-trace-format, -trace-sample not supported without -trace"},
+		{[]string{"-workload", "swim", "-trace-format", "json"}, "-trace-format not supported without -trace"},
+		{sortArgs("-trace-sample", "4", "-telemetry"), "-trace-sample not supported without -trace"},
+		{sortArgs("-trace-format", "perfetto", "-metrics-addr", "127.0.0.1:0"), "-trace-format not supported without -trace"},
 	} {
 		var out, errOut bytes.Buffer
 		err := run(tc.args, &out, &errOut)

@@ -14,7 +14,6 @@
 // # Quick start
 //
 //	env := dyrs.NewEnv(dyrs.PolicyDYRS, dyrs.DefaultOptions(1))
-//	defer env.Close()
 //	env.CreateInput("logs", 4*dyrs.GB)
 //	spec := dyrs.SortSpec("logs", 8) // asks for its input; the policy decides
 //	job, _ := env.RunJob(spec) // submit, then run until it finishes

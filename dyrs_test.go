@@ -13,7 +13,6 @@ import (
 
 func TestFacadeQuickstart(t *testing.T) {
 	env := dyrs.NewEnv(dyrs.PolicyDYRS, dyrs.DefaultOptions(1))
-	defer env.Close()
 	if err := env.CreateInput("logs", 2*dyrs.GB); err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +39,6 @@ func TestFacadeQuickstart(t *testing.T) {
 func TestFacadeDeterminism(t *testing.T) {
 	run := func() float64 {
 		env := dyrs.NewEnv(dyrs.PolicyDYRS, dyrs.DefaultOptions(99))
-		defer env.Close()
 		if err := env.CreateInput("x", 3*dyrs.GB); err != nil {
 			t.Fatal(err)
 		}

@@ -18,12 +18,10 @@ import (
 
 func main() {
 	env := dyrs.NewEnv(dyrs.PolicyDYRS, dyrs.DefaultOptions(1))
-	defer env.Close()
 
 	// Interference on node 1 that alternates every 15 seconds — like the
 	// paper's custom interference generator.
-	pattern := cluster.StartAlternating(env.Eng, env.Cl.Node(1), 2, 2.5, 15*time.Second, true)
-	defer pattern.Stop()
+	cluster.StartAlternating(env.Eng, env.Cl.Node(1), 2, 2.5, 15*time.Second, true)
 
 	// A steady stream of migrations keeps the estimators fed.
 	if err := env.CreateInput("cold-data", 40*dyrs.GB); err != nil {

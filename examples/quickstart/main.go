@@ -42,6 +42,5 @@ func main() {
 		}
 		fmt.Printf("%-20s map phase %6.1fs, end-to-end %6.1fs, %d/%d blocks read from memory\n",
 			policy, job.MapPhase().Seconds(), job.Duration().Seconds(), memReads, len(job.Tasks))
-		env.Close()
 	}
 }

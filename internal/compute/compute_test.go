@@ -578,7 +578,6 @@ func TestMapReadFailuresFinishDegraded(t *testing.T) {
 		}
 		r.eng.RunUntil(sim.Time(time.Minute))
 		if heartbeats {
-			r.fs.DisableHeartbeats()
 			if got := r.fs.FailedOvers(); got != len(holders) {
 				t.Errorf("read failed over %d times, want %d", got, len(holders))
 			}

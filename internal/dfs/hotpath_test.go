@@ -129,7 +129,6 @@ func TestReadOpPoolReuse(t *testing.T) {
 	t.Parallel()
 	eng, cl, fs := newTestFS(t, 5, 60)
 	fs.EnableHeartbeats()
-	defer fs.DisableHeartbeats()
 	fa, _ := fs.CreateFile("a", 256*sim.MB)
 	fb, _ := fs.CreateFile("b", 256*sim.MB)
 	a, b := fa.Blocks[0], fb.Blocks[0]

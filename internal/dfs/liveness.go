@@ -32,7 +32,6 @@ const (
 // liveness is the NameNode-side tracker.
 type liveness struct {
 	lastSeen []sim.Time
-	ticker   *sim.Ticker
 }
 
 // EnableHeartbeats starts heartbeat-based liveness tracking. Call once,
@@ -43,7 +42,7 @@ func (fs *FS) EnableHeartbeats() {
 	for i := range lv.lastSeen {
 		lv.lastSeen[i] = now
 	}
-	lv.ticker = sim.NewTicker(fs.eng, heartbeatInterval, func() {
+	sim.NewTicker(fs.eng, heartbeatInterval, func() {
 		for _, n := range fs.cl.Nodes() {
 			if n.Alive() {
 				lv.lastSeen[int(n.ID)] = fs.eng.Now()
@@ -51,14 +50,6 @@ func (fs *FS) EnableHeartbeats() {
 		}
 	})
 	fs.liveness = lv
-}
-
-// DisableHeartbeats stops the tracker and reverts to oracle liveness.
-func (fs *FS) DisableHeartbeats() {
-	if fs.liveness != nil {
-		fs.liveness.ticker.Stop()
-		fs.liveness = nil
-	}
 }
 
 // nodeAvailable reports the NameNode's view of a node: the ground truth

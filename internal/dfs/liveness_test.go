@@ -12,7 +12,6 @@ func TestHeartbeatStaleViewAndFailover(t *testing.T) {
 	t.Parallel()
 	eng, cl, fs := newTestFS(t, 5, 60)
 	fs.EnableHeartbeats()
-	defer fs.DisableHeartbeats()
 	f, _ := fs.CreateFile("in", 256*sim.MB)
 	b := f.Blocks[0]
 	victim := fs.Replicas(b)[0]
@@ -74,7 +73,6 @@ func TestHeartbeatMemReplicaFailover(t *testing.T) {
 	t.Parallel()
 	eng, cl, fs := newTestFS(t, 5, 61)
 	fs.EnableHeartbeats()
-	defer fs.DisableHeartbeats()
 	f, _ := fs.CreateFile("in", 256*sim.MB)
 	b := f.Blocks[0]
 	memNode := fs.Replicas(b)[0]
@@ -106,7 +104,6 @@ func TestAllReplicasDeadMidFailover(t *testing.T) {
 	cfg.Replication = 2
 	fs := New(cl, cfg)
 	fs.EnableHeartbeats()
-	defer fs.DisableHeartbeats()
 	f, _ := fs.CreateFile("in", 256*sim.MB)
 	eng.RunUntil(sim.Time(5 * time.Second))
 	cl.KillNode(0)
@@ -132,7 +129,6 @@ func TestLivenessBlipShorterThanInterval(t *testing.T) {
 	t.Parallel()
 	eng, cl, fs := newTestFS(t, 5, 72)
 	fs.EnableHeartbeats()
-	defer fs.DisableHeartbeats()
 	f, _ := fs.CreateFile("in", 256*sim.MB)
 	b := f.Blocks[0]
 	victim := fs.Replicas(b)[0]

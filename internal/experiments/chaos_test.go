@@ -31,7 +31,6 @@ func submitBatch(t *testing.T, env *Env, n int) {
 
 func TestChaosSlaveProcessCrashes(t *testing.T) {
 	env := NewEnv(DYRS, DefaultOptions(11))
-	defer env.Close()
 	submitBatch(t, env, 10)
 	// Crash-and-restart a different slave process every 8 seconds during
 	// the run. Buffers are lost; the system must keep completing jobs.
@@ -61,7 +60,6 @@ func TestChaosSlaveProcessCrashes(t *testing.T) {
 
 func TestChaosMasterRestartMidWorkload(t *testing.T) {
 	env := NewEnv(DYRS, DefaultOptions(12))
-	defer env.Close()
 	submitBatch(t, env, 10)
 	env.Eng.At(sim.Time(12*time.Second), func() { env.Coord.RestartMaster() })
 	if err := env.WaitJobs(10, Hour); err != nil {
@@ -90,7 +88,6 @@ func TestChaosMasterRestartMidWorkload(t *testing.T) {
 
 func TestChaosNodeDeath(t *testing.T) {
 	env := NewEnv(DYRS, DefaultOptions(13))
-	defer env.Close()
 	submitBatch(t, env, 8)
 	env.Eng.At(sim.Time(10*time.Second), func() {
 		env.Cl.KillNode(3)
@@ -113,7 +110,6 @@ func TestChaosComparableToFailureFree(t *testing.T) {
 	// run (generous bound; typically it is nearly identical).
 	run := func(crash bool) float64 {
 		env := NewEnv(DYRS, DefaultOptions(14))
-		defer env.Close()
 		submitBatch(t, env, 8)
 		if crash {
 			env.Eng.At(sim.Time(8*time.Second), func() {
@@ -168,6 +164,5 @@ func TestChaosPropertyFsckAlwaysClean(t *testing.T) {
 		for _, err := range env.FS.Fsck() {
 			t.Errorf("seed %d: %v", seed, err)
 		}
-		env.Close()
 	}
 }

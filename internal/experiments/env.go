@@ -311,13 +311,6 @@ func (e *Env) WaitJobs(n int, horizon sim.Duration) error {
 	return nil
 }
 
-// Close shuts down background tickers so the environment can be dropped.
-func (e *Env) Close() {
-	if e.Coord != nil {
-		e.Coord.Shutdown()
-	}
-}
-
 // WarmupEstimates migrates (and then evicts) a scratch file so every
 // slave's migration-time estimator reflects current cluster conditions
 // before the measured workload starts. This mimics a long-running

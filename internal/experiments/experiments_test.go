@@ -28,14 +28,12 @@ func TestEnvPolicies(t *testing.T) {
 		if !migrating[p] && env.Coord != nil {
 			t.Errorf("%s: unexpected coordinator", p)
 		}
-		env.Close()
 	}
 }
 
 func TestCreateInputPinsUnderRAM(t *testing.T) {
 	t.Parallel()
 	env := NewEnv(RAM, DefaultOptions(1))
-	defer env.Close()
 	if err := env.CreateInput("x", 512*sim.MB); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +41,6 @@ func TestCreateInputPinsUnderRAM(t *testing.T) {
 		t.Errorf("RAM policy did not pin inputs: %d", env.FS.MemReplicaCount())
 	}
 	env2 := NewEnv(HDFS, DefaultOptions(1))
-	defer env2.Close()
 	env2.CreateInput("x", 512*sim.MB)
 	if env2.FS.MemReplicaCount() != 0 {
 		t.Error("HDFS policy pinned inputs")
@@ -87,16 +84,13 @@ func TestPolicyDecidesMigration(t *testing.T) {
 				t.Errorf("%s: coordinator got %d block requests, want the %d input blocks", p, got, blocks)
 			}
 		}
-		env.Close()
 	}
 }
 
 func TestWarmupEstimates(t *testing.T) {
 	t.Parallel()
 	env := NewEnv(DYRS, DefaultOptions(1))
-	defer env.Close()
-	stop := env.SlowNodeInterference(0)
-	defer stop()
+	env.SlowNodeInterference(0)
 	if err := env.WarmupEstimates(); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +106,6 @@ func TestWarmupEstimates(t *testing.T) {
 	}
 	// HDFS env: warmup is a no-op.
 	env2 := NewEnv(HDFS, DefaultOptions(1))
-	defer env2.Close()
 	if err := env2.WarmupEstimates(); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +117,6 @@ func TestWarmupEstimates(t *testing.T) {
 func TestWaitJobTimeout(t *testing.T) {
 	t.Parallel()
 	env := NewEnv(HDFS, DefaultOptions(1))
-	defer env.Close()
 	env.CreateInput("in", sim.GB)
 	j, err := env.RunJob(workload.SortSpec("in", 4))
 	if err != nil {
@@ -577,7 +569,6 @@ func TestRackedClusterStillBenefitsFromDYRS(t *testing.T) {
 		opt.Workers = 8
 		opt.Racks = 2
 		env := NewEnv(policy, opt)
-		defer env.Close()
 		if err := env.WarmupEstimates(); err != nil {
 			t.Fatal(err)
 		}

@@ -86,9 +86,7 @@ func (h HiveReport) String() string {
 // duration in seconds.
 func RunHiveQuery(q workload.HiveQuery, policy Policy, seed int64) (float64, error) {
 	env := NewEnv(policy, DefaultOptions(seed))
-	defer env.Close()
-	stop := env.SlowNodeInterference(0)
-	defer stop()
+	env.SlowNodeInterference(0)
 	if err := env.WarmupEstimates(); err != nil {
 		return 0, err
 	}

@@ -75,17 +75,14 @@ func RunHotCold(seed int64) (HotColdReport, error) {
 			var err error
 			ch, err = cache.New(env.FS, 16*sim.GB, cache.LRU)
 			if err != nil {
-				env.Close()
 				return rep, err
 			}
 		}
 		if err := env.CreateInput("hot-table", jobSize); err != nil {
-			env.Close()
 			return rep, err
 		}
 		for i := 0; i < coldJobs; i++ {
 			if err := env.CreateInput(fmt.Sprintf("cold-%d", i), jobSize); err != nil {
-				env.Close()
 				return rep, err
 			}
 		}
@@ -117,7 +114,6 @@ func RunHotCold(seed int64) (HotColdReport, error) {
 			at += 25 * time.Second
 		}
 		if err := env.WaitJobs(hotJobs+coldJobs, Hour); err != nil {
-			env.Close()
 			return rep, fmt.Errorf("hotcold %s: %w", cfgName, err)
 		}
 		hot := metrics.NewSample()
@@ -134,7 +130,6 @@ func RunHotCold(seed int64) (HotColdReport, error) {
 			row.CacheHitRate = ch.HitRate()
 		}
 		rep.Rows = append(rep.Rows, row)
-		env.Close()
 	}
 	return rep, nil
 }

@@ -70,7 +70,6 @@ func RunIterative(seed int64) (IterativeReport, error) {
 	for _, policy := range []Policy{HDFS, DYRS} {
 		env := NewEnv(policy, DefaultOptions(seed))
 		if err := env.CreateInput("training-set", inputSize); err != nil {
-			env.Close()
 			return rep, err
 		}
 		row := IterativeRow{Policy: policy}
@@ -97,19 +96,16 @@ func RunIterative(seed int64) (IterativeReport, error) {
 				// Iteration 1 materialized the RDD: pin the input so
 				// iterations 2+ read from executor memory.
 				if _, err := migration.PinFiles(env.FS, []string{"training-set"}); err != nil {
-					env.Close()
 					return rep, err
 				}
 			}
 			j, err := env.RunJob(spec)
 			if err != nil {
-				env.Close()
 				return rep, err
 			}
 			row.Iterations = append(row.Iterations, j.Duration().Seconds())
 		}
 		rep.Rows = append(rep.Rows, row)
-		env.Close()
 	}
 	return rep, nil
 }

@@ -56,7 +56,6 @@ const ssdBandwidth = 500 * float64(sim.MB)
 func RunMotivation(seed int64) (MotivationReport, error) {
 	var rep MotivationReport
 	env := NewEnv(HDFS, DefaultOptions(seed))
-	defer env.Close()
 	fs := env.FS
 	block := fs.Config().BlockSize
 
@@ -117,7 +116,6 @@ func RunMotivation(seed int64) (MotivationReport, error) {
 	// inputs pinned (fresh environments so runs are independent).
 	mapperMean := func(policy Policy) (float64, error) {
 		e := NewEnv(policy, DefaultOptions(seed))
-		defer e.Close()
 		if err := e.CreateInput("job-input", 10*sim.GB); err != nil {
 			return 0, err
 		}

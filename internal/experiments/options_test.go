@@ -91,7 +91,6 @@ func FuzzOptions(f *testing.F) {
 			return
 		}
 		env := NewEnv(policies[int(pol)%len(policies)], opt)
-		defer env.Close()
 		if err := env.CreateInput("in", 512*sim.MB); err != nil {
 			return
 		}
@@ -126,6 +125,5 @@ func TestOverlongOperationsTimeOut(t *testing.T) {
 		if err == nil {
 			t.Errorf("disk scale %g, map CPU %g s/B: job finished in %v; want a timeout at 1h", c.scale, c.cpu, j.Duration())
 		}
-		env.Close()
 	}
 }

@@ -85,7 +85,6 @@ func RunOrderPolicies(seed int64) (OrderReport, error) {
 		large := metrics.NewSample()
 		for _, p := range plans {
 			if err := env.CreateInput(p.name, p.size); err != nil {
-				env.Close()
 				return rep, err
 			}
 		}
@@ -105,7 +104,6 @@ func RunOrderPolicies(seed int64) (OrderReport, error) {
 			env.FW.SubmitAt(sim.Time(p.at), spec, nil)
 		}
 		if err := env.WaitJobs(len(plans), Hour); err != nil {
-			env.Close()
 			return rep, fmt.Errorf("order %v: %w", order, err)
 		}
 		all := metrics.NewSample()
@@ -127,7 +125,6 @@ func RunOrderPolicies(seed int64) (OrderReport, error) {
 			MemoryHits:  st.MemoryHits,
 			MissedReads: st.MissedReads,
 		})
-		env.Close()
 	}
 	return rep, nil
 }

@@ -91,7 +91,7 @@ type ServingPolicyRow struct {
 	MemoryHits  int `json:"memory_hits"`
 	MissedReads int `json:"missed_reads"`
 	Dropped     int `json:"dropped"`
-	// Lead-time quantiles from the migration.lead_ns histogram: how far
+	// Lead-time quantiles from the coordinator's LeadTimes: how far
 	// ahead of its first read each prefetched block arrived in memory.
 	LeadP50Sec float64 `json:"lead_p50_seconds"`
 	LeadP99Sec float64 `json:"lead_p99_seconds"`
@@ -181,7 +181,7 @@ func servingPolicies(opt ServingOptions) []string {
 // is the non-migrating baseline, any other name a binder swapped into
 // the DYRS coordinator.
 func servingEnv(opt ServingOptions, name string) (Policy, Options) {
-	envOpt := Options{Workers: opt.Workers, Racks: opt.Racks, Seed: opt.Seed, Trace: true}
+	envOpt := Options{Workers: opt.Workers, Racks: opt.Racks, Seed: opt.Seed}
 	if name == "hdfs" {
 		return HDFS, envOpt
 	}
@@ -213,7 +213,6 @@ func RunServing(opt ServingOptions) (ServingReport, error) {
 	for _, name := range policies {
 		env := NewEnv(servingEnv(opt, name))
 		row, err := RunServingLoad(env, stream, DefaultServingLoadOptions())
-		env.Close()
 		if err != nil {
 			return rep, fmt.Errorf("serving %s/%s: %w", opt.Scenario, name, err)
 		}
@@ -226,10 +225,11 @@ func RunServing(opt ServingOptions) (ServingReport, error) {
 // RunServingLoad executes one drawn stream against an already-built
 // environment and returns the scorecard. It is the shared driver: the
 // serving experiment calls it per policy, and the fuzz harness calls it
-// to subject serving scenarios to the oracle battery. The caller owns
-// env (and must Close it); the driver creates the files, attaches the
-// cache, runs to horizon+drain, scores, and flushes the cache so the
-// end state satisfies the usual no-buffered-bytes invariants.
+// to subject serving scenarios to the oracle battery. The driver creates
+// the files, attaches the cache, runs to horizon+drain, scores, and
+// flushes the cache so the end state satisfies the usual
+// no-buffered-bytes invariants. The row is the same with or without a
+// tracer on env.
 func RunServingLoad(env *Env, stream *workload.ServingStream, opt ServingLoadOptions) (*ServingPolicyRow, error) {
 	spec := stream.Spec
 	tenants := spec.Tenants
@@ -292,13 +292,14 @@ func RunServingLoad(env *Env, stream *workload.ServingStream, opt ServingLoadOpt
 
 	// The open-loop request stream. Requests land round-robin across the
 	// cluster (the serving frontend of tenant t on request i reads from
-	// node (i+t) mod workers); latency and hit observations go through
-	// the run's tracer histograms.
+	// node (i+t) mod workers). The driver keeps one latency histogram
+	// per tenant; a traced run registers them with its tracer.
 	workers := env.Cl.Size()
-	tr := env.Tracer()
 	latHists := make([]*trace.Hist, len(tenants))
 	for i, tc := range tenants {
-		latHists[i] = tr.Hist("serving.lat_ns." + tc.Name)
+		if latHists[i] = env.Tracer().Hist("serving.lat_ns." + tc.Name); latHists[i] == nil {
+			latHists[i] = new(trace.Hist)
+		}
 	}
 	issued := make([]int, len(tenants))
 	served := make([]int, len(tenants))
@@ -314,7 +315,8 @@ func RunServingLoad(env *Env, stream *workload.ServingStream, opt ServingLoadOpt
 				env.Coord.NoteRead(currentJob, id)
 			}
 			tenant := r.Tenant
-			err := env.FS.ReadBlock(at, id, func(res dfs.ReadResult) {
+			// ErrNoReplica leaves the request issued and unserved.
+			_ = env.FS.ReadBlock(at, id, func(res dfs.ReadResult) {
 				if res.Failed {
 					return
 				}
@@ -328,10 +330,6 @@ func RunServingLoad(env *Env, stream *workload.ServingStream, opt ServingLoadOpt
 					within[tenant]++
 				}
 			})
-			if err != nil {
-				// ErrNoReplica: recorded as unserved.
-				_ = err
-			}
 		})
 	}
 
@@ -380,8 +378,7 @@ func RunServingLoad(env *Env, stream *workload.ServingStream, opt ServingLoadOpt
 		row.MemoryHits = st.MemoryHits
 		row.MissedReads = st.MissedReads
 		row.Dropped = st.Dropped
-	}
-	if lead := tr.Hist("migration.lead_ns"); lead.Count() > 0 {
+		lead := env.Coord.LeadTimes()
 		row.LeadP50Sec = lead.Quantile(0.5) / float64(time.Second)
 		row.LeadP99Sec = lead.Quantile(0.99) / float64(time.Second)
 	}

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"dyrs/internal/workload"
 )
 
 // TestServingSmokeScorecard runs the CI preset once and checks the
@@ -73,6 +75,34 @@ func TestServingDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Error("serving smoke is nondeterministic across identical runs")
+	}
+}
+
+// TestServingRowIndependentOfTracing: a serving row reads its latency
+// and lead-time quantiles from histograms the driver and the coordinator
+// keep themselves, so the scorecard is the same whether or not a tracer
+// is attached.
+func TestServingRowIndependentOfTracing(t *testing.T) {
+	t.Parallel()
+	opt := ServingSmokeOptions(3)
+	stream := workload.GenerateServing(opt.Spec, opt.Seed)
+	for _, name := range []string{"hdfs", "dyrs"} {
+		var rows [2]*ServingPolicyRow
+		for i, traced := range []bool{false, true} {
+			pol, envOpt := servingEnv(opt, name)
+			envOpt.Trace = traced
+			row, err := RunServingLoad(NewEnv(pol, envOpt), stream, DefaultServingLoadOptions())
+			if err != nil {
+				t.Fatalf("%s traced=%v: %v", name, traced, err)
+			}
+			rows[i] = row
+		}
+		if !reflect.DeepEqual(rows[0], rows[1]) {
+			t.Errorf("%s: untraced row differs from traced row:\n%+v\n%+v", name, *rows[0], *rows[1])
+		}
+		if rows[1].Tenants[0].P99Ms <= 0 || (name == "dyrs" && rows[1].LeadP50Sec <= 0) {
+			t.Errorf("%s: traced row has no latency or lead-time quantiles: %+v", name, *rows[1])
+		}
 	}
 }
 

@@ -39,9 +39,8 @@ func RunFig8(seed int64) (Fig8Report, error) {
 		rep.Reads[setup] = map[Policy][]int{}
 		for _, p := range Fig8Policies {
 			env := NewEnv(p, DefaultOptions(seed))
-			stop := func() {}
 			if setup == "slow-node" {
-				stop = env.SlowNodeInterference(cluster.NodeID(rep.SlowNode))
+				env.SlowNodeInterference(cluster.NodeID(rep.SlowNode))
 			}
 			err := env.WarmupEstimates()
 			// Snapshot read counters after warmup so only the sort's
@@ -51,7 +50,6 @@ func RunFig8(seed int64) (Fig8Report, error) {
 				_, err = env.RunSort(30*sim.GB, 10*time.Second)
 			}
 			if err != nil {
-				env.Close()
 				return rep, fmt.Errorf("fig8 %s/%s: %w", setup, p, err)
 			}
 			counts := env.FS.ReadCounts()
@@ -59,8 +57,6 @@ func RunFig8(seed int64) (Fig8Report, error) {
 				counts[i] -= baseline[i]
 			}
 			rep.Reads[setup][p] = counts
-			stop()
-			env.Close()
 		}
 	}
 	return rep, nil
@@ -116,14 +112,13 @@ func RunTableII(seed int64) (TableIIReport, error) {
 	rep := TableIIReport{SortGB: 30}
 	for _, pat := range workload.TableIIPatterns(1, 2) {
 		env := NewEnv(DYRS, DefaultOptions(seed))
-		stop := pat.Start(env.Cl)
+		pat.Start(env.Cl)
 		err := env.WarmupEstimates()
 		var j *compute.Job
 		if err == nil {
 			j, err = env.RunSort(30*sim.GB, 10*time.Second)
 		}
 		if err != nil {
-			env.Close()
 			return rep, fmt.Errorf("tableII %q: %w", pat.Name, err)
 		}
 		rep.Rows = append(rep.Rows, TableIIRow{
@@ -133,8 +128,6 @@ func RunTableII(seed int64) (TableIIReport, error) {
 			EstimateNode1: env.Coord.EstimateSeries(1).Downsample(40),
 			EstimateNode2: env.Coord.EstimateSeries(2).Downsample(40),
 		})
-		stop()
-		env.Close()
 	}
 	return rep, nil
 }
@@ -189,7 +182,7 @@ func RunFig10(seed int64) (Fig10Report, error) {
 	for _, p := range []Policy{Naive, DYRS} {
 		var events []MigEvent
 		env := NewEnv(p, DefaultOptions(seed))
-		stop := env.SlowNodeInterference(rep.SlowNode)
+		env.SlowNodeInterference(rep.SlowNode)
 		err := env.WarmupEstimates()
 		if err == nil {
 			env.Coord.OnMigrated(func(b dfs.BlockID, n cluster.NodeID, at sim.Time) {
@@ -201,15 +194,12 @@ func RunFig10(seed int64) (Fig10Report, error) {
 			_, err = env.RunSort(10*sim.GB, 2*time.Minute)
 		}
 		if err != nil {
-			env.Close()
 			return rep, fmt.Errorf("fig10 %s: %w", p, err)
 		}
 		if len(events) > 30 {
 			events = events[len(events)-30:]
 		}
 		rep.Last30[p] = events
-		stop()
-		env.Close()
 	}
 	return rep, nil
 }
@@ -292,20 +282,17 @@ func RunFig11(seed int64) (Fig11Report, error) {
 			}
 			for _, p := range []Policy{HDFS, DYRS} {
 				env := NewEnv(p, DefaultOptions(seed))
-				stop := env.SlowNodeInterference(0)
+				env.SlowNodeInterference(0)
 				err := env.WarmupEstimates()
 				var j *compute.Job
 				if err == nil {
 					j, err = env.RunSort(size, lead)
 				}
 				if err != nil {
-					env.Close()
 					return rep, fmt.Errorf("fig11 %vGB/%v/%s: %w", row.SizeGB, lead, p, err)
 				}
 				row.MapSeconds[p] = j.MapPhase().Seconds()
 				row.TotalSeconds[p] = j.Duration().Seconds()
-				stop()
-				env.Close()
 			}
 			rep.Rows = append(rep.Rows, row)
 		}

@@ -169,9 +169,7 @@ func (rep SWIMReport) Fig7() string {
 // RunSWIMOnce replays the SWIM workload under one policy.
 func RunSWIMOnce(policy Policy, seed int64) (*SWIMRun, error) {
 	env := NewEnv(policy, DefaultOptions(seed))
-	defer env.Close()
-	stopInf := env.SlowNodeInterference(0)
-	defer stopInf()
+	env.SlowNodeInterference(0)
 	if err := env.WarmupEstimates(); err != nil {
 		return nil, err
 	}
@@ -222,7 +220,7 @@ func RunSWIMOnce(policy Policy, seed int64) (*SWIMRun, error) {
 		})
 	}
 	// Sample per-server migrated-memory usage once a second.
-	sampler := sim.NewTicker(env.Eng, time.Second, func() {
+	sim.NewTicker(env.Eng, time.Second, func() {
 		for _, n := range env.Cl.Nodes() {
 			used := env.FS.DataNode(n.ID).MemUsed()
 			run.MemSamples.Add(float64(used))
@@ -231,7 +229,6 @@ func RunSWIMOnce(policy Policy, seed int64) (*SWIMRun, error) {
 			}
 		}
 	})
-	defer sampler.Stop()
 
 	if err := env.WaitJobs(len(jobs), 4*Hour); err != nil {
 		return nil, err

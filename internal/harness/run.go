@@ -108,10 +108,8 @@ func RunScenario(sc Scenario, policy experiments.Policy) *RunResult {
 		res.SubmitErrors = append(res.SubmitErrors, err.Error())
 		return res
 	}
-	defer env.Close()
 	if sc.Heartbeats {
 		env.FS.EnableHeartbeats()
-		defer env.FS.DisableHeartbeats()
 	}
 
 	// Inputs.
@@ -298,10 +296,8 @@ func runServingScenario(sc Scenario, policy experiments.Policy) *RunResult {
 		res.SubmitErrors = append(res.SubmitErrors, err.Error())
 		return res
 	}
-	defer env.Close()
 	if sc.Heartbeats {
 		env.FS.EnableHeartbeats()
-		defer env.FS.DisableHeartbeats()
 	}
 
 	scheduleFaults(env, sc, res)

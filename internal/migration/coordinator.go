@@ -157,7 +157,11 @@ func NewCoordinator(fs *dfs.FS, cfg Config, binder Binder) *Coordinator {
 		hints:     make(map[JobID]JobHint),
 		estimates: make([]nodeEstimate, cl.Size()),
 	}
-	c.hLead = c.tr.Hist("migration.lead_ns")
+	// The lead-time histogram is kept without a tracer too, for
+	// LeadTimes; a traced run exports the same handle.
+	if c.hLead = c.tr.Hist("migration.lead_ns"); c.hLead == nil {
+		c.hLead = new(trace.Hist)
+	}
 	c.hMargin = c.tr.Hist("migration.margin_ns")
 	c.hTransfer = c.tr.Hist("migration.transfer_bytes")
 	c.hQueue = c.tr.Hist("migration.queue_depth")
@@ -625,7 +629,8 @@ func (c *Coordinator) ScavengeAll() {
 }
 
 // Shutdown stops the slaves' heartbeat and any binder background
-// thread; used at the end of an experiment so the event queue can drain.
+// thread, so that an Engine.Run after it can drain the event queue. A
+// run that ends by dropping the engine needs no Shutdown.
 func (c *Coordinator) Shutdown() {
 	for _, s := range c.slaves {
 		s.stopped = true
@@ -646,6 +651,12 @@ func (c *Coordinator) QueuedBlocks() int {
 	}
 	return total
 }
+
+// LeadTimes returns the distribution of migration lead times: for each
+// block read from memory, the time from its migration request to its
+// first read, in nanoseconds. It is kept whether or not a tracer is
+// attached.
+func (c *Coordinator) LeadTimes() *trace.Hist { return c.hLead }
 
 // EstimateSeries returns the recorded migration-time-estimate time series
 // for a slave (seconds to migrate one standard block, sampled each

@@ -15,7 +15,6 @@ func runTracedSort(t *testing.T) *trace.Tracer {
 	opt := dyrs.DefaultOptions(1)
 	opt.Trace = true
 	env := dyrs.NewEnv(dyrs.PolicyDYRS, opt)
-	defer env.Close()
 	if err := env.CreateInput("input", dyrs.GB); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +183,6 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 			t.Fatal(err)
 		}
 		durations[i] = j.Duration()
-		env.Close()
 	}
 	if durations[0] != durations[1] {
 		t.Errorf("tracing changed the run: untraced %v, traced %v", durations[0], durations[1])

@@ -274,9 +274,8 @@ func SortSpec(file string, reducers int) compute.JobSpec {
 type Pattern struct {
 	Name   string
 	Figure string
-	// Start applies the pattern to the cluster and returns a stop
-	// function.
-	Start func(cl *cluster.Cluster) (stop func())
+	// Start applies the pattern to the cluster for the rest of the run.
+	Start func(cl *cluster.Cluster)
 }
 
 // InterferenceStreams is the number of competing reader streams one
@@ -286,49 +285,26 @@ const InterferenceStreams = 2
 // TableIIPatterns returns the five interference scenarios of Table II,
 // applied to the given node ids.
 func TableIIPatterns(node1, node2 cluster.NodeID) []Pattern {
+	alternate := func(period sim.Duration, twoNodes bool) func(*cluster.Cluster) {
+		return func(cl *cluster.Cluster) {
+			cluster.StartAlternating(cl.Engine(), cl.Node(node1), InterferenceStreams, 1, period, true)
+			if twoNodes {
+				cluster.StartAlternating(cl.Engine(), cl.Node(node2), InterferenceStreams, 1, period, false)
+			}
+		}
+	}
 	return []Pattern{
 		{
 			Name:   "Node #1 only: Persistently active",
 			Figure: "9a",
-			Start: func(cl *cluster.Cluster) func() {
-				inf := cl.Node(node1).StartInterference(InterferenceStreams, 1)
-				return inf.Stop
+			Start: func(cl *cluster.Cluster) {
+				cl.Node(node1).StartInterference(InterferenceStreams, 1)
 			},
 		},
-		{
-			Name:   "Node #1 only: Alternates every 10s",
-			Figure: "9b",
-			Start: func(cl *cluster.Cluster) func() {
-				p := cluster.StartAlternating(cl.Engine(), cl.Node(node1), InterferenceStreams, 1, 10*time.Second, true)
-				return p.Stop
-			},
-		},
-		{
-			Name:   "Node #1 only: Alternates every 20s",
-			Figure: "9c",
-			Start: func(cl *cluster.Cluster) func() {
-				p := cluster.StartAlternating(cl.Engine(), cl.Node(node1), InterferenceStreams, 1, 20*time.Second, true)
-				return p.Stop
-			},
-		},
-		{
-			Name:   "Node #1 and #2: Alternates every 10s",
-			Figure: "9d",
-			Start: func(cl *cluster.Cluster) func() {
-				a := cluster.StartAlternating(cl.Engine(), cl.Node(node1), InterferenceStreams, 1, 10*time.Second, true)
-				b := cluster.StartAlternating(cl.Engine(), cl.Node(node2), InterferenceStreams, 1, 10*time.Second, false)
-				return func() { a.Stop(); b.Stop() }
-			},
-		},
-		{
-			Name:   "Node #1 and #2: Alternates every 20s",
-			Figure: "9e",
-			Start: func(cl *cluster.Cluster) func() {
-				a := cluster.StartAlternating(cl.Engine(), cl.Node(node1), InterferenceStreams, 1, 20*time.Second, true)
-				b := cluster.StartAlternating(cl.Engine(), cl.Node(node2), InterferenceStreams, 1, 20*time.Second, false)
-				return func() { a.Stop(); b.Stop() }
-			},
-		},
+		{Name: "Node #1 only: Alternates every 10s", Figure: "9b", Start: alternate(10*time.Second, false)},
+		{Name: "Node #1 only: Alternates every 20s", Figure: "9c", Start: alternate(20*time.Second, false)},
+		{Name: "Node #1 and #2: Alternates every 10s", Figure: "9d", Start: alternate(10*time.Second, true)},
+		{Name: "Node #1 and #2: Alternates every 20s", Figure: "9e", Start: alternate(20*time.Second, true)},
 	}
 }
 

@@ -160,17 +160,19 @@ func TestTableIIPatterns(t *testing.T) {
 			t.Errorf("pattern %d figure = %s", i, p.Figure)
 		}
 	}
-	// Exercise each pattern briefly on a live cluster.
+	// Each pattern starts interference on node 1 and on no other node.
 	for _, p := range pats {
 		eng := sim.NewEngine(1)
 		cl := cluster.New(eng, 4, nil)
-		stop := p.Start(cl)
-		eng.RunUntil(sim.Time(35 * time.Second))
-		stop()
-		eng.RunFor(time.Minute)
+		p.Start(cl)
+		eng.RunUntil(sim.Time(5 * time.Second))
 		for _, n := range cl.Nodes() {
-			if n.Disk.ActiveFlows() != 0 {
-				t.Errorf("%s left %d flows on %v", p.Name, n.Disk.ActiveFlows(), n.ID)
+			want := 0
+			if n.ID == 1 {
+				want = InterferenceStreams
+			}
+			if got := n.Disk.ActiveFlows(); got != want {
+				t.Errorf("%s runs %d flows on %v at 5s, want %d", p.Name, got, n.ID, want)
 			}
 		}
 	}
@@ -181,8 +183,7 @@ func TestTableIIPatternsAntiphase(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cl := cluster.New(eng, 4, nil)
 	p := TableIIPatterns(1, 2)[3] // 9d
-	stop := p.Start(cl)
-	defer stop()
+	p.Start(cl)
 	for i := 1; i <= 6; i++ {
 		eng.RunUntil(sim.Time(time.Duration(i)*10*time.Second + 5*time.Second))
 		a := cl.Node(1).Disk.ActiveFlows() > 0
