@@ -195,8 +195,8 @@ func RunServing(opt ServingOptions) (ServingReport, error) {
 	if opt.Spec.Files == 0 {
 		opt.Spec = workload.DefaultServingSpec()
 	}
-	if opt.Spec.Horizon < 0 {
-		return ServingReport{}, fmt.Errorf("serving %s: Spec.Horizon must not be negative, got %v", opt.Scenario, opt.Spec.Horizon)
+	if err := opt.Spec.Validate(); err != nil {
+		return ServingReport{}, fmt.Errorf("serving %s: %w", opt.Scenario, err)
 	}
 	// Every policy's environment is checked before anything runs, so an
 	// unknown policy name or a negative cluster size is an error here

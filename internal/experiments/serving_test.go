@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -106,9 +107,10 @@ func TestServingRowIndependentOfTracing(t *testing.T) {
 	}
 }
 
-// TestRunServingRejectsBadOptions: an unknown policy name, a negative
-// horizon or a negative cluster size is an error before anything runs,
-// never a panic inside NewEnv or the scheduler.
+// TestRunServingRejectsBadOptions: an unknown policy name, a spec
+// ServingSpec.Validate rejects or a negative cluster size is an error
+// before anything runs, never a panic inside GenerateServing, NewEnv or
+// the scheduler.
 func TestRunServingRejectsBadOptions(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {
@@ -117,6 +119,9 @@ func TestRunServingRejectsBadOptions(t *testing.T) {
 	}{
 		{"unknown policy", func(o *ServingOptions) { o.Policies = []string{"hdfs", "nope"} }},
 		{"negative horizon", func(o *ServingOptions) { o.Spec.Horizon = -time.Minute }},
+		{"infinite rate", func(o *ServingOptions) { o.Spec.MeanRate = math.Inf(1) }},
+		{"negative files", func(o *ServingOptions) { o.Spec.Files = -1 }},
+		{"no blocks per file", func(o *ServingOptions) { o.Spec.BlocksPerFile = 0 }},
 		{"negative workers", func(o *ServingOptions) { o.Workers = -1 }},
 		{"negative racks", func(o *ServingOptions) { o.Racks = -2 }},
 	} {

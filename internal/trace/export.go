@@ -112,11 +112,11 @@ type canonWriter struct {
 	err error // the first write error; later flushes are skipped
 
 	st    *store
-	text  []byte   // escaped interned strings, then label fields
-	str   []uint32 // interned string i is text[str[i]:str[i+1]]
-	rank  []uint32 // interned string i's position in bytewise order
-	label []uint32 // label i's "cat" and "name" fields are text[label[i]:label[i+1]]
-	keys  []uint32 // one record's attributes, deduplicated and sorted by key
+	text  []byte    // escaped interned strings, then label fields
+	rank  []uint32  // interned string i's position in bytewise order
+	str   []uint32  // the interned string of rank r is text[str[r]:str[r+1]]
+	label []uint32  // label i's "cat" and "name" fields are text[label[i]:label[i+1]]
+	keys  []attrVal // one record's attributes, deduplicated and sorted by key rank
 }
 
 func (e *canonWriter) flush() {
@@ -132,16 +132,24 @@ func (e *canonWriter) maybeFlush() {
 	}
 }
 
-// index escapes st's interned strings and labels into e.text.
+// index ranks st's interned strings in bytewise order and escapes them
+// into e.text in that order, then its labels.
 func (e *canonWriter) index(st *store) {
 	e.st = st
+	order := make([]uint32, len(st.strs))
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	slices.SortFunc(order, func(a, b uint32) int { return strings.Compare(st.strs[a], st.strs[b]) })
+	e.rank = make([]uint32, len(st.strs))
 	e.str = make([]uint32, 0, len(st.strs)+1)
-	e.label = make([]uint32, 0, len(st.labels)+1)
-	for _, s := range st.strs {
+	for r, i := range order {
+		e.rank[i] = uint32(r)
 		e.str = append(e.str, uint32(len(e.text)))
-		e.text = appendJSONString(e.text, s)
+		e.text = appendJSONString(e.text, st.strs[i])
 	}
 	e.str = append(e.str, uint32(len(e.text)))
+	e.label = make([]uint32, 0, len(st.labels)+1)
 	for _, lb := range st.labels {
 		e.label = append(e.label, uint32(len(e.text)))
 		e.text = append(e.text, "\"cat\": "...)
@@ -150,15 +158,6 @@ func (e *canonWriter) index(st *store) {
 		e.text = appendJSONString(e.text, lb.name)
 	}
 	e.label = append(e.label, uint32(len(e.text)))
-	order := make([]uint32, len(st.strs))
-	for i := range order {
-		order[i] = uint32(i)
-	}
-	slices.SortFunc(order, func(a, b uint32) int { return strings.Compare(st.strs[a], st.strs[b]) })
-	e.rank = make([]uint32, len(st.strs))
-	for r, i := range order {
-		e.rank[i] = uint32(r)
-	}
 }
 
 // counters writes the counter registry as an object sorted by name.
@@ -259,51 +258,50 @@ func (e *canonWriter) instant(i int, in *Instant) {
 // attrs appends the chain from head as a ",\n   \"attrs\": {…}" object,
 // or nothing for an empty chain. On duplicate keys the last write wins,
 // as for Tracer.Attr, and keys are sorted bytewise, as encoding/json
-// sorts map keys. Chains hold a handful of attributes, so an insertion
-// sort into a reused slice of (key, record) pairs does it without
-// allocating.
+// sorts map keys. Chains hold a handful of attributes, so the chain is
+// decoded into a reused slice and insertion-sorted by key rank in place
+// without allocating: the sorted prefix never overtakes the attribute
+// being placed.
 func (e *canonWriter) attrs(b []byte, head uint32) []byte {
 	if head == 0 {
 		return b
 	}
-	st := e.st
-	keys := e.keys[:0]
-	for i := head; i != 0; {
-		r := st.rec(i)
-		k := r.key >> 2
+	e.keys = e.st.decode(e.keys[:0], head)
+	m := 0
+	for _, v := range e.keys {
+		v.key = e.rank[v.key] // sorted and written by rank from here on
 		j := 0
-		for j < len(keys) && e.rank[keys[j]] < e.rank[k] {
-			j += 2
+		for j < m && e.keys[j].key < v.key {
+			j++
 		}
-		if j == len(keys) || keys[j] != k {
-			keys = append(keys, 0, 0)
-			copy(keys[j+2:], keys[j:])
-			keys[j] = k
+		if j == m || e.keys[j].key != v.key {
+			for k := m; k > j; k-- { // a call to copy costs more than these few moves
+				e.keys[k] = e.keys[k-1]
+			}
+			m++
 		}
-		keys[j+1] = i
-		i = r.next
+		e.keys[j] = v
 	}
-	e.keys = keys
 	b = append(b, ",\n   \"attrs\": {"...)
-	for j := 0; j < len(keys); j += 2 {
+	for j, v := range e.keys[:m] {
 		if j > 0 {
 			b = append(b, ',')
 		}
-		k, r := keys[j], st.rec(keys[j+1])
 		b = append(b, "\n    "...)
-		b = append(b, e.text[e.str[k]:e.str[k+1]]...)
-		switch uint8(r.key & 3) {
+		b = append(b, e.text[e.str[v.key]:e.str[v.key+1]]...)
+		switch v.kind {
 		case attrInt:
 			b = append(b, ": \""...)
-			b = appendInt(b, int64(r.val))
+			b = appendInt(b, int64(v.val))
 			b = append(b, '"')
 		case attrFloat:
 			b = append(b, ": \""...)
-			b = strconv.AppendFloat(b, math.Float64frombits(r.val), 'g', -1, 64)
+			b = strconv.AppendFloat(b, math.Float64frombits(v.val), 'g', -1, 64)
 			b = append(b, '"')
 		default:
+			r := e.rank[v.val]
 			b = append(b, ": "...)
-			b = append(b, e.text[e.str[r.val]:e.str[r.val+1]]...)
+			b = append(b, e.text[e.str[r]:e.str[r+1]]...)
 		}
 	}
 	return append(b, "\n   }"...)

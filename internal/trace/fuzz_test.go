@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 	"time"
 
@@ -20,8 +21,13 @@ func interpret(data []byte) *Tracer {
 var (
 	fuzzCats  = []string{"migration", "read", "task", "flow"}
 	fuzzNames = []string{"migrate", "transfer", "read", "map", "tick"}
-	fuzzKeys  = append([]string{"outcome", "block", "size", "reason"}, escapeCases...)
+	fuzzKeys  = append(append([]string{"outcome", "block", "size", "reason"}, escapeCases...), "")
 	fuzzVals  = append([]string{"pinned", "dropped", "7", "x\"y z", ""}, escapeCases...)
+	// fuzzInts and fuzzFloats hold small values and the edges of the
+	// arena's varint and raw-bits encodings.
+	fuzzInts   = []int64{-2, -1, 0, 1, 2, 5, 7, 63, 64, -64, -65, 1 << 20, -1 << 40, math.MinInt64, math.MaxInt64}
+	fuzzFloats = []float64{0, 0.5, 1, 3.5, 7, -2.5, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, 0x1p-1030, math.MaxFloat64}
 )
 
 // escapeCases reach every branch of the canonical export's string
@@ -29,15 +35,16 @@ var (
 // rune and an invalid UTF-8 byte.
 var escapeCases = []string{"<a&b>", "\u2028", "\x00\x1f", "é", "\xff"}
 
-// fuzzAttr draws a string, integer or float attribute. The values
-// overlap across kinds ("7", 7 and 7.0 all format as "7").
+// fuzzAttr draws a string, integer or float attribute: (b>>5)%3 picks
+// the kind and b the value. The values overlap across kinds ("7", 7 and
+// 7.0 all format as "7").
 func fuzzAttr(a, b int) Attr {
 	key := fuzzKeys[a%len(fuzzKeys)]
 	switch (b >> 5) % 3 {
 	case 1:
-		return Int(key, int64(b%10)-2)
+		return Int(key, fuzzInts[b%len(fuzzInts)])
 	case 2:
-		return Float(key, float64(b%16)/2)
+		return Float(key, fuzzFloats[b%len(fuzzFloats)])
 	}
 	return Str(key, fuzzVals[b%len(fuzzVals)])
 }
@@ -48,7 +55,9 @@ func fuzzAttr(a, b int) Attr {
 // as well, sharing the tracer's engine, counters and topology.
 //
 // Ends and annotations pick any recorded span, so a span may be ended
-// twice (the second End is a no-op) or annotated after its End.
+// twice (the second End is a no-op) or annotated after its End. A bulk
+// annotation writes 8a+1 attributes in one call, enough at a = 255 to
+// outgrow an arena page.
 func replay(data []byte, cfg byte, seed int64, withRef bool) (*Tracer, *refRecorder) {
 	eng := sim.NewEngine(seed)
 	tr := New(eng)
@@ -78,7 +87,7 @@ func replay(data []byte, cfg byte, seed int64, withRef bool) (*Tracer, *refRecor
 	for i := 0; i+2 < len(data); i += 3 {
 		a, b := int(data[i+1]), int(data[i+2])
 		attr := fuzzAttr(a, b)
-		switch data[i] % 7 {
+		switch data[i] % 8 {
 		case 0:
 			cat, name, node := fuzzCats[a%len(fuzzCats)], fuzzNames[b%len(fuzzNames)], a%5-1
 			h := handle{s: tr.Begin(cat, name, node, attr)}
@@ -114,6 +123,15 @@ func replay(data []byte, cfg byte, seed int64, withRef bool) (*Tracer, *refRecor
 		case 6:
 			eng.Schedule(sim.Duration(a)*sim.Duration(time.Millisecond), func() {})
 			eng.RunFor(sim.Duration(a) * sim.Duration(time.Millisecond))
+		case 7:
+			if n := len(spans); n > 0 {
+				bulk := make([]Attr, 8*a+1)
+				for j := range bulk {
+					bulk[j] = fuzzAttr(a+j, b^(j&31))
+				}
+				spans[b%n].s.Annotate(bulk...)
+				spans[b%n].r.Annotate(bulk...)
+			}
 		}
 	}
 	return tr, ref

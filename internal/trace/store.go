@@ -4,35 +4,52 @@
 // to four attributes. Storing each record's attributes as its own []Attr
 // cost an allocation per record, 48 bytes per attribute, and a copy at
 // every End/Annotate that grew the slice. Instead every attribute is a
-// 16-byte attrRec in one tracer-owned arena: keys and string values are
-// interned per tracer, numbers stay raw, and a record's attributes form
-// a chain linked by arena index, so End and Annotate link new attributes
-// after the chain's last one without copying the old ones. The arena
-// grows in fixed pages and never re-copies; attrRec holds no Go
-// pointers, so the garbage collector never scans it.
+// few varint bytes in one tracer-owned byte arena: keys and string
+// values are interned per tracer, numbers are stored by value, and a
+// record's attributes form a chain of segments linked by arena address,
+// so End and Annotate link a new segment after the chain's last one
+// without copying the old ones. The arena grows in fixed pages and never
+// re-copies; the pages are plain bytes, so the garbage collector never
+// scans them.
 package trace
 
-// attrRec is one attribute in the arena.
-type attrRec struct {
-	val  uint64 // int value, float64 bits, or interned string index
-	key  uint32 // interned key index << 2 | kind
-	next uint32 // arena index of the chain's next attribute; 0 ends it
-}
+import "encoding/binary"
 
+// The arena is a list of byte pages. An arena address is a uint32,
+// page<<arenaPageBits | offset, and address 0 is never a segment, so it
+// is the nil link and a record with no attributes has head 0.
+//
+// A segment is written by one push and never straddles a page:
+//
+//	link  4 bytes, little-endian: the next segment's address, 0 at the end
+//	count 1 byte: the segment's attribute count
+//	count × (uvarint(key<<2 | kind), value)
+//
+// A value is a string's intern index as a uvarint, an int as a zigzag
+// varint, or a float's 8 raw bytes, little-endian.
 const (
-	attrPageBits = 10
-	attrPageLen  = 1 << attrPageBits
-	attrPageMask = attrPageLen - 1
+	arenaPageBits = 14
+	arenaPageLen  = 1 << arenaPageBits
+	arenaPageMask = arenaPageLen - 1
+	arenaMaxPages = 1 << (32 - arenaPageBits)
+
+	segHeader   = 5   // link and count
+	segMaxAttrs = 255 // the most a count byte holds
+	// maxAttrLen bounds an attribute: a five-byte key and a ten-byte
+	// int. push starts an attribute only where maxAttrLen bytes remain
+	// in the page, so no attribute overruns its page.
+	maxAttrLen = 5 + binary.MaxVarintLen64
 )
+
+type arenaPage = [arenaPageLen]byte
 
 // label is an interned (category, name) pair.
 type label struct{ cat, name string }
 
-// store is one tracer's attribute arena and intern tables. Arena index
-// 0 is the nil link, so a record with no attributes has head 0.
+// store is one tracer's attribute arena and intern tables.
 type store struct {
-	pages    []*[attrPageLen]attrRec
-	n        uint32 // next free arena index
+	pages    []*arenaPage
+	off      int // next free byte in the last page
 	strs     []string
 	strIdx   map[string]uint32
 	labels   []label
@@ -40,7 +57,7 @@ type store struct {
 }
 
 func newStore() store {
-	return store{n: 1, strIdx: make(map[string]uint32), labelIdx: make(map[label]uint32)}
+	return store{off: arenaPageLen, strIdx: make(map[string]uint32), labelIdx: make(map[label]uint32)}
 }
 
 // intern returns the index of s in the string table, adding it if new.
@@ -66,100 +83,174 @@ func (st *store) label(cat, name string) uint32 {
 	return i
 }
 
-func (st *store) rec(i uint32) *attrRec {
-	return &st.pages[i>>attrPageBits][i&attrPageMask]
+// open opens an empty segment with room for at least one attribute
+// and returns its page and offset. Arena bytes are written once, in
+// order, so the fresh link and count are already zero.
+func (st *store) open() (*arenaPage, int) {
+	if st.off+segHeader+maxAttrLen > arenaPageLen {
+		if len(st.pages) == arenaMaxPages {
+			panic("trace: attribute arena full: a tracer addresses at most 4 GiB of attributes")
+		}
+		st.pages = append(st.pages, new(arenaPage))
+		st.off = 0
+		if len(st.pages) == 1 {
+			st.off = 1 // address 0 is the nil link
+		}
+	}
+	seg := st.off
+	st.off += segHeader
+	return st.pages[len(st.pages)-1], seg
 }
 
-// push stores attrs as a fresh chain and returns its first arena index
-// (0 when attrs is empty). attrs does not escape.
+// addr is the arena address of offset off in the last page.
+func (st *store) addr(off int) uint32 {
+	return uint32(len(st.pages)-1)<<arenaPageBits | uint32(off)
+}
+
+// link returns the address of the segment after the one at a.
+func (st *store) link(a uint32) uint32 {
+	return binary.LittleEndian.Uint32(st.pages[a>>arenaPageBits][a&arenaPageMask:])
+}
+
+// push stores attrs as a fresh chain and returns its head (0 when attrs
+// is empty). It writes one segment, or a linked run of them when attrs
+// outgrow the current page or one count byte. attrs does not escape.
 func (st *store) push(attrs []Attr) (head uint32) {
-	for i, a := range attrs {
-		idx := st.n
-		if int(idx>>attrPageBits) == len(st.pages) {
-			st.pages = append(st.pages, new([attrPageLen]attrRec))
+	var page *arenaPage // the open segment's page; it is the last page
+	var seg int         // the open segment's offset in page
+	for _, a := range attrs {
+		if page == nil || page[seg+4] == segMaxAttrs || st.off+maxAttrLen > arenaPageLen {
+			p, s := st.open()
+			if page == nil {
+				head = st.addr(s)
+			} else {
+				binary.LittleEndian.PutUint32(page[seg:], st.addr(s))
+			}
+			page, seg = p, s
 		}
-		st.n++
-		r := st.rec(idx)
-		r.key = st.intern(a.Key)<<2 | uint32(a.kind)
-		if a.kind == attrStr {
-			r.val = uint64(st.intern(a.str))
-		} else {
-			r.val = uint64(a.num)
-		}
-		r.next = 0
-		if i > 0 {
-			st.rec(idx - 1).next = idx
-		} else {
-			head = idx
+		page[seg+4]++
+		st.off += binary.PutUvarint(page[st.off:], uint64(st.intern(a.Key))<<2|uint64(a.kind))
+		switch a.kind {
+		case attrInt:
+			st.off += binary.PutVarint(page[st.off:], a.num)
+		case attrFloat:
+			binary.LittleEndian.PutUint64(page[st.off:], uint64(a.num))
+			st.off += 8
+		default:
+			st.off += binary.PutUvarint(page[st.off:], uint64(st.intern(a.str)))
 		}
 	}
 	return head
 }
 
 // extend links attrs after the chain from head, found by walking it
-// (records keep no tail; chains hold a handful of attributes), and
-// returns the chain's head.
+// (records keep no tail; chains hold a segment or two), and returns the
+// chain's head.
 func (st *store) extend(head uint32, attrs []Attr) uint32 {
 	h := st.push(attrs)
 	if head == 0 || h == 0 {
 		return head | h
 	}
-	tail := st.rec(head)
-	for tail.next != 0 {
-		tail = st.rec(tail.next)
+	tail := head
+	for next := st.link(tail); next != 0; next = st.link(tail) {
+		tail = next
 	}
-	tail.next = h
+	binary.LittleEndian.PutUint32(st.pages[tail>>arenaPageBits][tail&arenaPageMask:], h)
 	return head
 }
 
-// attr decodes one arena record.
-func (st *store) attr(r *attrRec) Attr {
-	a := Attr{Key: st.strs[r.key>>2], kind: uint8(r.key & 3)}
-	if a.kind == attrStr {
-		a.str = st.strs[r.val]
-	} else {
-		a.num = int64(r.val)
-	}
-	return a
+// attrVal is one decoded attribute: its key's intern index, its kind,
+// and its value (an int, a float's bits, or a string's intern index).
+type attrVal struct {
+	val  uint64
+	key  uint32
+	kind uint8
 }
 
-// last returns the last record in the chain from head whose key is key.
-func (st *store) last(head uint32, key string) *attrRec {
-	if head == 0 {
-		return nil
-	}
-	k, ok := st.strIdx[key]
-	if !ok {
-		return nil
-	}
-	var found *attrRec
-	for i := head; i != 0; {
-		r := st.rec(i)
-		if r.key>>2 == k {
-			found = r
+// segment returns the page of the segment at a, the offset of its first
+// attribute, its attribute count and the next segment's address.
+func (st *store) segment(a uint32) (p *arenaPage, off, n int, next uint32) {
+	p, off = st.pages[a>>arenaPageBits], int(a&arenaPageMask)
+	return p, off + segHeader, int(p[off+4]), binary.LittleEndian.Uint32(p[off:])
+}
+
+// decode appends the attributes of the chain from head to dst, in
+// write order.
+func (st *store) decode(dst []attrVal, head uint32) []attrVal {
+	for a := head; a != 0; {
+		p, off, n, next := st.segment(a)
+		for ; n > 0; n-- {
+			var v attrVal
+			v, off = decodeAttr(p, off)
+			dst = append(dst, v)
 		}
-		i = r.next
+		a = next
 	}
-	return found
+	return dst
+}
+
+// decodeAttr decodes the attribute at off in p and returns it and the
+// offset after it.
+func decodeAttr(p *arenaPage, off int) (v attrVal, next int) {
+	k, n := binary.Uvarint(p[off:])
+	off += n
+	v.key, v.kind = uint32(k>>2), uint8(k&3)
+	if v.kind == attrFloat {
+		v.val = binary.LittleEndian.Uint64(p[off:])
+		return v, off + 8
+	}
+	v.val, n = binary.Uvarint(p[off:])
+	if v.kind == attrInt {
+		v.val = v.val>>1 ^ -(v.val & 1) // undo the zigzag
+	}
+	return v, off + n
+}
+
+// format formats a decoded attribute's value, as Attr.Value does.
+func (st *store) format(v attrVal) string {
+	if v.kind == attrStr {
+		return st.strs[v.val]
+	}
+	return Attr{num: int64(v.val), kind: v.kind}.Value()
+}
+
+// last returns the last attribute in the chain from head whose key is
+// key. It decodes one attribute at a time, so it never allocates.
+func (st *store) last(head uint32, key string) (found attrVal, ok bool) {
+	k, known := st.strIdx[key]
+	if !known {
+		return attrVal{}, false
+	}
+	for a := head; a != 0; {
+		p, off, n, next := st.segment(a)
+		for ; n > 0; n-- {
+			var v attrVal
+			if v, off = decodeAttr(p, off); v.key == k {
+				found, ok = v, true
+			}
+		}
+		a = next
+	}
+	return found, ok
 }
 
 // value formats the last attribute with the given key, "" when absent.
 func (st *store) value(head uint32, key string) string {
-	r := st.last(head, key)
-	if r == nil {
+	v, ok := st.last(head, key)
+	if !ok {
 		return ""
 	}
-	return st.attr(r).Value()
+	return st.format(v)
 }
 
 // intValue returns the last attribute with the given key when it is an
 // integer attribute.
 func (st *store) intValue(head uint32, key string) (int64, bool) {
-	r := st.last(head, key)
-	if r == nil || uint8(r.key&3) != attrInt {
+	v, ok := st.last(head, key)
+	if !ok || v.kind != attrInt {
 		return 0, false
 	}
-	return int64(r.val), true
+	return int64(v.val), true
 }
 
 // attrMap flattens the chain from head for export; on duplicate keys
@@ -168,11 +259,10 @@ func (st *store) attrMap(head uint32) map[string]string {
 	if head == 0 {
 		return nil
 	}
+	var buf [8]attrVal
 	m := make(map[string]string)
-	for i := head; i != 0; {
-		r := st.rec(i)
-		m[st.strs[r.key>>2]] = st.attr(r).Value()
-		i = r.next
+	for _, v := range st.decode(buf[:0], head) {
+		m[st.strs[v.key]] = st.format(v)
 	}
 	return m
 }

@@ -3,7 +3,11 @@ package trace
 import (
 	"bytes"
 	"io"
+	"math"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"dyrs/internal/sim"
@@ -26,6 +30,17 @@ func FuzzTraceStore(f *testing.F) {
 	// Sampled, with the flight recorder armed.
 	f.Add(byte(7), []byte{0, 4, 4, 6, 255, 255, 1, 0, 3, 0, 2, 4, 4, 9, 9, 3, 1, 1, 0, 8, 0, 4, 5, 5})
 	f.Add(byte(5), []byte{0, 0, 0, 3, 1, 1, 6, 50, 0, 1, 0, 0, 2, 2, 2, 5, 1, 1, 4, 3, 67})
+	// Zigzag varint edges: 0 at Begin, -1 annotated, MinInt64 at End,
+	// MaxInt64 on an instant.
+	f.Add(byte(0), []byte{0, 1, intB(0), 2, 0, intB(-1), 1, 0, intB(math.MinInt64), 4, 2, intB(math.MaxInt64)})
+	// Raw float bits: NaN, -0, +Inf, -Inf and a subnormal.
+	f.Add(byte(0), []byte{0, 1, floatB(math.NaN()), 2, 0, floatB(math.Copysign(0, -1)), 2, 3, floatB(math.Inf(1)),
+		1, 0, floatB(math.Inf(-1)), 4, 0, floatB(math.SmallestNonzeroFloat64)})
+	// An empty key with an empty string value, on a span and an instant.
+	empty := byte(len(fuzzKeys) - 1)
+	f.Add(byte(0), []byte{0, empty, strB(""), 2, 0, strB(""), 4, empty, empty})
+	f.Add(byte(0), longChainProgram())
+	f.Add(byte(0), bulkPushProgram())
 
 	f.Fuzz(func(t *testing.T, cfg byte, data []byte) {
 		tr, ref := replay(data, cfg, 7, true)
@@ -39,6 +54,68 @@ func FuzzTraceStore(f *testing.F) {
 		}
 		sameRecords(t, tr, ref)
 	})
+}
+
+// fuzzB returns a b byte for which fuzzAttr draws the value at index i
+// of kind's table.
+func fuzzB(kind uint8, i int) byte {
+	n := [...]int{attrStr: len(fuzzVals), attrInt: len(fuzzInts), attrFloat: len(fuzzFloats)}[kind]
+	for b := 0; b < 256; b++ {
+		if (b>>5)%3 == int(kind) && b%n == i {
+			return byte(b)
+		}
+	}
+	panic("fuzzB: no byte draws that value")
+}
+
+func strB(v string) byte { return fuzzB(attrStr, slices.Index(fuzzVals, v)) }
+func intB(v int64) byte  { return fuzzB(attrInt, slices.Index(fuzzInts, v)) }
+func floatB(v float64) byte {
+	return fuzzB(attrFloat, slices.IndexFunc(fuzzFloats, func(f float64) bool {
+		return math.Float64bits(f) == math.Float64bits(v)
+	}))
+}
+
+// longChainProgram begins one span and annotates it 1,200 times with a
+// float and an int, so its chain of segments runs across arena pages,
+// then ends it.
+func longChainProgram() []byte {
+	p := []byte{0, 1, intB(7)}
+	for i := 0; i < 1200; i++ {
+		p = append(p, 2, 0, floatB(3.5))
+	}
+	return append(p, 1, 0, strB("pinned"))
+}
+
+// bulkPushProgram begins a span, writes 2,041 float attributes in one
+// Annotate, more than one arena page and one count byte hold, then
+// annotates and ends the span after that split push.
+func bulkPushProgram() []byte {
+	return []byte{0, 1, intB(7), 7, 255, floatB(0), 2, 0, intB(-65), 1, 0, strB("dropped")}
+}
+
+// TestArenaSeedsSplit: FuzzTraceStore's long-chain and bulk seeds reach
+// the page and count-byte splits they are there for.
+func TestArenaSeedsSplit(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		program []byte
+		segs    int // at least this many segments in span 1's chain
+	}{
+		{"long chain", longChainProgram(), 1202},
+		{"bulk push", bulkPushProgram(), 2041/segMaxAttrs + 3},
+	} {
+		tr, _ := replay(c.program, 0, 7, false)
+		pages := map[uint32]bool{}
+		segs := 0
+		for a := tr.spans[0].head; a != 0; a = tr.st.link(a) {
+			pages[a>>arenaPageBits] = true
+			segs++
+		}
+		if segs < c.segs || len(pages) < 2 {
+			t.Errorf("%s: span chain has %d segments on %d pages, want at least %d on 2", c.name, segs, len(pages), c.segs)
+		}
+	}
 }
 
 func (r *flightRing) eventsOrNil() []FlightEvent {
@@ -124,17 +201,15 @@ func refIntAttr(attrs []Attr, key string) (int64, bool) {
 	return 0, false
 }
 
-// TestRecordSizes pins the compact layout (DESIGN.md §10): a 16-byte
-// attribute record, 32-byte spans and 24-byte instants, none of them
-// holding a pointer, map, slice or string, so the attribute pages and
-// the span and instant logs are noscan and the garbage collector never
-// traverses them.
+// TestRecordSizes pins the compact layout (DESIGN.md §10): 32-byte
+// spans and 24-byte instants, neither holding a pointer, map, slice or
+// string, so the span and instant logs are noscan and the garbage
+// collector never traverses them. The attribute pages are byte arrays.
 func TestRecordSizes(t *testing.T) {
 	for _, c := range []struct {
 		typ  reflect.Type
 		size uintptr
 	}{
-		{reflect.TypeFor[attrRec](), 16},
 		{reflect.TypeFor[Span](), 32},
 		{reflect.TypeFor[Instant](), 24},
 	} {
@@ -145,6 +220,94 @@ func TestRecordSizes(t *testing.T) {
 			t.Errorf("%s holds a pointer-shaped field at %s; its log would be scanned by the GC", c.typ, path)
 		}
 	}
+	if path := pointerField(reflect.TypeFor[arenaPage](), "arenaPage"); path != "" {
+		t.Errorf("the arena page holds a pointer-shaped field at %s; the arena would be scanned by the GC", path)
+	}
+}
+
+// TestArenaBytesPerOp pins the varint attribute encoding: a read span
+// and an evict instant (recordOp, six attributes in three segments) take
+// at most 40 arena bytes, where 16-byte fixed records took 96.
+func TestArenaBytesPerOp(t *testing.T) {
+	const ops = 4096
+	tr := New(sim.NewEngine(1))
+	recordOp(tr)
+	before := arenaBytes(&tr.st)
+	for i := 0; i < ops; i++ {
+		recordOp(tr)
+	}
+	if per := float64(arenaBytes(&tr.st)-before) / ops; per > 40 {
+		t.Errorf("recordOp takes %.1f arena bytes, want at most 40", per)
+	}
+}
+
+// arenaBytes is the arena's size up to its next free byte.
+func arenaBytes(st *store) int {
+	return len(st.pages)*arenaPageLen - (arenaPageLen - st.off)
+}
+
+// TestArenaRoundTrip pushes runs of one to nine attributes across
+// forty pages and decodes every chain back. The ints take every varint
+// length and both signs, a quarter of them the longest; the floats take
+// arbitrary bits, and forty keys push key indexes past one varint byte.
+// So every page-end offset is reached: an attribute that overruns its
+// page or a slip in the decoder shows here.
+func TestArenaRoundTrip(t *testing.T) {
+	st := newStore()
+	var want [][]Attr
+	var heads []uint32
+	x := uint64(1)
+	for len(st.pages) < 40 {
+		attrs := make([]Attr, x%9+1)
+		for j := range attrs {
+			x = x*6364136223846793005 + 1442695040888963407 // an LCG
+			key := "k" + strconv.Itoa(int(x>>32%40))
+			switch x >> 62 {
+			case 0:
+				attrs[j] = Float(key, math.Float64frombits(x*0x9e3779b97f4a7c15))
+			case 1:
+				attrs[j] = Str(key, fuzzVals[x>>40%uint64(len(fuzzVals))])
+			default:
+				v := int64(x * 0x9e3779b97f4a7c15)
+				if x>>16&3 != 0 { // a quarter keep all 64 bits: the longest attributes
+					v >>= x >> 8 % 64
+				}
+				attrs[j] = Int(key, v)
+			}
+		}
+		heads = append(heads, st.push(attrs))
+		want = append(want, attrs)
+	}
+	for i, h := range heads {
+		got := st.decode(nil, h)
+		if len(got) != len(want[i]) {
+			t.Fatalf("chain %d decodes to %d attributes, want %d", i, len(got), len(want[i]))
+		}
+		for j, a := range want[i] {
+			val := uint64(a.num)
+			if a.kind == attrStr {
+				val = uint64(st.strIdx[a.str])
+			}
+			if w := (attrVal{val, st.strIdx[a.Key], a.kind}); got[j] != w {
+				t.Fatalf("chain %d attribute %d = %+v, want %+v (%s=%s)", i, j, got[j], w, a.Key, a.Value())
+			}
+		}
+	}
+}
+
+// TestArenaFullPanics: a tracer whose arena has used every addressable
+// page panics with a named message instead of wrapping its addresses.
+func TestArenaFullPanics(t *testing.T) {
+	tr := New(sim.NewEngine(1))
+	tr.st.pages = make([]*arenaPage, arenaMaxPages) // address space used up, pages never touched
+	tr.st.off = arenaPageLen
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "attribute arena full") {
+			t.Fatalf("recover() = %q, want the arena-full panic", msg)
+		}
+	}()
+	tr.Instant("read", "read", 0, Int("block", 1))
 }
 
 // pointerField returns the path of the first field of typ that is or
@@ -187,5 +350,30 @@ func TestTraceRecordAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(1000, func() { recordOp(tr) }); avg != 0 {
 		t.Errorf("recording allocates %.2f objects/op on a warm tracer, want 0", avg)
+	}
+}
+
+// TestTraceReadAllocs: Attr and IntAttr read a chain longer than a
+// handful of attributes, across several segments, without allocating.
+func TestTraceReadAllocs(t *testing.T) {
+	tr := New(sim.NewEngine(1))
+	sp := tr.Begin("read", "read", 3, Int("block", 42), Int("size", 128<<20))
+	for i := 0; i < 12; i++ {
+		sp.Annotate(Int("retry", int64(i)), Str("source", "disk"))
+	}
+	sp.End(Str("source", "mem-local"))
+	a := tr.Spans()[0].Attrs()
+	if v, ok := tr.IntAttr(a, "retry"); !ok || v != 11 {
+		t.Fatalf("IntAttr(retry) = %d, %v, want 11, true", v, ok)
+	}
+	if v := tr.Attr(a, "source"); v != "mem-local" {
+		t.Fatalf("Attr(source) = %q, want mem-local", v)
+	}
+	avg := testing.AllocsPerRun(1000, func() {
+		tr.IntAttr(a, "retry")
+		tr.Attr(a, "source")
+	})
+	if avg != 0 {
+		t.Errorf("reading a 27-attribute chain allocates %.2f objects/op, want 0", avg)
 	}
 }

@@ -97,6 +97,24 @@ func DefaultServingSpec() ServingSpec {
 	}
 }
 
+// Validate reports the first field that would make GenerateServing or
+// a run over its stream panic: a negative Files or Horizon, a
+// BlocksPerFile below one, or a MeanRate that is negative or not
+// finite.
+func (s ServingSpec) Validate() error {
+	switch {
+	case s.Files < 0:
+		return fmt.Errorf("workload: ServingSpec.Files must not be negative, got %d", s.Files)
+	case s.BlocksPerFile < 1:
+		return fmt.Errorf("workload: ServingSpec.BlocksPerFile must be at least 1, got %d", s.BlocksPerFile)
+	case math.IsNaN(s.MeanRate) || math.IsInf(s.MeanRate, 0) || s.MeanRate < 0:
+		return fmt.Errorf("workload: ServingSpec.MeanRate must be finite and non-negative, got %v", s.MeanRate)
+	case s.Horizon < 0:
+		return fmt.Errorf("workload: ServingSpec.Horizon must not be negative, got %v", s.Horizon)
+	}
+	return nil
+}
+
 // FileName returns the DFS path of the i-th served file.
 func (s ServingSpec) FileName(i int) string { return fmt.Sprintf("serve/f-%03d", i) }
 

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -222,5 +223,38 @@ func TestServingSpecHelpers(t *testing.T) {
 	empty := ServingSpec{}
 	if s := GenerateServing(empty, 1); len(s.Requests) != 0 {
 		t.Errorf("zero-rate spec drew %d requests", len(s.Requests))
+	}
+}
+
+// TestServingSpecValidate: every value that would panic inside
+// GenerateServing or a run over its stream is an error naming its
+// field; the default spec and the zero spec are valid.
+func TestServingSpecValidate(t *testing.T) {
+	for _, tc := range []struct {
+		field string // "" for a valid spec
+		edit  func(*ServingSpec)
+	}{
+		{"", func(s *ServingSpec) {}},
+		{"", func(s *ServingSpec) { s.MeanRate, s.Horizon = 0, 0 }},
+		{"Files", func(s *ServingSpec) { s.Files = -1 }},
+		{"BlocksPerFile", func(s *ServingSpec) { s.BlocksPerFile = 0 }},
+		{"BlocksPerFile", func(s *ServingSpec) { s.BlocksPerFile = -4 }},
+		{"MeanRate", func(s *ServingSpec) { s.MeanRate = math.Inf(1) }},
+		{"MeanRate", func(s *ServingSpec) { s.MeanRate = math.NaN() }},
+		{"MeanRate", func(s *ServingSpec) { s.MeanRate = -1 }},
+		{"Horizon", func(s *ServingSpec) { s.Horizon = -time.Second }},
+	} {
+		spec := DefaultServingSpec()
+		tc.edit(&spec)
+		err := spec.Validate()
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("%+v: unexpected error %v", spec, err)
+		case tc.field != "" && (err == nil || !strings.Contains(err.Error(), "ServingSpec."+tc.field+" ")):
+			t.Errorf("%+v: error %v, want one naming ServingSpec.%s", spec, err, tc.field)
+		}
+	}
+	if err := (ServingSpec{}).Validate(); err == nil || !strings.Contains(err.Error(), "BlocksPerFile") {
+		t.Errorf("zero spec: error %v, want BlocksPerFile", err)
 	}
 }
