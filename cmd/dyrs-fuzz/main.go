@@ -17,7 +17,9 @@
 // On the first failing seed the harness shrinks the scenario (dropping
 // faults, then jobs, while the same oracle keeps failing) and prints a
 // one-line reproduction command carrying the envelope and the policy
-// name.
+// name. Each failing seed also leaves the failing run's whole canonical
+// trace in the -artifacts directory as trace-seed<N>.json; its sha256
+// is the trace hash the seed's report prints.
 package main
 
 import (
@@ -33,7 +35,6 @@ import (
 	"dyrs/internal/obs"
 	"dyrs/internal/policy"
 	"dyrs/internal/runner"
-	"dyrs/internal/trace"
 )
 
 func main() {
@@ -58,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	policyName := fs.String("policy", "", "migrating policy for the oracle runs: "+
 		strings.Join(policy.Names(), ", ")+" (default dyrs)")
 	shrink := fs.Bool("shrink", true, "shrink failing scenarios to a minimal repro")
-	artifacts := fs.String("artifacts", ".", "directory for failure artifacts (flight-recorder dumps); empty disables")
+	artifacts := fs.String("artifacts", ".", "directory for failure artifacts: a failing seed's canonical trace JSON, trace-seed<N>.json, whose sha256 is the run's trace hash; empty disables")
 	manifestPath := fs.String("manifest", "", "write a run-manifest JSON (seed, flags, build, wall time, peak RSS) to this file")
 	verbose := fs.Bool("v", false, "print every scenario as it is checked")
 	if err := fs.Parse(args); err != nil {
@@ -192,9 +193,8 @@ func checkOne(stdout io.Writer, base harness.Repro, mask string, shrink bool, ar
 		fmt.Fprintf(stdout, "ok: seed %d passed all oracles\n", base.Seed)
 		return nil
 	}
-	dumpFlight(stdout, base.Seed, r.Flight, artifacts)
 	// A repro replay is already reduced; only shrink the full scenario.
-	reportFailure(stdout, rep, failures, shrink && mask == "", "")
+	reportFailure(stdout, rep, failures, shrink && mask == "", artifacts)
 	return fmt.Errorf("seed %d failed %d oracle check(s)", base.Seed, len(failures))
 }
 
@@ -206,8 +206,8 @@ func binderName(policy string) string {
 	return policy
 }
 
-// reportFailure prints a seed's oracle violations, the flight-recorder
-// dump artifact, and, when asked, the shrunk reproduction command.
+// reportFailure prints a seed's oracle violations, the trace artifact,
+// and, when asked, the shrunk reproduction command.
 func reportFailure(stdout io.Writer, rep harness.Repro, failures []harness.Failure, shrink bool, artifacts string) {
 	fmt.Fprintf(stdout, "FAIL seed %d policy=%s (%d violations):\n",
 		rep.Seed, binderName(rep.Policy), len(failures))
@@ -215,10 +215,7 @@ func reportFailure(stdout io.Writer, rep harness.Repro, failures []harness.Failu
 		fmt.Fprintf(stdout, "  %s\n", f)
 	}
 	if artifacts != "" {
-		// Re-run once to capture the failing run's flight ring; scenarios
-		// are deterministic, so this reproduces the reported run exactly.
-		r := harness.RunScenario(rep.Scenario(), "DYRS")
-		dumpFlight(stdout, rep.Seed, r.Flight, artifacts)
+		writeTrace(stdout, rep, artifacts)
 	}
 	if !shrink {
 		return
@@ -228,26 +225,22 @@ func reportFailure(stdout io.Writer, rep harness.Repro, failures []harness.Failu
 	fmt.Fprintf(stdout, "  shrunk to %d event(s); repro: %s\n", shrunk.Events(), shrunk.Command())
 }
 
-// dumpFlight writes the failing run's flight-recorder tail to an
-// artifact file next to the repro line, so the last moments before the
-// violation survive the process.
-func dumpFlight(stdout io.Writer, seed int64, events []trace.FlightEvent, artifacts string) {
-	if artifacts == "" || len(events) == 0 {
-		return
-	}
-	path := filepath.Join(artifacts, fmt.Sprintf("flight-seed%d.txt", seed))
+// writeTrace re-runs the failing scenario and writes its canonical
+// trace to trace-seed<N>.json under artifacts. Runs are deterministic,
+// so the file is the reported run's trace and its sha256 is that run's
+// trace hash.
+func writeTrace(stdout io.Writer, rep harness.Repro, artifacts string) {
+	path := filepath.Join(artifacts, fmt.Sprintf("trace-seed%d.json", rep.Seed))
 	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(stdout, "  flight dump failed: %v\n", err)
-		return
-	}
-	err = trace.WriteFlightDump(f, events)
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	if err == nil {
+		err = harness.WriteScenarioTrace(f, rep.Scenario(), "DYRS")
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
 	if err != nil {
-		fmt.Fprintf(stdout, "  flight dump failed: %v\n", err)
+		fmt.Fprintf(stdout, "  trace artifact failed: %v\n", err)
 		return
 	}
-	fmt.Fprintf(stdout, "  flight recorder (%d events): %s\n", len(events), path)
+	fmt.Fprintf(stdout, "  trace: %s\n", path)
 }

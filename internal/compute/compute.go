@@ -349,12 +349,10 @@ func (fw *Framework) Submit(spec JobSpec) (*Job, error) {
 		// Scheduler cooperation: tell the migration master when this
 		// job's tasks are expected to launch and how much input it has,
 		// so deadline- and size-aware ordering policies can use it.
-		if hs, ok := fw.mgr.(migration.HintSink); ok {
-			hs.SetJobHint(j.ID, migration.JobHint{
-				ExpectedStart: fw.eng.Now().Add(spec.PlatformOverhead + spec.ExtraLeadTime),
-				InputBytes:    j.InputBytes,
-			})
-		}
+		fw.mgr.SetJobHint(j.ID, migration.JobHint{
+			ExpectedStart: fw.eng.Now().Add(spec.PlatformOverhead + spec.ExtraLeadTime),
+			InputBytes:    j.InputBytes,
+		})
 	}
 
 	lead := spec.PlatformOverhead + spec.ExtraLeadTime

@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"strings"
@@ -176,11 +179,37 @@ func TestRunScenarioObservations(t *testing.T) {
 	}
 }
 
+// TestWriteScenarioTraceIsTheRun: the trace dyrs-fuzz writes for a
+// failing seed is the reported run, on the job and the serving path:
+// its sha256 is RunScenario's TraceHash, and a rejected scenario writes
+// nothing and returns its validation error.
+func TestWriteScenarioTraceIsTheRun(t *testing.T) {
+	t.Parallel()
+	for _, sc := range []Scenario{generate(7, false), GenerateServing(1)} {
+		var buf bytes.Buffer
+		if err := WriteScenarioTrace(&buf, sc, experiments.DYRS); err != nil {
+			t.Fatalf("serving=%v: %v", sc.Serving, err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got, want := hex.EncodeToString(sum[:]), RunScenario(sc, experiments.DYRS).TraceHash; got != want {
+			t.Errorf("serving=%v: artifact sha256 %s, run TraceHash %s", sc.Serving, got, want)
+		}
+		if !bytes.Contains(buf.Bytes(), []byte(`"schema": "dyrs-trace/v2"`)) {
+			t.Errorf("serving=%v: artifact starts %.40q, want the canonical schema", sc.Serving, buf.Bytes())
+		}
+		sc.Workers = 0
+		buf.Reset()
+		if err := WriteScenarioTrace(&buf, sc, experiments.DYRS); err == nil || !strings.Contains(err.Error(), "Workers") || buf.Len() != 0 {
+			t.Errorf("serving=%v: rejected scenario wrote %d bytes, error %v", sc.Serving, buf.Len(), err)
+		}
+	}
+}
+
 // TestRunScenarioRejectsInvalidScenario pins Scenario.Validate at the
 // RunScenario boundary: each case used to panic inside the engine or the
 // fault schedule (divide by zero, negative node index, event before
 // now) and now comes back as a submission error, on the job and the
-// serving path alike.
+// serving path alike; a serving scenario's ServingSpec is validated too.
 func TestRunScenarioRejectsInvalidScenario(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -211,6 +240,11 @@ func TestRunScenarioRejectsInvalidScenario(t *testing.T) {
 		if err := base.Validate(); err != nil {
 			t.Errorf("serving=%v: generated scenario rejected: %v", base.Serving, err)
 		}
+	}
+	sc := GenerateServing(1)
+	sc.ServingSpec.DiurnalAmp = 2
+	if r := RunScenario(sc, experiments.DYRS); len(r.SubmitErrors) != 1 || !strings.Contains(r.SubmitErrors[0], "DiurnalAmp") {
+		t.Errorf("serving DiurnalAmp=2: SubmitErrors = %v, want one naming DiurnalAmp", r.SubmitErrors)
 	}
 }
 

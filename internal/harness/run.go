@@ -3,7 +3,9 @@ package harness
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"time"
 
@@ -60,9 +62,6 @@ type RunResult struct {
 	TraceHash string
 	// EndTime is the virtual clock when the run finished draining.
 	EndTime sim.Time
-	// Flight is the tail of the run's trace activity (bounded ring),
-	// dumped as a diagnosis artifact when an oracle fails.
-	Flight []trace.FlightEvent
 }
 
 // buildSpec maps a generated JobSpec onto a concrete compute.JobSpec.
@@ -99,19 +98,50 @@ func buildSpec(j JobSpec) compute.JobSpec {
 // anomaly (timeouts, submission errors, fsck violations) is recorded in
 // the result for the oracles to judge.
 func RunScenario(sc Scenario, policy experiments.Policy) *RunResult {
-	if sc.Serving {
-		return runServingScenario(sc, policy)
+	res, _ := runScenario(sc, policy)
+	return res
+}
+
+// WriteScenarioTrace runs the scenario as RunScenario does and writes
+// the run's canonical trace JSON (dyrs-trace/v2) to w. Runs are
+// deterministic, so the output's sha256 is RunScenario's TraceHash.
+func WriteScenarioTrace(w io.Writer, sc Scenario, policy experiments.Policy) error {
+	res, tr := runScenario(sc, policy)
+	if tr == nil {
+		return errors.New(res.SubmitErrors[0])
 	}
-	res := &RunResult{Policy: policy, Submitted: len(sc.Jobs)}
+	return tr.WriteJSON(w)
+}
+
+// runScenario executes one scenario run and returns its observations
+// with the run's tracer, or a nil tracer when the scenario is rejected
+// before an environment exists.
+func runScenario(sc Scenario, policy experiments.Policy) (*RunResult, *trace.Tracer) {
+	res := &RunResult{Policy: policy}
+	if !sc.Serving {
+		res.Submitted = len(sc.Jobs)
+	}
 	env, err := newScenarioEnv(sc, policy)
 	if err != nil {
 		res.SubmitErrors = append(res.SubmitErrors, err.Error())
-		return res
+		return res, nil
 	}
 	if sc.Heartbeats {
 		env.FS.EnableHeartbeats()
 	}
+	if sc.Serving {
+		runServing(env, sc, res)
+	} else {
+		runJobs(env, sc, res)
+	}
+	observeRun(env, res)
+	return res, env.Tracer()
+}
 
+// runJobs creates the scenario's inputs, submits its jobs under the
+// fault schedule, and runs until they finish, the horizon passes, and
+// the drain settles.
+func runJobs(env *experiments.Env, sc Scenario, res *RunResult) {
 	// Inputs.
 	for _, j := range sc.Jobs {
 		if err := env.CreateInput(j.File, j.Size); err != nil {
@@ -158,15 +188,13 @@ func RunScenario(sc Scenario, policy experiments.Policy) *RunResult {
 		}
 	}
 	sort.Strings(res.Completed)
-	observeRun(env, res)
-	return res
 }
 
-// newScenarioEnv builds the traced environment for a scenario run, with
-// the flight recorder armed so a failing scenario leaves its last
-// moments behind. Sampling stays off: the span-tally oracles need the
-// full trace. A scenario or options that fail Validate are returned as
-// an error, which the caller records like a submission failure.
+// newScenarioEnv builds the traced environment for a scenario run.
+// Sampling stays off: the span-tally oracles need the full trace, and
+// a failing seed's artifact is that whole trace. A scenario or options
+// that fail Validate are returned as an error, which the caller records
+// like a submission failure.
 func newScenarioEnv(sc Scenario, policy experiments.Policy) (*experiments.Env, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -182,9 +210,7 @@ func newScenarioEnv(sc Scenario, policy experiments.Policy) (*experiments.Env, e
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	env := experiments.NewEnv(policy, opt)
-	env.Tracer().SetFlightRecorder(512)
-	return env, nil
+	return experiments.NewEnv(policy, opt), nil
 }
 
 // scheduleFaults enqueues the scenario's fault schedule, with a
@@ -268,7 +294,6 @@ func observeRun(env *experiments.Env, res *RunResult) {
 		}
 	}
 	res.TraceHash = traceHash(tr)
-	res.Flight = tr.FlightEvents()
 	res.EndTime = env.Eng.Now()
 }
 
@@ -286,20 +311,10 @@ func servingLoadOptions() experiments.ServingLoadOptions {
 	}
 }
 
-// runServingScenario executes a serving scenario: the drawn open-loop
-// request stream through the shared serving driver, under the
-// scenario's fault schedule.
-func runServingScenario(sc Scenario, policy experiments.Policy) *RunResult {
-	res := &RunResult{Policy: policy}
-	env, err := newScenarioEnv(sc, policy)
-	if err != nil {
-		res.SubmitErrors = append(res.SubmitErrors, err.Error())
-		return res
-	}
-	if sc.Heartbeats {
-		env.FS.EnableHeartbeats()
-	}
-
+// runServing drives a serving scenario: the drawn open-loop request
+// stream through the shared serving driver, under the scenario's fault
+// schedule.
+func runServing(env *experiments.Env, sc Scenario, res *RunResult) {
 	scheduleFaults(env, sc, res)
 
 	stream := workload.GenerateServing(sc.ServingSpec, sc.Seed)
@@ -311,9 +326,6 @@ func runServingScenario(sc Scenario, policy experiments.Policy) *RunResult {
 	} else {
 		res.RequestsServed = row.Served
 	}
-
-	observeRun(env, res)
-	return res
 }
 
 // traceHash digests the canonical trace document.

@@ -161,8 +161,9 @@ type Scenario struct {
 }
 
 // Validate reports the first field RunScenario cannot execute: fewer
-// than one worker, or a fault scheduled before time zero or aimed at a
-// negative node. Generated scenarios always pass; the check guards
+// than one worker, a fault scheduled before time zero or aimed at a
+// negative node, or a serving scenario's ServingSpec that fails its own
+// Validate. Generated scenarios always pass; the check guards
 // hand-built and mutated ones at the boundary instead of letting them
 // panic inside the engine or the fault schedule.
 func (sc Scenario) Validate() error {
@@ -176,6 +177,9 @@ func (sc Scenario) Validate() error {
 		if f.Node < 0 {
 			return fmt.Errorf("harness: fault %d (%v) targets negative node %d", i, f.Kind, f.Node)
 		}
+	}
+	if sc.Serving {
+		return sc.ServingSpec.Validate()
 	}
 	return nil
 }

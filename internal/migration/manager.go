@@ -31,13 +31,17 @@ type JobID int
 
 // Manager is the interface the compute framework talks to. The job
 // submitter calls Migrate during submission (the paper inserts the call
-// in the Hadoop job-submitter / after Hive query compilation, §IV-B);
-// Evict runs when the job finishes; NoteRead is invoked as tasks finish
-// reading blocks and drives implicit eviction.
+// in the Hadoop job-submitter / after Hive query compilation, §IV-B)
+// and then SetJobHint; Evict runs when the job finishes; NoteRead is
+// invoked as tasks finish reading blocks and drives implicit eviction.
 type Manager interface {
 	// Migrate requests migration of the input files for the given job.
 	// implicitEvict opts the job into eviction-on-read (§III-C3).
 	Migrate(job JobID, files []string, implicitEvict bool) error
+	// SetJobHint passes the scheduler's expected start and input size
+	// of a job with pending migrations, for deadline- and size-aware
+	// ordering.
+	SetJobHint(job JobID, hint JobHint)
 	// Evict clears the job from all reference lists, releasing blocks
 	// whose lists become empty.
 	Evict(job JobID)
@@ -64,6 +68,9 @@ type None struct{}
 
 // Migrate is a no-op.
 func (None) Migrate(JobID, []string, bool) error { return nil }
+
+// SetJobHint is a no-op.
+func (None) SetJobHint(JobID, JobHint) {}
 
 // Evict is a no-op.
 func (None) Evict(JobID) {}

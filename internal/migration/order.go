@@ -49,14 +49,7 @@ type JobHint struct {
 	InputBytes sim.Bytes
 }
 
-// HintSink is implemented by managers that accept scheduler hints. The
-// compute framework feeds hints at submission; managers that do not
-// implement it simply ignore scheduler cooperation.
-type HintSink interface {
-	SetJobHint(job JobID, hint JobHint)
-}
-
-// SetJobHint implements HintSink on the Coordinator.
+// SetJobHint implements Manager.
 func (c *Coordinator) SetJobHint(job JobID, hint JobHint) {
 	c.hints[job] = hint
 	c.hintEpoch++

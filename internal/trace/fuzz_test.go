@@ -50,7 +50,8 @@ func fuzzAttr(a, b int) Attr {
 }
 
 // replay runs the byte program of interpret. cfg&3 selects 1-in-(n+1)
-// sampling (0: off) and cfg&4 arms a 6-entry flight recorder. With
+// sampling (0: off); cfg&4 is unused, kept so the seed corpus and
+// recorded crashers that set it replay unchanged. With
 // withRef the program is replayed in lockstep into the reference store
 // as well, sharing the tracer's engine, counters and topology.
 //
@@ -70,12 +71,6 @@ func replay(data []byte, cfg byte, seed int64, withRef bool) (*Tracer, *refRecor
 		tr.SetSampling(n+1, uint64(seed))
 		if ref != nil {
 			ref.sample = &sampleState{n: uint64(n + 1), seed: uint64(seed), ord: make(map[sampleKey]uint64)}
-		}
-	}
-	if cfg&4 != 0 {
-		tr.SetFlightRecorder(6)
-		if ref != nil {
-			ref.flight = &flightRing{buf: make([]FlightEvent, 6)}
 		}
 	}
 

@@ -153,11 +153,10 @@ func refAttrMap(attrs []Attr) map[string]string {
 
 // refRecorder records spans and instants the old way. It shares its
 // tracer's engine, counters, histograms and topology, which the arena
-// did not change, and keeps its own sampler and flight ring.
+// did not change, and keeps its own sampler.
 type refRecorder struct {
 	t        *Tracer
 	sample   *sampleState
-	flight   *flightRing
 	spans    []refSpan
 	instants []refInstant
 }
@@ -194,10 +193,6 @@ func (r *refRecorder) begin(cat, name string, node int, attrs []Attr) refRef {
 		ID: id, Cat: cat, Name: name, Node: node,
 		Begin: r.t.eng.Now(), End: -1, Attrs: copyAttrs(attrs),
 	})
-	if r.flight != nil {
-		r.flight.record(FlightEvent{At: r.t.eng.Now(), Kind: FlightSpanBegin,
-			Cat: cat, Name: name, Node: node, Span: id})
-	}
 	return refRef{r: r, idx: id - 1}
 }
 
@@ -208,10 +203,6 @@ func (r *refRecorder) Instant(cat, name string, node int, attrs ...Attr) {
 	r.instants = append(r.instants, refInstant{
 		Cat: cat, Name: name, Node: node, At: r.t.eng.Now(), Attrs: copyAttrs(attrs),
 	})
-	if r.flight != nil {
-		r.flight.record(FlightEvent{At: r.t.eng.Now(), Kind: FlightInstant,
-			Cat: cat, Name: name, Node: node})
-	}
 }
 
 func (s refRef) Child(cat, name string, node int, attrs ...Attr) refRef {
@@ -241,10 +232,6 @@ func (s refRef) End(attrs ...Attr) {
 	}
 	sp.End = s.r.t.eng.Now()
 	sp.Attrs = append(sp.Attrs, attrs...)
-	if s.r.flight != nil {
-		s.r.flight.record(FlightEvent{At: sp.End, Kind: FlightSpanEnd,
-			Cat: sp.Cat, Name: sp.Name, Node: sp.Node, Span: sp.ID})
-	}
 }
 
 func (r *refRecorder) WriteJSON(w io.Writer) error {

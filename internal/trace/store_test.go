@@ -16,9 +16,8 @@ import (
 // FuzzTraceStore replays one byte program into the tracer and into the
 // reference []Attr-per-record store (refstore_test.go) and requires the
 // two to be indistinguishable: identical canonical and Chrome
-// documents, Summarize results, flight-recorder contents, record fields
-// and Attr values for every key. cfg selects sampling and the flight
-// recorder (see replay).
+// documents, Summarize results, record fields and Attr values for every
+// key. cfg selects sampling (see replay).
 func FuzzTraceStore(f *testing.F) {
 	f.Add(byte(0), []byte{})
 	// Duplicate keys: Begin with block, Annotate twice, End with block.
@@ -27,7 +26,7 @@ func FuzzTraceStore(f *testing.F) {
 	f.Add(byte(0), []byte{0, 0, 0, 1, 0, 0, 2, 1, 2, 6, 30, 0, 0, 1, 2, 1, 4, 2, 1, 0, 6})
 	// Annotate after End, then a second End.
 	f.Add(byte(0), []byte{0, 2, 3, 1, 0, 1, 2, 0, 9, 1, 0, 33, 4, 1, 2})
-	// Sampled, with the flight recorder armed.
+	// Sampled (the cfg&4 bit these seeds set is unused).
 	f.Add(byte(7), []byte{0, 4, 4, 6, 255, 255, 1, 0, 3, 0, 2, 4, 4, 9, 9, 3, 1, 1, 0, 8, 0, 4, 5, 5})
 	f.Add(byte(5), []byte{0, 0, 0, 3, 1, 1, 6, 50, 0, 1, 0, 0, 2, 2, 2, 5, 1, 1, 4, 3, 67})
 	// Zigzag varint edges: 0 at Begin, -1 annotated, MinInt64 at End,
@@ -48,9 +47,6 @@ func FuzzTraceStore(f *testing.F) {
 		sameOutput(t, "WriteChromeTrace", tr.WriteChromeTrace, ref.WriteChromeTrace)
 		if got, want := tr.Summarize(), ref.Summarize(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("Summarize differs:\n%s\nreference:\n%s", got, want)
-		}
-		if got, want := tr.FlightEvents(), ref.flight.eventsOrNil(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("flight events differ:\n%v\nreference:\n%v", got, want)
 		}
 		sameRecords(t, tr, ref)
 	})
@@ -116,13 +112,6 @@ func TestArenaSeedsSplit(t *testing.T) {
 			t.Errorf("%s: span chain has %d segments on %d pages, want at least %d on 2", c.name, segs, len(pages), c.segs)
 		}
 	}
-}
-
-func (r *flightRing) eventsOrNil() []FlightEvent {
-	if r == nil {
-		return nil
-	}
-	return r.events()
 }
 
 func sameOutput(t *testing.T, what string, write, ref func(io.Writer) error) {

@@ -176,7 +176,6 @@ type Tracer struct {
 	res      map[*sim.Resource]*flowCounters
 	hists    map[string]*Hist
 	sample   *sampleState // nil: record every root span/instant
-	flight   *flightRing  // nil: flight recorder disarmed
 	rackOf   []int        // node -> rack for the capped Perfetto export; nil = unknown
 }
 
@@ -244,10 +243,6 @@ func (t *Tracer) begin(cat, name string, node int, attrs []Attr) SpanRef {
 		begin: t.eng.Now(), end: -1, node: int32(node),
 		label: t.st.label(cat, name), head: t.st.push(attrs),
 	})
-	if t.flight != nil {
-		t.flight.record(FlightEvent{At: t.eng.Now(), Kind: FlightSpanBegin,
-			Cat: cat, Name: name, Node: node, Span: id})
-	}
 	return SpanRef{t: t, idx: id - 1}
 }
 
@@ -266,10 +261,6 @@ func (t *Tracer) Instant(cat, name string, node int, attrs ...Attr) {
 	t.instants = append(t.instants, Instant{
 		at: t.eng.Now(), node: int32(node), label: t.st.label(cat, name), head: t.st.push(attrs),
 	})
-	if t.flight != nil {
-		t.flight.record(FlightEvent{At: t.eng.Now(), Kind: FlightInstant,
-			Cat: cat, Name: name, Node: node})
-	}
 }
 
 // SetTopology records the node -> rack map the capped Perfetto export
@@ -316,11 +307,6 @@ func (s SpanRef) End(attrs ...Attr) {
 	}
 	sp.end = s.t.eng.Now()
 	sp.head = s.t.st.extend(sp.head, attrs)
-	if s.t.flight != nil {
-		lb := s.t.st.labels[sp.label]
-		s.t.flight.record(FlightEvent{At: sp.end, Kind: FlightSpanEnd,
-			Cat: lb.cat, Name: lb.name, Node: sp.Node(), Span: s.idx + 1})
-	}
 }
 
 // Begin reports the span's begin instant, or 0 for the zero SpanRef.

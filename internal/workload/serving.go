@@ -98,22 +98,49 @@ func DefaultServingSpec() ServingSpec {
 }
 
 // Validate reports the first field that would make GenerateServing or
-// a run over its stream panic: a negative Files or Horizon, a
-// BlocksPerFile below one, or a MeanRate that is negative or not
-// finite.
+// a run over its stream panic or draw nonsense: a negative Files or
+// Horizon, a BlocksPerFile below one, a MeanRate that is negative or
+// not finite, a non-finite ZipfS or PeakPhase, a DiurnalAmp outside
+// [0, 1) (the rate would go negative), or a tenant whose Weight is
+// negative or not finite, whose SkewBias is not finite or whose
+// LatencyTarget is negative, or tenant weights that do not sum to a
+// finite positive share. A negative ZipfS is allowed.
 func (s ServingSpec) Validate() error {
 	switch {
 	case s.Files < 0:
 		return fmt.Errorf("workload: ServingSpec.Files must not be negative, got %d", s.Files)
 	case s.BlocksPerFile < 1:
 		return fmt.Errorf("workload: ServingSpec.BlocksPerFile must be at least 1, got %d", s.BlocksPerFile)
-	case math.IsNaN(s.MeanRate) || math.IsInf(s.MeanRate, 0) || s.MeanRate < 0:
+	case !finite(s.MeanRate) || s.MeanRate < 0:
 		return fmt.Errorf("workload: ServingSpec.MeanRate must be finite and non-negative, got %v", s.MeanRate)
 	case s.Horizon < 0:
 		return fmt.Errorf("workload: ServingSpec.Horizon must not be negative, got %v", s.Horizon)
+	case !finite(s.ZipfS):
+		return fmt.Errorf("workload: ServingSpec.ZipfS must be finite, got %v", s.ZipfS)
+	case !(s.DiurnalAmp >= 0 && s.DiurnalAmp < 1):
+		return fmt.Errorf("workload: ServingSpec.DiurnalAmp must be in [0, 1), got %v", s.DiurnalAmp)
+	case !finite(s.PeakPhase):
+		return fmt.Errorf("workload: ServingSpec.PeakPhase must be finite, got %v", s.PeakPhase)
+	}
+	sum := 0.0
+	for i, tc := range s.Tenants {
+		switch {
+		case !finite(tc.Weight) || tc.Weight < 0:
+			return fmt.Errorf("workload: ServingSpec.Tenants[%d].Weight must be finite and non-negative, got %v", i, tc.Weight)
+		case !finite(tc.SkewBias):
+			return fmt.Errorf("workload: ServingSpec.Tenants[%d].SkewBias must be finite, got %v", i, tc.SkewBias)
+		case tc.LatencyTarget < 0:
+			return fmt.Errorf("workload: ServingSpec.Tenants[%d].LatencyTarget must not be negative, got %v", i, tc.LatencyTarget)
+		}
+		sum += tc.Weight
+	}
+	if len(s.Tenants) > 0 && !(sum > 0 && finite(sum)) {
+		return fmt.Errorf("workload: ServingSpec.Tenants weights must sum to a finite positive share, got %v", sum)
 	}
 	return nil
 }
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // FileName returns the DFS path of the i-th served file.
 func (s ServingSpec) FileName(i int) string { return fmt.Sprintf("serve/f-%03d", i) }

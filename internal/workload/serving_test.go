@@ -227,8 +227,10 @@ func TestServingSpecHelpers(t *testing.T) {
 }
 
 // TestServingSpecValidate: every value that would panic inside
-// GenerateServing or a run over its stream is an error naming its
-// field; the default spec and the zero spec are valid.
+// GenerateServing or a run over its stream, or draw a nonsense stream
+// (a negative rate, NaN tenant picks), is an error naming its field;
+// the default spec, a negative ZipfS and a zero-weight tenant are
+// valid, and the zero spec is not.
 func TestServingSpecValidate(t *testing.T) {
 	for _, tc := range []struct {
 		field string // "" for a valid spec
@@ -243,6 +245,27 @@ func TestServingSpecValidate(t *testing.T) {
 		{"MeanRate", func(s *ServingSpec) { s.MeanRate = math.NaN() }},
 		{"MeanRate", func(s *ServingSpec) { s.MeanRate = -1 }},
 		{"Horizon", func(s *ServingSpec) { s.Horizon = -time.Second }},
+		{"", func(s *ServingSpec) { s.ZipfS, s.DiurnalAmp = -1, 0 }},
+		{"ZipfS", func(s *ServingSpec) { s.ZipfS = math.NaN() }},
+		{"ZipfS", func(s *ServingSpec) { s.ZipfS = math.Inf(1) }},
+		{"DiurnalAmp", func(s *ServingSpec) { s.DiurnalAmp = 2 }},
+		{"DiurnalAmp", func(s *ServingSpec) { s.DiurnalAmp = 1 }},
+		{"DiurnalAmp", func(s *ServingSpec) { s.DiurnalAmp = -0.1 }},
+		{"DiurnalAmp", func(s *ServingSpec) { s.DiurnalAmp = math.NaN() }},
+		{"PeakPhase", func(s *ServingSpec) { s.PeakPhase = math.Inf(-1) }},
+		{"", func(s *ServingSpec) { s.Tenants = DefaultTenants(); s.Tenants[0].Weight = 0 }},
+		{"Tenants[1].Weight", func(s *ServingSpec) { s.Tenants = DefaultTenants(); s.Tenants[1].Weight = math.NaN() }},
+		{"Tenants[2].Weight", func(s *ServingSpec) { s.Tenants = DefaultTenants(); s.Tenants[2].Weight = -0.5 }},
+		{"Tenants[0].Weight", func(s *ServingSpec) { s.Tenants = DefaultTenants(); s.Tenants[0].Weight = math.Inf(1) }},
+		{"Tenants", func(s *ServingSpec) { s.Tenants = []TenantClass{{Name: "a"}, {Name: "b"}} }},
+		{"Tenants", func(s *ServingSpec) {
+			s.Tenants = []TenantClass{{Weight: math.MaxFloat64}, {Weight: math.MaxFloat64}}
+		}},
+		{"Tenants[1].SkewBias", func(s *ServingSpec) { s.Tenants = DefaultTenants(); s.Tenants[1].SkewBias = math.NaN() }},
+		{"Tenants[0].LatencyTarget", func(s *ServingSpec) {
+			s.Tenants = DefaultTenants()
+			s.Tenants[0].LatencyTarget = -time.Millisecond
+		}},
 	} {
 		spec := DefaultServingSpec()
 		tc.edit(&spec)
