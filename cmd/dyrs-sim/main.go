@@ -9,11 +9,10 @@
 //	dyrs-sim -policy HDFS -size 20 -alternate 10s -interfere 1
 //	dyrs-sim -policy DYRS -size 10 -trace out.json -trace-format perfetto
 //	dyrs-sim -policy DYRS -size 10 -trace out.json -trace-sample 64   # deterministic 1-in-64 sampling
-//	dyrs-sim -policy DYRS -size 10 -metrics-addr localhost:9090 -manifest man.json
+//	dyrs-sim -policy DYRS -size 10 -trace run.prom -trace-format openmetrics -manifest man.json
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -58,9 +57,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	showTelemetry := fs.Bool("telemetry", false, "render per-node disk utilization after the run")
 	telemetryCSV := fs.String("telemetry-csv", "", "write raw telemetry samples (disk/NIC/memory series) to this CSV file")
 	tracePath := fs.String("trace", "", "record a trace of the run and write it to this file")
-	traceFormat := fs.String("trace-format", "json", "trace file format: json (canonical dyrs-trace/v2) | perfetto (Chrome trace-event JSON)")
+	traceFormat := fs.String("trace-format", "json", "trace file format: json (canonical dyrs-trace/v2) | perfetto (Chrome trace-event JSON) | openmetrics (OpenMetrics text of the counters and histograms)")
 	traceSample := fs.Int("trace-sample", 1, "keep 1-in-N root spans (deterministic; counters and histograms stay exact)")
-	metricsAddr := fs.String("metrics-addr", "", "serve live OpenMetrics and progress JSON on this address while the run is in flight (e.g. localhost:9090)")
 	manifestPath := fs.String("manifest", "", "write a run-manifest JSON (seed, flags, build, wall/virtual time, peak RSS) to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -79,10 +77,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	default:
 		return fmt.Errorf("unknown policy %q", *policyFlag)
 	}
-	switch *traceFormat {
-	case "json", "perfetto":
-	default:
-		return fmt.Errorf("unknown trace format %q (want json or perfetto)", *traceFormat)
+	format, ok := traceFormats[*traceFormat]
+	if !ok {
+		return fmt.Errorf("unknown trace format %q (want json, perfetto or openmetrics)", *traceFormat)
 	}
 	unused, ok := unusedFlags[*wl]
 	if !ok {
@@ -124,18 +121,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	opt := dyrs.DefaultOptions(*seed)
 	opt.Workers = *workers
-	// The live endpoint needs an attached tracer for counters and
-	// histograms even when no trace file was requested.
-	opt.Trace = *tracePath != "" || *metricsAddr != ""
+	opt.Trace = *tracePath != ""
 	opt.SampleEvery = *traceSample
 	if err := opt.Validate(); err != nil {
 		return err
 	}
-	// The format and the sample shape the trace file; only -metrics-addr
-	// also reads the sample, as the span count of its progress snapshots.
+	// The format and the sample shape the trace file and nothing else.
 	var traceless string
 	fs.Visit(func(f *flag.Flag) {
-		if *tracePath == "" && (f.Name == "trace-format" || (f.Name == "trace-sample" && *metricsAddr == "")) {
+		if !opt.Trace && (f.Name == "trace-format" || f.Name == "trace-sample") {
 			traceless += ", -" + f.Name
 		}
 	})
@@ -143,17 +137,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("%s not supported without -trace", traceless[2:])
 	}
 	env := dyrs.NewEnv(policy, opt)
-
-	if *metricsAddr != "" {
-		srv, err := obs.StartServer(*metricsAddr)
-		if err != nil {
-			return fmt.Errorf("starting metrics endpoint: %w", err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(stdout, "metrics     : http://%s/metrics (progress at /progress)\n", srv.Addr())
-		stopTick := startMetricsTicker(env, srv)
-		defer stopTick()
-	}
 
 	var col *telemetry.Collector
 	if *showTelemetry || *telemetryCSV != "" {
@@ -186,18 +169,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	if tr := env.Tracer(); tr.Enabled() && *tracePath != "" {
-		write := tr.WriteJSON
-		if *traceFormat == "perfetto" {
-			write = tr.WriteChromeTrace
-		}
-		if err := writeFile(*tracePath, write); err != nil {
+	if opt.Trace {
+		tr := env.Tracer()
+		if err := writeFile(*tracePath, func(w io.Writer) error { return format.write(tr, w) }); err != nil {
 			return fmt.Errorf("writing trace: %w", err)
 		}
 		fmt.Fprintf(stdout, "\ntrace       : %s (%s)\n", *tracePath, *traceFormat)
 		fmt.Fprintf(stdout, "trace summary:\n%s\n", tr.Summarize())
 		if manifest != nil {
-			manifest.AddSchema("trace", trace.Schema)
+			manifest.AddSchema("trace", format.schema)
 		}
 	}
 	return writeManifest(manifest, *manifestPath, env.Eng.Now())
@@ -205,32 +185,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 // unusedFlags names, per workload, the flags its run never reads.
 var unusedFlags = map[string][]string{
-	"hive": {"workers", "size", "lead", "interfere", "alternate", "swim-jobs", "telemetry", "trace", "trace-format", "trace-sample", "telemetry-csv", "metrics-addr"},
+	"hive": {"workers", "size", "lead", "interfere", "alternate", "swim-jobs", "telemetry", "trace", "trace-format", "trace-sample", "telemetry-csv"},
 	"swim": {"size", "lead", "interfere", "alternate", "query"},
 	"sort": {"swim-jobs", "query"},
 }
 
-// startMetricsTicker starts a virtual-time ticker that renders fresh
-// OpenMetrics and progress snapshots for the live endpoint once per
-// simulated second. The tick only reads simulation state and swaps
-// immutable byte slices into the server, so enabling the endpoint never
-// changes a run's results. The returned stop function stops the ticker
-// and publishes a final snapshot.
-func startMetricsTicker(env *dyrs.Env, srv *obs.Server) (stop func()) {
-	publish := func() {
-		tr := env.Tracer()
-		var metrics bytes.Buffer
-		if err := tr.WriteOpenMetrics(&metrics); err == nil {
-			progress := fmt.Sprintf("{\"virtual_ns\":%d,\"spans\":%d,\"instants\":%d}\n",
-				int64(env.Eng.Now()), len(tr.Spans()), len(tr.Instants()))
-			srv.Publish(metrics.Bytes(), []byte(progress))
-		}
-	}
-	tk := sim.NewTicker(env.Eng, sim.Duration(time.Second), publish)
-	return func() {
-		tk.Stop()
-		publish()
-	}
+// traceFormats maps each -trace-format value to the tracer export that
+// writes the file and the schema the manifest records for it.
+var traceFormats = map[string]struct {
+	write  func(*trace.Tracer, io.Writer) error
+	schema string
+}{
+	"json":        {(*trace.Tracer).WriteJSON, trace.Schema},
+	"perfetto":    {(*trace.Tracer).WriteChromeTrace, trace.ChromeSchema},
+	"openmetrics": {(*trace.Tracer).WriteOpenMetrics, trace.OpenMetricsSchema},
 }
 
 // writeManifest finalises and writes the run manifest, if one was

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,8 +50,8 @@ func TestRunRejectsUnknownPolicy(t *testing.T) {
 // NaN or overflowing -size). A -size of more blocks than the dfs block
 // table holds (1e9 GB) ran out of memory and is now the dfs error.
 // Options.Validate rejects the rest before the environment is built
-// (-trace-sample -4). The retired -shards flag
-// is an unknown flag. A flag the chosen workload never reads (hive's
+// (-trace-sample -4). The retired -shards and -metrics-addr flags
+// are unknown flags. A flag the chosen workload never reads (hive's
 // -workers or -telemetry, swim's -interfere) used to be ignored; each
 // one set is now named in the error, and so is a -trace-format or
 // -trace-sample given where no trace file is written.
@@ -88,7 +89,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-size", "1", "-trace-sample", "8", "-trace-format", "perfetto"}, "-trace-format, -trace-sample not supported without -trace"},
 		{[]string{"-workload", "swim", "-trace-format", "json"}, "-trace-format not supported without -trace"},
 		{sortArgs("-trace-sample", "4", "-telemetry"), "-trace-sample not supported without -trace"},
-		{sortArgs("-trace-format", "perfetto", "-metrics-addr", "127.0.0.1:0"), "-trace-format not supported without -trace"},
+		{sortArgs("-trace-format", "openmetrics"), "-trace-format not supported without -trace"},
+		{sortArgs("-metrics-addr", "127.0.0.1:0"), "flag provided but not defined: -metrics-addr"},
 	} {
 		var out, errOut bytes.Buffer
 		err := run(tc.args, &out, &errOut)
@@ -304,80 +306,88 @@ func TestTraceSampling(t *testing.T) {
 	}
 }
 
-// TestManifest checks the run manifest records the run's identity.
+// TestManifest checks the run manifest records the run's identity and
+// the schema of the trace format the run actually wrote.
 func TestManifest(t *testing.T) {
 	dir := t.TempDir()
-	p := filepath.Join(dir, "man.json")
-	tr := filepath.Join(dir, "t.json")
-	runOK(t, sortArgs("-manifest", p, "-trace", tr))
-
-	b, err := os.ReadFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m struct {
-		Schema  string            `json:"schema"`
-		Tool    string            `json:"tool"`
-		Seed    int64             `json:"seed"`
-		Flags   map[string]string `json:"flags"`
-		Virtual int64             `json:"virtual_ns"`
-		PeakRSS int64             `json:"peak_rss_bytes"`
-		Schemas map[string]string `json:"schemas"`
-	}
-	if err := json.Unmarshal(b, &m); err != nil {
-		t.Fatalf("manifest is not valid JSON: %v", err)
-	}
-	if m.Schema != "dyrs-manifest/v1" || m.Tool != "dyrs-sim" || m.Seed != 1 {
-		t.Errorf("manifest identity wrong: %+v", m)
-	}
-	if m.Flags["policy"] != "DYRS" || m.Flags["size"] != "0.5" {
-		t.Errorf("manifest flags wrong: %v", m.Flags)
-	}
-	if m.Virtual <= 0 || m.PeakRSS <= 0 {
-		t.Errorf("manifest missing measurements: virtual=%d rss=%d", m.Virtual, m.PeakRSS)
-	}
-	if m.Schemas["trace"] != "dyrs-trace/v2" {
-		t.Errorf("manifest schemas = %v", m.Schemas)
+	for _, tc := range []struct{ format, schema string }{
+		{"json", "dyrs-trace/v2"},
+		{"perfetto", "chrome-trace-event/json"},
+		{"openmetrics", "openmetrics-text/1.0.0"},
+	} {
+		p := filepath.Join(dir, tc.format+"-man.json")
+		runOK(t, sortArgs("-manifest", p, "-trace", filepath.Join(dir, tc.format), "-trace-format", tc.format))
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m struct {
+			Schema  string            `json:"schema"`
+			Tool    string            `json:"tool"`
+			Seed    int64             `json:"seed"`
+			Flags   map[string]string `json:"flags"`
+			Virtual int64             `json:"virtual_ns"`
+			PeakRSS int64             `json:"peak_rss_bytes"`
+			Schemas map[string]string `json:"schemas"`
+		}
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatalf("%s: manifest is not valid JSON: %v", tc.format, err)
+		}
+		if m.Schema != "dyrs-manifest/v1" || m.Tool != "dyrs-sim" || m.Seed != 1 {
+			t.Errorf("%s: manifest identity wrong: %+v", tc.format, m)
+		}
+		if m.Flags["policy"] != "DYRS" || m.Flags["size"] != "0.5" || m.Flags["trace-format"] != tc.format {
+			t.Errorf("%s: manifest flags wrong: %v", tc.format, m.Flags)
+		}
+		if m.Virtual <= 0 || m.PeakRSS <= 0 {
+			t.Errorf("%s: manifest missing measurements: virtual=%d rss=%d", tc.format, m.Virtual, m.PeakRSS)
+		}
+		if m.Schemas["trace"] != tc.schema {
+			t.Errorf("%s: manifest schemas = %v, want trace %q", tc.format, m.Schemas, tc.schema)
+		}
 	}
 }
 
-// TestMetricsEndpointDoesNotPerturb runs the same scenario with and
-// without the live endpoint: results and trace must be identical, and
-// the endpoint must serve an OpenMetrics exposition while alive.
-func TestMetricsEndpointDoesNotPerturb(t *testing.T) {
+// TestTraceOpenMetrics checks the OpenMetrics trace file: the same seed
+// writes the same bytes, the exposition ends in "# EOF", and its
+// migration gauges are the counts the run prints.
+func TestTraceOpenMetrics(t *testing.T) {
 	dir := t.TempDir()
-	plain := filepath.Join(dir, "plain.json")
-	live := filepath.Join(dir, "live.json")
-
-	base := runOK(t, sortArgs("-trace", plain))
-	out := runOK(t, sortArgs("-trace", live, "-metrics-addr", "127.0.0.1:0"))
-	if !strings.Contains(out, "metrics     : http://127.0.0.1:") {
-		t.Errorf("output missing endpoint line:\n%s", out)
-	}
-	// Strip the endpoint line (its port varies) and the trace path line
-	// (different file names); everything else must match.
-	strip := func(s string) string {
-		var kept []string
-		for _, line := range strings.Split(s, "\n") {
-			if strings.HasPrefix(line, "metrics     :") || strings.HasPrefix(line, "trace       :") {
-				continue
-			}
-			kept = append(kept, line)
+	var files [2][]byte
+	var out string
+	for i := range files {
+		p := filepath.Join(dir, fmt.Sprintf("run%d.prom", i))
+		out = runOK(t, sortArgs("-trace", p, "-trace-format", "openmetrics"))
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return strings.Join(kept, "\n")
+		files[i] = b
 	}
-	if got, want := strip(out), strip(base); got != want {
-		t.Errorf("live endpoint changed the run output:\n--- without:\n%s\n--- with:\n%s", want, got)
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatal("OpenMetrics files differ across identical runs")
 	}
-	a, err := os.ReadFile(plain)
-	if err != nil {
-		t.Fatal(err)
+	text := string(files[0])
+	if !strings.HasSuffix(text, "\n# EOF\n") {
+		t.Errorf("exposition does not end in # EOF:\n%s", text)
 	}
-	b, err := os.ReadFile(live)
-	if err != nil {
-		t.Fatal(err)
+	if !strings.Contains(out, "(openmetrics)") {
+		t.Errorf("trace line does not name the format:\n%s", out)
 	}
-	if !bytes.Equal(a, b) {
-		t.Error("live endpoint changed the trace bytes")
+	var requested, migrated int64
+	_, line, _ := strings.Cut(out, "migration   :")
+	if _, err := fmt.Sscanf(line, " requested=%d migrated=%d", &requested, &migrated); err != nil {
+		t.Fatalf("no migration line in output: %v\n%s", err, out)
+	}
+	if migrated == 0 {
+		t.Fatal("run migrated nothing")
+	}
+	for metric, want := range map[string]int64{
+		"dyrs_migration_requested": requested,
+		"dyrs_migration_completed": migrated,
+	} {
+		if line := fmt.Sprintf("\n%s %d\n", metric, want); !strings.Contains(text, line) {
+			t.Errorf("exposition lacks %q:\n%s", strings.TrimSpace(line), text)
+		}
 	}
 }

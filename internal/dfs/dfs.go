@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"dyrs/internal/cluster"
@@ -622,63 +623,39 @@ func (fs *FS) readAttempt(at cluster.NodeID, id BlockID, start sim.Time,
 		})
 	}
 
-	if memNode, ok := fs.MemReplica(id); ok && !exclude[memNode] {
-		if first {
-			fs.notifyRead(id, at)
-		}
-		if !fs.cl.Node(memNode).Alive() {
-			failover(memNode)
-			return nil
-		}
-		dn := fs.dns[int(memNode)]
-		dn.MemReads++
-		op := fs.newReadOp(at, id, start, fs.table.blockSize(id), done, sp)
-		op.server = memNode
-		if memNode == at {
-			op.src = SourceMemLocal
-			op.legs[0] = dn.node.Mem
-		} else {
-			dn.RemoteServes++
-			op.src = SourceMemRemote
-			op.setTransferLegs(dn.node.NIC)
-		}
-		fs.eng.Schedule(ReadLatency, op.launch)
-		return nil
+	server, mem := fs.MemReplica(id)
+	if mem && exclude[server] {
+		mem = false
 	}
-
-	replicas := fs.LiveReplicas(id, fs.repBuf[:0])
-	fs.repBuf = replicas[:0]
-	if exclude != nil {
-		kept := replicas[:0]
-		for _, r := range replicas {
-			if !exclude[r] {
-				kept = append(kept, r)
+	if !mem {
+		replicas := fs.LiveReplicas(id, fs.repBuf[:0])
+		fs.repBuf = replicas[:0]
+		if exclude != nil {
+			kept := replicas[:0]
+			for _, r := range replicas {
+				if !exclude[r] {
+					kept = append(kept, r)
+				}
 			}
+			replicas = kept
 		}
-		replicas = kept
-	}
-	if len(replicas) == 0 {
-		sp.End(trace.Str("outcome", "failed"))
-		if first {
+		if len(replicas) == 0 {
+			sp.End(trace.Str("outcome", "failed"))
+			if first {
+				return ErrNoReplica
+			}
+			if done != nil {
+				done(ReadResult{Block: id, Failed: true, Started: start, Finished: fs.eng.Now()})
+			}
 			return ErrNoReplica
 		}
-		if done != nil {
-			done(ReadResult{Block: id, Failed: true, Started: start, Finished: fs.eng.Now()})
-		}
-		return ErrNoReplica
-	}
-	server := replicas[0]
-	local := false
-	for _, r := range replicas {
-		if r == at {
-			server = r
-			local = true
-			break
+		if slices.Contains(replicas, at) {
+			server = at
+		} else {
+			server = fs.pickRemoteReplica(at, replicas)
 		}
 	}
-	if !local {
-		server = fs.pickRemoteReplica(at, replicas)
-	}
+
 	if first {
 		fs.notifyRead(id, at)
 	}
@@ -687,13 +664,23 @@ func (fs *FS) readAttempt(at cluster.NodeID, id BlockID, start sim.Time,
 		return nil
 	}
 	dn := fs.dns[int(server)]
-	dn.DiskReads++
+	if mem {
+		dn.MemReads++
+	} else {
+		dn.DiskReads++
+	}
 	op := fs.newReadOp(at, id, start, fs.table.blockSize(id), done, sp)
 	op.server = server
-	if local {
-		op.src = SourceDiskLocal
-		op.legs[0] = dn.node.Disk
-	} else {
+	switch {
+	case mem && server == at:
+		op.src, op.legs[0] = SourceMemLocal, dn.node.Mem
+	case server == at:
+		op.src, op.legs[0] = SourceDiskLocal, dn.node.Disk
+	case mem:
+		dn.RemoteServes++
+		op.src = SourceMemRemote
+		op.setTransferLegs(dn.node.NIC)
+	default:
 		dn.RemoteServes++
 		op.src = SourceDiskRemote
 		op.setTransferLegs(dn.node.Disk)

@@ -8,6 +8,7 @@ import (
 
 	"dyrs/internal/compute"
 	"dyrs/internal/dfs"
+	"dyrs/internal/gtrace"
 	"dyrs/internal/metrics"
 	"dyrs/internal/sim"
 	"dyrs/internal/workload"
@@ -418,6 +419,39 @@ func TestTraceReport(t *testing.T) {
 	}
 	if rep.Trace.MeanUtilization() <= 0 {
 		t.Error("empty trace")
+	}
+}
+
+// TestTraceReportDescribesItsTrace: Figs. 1 and 3 name the trace's own
+// server count and span, and leave the span out when a loaded file's Cfg
+// is empty, instead of always describing 40 servers over 24h.
+func TestTraceReportDescribesItsTrace(t *testing.T) {
+	t.Parallel()
+	cfg := gtrace.DefaultConfig()
+	cfg.Servers, cfg.Duration, cfg.Jobs = 5, 2*time.Hour, 50
+	small := TraceReport{Trace: gtrace.Generate(cfg)}
+	legacy := TraceReport{Trace: &gtrace.Trace{Util: small.Trace.Util, Jobs: small.Trace.Jobs}}
+	for _, tc := range []struct {
+		name       string
+		rep        TraceReport
+		fig1, fig3 string
+	}{
+		{"default", RunTrace(1),
+			"Fig 1 — Disk utilization over 24h for three servers (5-min samples, downsampled)\n",
+			"Fig 3 — CDF of disk utilization samples, 40 servers x 24h\n"},
+		{"small", small,
+			"Fig 1 — Disk utilization over 2h for three servers (5-min samples, downsampled)\n",
+			"Fig 3 — CDF of disk utilization samples, 5 servers x 2h\n"},
+		{"legacy", legacy,
+			"Fig 1 — Disk utilization for three servers (5-min samples, downsampled)\n",
+			"Fig 3 — CDF of disk utilization samples, 5 servers\n"},
+	} {
+		if got := tc.rep.Fig1(); !strings.HasPrefix(got, tc.fig1) {
+			t.Errorf("%s: Fig 1 heading = %q, want %q", tc.name, strings.SplitAfter(got, "\n")[0], tc.fig1)
+		}
+		if got := tc.rep.Fig3(); !strings.HasPrefix(got, tc.fig3) {
+			t.Errorf("%s: Fig 3 heading = %q, want %q", tc.name, strings.SplitAfter(got, "\n")[0], tc.fig3)
+		}
 	}
 }
 

@@ -51,14 +51,15 @@ func traceExperiment() Experiment {
 	}
 }
 
-// Fig1 renders per-node disk utilization over 24h for three nodes chosen
-// like the paper's: the busiest node, a mid-load node, and a light one.
+// Fig1 renders per-node disk utilization over the trace's span for three
+// nodes chosen like the paper's: the busiest node, a mid-load node, and a
+// light one.
 func (r TraceReport) Fig1() string {
 	ranked := r.Trace.RankedServers()
 	means := r.Trace.ServerMeans()
 	picks := []int{ranked[0], ranked[len(ranked)/3], ranked[2*len(ranked)/3]}
 	var b strings.Builder
-	b.WriteString("Fig 1 — Disk utilization over 24h for three servers (5-min samples, downsampled)\n")
+	fmt.Fprintf(&b, "Fig 1 — Disk utilization%s for three servers (5-min samples, downsampled)\n", r.span(" over "))
 	for i, s := range picks {
 		ts := r.Trace.UtilizationSeries(s)
 		fmt.Fprintf(&b, "node%d (mean %.1f%%):", i+1, means[s]*100)
@@ -91,7 +92,7 @@ func (r TraceReport) Fig2() string {
 // Fig3 renders the utilization CDF.
 func (r TraceReport) Fig3() string {
 	var b strings.Builder
-	b.WriteString("Fig 3 — CDF of disk utilization samples, 40 servers x 24h\n")
+	fmt.Fprintf(&b, "Fig 3 — CDF of disk utilization samples, %d servers%s\n", len(r.Trace.Util), r.span(" x "))
 	util := r.Trace.UtilizationSamples()
 	for _, u := range []float64{0.01, 0.02, 0.04, 0.08, 0.16, 0.32} {
 		fmt.Fprintf(&b, "  util <= %4.1f%%: %5.1f%%\n", u*100, util.FractionBelow(u)*100)
@@ -99,4 +100,14 @@ func (r TraceReport) Fig3() string {
 	fmt.Fprintf(&b, "mean utilization: %.1f%% (paper: ~3.1%%); samples under 4%%: %.0f%% (paper: 80%%)\n",
 		r.Trace.MeanUtilization()*100, util.FractionBelow(0.04)*100)
 	return b.String()
+}
+
+// span renders the trace's span in hours after sep, as Figs. 1 and 3
+// name it (" over 24h"), or "" for a file whose Cfg is empty and so
+// does not say.
+func (r TraceReport) span(sep string) string {
+	if d := r.Trace.Cfg.Duration; d > 0 {
+		return fmt.Sprintf("%s%gh", sep, d.Hours())
+	}
+	return ""
 }

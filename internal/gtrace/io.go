@@ -39,6 +39,9 @@ func (t *Trace) validate() error {
 	}
 	bins := len(t.Util[0])
 	for s, series := range t.Util {
+		if len(series) == 0 {
+			return fmt.Errorf("gtrace: server %d has no bins", s)
+		}
 		if len(series) != bins {
 			return fmt.Errorf("gtrace: server %d has %d bins, want %d", s, len(series), bins)
 		}

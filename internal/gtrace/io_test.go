@@ -60,17 +60,22 @@ func TestJSONHasNoTasks(t *testing.T) {
 	}
 }
 
+// TestReadJSONValidation: each invalid trace is rejected with an error
+// that names what is wrong. A server with no bins used to load and
+// render its mean utilization as NaN.
 func TestReadJSONValidation(t *testing.T) {
-	cases := map[string]string{
-		"garbage":       "{not json",
-		"no servers":    `{"Cfg":{},"Util":[],"Jobs":[]}`,
-		"ragged":        `{"Util":[[0.1,0.2],[0.3]],"Jobs":[]}`,
-		"util range":    `{"Util":[[1.5]],"Jobs":[]}`,
-		"negative lead": `{"Util":[[0.1]],"Jobs":[{"Tasks":1,"LeadSeconds":-1,"ReadSeconds":1}]}`,
+	cases := map[string]struct{ in, want string }{
+		"garbage":       {"{not json", "decoding trace"},
+		"no servers":    {`{"Cfg":{},"Util":[],"Jobs":[]}`, "no servers"},
+		"no bins":       {`{"Cfg":{},"Util":[[]],"Jobs":[]}`, "server 0 has no bins"},
+		"later no bins": {`{"Util":[[0.1],[]],"Jobs":[]}`, "server 1 has no bins"},
+		"ragged":        {`{"Util":[[0.1,0.2],[0.3]],"Jobs":[]}`, "server 1 has 1 bins, want 2"},
+		"util range":    {`{"Util":[[1.5]],"Jobs":[]}`, "utilization out of range"},
+		"negative lead": {`{"Util":[[0.1]],"Jobs":[{"Tasks":1,"LeadSeconds":-1,"ReadSeconds":1}]}`, "job 0 invalid"},
 	}
-	for name, in := range cases {
-		if _, err := ReadJSON(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: accepted invalid trace", name)
+	for name, tc := range cases {
+		if _, err := ReadJSON(strings.NewReader(tc.in)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ReadJSON = %v, want error containing %q", name, err, tc.want)
 		}
 	}
 }

@@ -1,13 +1,11 @@
-// Package obs is the ops surface of a simulator run: the run manifest
-// (what exactly ran — seed, flags, build, schema versions, wall and
-// virtual time, peak memory) every CLI can write next to its outputs,
-// and a read-only wall-clock HTTP endpoint serving live progress and
-// OpenMetrics while a long run is in flight.
+// Package obs writes the run manifest: what exactly ran (seed, flags,
+// build, schema versions, wall and virtual time, peak memory), which
+// every CLI can write next to its outputs.
 //
-// Everything here is deliberately OUTSIDE the deterministic core: wall
-// clocks and goroutines live in this package (under audited lint
-// waivers) so the simulation's own packages stay virtual-time pure. No
-// simulation result may ever depend on a value produced here.
+// The manifest is deliberately OUTSIDE the deterministic core: its wall
+// clock reads live here (under audited lint waivers) so the
+// simulation's own packages stay virtual-time pure. No simulation
+// result may ever depend on a value produced here.
 package obs
 
 import (

@@ -482,6 +482,10 @@ const PerfettoRackCapNodes = 256
 
 const usPerNS = 1e-3
 
+// ChromeSchema names the format WriteChromeTrace writes: the JSON object
+// form of Chrome's Trace Event Format, which Perfetto loads.
+const ChromeSchema = "chrome-trace-event/json"
+
 // WriteChromeTrace writes the trace in Chrome trace-event JSON. Spans
 // still open at export are clamped to the current virtual instant.
 // Span linkage survives the format via args["span"]/args["parent"].

@@ -1,6 +1,6 @@
 // OpenMetrics text exposition of the tracer's counter and histogram
-// registries — the format the -metrics-addr ops endpoint serves and
-// external scrapers (Prometheus with OpenMetrics negotiation) ingest.
+// registries: the file `dyrs-sim -trace-format openmetrics` writes at
+// the end of a run, in the format Prometheus-compatible tools ingest.
 //
 // The exposition is deterministic: metric families sort by name,
 // histogram buckets ascend, and every value derives from virtual-time
@@ -12,6 +12,9 @@ import (
 	"io"
 	"sort"
 )
+
+// OpenMetricsSchema names the format WriteOpenMetrics writes.
+const OpenMetricsSchema = "openmetrics-text/1.0.0"
 
 // openMetricsName sanitizes a registry name ("read.bytes.mem-local")
 // into an OpenMetrics metric name ("dyrs_read_bytes_mem_local").

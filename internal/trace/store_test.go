@@ -133,7 +133,7 @@ func sameOutput(t *testing.T, what string, write, ref func(io.Writer) error) {
 func sameRecords(t *testing.T, tr *Tracer, ref *refRecorder) {
 	t.Helper()
 	keys := append([]string{"extra", "missing"}, fuzzKeys...)
-	spans, instants := tr.Spans(), tr.Instants()
+	spans, instants := tr.Spans(), tr.instants
 	if len(spans) != len(ref.spans) || len(instants) != len(ref.instants) {
 		t.Fatalf("%d spans, %d instants; reference %d, %d",
 			len(spans), len(instants), len(ref.spans), len(ref.instants))

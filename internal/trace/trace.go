@@ -326,15 +326,6 @@ func (t *Tracer) Spans() []Span {
 	return t.spans
 }
 
-// Instants returns the recorded instants in record order (tracer-owned
-// storage; do not mutate).
-func (t *Tracer) Instants() []Instant {
-	if t == nil {
-		return nil
-	}
-	return t.instants
-}
-
 // --- counter / gauge registry ---
 
 func (t *Tracer) cell(name string) *int64 {
