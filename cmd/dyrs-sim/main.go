@@ -272,6 +272,9 @@ func runSWIM(stdout io.Writer, env *dyrs.Env, jobs int, seed int64) error {
 	cfg := workload.DefaultSWIMConfig()
 	cfg.Jobs = jobs
 	cfg.TotalInput = sim.Bytes(float64(cfg.TotalInput) * float64(jobs) / 200)
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	swimJobs := workload.GenerateSWIM(rand.New(rand.NewSource(seed)), cfg)
 	for _, j := range swimJobs {
 		if err := env.CreateInput(j.FileName(), j.InputSize); err != nil {

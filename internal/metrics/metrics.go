@@ -74,11 +74,12 @@ const (
 	samplePageMax   = 4096 // 32 KiB
 )
 
-// push appends v to the last page of *pages, adding a page first if
-// there is none or the last is full. The first page holds first
+// AppendPaged appends v to the last page of *pages, adding a page first
+// if there is none or the last is full. The first page holds first
 // elements; a later page holds twice as many as the page before it, up
-// to limit.
-func push[T any](pages *[][]T, v T, first, limit int) {
+// to limit. Pages never move, so an append never copies earlier
+// elements.
+func AppendPaged[T any](pages *[][]T, v T, first, limit int) {
 	k := len(*pages) - 1
 	if k < 0 || len((*pages)[k]) == cap((*pages)[k]) {
 		if k >= 0 {
@@ -95,7 +96,7 @@ func NewSample() *Sample { return &Sample{} }
 
 // Add appends an observation.
 func (s *Sample) Add(v float64) {
-	push(&s.pages, v, samplePageFirst, samplePageMax)
+	AppendPaged(&s.pages, v, samplePageFirst, samplePageMax)
 	s.n++
 	s.sorted = false
 	s.sum += v
@@ -305,7 +306,7 @@ func (ts *TimeSeries) Record(t, v float64) {
 			}
 		}
 	}
-	push(&ts.pages, seriesRun{t0: t, v: v, n: 1}, seriesPageFirst, seriesPageMax)
+	AppendPaged(&ts.pages, seriesRun{t0: t, v: v, n: 1}, seriesPageFirst, seriesPageMax)
 }
 
 // Points returns a copy of the recorded samples.

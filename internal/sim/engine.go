@@ -79,18 +79,21 @@ func (t Time) String() string { return Duration(t).String() }
 // Event is a scheduled callback. It is returned by the scheduling methods
 // so callers can cancel it before it fires.
 //
+// The record is 24 bytes with no flag fields: a non-nil fn means the
+// event is queued and live. Cancel and the engine's fire path both clear
+// fn, so a tombstone, a fired event and a pooled one all read as dead.
+//
 // Handles are pooled: once an event has fired, the engine recycles the
 // Event struct for a later Schedule/At call. A handle is therefore valid
 // only until its event fires — cancel before the fire, or drop the
 // handle when the callback runs (overwrite it, as Ticker does). Cancel
-// is always safe on nil handles, on handles cancelled before firing, and
-// from within the event's own callback.
+// is always safe on nil handles, on handles cancelled before firing,
+// from within the event's own callback, and on a fired handle the
+// engine has not yet handed out again.
 type Event struct {
-	at        Time
-	seq       uint64
-	fn        func()
-	queued    bool // in the queue (live or tombstoned)
-	cancelled bool
+	at  Time
+	seq uint64
+	fn  func()
 }
 
 // compactMin is the queue length below which tombstone compaction is not
@@ -105,11 +108,11 @@ type Engine struct {
 	seq    uint64
 	events radixQueue
 	// dead counts tombstoned (lazily cancelled) events still in the
-	// queue. Cancellation only flags the event; the queue entry is
-	// reclaimed when it surfaces, or in bulk by compact() once dead
-	// entries outnumber live ones.
+	// queue. Cancellation only clears the event's callback; the queue
+	// entry is reclaimed when it surfaces, or in bulk by compact() once
+	// dead entries outnumber live ones.
 	dead    int
-	free    []*Event // recycled Event structs; steady state allocates none
+	free    eventPool // recycled Event structs; steady state allocates none
 	rng     *rand.Rand
 	stopped bool
 	fired   uint64
@@ -186,20 +189,20 @@ func (e *Engine) Schedule(d Duration, fn func()) *Event {
 }
 
 // At runs fn at instant t. Scheduling in the past panics: it always
-// indicates a model bug, and silently clamping would mask it.
+// indicates a model bug, and silently clamping would mask it. So does a
+// nil fn, which would otherwise read as an already-cancelled event.
 func (e *Engine) At(t Time, fn func()) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	var ev *Event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	} else {
+	if fn == nil {
+		panic(fmt.Sprintf("sim: scheduling a nil callback at %v", t))
+	}
+	ev := e.free.pop(&e.events)
+	if ev == nil {
 		ev = &Event{}
 	}
-	ev.at, ev.seq, ev.fn, ev.cancelled = t, e.seq, fn, false
+	ev.at, ev.seq, ev.fn = t, e.seq, fn
 	e.seq++
 	e.events.push(ev, e.now)
 	return ev
@@ -208,20 +211,16 @@ func (e *Engine) At(t Time, fn func()) *Event {
 // Cancel removes ev from the queue if it has not fired. Cancelling a nil,
 // fired, or already-cancelled event is a no-op.
 //
-// Cancellation is lazy: the event is tombstoned in place (O(1)) and its
-// callback reference dropped immediately, and the queue entry is reclaimed
-// when it surfaces — or in bulk once tombstones outnumber live events.
+// Cancellation is lazy: the event is tombstoned in place (O(1)) by
+// dropping its callback reference, which also keeps a tombstone from
+// pinning model objects (e.g. a stopped Ticker's callback) while it
+// waits in the queue. The queue entry is reclaimed when it surfaces — or
+// in bulk once tombstones outnumber live events.
 func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.cancelled {
-		return
+	if ev == nil || ev.fn == nil {
+		return // cancelled, firing, fired or pooled
 	}
-	ev.cancelled = true
-	// Drop the closure now so a tombstone never pins model objects
-	// (e.g. a stopped Ticker's callback) while it waits in the queue.
 	ev.fn = nil
-	if !ev.queued {
-		return // currently firing or already popped
-	}
 	e.dead++
 	if e.dead*2 > e.events.n && e.events.n >= compactMin {
 		e.compact()
@@ -242,18 +241,53 @@ func (e *Engine) compact() {
 // cap, drained events are left to the garbage collector.
 const maxFreeEvents = 1 << 16
 
-// release returns a popped or compacted-away event to the free pool.
-// The pool doubles when full, up to the cap: append's 1.25× steps past
-// 256 entries would re-copy it about four times on its way to the cap.
-func (e *Engine) release(ev *Event) {
-	ev.fn = nil
-	if n := len(e.free); n < maxFreeEvents {
-		if n == cap(e.free) {
-			e.free = append(make([]*Event, 0, min(max(2*n, 1), maxFreeEvents)), e.free...)
-		}
-		e.free = append(e.free, ev)
-	}
+// eventPool is the engine's free list of dead Event structs: a LIFO
+// stack of the radix queue's chunks, linked by next below the top one.
+// Chunks come from the queue's chunk free list and go back to it as
+// they empty, so the pool never copies itself while it grows and holds
+// memory only for the events it keeps.
+type eventPool struct {
+	top  *chunk
+	n    int // entries in top; every chunk below it is full
+	size int // entries in the pool, at most maxFreeEvents
 }
+
+// push adds a dead event, drawing a chunk from q when the top is full,
+// or drops it once the pool holds maxFreeEvents.
+func (p *eventPool) push(ev *Event, q *radixQueue) {
+	if p.size == maxFreeEvents {
+		return
+	}
+	if p.top == nil || p.n == chunkLen {
+		k := q.chunk()
+		k.next, p.top, p.n = p.top, k, 0
+	}
+	p.top.evs[p.n] = ev
+	p.n++
+	p.size++
+}
+
+// pop removes and returns the most recently pushed event, or nil when
+// the pool is empty. A chunk it empties goes back to q.
+func (p *eventPool) pop(q *radixQueue) *Event {
+	if p.size == 0 {
+		return nil
+	}
+	p.n--
+	p.size--
+	ev := p.top.evs[p.n]
+	p.top.evs[p.n] = nil
+	if p.n == 0 {
+		if p.top = q.recycle(p.top, 0); p.top != nil {
+			p.n = chunkLen
+		}
+	}
+	return ev
+}
+
+// release returns a popped or compacted-away event, whose fn is already
+// nil, to the free pool.
+func (e *Engine) release(ev *Event) { e.free.push(ev, &e.events) }
 
 // head skims tombstoned events off the front of the queue, without
 // advancing the clock or firing anything, and returns the earliest live
@@ -261,7 +295,7 @@ func (e *Engine) release(ev *Event) {
 func (e *Engine) head() *Event {
 	for e.events.n > 0 {
 		ev := e.events.peek()
-		if !ev.cancelled {
+		if ev.fn != nil {
 			return ev
 		}
 		e.events.popMin()
@@ -327,15 +361,24 @@ func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
 // is normally live; the guard covers it anyway for safety.
 func (e *Engine) step() {
 	ev := e.events.popMin()
-	if ev.cancelled {
+	if ev.fn == nil {
 		e.dead--
 		e.release(ev)
 		return
 	}
 	e.now = ev.at
 	e.fired++
-	ev.fn()
+	fire(ev)
 	e.release(ev)
+}
+
+// fire runs a popped live event. It clears fn before the call, so the
+// event reads as dead from its own callback on: a Cancel of its handle
+// there, or later while it waits in the pool, is a no-op.
+func fire(ev *Event) {
+	fn := ev.fn
+	ev.fn = nil
+	fn()
 }
 
 // Ticker invokes its callback every interval until cancelled. It is the

@@ -76,6 +76,22 @@ func TestSchedulePastPanics(t *testing.T) {
 	e.At(0, func() {})
 }
 
+// A nil callback panics at the At call that passes it, not when the
+// event fires: a queued nil fn would read as a tombstone the dead count
+// never saw.
+func TestScheduleNilPanics(t *testing.T) {
+	e := NewEngine(1)
+	defer func() {
+		if recover() == nil {
+			t.Error("scheduling a nil callback did not panic")
+		}
+		if e.Pending() != 0 {
+			t.Errorf("Pending = %d after the rejected At, want 0", e.Pending())
+		}
+	}()
+	e.Schedule(time.Second, nil)
+}
+
 func TestRunUntilAdvancesClock(t *testing.T) {
 	e := NewEngine(1)
 	n := 0

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -18,12 +19,17 @@ import (
 // same-instant bursts at a time already queued (the seq order of bucket
 // 0, kept across refills and rebases), and same-instant bursts longer
 // than a chunk at a far instant (a bucket chain of several chunks, read
-// in order into bucket 0).
+// in order into bucket 0). Two more aim at the liveness encoding, where
+// a nil callback marks an event dead: an event that cancels its own
+// handle as it fires, and a Cancel through the handle of an event that
+// has fired but whose struct the engine has not handed out again. Both
+// must be no-ops.
 //
 // Invariants checked:
 //   - events fire exactly in (time, scheduling-order) order;
 //   - cancelled events never fire, fired events are never re-fired;
-//   - Pending() always equals the model's live count;
+//   - Pending() and EventsFired() always equal the model's live and
+//     fired counts;
 //   - the queue fully drains (compaction and tombstone skimming never
 //     lose or duplicate a live event).
 func FuzzEventQueue(f *testing.F) {
@@ -60,6 +66,10 @@ func FuzzEventQueue(f *testing.F) {
 	// four chunks of a higher bucket, then a push below the head
 	// rebases the queue with both in place.
 	f.Add([]byte{0, 20, 11, 130, 9, 3, 5, 31})
+	// Self-cancelling events fire beside plain ones, their stale handles
+	// are cancelled, new schedules reuse the pooled structs, and the
+	// stale handles are cancelled again.
+	f.Add([]byte{12, 5, 12, 5, 0, 3, 7, 2, 5, 10, 13, 0, 13, 1, 0, 2, 0, 4, 13, 2, 13, 0, 5, 10})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		eng := NewEngine(1)
@@ -73,6 +83,7 @@ func FuzzEventQueue(f *testing.F) {
 		var (
 			model   []*modelEvent
 			handles []*Event // index-aligned with model; nil once fired
+			stale   []*Event // handles of fired events, in firing order
 			gotIDs  []int
 		)
 		live := func() int {
@@ -84,8 +95,11 @@ func FuzzEventQueue(f *testing.F) {
 			}
 			return n
 		}
-		var schedule func(at Time, nestDelta Duration)
-		schedule = func(at Time, nestDelta Duration) {
+		// schedule queues an event at at. With nestDelta >= 0 its callback
+		// schedules a child nestDelta later; with selfCancel it cancels
+		// its own handle first.
+		var schedule func(at Time, nestDelta Duration, selfCancel bool)
+		schedule = func(at Time, nestDelta Duration, selfCancel bool) {
 			id := len(model)
 			m := &modelEvent{at: at}
 			model = append(model, m)
@@ -93,14 +107,19 @@ func FuzzEventQueue(f *testing.F) {
 			ev := eng.At(at, func() {
 				// The handle dies the moment the event fires: the engine
 				// recycles the struct for a later schedule.
+				self := handles[id]
 				handles[id] = nil
 				m.fired = true
 				gotIDs = append(gotIDs, id)
+				stale = append(stale, self)
+				if selfCancel {
+					eng.Cancel(self)
+				}
 				if nestDelta >= 0 {
 					// Nested schedule from inside a callback — lands on a
 					// pooled (recycled) Event struct once the free list is
 					// warm.
-					schedule(eng.Now().Add(nestDelta), -1)
+					schedule(eng.Now().Add(nestDelta), -1, false)
 				}
 			})
 			handles[id] = ev
@@ -135,17 +154,17 @@ func FuzzEventQueue(f *testing.F) {
 
 		for i := 0; i+1 < len(data); i += 2 {
 			arg := int(data[i+1])
-			switch data[i] % 12 {
+			switch data[i] % 14 {
 			case 0, 1, 2: // schedule at now+delta
-				schedule(eng.Now().Add(Duration(arg%64)*unit), -1)
+				schedule(eng.Now().Add(Duration(arg%64)*unit), -1, false)
 			case 3, 4: // cancel by index
 				cancel(arg)
 			case 5, 6: // advance the clock
 				eng.RunFor(Duration(arg%32) * unit)
 			case 7: // schedule an event that schedules another on fire
-				schedule(eng.Now().Add(Duration(arg%64)*unit), Duration(arg%16)*unit)
+				schedule(eng.Now().Add(Duration(arg%64)*unit), Duration(arg%16)*unit, false)
 			case 8: // far future: up to ~4.9 h, into the top buckets
-				schedule(eng.Now().Add(Duration(arg)<<36), -1)
+				schedule(eng.Now().Add(Duration(arg)<<36), -1, false)
 			case 9: // stop 1-8 ns short of the head, then schedule below it
 				head, ok := earliestLive()
 				gap := Time(1 + arg%8)
@@ -153,8 +172,8 @@ func FuzzEventQueue(f *testing.F) {
 					break
 				}
 				eng.RunUntil(head - gap)
-				schedule(eng.Now().Add(Duration(arg)%Duration(gap)), -1)
-				schedule(eng.Now(), -1)
+				schedule(eng.Now().Add(Duration(arg)%Duration(gap)), -1, false)
+				schedule(eng.Now(), -1, false)
 			case 10: // burst of 8-15 events at an instant already queued
 				if len(model) == 0 {
 					break
@@ -164,16 +183,30 @@ func FuzzEventQueue(f *testing.F) {
 					break
 				}
 				for k := 0; k < 8+arg%8; k++ {
-					schedule(m.at, -1)
+					schedule(m.at, -1, false)
 				}
 			case 11: // burst of 64-200 events 1-275 s on: more than one chunk
 				at := eng.Now().Add(Duration(1+arg) << 30)
 				for k := 0; k < 64+arg%137; k++ {
-					schedule(at, -1)
+					schedule(at, -1, false)
 				}
+			case 12: // an event that cancels its own handle as it fires
+				schedule(eng.Now().Add(Duration(arg%64)*unit), -1, true)
+			case 13: // cancel a fired event's handle not yet reused
+				if len(stale) == 0 {
+					break
+				}
+				h := stale[arg%len(stale)]
+				if slices.Contains(handles, h) {
+					break // the struct now carries a live event
+				}
+				eng.Cancel(h)
 			}
 			if got, want := eng.Pending(), live(); got != want {
 				t.Fatalf("op %d: Pending() = %d, model live = %d", i/2, got, want)
+			}
+			if got, want := eng.EventsFired(), uint64(len(gotIDs)); got != want {
+				t.Fatalf("op %d: EventsFired() = %d, model fired = %d", i/2, got, want)
 			}
 		}
 

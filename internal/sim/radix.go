@@ -48,7 +48,7 @@ type radixQueue struct {
 // chunkLen fills a chunk to 512 bytes, one Go size class, with its link.
 const chunkLen = 63
 
-// chunk is one link of a bucket's chain.
+// chunk is one link of a bucket's chain, or of the engine's event pool.
 type chunk struct {
 	evs  [chunkLen]*Event
 	next *chunk
@@ -71,7 +71,6 @@ func (c *chain) fill(k *chunk) int {
 
 // push queues ev; now is the engine clock, never later than ev.at.
 func (q *radixQueue) push(ev *Event, now Time) {
-	ev.queued = true
 	if q.n == 0 {
 		q.base = now // an empty queue has no order to keep
 	} else if ev.at < q.base {
@@ -90,12 +89,7 @@ func (q *radixQueue) add(i int, ev *Event) {
 	}
 	c := &q.chains[i]
 	if c.last == nil || c.n == chunkLen {
-		k := q.free
-		if k != nil {
-			q.free, k.next = k.next, nil
-		} else {
-			k = new(chunk)
-		}
+		k := q.chunk()
 		if c.last == nil {
 			c.first = k
 		} else {
@@ -105,6 +99,16 @@ func (q *radixQueue) add(i int, ev *Event) {
 	}
 	c.last.evs[c.n] = ev
 	c.n++
+}
+
+// chunk takes a cleared chunk off the free list, or allocates one.
+func (q *radixQueue) chunk() *chunk {
+	k := q.free
+	if k == nil {
+		return new(chunk)
+	}
+	q.free, k.next = k.next, nil
+	return k
 }
 
 // recycle clears the first n entries of read chunk k, all it was
@@ -163,7 +167,6 @@ func (q *radixQueue) popMin() *Event {
 		q.b0, q.head = q.b0[:0], 0
 		q.nonempty &^= 1
 	}
-	ev.queued = false
 	return ev
 }
 
@@ -255,10 +258,9 @@ func (q *radixQueue) sweep(c *chain, release func(*Event)) int {
 
 // drop reports whether ev is cancelled, handing it to release if so.
 func drop(ev *Event, release func(*Event)) bool {
-	if !ev.cancelled {
+	if ev.fn != nil {
 		return false
 	}
-	ev.queued = false
 	release(ev)
 	return true
 }

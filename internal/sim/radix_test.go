@@ -12,17 +12,29 @@ import (
 // refEngine is the engine loop with an independent queue: every event
 // in one container/heap binary heap ordered by (at, seq), lazy-cancel
 // tombstones skimmed at the head, and no pooling or compaction.
-// TestRadixQueueLockstep runs it beside Engine.
+// TestRadixQueueLockstep runs it beside Engine. Its state lives in its
+// own refEvent records; the *Event it returns is only a handle, so the
+// reference shares none of the struct it checks.
 type refEngine struct {
 	now   Time
 	seq   uint64
 	q     refHeap
+	recs  map[*Event]*refEvent // by handle, until popped
 	live  int
 	fired uint64
 }
 
-// refHeap is a heap.Interface over *Event in (at, seq) order.
-type refHeap []*Event
+// refEvent is refEngine's record of one scheduled event.
+type refEvent struct {
+	at        Time
+	seq       uint64
+	fn        func()
+	handle    *Event
+	cancelled bool
+}
+
+// refHeap is a heap.Interface over *refEvent in (at, seq) order.
+type refHeap []*refEvent
 
 func (h refHeap) Len() int { return len(h) }
 func (h refHeap) Less(i, j int) bool {
@@ -32,41 +44,50 @@ func (h refHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)   { *h = append(*h, x.(*Event)) }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(*refEvent)) }
 func (h *refHeap) Pop() any {
 	old := *h
 	ev := old[len(old)-1]
 	*h = old[:len(old)-1]
-	ev.queued = false
 	return ev
 }
+
+func newRefEngine() *refEngine { return &refEngine{recs: map[*Event]*refEvent{}} }
 
 func (r *refEngine) Now() Time           { return r.now }
 func (r *refEngine) Pending() int        { return r.live }
 func (r *refEngine) EventsFired() uint64 { return r.fired }
 
 func (r *refEngine) At(t Time, fn func()) *Event {
-	ev := &Event{at: t, seq: r.seq, fn: fn, queued: true}
+	ev := &refEvent{at: t, seq: r.seq, fn: fn, handle: new(Event)}
 	r.seq++
 	heap.Push(&r.q, ev)
+	r.recs[ev.handle] = ev
 	r.live++
-	return ev
+	return ev.handle
 }
 
-func (r *refEngine) Cancel(ev *Event) {
-	if ev.cancelled {
+// Cancel tombstones a queued event; a popped one has no record left.
+func (r *refEngine) Cancel(h *Event) {
+	ev, queued := r.recs[h]
+	if !queued || ev.cancelled {
 		return
 	}
 	ev.cancelled = true
-	if ev.queued {
-		r.live--
-	}
+	r.live--
+}
+
+// pop removes the head event and its handle's record.
+func (r *refEngine) pop() *refEvent {
+	ev := heap.Pop(&r.q).(*refEvent)
+	delete(r.recs, ev.handle)
+	return ev
 }
 
 // next reports the earliest live event's time, skimming tombstones.
 func (r *refEngine) next() (Time, bool) {
 	for len(r.q) > 0 && r.q[0].cancelled {
-		heap.Pop(&r.q)
+		r.pop()
 	}
 	if len(r.q) == 0 {
 		return 0, false
@@ -76,7 +97,7 @@ func (r *refEngine) next() (Time, bool) {
 
 func (r *refEngine) RunUntil(t Time) {
 	for len(r.q) > 0 && r.q[0].at <= t {
-		ev := heap.Pop(&r.q).(*Event)
+		ev := r.pop()
 		if ev.cancelled {
 			continue
 		}
@@ -161,7 +182,7 @@ func TestRadixQueueLockstep(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		eng := NewEngine(seed)
-		ref := &refEngine{}
+		ref := newRefEngine()
 		sides := [2]*lockstepSide{{eng: eng}, {eng: ref}}
 		for op := 0; op < ops; op++ {
 			a := sides[0]
@@ -328,5 +349,47 @@ func TestQueueGrowthAllocBytes(t *testing.T) {
 		if e.Pending() != n {
 			t.Fatalf("%s: Pending = %d, want %d", tc.name, e.Pending(), n)
 		}
+	}
+}
+
+// TestEventSize pins the event record at 24 bytes: a time, a sequence
+// number and a callback, with liveness encoded as fn != nil.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 24 {
+		t.Errorf("Event is %d bytes, want 24", got)
+	}
+}
+
+// TestEngineFillAllocBytes bounds what 2^18 pre-scheduled At calls at
+// random instants within an hour allocate, Events included: 24 B per
+// Event plus about 8.1 B of queue chunk, at most 33 B per event (32-byte
+// Events made it 40 B). Draining the engine then fills the event
+// pool to its cap from chunks the queue has read, so the drain allocates
+// under 1 B per event (a pool slice doubling to its cap took about 4 B).
+func TestEngineFillAllocBytes(t *testing.T) {
+	const n = 1 << 18
+	rng := rand.New(rand.NewSource(1))
+	ats := make([]Time, n)
+	for i := range ats {
+		ats[i] = Time(rng.Int63n(int64(time.Hour)))
+	}
+	nop := func() {}
+	e := NewEngine(1)
+	var before, filled, drained runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, at := range ats {
+		e.At(at, nop)
+	}
+	runtime.ReadMemStats(&filled)
+	e.Run()
+	runtime.ReadMemStats(&drained)
+	if perEvent := float64(filled.TotalAlloc-before.TotalAlloc) / n; perEvent > 33 {
+		t.Errorf("filling allocates %.2f B per event, want at most 33", perEvent)
+	}
+	if perEvent := float64(drained.TotalAlloc-filled.TotalAlloc) / n; perEvent > 1 {
+		t.Errorf("draining allocates %.2f B per event, want at most 1", perEvent)
+	}
+	if e.EventsFired() != n || e.free.size != maxFreeEvents {
+		t.Fatalf("fired %d events and pooled %d, want %d and %d", e.EventsFired(), e.free.size, n, maxFreeEvents)
 	}
 }

@@ -312,7 +312,7 @@ func (e *Engine) runWindow(cap Time) {
 		e.now = ev.at
 		e.fired++
 		e.digest = mixDigest(e.digest, uint64(ev.at), ev.seq)
-		ev.fn()
+		fire(ev)
 		e.release(ev)
 	}
 }
@@ -332,7 +332,7 @@ func (se *ShardedEngine) runSolo(sh *Engine, bounded bool, target Time) {
 		sh.now = ev.at
 		sh.fired++
 		sh.digest = mixDigest(sh.digest, uint64(ev.at), ev.seq)
-		ev.fn()
+		fire(ev)
 		sh.release(ev)
 		if len(sh.out) != 0 {
 			return

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -76,5 +77,29 @@ func TestScheduleZeroAllocsWithTracer(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("schedule/run with tracer attached allocates %.2f objects/op, want 0", avg)
+	}
+}
+
+// TestInstantLogGrowthBytes bounds the instant log's memory: 2^17
+// attribute-free instants take at most 25 B each, the 24-byte record
+// plus what the one partly filled page and the page list cost. Pages
+// never move, so the log allocates what it holds; a log that doubled as
+// it grew allocated about 48 B per instant.
+func TestInstantLogGrowthBytes(t *testing.T) {
+	const n = 1 << 17
+	eng := sim.NewEngine(1)
+	tr := New(eng)
+	tr.Instant("migration", "bind", 0) // intern the label
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i < n; i++ {
+		tr.Instant("migration", "bind", i%8)
+	}
+	runtime.ReadMemStats(&after)
+	if perInstant := float64(after.TotalAlloc-before.TotalAlloc) / n; perInstant > 25 {
+		t.Errorf("the instant log allocates %.2f B per instant, want at most 25", perInstant)
+	}
+	if got := tr.Summarize().Instants; got != n {
+		t.Fatalf("recorded %d instants, want %d", got, n)
 	}
 }

@@ -81,14 +81,14 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 		e.buf = append(e.buf, "\n ]"...)
 	}
 	e.buf = append(e.buf, ",\n \"instants\": "...)
-	if t == nil || len(t.instants) == 0 {
+	if t == nil || t.instants.n == 0 {
 		e.buf = append(e.buf, "[]"...)
 	} else {
 		e.buf = append(e.buf, '[')
-		for i := range t.instants {
-			e.instant(i, &t.instants[i])
+		t.instants.each(func(i int, in *Instant) {
+			e.instant(i, in)
 			e.maybeFlush()
-		}
+		})
 		e.buf = append(e.buf, "\n ]"...)
 	}
 	e.buf = append(e.buf, "\n}\n"...)
@@ -504,9 +504,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	for i := range t.spans {
 		nodes[t.spans[i].Node()] = true
 	}
-	for i := range t.instants {
-		nodes[t.instants[i].Node()] = true
-	}
+	t.instants.each(func(_ int, in *Instant) { nodes[in.Node()] = true })
 	byRack := len(t.rackOf) > 0 && len(nodes) > PerfettoRackCapNodes
 	pidOf := chromePID
 	if byRack {
@@ -533,10 +531,10 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		cat, _ := t.Label(t.spans[i].Label())
 		note(t.spans[i].Node(), cat)
 	}
-	for i := range t.instants {
-		cat, _ := t.Label(t.instants[i].Label())
-		note(t.instants[i].Node(), cat)
-	}
+	t.instants.each(func(_ int, in *Instant) {
+		cat, _ := t.Label(in.Label())
+		note(in.Node(), cat)
+	})
 	pidList := make([]int, 0, len(pids))
 	for pid := range pids {
 		pidList = append(pidList, pid)
@@ -603,8 +601,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			PID: pid, TID: tid, Args: args,
 		})
 	}
-	for i := range t.instants {
-		in := &t.instants[i]
+	t.instants.each(func(_ int, in *Instant) {
 		cat, name := t.Label(in.Label())
 		pid, tid := note(in.Node(), cat)
 		args := t.st.attrMap(in.head)
@@ -619,7 +616,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			TS: float64(in.at) * usPerNS, PID: pid, TID: tid,
 			Args: args,
 		})
-	}
+	})
 
 	// Final counter values as "C" events at the export instant, so the
 	// registry shows up as counter tracks.

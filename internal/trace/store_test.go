@@ -133,7 +133,9 @@ func sameOutput(t *testing.T, what string, write, ref func(io.Writer) error) {
 func sameRecords(t *testing.T, tr *Tracer, ref *refRecorder) {
 	t.Helper()
 	keys := append([]string{"extra", "missing"}, fuzzKeys...)
-	spans, instants := tr.Spans(), tr.instants
+	spans := tr.Spans()
+	var instants []*Instant
+	tr.instants.each(func(_ int, in *Instant) { instants = append(instants, in) })
 	if len(spans) != len(ref.spans) || len(instants) != len(ref.instants) {
 		t.Fatalf("%d spans, %d instants; reference %d, %d",
 			len(spans), len(instants), len(ref.spans), len(ref.instants))
@@ -158,7 +160,7 @@ func sameRecords(t *testing.T, tr *Tracer, ref *refRecorder) {
 		}
 	}
 	for i := range instants {
-		in, w := &instants[i], &ref.instants[i]
+		in, w := instants[i], &ref.instants[i]
 		cat, name := tr.Label(in.Label())
 		if cat != w.Cat || name != w.Name || in.Node() != w.Node || in.at != w.At {
 			t.Fatalf("instant %d = {%s %s %d %d}, reference %+v", i, cat, name, in.Node(), in.at, *w)

@@ -56,7 +56,7 @@ func (t *Tracer) Summarize() *Summary {
 	}
 	s := &Summary{
 		Spans:               len(t.spans),
-		Instants:            len(t.instants),
+		Instants:            t.instants.n,
 		MigrationsRequested: t.Counter("migration.requested"),
 		MigrationsCompleted: t.Counter("migration.completed"),
 		MigrationsAborted:   t.Counter("migration.aborted"),

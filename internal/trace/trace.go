@@ -20,6 +20,7 @@ import (
 	"strconv"
 	"strings"
 
+	"dyrs/internal/metrics"
 	"dyrs/internal/sim"
 )
 
@@ -131,6 +132,38 @@ func (in *Instant) Node() int { return int(in.node) }
 // Label reports the instant's interned (category, name).
 func (in *Instant) Label() Label { return Label(in.label) }
 
+// instantLog holds a tracer's instants in pages that never move
+// (DESIGN.md §6), grown by metrics.AppendPaged, so recording an instant
+// never re-copies earlier ones. An instant's ID is its position in
+// record order across the pages.
+type instantLog struct {
+	pages [][]Instant
+	n     int
+}
+
+// Page capacities of an instantLog, in instants.
+const (
+	instantPageFirst = 64
+	instantPageMax   = 2048 // 48 KiB
+)
+
+// push appends in to the log.
+func (l *instantLog) push(in Instant) {
+	metrics.AppendPaged(&l.pages, in, instantPageFirst, instantPageMax)
+	l.n++
+}
+
+// each calls fn on every instant in record order, with its index.
+func (l *instantLog) each(fn func(i int, in *Instant)) {
+	i := 0
+	for _, p := range l.pages {
+		for j := range p {
+			fn(i, &p[j])
+			i++
+		}
+	}
+}
+
 // Label resolves an interned label of one of the tracer's records to
 // its category ("migration", "read", "task", "job", …) and name.
 func (t *Tracer) Label(l Label) (cat, name string) {
@@ -171,7 +204,7 @@ type Tracer struct {
 	eng      *sim.Engine
 	st       store // attribute arena and intern tables the records index into
 	spans    []Span
-	instants []Instant
+	instants instantLog
 	counters map[string]*int64
 	res      map[*sim.Resource]*flowCounters
 	hists    map[string]*Hist
@@ -255,10 +288,7 @@ func (t *Tracer) Instant(cat, name string, node int, attrs ...Attr) {
 	if t.sample != nil && !t.sample.keep(cat, node) {
 		return
 	}
-	if len(t.instants) == cap(t.instants) {
-		t.instants = append(make([]Instant, 0, max(2*cap(t.instants), 1)), t.instants...) // double, as for spans
-	}
-	t.instants = append(t.instants, Instant{
+	t.instants.push(Instant{
 		at: t.eng.Now(), node: int32(node), label: t.st.label(cat, name), head: t.st.push(attrs),
 	})
 }

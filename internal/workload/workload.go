@@ -151,12 +151,29 @@ func DefaultSWIMConfig() SWIMConfig {
 	}
 }
 
+// Validate reports the first field of c that GenerateSWIM cannot use,
+// by name: fewer than one job, a negative total input, or a negative
+// mean interarrival, which would submit jobs before the replay starts.
+func (c SWIMConfig) Validate() error {
+	switch {
+	case c.Jobs < 1:
+		return fmt.Errorf("workload: SWIMConfig.Jobs must be at least 1, got %d", c.Jobs)
+	case c.TotalInput < 0:
+		return fmt.Errorf("workload: SWIMConfig.TotalInput must not be negative, got %d", c.TotalInput)
+	case c.MeanInterarrival < 0:
+		return fmt.Errorf("workload: SWIMConfig.MeanInterarrival must not be negative, got %v", c.MeanInterarrival)
+	}
+	return nil
+}
+
 // GenerateSWIM synthesizes a trace with the published marginals: 85% of
 // jobs read under 64 MB while a few large jobs account for most of the
-// bytes, and the whole replay sums to exactly TotalInput.
+// bytes, and the whole replay sums to exactly TotalInput. An invalid
+// cfg panics with Validate's error; callers taking it from input check
+// it first.
 func GenerateSWIM(rng *rand.Rand, cfg SWIMConfig) []SWIMJob {
-	if cfg.Jobs <= 0 {
-		panic("workload: SWIM needs at least one job")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	jobs := make([]SWIMJob, cfg.Jobs)
 	sizes := make([]float64, cfg.Jobs)

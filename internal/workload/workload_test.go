@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -119,6 +120,43 @@ func TestPropertySWIMGeneration(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestSWIMConfigValidate: the default config and an all-at-once replay
+// are valid; each value GenerateSWIM cannot use is an error naming its
+// field.
+func TestSWIMConfigValidate(t *testing.T) {
+	for _, tc := range []struct {
+		field string // "" for a valid config
+		edit  func(*SWIMConfig)
+	}{
+		{"", func(c *SWIMConfig) {}},
+		{"", func(c *SWIMConfig) { c.Jobs, c.TotalInput, c.MeanInterarrival = 1, 0, 0 }},
+		{"Jobs", func(c *SWIMConfig) { c.Jobs = 0 }},
+		{"Jobs", func(c *SWIMConfig) { c.Jobs = -3 }},
+		{"TotalInput", func(c *SWIMConfig) { c.TotalInput = -sim.GB }},
+		{"MeanInterarrival", func(c *SWIMConfig) { c.MeanInterarrival = -time.Second }},
+	} {
+		cfg := DefaultSWIMConfig()
+		tc.edit(&cfg)
+		err := cfg.Validate()
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("%+v: unexpected error %v", cfg, err)
+		case tc.field != "" && (err == nil || !strings.Contains(err.Error(), "SWIMConfig."+tc.field+" ")):
+			t.Errorf("%+v: error %v, want one naming SWIMConfig.%s", cfg, err, tc.field)
+		}
+	}
+	// GenerateSWIM refuses a negative interarrival up front, instead of
+	// handing out arrivals before the replay starts.
+	defer func() {
+		if err, _ := recover().(error); err == nil || !strings.Contains(err.Error(), "MeanInterarrival") {
+			t.Errorf("GenerateSWIM panicked with %v, want Validate's MeanInterarrival error", err)
+		}
+	}()
+	cfg := DefaultSWIMConfig()
+	cfg.MeanInterarrival = -time.Second
+	GenerateSWIM(rand.New(rand.NewSource(1)), cfg)
 }
 
 func TestSWIMSpec(t *testing.T) {
